@@ -12,10 +12,12 @@ machine-readable failure record), 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -42,12 +44,28 @@ def _fmt(x) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write through a unique, fsynced temp file in the target directory.
+
+    Concurrent writers to one path never share a temp file, a reader sees
+    either the old or the new file, and a failed write leaves no temp file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".",
+                               suffix=".tmp")
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # mkstemp's 0600 would stick to the artifact
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _write_csv(path: str, header: list, rows: list) -> None:
@@ -114,7 +132,7 @@ def run_convex_split(cfg) -> tuple[list, list, list]:
             weights = w / w.sum()
         inst = convexsplit.ConvexSplitInstance(rho, sigma, np.eye(dR) / dR, n,
                                                (dR, dA), weights)
-        rep = convexsplit.bounds_report(inst, seed=s + 3)
+        rep = convexsplit.bounds_report(inst)
         ly = convexsplit.ly2024_compare(inst, 0.5)
         slack = {k: rep.bounds[k][1] - rep.bounds[k][0] for k in rep.bounds}
         ok = rep.residual <= tol_res and all(v >= -tol_slack for v in slack.values())

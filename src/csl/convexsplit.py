@@ -22,7 +22,12 @@ from .matcore import (
     fidelity,
     trace_distance,
 )
-from .optim import OptimizerReport, minimize_over_states
+from .optim import (
+    OptimizerReport,
+    _support_basis,
+    minimize_convex_over_states,
+    q_alpha_grad,
+)
 
 # Dense tau operators live on R (x) A^n; protocols handle larger n with
 # pure states only.
@@ -199,29 +204,44 @@ def split_equality_check(instance: ConvexSplitInstance) -> SplitReport:
     return SplitReport(lhs, rhs, residual, t, mu, mu_max)
 
 
-def nu_n(rho_RA, sigma_A, n: int, dims: tuple[int, int], restarts: int = 12,
-         seed: int = 0) -> tuple[float, np.ndarray, OptimizerReport]:
-    """min over omega of (n-1)/n Q_2(rho_R||omega) + 1/n Q_2(rho_RA||omega (x) sigma)."""
+def nu_n(rho_RA, sigma_A, n: int,
+         dims: tuple[int, int]) -> tuple[float, np.ndarray, OptimizerReport]:
+    """min over omega of (n-1)/n Q_2(rho_R||omega) + 1/n Q_2(rho_RA||omega (x) sigma).
+
+    Both terms are jointly convex; the minimum lies on supp(rho_R) by data
+    processing under the pinching onto it, so omega is solved for there and
+    certified by the convex solver's Frank-Wolfe gap.  When rho_RA leaves
+    R (x) supp(sigma) every omega gives inf, which is returned exactly.
+    """
     if n < 1:
         raise ContractViolation("n must be >= 1")
     R = _as_matrix(rho_RA)
-    S = _as_matrix(sigma_A)
     dR, dA = dims
     rho_R = np.trace(R.reshape(dR, dA, dR, dA), axis1=1, axis2=3)
+    VR = _support_basis(rho_R)
+    VS = _support_basis(_as_matrix(sigma_A))
+    W = np.kron(VR, VS)
+    Rc = W.conj().T @ R @ W
+    if float(np.trace(R).real - np.trace(Rc).real) > 1e-10:
+        omega = np.eye(dR) / dR
+        return INF, omega, OptimizerReport(INF, omega, 0, True, 0.0)
+    rho_Rc = VR.conj().T @ rho_R @ VR
+    Sc = VS.conj().T @ _as_matrix(sigma_A) @ VS
+    one = np.ones((1, 1))
 
-    def objective(omega):
-        a = q2(rho_R, omega) if n > 1 else 0.0
-        b = q2(R, np.kron(omega, S))
-        if math.isinf(a) or math.isinf(b):
-            return INF
-        return (n - 1) / n * a + b / n
+    def fun_grad(omega):
+        qb, gb = q_alpha_grad(Rc, Sc, omega, 2.0, sigma_first=True)
+        if n == 1:
+            return qb, gb
+        qa, ga = q_alpha_grad(rho_Rc, one, omega, 2.0)
+        return (n - 1) / n * qa + qb / n, (n - 1) / n * ga + gb / n
 
-    report = minimize_over_states(objective, dR, restarts=restarts, seed=seed,
-                                  extra_starts=[rho_R])
+    report = minimize_convex_over_states(fun_grad, VR.shape[1])
+    report.argopt = VR @ report.argopt @ VR.conj().T
     return report.value, report.argopt, report
 
 
-def bounds_report(instance: ConvexSplitInstance, seed: int = 0) -> SplitReport:
+def bounds_report(instance: ConvexSplitInstance) -> SplitReport:
     """Every derived bound evaluated against dense LHS quantities.
 
     The bounds hold for the canonical mixture, so omega is pinned to rho_R
@@ -238,7 +258,7 @@ def bounds_report(instance: ConvexSplitInstance, seed: int = 0) -> SplitReport:
     ref = _reference_product(pinned)
     n = instance.n
     mu, mu_max = rep.mu, rep.mu_max
-    nu, _, _ = nu_n(instance.rho_RA, instance.sigma_A, n, instance.dims, seed=seed)
+    nu, _, _ = nu_n(instance.rho_RA, instance.sigma_A, n, instance.dims)
     rep.nu_n = nu
 
     lhs_umegaki = _dense_lhs_umegaki(tau, pinned)

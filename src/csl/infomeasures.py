@@ -22,7 +22,14 @@ from .matcore import (
     eig_hermitian,
     trace_distance,
 )
-from .optim import dominating_trace_min, imax_sdp, minimize_over_states
+from .optim import (
+    _support_basis,
+    dominating_trace_min,
+    imax_sdp,
+    minimize_convex_over_states,
+    minimize_over_states,
+    q_alpha_grad,
+)
 
 C_SMOOTH = 2.0 - math.sqrt(3.0)
 
@@ -103,35 +110,49 @@ def h_min_conditional(rho_ab, dims=None, tol: float = 1e-7) -> float:
     return -res.value_bits
 
 
-def conditional_renyi_up(rho_ab, beta: float, dims=None, restarts: int = 8,
-                         seed: int = 0) -> float:
-    """Optimized conditional entropy -min over sigma of D_beta(rho || I (x) sigma)."""
+def conditional_renyi_up(rho_ab, beta: float, dims=None) -> float:
+    """Optimized conditional entropy -min over sigma of D_beta(rho || I (x) sigma).
+
+    For finite beta != 1 the minimization is convex in Q_beta (convex for
+    beta > 1, concave for beta in [1/2, 1); Frank & Lieb 2013) and is solved
+    on supp(rho_B), where the optimum lies by data processing under the
+    pinching onto it; the solver certifies the value by its Frank-Wolfe gap.
+    """
     if beta < 0.5:
         raise ContractViolation(f"beta must be >= 1/2, got {beta}")
     R, dA, dB = _bipartite(rho_ab, dims)
+    rho_A, rho_B = _marginals(R, dA, dB)
     if math.isinf(beta):
         return h_min_conditional(R, (dA, dB))
-    rho_A, rho_B = _marginals(R, dA, dB)
     if beta == 1:
         return renyi_entropy(R, 1) - renyi_entropy(rho_B, 1)
     # Pure bipartite states: duality with a trivial purifying system gives
     # the closed form -H_{beta/(2 beta - 1)}(A); skip the optimizer.
-    w2 = np.clip(np.linalg.eigvalsh(R), 0.0, None)
-    if w2.max(initial=0.0) >= 1.0 - 1e-12:
+    if np.linalg.eigvalsh(R).max(initial=0.0) >= 1.0 - 1e-12:
         return -renyi_entropy(rho_A, beta / (2.0 * beta - 1.0))
-    # Seed with the pinched candidate (Tr_A rho^beta)^(1/beta), normalized.
-    w, V = eig_hermitian(R)
-    Rb = (V * np.clip(w, 0.0, None) ** beta) @ V.conj().T
-    TB = np.trace(Rb.reshape(dA, dB, dA, dB), axis1=0, axis2=2)
-    wb, Vb = eig_hermitian(TB)
-    guess = (Vb * np.clip(wb, 0.0, None) ** (1.0 / beta)) @ Vb.conj().T
-    tg = np.trace(guess).real
-    extra = [rho_B] + ([guess / tg] if tg > 0 else [])
-    report = minimize_over_states(
-        lambda s: d_alpha(R, np.kron(np.eye(dA), s), beta),
-        dB, restarts=restarts, seed=seed, extra_starts=extra,
-    )
-    return -report.value
+    VB = _support_basis(rho_B)
+    W = np.kron(np.eye(dA), VB)
+    Rc = W.conj().T @ R @ W
+    sign = 1.0 if beta > 1 else -1.0  # minimize Q (beta > 1) or -Q
+
+    def fun_grad(s):
+        q, grad = q_alpha_grad(Rc, np.eye(dA), s, beta)
+        return sign * q, sign * grad
+
+    def value_of(f):  # D_beta, increasing in f
+        return math.log2(sign * f) / (beta - 1.0) if sign * f > 0 else -math.inf
+
+    return -minimize_convex_over_states(fun_grad, VB.shape[1], value_of).value
+
+
+def imax_certified(rho_ab, dims) -> float:
+    """I_max(A:B) in bits from imax_sdp, raising unless its certificate holds."""
+    res = imax_sdp(rho_ab, dims)
+    if not res.converged or res.residual < -1e-7:
+        raise ContractViolation(
+            f"max-information SDP not certified (converged={res.converged}, "
+            f"residual {res.residual:.3e})")
+    return res.value_bits
 
 
 def imax_bound_lemma(rho_ab, dims=None) -> BoundReport:
@@ -190,7 +211,7 @@ def imax_smoothed_upper(rho_ab, eps: float, dims=None, alpha: float = 0.5,
 
     def imax_of(key, state):
         if key not in cache:
-            cache[key] = imax_sdp(state, (dA, dB)).value_bits
+            cache[key] = imax_certified(state, (dA, dB))
         return cache[key]
 
     best_v = imax_of("imax_rho", R)

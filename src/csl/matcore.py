@@ -118,10 +118,6 @@ class DensityOperator:
     def marginal(self, keep) -> "DensityOperator":
         return partial_trace(self, keep)
 
-    def relabel(self, mapping: dict) -> "DensityOperator":
-        regs = tuple((mapping.get(lbl, lbl), d) for lbl, d in self.layout.registers)
-        return DensityOperator(self.matrix, RegisterLayout(regs))
-
 
 @dataclass(frozen=True)
 class PureStateVector:
@@ -152,10 +148,6 @@ class PureStateVector:
 
     def marginal(self, keep) -> DensityOperator:
         return partial_trace(self.to_density(), keep)
-
-    def relabel(self, mapping: dict) -> "PureStateVector":
-        regs = tuple((mapping.get(lbl, lbl), d) for lbl, d in self.layout.registers)
-        return PureStateVector(self.amplitudes, RegisterLayout(regs))
 
 
 @dataclass(frozen=True)
@@ -243,17 +235,6 @@ def partial_trace(M, keep, layout: RegisterLayout | None = None):
         sub = RegisterLayout(tuple(layout.registers[i] for i in keep_pos))
         return DensityOperator(out, sub)
     return out
-
-
-def permute_vector(psi: PureStateVector, new_order) -> PureStateVector:
-    """Reorder the registers of a pure state into ``new_order`` (labels)."""
-    pos = psi.layout.positions(new_order)
-    if sorted(pos) != list(range(len(psi.layout.registers))):
-        raise ContractViolation("new_order must be a permutation of all labels")
-    T = psi.amplitudes.reshape(psi.layout.dims)
-    T = np.transpose(T, pos)
-    regs = tuple(psi.layout.registers[i] for i in pos)
-    return PureStateVector(T.reshape(-1), RegisterLayout(regs))
 
 
 def purify(rho: DensityOperator, ancilla_label: str | None = None) -> PureStateVector:

@@ -1,9 +1,11 @@
 """Shared optimization engines.
 
-Three workhorses: multi-start descent over density operators, a small
-log-det barrier solver for the max-information semidefinite program, and
-multi-start ascent over pure states.  Desk-scale dimensions (<= 36 total)
-keep all of these cheap; no external SDP engine is used.
+Four workhorses: a certified solver for convex functionals of a density
+operator (analytic gradients, Frank-Wolfe gap), multi-start descent over
+density operators, a small log-det barrier solver for the max-information
+semidefinite program, and multi-start ascent over pure states.  Desk-scale
+dimensions (<= 36 total) keep all of these cheap; no external SDP engine is
+used.
 """
 
 from __future__ import annotations
@@ -125,6 +127,161 @@ def maximize_over_pure(
     return OptimizerReport(-best_val, vec(best_x), n_it, best_ok and gap <= tol, max(gap, 0.0))
 
 
+# --- certified convex solver ------------------------------------------------
+
+def q_alpha_grad(rho, K, sigma, alpha: float, sigma_first: bool = False):
+    """Q_alpha(rho || K (x) sigma) (or sigma (x) K) and its gradient in sigma.
+
+    K and sigma must be positive definite.  With S = K (x) sigma and
+    X = S^e rho S^e, e = (1-alpha)/(2 alpha), dQ = alpha Tr[M dS^e] for
+    M = X^(alpha-1) S^e rho + h.c.  The derivative of S^e is the Hadamard
+    product with the Daleckii-Krein divided differences of t -> t^e in S's
+    eigenbasis (Bhatia, Matrix Analysis, ch. V); the gradient in sigma is
+    grad_S weighted by K and traced over K's factor, Tr_K[(K (x) 1) grad_S]
+    (mirrored for sigma (x) K).  Returns (Q, G) with dQ = Tr[G dsigma].
+    """
+    e = (1.0 - alpha) / (2.0 * alpha)
+    lk, Uk = np.linalg.eigh(K)
+    ls, Us = np.linalg.eigh(sigma)
+    dk, ds = len(lk), len(ls)
+    if sigma_first:
+        lam, U = np.multiply.outer(ls, lk).reshape(-1), np.kron(Us, Uk)
+    else:
+        lam, U = np.multiply.outer(lk, ls).reshape(-1), np.kron(Uk, Us)
+    if lam.min() <= 0:
+        raise ContractViolation("q_alpha_grad needs K and sigma positive definite")
+    # Everything below lives in S's eigenbasis, where S^e is diagonal.
+    le = lam**e
+    Rt = U.conj().T @ rho @ U
+    w, V = np.linalg.eigh(le[:, None] * Rt * le[None, :])
+    w = np.clip(w, 0.0, None)
+    p = np.zeros_like(w)
+    nz = w > RANK_TOL * w.max(initial=0.0)
+    p[nz] = w[nz] ** (alpha - 1.0)
+    A = (V * p) @ V.conj().T @ (le[:, None] * Rt)
+    # (a^e - b^e)/(a - b) = b^(e-1) expm1(e L)/expm1(L), L = log(a/b): stable
+    # at (near-)degenerate pairs, where it tends to e b^(e-1).
+    L = np.subtract.outer(np.log(lam), np.log(lam))
+    den = np.expm1(L)
+    safe = den != 0.0
+    ratio = np.where(safe, np.expm1(e * L) / np.where(safe, den, 1.0), e)
+    Y = alpha * ratio * lam[None, :] ** (e - 1.0) * (A + A.conj().T)
+    # Tr_K[(K (x) 1) U Y U^dag] = Us Tr_K[(diag(lk) (x) 1) Y] Us^dag.
+    if sigma_first:
+        Gt = np.einsum("iaja,a->ij", Y.reshape(ds, dk, ds, dk), lk)
+    else:
+        Gt = np.einsum("aiaj,a->ij", Y.reshape(dk, ds, dk, ds), lk)
+    G = Us @ Gt @ Us.conj().T
+    return float(np.sum(w**alpha)), (G + G.conj().T) / 2
+
+
+def frank_wolfe_gap(grad: np.ndarray, sigma: np.ndarray) -> float:
+    """Tr[G sigma] - lambda_min(G): bounds f(sigma) - min f for convex f."""
+    lo = float(np.linalg.eigvalsh(grad)[0])
+    return max(float(np.einsum("ij,ji->", grad, sigma).real) - lo, 0.0)
+
+
+def _support_basis(P) -> np.ndarray:
+    """Orthonormal columns spanning supp(P) at the RANK_TOL cut."""
+    w, V = eig_hermitian(P)
+    return V[:, w > RANK_TOL * max(w.max(initial=0.0), 0.0)]
+
+
+def _traceless_basis(d: int) -> np.ndarray:
+    """Orthonormal basis of the traceless Hermitian d x d matrices."""
+    basis = _herm_basis(d)[d:]  # off-diagonal pairs
+    for k in range(1, d):
+        D = np.zeros(d)
+        D[:k] = 1.0
+        D[k] = -k
+        basis.append(np.diag(D / math.sqrt(k * (k + 1))).astype(complex))
+    return np.array(basis)
+
+
+# Largest Frank-Wolfe gap, in the reported value's units, that certifies.
+GAP_TOL = 1e-9
+
+
+def minimize_convex_over_states(fun_grad, dim: int, value_of=None) -> OptimizerReport:
+    """Minimize a convex functional over D(dim), certified by the Frank-Wolfe gap.
+
+    ``fun_grad(sigma)`` returns (f, G) with df = Tr[G dsigma].  ``value_of``
+    maps f increasingly onto the reported value (identity by default); the
+    report's value and gap are in its units, the gap being
+    value_of(f) - value_of(f - Tr[G sigma] + lambda_min(G)).  One L-BFGS-B
+    run from the maximally mixed state on the Gram parametrization reaches the
+    value; Newton steps in the traceless tangent space (Hessian by central
+    differences of the gradient) then drive the gap down, since L-BFGS-B's
+    line search stalls on round-off in f.  Raises ContractViolation when the
+    gap stays above GAP_TOL: an unconverged solve never returns a value.
+    """
+    value_of = value_of if value_of is not None else (lambda f: f)
+    d = dim
+
+    def certify(sigma, f, grad):
+        v, lower = value_of(f), value_of(f - frank_wolfe_gap(grad, sigma))
+        return v, v - lower if math.isfinite(lower) else math.inf
+
+    if d == 1:
+        sigma = np.ones((1, 1), dtype=complex)
+        return OptimizerReport(value_of(fun_grad(sigma)[0]), sigma, 0, True, 0.0)
+
+    def fg(x):
+        Gm = (x[: d * d] + 1j * x[d * d:]).reshape(d, d)
+        M = Gm.conj().T @ Gm
+        t = np.trace(M).real
+        try:
+            f, grad = fun_grad(M / t)
+        except ContractViolation:  # left the open set of definite states
+            return 1e12, np.zeros_like(x)
+        C = (grad - np.einsum("ij,ji->", grad, M).real / t * np.eye(d)) / t
+        GC = Gm @ C
+        return f, 2.0 * np.concatenate([GC.real.reshape(-1), GC.imag.reshape(-1)])
+
+    # Scaled so that L-BFGS-B's first unit-length step cannot reach a
+    # singular Gram factor (at norm 1 it does for d = 2).
+    x0 = 4.0 * _state_to_params(np.eye(d) / d)
+    res = scipy.optimize.minimize(fg, x0, jac=True, method="L-BFGS-B",
+                                  options={"maxiter": 500, "ftol": 1e-15,
+                                           "gtol": 1e-12})
+    sigma = _gram_state(res.x, d)
+    f, grad = fun_grad(sigma)
+    value, gap = certify(sigma, f, grad)
+
+    E = _traceless_basis(d)
+
+    def tangent(g):
+        return np.einsum("kij,ji->k", E, g).real
+
+    # Polish well past GAP_TOL: the value's error is second order in sigma's,
+    # the gap first order, so the value then carries ~1e-15 error, not 1e-9.
+    steps = 0
+    while gap > 1e-3 * GAP_TOL and steps < 10:
+        steps += 1
+        h = 1e-4 * float(np.linalg.eigvalsh(sigma)[0])
+        H = np.column_stack([
+            (tangent(fun_grad(sigma + h * Ek)[1]) - tangent(fun_grad(sigma - h * Ek)[1]))
+            / (2 * h) for Ek in E])
+        step = np.linalg.lstsq((H + H.T) / 2, -tangent(grad), rcond=None)[0]
+        D = np.einsum("k,kij->ij", step, E)
+        t = 1.0
+        while t > 1e-3:
+            cand = sigma + t * D
+            if np.linalg.eigvalsh(cand)[0] > 0:
+                f_c, grad_c = fun_grad(cand)
+                v_c, gap_c = certify(cand, f_c, grad_c)
+                if gap_c < gap:
+                    break
+            t *= 0.5
+        else:
+            break
+        sigma, grad, value, gap = cand, grad_c, v_c, gap_c
+    if not gap <= GAP_TOL:
+        raise ContractViolation(
+            f"convex solver stopped with Frank-Wolfe gap {gap:.3e} > {GAP_TOL:.1e}")
+    return OptimizerReport(value, sigma, res.nit + steps, True, gap)
+
+
 # --- max-information SDP ----------------------------------------------------
 
 @dataclass
@@ -185,10 +342,7 @@ def dominating_trace_min(
     keepA = wA > RANK_TOL * max(wA.max(initial=0.0), 0.0)
     VA = VA[:, keepA]
     mA = wA[keepA]
-    rho_B = np.trace(rho_AB.reshape(dA, dB, dA, dB), axis1=0, axis2=2)
-    wB, VB = eig_hermitian(rho_B)
-    keepB = wB > RANK_TOL * max(wB.max(initial=0.0), 0.0)
-    VB = VB[:, keepB]
+    VB = _support_basis(np.trace(rho_AB.reshape(dA, dB, dA, dB), axis1=0, axis2=2))
     rA, rB = VA.shape[1], VB.shape[1]
     W = np.kron(VA, VB)
     rho_c = W.conj().T @ rho_AB @ W  # compressed (rA*rB)

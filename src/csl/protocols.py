@@ -360,7 +360,7 @@ def channel_alpha_beta_info(channel: ChannelSpec, alpha: float, beta: float,
             omega_B = np.trace(omega.reshape(dI, dO, dI, dO), axis1=0, axis2=2)
             return (renyi_entropy(omega_A, 1) + renyi_entropy(omega_B, 1)
                     - renyi_entropy(omega, 1))
-        h_up = conditional_renyi_up(omega, beta, (dI, dO), restarts=2)
+        h_up = conditional_renyi_up(omega, beta, (dI, dO))
         return renyi_entropy(omega_A, alpha) - h_up
 
     # Maximally entangled input is the natural first guess.

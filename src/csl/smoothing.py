@@ -23,9 +23,6 @@ from .matcore import (
     trace_distance,
 )
 
-_C_SMOOTH = 2.0 - math.sqrt(3.0)  # ball-splitting constant, about 0.268
-
-
 @dataclass
 class SpectrumPair:
     """Two non-increasing spectra and their entrywise minimum."""
@@ -237,7 +234,7 @@ def uab_chain_verify(rho_ab, dims: tuple[int, int], alpha: float, beta: float,
         raise ContractViolation("need alpha in (0,1), beta > 1, eps in (0,1)")
     dA, dB = dims
     R = _as_matrix(rho_ab)
-    delta = _C_SMOOTH * eps * eps
+    delta = infomeasures.C_SMOOTH * eps * eps
     eps1 = (math.sqrt(3.0) - 1.0) * eps
     cache = cache if cache is not None else {}
 
@@ -249,9 +246,7 @@ def uab_chain_verify(rho_ab, dims: tuple[int, int], alpha: float, beta: float,
         h_delta, tau_spec = smooth_renyi_entropy_min(p, delta, alpha)
         tr = truncation_effect(rho_A, tau_spec, delta)
         omega_l, _ = apply_truncation(R, tr.effect, dims)
-        from .optim import imax_sdp
-
-        imax_val = imax_sdp(omega_l, dims).value_bits
+        imax_val = infomeasures.imax_certified(omega_l, dims)
         cache[key_t] = (h_delta, tr, omega_l, imax_val)
     h_delta, tr, omega_l, imax_val = cache[key_t]
 

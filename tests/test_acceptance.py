@@ -76,7 +76,7 @@ def test_criterion_03_corollary_bounds():
     worst = -math.inf
     for i in range(30):
         inst = random_instance(i, with_omega_choice=False)
-        rep = convexsplit.bounds_report(inst, seed=i)
+        rep = convexsplit.bounds_report(inst)
         n = inst.n
         p2 = rep.bounds["split9"][0]
         ordering = (p2 <= 1.0 - 1.0 / rep.nu_n + 1e-7

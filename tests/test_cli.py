@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from csl import matcore
+from csl import cli, matcore
 from csl.cli import main
 from csl.matcore import PureStateVector, RegisterLayout, state_to_dict
 
@@ -158,3 +158,25 @@ def test_exit_1_on_assertion_failure(tmp_path, capsys, monkeypatch):
     summary = json.loads(stdout)
     assert summary["failure"]["kind"] == "assertion"
     assert summary["pass_rate"] < 1.0
+
+
+def test_atomic_write_ignores_stray_tmp_and_leaves_no_temp(tmp_path, capsys):
+    # A fixed "<path>.tmp" would belong to any other writer of the same path.
+    stray = tmp_path / "out.csv.tmp"
+    stray.write_text("another writer\n")
+    out = tmp_path / "out.csv"
+    code, _, _ = run(["bounds-sweep", "--suite", "rld", "--dims", "2x2",
+                      "--samples", "1", "--seed", "9", "--out", str(out)], capsys)
+    assert code == 0
+    assert stray.read_text() == "another writer\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.tmp"]
+
+
+def test_atomic_write_failure_leaves_no_temp(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    with pytest.raises(OSError):
+        cli._atomic_write(str(tmp_path / "x.csv"), "a\n")
+    assert list(tmp_path.iterdir()) == []

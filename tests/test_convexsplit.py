@@ -129,11 +129,46 @@ def test_nu_n_at_most_relaxed_bound():
         assert abs(np.trace(argopt).real - 1.0) < 1e-8
 
 
+# nu_n recorded with the multi-start optimizer this package used before the
+# certified convex solver: (seed, n, dR, dA) of random_instance -> value.
+PINNED_NU = {
+    (1, 1, 2, 2): 2.7295862604767622,
+    (2, 3, 2, 2): 10.499574657368727,
+    (5, 3, 3, 2): 1.3288644021266167,
+    (6, 1, 2, 3): 14.379167077844638,
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_NU))
+def test_nu_n_pinned_and_certified(key):
+    seed, n, dR, dA = key
+    inst = random_instance(seed, n, dR, dA)
+    nu, argopt, rep = nu_n(inst.rho_RA, inst.sigma_A, n, inst.dims)
+    assert abs(nu - PINNED_NU[key]) <= 1e-9 * max(1.0, PINNED_NU[key])
+    assert rep.converged and rep.gap_estimate <= 1e-9
+    assert abs(np.trace(argopt).real - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n, want", [(1, 3.591455327570736), (3, 1.8749902729897863)])
+def test_nu_n_rank_deficient_rho_r(n, want):
+    # rho_RA on span(e0, e1) (x) A inside a 3-dim R has the values of the
+    # 2-dim instance (pinned); omega is solved on supp(rho_R) and stays there.
+    M = sample("mixed-hilbert-schmidt", RegisterLayout.of(("R", 2), ("A", 2)),
+               19).matrix
+    sigma = sample("mixed-hilbert-schmidt", 2, 23).matrix
+    W = np.kron(np.eye(3)[:, :2], np.eye(2))
+    for rho, dims in [(M, (2, 2)), (W @ M @ W.conj().T, (3, 2))]:
+        nu, argopt, rep = nu_n(rho, sigma, n, dims)
+        assert abs(nu - want) <= 1e-9 * want
+        assert rep.gap_estimate <= 1e-9
+    assert np.abs(argopt[2]).max() < 1e-15  # the embedded omega stays on supp(rho_R)
+
+
 def test_bounds_report_all_hold():
     for seed in range(8):
         n = 1 + seed % 4
         inst = random_instance(seed, n)
-        rep = bounds_report(inst, seed=seed)
+        rep = bounds_report(inst)
         for name, (lhs, rhs) in rep.bounds.items():
             assert lhs <= rhs + 1e-8, (name, lhs, rhs)
         assert rep.nu_n is not None

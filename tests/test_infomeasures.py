@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from csl import infomeasures
 from csl.infomeasures import (
     C_SMOOTH,
     check_rld_bound,
@@ -17,7 +18,7 @@ from csl.infomeasures import (
     universal_rhs,
 )
 from csl.matcore import ContractViolation, RegisterLayout, sample
-from csl.optim import imax_sdp
+from csl.optim import imax_sdp, minimize_convex_over_states
 
 
 def bell_density():
@@ -81,6 +82,55 @@ def test_conditional_renyi_up_pure_state_duality():
     for beta in [1.5, 2.0, 4.0]:
         expect = -renyi_entropy(rho_A, beta / (2 * beta - 1))
         assert abs(conditional_renyi_up(rho, beta, (2, 3)) - expect) < 1e-8
+
+
+BETAS = (0.5, 0.75, 1.5, 2.0, 4.0)
+# H_up_beta(A|B) at BETAS, recorded with the multi-start optimizer this
+# package used before the certified convex solver.
+PINNED_H_UP = {
+    "hs22": (0.6860486261532853, 0.5642775170437057, 0.3650624245592738,
+             0.29896943502207285, 0.1878314081702629),
+    "hs23": (0.6306052968024007, 0.4633888218622385, 0.18129391779043053,
+             0.08361261365121808, -0.07373029542879941),
+    "compressed": (0.6335606145305006, 0.5233090378660249, 0.37150680220677923,
+                   0.32816854658091205, 0.25714861695167623),
+}
+
+
+def _pinned_states():
+    M = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2), ("B", 2)),
+               13).matrix
+    W = np.kron(np.eye(2), np.eye(3)[:, :2])
+    return {
+        "hs22": (sample("mixed-hilbert-schmidt",
+                        RegisterLayout.of(("A", 2), ("B", 2)), 7).matrix, (2, 2)),
+        "hs23": (sample("mixed-hilbert-schmidt",
+                        RegisterLayout.of(("A", 2), ("B", 3)), 11).matrix, (2, 3)),
+        "compressed": (M, (2, 2)),
+        # rank-deficient rho_B: M placed on A (x) span(e0, e1) of a 3-dim B.
+        # It has the values of M; the multi-start optimizer, whose minimizer
+        # sat on the boundary of D(B) here, was off by up to 4e-10 for
+        # beta >= 3/4 and by 5e-4 at beta = 1/2.
+        "embedded": (W @ M @ W.conj().T, (2, 3)),
+    }
+
+
+@pytest.mark.parametrize("name", ["hs22", "hs23", "compressed", "embedded"])
+def test_conditional_renyi_up_pinned_and_certified(name, monkeypatch):
+    reports = []
+
+    def recorded(*args):
+        reports.append(minimize_convex_over_states(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(infomeasures, "minimize_convex_over_states", recorded)
+    rho, dims = _pinned_states()[name]
+    pinned = PINNED_H_UP["compressed" if name == "embedded" else name]
+    for beta, want in zip(BETAS, pinned):
+        value = conditional_renyi_up(rho, beta, dims)
+        assert abs(value - want) <= 1e-9, (beta, value, want)
+        assert reports[-1].converged and reports[-1].gap_estimate <= 1e-9
+    assert len(reports) == len(BETAS)
 
 
 def test_imax_bound_lemma_bell():

@@ -1,14 +1,18 @@
 import math
 
 import numpy as np
+import pytest
 
-from csl.divergences import d_alpha
-from csl.matcore import RegisterLayout, sample
+from csl.divergences import d_alpha, q_alpha
+from csl.matcore import ContractViolation, RegisterLayout, sample
 from csl.optim import (
     dominating_trace_min,
+    frank_wolfe_gap,
     imax_sdp,
     maximize_over_pure,
+    minimize_convex_over_states,
     minimize_over_states,
+    q_alpha_grad,
 )
 
 
@@ -93,3 +97,60 @@ def test_rank_deficient_inputs():
     res = imax_sdp(rho, (2, 2))
     assert res.converged
     assert res.residual > -1e-7
+
+
+def _product(K, sigma, sigma_first):
+    return np.kron(sigma, K) if sigma_first else np.kron(K, sigma)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.5, 2.0, 4.0])
+@pytest.mark.parametrize("sigma_first", [False, True])
+def test_q_alpha_grad_matches_central_differences(alpha, sigma_first):
+    rng = np.random.default_rng(3)
+    for dK, dS in [(1, 3), (2, 2), (2, 3), (3, 2)]:
+        rho = sample("mixed-hilbert-schmidt", dK * dS, 5).matrix
+        K = sample("mixed-hilbert-schmidt", dK, 6).matrix
+        sigma = sample("mixed-hilbert-schmidt", dS, 7).matrix
+        value, grad = q_alpha_grad(rho, K, sigma, alpha, sigma_first)
+        assert abs(value - q_alpha(rho, _product(K, sigma, sigma_first), alpha)) \
+            <= 1e-12 * max(1.0, value)
+        for _ in range(3):
+            H = rng.standard_normal((dS, dS)) + 1j * rng.standard_normal((dS, dS))
+            H = (H + H.conj().T) / 2
+            h = 1e-6
+            fd = (q_alpha(rho, _product(K, sigma + h * H, sigma_first), alpha)
+                  - q_alpha(rho, _product(K, sigma - h * H, sigma_first), alpha)) / (2 * h)
+            exact = float(np.trace(grad @ H).real)
+            assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact)), (dK, dS)
+
+
+@pytest.mark.parametrize("alpha", [0.75, 2.0])
+def test_frank_wolfe_gap_bounds_suboptimality(alpha):
+    # f = +-Q_alpha(rho || 1 (x) sigma) is convex; at a deliberately poor
+    # sigma the gap must cover f(sigma) - f*.
+    rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2), ("B", 3)),
+                 8).matrix
+    sign = 1.0 if alpha > 1 else -1.0
+
+    def fun_grad(s):
+        q, g = q_alpha_grad(rho, np.eye(2), s, alpha)
+        return sign * q, sign * g
+
+    best = minimize_convex_over_states(fun_grad, 3)
+    assert best.gap_estimate <= 1e-9
+    for seed in range(5):
+        poor = sample("rank-limited", 3, 40 + seed, rank=3).matrix
+        poor = 0.9 * poor + 0.1 * np.diag([1.0, 0.0, 0.0])
+        f, grad = fun_grad(poor)
+        excess = f - best.value
+        assert excess > 1e-4
+        assert excess <= frank_wolfe_gap(grad, poor) + 1e-12
+
+
+def test_convex_solver_raises_when_gap_stays_open():
+    # A gradient that disagrees with f never closes the gap: no value.
+    def inconsistent(s):
+        return 0.0, np.diag([1.0, 0.0]).astype(complex)
+
+    with pytest.raises(ContractViolation, match="Frank-Wolfe gap"):
+        minimize_convex_over_states(inconsistent, 2)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from csl import infomeasures
 from csl.matcore import (
     ContractViolation,
     RegisterLayout,
@@ -10,6 +11,7 @@ from csl.matcore import (
     sample,
     trace_distance,
 )
+from csl.optim import ImaxResult
 from csl.smoothing import (
     SpectrumPair,
     apply_truncation,
@@ -132,3 +134,19 @@ def test_uab_chain_cache_reuse():
     assert rep1.imax_truncated == rep2.imax_truncated
     assert rep1.rhs_final == rep2.rhs_final
     assert "h_min" in cache
+
+
+@pytest.mark.parametrize("converged, residual", [(False, 0.0), (True, -1e-3)])
+def test_uab_chain_rejects_uncertified_imax(monkeypatch, converged, residual):
+    # A non-converged or infeasible SDP certificate must stop the chain
+    # instead of certifying a step.
+    def uncertified(rho_ab, dims):
+        return ImaxResult(0.0, np.eye(dims[1]), converged, residual)
+
+    monkeypatch.setattr(infomeasures, "imax_sdp", uncertified)
+    rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2), ("B", 2)),
+                 3).matrix
+    with pytest.raises(ContractViolation, match="not certified"):
+        uab_chain_verify(rho, (2, 2), 0.5, 2.0, 0.1)
+    with pytest.raises(ContractViolation, match="not certified"):
+        infomeasures.imax_smoothed_upper(rho, 0.1, (2, 2))
