@@ -83,6 +83,8 @@ class SplitReport:
     mu_max: float
     nu_n: float | None = None
     bounds: dict = field(default_factory=dict)
+    # nu_n's solver report (iterations, Frank-Wolfe gap); kept off artifacts.
+    nu_report: OptimizerReport | None = None
 
 
 def build_tau(instance: ConvexSplitInstance) -> np.ndarray:
@@ -258,7 +260,7 @@ def bounds_report(instance: ConvexSplitInstance) -> SplitReport:
     ref = _reference_product(pinned)
     n = instance.n
     mu, mu_max = rep.mu, rep.mu_max
-    nu, _, _ = nu_n(instance.rho_RA, instance.sigma_A, n, instance.dims)
+    nu, _, rep.nu_report = nu_n(instance.rho_RA, instance.sigma_A, n, instance.dims)
     rep.nu_n = nu
 
     lhs_umegaki = _dense_lhs_umegaki(tau, pinned)

@@ -159,15 +159,14 @@ def imax_bound_lemma(rho_ab, dims=None) -> BoundReport:
     """I_max(A:B) <= -log lambda_min_nz(rho_A) - H_min(A|B)."""
     R, dA, dB = _bipartite(rho_ab, dims)
     rho_A, _ = _marginals(R, dA, dB)
-    res = imax_sdp(R, (dA, dB))
+    imax = imax_certified(R, (dA, dB))
     w = np.clip(np.linalg.eigvalsh(rho_A), 0.0, None)
     lam_min = float(w[w > RANK_TOL * w.max()].min())
     h_min = h_min_conditional(R, (dA, dB))
     rhs = -math.log2(lam_min) - h_min
     return BoundReport(
-        "imax-minentropy-bound", res.value_bits, rhs,
-        res.value_bits <= rhs + 1e-7,
-        {"lambda_min": lam_min, "h_min": h_min, "converged": res.converged},
+        "imax-minentropy-bound", imax, rhs, imax <= rhs + 1e-7,
+        {"lambda_min": lam_min, "h_min": h_min},
     )
 
 

@@ -310,17 +310,6 @@ def _herm_basis(d: int):
     return basis
 
 
-def _vec_to_herm(x: np.ndarray, basis) -> np.ndarray:
-    M = np.zeros_like(basis[0])
-    for c, E in zip(x, basis):
-        M = M + c * E
-    return M
-
-
-def _herm_to_vec(M: np.ndarray, basis) -> np.ndarray:
-    return np.array([float(np.trace(E.conj().T @ M).real) for E in basis])
-
-
 def dominating_trace_min(
     M_A: np.ndarray,
     rho_AB: np.ndarray,
@@ -330,7 +319,9 @@ def dominating_trace_min(
     """min Tr[Y] over Y >= 0 with M_A (x) Y >= rho_AB, by a log-det barrier.
 
     Both operators are first compressed onto supp(M_A) (x) supp(rho_B); the
-    optimum is supported there, which keeps the barrier nondegenerate.
+    optimum is supported there, which keeps the barrier nondegenerate.  The
+    Newton system is assembled by broadcasts and einsums on the (a, i, a', j)
+    block view of the slack M_A (x) Y - rho_AB, with no loop over blocks.
     """
     dA, dB = dims
     M_A = _as_matrix(M_A)
@@ -350,43 +341,38 @@ def dominating_trace_min(
     # Strictly feasible start: Y = 2 t_min I.
     Dm = np.kron(np.diag(1.0 / np.sqrt(mA)), np.eye(rB))
     t_min = float(np.linalg.eigvalsh(Dm @ rho_c @ Dm).max())
-    basis = _herm_basis(rB)
     Y = 2.0 * max(t_min, 1e-12) * np.eye(rB, dtype=complex)
-    P = np.column_stack([E.reshape(-1) for E in basis])
+    # Columns: row-major vec of an orthonormal Hermitian basis, so that
+    # P^H vec(G) are G's coordinates and P @ y is the matrix with coordinates y.
+    P = np.column_stack([E.reshape(-1) for E in _herm_basis(rB)])
+    n = rA * rB
+    diag_m = np.diag(mA)[:, None, :, None]
+    mm = np.multiply.outer(mA, mA)
 
-    def feasible(Yc):
+    def slack(Yc):  # diag(m_A) (x) Y - rho_c
+        return (diag_m * Yc[None, :, None, :]).reshape(n, n) - rho_c
+
+    def barrier(Yc, mu):
+        """Tr Y - mu log det(slack) - mu log det Y; inf outside the open cone."""
         try:
-            np.linalg.cholesky(np.kron(np.diag(mA), Yc) - rho_c)
-            np.linalg.cholesky(Yc)
-            return True
+            LK = np.linalg.cholesky(slack(Yc))
+            LY = np.linalg.cholesky(Yc)
         except np.linalg.LinAlgError:
-            return False
-
-    def fval(Yc, mu):
-        K = np.kron(np.diag(mA), Yc) - rho_c
-        sK = np.linalg.slogdet(K)[1]
-        sY = np.linalg.slogdet(Yc)[1]
-        return float(np.trace(Yc).real) - mu * float(sK + sY)
+            return math.inf
+        logdet = 2.0 * float(np.log(LK.diagonal().real).sum()
+                             + np.log(LY.diagonal().real).sum())
+        return float(np.trace(Yc).real) - mu * logdet
 
     def grad_hess(Yc, mu):
-        K = np.kron(np.diag(mA), Yc) - rho_c
-        Kinv = np.linalg.inv(K)
+        K4 = np.linalg.inv(slack(Yc)).reshape(rA, rB, rA, rB)
         Yinv = np.linalg.inv(Yc)
-        K4 = Kinv.reshape(rA, rB, rA, rB)
-        GK = np.einsum("a,abac->bc", mA, K4)
-        G = np.eye(rB) - mu * (GK + Yinv)
-        G = (G + G.conj().T) / 2
-        g = _herm_to_vec(G, basis)
+        G = np.eye(rB) - mu * (np.einsum("a,abac->bc", mA, K4) + Yinv)
+        g = (P.conj().T @ ((G + G.conj().T) / 2).reshape(-1)).real
         # Hessian of the barrier in superoperator (row-major vec) form:
         # X -> sum m_a m_a' B_aa' X B_a'a  plus  X -> Yinv X Yinv.
-        n = rB * rB
-        S = np.zeros((n, n), dtype=complex)
-        for a in range(rA):
-            for ap in range(rA):
-                Bf = K4[a, :, ap, :]
-                S += mA[a] * mA[ap] * np.kron(Bf, K4[ap, :, a, :].T)
-        S += np.kron(Yinv, Yinv.T)
-        H = mu * (P.conj().T @ S @ P).real
+        S = (np.einsum("ap,aipj,plak->ikjl", mm, K4, K4)
+             + np.einsum("ij,lk->ikjl", Yinv, Yinv))
+        H = mu * (P.conj().T @ S.reshape(rB * rB, rB * rB) @ P).real
         return g, (H + H.T) / 2
 
     nu = rA * rB + rB  # total barrier parameter
@@ -395,6 +381,7 @@ def dominating_trace_min(
     converged = True
     while True:
         # Damped Newton centering for the current barrier weight.
+        f0 = barrier(Y, mu)
         for _ in range(60):
             g, H = grad_hess(Y, mu)
             try:
@@ -405,24 +392,23 @@ def dominating_trace_min(
             lam2 = float(-g @ dy)
             if lam2 < 2e-10:  # Newton decrement lam^2/2 below 1e-10
                 break
-            dY = _vec_to_herm(dy, basis)
-            f0 = fval(Y, mu)
+            dY = (P @ dy).reshape(rB, rB)
             t = 1.0
             while t > 1e-14:
-                Yt = Y + t * dY
-                if feasible(Yt) and fval(Yt, mu) <= f0 + 0.25 * t * float(g @ dy):
+                f_t = barrier(Y + t * dY, mu)
+                if f_t <= f0 + 0.25 * t * float(g @ dy):
                     break
                 t *= 0.5
             if t <= 1e-14:
                 break
-            Y = Y + t * dY
+            Y, f0 = Y + t * dY, f_t
         if mu <= mu_final:
             break
         mu = max(mu * 0.1, mu_final)
     Y_c = Y
     tr = float(np.trace(Y_c).real)
     gap = mu_final * nu  # duality gap bound at the final barrier weight
-    if not math.isfinite(tr) or tr <= 0 or not feasible(Y_c):
+    if not math.isfinite(tr) or tr <= 0 or not math.isfinite(barrier(Y_c, mu)):
         converged = False
     Y_full = VB @ Y_c @ VB.conj().T
     full_res = np.kron(M_A, Y_full) - rho_AB

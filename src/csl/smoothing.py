@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .matcore import (
     RANK_TOL,
@@ -62,60 +61,6 @@ def min_unitary_trace_distance(rho, sigma) -> tuple[float, np.ndarray]:
     return value, U
 
 
-def smooth_unitary_invariant_min(f, rho, eps: float, restarts: int = 4, seed: int = 0,
-                                 extra_starts=()):
-    """Minimize a spectrum functional over the eps-ball around rho.
-
-    For unitarily invariant f the ball minimization reduces to non-increasing
-    spectra q with half l1 distance to p at most eps.  Parameterized as
-    q = p + u - v with u, v >= 0, sum u = sum v, (sum u + sum v)/2 <= eps.
-    Returns (value, witness spectrum sorted non-increasing).
-    """
-    R = _as_matrix(rho)
-    p = np.sort(np.clip(np.linalg.eigvalsh(R), 0.0, None))[::-1]
-    p = p / p.sum()
-    d = len(p)
-    if eps <= 0:
-        return float(f(p)), p
-
-    def q_of(x):
-        u, v = x[:d], x[d:]
-        q = np.clip(p + u - v, 0.0, None)
-        t = q.sum()
-        return q / t if t > 0 else p
-
-    def fun(x):
-        return float(f(np.sort(q_of(x))[::-1]))
-
-    cons = [
-        {"type": "eq", "fun": lambda x: x[:d].sum() - x[d:].sum()},
-        {"type": "ineq", "fun": lambda x: eps - 0.5 * x.sum()},
-        {"type": "ineq", "fun": lambda x: p + x[:d] - x[d:]},
-    ]
-    bounds = [(0.0, 1.0)] * (2 * d)
-    rng = np.random.default_rng(seed)
-    starts = [np.zeros(2 * d)]
-    for q0 in extra_starts:
-        q0 = np.sort(np.asarray(q0, dtype=float))[::-1]
-        diff = q0 - p
-        starts.append(np.concatenate([np.clip(diff, 0, None), np.clip(-diff, 0, None)]))
-    while len(starts) < restarts:
-        x = rng.uniform(0, eps / d, 2 * d)
-        starts.append(x)
-
-    best_v, best_q = float(f(p)), p
-    for x0 in starts:
-        res = scipy.optimize.minimize(fun, x0, method="SLSQP", bounds=bounds,
-                                      constraints=cons,
-                                      options={"maxiter": 200, "ftol": 1e-12})
-        if not np.isfinite(res.fun):
-            continue
-        q = np.sort(q_of(res.x))[::-1]
-        if 0.5 * np.abs(p - q).sum() <= eps + 1e-9 and res.fun < best_v:
-            best_v, best_q = float(res.fun), q
-    return best_v, best_q
-
-
 def _renyi_of_spectrum(q: np.ndarray, alpha: float) -> float:
     q = np.asarray(q, dtype=float)
     q = q[q > 0]
@@ -125,17 +70,17 @@ def _renyi_of_spectrum(q: np.ndarray, alpha: float) -> float:
 def smooth_renyi_entropy_min(p, delta: float, alpha: float):
     """H_alpha minimized over the total-variation delta-ball around p.
 
-    Candidate: transfer up to delta tail mass from the smallest entries onto
-    the largest entry (concentration minimizes H_alpha for alpha < 1), then
-    refine by local search.  Returns (value, witness spectrum).
+    For alpha < 1, H_alpha is Schur-concave, and the ball holds a steepest
+    element that majorizes every other point of it: delta of mass moved from
+    the smallest entries onto the largest (Horodecki, Oppenheim & Sparaciari,
+    J. Phys. A 51, 305301, 2018).  Its H_alpha is the minimum, in closed
+    form.  Returns (value, witness spectrum).
     """
     if not (0.0 < alpha < 1.0):
         raise ContractViolation(f"alpha must be in (0,1), got {alpha}")
     if not (0.0 <= delta < 0.5):
         raise ContractViolation(f"delta must be in [0,1/2), got {delta}")
     p = np.sort(np.asarray(p, dtype=float))[::-1]
-    if delta == 0:
-        return _renyi_of_spectrum(p, alpha), p
     q = p.copy()
     remaining = delta
     for i in range(len(q) - 1, 0, -1):
@@ -145,13 +90,7 @@ def smooth_renyi_entropy_min(p, delta: float, alpha: float):
         remaining -= take
         if remaining <= 0:
             break
-    cand_v = _renyi_of_spectrum(q, alpha)
-    ref_v, ref_q = smooth_unitary_invariant_min(
-        lambda s: _renyi_of_spectrum(s, alpha), np.diag(p), delta, extra_starts=[q]
-    )
-    if ref_v < cand_v:
-        return ref_v, ref_q
-    return cand_v, q
+    return _renyi_of_spectrum(q, alpha), q
 
 
 def truncation_effect(omega, tau_spectrum, delta: float) -> TruncationResult:

@@ -171,7 +171,8 @@ def test_bounds_report_all_hold():
         rep = bounds_report(inst)
         for name, (lhs, rhs) in rep.bounds.items():
             assert lhs <= rhs + 1e-8, (name, lhs, rhs)
-        assert rep.nu_n is not None
+        assert rep.nu_n == rep.nu_report.value
+        assert rep.nu_report.converged and rep.nu_report.gap_estimate <= 1e-9
         # corollary ordering: 1 - 1/nu_n <= mu/(mu+n)
         assert 1.0 - 1.0 / rep.nu_n <= rep.mu / (rep.mu + n) + 1e-7
 

@@ -99,6 +99,49 @@ def test_rank_deficient_inputs():
     assert res.residual > -1e-7
 
 
+def _marginal_A(rho, dA, dB):
+    return np.trace(rho.reshape(dA, dB, dA, dB), axis1=1, axis2=3)
+
+
+def _sdp_cases():
+    cases = {}
+    for dA, dB in ((2, 3), (3, 2)):
+        rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", dA), ("B", dB)),
+                     21).matrix
+        cases[f"eye-{dA}x{dB}"] = (np.eye(dA), rho, (dA, dB))
+        cases[f"rhoA-{dA}x{dB}"] = (_marginal_A(rho, dA, dB), rho, (dA, dB))
+    M = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2), ("B", 2)), 22).matrix
+    WA = np.kron(np.eye(3)[:, :2], np.eye(2))  # M on span(e0, e1) (x) B, dA = 3
+    rho = WA @ M @ WA.conj().T
+    cases["rankdef-MA"] = (_marginal_A(rho, 3, 2), rho, (3, 2))
+    WB = np.kron(np.eye(2), np.eye(3)[:, :2])  # M on A (x) span(e0, e1), dB = 3
+    rho = WB @ M @ WB.conj().T
+    cases["rankdef-rhoB-eye"] = (np.eye(2), rho, (2, 3))
+    cases["rankdef-rhoB-rhoA"] = (_marginal_A(rho, 2, 3), rho, (2, 3))
+    return cases
+
+
+# log2 min Tr Y recorded with the barrier solver whose Newton system was
+# assembled block by block with np.kron.
+PINNED_SDP = {
+    "eye-2x3": -0.10567436920539969,
+    "rhoA-2x3": 0.8797667718518523,
+    "eye-3x2": -0.23302387068222571,
+    "rhoA-3x2": 1.2654386062833674,
+    "rankdef-MA": 1.1377805164275037,
+    "rankdef-rhoB-eye": 0.11886313942766003,
+    "rankdef-rhoB-rhoA": 1.1377805164275037,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SDP))
+def test_dominating_trace_min_pinned(name):
+    M_A, rho, dims = _sdp_cases()[name]
+    res = dominating_trace_min(M_A, rho, dims)
+    assert abs(res.value_bits - PINNED_SDP[name]) <= 1e-12
+    assert res.converged and res.residual >= -1e-7
+
+
 def _product(K, sigma, sigma_first):
     return np.kron(sigma, K) if sigma_first else np.kron(K, sigma)
 

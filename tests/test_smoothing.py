@@ -17,7 +17,6 @@ from csl.smoothing import (
     apply_truncation,
     min_unitary_trace_distance,
     smooth_renyi_entropy_min,
-    smooth_unitary_invariant_min,
     truncation_effect,
     uab_chain_verify,
 )
@@ -45,13 +44,32 @@ def test_min_unitary_trace_distance_achieved():
         assert value <= trace_distance(rho, sig) + 1e-12
 
 
-def test_smooth_unitary_invariant_min_reduces():
-    p = np.array([0.5, 0.3, 0.2])
-    f = lambda q: float(np.sum(q**2))  # purity, minimized by flattening
-    v0 = f(p)
-    v, q = smooth_unitary_invariant_min(f, np.diag(p), 0.1)
-    assert v <= v0 + 1e-12
-    assert 0.5 * np.abs(np.sort(p)[::-1] - q).sum() <= 0.1 + 1e-9
+def _renyi(q, alpha):
+    q = q[q > 0]
+    return math.log2(float(np.sum(q**alpha))) / (1.0 - alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.9])
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_smooth_renyi_entropy_min_steepest(d, alpha):
+    # The witness lies in the delta-ball and majorizes every point of it
+    # (p itself and 200 random ones, half of them as far along their ray
+    # from p as the ball allows), so no point of the ball has a smaller H_alpha.
+    rng = np.random.default_rng([d, int(alpha * 10)])
+    for delta in (0.1, 0.3):
+        p = np.sort(rng.dirichlet(np.ones(d)))[::-1]
+        value, q = smooth_renyi_entropy_min(p, delta, alpha)
+        assert abs(q.sum() - 1.0) <= 1e-15 and q.min() >= 0.0
+        assert 0.5 * np.abs(q - p).sum() <= delta + 1e-15
+        x = rng.dirichlet(np.ones(d), size=200)
+        reach = np.minimum(1.0, delta / (0.5 * np.abs(x - p).sum(axis=1)))
+        s = reach * np.where(np.arange(200) % 2, 1.0, rng.uniform(size=200))
+        points = np.vstack([p, p + s[:, None] * (x - p)])
+        assert (0.5 * np.abs(points - p).sum(axis=1) <= delta + 1e-15).all()
+        partial = np.cumsum(-np.sort(-points, axis=1), axis=1)
+        assert (np.cumsum(q) >= partial - 1e-15).all()
+        for point in points:
+            assert value <= _renyi(point, alpha) + 1e-12
 
 
 def test_smooth_renyi_entropy_min_monotone_in_delta():
@@ -150,3 +168,5 @@ def test_uab_chain_rejects_uncertified_imax(monkeypatch, converged, residual):
         uab_chain_verify(rho, (2, 2), 0.5, 2.0, 0.1)
     with pytest.raises(ContractViolation, match="not certified"):
         infomeasures.imax_smoothed_upper(rho, 0.1, (2, 2))
+    with pytest.raises(ContractViolation, match="not certified"):
+        infomeasures.imax_bound_lemma(rho, (2, 2))
