@@ -10,7 +10,6 @@ bound.  All logarithms are base 2.
 from .matcore import (
     ContractViolation,
     DensityOperator,
-    Effect,
     PureStateVector,
     RegisterLayout,
     fidelity,
@@ -61,7 +60,6 @@ from .smoothing import uab_chain_verify
 __all__ = [
     "ContractViolation",
     "DensityOperator",
-    "Effect",
     "PureStateVector",
     "RegisterLayout",
     "fidelity",

@@ -68,11 +68,15 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _write_csv(path: str, header: list, rows: list) -> None:
+def _csv_text(header: list, rows: list) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _json_text(record: dict) -> str:
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
 def emit_summary(suite: str, results: list, runtime: float) -> dict:
@@ -110,8 +114,10 @@ def _parse_dims(text: str) -> tuple[int, int]:
 
 
 # --- suites -----------------------------------------------------------------
+#
+# Each suite returns (artifact text, [(ok, violation)], summary extras).
 
-def run_convex_split(cfg) -> tuple[list, list, list]:
+def run_convex_split(cfg) -> tuple[str, list, dict]:
     dR, dA = _parse_dims(cfg["dims"])
     n_max = int(cfg.get("n_max", 5))
     samples = int(cfg["samples"])
@@ -149,10 +155,10 @@ def run_convex_split(cfg) -> tuple[list, list, list]:
               "ly2024_tighter"]
     rows = [r for r, _, _ in out]
     results = [(ok, v) for _, ok, v in out]
-    return header, rows, results
+    return _csv_text(header, rows), results, {}
 
 
-def run_uab(cfg) -> tuple[list, list, list]:
+def run_uab(cfg) -> tuple[str, list, dict]:
     dA, dB = _parse_dims(cfg["dims"])
     samples = int(cfg["samples"])
     seed = int(cfg["seed"])
@@ -173,10 +179,11 @@ def run_uab(cfg) -> tuple[list, list, list]:
     out = _parallel_map(one, range(samples), int(cfg.get("threads", 1)))
     header = ["instance_id", "alpha", "beta", "eps", "imax_upper", "rhs",
               "slack", "certified"]
-    return header, [r for r, _, _ in out], [(ok, v) for _, ok, v in out]
+    return (_csv_text(header, [r for r, _, _ in out]),
+            [(ok, v) for _, ok, v in out], {})
 
 
-def run_bounds_sweep(cfg) -> tuple[list, list, list]:
+def run_bounds_sweep(cfg) -> tuple[str, list, dict]:
     which = cfg.get("sweep", "uab")
     dA, dB = _parse_dims(cfg["dims"])
     samples = int(cfg["samples"])
@@ -212,10 +219,11 @@ def run_bounds_sweep(cfg) -> tuple[list, list, list]:
     if one is None:
         raise ConfigError(f"unknown sweep {which!r}")
     out = _parallel_map(one, range(samples), int(cfg.get("threads", 1)))
-    return header, [r for r, _, _ in out], [(ok, v) for _, ok, v in out]
+    return (_csv_text(header, [r for r, _, _ in out]),
+            [(ok, v) for _, ok, v in out], {})
 
 
-def run_qss_sim(cfg) -> tuple[dict, list]:
+def run_qss_sim(cfg) -> tuple[str, list, dict]:
     state = _load_state_matrix(cfg["state"])
     if not isinstance(state, matcore.PureStateVector):
         raise ConfigError("qss-sim needs a pure state file (vector field)")
@@ -239,10 +247,12 @@ def run_qss_sim(cfg) -> tuple[dict, list]:
         "sigma_opt": np.stack([res.sigma_opt.real, res.sigma_opt.imag],
                               axis=-1).tolist(),
     }
-    return record, [(bool(res.bound_ok), res.achieved_distance - res.distance_bound)]
+    return (_json_text(record),
+            [(bool(res.bound_ok), res.achieved_distance - res.distance_bound)],
+            {"result": record})
 
 
-def run_divergence(cfg) -> tuple[dict, list]:
+def run_divergence(cfg) -> tuple[str, list, dict]:
     alpha_raw = cfg["alpha"]
     alpha = math.inf if str(alpha_raw) in ("inf", "Infinity") else float(alpha_raw)
     rho = matcore._as_matrix(_load_state_matrix(cfg["rho"]))
@@ -250,10 +260,10 @@ def run_divergence(cfg) -> tuple[dict, list]:
     value, branch = divergences.d_alpha_with_branch(rho, sigma, alpha)
     record = {"alpha": "inf" if math.isinf(alpha) else alpha,
               "value_bits": value, "branch": branch}
-    return record, [(True, 0.0)]
+    return _json_text(record), [(True, 0.0)], {"result": record}
 
 
-def run_rev_shannon(cfg) -> tuple[dict, list]:
+def run_rev_shannon(cfg) -> tuple[str, list, dict]:
     with open(cfg["channel"]) as fh:
         data = json.load(fh)
     kraus = [np.asarray(K, dtype=float) if np.asarray(K).ndim == 2
@@ -268,7 +278,7 @@ def run_rev_shannon(cfg) -> tuple[dict, list]:
                                                    seed=int(cfg["seed"]))
     record = {"alpha": alpha, "beta": beta, "eps": eps, "n": n,
               "bits_per_use": rhs, "delta_n": delta_n}
-    return record, [(True, 0.0)]
+    return _json_text(record), [(True, 0.0)], {"result": record}
 
 
 # --- plumbing ---------------------------------------------------------------
@@ -334,13 +344,10 @@ def _merge_config(args) -> dict:
     return cfg
 
 
-_CSV_SUITES = {
+_SUITES = {
     "verify-convex-split": ("convex-split", run_convex_split),
     "verify-uab": ("uab", run_uab),
     "bounds-sweep": ("bounds", run_bounds_sweep),
-}
-
-_JSON_SUITES = {
     "qss-sim": ("qss", run_qss_sim),
     "divergence": ("divergence", run_divergence),
     "rev-shannon": ("rev-shannon", run_rev_shannon),
@@ -349,26 +356,14 @@ _JSON_SUITES = {
 
 def run_suite(command: str, cfg: dict) -> int:
     t0 = time.time()
-    if command in _CSV_SUITES:
-        suite, fn = _CSV_SUITES[command]
-        for key in _REQUIRED[command]:
-            if key not in cfg:
-                raise ConfigError(f"missing required option --{key}")
-        header, rows, results = fn(cfg)
-        if cfg.get("out"):
-            _write_csv(cfg["out"], header, rows)
-        summary = emit_summary(suite, results, time.time() - t0)
-    else:
-        suite, fn = _JSON_SUITES[command]
-        for key in _REQUIRED[command]:
-            if key not in cfg:
-                raise ConfigError(f"missing required option --{key}")
-        record, results = fn(cfg)
-        if cfg.get("out"):
-            _atomic_write(cfg["out"], json.dumps(record, indent=2,
-                                                 sort_keys=True) + "\n")
-        summary = emit_summary(suite, results, time.time() - t0)
-        summary["result"] = record
+    suite, fn = _SUITES[command]
+    for key in _REQUIRED[command]:
+        if key not in cfg:
+            raise ConfigError(f"missing required option --{key}")
+    text, results, extras = fn(cfg)
+    if cfg.get("out"):
+        _atomic_write(cfg["out"], text)
+    summary = {**emit_summary(suite, results, time.time() - t0), **extras}
     passed = summary["pass_rate"] == 1.0
     if not passed:
         summary["failure"] = {

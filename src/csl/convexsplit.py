@@ -18,13 +18,16 @@ from .divergences import INF, d_alpha, d_max, q2
 from .infomeasures import BoundReport
 from .matcore import (
     ContractViolation,
+    Spectrum,
     _as_matrix,
+    eig_hermitian,
     fidelity,
+    reduced,
+    support_cut,
     trace_distance,
 )
 from .optim import (
     OptimizerReport,
-    _support_basis,
     minimize_convex_over_states,
     q_alpha_grad,
 )
@@ -65,8 +68,7 @@ class ConvexSplitInstance:
 
     @property
     def rho_R(self) -> np.ndarray:
-        dR, dA = self.dims
-        return np.trace(self.rho_RA.reshape(dR, dA, dR, dA), axis1=1, axis2=3)
+        return reduced(self.rho_RA, self.dims, 0)
 
     @property
     def t_collision(self) -> float:
@@ -128,14 +130,12 @@ def _reference_eig(instance: ConvexSplitInstance):
     product would misread deep-but-genuine eigenvalues (lambda_min^n) as
     kernel directions.  Returns (V, w, supported mask) with w exact products.
     """
-    from .matcore import RANK_TOL, eig_hermitian
-
     wo, Vo = eig_hermitian(instance.omega_R)
     ws, Vs = eig_hermitian(instance.sigma_A)
     wo = np.clip(wo, 0.0, None)
     ws = np.clip(ws, 0.0, None)
-    keep_o = wo > RANK_TOL * wo.max(initial=0.0)
-    keep_s = ws > RANK_TOL * ws.max(initial=0.0)
+    keep_o = wo > support_cut(wo)
+    keep_s = ws > support_cut(ws)
     V, w, keep = Vo, wo, keep_o
     for _ in range(instance.n):
         V = np.kron(V, Vs)
@@ -158,8 +158,6 @@ def _dense_lhs_q2(tau: np.ndarray, instance: ConvexSplitInstance) -> float:
 
 def _dense_lhs_umegaki(tau: np.ndarray, instance: ConvexSplitInstance) -> float:
     """D(tau || omega (x) sigma^n) with log eigenvalues as sums of factor logs."""
-    from .matcore import RANK_TOL, eig_hermitian
-
     V, w, keep = _reference_eig(instance)
     X = V.conj().T @ tau @ V
     diag = X.diagonal().real
@@ -167,7 +165,7 @@ def _dense_lhs_umegaki(tau: np.ndarray, instance: ConvexSplitInstance) -> float:
     if leak > 1e-10:
         return INF
     wt = np.clip(np.linalg.eigvalsh(tau), 0.0, None)
-    wt = wt[wt > RANK_TOL * wt.max(initial=0.0)]
+    wt = wt[wt > support_cut(wt)]
     neg_h = float(np.sum(wt * np.log2(wt)))
     cross = float(np.sum(diag[keep] * np.log2(w[keep])))
     return neg_h - cross
@@ -176,9 +174,7 @@ def _dense_lhs_umegaki(tau: np.ndarray, instance: ConvexSplitInstance) -> float:
 def mu_quantities(rho_RA, sigma_A, dims: tuple[int, int]) -> tuple[float, float]:
     """mu = Q_2 against the pinned product minus 1; mu_max = 2^D_max - 1."""
     R = _as_matrix(rho_RA)
-    dR, dA = dims
-    rho_R = np.trace(R.reshape(dR, dA, dR, dA), axis1=1, axis2=3)
-    ref = np.kron(rho_R, _as_matrix(sigma_A))
+    ref = np.kron(reduced(R, dims, 0), _as_matrix(sigma_A))
     q = q2(R, ref)
     mu = INF if math.isinf(q) else max(q - 1.0, 0.0)
     dm = d_max(R, ref)
@@ -218,10 +214,10 @@ def nu_n(rho_RA, sigma_A, n: int,
     if n < 1:
         raise ContractViolation("n must be >= 1")
     R = _as_matrix(rho_RA)
-    dR, dA = dims
-    rho_R = np.trace(R.reshape(dR, dA, dR, dA), axis1=1, axis2=3)
-    VR = _support_basis(rho_R)
-    VS = _support_basis(_as_matrix(sigma_A))
+    dR = dims[0]
+    rho_R = reduced(R, dims, 0)
+    VR = Spectrum(rho_R).basis
+    VS = Spectrum(sigma_A).basis
     W = np.kron(VR, VS)
     Rc = W.conj().T @ R @ W
     if float(np.trace(R).real - np.trace(Rc).real) > 1e-10:
@@ -308,7 +304,7 @@ def ly2024_compare(instance: ConvexSplitInstance, s: float) -> BoundReport:
     R = _as_matrix(instance.rho_RA)
     dR, dA = instance.dims
     n = instance.n
-    rho_R = np.trace(R.reshape(dR, dA, dR, dA), axis1=1, axis2=3)
+    rho_R = reduced(R, instance.dims, 0)
     ref1 = np.kron(rho_R, instance.sigma_A)
     ell = spectrum_cardinality(ref1)
     mu, _ = mu_quantities(R, instance.sigma_A, instance.dims)

@@ -3,7 +3,8 @@ hypothesis-testing divergence.
 
 All logarithms are base 2 (values in bits).  Infinite divergence is a value
 (math.inf), never an exception.  The second argument of the Q/D functionals
-may be any PSD operator (conditional entropies pass I (x) sigma).
+may be any PSD operator (conditional entropies pass I (x) sigma), or its
+matcore.Spectrum, which is then not decomposed again.
 """
 
 from __future__ import annotations
@@ -12,14 +13,7 @@ import math
 
 import numpy as np
 
-from .matcore import (
-    RANK_TOL,
-    ContractViolation,
-    _as_matrix,
-    eig_hermitian,
-    power_on_support,
-    support_projector,
-)
+from .matcore import ContractViolation, Spectrum, _as_matrix, eig_hermitian
 
 INF = math.inf
 
@@ -31,18 +25,25 @@ def _log2(x: float) -> float:
     return math.log2(x) if x > 0 else -INF
 
 
-def supp_contained(rho, sigma, tol: float = None) -> bool:
+def supp_contained(rho, sigma, tol: float = 1e-10) -> bool:
     """supp(rho) subseteq supp(sigma), judged via rank_tol spectral cuts."""
-    R, S = _as_matrix(rho), _as_matrix(sigma)
-    Pi = support_projector(S)
-    leak = float(np.trace(R - Pi @ R @ Pi).real)
-    return abs(leak) <= (tol if tol is not None else 1e-10)
+    return Spectrum.of(sigma).contains(_as_matrix(rho), tol)
 
 
 def perpendicular(rho, sigma) -> bool:
     """Tr[rho sigma] vanishes."""
     R, S = _as_matrix(rho), _as_matrix(sigma)
     return float(np.trace(R @ S).real) <= _PERP_TOL
+
+
+def _q(R: np.ndarray, S: Spectrum, alpha: float) -> float:
+    """Tr (S^e R S^e)^alpha, e = (1-alpha)/(2 alpha), with no support check."""
+    Se = S.power((1.0 - alpha) / (2.0 * alpha))
+    X = Se @ R @ Se
+    X = (X + X.conj().T) / 2  # exact in theory; kills float asymmetry
+    w, _ = eig_hermitian(X)
+    w = np.clip(w, 0.0, None)
+    return float(np.sum(w**alpha))
 
 
 def q_alpha(rho, sigma, alpha: float) -> float:
@@ -52,16 +53,10 @@ def q_alpha(rho, sigma, alpha: float) -> float:
     """
     if not (alpha > 0 and alpha != 1):
         raise ContractViolation(f"q_alpha needs alpha in (0,1) or (1,inf), got {alpha}")
-    R, S = _as_matrix(rho), _as_matrix(sigma)
-    if alpha > 1 and not supp_contained(R, S):
+    R, S = _as_matrix(rho), Spectrum.of(sigma)
+    if alpha > 1 and not S.contains(R):
         return INF
-    e = (1.0 - alpha) / (2.0 * alpha)
-    Se = power_on_support(S, e)
-    X = Se @ R @ Se
-    X = (X + X.conj().T) / 2  # exact in theory; kills float asymmetry
-    w, _ = eig_hermitian(X)
-    w = np.clip(w, 0.0, None)
-    return float(np.sum(w**alpha))
+    return _q(R, S, alpha)
 
 
 def d_alpha_with_branch(rho, sigma, alpha: float) -> tuple[float, str]:
@@ -74,21 +69,19 @@ def d_alpha_with_branch(rho, sigma, alpha: float) -> tuple[float, str]:
         return d_umegaki(rho, sigma), "umegaki"
     if math.isinf(alpha):
         return d_max(rho, sigma), "max"
-    R, S = _as_matrix(rho), _as_matrix(sigma)
+    R = _as_matrix(rho)
     if alpha < 0.5:
+        S = _as_matrix(sigma)
         if perpendicular(R, S):
             return INF, "infinite"
-        q = q_alpha(S, R, 1.0 - alpha)
+        q = _q(S, Spectrum(R), 1.0 - alpha)
         return (1.0 / (alpha - 1.0)) * _log2(q), "low"
-    if alpha < 1.0:
-        if perpendicular(R, S) and not supp_contained(R, S):
-            return INF, "infinite"
-        q = q_alpha(R, S, alpha)
-        return (1.0 / (alpha - 1.0)) * _log2(q), "sandwiched"
-    # alpha > 1
-    if not supp_contained(R, S):
+    # alpha in [1/2, 1) is infinite only for orthogonal supports; alpha > 1
+    # whenever rho leaves supp(sigma).
+    S = Spectrum.of(sigma)
+    if (alpha > 1 or perpendicular(R, S)) and not S.contains(R):
         return INF, "infinite"
-    q = q_alpha(R, S, alpha)
+    q = _q(R, S, alpha)
     return (1.0 / (alpha - 1.0)) * _log2(q), "sandwiched"
 
 
@@ -99,8 +92,7 @@ def d_alpha(rho, sigma, alpha: float) -> float:
 def d_min(rho, sigma) -> float:
     """-log Tr[sigma Pi_rho]."""
     R, S = _as_matrix(rho), _as_matrix(sigma)
-    Pi = support_projector(R)
-    t = float(np.trace(S @ Pi).real)
+    t = float(np.trace(S @ Spectrum(R).projector()).real)
     if t <= _PERP_TOL:
         return INF
     return -_log2(t)
@@ -108,32 +100,26 @@ def d_min(rho, sigma) -> float:
 
 def d_umegaki(rho, sigma) -> float:
     """Tr[rho log rho] - Tr[rho log sigma]; inf off support."""
-    R, S = _as_matrix(rho), _as_matrix(sigma)
-    if not supp_contained(R, S):
+    R, S = _as_matrix(rho), Spectrum.of(sigma)
+    if not S.contains(R):
         return INF
-    wr, Vr = eig_hermitian(R)
-    cut_r = RANK_TOL * max(wr.max(initial=0.0), 0.0)
-    ent = 0.0
-    for lam in wr:
-        if lam > cut_r:
-            ent += lam * math.log2(lam)
-    ws, Vs = eig_hermitian(S)
-    cut_s = RANK_TOL * max(ws.max(initial=0.0), 0.0)
-    cross = 0.0
-    for j in range(len(ws)):
-        if ws[j] > cut_s:
-            wgt = float((Vs[:, j].conj() @ R @ Vs[:, j]).real)
-            cross += wgt * math.log2(ws[j])
-    return ent - cross
+    r = Spectrum(R)
+    ent = sum(lam * math.log2(lam) for lam in r.w[r.keep])
+    cross = sum(float((v.conj() @ R @ v).real) * math.log2(lam)
+                for lam, v in zip(S.w[S.keep], S.basis.T))
+    return float(ent - cross)
 
 
 def d_max(rho, sigma) -> float:
     """log of the smallest t with t sigma >= rho."""
-    R, S = _as_matrix(rho), _as_matrix(sigma)
-    if not supp_contained(R, S):
+    R, S = _as_matrix(rho), Spectrum.of(sigma)
+    if not S.contains(R):
         return INF
-    Sm = power_on_support(S, -0.5)
-    w, _ = eig_hermitian(Sm @ R @ Sm)
+    Sm = S.power(-0.5)
+    # Entries grow as 1/lambda_min(sigma), past the absolute Hermiticity
+    # tolerance of eig_hermitian's input check; resymmetrize first.
+    X = Sm @ R @ Sm
+    w, _ = eig_hermitian((X + X.conj().T) / 2)
     lam = float(max(w.max(initial=0.0), 0.0))
     if lam <= 0:
         return -INF
@@ -208,81 +194,47 @@ def _np_test_value(rho: np.ndarray, sigma: np.ndarray, t: float, eps: float):
 def d_min_eps(rho, sigma, eps: float) -> float:
     """Exact hypothesis-testing divergence via the Neyman-Pearson family.
 
-    Self-certified: the achieved Tr[sigma Lambda] is checked against the
-    concave dual t(1-eps) - Tr[(t rho - sigma)_+] to 1e-8.
+    The concave dual t(1-eps) - Tr[(t rho - sigma)_+] peaks where its
+    supergradient (1-eps) - Tr[rho Pi_+(t rho - sigma)], which falls with t,
+    changes sign; that t is bisected to machine precision, and the NP tests
+    at threshold 1/t on both ends of the bracket give the primal.
+    Self-certified: the achieved Tr[sigma Lambda] is checked against the dual
+    to 1e-8.
     """
     if not (0.0 < eps < 1.0):
         raise ContractViolation(f"eps must be in (0,1), got {eps}")
     R, S = _as_matrix(rho), _as_matrix(sigma)
-    if perpendicular(R, S) and not supp_contained(R, S):
-        # Lambda = Pi_rho has full rho-mass and no sigma-mass.
-        Pi = support_projector(R)
-        if float(np.trace(S @ Pi).real) <= _PERP_TOL:
-            return INF
+    # Lambda = Pi_rho has full rho-mass and no sigma-mass.
+    if perpendicular(R, S) and not supp_contained(R, S) and math.isinf(d_min(R, S)):
+        return INF
+
+    def slope(t: float) -> float:
+        w, V = np.linalg.eigh(t * R - S)
+        P = V[:, w > 0]
+        return (1.0 - eps) - float(np.einsum("ji,jk,ki->", P.conj(), R, P).real)
 
     def dual(t: float) -> float:
         w = np.linalg.eigvalsh(t * R - S)
         return t * (1.0 - eps) - float(np.clip(w, 0.0, None).sum())
 
-    # Maximize the concave dual over t >= 0 by golden-section on a bracket.
-    hi = 1.0
-    while dual(hi * 2) > dual(hi) and hi < 1e12:
-        hi *= 2
-    lo = 0.0
-    phi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi * 2
-    c, d_ = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = dual(c), dual(d_)
+    lo, hi = 0.0, 1.0
+    while slope(hi) > 0 and hi < 1e12:
+        lo, hi = hi, 2.0 * hi
+    # Capped for a root at t = 0 (rho's mass on ker sigma reaches 1 - eps),
+    # where hi halves toward zero and the answer is inf.
     for _ in range(200):
-        if fc >= fd:
-            b, d_, fd = d_, c, fc
-            c = b - phi * (b - a)
-            fc = dual(c)
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + phi * (b - a)
-            fd = dual(d_)
-        if b - a < 1e-13 * max(1.0, b):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
             break
-    t_star = (a + b) / 2
-    dual_val = dual(t_star)
-
-    # Primal from the NP test family (the dual threshold multiplies rho, so
-    # the test operator threshold is 1/t).  The dual is flat at its maximum,
-    # so t_star only locates the kink of the primal to ~1e-8; a second
-    # golden-section on the primal value itself recovers full precision.
-    def primal(t: float) -> float:
-        val, ok = _np_test_value(R, S, 1.0 / t, eps)
-        return val if ok else INF
-
-    pa, pb = t_star * (1.0 - 1e-4), t_star * (1.0 + 1e-4)
-    c, d_ = pb - phi * (pb - pa), pa + phi * (pb - pa)
-    fc, fd = primal(c), primal(d_)
-    for _ in range(120):
-        if fc <= fd:
-            pb, d_, fd = d_, c, fc
-            c = pb - phi * (pb - pa)
-            fc = primal(c)
+        if slope(mid) > 0:
+            lo = mid
         else:
-            pa, c, fc = c, d_, fd
-            d_ = pa + phi * (pb - pa)
-            fd = primal(d_)
-    best = None
-    for t in {t_star, a, b, c, d_, (pa + pb) / 2}:
-        if t <= 0:
-            continue
-        val, ok = _np_test_value(R, S, 1.0 / t, eps)
-        if ok and (best is None or val < best):
-            best = val
-    if best is None or math.isinf(best):
-        # Threshold degenerate (e.g. t -> 0); fall back to a coarse scan.
-        for t in np.geomspace(1e-8, 1e8, 400):
-            val, ok = _np_test_value(R, S, t, eps)
-            if ok and (best is None or val < best):
-                best = val
+            hi = mid
+    tests = [_np_test_value(R, S, 1.0 / t, eps) for t in (lo, hi) if t > 0]
+    best = min((val for val, ok in tests if ok), default=None)
     if best is None or best <= _PERP_TOL:
         return INF
-    gap = best - dual_val
+    gap = best - max(dual(lo), dual(hi))
     if gap > 1e-8:
         raise ContractViolation(
             f"hypothesis-testing primal/dual gap {gap:.3e} exceeds 1e-8"

@@ -13,17 +13,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divergences import INF, d_alpha, d_max
+from .divergences import d_alpha, d_max
 from .matcore import (
-    RANK_TOL,
     ContractViolation,
     DensityOperator,
+    Spectrum,
     _as_matrix,
     eig_hermitian,
+    reduced,
+    support_cut,
     trace_distance,
 )
 from .optim import (
-    _support_basis,
     dominating_trace_min,
     imax_sdp,
     minimize_convex_over_states,
@@ -68,8 +69,7 @@ def _bipartite(rho, dims):
 
 
 def _marginals(R, dA, dB):
-    T = R.reshape(dA, dB, dA, dB)
-    return np.trace(T, axis1=1, axis2=3), np.trace(T, axis1=0, axis2=2)
+    return reduced(R, (dA, dB), 0), reduced(R, (dA, dB), 1)
 
 
 def renyi_entropy(rho, alpha: float) -> float:
@@ -77,8 +77,7 @@ def renyi_entropy(rho, alpha: float) -> float:
     if alpha < 0:
         raise ContractViolation(f"alpha must be >= 0, got {alpha}")
     w = np.clip(np.linalg.eigvalsh(_as_matrix(rho)), 0.0, None)
-    cut = RANK_TOL * max(float(w.max(initial=0.0)), 0.0)
-    w = w[w > cut]
+    w = w[w > support_cut(w)]
     if alpha == 0:
         return math.log2(len(w))
     if alpha == 1:
@@ -130,7 +129,7 @@ def conditional_renyi_up(rho_ab, beta: float, dims=None) -> float:
     # the closed form -H_{beta/(2 beta - 1)}(A); skip the optimizer.
     if np.linalg.eigvalsh(R).max(initial=0.0) >= 1.0 - 1e-12:
         return -renyi_entropy(rho_A, beta / (2.0 * beta - 1.0))
-    VB = _support_basis(rho_B)
+    VB = Spectrum(rho_B).basis
     W = np.kron(np.eye(dA), VB)
     Rc = W.conj().T @ R @ W
     sign = 1.0 if beta > 1 else -1.0  # minimize Q (beta > 1) or -Q
@@ -161,7 +160,7 @@ def imax_bound_lemma(rho_ab, dims=None) -> BoundReport:
     rho_A, _ = _marginals(R, dA, dB)
     imax = imax_certified(R, (dA, dB))
     w = np.clip(np.linalg.eigvalsh(rho_A), 0.0, None)
-    lam_min = float(w[w > RANK_TOL * w.max()].min())
+    lam_min = float(w[w > support_cut(w)].min())
     h_min = h_min_conditional(R, (dA, dB))
     rhs = -math.log2(lam_min) - h_min
     return BoundReport(
@@ -238,15 +237,13 @@ def dmax_smoothed_upper(rho, sigma, eps: float) -> SmoothedEstimate:
     each eigenvalue level (classical truncation relative to sigma), each
     renormalized and kept only if inside the trace-distance eps-ball.
     """
-    from .matcore import power_on_support
-
-    R, S = _as_matrix(rho), _as_matrix(sigma)
+    R, S = _as_matrix(rho), Spectrum(sigma)
     best_v = d_max(R, S)
     best_w = R
-    Sh = power_on_support(S, 0.5)
-    Sm = power_on_support(S, -0.5)
+    Sh = S.power(0.5)
+    Sm = S.power(-0.5)
     M = Sm @ R @ Sm
-    w, V = eig_hermitian(M)
+    w, V = eig_hermitian((M + M.conj().T) / 2)
     for gamma in sorted(set(np.clip(w, 0.0, None))):
         if gamma <= 0:
             continue

@@ -7,6 +7,7 @@ results are deterministic and hit tight tolerances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,7 @@ def _as_matrix(x) -> np.ndarray:
         return x.matrix
     if isinstance(x, PureStateVector):
         return x.to_density().matrix
-    if isinstance(x, Effect):
+    if isinstance(x, Spectrum):
         return x.matrix
     return np.asarray(x, dtype=complex)
 
@@ -150,22 +151,6 @@ class PureStateVector:
         return partial_trace(self.to_density(), keep)
 
 
-@dataclass(frozen=True)
-class Effect:
-    """Operator with spectrum in [0, 1]; measurement element."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        M = np.array(self.matrix, dtype=complex)
-        M.setflags(write=False)
-        object.__setattr__(self, "matrix", M)
-        _check_hermitian(M, what="effect")
-        w = np.linalg.eigvalsh((M + M.conj().T) / 2)
-        if w.min() < -1e-10 or w.max() > 1 + 1e-10:
-            raise ContractViolation(f"effect spectrum [{w.min()}, {w.max()}] outside [0,1]")
-
-
 def eig_hermitian(H) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues non-increasing."""
     M = _as_matrix(H)
@@ -175,27 +160,55 @@ def eig_hermitian(H) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1].copy(), V[:, ::-1].copy()
 
 
+def support_cut(w: np.ndarray) -> float:
+    """Eigenvalues at or below RANK_TOL * lambda_max count as zero."""
+    return RANK_TOL * max(w.max(initial=0.0), 0.0)
+
+
+class Spectrum:
+    """One eigendecomposition of a Hermitian operator and its support cut.
+
+    ``w`` (non-increasing) and ``V`` come from eig_hermitian; ``keep`` marks
+    the eigenvalues above support_cut(w).  Build it once per operator and
+    pass it on: powers, the support and containment tests all reuse it.
+    """
+
+    def __init__(self, H):
+        self.matrix = _as_matrix(H)
+        self.w, self.V = eig_hermitian(self.matrix)
+        self.cut = support_cut(self.w)
+        self.keep = self.w > self.cut
+
+    @classmethod
+    def of(cls, H) -> "Spectrum":
+        return H if isinstance(H, Spectrum) else cls(H)
+
+    def power(self, exponent: float) -> np.ndarray:
+        """The operator to ``exponent`` on its support; cut eigenvalues map to zero."""
+        if self.w.min(initial=0.0) < -max(1e-10, self.cut):
+            raise ContractViolation(f"matrix not PSD (min eigenvalue {self.w.min():.3e})")
+        out = np.zeros_like(self.w)
+        out[self.keep] = self.w[self.keep] ** exponent
+        return (self.V * out) @ self.V.conj().T
+
+    @property
+    def basis(self) -> np.ndarray:
+        """Orthonormal columns spanning the support."""
+        return self.V[:, self.keep]
+
+    def projector(self) -> np.ndarray:
+        B = self.basis
+        return B @ B.conj().T
+
+    def contains(self, R: np.ndarray, tol: float = 1e-10) -> bool:
+        """supp(R) inside the support: R's trace outside it is at most tol."""
+        Pi = self.projector()
+        return abs(float(np.trace(R - Pi @ R @ Pi).real)) <= tol
+
+
 def power_on_support(P, exponent: float) -> np.ndarray:
-    """P^exponent on the support of P; eigenvalues below rank_tol map to zero."""
-    M = _as_matrix(P)
-    w, V = eig_hermitian(M)
-    lmax = max(w.max(initial=0.0), 0.0)
-    cut = RANK_TOL * max(lmax, 0.0)
-    if w.min(initial=0.0) < -max(1e-10, cut):
-        raise ContractViolation(f"matrix not PSD (min eigenvalue {w.min():.3e})")
-    out = np.zeros_like(w)
-    nz = w > cut
-    out[nz] = w[nz] ** exponent
-    return (V * out) @ V.conj().T
-
-
-def support_projector(P) -> np.ndarray:
-    """Projector onto eigenvectors with eigenvalue above rank_tol * lambda_max."""
-    M = _as_matrix(P)
-    w, V = eig_hermitian(M)
-    nz = w > RANK_TOL * max(w.max(initial=0.0), 0.0)
-    Vn = V[:, nz]
-    return Vn @ Vn.conj().T
+    """P^exponent on the support of P; eigenvalues below the cut map to zero."""
+    return Spectrum(P).power(exponent)
 
 
 def tensor(a, b):
@@ -222,19 +235,28 @@ def partial_trace(M, keep, layout: RegisterLayout | None = None):
             raise ContractViolation("partial_trace of a raw matrix needs a layout")
         mat = np.asarray(M, dtype=complex)
         wrap = False
-    dims = layout.dims
-    k = len(dims)
     keep_pos = sorted(layout.positions(keep))
-    drop_pos = [i for i in range(k) if i not in keep_pos]
-    T = mat.reshape(dims + dims)
-    for i in reversed(drop_pos):
-        T = np.trace(T, axis1=i, axis2=i + T.ndim // 2)
-    d_keep = int(np.prod([dims[i] for i in keep_pos])) if keep_pos else 1
-    out = T.reshape(d_keep, d_keep)
+    out = reduced(mat, layout.dims, keep_pos)
     if wrap:
         sub = RegisterLayout(tuple(layout.registers[i] for i in keep_pos))
         return DensityOperator(out, sub)
     return out
+
+
+def reduced(M: np.ndarray, dims, keep) -> np.ndarray:
+    """Partial trace of a matrix on registers of sizes ``dims``.
+
+    ``keep`` is one register position or a sequence of them; every other
+    register is traced out, highest position first.
+    """
+    keep = {keep} if isinstance(keep, int) else set(keep)
+    dims = tuple(dims)
+    T = np.asarray(M).reshape(dims + dims)
+    for i in reversed(range(len(dims))):
+        if i not in keep:
+            T = np.trace(T, axis1=i, axis2=i + T.ndim // 2)
+    d_keep = math.prod(dims[i] for i in keep)
+    return T.reshape(d_keep, d_keep)
 
 
 def purify(rho: DensityOperator, ancilla_label: str | None = None) -> PureStateVector:
@@ -267,8 +289,8 @@ def fidelity(rho, sigma) -> float:
     A, B = _as_matrix(rho), _as_matrix(sigma)
     if A.shape != B.shape:
         raise ContractViolation(f"dimension mismatch {A.shape} vs {B.shape}")
-    sa = power_on_support(A, 0.5)
-    sb = power_on_support(B, 0.5)
+    sa = Spectrum(A).power(0.5)
+    sb = Spectrum(B).power(0.5)
     s = np.linalg.svd(sa @ sb, compute_uv=False)
     return float(min(s.sum(), 1.0))
 
@@ -277,33 +299,6 @@ def purified_distance(rho, sigma) -> float:
     """P(rho, sigma) = sqrt(1 - F^2)."""
     F = fidelity(rho, sigma)
     return float(np.sqrt(max(0.0, 1.0 - F * F)))
-
-
-def helstrom_channel(rho, sigma):
-    """Two-outcome measurement preserving the trace distance of the pair.
-
-    Returns (effect_plus, apply) where ``apply`` maps a state to its
-    two-outcome diagonal distribution (p, 1 - p).
-    """
-    A, B = _as_matrix(rho), _as_matrix(sigma)
-    w, V = eig_hermitian(A - B)
-    pos = V[:, w > 0]
-    Pi = pos @ pos.conj().T
-    effect = Effect(_clip_effect(Pi))
-
-    def apply(state) -> np.ndarray:
-        M = _as_matrix(state)
-        p = float(np.trace(Pi @ M).real)
-        p = min(max(p, 0.0), 1.0)
-        return np.array([p, 1.0 - p])
-
-    return effect, apply
-
-
-def _clip_effect(M: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh((M + M.conj().T) / 2)
-    w = np.clip(w, 0.0, 1.0)
-    return (V * w) @ V.conj().T
 
 
 def sample(kind: str, layout, seed, rank: int | None = None):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .matcore import RANK_TOL, ContractViolation, _as_matrix, eig_hermitian
+from .matcore import ContractViolation, Spectrum, _as_matrix, reduced, support_cut
 
 
 @dataclass
@@ -156,7 +156,7 @@ def q_alpha_grad(rho, K, sigma, alpha: float, sigma_first: bool = False):
     w, V = np.linalg.eigh(le[:, None] * Rt * le[None, :])
     w = np.clip(w, 0.0, None)
     p = np.zeros_like(w)
-    nz = w > RANK_TOL * w.max(initial=0.0)
+    nz = w > support_cut(w)
     p[nz] = w[nz] ** (alpha - 1.0)
     A = (V * p) @ V.conj().T @ (le[:, None] * Rt)
     # (a^e - b^e)/(a - b) = b^(e-1) expm1(e L)/expm1(L), L = log(a/b): stable
@@ -179,12 +179,6 @@ def frank_wolfe_gap(grad: np.ndarray, sigma: np.ndarray) -> float:
     """Tr[G sigma] - lambda_min(G): bounds f(sigma) - min f for convex f."""
     lo = float(np.linalg.eigvalsh(grad)[0])
     return max(float(np.einsum("ij,ji->", grad, sigma).real) - lo, 0.0)
-
-
-def _support_basis(P) -> np.ndarray:
-    """Orthonormal columns spanning supp(P) at the RANK_TOL cut."""
-    w, V = eig_hermitian(P)
-    return V[:, w > RANK_TOL * max(w.max(initial=0.0), 0.0)]
 
 
 def _traceless_basis(d: int) -> np.ndarray:
@@ -329,11 +323,9 @@ def dominating_trace_min(
     if M_A.shape != (dA, dA) or rho_AB.shape != (dA * dB, dA * dB):
         raise ContractViolation("dimension mismatch in dominating_trace_min")
 
-    wA, VA = eig_hermitian(M_A)
-    keepA = wA > RANK_TOL * max(wA.max(initial=0.0), 0.0)
-    VA = VA[:, keepA]
-    mA = wA[keepA]
-    VB = _support_basis(np.trace(rho_AB.reshape(dA, dB, dA, dB), axis1=0, axis2=2))
+    SA = Spectrum(M_A)
+    VA, mA = SA.basis, SA.w[SA.keep]
+    VB = Spectrum(reduced(rho_AB, dims, 1)).basis
     rA, rB = VA.shape[1], VB.shape[1]
     W = np.kron(VA, VB)
     rho_c = W.conj().T @ rho_AB @ W  # compressed (rA*rB)
@@ -421,6 +413,4 @@ def dominating_trace_min(
 def imax_sdp(rho_ab, dims: tuple[int, int], tol: float = 1e-7) -> ImaxResult:
     """I_max(A:B) as min Tr[Y] with rho_A (x) Y >= rho_AB (Y = t sigma)."""
     rho_AB = _as_matrix(rho_ab)
-    dA, dB = dims
-    rho_A = np.trace(rho_AB.reshape(dA, dB, dA, dB), axis1=1, axis2=3)
-    return dominating_trace_min(rho_A, rho_AB, dims, tol=tol)
+    return dominating_trace_min(reduced(rho_AB, dims, 0), rho_AB, dims, tol=tol)

@@ -24,7 +24,7 @@ from .infomeasures import (
     mutual_info_alpha,
     renyi_entropy,
 )
-from .matcore import ContractViolation, _as_matrix, fidelity
+from .matcore import RANK_TOL, ContractViolation, Spectrum, _as_matrix, reduced
 from .optim import maximize_over_pure
 
 AMPLITUDE_CAP = 2**24
@@ -91,14 +91,9 @@ def qss_optimal_sigma(rho_RB, dims: tuple[int, int], seed: int = 0):
     output marginal's support never helps and shows up as dust that breaks
     the mu -> 0 limit.
     """
-    from .matcore import RANK_TOL, support_projector
-
     value, report = mutual_info_alpha(rho_RB, 2.0, dims, seed=seed,
                                       return_report=True)
-    dR, dB = dims
-    rho_B = np.trace(_as_matrix(rho_RB).reshape(dR, dB, dR, dB),
-                     axis1=0, axis2=2)
-    Pi = support_projector(rho_B)
+    Pi = Spectrum(reduced(_as_matrix(rho_RB), dims, 1)).projector()
     sigma = Pi @ report.argopt @ Pi
     tr = float(np.trace(sigma).real)
     if tr <= RANK_TOL:
@@ -167,12 +162,6 @@ def _pad_vector(psi, dims, target_dims):
     out = np.zeros(target_dims, dtype=complex)
     out[tuple(slice(0, d) for d in dims)] = T
     return out.reshape(-1)
-
-
-def _swap_axes_vec(T, i, j):
-    if i == j:
-        return T
-    return np.swapaxes(T, i, j)
 
 
 def qss_simulate(instance: QSSInstance, seed: int = 0) -> QSSResult:
@@ -261,8 +250,8 @@ def qss_simulate(instance: QSSInstance, seed: int = 0) -> QSSResult:
         bx = out[(slice(None),) + (slice(None),) * n + (x,)]
         # axes: R, B_1..B_n, At_1..At_n
         if x < n:
-            bx = _swap_axes_vec(bx, 1, 1 + x)  # B_x <-> B_1
-            bx = _swap_axes_vec(bx, 1 + n, 1 + n + x)  # At_x <-> At_1
+            bx = np.swapaxes(bx, 1, 1 + x)  # B_x <-> B_1
+            bx = np.swapaxes(bx, 1 + n, 1 + n + x)  # At_x <-> At_1
         v = bx.reshape(-1)
         p = float(np.vdot(v, v).real)
         probs.append(p)
@@ -355,9 +344,9 @@ def channel_alpha_beta_info(channel: ChannelSpec, alpha: float, beta: float,
     def objective(v):
         rho_in = np.outer(v, v.conj())
         omega = channel.apply_local(rho_in, dI)
-        omega_A = np.trace(omega.reshape(dI, dO, dI, dO), axis1=1, axis2=3)
+        omega_A = reduced(omega, (dI, dO), 0)
         if alpha == 1.0 and beta == 1.0:
-            omega_B = np.trace(omega.reshape(dI, dO, dI, dO), axis1=0, axis2=2)
+            omega_B = reduced(omega, (dI, dO), 1)
             return (renyi_entropy(omega_A, 1) + renyi_entropy(omega_B, 1)
                     - renyi_entropy(omega, 1))
         h_up = conditional_renyi_up(omega, beta, (dI, dO))

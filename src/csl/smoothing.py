@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import (
-    RANK_TOL,
     ContractViolation,
     _as_matrix,
     eig_hermitian,
     purified_distance,
+    reduced,
     trace_distance,
 )
 
@@ -171,13 +171,12 @@ def uab_chain_verify(rho_ab, dims: tuple[int, int], alpha: float, beta: float,
 
     if not (0.0 < alpha < 1.0 and beta > 1.0 and 0.0 < eps < 1.0):
         raise ContractViolation("need alpha in (0,1), beta > 1, eps in (0,1)")
-    dA, dB = dims
     R = _as_matrix(rho_ab)
     delta = infomeasures.C_SMOOTH * eps * eps
     eps1 = (math.sqrt(3.0) - 1.0) * eps
     cache = cache if cache is not None else {}
 
-    rho_A = np.trace(R.reshape(dA, dB, dA, dB), axis1=1, axis2=3)
+    rho_A = reduced(R, dims, 0)
     p = np.sort(np.clip(np.linalg.eigvalsh(rho_A), 0.0, None))[::-1]
 
     key_t = ("trunc", round(delta, 14), round(alpha, 14))

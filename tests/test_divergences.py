@@ -18,7 +18,15 @@ from csl.divergences import (
     q_alpha,
     supp_contained,
 )
-from csl.matcore import ContractViolation, RegisterLayout, sample
+from csl.matcore import (
+    RANK_TOL,
+    ContractViolation,
+    RegisterLayout,
+    Spectrum,
+    eig_hermitian,
+    random_unitary,
+    sample,
+)
 
 ALPHA_GRID = [0.3, 0.49, 0.5, 0.7, 1.0, 1.5, 2.0, 4.0, math.inf]
 
@@ -182,3 +190,162 @@ def test_limits_match_named_divergences():
     # alpha -> 1 continuity from both sides
     assert d_alpha(rho, sig, 0.9999) == pytest.approx(d_umegaki(rho, sig), abs=1e-3)
     assert d_alpha(rho, sig, 1.0001) == pytest.approx(d_umegaki(rho, sig), abs=1e-3)
+
+
+def _d_alpha_oracle(R, S, alpha):
+    """D_alpha for alpha > 1 from two separate decompositions of S.
+
+    One eigendecomposition of S decides the support, a second one builds
+    S^((1-alpha)/(2 alpha)); this is how d_alpha evaluated it before every
+    operand's spectrum was shared, and the qss-protocol reference pins its bits.
+    """
+    w, V = eig_hermitian(S)
+    B = V[:, w > RANK_TOL * max(w.max(initial=0.0), 0.0)]
+    Pi = B @ B.conj().T
+    if abs(float(np.trace(R - Pi @ R @ Pi).real)) > 1e-10:
+        return math.inf
+    w, V = eig_hermitian(S)
+    nz = w > RANK_TOL * max(w.max(initial=0.0), 0.0)
+    p = np.zeros_like(w)
+    p[nz] = w[nz] ** ((1.0 - alpha) / (2.0 * alpha))
+    Se = (V * p) @ V.conj().T
+    X = Se @ R @ Se
+    wx, _ = eig_hermitian((X + X.conj().T) / 2)
+    q = float(np.sum(np.clip(wx, 0.0, None) ** alpha))
+    return (1.0 / (alpha - 1.0)) * math.log2(q)
+
+
+def test_d_alpha_bits_match_two_decomposition_oracle():
+    rng = np.random.default_rng(404)
+    pairs = []
+    for k in range(25):
+        d = (2, 3, 4, 6)[k % 4]
+        rho = sample("mixed-hilbert-schmidt", d, 1000 + k).matrix
+        sig = sample("rank-limited" if k % 5 == 0 else "mixed-hilbert-schmidt",
+                     d, 2000 + k, rank=d - 1).matrix
+        pairs.append((rho, sig))
+    # References as mutual_info_alpha builds them: rho_A (x) sigma.
+    for k in range(25):
+        dA, dB = ((2, 2), (2, 3), (3, 2))[k % 3]
+        rho = sample("mixed-hilbert-schmidt", dA * dB, 3000 + k).matrix
+        rho_A = np.trace(rho.reshape(dA, dB, dA, dB), axis1=1, axis2=3)
+        G = rng.standard_normal((dB, dB)) + 1j * rng.standard_normal((dB, dB))
+        if k % 6 == 0:
+            G[1:] = 0.0  # rank-one sigma: rho leaves the support
+        sig = G.conj().T @ G
+        pairs.append((rho, np.kron(rho_A, sig / np.trace(sig).real)))
+    infinite = 0
+    for rho, sig in pairs:
+        for a in (1.5, 2.0, 4.0):
+            want = _d_alpha_oracle(rho, sig, a)
+            assert d_alpha(rho, sig, a) == want
+            infinite += math.isinf(want)
+    assert 0 < infinite < 50
+
+
+def test_family_agrees_across_the_rank_cut():
+    # sigma's eigenvalues straddle the cut: 2 RANK_TOL lambda_max is support,
+    # 0.5 RANK_TOL lambda_max is not, and one eigenvalue is exactly zero.
+    U = random_unitary(4, np.random.default_rng(12))
+    sigma = (U * np.array([1.0, 2 * RANK_TOL, 0.5 * RANK_TOL, 0.0])) @ U.conj().T
+    spec = Spectrum(sigma)
+    assert spec.keep.tolist() == [True, True, False, False]
+    Pm = spec.V.conj().T @ spec.power(-0.5) @ spec.V
+    want = np.zeros(4)
+    want[:2] = spec.w[:2] ** -0.5
+    assert np.abs(Pm - np.diag(want)).max() <= 1e-6
+
+    def on(weights):
+        return (U * np.asarray(weights, dtype=float)) @ U.conj().T
+
+    # (rho, supported inside sigma, orthogonal to sigma)
+    cases = [
+        (on([0.6, 0.4, 0.0, 0.0]), True, False),
+        (on([0.0, 1.0, 0.0, 0.0]), True, False),
+        (on([0.6, 0.0, 0.4, 0.0]), False, False),
+        (on([0.0, 0.0, 1.0, 0.0]), False, False),
+        (on([0.0, 0.0, 0.0, 1.0]), False, True),
+    ]
+    for rho, inside, orthogonal in cases:
+        assert supp_contained(rho, sigma) == inside
+        for v in (d_umegaki(rho, sigma), d_max(rho, sigma),
+                  d_alpha(rho, sigma, 1.5), d_alpha(rho, sigma, 2.0)):
+            assert not math.isnan(v)
+            assert math.isinf(v) == (not inside)
+        for v in (d_min(rho, sigma), d_alpha(rho, sigma, 0.75)):
+            assert not math.isnan(v)
+            assert math.isinf(v) == orthogonal
+
+
+def _rotation(d, theta, seed):
+    """exp(i theta H) for a fixed seeded Hermitian H of unit spectral norm."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    w, V = np.linalg.eigh((G + G.conj().T) / 2)
+    return (V * np.exp(1j * theta * w / np.abs(w).max())) @ V.conj().T
+
+
+def _np_classical(p, q, eps):
+    """Neyman-Pearson closed form for commuting pairs: take outcomes by
+    descending p/q, the last one fractionally, until the p-mass is 1 - eps."""
+    need, cost = 1.0 - eps, 0.0
+    for i in sorted(range(len(p)), key=lambda i: -p[i] / q[i]):
+        take = min(p[i], need)
+        cost += take / p[i] * q[i]
+        need -= take
+        if need <= 0:
+            break
+    return -math.log2(cost)
+
+
+# Commuting pairs (p, q, eps); the same pairs with q rotated by 1e-6 and 1e-3.
+DH_PAIRS = [
+    ((0.75, 0.25), (0.5, 0.5), 0.25),
+    ((0.6, 0.4), (0.3, 0.7), 0.3),
+    ((0.5, 0.3, 0.2), (0.2, 0.3, 0.5), 0.1),
+    ((0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4), 0.05),
+    ((0.45, 0.35, 0.2), (0.05, 0.15, 0.8), 0.5),
+]
+# d_min_eps of DH_PAIRS at theta = 0, 1e-6, 1e-3, recorded with the
+# three-stage search (dual golden section, primal golden section, scan)
+# that the bisection replaced.
+DH_PINNED = [
+    (1.0, 1.0000000000000002, 1.0),
+    (1.0740005814437772, 1.0740005814437645, 1.074000569087821),
+    (0.4150374992788451, 0.41503749927877803, 0.4150374311628018),
+    (0.32192809488736507, 0.32192809488734003, 0.3219280691483483),
+    (3.807354922057606, 3.807354922057188, 3.8073545021838036),
+]
+
+
+def _dh_corpus():
+    for k, (p, q, eps) in enumerate(DH_PAIRS):
+        for j, theta in enumerate((0.0, 1e-6, 1e-3)):
+            U = _rotation(len(p), theta, 500 + k)
+            yield k, j, np.diag(p).astype(complex), U @ np.diag(q) @ U.conj().T, eps
+
+
+def test_d_min_eps_pinned_corpus():
+    for k, j, rho, sig, eps in _dh_corpus():
+        val = d_min_eps(rho, sig, eps)
+        want = DH_PINNED[k][j]
+        assert abs(val - want) <= 1e-12 * max(1.0, abs(want)), (k, j, val, want)
+        if j == 0:
+            p, q, _ = DH_PAIRS[k]
+            assert abs(val - _np_classical(p, q, eps)) <= 1e-12
+
+
+def test_d_min_eps_equal_states_and_kernel_mass():
+    for seed, eps in ((21, 0.05), (22, 0.3), (23, 0.7)):
+        rho = sample("mixed-hilbert-schmidt", 3, seed).matrix
+        assert abs(d_min_eps(rho, rho, eps) + math.log2(1.0 - eps)) <= 1e-12
+    # rho puts 0.95 + 0.05 <k|tau|k> >= 1 - eps of its mass on ker sigma = |k>,
+    # yet Tr[rho sigma] > 0, so the early orthogonality exit does not apply.
+    U = random_unitary(3, np.random.default_rng(24))
+    k = U[:, :1]
+    tau = sample("mixed-hilbert-schmidt", 3, 25).matrix
+    rho = 0.95 * (k @ k.conj().T) + 0.05 * tau
+    sigma = (U * np.array([0.0, 0.3, 0.7])) @ U.conj().T
+    assert not perpendicular(rho, sigma)
+    for eps in (0.05, 0.1, 0.3):
+        assert math.isinf(d_min_eps(rho, sigma, eps))

@@ -6,12 +6,10 @@ import pytest
 from csl.matcore import (
     ContractViolation,
     DensityOperator,
-    Effect,
     PureStateVector,
     RegisterLayout,
     eig_hermitian,
     fidelity,
-    helstrom_channel,
     partial_trace,
     power_on_support,
     purified_distance,
@@ -41,12 +39,6 @@ def test_density_operator_contract():
         DensityOperator(np.array([[1.0, 0.5], [0.4, 0.0]]), RegisterLayout.of(("A", 2)))
     with pytest.raises(ContractViolation):
         DensityOperator(np.diag([0.7, 0.7]), RegisterLayout.of(("A", 2)))
-
-
-def test_effect_spectrum_contract():
-    Effect(np.diag([0.0, 1.0]))
-    with pytest.raises(ContractViolation):
-        Effect(np.diag([0.0, 1.5]))
 
 
 def test_eig_hermitian_descending():
@@ -101,17 +93,6 @@ def test_fuchs_van_de_graaf():
         F = fidelity(rho, sig)
         assert 1.0 - F <= T + 1e-9
         assert T <= math.sqrt(1.0 - F * F) + 1e-9
-
-
-def test_helstrom_channel_preserves_trace_distance():
-    # The two-outcome measurement from the Helstrom projector keeps the full
-    # trace distance between any pair it was built for.
-    rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 4)), 7).matrix
-    sig = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 4)), 8).matrix
-    _, apply = helstrom_channel(rho, sig)
-    pr = apply(rho)
-    ps = apply(sig)
-    assert abs(0.5 * np.abs(pr - ps).sum() - trace_distance(rho, sig)) < 1e-10
 
 
 def test_state_dict_roundtrip():
