@@ -8,6 +8,7 @@ bound.  All logarithms are base 2.
 """
 
 from .matcore import (
+    CertificateError,
     ContractViolation,
     DensityOperator,
     PureStateVector,
@@ -58,6 +59,7 @@ from .protocols import (
 from .smoothing import uab_chain_verify
 
 __all__ = [
+    "CertificateError",
     "ContractViolation",
     "DensityOperator",
     "PureStateVector",

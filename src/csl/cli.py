@@ -5,8 +5,9 @@ atomically, floats carry 17 significant digits, and a run summary goes to
 stdout as JSON.  Runtime appears only in the stdout summary, never in the
 artifacts, so identical configs produce byte-identical files.
 
-Exit codes: 0 all assertions pass, 1 assertion failure (summary carries a
-machine-readable failure record), 2 configuration error.
+Exit codes: 0 all assertions pass, 1 assertion failure or failed solver
+certificate (summary carries a machine-readable failure record), 2
+configuration error.
 """
 
 from __future__ import annotations
@@ -384,6 +385,9 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         return run_suite(args.command, cfg)
+    except matcore.CertificateError as exc:
+        print(json.dumps({"failure": {"kind": "certificate", "message": str(exc)}}))
+        return 1
     except (ConfigError, matcore.ContractViolation, OSError, KeyError,
             ValueError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

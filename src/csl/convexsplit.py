@@ -9,6 +9,7 @@ derived from that identity and verified densely.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -21,10 +22,8 @@ from .matcore import (
     Spectrum,
     _as_matrix,
     eig_hermitian,
-    fidelity,
     reduced,
     support_cut,
-    trace_distance,
 )
 from .optim import (
     OptimizerReport,
@@ -111,64 +110,64 @@ def build_tau(instance: ConvexSplitInstance) -> np.ndarray:
         for j in range(1, n + 1):
             order[j] = 1 if j == x + 1 else next(rest)
         perm = order + [a + n + 1 for a in order]
-        tau = tau + instance.weights[x] * T.transpose(perm)
+        tau += instance.weights[x] * T.transpose(perm)
     return tau.reshape(dim, dim)
 
 
-def _reference_product(instance: ConvexSplitInstance) -> np.ndarray:
-    out = instance.omega_R
-    for _ in range(instance.n):
-        out = np.kron(out, instance.sigma_A)
-    return out
+class _ReferenceFrame:
+    """tau and omega (x) sigma^n in the reference's eigenbasis V = V_omega (x) V_sigma^n.
 
-
-def _reference_eig(instance: ConvexSplitInstance):
-    """Factored eigensystem of omega (x) sigma^n.
-
-    Eigenvalues of the product are products of factor eigenvalues, so the
-    support decision is made per factor; a global spectral cut on the dense
-    product would misread deep-but-genuine eigenvalues (lambda_min^n) as
-    kernel directions.  Returns (V, w, supported mask) with w exact products.
+    V acts slot by slot, so it commutes with build_tau's slot permutations and
+    V^dag tau V is the mixture of rotated factors: rho_RA under V_omega (x)
+    V_sigma, and sigma and omega as diagonals of their eigenvalues.  No
+    dim x dim rotation is formed, and the reference is diag(w) with w the
+    exact products of factor eigenvalues.  ``keep`` decides its support per
+    factor: a global cut on w would misread deep-but-genuine eigenvalues
+    (lambda_min^n) as kernel directions.
     """
-    wo, Vo = eig_hermitian(instance.omega_R)
-    ws, Vs = eig_hermitian(instance.sigma_A)
-    wo = np.clip(wo, 0.0, None)
-    ws = np.clip(ws, 0.0, None)
-    keep_o = wo > support_cut(wo)
-    keep_s = ws > support_cut(ws)
-    V, w, keep = Vo, wo, keep_o
-    for _ in range(instance.n):
-        V = np.kron(V, Vs)
-        w = np.multiply.outer(w, ws).reshape(-1)
-        keep = np.multiply.outer(keep, keep_s).reshape(-1)
-    return V, w, keep
 
+    def __init__(self, instance: ConvexSplitInstance):
+        wo, Vo = eig_hermitian(instance.omega_R)
+        ws, Vs = eig_hermitian(instance.sigma_A)
+        W = np.kron(Vo, Vs)
+        self.X = build_tau(ConvexSplitInstance(
+            W.conj().T @ instance.rho_RA @ W, np.diag(ws), np.diag(wo),
+            instance.n, instance.dims, instance.weights))
+        factors = [np.clip(f, 0.0, None) for f in [wo] + [ws] * instance.n]
+        self.w = functools.reduce(np.kron, factors)
+        self.keep = functools.reduce(np.kron, [f > support_cut(f) for f in factors])
+        self.leaks = float(self.X.diagonal().real[~self.keep].sum()) > 1e-10
 
-def _dense_lhs_q2(tau: np.ndarray, instance: ConvexSplitInstance) -> float:
-    """Q_2(tau || omega (x) sigma^n) in the reference's factored eigenbasis."""
-    V, w, keep = _reference_eig(instance)
-    X = V.conj().T @ tau @ V
-    leak = float(np.trace(tau).real) - float(np.sum(X.diagonal().real[keep]))
-    if leak > 1e-10:
-        return INF
-    Xs = X[np.ix_(keep, keep)]
-    inv_sqrt = 1.0 / np.sqrt(w[keep])
-    return float(np.sum(np.abs(Xs) ** 2 * np.outer(inv_sqrt, inv_sqrt)))
+    def q2(self) -> float:
+        """Q_2(tau || omega (x) sigma^n), elementwise in this basis."""
+        if self.leaks:
+            return INF
+        k = self.keep
+        inv_sqrt = 1.0 / np.sqrt(self.w[k])
+        return float(np.sum(np.abs(self.X[np.ix_(k, k)]) ** 2
+                            * np.outer(inv_sqrt, inv_sqrt)))
 
+    def umegaki(self, lam: np.ndarray) -> float:
+        """D(tau || omega (x) sigma^n) from tau's eigenvalues lam and the diagonal of X."""
+        if self.leaks:
+            return INF
+        lam = lam[lam > support_cut(lam)]
+        cross = np.sum(self.X.diagonal().real[self.keep] * np.log2(self.w[self.keep]))
+        return float(np.sum(lam * np.log2(lam))) - float(cross)
 
-def _dense_lhs_umegaki(tau: np.ndarray, instance: ConvexSplitInstance) -> float:
-    """D(tau || omega (x) sigma^n) with log eigenvalues as sums of factor logs."""
-    V, w, keep = _reference_eig(instance)
-    X = V.conj().T @ tau @ V
-    diag = X.diagonal().real
-    leak = float(np.trace(tau).real) - float(np.sum(diag[keep]))
-    if leak > 1e-10:
-        return INF
-    wt = np.clip(np.linalg.eigvalsh(tau), 0.0, None)
-    wt = wt[wt > support_cut(wt)]
-    neg_h = float(np.sum(wt * np.log2(wt)))
-    cross = float(np.sum(diag[keep] * np.log2(w[keep])))
-    return neg_h - cross
+    def fidelity(self, s: Spectrum) -> float:
+        """F(tau, ref) = ||sqrt(lambda) U^dag sqrt(diag w)||_1 from tau's Spectrum s of X.
+
+        The cuts are matcore.fidelity's: tau's eigenvalues at their
+        support_cut, the reference's globally on w (not per factor).
+        """
+        s.require_psd()
+        g = self.w > support_cut(self.w)
+        M = (s.basis * np.sqrt(s.w[s.keep])).conj().T[:, g] * np.sqrt(self.w[g])
+        return float(min(np.linalg.svd(M, compute_uv=False).sum(), 1.0))
+
+    def trace_distance(self) -> float:
+        return float(0.5 * np.abs(np.linalg.eigvalsh(self.X - np.diag(self.w))).sum())
 
 
 def mu_quantities(rho_RA, sigma_A, dims: tuple[int, int]) -> tuple[float, float]:
@@ -184,8 +183,10 @@ def mu_quantities(rho_RA, sigma_A, dims: tuple[int, int]) -> tuple[float, float]
 
 def split_equality_check(instance: ConvexSplitInstance) -> SplitReport:
     """Dense LHS vs the two-term decomposition; residual is relative."""
-    tau = build_tau(instance)
-    lhs = _dense_lhs_q2(tau, instance)
+    return _split_report(instance, _ReferenceFrame(instance).q2())
+
+
+def _split_report(instance: ConvexSplitInstance, lhs: float) -> SplitReport:
     t = instance.t_collision
     ref1 = np.kron(instance.omega_R, instance.sigma_A)
     term_R = q2(instance.rho_R, instance.omega_R)
@@ -251,19 +252,18 @@ def bounds_report(instance: ConvexSplitInstance) -> SplitReport:
     """
     pinned = ConvexSplitInstance(instance.rho_RA, instance.sigma_A,
                                  instance.rho_R, instance.n, instance.dims)
-    rep = split_equality_check(pinned)
-    tau = build_tau(pinned)
-    ref = _reference_product(pinned)
+    frame = _ReferenceFrame(pinned)
+    rep = _split_report(pinned, frame.q2())
     n = instance.n
     mu, mu_max = rep.mu, rep.mu_max
     nu, _, rep.nu_report = nu_n(instance.rho_RA, instance.sigma_A, n, instance.dims)
     rep.nu_n = nu
 
-    lhs_umegaki = _dense_lhs_umegaki(tau, pinned)
-    q2_lhs = _dense_lhs_q2(tau, pinned)
-    lhs_d2 = math.log2(q2_lhs) if not math.isinf(q2_lhs) else INF
-    lhs_trace = trace_distance(tau, ref)
-    F = fidelity(tau, ref)
+    spec = Spectrum(frame.X)
+    lhs_umegaki = frame.umegaki(spec.w)
+    lhs_d2 = math.log2(rep.q2_lhs) if not math.isinf(rep.q2_lhs) else INF
+    lhs_trace = frame.trace_distance()
+    F = frame.fidelity(spec)
     lhs_p2 = max(1.0 - F * F, 0.0)
 
     b = {}
@@ -326,7 +326,8 @@ def ly2024_compare(instance: ConvexSplitInstance, s: float) -> BoundReport:
     if lhs_verified:
         pinned = ConvexSplitInstance(R, instance.sigma_A, rho_R, n,
                                      instance.dims, instance.weights)
-        lhs = _dense_lhs_umegaki(build_tau(pinned), pinned)
+        frame = _ReferenceFrame(pinned)
+        lhs = frame.umegaki(np.linalg.eigvalsh(frame.X))
         ok = lhs <= rhs + 1e-8
     else:
         lhs = math.nan  # dense tau out of reach; only the RHS comparison runs

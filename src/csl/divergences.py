@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .matcore import ContractViolation, Spectrum, _as_matrix, eig_hermitian
+from .matcore import CertificateError, ContractViolation, Spectrum, _as_matrix, eig_hermitian
 
 INF = math.inf
 
@@ -236,7 +236,7 @@ def d_min_eps(rho, sigma, eps: float) -> float:
         return INF
     gap = best - max(dual(lo), dual(hi))
     if gap > 1e-8:
-        raise ContractViolation(
+        raise CertificateError(
             f"hypothesis-testing primal/dual gap {gap:.3e} exceeds 1e-8"
         )
     return -_log2(best)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .divergences import d_alpha, d_max
 from .matcore import (
+    CertificateError,
     ContractViolation,
     DensityOperator,
     Spectrum,
@@ -105,7 +106,7 @@ def h_min_conditional(rho_ab, dims=None, tol: float = 1e-7) -> float:
     R, dA, dB = _bipartite(rho_ab, dims)
     res = dominating_trace_min(np.eye(dA), R, (dA, dB), tol=tol)
     if not res.converged:
-        raise ContractViolation("conditional min-entropy solver did not converge")
+        raise CertificateError("conditional min-entropy solver did not converge")
     return -res.value_bits
 
 
@@ -148,7 +149,7 @@ def imax_certified(rho_ab, dims) -> float:
     """I_max(A:B) in bits from imax_sdp, raising unless its certificate holds."""
     res = imax_sdp(rho_ab, dims)
     if not res.converged or res.residual < -1e-7:
-        raise ContractViolation(
+        raise CertificateError(
             f"max-information SDP not certified (converged={res.converged}, "
             f"residual {res.residual:.3e})")
     return res.value_bits

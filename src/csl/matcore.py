@@ -21,6 +21,10 @@ class ContractViolation(ValueError):
     """An input violated a documented precondition or invariant."""
 
 
+class CertificateError(ArithmeticError):
+    """A solver's certificate (duality gap, feasibility, convergence) failed."""
+
+
 @dataclass(frozen=True)
 class RegisterLayout:
     """Ordered named registers; the ambient dimension is the product of dims."""
@@ -183,10 +187,13 @@ class Spectrum:
     def of(cls, H) -> "Spectrum":
         return H if isinstance(H, Spectrum) else cls(H)
 
-    def power(self, exponent: float) -> np.ndarray:
-        """The operator to ``exponent`` on its support; cut eigenvalues map to zero."""
+    def require_psd(self) -> None:
         if self.w.min(initial=0.0) < -max(1e-10, self.cut):
             raise ContractViolation(f"matrix not PSD (min eigenvalue {self.w.min():.3e})")
+
+    def power(self, exponent: float) -> np.ndarray:
+        """The operator to ``exponent`` on its support; cut eigenvalues map to zero."""
+        self.require_psd()
         out = np.zeros_like(self.w)
         out[self.keep] = self.w[self.keep] ** exponent
         return (self.V * out) @ self.V.conj().T

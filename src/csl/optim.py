@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .matcore import ContractViolation, Spectrum, _as_matrix, reduced, support_cut
+from .matcore import (CertificateError, ContractViolation, Spectrum, _as_matrix,
+                      reduced, support_cut)
 
 
 @dataclass
@@ -206,7 +207,7 @@ def minimize_convex_over_states(fun_grad, dim: int, value_of=None) -> OptimizerR
     run from the maximally mixed state on the Gram parametrization reaches the
     value; Newton steps in the traceless tangent space (Hessian by central
     differences of the gradient) then drive the gap down, since L-BFGS-B's
-    line search stalls on round-off in f.  Raises ContractViolation when the
+    line search stalls on round-off in f.  Raises CertificateError when the
     gap stays above GAP_TOL: an unconverged solve never returns a value.
     """
     value_of = value_of if value_of is not None else (lambda f: f)
@@ -271,7 +272,7 @@ def minimize_convex_over_states(fun_grad, dim: int, value_of=None) -> OptimizerR
             break
         sigma, grad, value, gap = cand, grad_c, v_c, gap_c
     if not gap <= GAP_TOL:
-        raise ContractViolation(
+        raise CertificateError(
             f"convex solver stopped with Frank-Wolfe gap {gap:.3e} > {GAP_TOL:.1e}")
     return OptimizerReport(value, sigma, res.nit + steps, True, gap)
 

@@ -180,3 +180,20 @@ def test_atomic_write_failure_leaves_no_temp(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         cli._atomic_write(str(tmp_path / "x.csv"), "a\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_exit_1_on_failed_certificate(tmp_path, capsys, monkeypatch):
+    # A solver whose certificate fails is a numerical failure of the run,
+    # reported as such, not a configuration error.
+    def uncertified(instance):
+        raise matcore.CertificateError("convex solver stopped with Frank-Wolfe gap 1e-3")
+
+    monkeypatch.setattr(cli.convexsplit, "bounds_report", uncertified)
+    code, stdout, err = run(["verify-convex-split", "--dims", "2x2", "--samples", "2",
+                             "--seed", "4", "--out", str(tmp_path / "cs.csv")], capsys)
+    assert code == 1
+    assert err == ""
+    failure = json.loads(stdout)["failure"]
+    assert failure == {"kind": "certificate",
+                       "message": "convex solver stopped with Frank-Wolfe gap 1e-3"}
+    assert not (tmp_path / "cs.csv").exists()

@@ -6,6 +6,7 @@ import pytest
 from csl.convexsplit import (
     DENSE_DIM_CAP,
     ConvexSplitInstance,
+    _ReferenceFrame,
     bounds_report,
     build_tau,
     ly2024_compare,
@@ -14,8 +15,18 @@ from csl.convexsplit import (
     split_equality_check,
     spectrum_cardinality,
 )
-from csl.divergences import q2
-from csl.matcore import ContractViolation, RegisterLayout, sample
+from csl.divergences import INF, q2
+from csl.matcore import (
+    ContractViolation,
+    RegisterLayout,
+    Spectrum,
+    eig_hermitian,
+    fidelity,
+    random_unitary,
+    sample,
+    support_cut,
+    trace_distance,
+)
 
 
 def bell_density():
@@ -210,3 +221,132 @@ def test_ly2024_crossover_trend():
     inst = random_instance(7, 16)
     rep = ly2024_compare(inst, 0.5)
     assert rep.details["exact_identity_tighter"]
+
+
+def dense_oracle(inst):
+    """q2_lhs, Umegaki LHS, T and P^2 from the dense tau and the dense product.
+
+    tau from build_tau is rotated by kron(V_omega, V_sigma^n), whose support
+    is decided per factor; T and F come from matcore on tau and the product.
+    """
+    wo, Vo = eig_hermitian(inst.omega_R)
+    ws, Vs = eig_hermitian(inst.sigma_A)
+    wo, ws = np.clip(wo, 0.0, None), np.clip(ws, 0.0, None)
+    V, w, keep, ref = Vo, wo, wo > support_cut(wo), inst.omega_R
+    for _ in range(inst.n):
+        V = np.kron(V, Vs)
+        w = np.multiply.outer(w, ws).reshape(-1)
+        keep = np.multiply.outer(keep, ws > support_cut(ws)).reshape(-1)
+        ref = np.kron(ref, inst.sigma_A)
+    tau = build_tau(inst)
+    X = V.conj().T @ tau @ V
+    diag = X.diagonal().real
+    if float(np.trace(tau).real) - float(np.sum(diag[keep])) > 1e-10:
+        q2_lhs = umegaki = INF
+    else:
+        inv_sqrt = 1.0 / np.sqrt(w[keep])
+        q2_lhs = float(np.sum(np.abs(X[np.ix_(keep, keep)]) ** 2
+                              * np.outer(inv_sqrt, inv_sqrt)))
+        wt = np.clip(np.linalg.eigvalsh(tau), 0.0, None)
+        wt = wt[wt > support_cut(wt)]
+        umegaki = (float(np.sum(wt * np.log2(wt)))
+                   - float(np.sum(diag[keep] * np.log2(w[keep]))))
+    F = fidelity(tau, ref)
+    return q2_lhs, umegaki, trace_distance(tau, ref), max(1.0 - F * F, 0.0)
+
+
+def frame_values(inst):
+    frame = _ReferenceFrame(inst)
+    spec = Spectrum(frame.X)
+    F = frame.fidelity(spec)
+    return frame.q2(), frame.umegaki(spec.w), frame.trace_distance(), max(1.0 - F * F, 0.0)
+
+
+def assert_close(got, want, what):
+    for name, g, e in zip(("q2", "umegaki", "trace", "p2"), got, want):
+        if math.isinf(e):
+            assert g == e, (what, name, g, e)
+        else:
+            assert abs(g - e) <= 1e-12 * abs(e), (what, name, g, e)
+
+
+def cut_crossing_instance(n, seed=0):
+    """sigma with eigenvalue ratio 1e-2: lambda_min^5 falls below the global
+    RANK_TOL cut of omega (x) sigma^n, while every factor keeps its support."""
+    rng = np.random.default_rng(seed)
+    U = random_unitary(2, rng)
+    sigma = (U * np.array([1.0, 1e-2]) / 1.01) @ U.conj().T
+    rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("R", 2), ("A", 2)),
+                 seed + 5).matrix
+    return ConvexSplitInstance(rho, sigma, np.eye(2) / 2, n, (2, 2))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+def test_reference_frame_matches_dense_oracle(dims):
+    dR, dA = dims
+    rng = np.random.default_rng(dR * 10 + dA)
+    for n in range(1, 7):  # rho has rank 1 + n % (dR dA): rank 1 at n = 4 or 6
+        w = rng.random(n) if n % 2 else None  # skewed weights at odd n
+        inst = random_instance(n, n, dR, dA, None if w is None else w / w.sum())
+        assert_close(frame_values(inst), dense_oracle(inst), (dims, n))
+
+
+def test_reference_frame_cut_crossing_sigma():
+    # At n = 5 the products lambda_min^5 / lambda_max^5 = 1e-10 are cut by
+    # the fidelity's global cut but kept by the per-factor support; at n = 4
+    # nothing is cut.
+    for n in (4, 5, 6):
+        inst = cut_crossing_instance(n)
+        w = _ReferenceFrame(inst).w
+        assert ((w > support_cut(w)).sum() < w.size) == (n >= 5)
+        assert_close(frame_values(inst), dense_oracle(inst), n)
+
+
+def test_public_dense_values_match_oracle():
+    # bounds_report pins omega = rho_R and uniform weights; ly2024_compare
+    # pins omega only.
+    for inst in (random_instance(3, 3), random_instance(4, 4, 2, 3),
+                 cut_crossing_instance(5)):
+        pinned = ConvexSplitInstance(inst.rho_RA, inst.sigma_A, inst.rho_R, inst.n,
+                                     inst.dims)
+        q2_lhs, umegaki, trace, p2 = dense_oracle(pinned)
+        rep = bounds_report(inst)
+        got = (rep.q2_lhs, rep.bounds["gmain0"][0], rep.bounds["pinsker"][0],
+               rep.bounds["split7"][0])
+        assert_close(got, (q2_lhs, umegaki, trace, p2), "bounds_report")
+        assert split_equality_check(pinned).q2_lhs == rep.q2_lhs
+        assert abs(ly2024_compare(pinned, 0.5).lhs - umegaki) <= 1e-12 * abs(umegaki)
+
+
+def test_rank_deficient_omega():
+    # rho_RA lives on span(e0, e1) (x) A inside a 3-dim R.
+    M = sample("mixed-hilbert-schmidt", RegisterLayout.of(("R", 2), ("A", 2)),
+               41).matrix
+    W = np.kron(np.eye(3)[:, :2], np.eye(2))
+    rho = W @ M @ W.conj().T
+    sigma = sample("mixed-hilbert-schmidt", 2, 42).matrix
+    U = random_unitary(3, np.random.default_rng(43))
+    for n in (1, 2, 3):
+        # ker omega = e2 is orthogonal to supp rho_R: finite.
+        inst = ConvexSplitInstance(rho, sigma, np.diag([0.6, 0.4, 0.0]), n, (3, 2))
+        rep = split_equality_check(inst)
+        assert math.isfinite(rep.q2_lhs) and rep.residual <= 1e-10
+        assert_close(frame_values(inst), dense_oracle(inst), n)
+        # ker omega meets supp rho_R: both sides inf, residual 0.
+        for omega in (np.diag([0.6, 0.0, 0.4]), U @ np.diag([0.5, 0.5, 0.0]) @ U.conj().T):
+            inst = ConvexSplitInstance(rho, sigma, omega, n, (3, 2))
+            rep = split_equality_check(inst)
+            assert math.isinf(rep.q2_lhs) and math.isinf(rep.q2_rhs)
+            assert rep.residual == 0.0
+            frame = _ReferenceFrame(inst)
+            assert math.isinf(frame.umegaki(np.linalg.eigvalsh(frame.X)))
+
+
+def test_equality_at_dense_cap():
+    # dim = 2 * 2^11 = DENSE_DIM_CAP.
+    inst = random_instance(11, 11)
+    assert 2 * 2**11 == DENSE_DIM_CAP
+    assert split_equality_check(inst).residual <= 1e-10
+    rep = split_equality_check(closed_instance(11))
+    assert abs(rep.q2_lhs - (1.0 + 3.0 / 11)) < 1e-10
+    assert rep.residual < 1e-10

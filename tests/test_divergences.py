@@ -18,8 +18,10 @@ from csl.divergences import (
     q_alpha,
     supp_contained,
 )
+from csl import divergences
 from csl.matcore import (
     RANK_TOL,
+    CertificateError,
     ContractViolation,
     RegisterLayout,
     Spectrum,
@@ -349,3 +351,19 @@ def test_d_min_eps_equal_states_and_kernel_mass():
     assert not perpendicular(rho, sigma)
     for eps in (0.05, 0.1, 0.3):
         assert math.isinf(d_min_eps(rho, sigma, eps))
+
+
+def test_d_min_eps_raises_when_primal_misses_dual(monkeypatch):
+    # A Neyman-Pearson test worse than the dual bound by more than 1e-8 is
+    # a failed certificate, not a value.
+    rho = sample("mixed-hilbert-schmidt", 3, 31).matrix
+    sigma = sample("mixed-hilbert-schmidt", 3, 32).matrix
+    np_test = divergences._np_test_value
+
+    def worse(*args):
+        val, ok = np_test(*args)
+        return (None if val is None else 2.0 * val), ok
+
+    monkeypatch.setattr(divergences, "_np_test_value", worse)
+    with pytest.raises(CertificateError, match="primal/dual gap"):
+        d_min_eps(rho, sigma, 0.1)

@@ -17,8 +17,8 @@ from csl.infomeasures import (
     renyi_entropy,
     universal_rhs,
 )
-from csl.matcore import ContractViolation, RegisterLayout, sample
-from csl.optim import imax_sdp, minimize_convex_over_states
+from csl.matcore import CertificateError, ContractViolation, RegisterLayout, sample
+from csl.optim import ImaxResult, imax_sdp, minimize_convex_over_states
 
 
 def bell_density():
@@ -203,3 +203,12 @@ def test_check_rld_bound_commuting_and_random():
         s = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 3)), seed + 50).matrix
         rep = check_rld_bound(r, s, 0.3, 2.0)
         assert rep.ok  # one-sided: certification expected on generic pairs
+
+
+def test_h_min_conditional_raises_when_not_converged(monkeypatch):
+    def unconverged(M_A, rho_ab, dims, tol):
+        return ImaxResult(0.0, np.eye(dims[1]), False, 0.0)
+
+    monkeypatch.setattr(infomeasures, "dominating_trace_min", unconverged)
+    with pytest.raises(CertificateError, match="did not converge"):
+        h_min_conditional(bell_density(), (2, 2))

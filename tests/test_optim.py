@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from csl.divergences import d_alpha, q_alpha
-from csl.matcore import ContractViolation, RegisterLayout, sample
+from csl.matcore import CertificateError, ContractViolation, RegisterLayout, sample
 from csl.optim import (
     dominating_trace_min,
     frank_wolfe_gap,
@@ -195,5 +195,5 @@ def test_convex_solver_raises_when_gap_stays_open():
     def inconsistent(s):
         return 0.0, np.diag([1.0, 0.0]).astype(complex)
 
-    with pytest.raises(ContractViolation, match="Frank-Wolfe gap"):
+    with pytest.raises(CertificateError, match="Frank-Wolfe gap"):
         minimize_convex_over_states(inconsistent, 2)

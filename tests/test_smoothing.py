@@ -5,6 +5,7 @@ import pytest
 
 from csl import infomeasures
 from csl.matcore import (
+    CertificateError,
     ContractViolation,
     RegisterLayout,
     purified_distance,
@@ -164,9 +165,9 @@ def test_uab_chain_rejects_uncertified_imax(monkeypatch, converged, residual):
     monkeypatch.setattr(infomeasures, "imax_sdp", uncertified)
     rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2), ("B", 2)),
                  3).matrix
-    with pytest.raises(ContractViolation, match="not certified"):
+    with pytest.raises(CertificateError, match="not certified"):
         uab_chain_verify(rho, (2, 2), 0.5, 2.0, 0.1)
-    with pytest.raises(ContractViolation, match="not certified"):
+    with pytest.raises(CertificateError, match="not certified"):
         infomeasures.imax_smoothed_upper(rho, 0.1, (2, 2))
-    with pytest.raises(ContractViolation, match="not certified"):
+    with pytest.raises(CertificateError, match="not certified"):
         infomeasures.imax_bound_lemma(rho, (2, 2))
