@@ -101,17 +101,45 @@ def _parallel_map(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
-def _load_state_matrix(path: str):
+def _option(cfg: dict, key: str, typ, default=None):
+    """cfg[key], or default when absent, converted by typ.
+
+    A value that does not convert is a configuration error, like a missing one.
+    """
+    value = cfg.get(key, default)
+    if value is None:
+        raise ConfigError(f"missing required option --{key.replace('_', '-')}")
+    try:
+        return typ(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"option --{key.replace('_', '-')}: {exc}") from None
+
+
+def _load_json(path: str, what: str, parse):
+    """parse(JSON content of path); malformed content is a ConfigError.
+
+    A ContractViolation from parse (say, a matrix that is not a state) is
+    kept as it is.
+    """
     with open(path) as fh:
-        data = json.load(fh)
-    return matcore.state_from_dict(data)
+        try:
+            return parse(json.load(fh))
+        except matcore.ContractViolation:
+            raise
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ConfigError(f"cannot read {what} {path}: {exc!r}") from None
 
 
-def _parse_dims(text: str) -> tuple[int, int]:
-    parts = text.replace("x", ",").split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"dims must be two integers, got {text!r}")
-    return int(parts[0]), int(parts[1])
+def _load_state_matrix(path: str):
+    return _load_json(path, "state file", matcore.state_from_dict)
+
+
+def _parse_dims(text) -> tuple[int, int]:
+    try:
+        first, second = (int(p) for p in str(text).replace("x", ",").split(","))
+    except ValueError:
+        raise ConfigError(f"dims must be two integers, got {text!r}") from None
+    return first, second
 
 
 # --- suites -----------------------------------------------------------------
@@ -120,11 +148,13 @@ def _parse_dims(text: str) -> tuple[int, int]:
 
 def run_convex_split(cfg) -> tuple[str, list, dict]:
     dR, dA = _parse_dims(cfg["dims"])
-    n_max = int(cfg.get("n_max", 5))
-    samples = int(cfg["samples"])
-    seed = int(cfg["seed"])
-    tol_res = float(cfg.get("tol_residual", 1e-10))
-    tol_slack = float(cfg.get("tol_slack", 1e-8))
+    n_max = _option(cfg, "n_max", int, 5)
+    if n_max < 1:
+        raise ConfigError("n_max must be >= 1")
+    samples = _option(cfg, "samples", int)
+    seed = _option(cfg, "seed", int)
+    tol_res = _option(cfg, "tol_residual", float, 1e-10)
+    tol_slack = _option(cfg, "tol_slack", float, 1e-8)
 
     def one(i):
         s = seed + 1000 * i
@@ -140,17 +170,18 @@ def run_convex_split(cfg) -> tuple[str, list, dict]:
         inst = convexsplit.ConvexSplitInstance(rho, sigma, np.eye(dR) / dR, n,
                                                (dR, dA), weights)
         rep = convexsplit.bounds_report(inst)
-        ly = convexsplit.ly2024_compare(inst, 0.5)
+        ly = convexsplit.ly2024_compare(inst, 0.5, lhs=rep.bounds["gmain0"][0])
         slack = {k: rep.bounds[k][1] - rep.bounds[k][0] for k in rep.bounds}
-        ok = rep.residual <= tol_res and all(v >= -tol_slack for v in slack.values())
+        ok = (rep.residual <= tol_res and all(v >= -tol_slack for v in slack.values())
+              and ly.ok)
         violation = max(rep.residual - tol_res,
-                        max(-v for v in slack.values()))
+                        max(-v for v in slack.values()), ly.lhs - ly.rhs)
         row = [i, n, rep.t, rep.q2_lhs, rep.q2_rhs, rep.residual,
                rep.mu, rep.mu_max, rep.nu_n, slack["gmain0"], slack["split9"],
                slack["pmu0"], ly.details["exact_identity_tighter"]]
         return row, ok, violation
 
-    out = _parallel_map(one, range(samples), int(cfg.get("threads", 1)))
+    out = _parallel_map(one, range(samples), _option(cfg, "threads", int, 1))
     header = ["instance_id", "n", "t", "q2_lhs", "q2_rhs", "residual", "mu",
               "mu_max", "nu_n", "slack_gmain0", "slack_split9", "slack_pmu0",
               "ly2024_tighter"]
@@ -161,11 +192,11 @@ def run_convex_split(cfg) -> tuple[str, list, dict]:
 
 def run_uab(cfg) -> tuple[str, list, dict]:
     dA, dB = _parse_dims(cfg["dims"])
-    samples = int(cfg["samples"])
-    seed = int(cfg["seed"])
-    alpha = float(cfg.get("alpha", 0.5))
-    beta = float(cfg.get("beta", 2.0))
-    eps = float(cfg.get("eps", 0.1))
+    samples = _option(cfg, "samples", int)
+    seed = _option(cfg, "seed", int)
+    alpha = _option(cfg, "alpha", float, 0.5)
+    beta = _option(cfg, "beta", float, 2.0)
+    eps = _option(cfg, "eps", float, 0.1)
 
     def one(i):
         s = seed + 1000 * i
@@ -177,7 +208,7 @@ def run_uab(cfg) -> tuple[str, list, dict]:
                rep.rhs_final - rep.imax_truncated, rep.passed]
         return row, rep.passed, worst
 
-    out = _parallel_map(one, range(samples), int(cfg.get("threads", 1)))
+    out = _parallel_map(one, range(samples), _option(cfg, "threads", int, 1))
     header = ["instance_id", "alpha", "beta", "eps", "imax_upper", "rhs",
               "slack", "certified"]
     return (_csv_text(header, [r for r, _, _ in out]),
@@ -187,11 +218,11 @@ def run_uab(cfg) -> tuple[str, list, dict]:
 def run_bounds_sweep(cfg) -> tuple[str, list, dict]:
     which = cfg.get("sweep", "uab")
     dA, dB = _parse_dims(cfg["dims"])
-    samples = int(cfg["samples"])
-    seed = int(cfg["seed"])
-    alpha = float(cfg.get("alpha", 0.5))
-    beta = float(cfg.get("beta", 2.0))
-    eps = float(cfg.get("eps", 0.1))
+    samples = _option(cfg, "samples", int)
+    seed = _option(cfg, "seed", int)
+    alpha = _option(cfg, "alpha", float, 0.5)
+    beta = _option(cfg, "beta", float, 2.0)
+    eps = _option(cfg, "eps", float, 0.1)
     header = ["instance_id", "alpha", "beta", "eps", "imax_upper", "rhs",
               "slack", "certified"]
 
@@ -219,7 +250,7 @@ def run_bounds_sweep(cfg) -> tuple[str, list, dict]:
     one = {"uab": one_uab, "rld": one_rld}.get(which)
     if one is None:
         raise ConfigError(f"unknown sweep {which!r}")
-    out = _parallel_map(one, range(samples), int(cfg.get("threads", 1)))
+    out = _parallel_map(one, range(samples), _option(cfg, "threads", int, 1))
     return (_csv_text(header, [r for r, _, _ in out]),
             [(ok, v) for _, ok, v in out], {})
 
@@ -232,9 +263,9 @@ def run_qss_sim(cfg) -> tuple[str, list, dict]:
     if len(dims) != 3:
         raise ConfigError("qss-sim state must have three registers (R, A, A')")
     inst = protocols.QSSInstance(state.amplitudes, dims,
-                                 float(cfg.get("eps", 0.6)),
-                                 float(cfg.get("delta", 0.5)))
-    res = protocols.qss_simulate(inst, seed=int(cfg["seed"]))
+                                 _option(cfg, "eps", float, 0.6),
+                                 _option(cfg, "delta", float, 0.5))
+    res = protocols.qss_simulate(inst, seed=_option(cfg, "seed", int))
     record = {
         "n": res.n,
         "n_unclamped": res.n_unclamped,
@@ -255,7 +286,8 @@ def run_qss_sim(cfg) -> tuple[str, list, dict]:
 
 def run_divergence(cfg) -> tuple[str, list, dict]:
     alpha_raw = cfg["alpha"]
-    alpha = math.inf if str(alpha_raw) in ("inf", "Infinity") else float(alpha_raw)
+    alpha = (math.inf if str(alpha_raw) in ("inf", "Infinity")
+             else _option(cfg, "alpha", float))
     rho = matcore._as_matrix(_load_state_matrix(cfg["rho"]))
     sigma = matcore._as_matrix(_load_state_matrix(cfg["sigma"]))
     value, branch = divergences.d_alpha_with_branch(rho, sigma, alpha)
@@ -265,18 +297,19 @@ def run_divergence(cfg) -> tuple[str, list, dict]:
 
 
 def run_rev_shannon(cfg) -> tuple[str, list, dict]:
-    with open(cfg["channel"]) as fh:
-        data = json.load(fh)
-    kraus = [np.asarray(K, dtype=float) if np.asarray(K).ndim == 2
-             else np.asarray(K)[..., 0] + 1j * np.asarray(K)[..., 1]
-             for K in data["kraus"]]
-    spec = protocols.ChannelSpec(kraus, int(data["dim_in"]), int(data["dim_out"]))
-    alpha = float(cfg.get("alpha", 0.5))
-    beta = float(cfg.get("beta", 2.0))
-    eps = float(cfg.get("eps", 0.1))
-    n = int(cfg.get("n", 10))
+    def channel(data):
+        kraus = [np.asarray(K, dtype=float) if np.asarray(K).ndim == 2
+                 else np.asarray(K)[..., 0] + 1j * np.asarray(K)[..., 1]
+                 for K in data["kraus"]]
+        return protocols.ChannelSpec(kraus, int(data["dim_in"]), int(data["dim_out"]))
+
+    spec = _load_json(cfg["channel"], "channel file", channel)
+    alpha = _option(cfg, "alpha", float, 0.5)
+    beta = _option(cfg, "beta", float, 2.0)
+    eps = _option(cfg, "eps", float, 0.1)
+    n = _option(cfg, "n", int, 10)
     rhs, delta_n = protocols.reverse_shannon_bound(spec, alpha, beta, eps, n,
-                                                   seed=int(cfg["seed"]))
+                                                   seed=_option(cfg, "seed", int))
     record = {"alpha": alpha, "beta": beta, "eps": eps, "n": n,
               "bits_per_use": rhs, "delta_n": delta_n}
     return _json_text(record), [(True, 0.0)], {"result": record}
@@ -338,10 +371,10 @@ def _merge_config(args) -> dict:
         cfg["sweep"] = cfg.pop("suite")
     if cfg.get("seed") is None:
         raise ConfigError("seed is mandatory")
-    if "samples" in cfg and int(cfg["samples"]) < 1:
+    if "samples" in cfg and _option(cfg, "samples", int) < 1:
         raise ConfigError("samples must be >= 1")
     if cfg.get("threads") is None:
-        cfg["threads"] = int(os.environ.get("CSL_THREADS", "1"))
+        cfg["threads"] = os.environ.get("CSL_THREADS", "1")
     return cfg
 
 
@@ -388,8 +421,7 @@ def main(argv=None) -> int:
     except matcore.CertificateError as exc:
         print(json.dumps({"failure": {"kind": "certificate", "message": str(exc)}}))
         return 1
-    except (ConfigError, matcore.ContractViolation, OSError, KeyError,
-            ValueError) as exc:
+    except (ConfigError, matcore.ContractViolation, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

@@ -4,14 +4,17 @@ The mixture tau places rho's A-part in one of n slots (sigma elsewhere) and
 averages.  Its collision divergence to omega (x) sigma^n decomposes exactly
 into two single-copy terms; everything else here (trace-distance, purified
 -distance, and Umegaki bounds, plus the spectral-pinching variant) is
-derived from that identity and verified densely.
+derived from that identity and verified against a left-hand side evaluated
+independently from tau.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +34,8 @@ from .optim import (
     q_alpha_grad,
 )
 
-# Dense tau operators live on R (x) A^n; protocols handle larger n with
-# pure states only.
+# Cap on a dense tau operator on R (x) A^n, and on the largest block the
+# reference frame decomposes; protocols handle larger n with pure states only.
 DENSE_DIM_CAP = 4096
 
 
@@ -103,6 +106,10 @@ def build_tau(instance: ConvexSplitInstance) -> np.ndarray:
     shape = (dR,) + (dA,) * n
     T = base.reshape(shape + shape)
     tau = np.zeros_like(T)
+    # From dim 256 on, accumulate slab by slab over the leading row registers,
+    # so the weighted temporary is at most an eighth of tau, not a third
+    # dim x dim array; below that the per-slab overhead would dominate.
+    lead = shape[:3] if dim >= 256 else ()
     for x in range(n):
         # Registers are [R, A(rho), A_2..A_n]; send rho's A slot to slot x.
         order = [0] + [0] * n
@@ -110,64 +117,156 @@ def build_tau(instance: ConvexSplitInstance) -> np.ndarray:
         for j in range(1, n + 1):
             order[j] = 1 if j == x + 1 else next(rest)
         perm = order + [a + n + 1 for a in order]
-        tau += instance.weights[x] * T.transpose(perm)
+        Tx = T.transpose(perm)
+        for idx in np.ndindex(*lead):
+            tau[idx] += instance.weights[x] * Tx[idx]
     return tau.reshape(dim, dim)
 
 
-class _ReferenceFrame:
-    """tau and omega (x) sigma^n in the reference's eigenbasis V = V_omega (x) V_sigma^n.
+class _Block(NamedTuple):
+    """One block X_lambda of X = (+)_lambda X_lambda (x) I_mult, with the
+    reference's eigenvalues w and per-factor support mask keep on it."""
 
-    V acts slot by slot, so it commutes with build_tau's slot permutations and
-    V^dag tau V is the mixture of rotated factors: rho_RA under V_omega (x)
-    V_sigma, and sigma and omega as diagonals of their eigenvalues.  No
-    dim x dim rotation is formed, and the reference is diag(w) with w the
-    exact products of factor eigenvalues.  ``keep`` decides its support per
-    factor: a global cut on w would misread deep-but-genuine eigenvalues
-    (lambda_min^n) as kernel directions.
+    mult: int
+    X: np.ndarray
+    w: np.ndarray
+    keep: np.ndarray
+
+
+def _schur_weyl(instance: ConvexSplitInstance) -> bool:
+    """Uniform weights on qubit slots: X splits into closed-form blocks."""
+    return instance.dims[1] == 2 and np.ptp(instance.weights) == 0.0
+
+
+def _largest_block(instance: ConvexSplitInstance) -> int:
+    dR, dA = instance.dims
+    return dR * (instance.n + 1) if _schur_weyl(instance) else dR * dA**instance.n
+
+
+def _schur_weyl_blocks(rho, ws, wo, keep_o, keep_s, n: int, p: float) -> list[_Block]:
+    """X = p sum_x rho^{R A_x} (x) diag(ws)^{others} on R (x) singlet^k (x) Sym^m.
+
+    For lambda = (n-k, k), m = n - 2k, the Dicke state with j ones in Sym^m
+    has z = m-j+k zeros and o = j+k ones in all; diag(ws)^n acts on it as
+    s0^z s1^o.  The slot sum of |a><b| (x) diag(ws)^{others} is the
+    derivative of g^n at g = diag(ws) in direction |a><b|, which on the
+    block is d/de det(g)^k Sym^m(g): diagonal for a = b, and
+    sqrt(j(m-j+1)) s0^{z} s1^{o-1} from Dicke j to j-1 for |0><1|.  The
+    block's multiplicity is the dimension C(n,k) - C(n,k-1) of the
+    permutation irrep.  Powers are tabulated with 0^0 = 1, so a
+    rank-deficient sigma needs no special case.
+    """
+    dR = len(wo)
+    e = np.arange(n + 1)
+    s0, s1 = ws[0] ** e, ws[1] ** e  # s0[e] = s0^e; r0, r1 for the clipped values
+    r0, r1 = np.clip(ws, 0.0, None)[:, None] ** e
+    rho = rho.reshape(dR, 2, dR, 2)
+    blocks = []
+    for k in range(n // 2 + 1):
+        m = n - 2 * k
+        j = np.arange(m + 1)
+        z, o = m - j + k, j + k
+        D = np.zeros((2, 2, m + 1, m + 1))
+        D[0, 0, j, j] = z * s0[np.maximum(z - 1, 0)] * s1[o]  # 0 where z = 0
+        D[1, 1, j, j] = o * s0[z] * s1[np.maximum(o - 1, 0)]
+        D[0, 1, j[:-1], j[1:]] = np.sqrt(j[1:] * (m - j[1:] + 1)) * s0[z[1:]] * s1[o[1:] - 1]
+        D[1, 0] = D[0, 1].T
+        X = p * np.einsum("rasb,abjk->rjsk", rho, D).reshape(dR * (m + 1), -1)
+        w = np.outer(wo, r0[z] * r1[o]).ravel()
+        # A product that underflows to 0 carries no mass (mult w < 2^n 1e-308).
+        kept = ((z == 0) | keep_s[0]) & ((o == 0) | keep_s[1])
+        keep = np.outer(keep_o, kept).ravel() & (w > 0)
+        mult = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+        blocks.append(_Block(mult, X, w, keep))
+    return blocks
+
+
+class _ReferenceFrame:
+    """tau and omega (x) sigma^n in the reference's eigenbasis, as blocks.
+
+    With V = V_omega (x) V_sigma^n, X = V^dag tau V is the mixture of
+    rotated factors (V acts slot by slot, so it commutes with build_tau's
+    slot permutations), and the reference is diag(w) with w the exact
+    products of factor eigenvalues.  X and diag(w) are held as a list of
+    blocks (mult, X_lambda, w_lambda, keep_lambda), and every value below is
+    a multiplicity-weighted sum over them.  With uniform weights and qubit
+    slots they are the Schur-Weyl blocks of _schur_weyl_blocks; otherwise
+    there is one dense block, build_tau of the rotated factors.  No block may
+    exceed DENSE_DIM_CAP.
+
+    The reference's support ``keep`` is decided per factor: a global cut on
+    w would misread deep-but-genuine eigenvalues (lambda_min^n) as kernel
+    directions.  tau's eigenvalues are cut per block, at support_cut of the
+    block's own spectrum, which is where its decomposition stops resolving
+    them; a global cut would drop blocks whose every eigenvalue is small but
+    whose multiplicity is large (a few percent of tau's mass at n = 50).
     """
 
     def __init__(self, instance: ConvexSplitInstance):
+        size = _largest_block(instance)
+        if size > DENSE_DIM_CAP:
+            raise ContractViolation(f"block dimension {size} exceeds cap {DENSE_DIM_CAP}")
+        if math.comb(instance.n, instance.n // 2) > sys.float_info.max:
+            raise ContractViolation(f"block multiplicities at n = {instance.n} overflow a float")
         wo, Vo = eig_hermitian(instance.omega_R)
         ws, Vs = eig_hermitian(instance.sigma_A)
         W = np.kron(Vo, Vs)
-        self.X = build_tau(ConvexSplitInstance(
-            W.conj().T @ instance.rho_RA @ W, np.diag(ws), np.diag(wo),
-            instance.n, instance.dims, instance.weights))
-        factors = [np.clip(f, 0.0, None) for f in [wo] + [ws] * instance.n]
-        self.w = functools.reduce(np.kron, factors)
-        self.keep = functools.reduce(np.kron, [f > support_cut(f) for f in factors])
-        self.leaks = float(self.X.diagonal().real[~self.keep].sum()) > 1e-10
+        rho = W.conj().T @ instance.rho_RA @ W
+        factors = [np.clip(f, 0.0, None) for f in (wo, ws)]
+        keep_o, keep_s = (f > support_cut(f) for f in factors)
+        if _schur_weyl(instance):
+            self.blocks = _schur_weyl_blocks(rho, ws, factors[0], keep_o, keep_s,
+                                             instance.n, instance.weights[0])
+        else:
+            X = build_tau(ConvexSplitInstance(rho, np.diag(ws), np.diag(wo), instance.n,
+                                              instance.dims, instance.weights))
+            w = functools.reduce(np.kron, [factors[0]] + [factors[1]] * instance.n)
+            keep = functools.reduce(np.kron, [keep_o] + [keep_s] * instance.n)
+            self.blocks = [_Block(1, X, w, keep)]
+        self.leaks = sum(b.mult * float(b.X.diagonal().real[~b.keep].sum())
+                         for b in self.blocks) > 1e-10
+
+    @functools.cached_property
+    def spectra(self) -> list[Spectrum]:
+        """tau's spectrum, one Spectrum per block."""
+        return [Spectrum(b.X) for b in self.blocks]
 
     def q2(self) -> float:
         """Q_2(tau || omega (x) sigma^n), elementwise in this basis."""
         if self.leaks:
             return INF
-        k = self.keep
-        inv_sqrt = 1.0 / np.sqrt(self.w[k])
-        return float(np.sum(np.abs(self.X[np.ix_(k, k)]) ** 2
-                            * np.outer(inv_sqrt, inv_sqrt)))
+        total = 0.0
+        for b in self.blocks:
+            k = b.keep
+            q = b.w[k] ** -0.25  # |X_ij|^2 / sqrt(w_i w_j) without overflow
+            total += b.mult * float(np.sum(np.abs(q[:, None] * b.X[np.ix_(k, k)] * q) ** 2))
+        return total
 
-    def umegaki(self, lam: np.ndarray) -> float:
-        """D(tau || omega (x) sigma^n) from tau's eigenvalues lam and the diagonal of X."""
+    def umegaki(self) -> float:
+        """D(tau || omega (x) sigma^n) from tau's eigenvalues and the diagonal of X."""
         if self.leaks:
             return INF
-        lam = lam[lam > support_cut(lam)]
-        cross = np.sum(self.X.diagonal().real[self.keep] * np.log2(self.w[self.keep]))
-        return float(np.sum(lam * np.log2(lam))) - float(cross)
+        total = 0.0
+        for b, s in zip(self.blocks, self.spectra):
+            lam = s.w[s.keep]
+            total += b.mult * (float(np.sum(lam * np.log2(lam)))
+                               - float(np.sum(b.X.diagonal().real[b.keep]
+                                              * np.log2(b.w[b.keep]))))
+        return total
 
-    def fidelity(self, s: Spectrum) -> float:
-        """F(tau, ref) = ||sqrt(lambda) U^dag sqrt(diag w)||_1 from tau's Spectrum s of X.
-
-        The cuts are matcore.fidelity's: tau's eigenvalues at their
-        support_cut, the reference's globally on w (not per factor).
-        """
-        s.require_psd()
-        g = self.w > support_cut(self.w)
-        M = (s.basis * np.sqrt(s.w[s.keep])).conj().T[:, g] * np.sqrt(self.w[g])
-        return float(min(np.linalg.svd(M, compute_uv=False).sum(), 1.0))
+    def fidelity(self) -> float:
+        """F(tau, ref) = sum_lambda mult ||sqrt(lam) U^dag sqrt(diag w)||_1 per block,
+        on tau's kept eigenvalues and the reference's support."""
+        total = 0.0
+        for b, s in zip(self.blocks, self.spectra):
+            s.require_psd()
+            M = (s.basis * np.sqrt(s.w[s.keep])).conj().T[:, b.keep] * np.sqrt(b.w[b.keep])
+            total += b.mult * float(np.linalg.svd(M, compute_uv=False).sum())
+        return min(total, 1.0)
 
     def trace_distance(self) -> float:
-        return float(0.5 * np.abs(np.linalg.eigvalsh(self.X - np.diag(self.w))).sum())
+        return float(sum(b.mult * 0.5 * np.abs(np.linalg.eigvalsh(b.X - np.diag(b.w))).sum()
+                         for b in self.blocks))
 
 
 def mu_quantities(rho_RA, sigma_A, dims: tuple[int, int]) -> tuple[float, float]:
@@ -182,7 +281,7 @@ def mu_quantities(rho_RA, sigma_A, dims: tuple[int, int]) -> tuple[float, float]
 
 
 def split_equality_check(instance: ConvexSplitInstance) -> SplitReport:
-    """Dense LHS vs the two-term decomposition; residual is relative."""
+    """The frame's LHS vs the two-term decomposition; residual is relative."""
     return _split_report(instance, _ReferenceFrame(instance).q2())
 
 
@@ -241,7 +340,7 @@ def nu_n(rho_RA, sigma_A, n: int,
 
 
 def bounds_report(instance: ConvexSplitInstance) -> SplitReport:
-    """Every derived bound evaluated against dense LHS quantities.
+    """Every derived bound evaluated against the reference frame's LHS values.
 
     The bounds hold for the canonical mixture, so omega is pinned to rho_R
     and the weights to uniform (the minimizing choice); mu/n formulas do not
@@ -259,11 +358,10 @@ def bounds_report(instance: ConvexSplitInstance) -> SplitReport:
     nu, _, rep.nu_report = nu_n(instance.rho_RA, instance.sigma_A, n, instance.dims)
     rep.nu_n = nu
 
-    spec = Spectrum(frame.X)
-    lhs_umegaki = frame.umegaki(spec.w)
+    lhs_umegaki = frame.umegaki()
     lhs_d2 = math.log2(rep.q2_lhs) if not math.isinf(rep.q2_lhs) else INF
     lhs_trace = frame.trace_distance()
-    F = frame.fidelity(spec)
+    F = frame.fidelity()
     lhs_p2 = max(1.0 - F * F, 0.0)
 
     b = {}
@@ -291,18 +389,23 @@ def spectrum_cardinality(P, tol_scale: float = 1e-8) -> int:
     return count
 
 
-def ly2024_compare(instance: ConvexSplitInstance, s: float) -> BoundReport:
+def ly2024_compare(instance: ConvexSplitInstance, s: float,
+                   lhs: float | None = None) -> BoundReport:
     """Spectral-pinching bound vs the exact-identity bound at parameter s.
 
     Evaluates (l^s / (s n^s)) 2^{s D_{1+s}} against log(1 + mu/n), the
     crossover threshold on log n (with the spectrum count l standing in for
-    the comparison constant v), and checks the dense Umegaki value against
-    the smaller of the two.
+    the comparison constant v), and checks the Umegaki value against the
+    smaller of the two.  Both right-hand sides are for the canonical
+    mixture, so omega is pinned to rho_R and the weights to uniform, as in
+    bounds_report.  ``lhs`` is that Umegaki value when the caller already
+    has it (bounds_report's gmain0 left-hand side); otherwise it is
+    evaluated here whenever the reference frame's largest block fits
+    DENSE_DIM_CAP.
     """
     if not (0.0 < s <= 1.0):
         raise ContractViolation(f"s must be in (0,1], got {s}")
     R = _as_matrix(instance.rho_RA)
-    dR, dA = instance.dims
     n = instance.n
     rho_R = reduced(R, instance.dims, 0)
     ref1 = np.kron(rho_R, instance.sigma_A)
@@ -322,15 +425,14 @@ def ly2024_compare(instance: ConvexSplitInstance, s: float) -> BoundReport:
                            - math.log2(1.0 / s)) / (1.0 - s)
 
     rhs = min(ryr_rhs, imp_rhs)
-    lhs_verified = dR * dA**n <= DENSE_DIM_CAP
+    pinned = ConvexSplitInstance(R, instance.sigma_A, rho_R, n, instance.dims)
+    if lhs is None and _largest_block(pinned) <= DENSE_DIM_CAP:
+        lhs = _ReferenceFrame(pinned).umegaki()
+    lhs_verified = lhs is not None
     if lhs_verified:
-        pinned = ConvexSplitInstance(R, instance.sigma_A, rho_R, n,
-                                     instance.dims, instance.weights)
-        frame = _ReferenceFrame(pinned)
-        lhs = frame.umegaki(np.linalg.eigvalsh(frame.X))
         ok = lhs <= rhs + 1e-8
     else:
-        lhs = math.nan  # dense tau out of reach; only the RHS comparison runs
+        lhs = math.nan  # frame out of reach; only the RHS comparison runs
         ok = True
     return BoundReport(
         "pinching-vs-exact-identity", lhs, rhs, ok,

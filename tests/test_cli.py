@@ -197,3 +197,53 @@ def test_exit_1_on_failed_certificate(tmp_path, capsys, monkeypatch):
     assert failure == {"kind": "certificate",
                        "message": "convex solver stopped with Frank-Wolfe gap 1e-3"}
     assert not (tmp_path / "cs.csv").exists()
+
+
+def test_exit_2_on_bad_config_values(tmp_path, capsys):
+    # Text that does not parse, in a config file or a state file, is a
+    # configuration error.
+    for cfg in ({"dims": "2x2", "samples": "many", "seed": 1},
+                {"dims": "2xtwo", "samples": 2, "seed": 1},
+                {"dims": "2x2", "samples": 2, "seed": 1, "n_max": 0},
+                {"dims": "2x2", "samples": 2, "seed": 1, "tol_slack": [1]}):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run(["verify-convex-split", "--config", str(path)], capsys)
+        assert code == 2, cfg
+        assert "error" in json.loads(err)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"vector": [[1.0, 0.0]]}))
+    code, _, _ = run(["qss-sim", "--state", str(state), "--seed", "0"], capsys)
+    assert code == 2
+
+
+def test_bug_in_a_suite_is_not_a_config_error(monkeypatch, capsys):
+    # Only configuration, contract and OS errors map to exit 2; anything
+    # else is a fault of the program and propagates.
+    def broken(instance):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli.convexsplit, "bounds_report", broken)
+    with pytest.raises(KeyError):
+        main(["verify-convex-split", "--dims", "2x2", "--samples", "1", "--seed", "1"])
+    capsys.readouterr()
+
+
+def test_convex_split_row_checks_ly2024(tmp_path, capsys, monkeypatch):
+    # Seed 2, row 1 has skewed weights; the pinching comparison runs on the
+    # uniform mixture and holds.  A failing comparison fails the row.
+    out = tmp_path / "cs.csv"
+    args = ["verify-convex-split", "--dims", "2x2", "--samples", "2", "--seed", "2",
+            "--out", str(out)]
+    code, stdout, _ = run(args, capsys)
+    assert code == 0 and json.loads(stdout)["pass_rate"] == 1.0
+    inner = cli.convexsplit.ly2024_compare
+
+    def failing(instance, s, lhs=None):
+        rep = inner(instance, s, lhs)
+        rep.ok = False
+        return rep
+
+    monkeypatch.setattr(cli.convexsplit, "ly2024_compare", failing)
+    code, stdout, _ = run(args, capsys)
+    assert code == 1 and json.loads(stdout)["pass_rate"] == 0.0

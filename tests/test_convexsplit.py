@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from csl.matcore import (
     RegisterLayout,
     Spectrum,
     eig_hermitian,
-    fidelity,
     random_unitary,
     sample,
     support_cut,
@@ -75,6 +75,24 @@ def test_dense_cap_enforced():
     with pytest.raises(ContractViolation):
         build_tau(random_instance(1, 12, dR=2, dA=2))
     assert 2 * 2**11 <= DENSE_DIM_CAP  # n = 11 qubit slots still dense
+    # The frame caps its largest block: dR (n + 1) for uniform qubit slots.
+    with pytest.raises(ContractViolation):
+        _ReferenceFrame(closed_instance(DENSE_DIM_CAP // 2))
+    with pytest.raises(ContractViolation):
+        _ReferenceFrame(random_instance(1, 8, dR=2, dA=3))
+
+
+def test_build_tau_peak_memory():
+    # dim 1024: at most two dim x dim arrays are alive while tau accumulates.
+    inst = random_instance(9, 9)
+    tracemalloc.start()
+    try:
+        tau = build_tau(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tau.shape == (1024, 1024)
+    assert peak <= 2.2 * tau.nbytes, peak / tau.nbytes
 
 
 def test_closed_instance_value():
@@ -209,11 +227,32 @@ def test_ly2024_compare_holds_and_reports():
     assert rep.ok
     assert rep.details["lhs_verified"]
     assert rep.details["ell"] >= 1
-    # large n: dense side skipped, comparison still runs
-    big = random_instance(2, 16)
-    rep_big = ly2024_compare(big, 0.5)
+    # Qubit slots past the dense cap: the Schur-Weyl blocks still give the LHS.
+    rep_big = ly2024_compare(random_instance(2, 16), 0.5)
+    assert rep_big.details["lhs_verified"] and rep_big.ok
+    assert math.isfinite(rep_big.lhs)
+    # dA = 3 past the cap: the frame side is skipped, the comparison still runs.
+    rep_big = ly2024_compare(random_instance(2, 8, dA=3), 0.5)
     assert not rep_big.details["lhs_verified"]
     assert math.isnan(rep_big.lhs)
+
+
+@pytest.mark.parametrize("dA", [2, 3])
+def test_ly2024_compare_pins_uniform_weights(dA):
+    # The CLI row of seed 2, row 1 (n = 2, skewed weights): both right-hand
+    # sides assume weights 1/n, and against the skewed mixture the check
+    # failed (2x2: LHS 1.525 > RHS 1.218).
+    s = 2 + 1000
+    rho = sample("rank-limited", RegisterLayout.of(("R", 2), ("A", dA)), s,
+                 rank=2).matrix
+    sigma = sample("mixed-hilbert-schmidt", dA, s + 1).matrix
+    w = np.random.default_rng(s + 2).random(2)
+    inst = ConvexSplitInstance(rho, sigma, np.eye(2) / 2, 2, (2, dA), w / w.sum())
+    rep = ly2024_compare(inst, 0.5)
+    assert rep.ok and rep.lhs <= rep.rhs
+    umegaki = bounds_report(inst).bounds["gmain0"][0]
+    assert abs(rep.lhs - umegaki) <= 1e-12 * abs(umegaki)
+    assert ly2024_compare(inst, 0.5, lhs=umegaki).lhs == umegaki
 
 
 def test_ly2024_crossover_trend():
@@ -223,12 +262,37 @@ def test_ly2024_crossover_trend():
     assert rep.details["exact_identity_tighter"]
 
 
-def dense_oracle(inst):
-    """q2_lhs, Umegaki LHS, T and P^2 from the dense tau and the dense product.
+def isotypic_projectors(inst):
+    """Projectors onto the parts of R (x) A^n that tau's spectrum is cut on.
 
-    tau from build_tau is rotated by kron(V_omega, V_sigma^n), whose support
-    is decided per factor; T and F come from matcore on tau and the product.
+    With uniform weights on qubit slots these are the eigenspaces of the
+    total spin J^2 of A^n, which is invariant under U^n and so commutes with
+    every product rotation and with tau (Schur-Weyl duality); otherwise the
+    identity.
     """
+    dR, dA = inst.dims
+    n = inst.n
+    if dA != 2 or np.ptp(inst.weights) != 0.0:
+        return [np.eye(dR * dA**n)]
+    J2 = 0
+    for P in (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.diag([1, -1])):
+        J = sum(np.kron(np.kron(np.eye(2**i), P), np.eye(2 ** (n - i - 1)))
+                for i in range(n)) / 2
+        J2 = J2 + J @ J
+    lam, U = np.linalg.eigh(J2)
+    out = []
+    for k in range(n // 2 + 1):
+        j = (n - 2 * k) / 2
+        Uk = U[:, np.abs(lam - j * (j + 1)) < 1e-6]
+        out.append(np.kron(np.eye(dR), Uk @ Uk.conj().T))
+    return out
+
+
+def dense_frame(inst):
+    """The dense tau, X = V^dag tau V with V = kron(V_omega, V_sigma^n), and
+    the product omega (x) sigma^n: its eigenvalues w in that basis, their
+    per-factor support keep, and its dense matrix."""
     wo, Vo = eig_hermitian(inst.omega_R)
     ws, Vs = eig_hermitian(inst.sigma_A)
     wo, ws = np.clip(wo, 0.0, None), np.clip(ws, 0.0, None)
@@ -239,27 +303,39 @@ def dense_oracle(inst):
         keep = np.multiply.outer(keep, ws > support_cut(ws)).reshape(-1)
         ref = np.kron(ref, inst.sigma_A)
     tau = build_tau(inst)
-    X = V.conj().T @ tau @ V
+    return tau, V.conj().T @ tau @ V, w, keep, ref
+
+
+def dense_oracle(inst):
+    """q2_lhs, Umegaki LHS, T and P^2 from the dense tau and the dense product.
+
+    In the basis of dense_frame the product is diag(w) with its support
+    decided per factor.  tau's eigenvalues are cut on each isotypic part
+    separately; T comes from matcore on tau and the product, and
+    F = ||sqrt(X) sqrt(diag w)||_1 on the per-factor support.
+    """
+    tau, X, w, keep, ref = dense_frame(inst)
     diag = X.diagonal().real
+    parts = [Spectrum(P @ X @ P) for P in isotypic_projectors(inst)]
     if float(np.trace(tau).real) - float(np.sum(diag[keep])) > 1e-10:
         q2_lhs = umegaki = INF
     else:
         inv_sqrt = 1.0 / np.sqrt(w[keep])
         q2_lhs = float(np.sum(np.abs(X[np.ix_(keep, keep)]) ** 2
                               * np.outer(inv_sqrt, inv_sqrt)))
-        wt = np.clip(np.linalg.eigvalsh(tau), 0.0, None)
-        wt = wt[wt > support_cut(wt)]
+        wt = np.concatenate([s.w[s.keep] for s in parts])
         umegaki = (float(np.sum(wt * np.log2(wt)))
                    - float(np.sum(diag[keep] * np.log2(w[keep]))))
-    F = fidelity(tau, ref)
+    sqrt_X = sum(s.power(0.5) for s in parts)
+    F = np.linalg.svd(sqrt_X * np.where(keep, np.sqrt(w), 0.0), compute_uv=False).sum()
+    F = min(F, 1.0)
     return q2_lhs, umegaki, trace_distance(tau, ref), max(1.0 - F * F, 0.0)
 
 
 def frame_values(inst):
     frame = _ReferenceFrame(inst)
-    spec = Spectrum(frame.X)
-    F = frame.fidelity(spec)
-    return frame.q2(), frame.umegaki(spec.w), frame.trace_distance(), max(1.0 - F * F, 0.0)
+    F = frame.fidelity()
+    return frame.q2(), frame.umegaki(), frame.trace_distance(), max(1.0 - F * F, 0.0)
 
 
 def assert_close(got, want, what):
@@ -283,22 +359,87 @@ def cut_crossing_instance(n, seed=0):
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
 def test_reference_frame_matches_dense_oracle(dims):
+    # Uniform weights on qubit slots take the Schur-Weyl blocks, every other
+    # instance the one dense block.
     dR, dA = dims
     rng = np.random.default_rng(dR * 10 + dA)
-    for n in range(1, 7):  # rho has rank 1 + n % (dR dA): rank 1 at n = 4 or 6
-        w = rng.random(n) if n % 2 else None  # skewed weights at odd n
-        inst = random_instance(n, n, dR, dA, None if w is None else w / w.sum())
-        assert_close(frame_values(inst), dense_oracle(inst), (dims, n))
+    for n in range(1, 9 if dA == 2 else 7):  # rho has rank 1 + n % (dR dA)
+        w = rng.random(n)
+        for weights in [None] + [w / w.sum()] * (n % 2):  # skewed at odd n
+            inst = random_instance(n, n, dR, dA, weights)
+            blocks = _ReferenceFrame(inst).blocks
+            schur_weyl = dA == 2 and weights is None
+            assert len(blocks) == (n // 2 + 1 if schur_weyl else 1)
+            assert_close(frame_values(inst), dense_oracle(inst), (dims, n, weights))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
+def test_schur_weyl_blocks_reproduce_dense_spectrum(dims):
+    # Block spectra and reference eigenvalues, repeated by multiplicity, are
+    # those of the dense X and w.
+    for n in (4, 5, 6):
+        inst = random_instance(n + 20, n, *dims)
+        frame = _ReferenceFrame(inst)
+        lam = np.concatenate([np.repeat(np.linalg.eigvalsh(b.X), b.mult)
+                              for b in frame.blocks])
+        w = np.concatenate([np.repeat(b.w, b.mult) for b in frame.blocks])
+        _, X, w_dense, _, _ = dense_frame(inst)
+        assert lam.size == X.shape[0]
+        assert np.abs(np.sort(lam) - np.linalg.eigvalsh(X)).max() <= 1e-12
+        assert np.abs(np.sort(w) - np.sort(w_dense)).max() <= 1e-15
+
+
+def rank_deficient_sigma_instance(n, leaking):
+    """sigma of rank 1; rho_RA on R (x) supp(sigma) unless ``leaking``."""
+    rng = np.random.default_rng(60 + n)
+    v = random_unitary(2, rng)[:, 0]
+    sigma = np.outer(v, v.conj())
+    rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("R", 2), ("A", 2)),
+                 61 + n).matrix
+    if not leaking:
+        P = np.kron(np.eye(2), sigma)
+        rho = P @ rho @ P
+        rho /= np.trace(rho).real
+    return ConvexSplitInstance(rho, sigma, np.eye(2) / 2, n, (2, 2))
+
+
+def test_reference_frame_rank_deficient_sigma():
+    for n in range(1, 7):
+        inst = rank_deficient_sigma_instance(n, leaking=False)
+        values = frame_values(inst)
+        assert math.isfinite(values[0]) and math.isfinite(values[1])
+        assert_close(values, dense_oracle(inst), n)
+        inst = rank_deficient_sigma_instance(n, leaking=True)
+        values = frame_values(inst)
+        assert math.isinf(values[0]) and math.isinf(values[1])
+        assert_close(values, dense_oracle(inst), n)
+        rep = split_equality_check(inst)
+        assert math.isinf(rep.q2_lhs) and math.isinf(rep.q2_rhs)
+
+
+def test_schur_weyl_closed_checks_at_large_n():
+    # Past the dense cap: the Bell value Q_2 = 1 + 3/n, and every corollary
+    # bound at n = 50.
+    rep = split_equality_check(closed_instance(30))
+    assert abs(rep.q2_lhs - (1.0 + 3.0 / 30)) <= 1e-12 * (1.0 + 3.0 / 30)
+    assert rep.residual <= 1e-12
+    for inst in (closed_instance(50), random_instance(3, 50)):
+        rep = bounds_report(inst)
+        assert rep.residual <= 1e-10
+        for name, (lhs, rhs) in rep.bounds.items():
+            assert lhs <= rhs + 1e-8, (name, lhs, rhs)
 
 
 def test_reference_frame_cut_crossing_sigma():
-    # At n = 5 the products lambda_min^5 / lambda_max^5 = 1e-10 are cut by
-    # the fidelity's global cut but kept by the per-factor support; at n = 4
-    # nothing is cut.
+    # From n = 5 the products lambda_min^n / lambda_max^n <= 1e-10 fall under
+    # a global cut on w but are kept by the per-factor support, for every
+    # value including the fidelity; at n = 4 nothing is cut.
     for n in (4, 5, 6):
         inst = cut_crossing_instance(n)
-        w = _ReferenceFrame(inst).w
+        blocks = _ReferenceFrame(inst).blocks
+        w = np.concatenate([b.w for b in blocks])
         assert ((w > support_cut(w)).sum() < w.size) == (n >= 5)
+        assert all(b.keep.all() for b in blocks)
         assert_close(frame_values(inst), dense_oracle(inst), n)
 
 
@@ -338,8 +479,7 @@ def test_rank_deficient_omega():
             rep = split_equality_check(inst)
             assert math.isinf(rep.q2_lhs) and math.isinf(rep.q2_rhs)
             assert rep.residual == 0.0
-            frame = _ReferenceFrame(inst)
-            assert math.isinf(frame.umegaki(np.linalg.eigvalsh(frame.X)))
+            assert math.isinf(_ReferenceFrame(inst).umegaki())
 
 
 def test_equality_at_dense_cap():
@@ -350,3 +490,19 @@ def test_equality_at_dense_cap():
     rep = split_equality_check(closed_instance(11))
     assert abs(rep.q2_lhs - (1.0 + 3.0 / 11)) < 1e-10
     assert rep.residual < 1e-10
+
+
+def test_schur_weyl_frame_at_float_limits():
+    # At n = 170, sigma's deepest products (1e-2 / 1.01)^o / 2 underflow to
+    # 0; they carry no mass and leave the support, so every value stays
+    # finite, and |X_ij|^2 / sqrt(w_i w_j) does not overflow.
+    inst = cut_crossing_instance(170)
+    frame = _ReferenceFrame(inst)
+    assert any((b.w == 0).any() for b in frame.blocks)
+    values = frame_values(inst)
+    assert all(math.isfinite(v) for v in values)
+    rep = split_equality_check(inst)
+    assert rep.residual <= 1e-10
+    # Multiplicities C(n, k) past the largest float are refused.
+    with pytest.raises(ContractViolation):
+        _ReferenceFrame(closed_instance(1100))
