@@ -20,7 +20,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -94,11 +93,15 @@ def emit_summary(suite: str, results: list, runtime: float) -> dict:
     }
 
 
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _map_samples(fn, samples: int, cfg: dict) -> list:
+    """[fn(i) for i in range(samples)], in order.
+
+    `--threads` (or `CSL_THREADS`) is still validated, but the samples run
+    sequentially: on these small, Python-bound samples a thread pool
+    measured no faster, so the option changes nothing.
+    """
+    _option(cfg, "threads", int, 1)
+    return [fn(i) for i in range(samples)]
 
 
 def _option(cfg: dict, key: str, typ, default=None):
@@ -181,7 +184,7 @@ def run_convex_split(cfg) -> tuple[str, list, dict]:
                slack["pmu0"], ly.details["exact_identity_tighter"]]
         return row, ok, violation
 
-    out = _parallel_map(one, range(samples), _option(cfg, "threads", int, 1))
+    out = _map_samples(one, samples, cfg)
     header = ["instance_id", "n", "t", "q2_lhs", "q2_rhs", "residual", "mu",
               "mu_max", "nu_n", "slack_gmain0", "slack_split9", "slack_pmu0",
               "ly2024_tighter"]
@@ -208,7 +211,7 @@ def run_uab(cfg) -> tuple[str, list, dict]:
                rep.rhs_final - rep.imax_truncated, rep.passed]
         return row, rep.passed, worst
 
-    out = _parallel_map(one, range(samples), _option(cfg, "threads", int, 1))
+    out = _map_samples(one, samples, cfg)
     header = ["instance_id", "alpha", "beta", "eps", "imax_upper", "rhs",
               "slack", "certified"]
     return (_csv_text(header, [r for r, _, _ in out]),
@@ -250,7 +253,7 @@ def run_bounds_sweep(cfg) -> tuple[str, list, dict]:
     one = {"uab": one_uab, "rld": one_rld}.get(which)
     if one is None:
         raise ConfigError(f"unknown sweep {which!r}")
-    out = _parallel_map(one, range(samples), _option(cfg, "threads", int, 1))
+    out = _map_samples(one, samples, cfg)
     return (_csv_text(header, [r for r, _, _ in out]),
             [(ok, v) for _, ok, v in out], {})
 

@@ -6,6 +6,14 @@ the outcome register, swap the indicated slot, and measure the distance of
 the final branch mixture to the ideal target.  All protocol states are kept
 as pure vectors; the final distance is evaluated inside the small subspace
 spanned by the branches.
+
+The alignment is applied in factored form (`_aligned_source`): it needs
+only the triangular factor of the source's QR, so the source's Q factor and
+the tall factors of the full isometry are never formed.  The SVD input
+Ra Rb^H of `_uhlmann_factors` must keep its bits: when the target is
+rank-deficient it has zero singular values, and the vectors LAPACK returns
+for them carry source mass into `achieved_distance` and `branch_probs`
+(ROADMAP item 1 makes the alignment canonical).
 """
 
 from __future__ import annotations
@@ -103,10 +111,14 @@ def qss_optimal_sigma(rho_RB, dims: tuple[int, int], seed: int = 0):
 
 
 def _uhlmann_factors(psi_target, psi_source, shared_dim: int):
-    """Singular factors (U, W, singulars) of the cross-overlap operator.
+    """Factors (Ra, Qb, Um, sv, Vmh) of the cross-overlap operator.
 
-    The optimal alignment is V = W U^dag; the shared-factor rank keeps the
-    factorization cheap even when the local spaces are large.
+    With S, T the shared-first matrices of source and target, S^T = Qa Ra
+    and T^T = Qb Rb (reduced QR), the overlap is
+    S^T conj(T) = Qa (Ra Rb^H) Qb^H, and only the small middle factor
+    Ra Rb^H = Um diag(sv) Vmh goes through the SVD.  The optimal alignment
+    is V = W U^H with U = Qa Um and W = Qb Vmh^H.  Qa itself is not formed:
+    the aligned source S V^T needs only Ra.
     """
     s = np.asarray(psi_source, dtype=complex).reshape(-1)
     t = np.asarray(psi_target, dtype=complex).reshape(-1)
@@ -116,16 +128,24 @@ def _uhlmann_factors(psi_target, psi_source, shared_dim: int):
     ta = len(t) // shared_dim
     if ta < sa:
         raise ContractViolation("target local dimension smaller than source")
-    S = s.reshape(shared_dim, sa)
-    T = t.reshape(shared_dim, ta)
-    # C = S^T conj(T) = Qa (Ra conj(Rb)^T) conj(Qb)^T; SVD only the middle
-    # (rank <= shared_dim) factor.
-    Qa, Ra = np.linalg.qr(S.T)
-    Qb, Rb = np.linalg.qr(T.T)
+    # mode "r" runs the same geqrf as the reduced mode, so Ra keeps its bits.
+    Ra = np.linalg.qr(s.reshape(shared_dim, sa).T, mode="r")
+    Qb, Rb = np.linalg.qr(t.reshape(shared_dim, ta).T)
     Um, sv, Vmh = np.linalg.svd(Ra @ Rb.conj().T)
-    U = Qa @ Um  # (sa, k)
-    W = Qb @ Vmh.conj().T  # (ta, k)
-    return U, W, sv
+    return Ra, Qb, Um, sv, Vmh
+
+
+def _aligned_source(factors) -> np.ndarray:
+    """S V^T for the optimal alignment V, from `_uhlmann_factors`' output.
+
+    The completion columns of the full isometry annihilate the source, and
+    S conj(Qa) = Ra^T, so S V^T = Ra^T conj(Um Vmh) Qb^T exactly: a
+    (shared, target local) matrix.  V pairs the k = len(Um) columns of Um
+    with the first k rows of Vmh (Vmh has more when the source local space
+    is smaller than the shared one and the target's is not).
+    """
+    Ra, Qb, Um, _, Vmh = factors
+    return (Ra.T @ (Um @ Vmh[: len(Um)]).conj()) @ Qb.T
 
 
 def _complete_columns(M: np.ndarray, cols: int) -> np.ndarray:
@@ -149,10 +169,12 @@ def uhlmann_isometry(psi_target, psi_source, shared_dim: int) -> np.ndarray:
     source local dim) such that |<t|(I (x) V)|s>| equals the fidelity of the
     reduced states on the shared factor.
     """
-    U, W, _ = _uhlmann_factors(psi_target, psi_source, shared_dim)
-    sa = U.shape[0]
-    U_full = _complete_columns(U, sa)
-    W_full = _complete_columns(W, sa)
+    _, Qb, Um, _, Vmh = _uhlmann_factors(psi_target, psi_source, shared_dim)
+    S = np.asarray(psi_source, dtype=complex).reshape(shared_dim, -1)
+    Qa, _ = np.linalg.qr(S.T)  # only the full isometry needs Qa
+    sa = S.shape[1]
+    U_full = _complete_columns(Qa @ Um, sa)
+    W_full = _complete_columns(Qb @ Vmh.conj().T, sa)
     return W_full @ U_full.conj().T  # (ta, sa)
 
 
@@ -193,17 +215,19 @@ def qss_simulate(instance: QSSInstance, seed: int = 0) -> QSSResult:
     # nL * d^n >= d^2 * d^n.
     nL = max(n, d * d)
     # Source: R (x) [A A' Atilde^n] (x) B^n, shared factor = R (x) B^n.
-    # Build as tensor with axes (R, A, A', At_1..At_n, B_1..B_n).
     acc = psi.reshape(dR, d, d)
     for _ in range(n):
         acc = np.tensordot(acc, phi_t, axes=0)
-    # acc axes: R, A, A', (At_1, B_1), ..., (At_n, B_n) interleaved
-    perm = [0, 1, 2] + [3 + 2 * i for i in range(n)] + [4 + 2 * i for i in range(n)]
-    source = acc.transpose(perm)
+    # acc axes: R, A, A', (At_1, B_1), ..., (At_n, B_n) interleaved; lay the
+    # source out shared-first: R, B_1..B_n, A, A', At_1..At_n.
+    source = np.ascontiguousarray(acc.transpose(
+        [0] + [4 + 2 * i for i in range(n)] + [1, 2] + [3 + 2 * i for i in range(n)]))
+    del acc
 
-    # Target: |tau> on R (x) [L Atilde^n] (x) B^n.
+    # Target: |tau> on R (x) [L Atilde^n] (x) B^n, laid out shared-first:
+    # R, B_1..B_n, L, At_1..At_n.
     rho_vec = psi.reshape(dR, d, d)  # axes R, A->At_x slot, A'->B_x slot
-    target = np.zeros((dR, nL) + (d,) * n + (d,) * n, dtype=complex)
+    target = np.zeros((dR,) + (d,) * n + (nL,) + (d,) * n, dtype=complex)
     for x in range(n):
         branch = rho_vec
         for _ in range(n - 1):
@@ -217,20 +241,15 @@ def qss_simulate(instance: QSSInstance, seed: int = 0) -> QSSResult:
         for idx, y in enumerate(others):
             at_axes[y] = 3 + 2 * idx
             b_axes[y] = 4 + 2 * idx
-        perm_x = [0] + at_axes + b_axes
-        target[:, x] += branch.transpose(perm_x) / math.sqrt(n)
+        target[(slice(None),) * (1 + n) + (x,)] += (
+            branch.transpose([0] + b_axes + at_axes) / math.sqrt(n))
+    del branch
 
-    # Shared factor first: move B^n axes right after R, keep sender local last.
-    sh_src = source.transpose([0] + list(range(3 + n, 3 + 2 * n)) + [1, 2]
-                              + list(range(3, 3 + n)))
-    sh_tgt = target.transpose([0] + list(range(2 + n, 2 + 2 * n)) + [1]
-                              + list(range(2, 2 + n)))
     shared = dR * d**n
-    # The completion columns of the full isometry annihilate the source, so
-    # applying V = W U^dag through its factors is exact and much cheaper.
-    U, W, _ = _uhlmann_factors(sh_tgt.reshape(-1), sh_src.reshape(-1), shared)
-    Smat = sh_src.reshape(shared, d * d * d**n)
-    out = (Smat @ U.conj()) @ W.T  # = Smat @ V.T, (shared, nL * d^n)
+    factors = _uhlmann_factors(target, source, shared)
+    del source, target  # consumed: the aligned source needs only the factors
+    out = _aligned_source(factors)  # (shared, nL * d^n)
+    del factors
     out = out.reshape((dR,) + (d,) * n + (nL,) + (d,) * n)
     # axes: R, B_1..B_n, L, At_1..At_n
 
@@ -257,6 +276,7 @@ def qss_simulate(instance: QSSInstance, seed: int = 0) -> QSSResult:
         probs.append(p)
         if p > 1e-15:
             branches.append(v)
+    del out, bx  # every branch is a copy
 
     # Amplitude outside the aligned subspace (rank-deficient overlap) shows
     # up as missing mass; treat it as an orthogonal failure branch.

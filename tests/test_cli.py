@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -110,6 +111,41 @@ def test_determinism_byte_identical(tmp_path, capsys):
     assert main(args + ["--out", str(out_b)]) == 0
     capsys.readouterr()
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_threads_is_validated_and_runs_sequentially(tmp_path, capsys,
+                                                   monkeypatch):
+    # --threads and CSL_THREADS are still accepted and checked, but every
+    # sample runs on the calling thread, so the artifact cannot depend on them.
+    seen = set()
+    report = cli.convexsplit.bounds_report
+
+    def recording(instance):
+        seen.add(threading.get_ident())
+        return report(instance)
+
+    monkeypatch.setattr(cli.convexsplit, "bounds_report", recording)
+    args = ["verify-convex-split", "--dims", "2x2", "--samples", "3",
+            "--n-max", "3", "--seed", "21"]
+    outs = []
+    for extra, env in (([], None), (["--threads", "4"], None), ([], "3")):
+        if env is None:
+            monkeypatch.delenv("CSL_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("CSL_THREADS", env)
+        out = tmp_path / f"t{len(outs)}.csv"
+        assert main(args + extra + ["--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    capsys.readouterr()
+    assert outs[0] == outs[1] == outs[2]
+    assert seen == {threading.get_ident()}
+
+    assert main(args + ["--threads", "two"]) == 2
+    capsys.readouterr()
+    monkeypatch.setenv("CSL_THREADS", "two")
+    code, _, err = run(args, capsys)
+    assert code == 2
+    assert "threads" in json.loads(err)["error"]
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

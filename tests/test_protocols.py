@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from csl.infomeasures import f_alpha_beta
 from csl.matcore import ContractViolation, fidelity
 from csl.protocols import (
     ChannelSpec,
+    _aligned_source,
+    _uhlmann_factors,
     QSSInstance,
     channel_alpha_beta_info,
     qss_cost_report,
@@ -73,6 +76,60 @@ def test_uhlmann_no_sampled_isometry_beats_it():
         for _ in range(100):
             U = random_unitary(dl, rng)
             assert abs(np.vdot(t, (Sm @ U.T).reshape(-1))) <= best + 1e-8
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_factored_alignment_equals_isometry():
+    # Rank-deficient targets give the overlap zero singular values.  The
+    # factored product and the full isometry go through the same SVD, so
+    # this checks S V^T = Ra^T conj(Um Vmh) Qb^T, not LAPACK's choice of
+    # null vectors.  (6, 3, 9) has a source local space smaller than the
+    # shared one and a target local space that is not.
+    rng = np.random.default_rng(17)
+    for shared, sa, ta, rank in [(4, 4, 6, 2), (8, 16, 24, 3), (16, 32, 36, 5),
+                                 (16, 16, 16, 1), (6, 3, 9, 2), (12, 8, 8, 4)]:
+        s = _complex(rng, shared * sa)
+        t = (_complex(rng, (shared, rank)) @ _complex(rng, (rank, ta))).reshape(-1)
+        s /= np.linalg.norm(s)
+        t /= np.linalg.norm(t)
+        factors = _uhlmann_factors(t, s, shared)
+        sv = factors[3]
+        assert len(sv) > rank and sv[rank:].max() <= 1e-12 * sv[0]
+        out = _aligned_source(factors)
+        V = uhlmann_isometry(t, s, shared)
+        assert out.shape == (shared, ta)
+        assert np.abs(out - s.reshape(shared, sa) @ V.T).max() <= 1e-12
+
+
+def test_qss_peak_memory():
+    # Bell, n = 7: shared = 256, target local = 7 * 128.  The aligned source
+    # needs only Ra and Qb, and the source, the target and Qb are released
+    # once consumed, so the peak stays near 4.2 target sizes.
+    inst = QSSInstance(bell_vector(), (2, 1, 2), eps=0.7, delta=0.55)
+    tracemalloc.start()
+    try:
+        res = qss_simulate(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.n == 7
+    target_bytes = 2 * 2**7 * 7 * 2**7 * 16
+    assert peak <= 5.0 * target_bytes, peak / target_bytes
+
+
+def test_qss_reference_wider_than_local_square():
+    # dR = 5 > d^2 = 4 and n = 6 > d^2: the source local space (d^(n+2))
+    # is smaller than the shared one (dR d^n) while the target's is not.
+    v = np.zeros(10, dtype=complex)
+    v[0] = v[3] = 1 / math.sqrt(2)
+    res = qss_simulate(QSSInstance(v, (5, 1, 2), eps=0.7, delta=0.6))
+    assert res.n == 6
+    assert abs(res.mu - 3.0) < 1e-6
+    assert res.bound_ok
+    assert abs(res.branch_probs.sum() - 1.0) < 1e-9
 
 
 def test_qss_flagship():
