@@ -26,6 +26,7 @@ from .matcore import (
     trace_distance,
 )
 from .optim import (
+    GAP_TOL,
     dominating_trace_min,
     imax_sdp,
     minimize_convex_over_states,
@@ -102,12 +103,18 @@ def mutual_info_alpha(rho_ab, alpha: float, dims=None, restarts: int = 16,
 
 
 def h_min_conditional(rho_ab, dims=None, tol: float = 1e-7) -> float:
-    """H_min(A|B) = -log min Tr[Y] over Y with I (x) Y >= rho_AB."""
+    """H_min(A|B) = -log min Tr[Y] over Y with I (x) Y >= rho_AB.
+
+    Reported from the SDP's dual side, -log Tr[rho Z] for a feasible dual
+    point Z: at most GAP_TOL bits above H_min, never below it, which is the
+    sound side wherever H_min is subtracted (the chain's rhs = lhs - h_min).
+    """
     R, dA, dB = _bipartite(rho_ab, dims)
     res = dominating_trace_min(np.eye(dA), R, (dA, dB), tol=tol)
-    if not res.converged:
-        raise CertificateError("conditional min-entropy solver did not converge")
-    return -res.value_bits
+    if not (res.converged and res.gap_bits <= GAP_TOL):
+        raise CertificateError("conditional min-entropy solver did not converge "
+                               f"(bracket {res.gap_bits:.3e} bits)")
+    return -res.lower_bits
 
 
 def conditional_renyi_up(rho_ab, beta: float, dims=None) -> float:
@@ -146,12 +153,16 @@ def conditional_renyi_up(rho_ab, beta: float, dims=None) -> float:
 
 
 def imax_certified(rho_ab, dims) -> float:
-    """I_max(A:B) in bits from imax_sdp, raising unless its certificate holds."""
+    """I_max(A:B) in bits, the upper side of imax_sdp's checked bracket.
+
+    Raises unless the solve converged with a bracket of at most GAP_TOL bits
+    and a certificate residual of at least -1e-7.
+    """
     res = imax_sdp(rho_ab, dims)
-    if not res.converged or res.residual < -1e-7:
+    if not (res.converged and res.gap_bits <= GAP_TOL) or res.residual < -1e-7:
         raise CertificateError(
             f"max-information SDP not certified (converged={res.converged}, "
-            f"residual {res.residual:.3e})")
+            f"bracket {res.gap_bits:.3e} bits, residual {res.residual:.3e})")
     return res.value_bits
 
 

@@ -2,10 +2,10 @@
 
 Four workhorses: a certified solver for convex functionals of a density
 operator (analytic gradients, Frank-Wolfe gap), multi-start descent over
-density operators, a small log-det barrier solver for the max-information
-semidefinite program, and multi-start ascent over pure states.  Desk-scale
-dimensions (<= 36 total) keep all of these cheap; no external SDP engine is
-used.
+density operators, a primal-dual interior-point solver for the
+max-information semidefinite program (a checked two-sided bracket), and
+multi-start ascent over pure states.  Desk-scale dimensions (<= 36 total)
+keep all of these cheap; no external SDP engine is used.
 """
 
 from __future__ import annotations
@@ -184,7 +184,13 @@ def frank_wolfe_gap(grad: np.ndarray, sigma: np.ndarray) -> float:
 
 def _traceless_basis(d: int) -> np.ndarray:
     """Orthonormal basis of the traceless Hermitian d x d matrices."""
-    basis = _herm_basis(d)[d:]  # off-diagonal pairs
+    basis = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            for v in (1.0, -1j):  # symmetric and antisymmetric pairs
+                E = np.zeros((d, d), dtype=complex)
+                E[i, j], E[j, i] = v / math.sqrt(2), np.conj(v) / math.sqrt(2)
+                basis.append(E)
     for k in range(1, d):
         D = np.zeros(d)
         D[:k] = 1.0
@@ -193,7 +199,8 @@ def _traceless_basis(d: int) -> np.ndarray:
     return np.array(basis)
 
 
-# Largest Frank-Wolfe gap, in the reported value's units, that certifies.
+# Largest certificate gap, in the reported value's units: the Frank-Wolfe
+# gap of the convex solver, the bracket of the SDP in bits.
 GAP_TOL = 1e-9
 
 
@@ -281,28 +288,17 @@ def minimize_convex_over_states(fun_grad, dim: int, value_of=None) -> OptimizerR
 
 @dataclass
 class ImaxResult:
-    value_bits: float
-    certificate: np.ndarray  # Y with rho_A (x) Y >= rho_AB
+    value_bits: float  # log2 Tr[Y], the certified upper value
+    certificate: np.ndarray  # Y with M_A (x) Y >= rho_AB
     converged: bool
-    residual: float  # min eigenvalue of rho_A (x) Y - rho_AB
+    residual: float  # min eigenvalue of M_A (x) Y - rho_AB
+    lower_bits: float = -math.inf  # log2 Tr[rho_AB Z], the certified lower value
+    iterations: int = 0
+    dual: np.ndarray | None = None  # Z >= 0 with Tr_A[(M_A (x) 1) Z] <= 1
 
-
-def _herm_basis(d: int):
-    basis = []
-    for i in range(d):
-        E = np.zeros((d, d), dtype=complex)
-        E[i, i] = 1.0
-        basis.append(E)
-    for i in range(d):
-        for j in range(i + 1, d):
-            E = np.zeros((d, d), dtype=complex)
-            E[i, j] = E[j, i] = 1 / math.sqrt(2)
-            basis.append(E)
-            E = np.zeros((d, d), dtype=complex)
-            E[i, j] = -1j / math.sqrt(2)
-            E[j, i] = 1j / math.sqrt(2)
-            basis.append(E)
-    return basis
+    @property
+    def gap_bits(self) -> float:
+        return self.value_bits - self.lower_bits
 
 
 def dominating_trace_min(
@@ -311,15 +307,20 @@ def dominating_trace_min(
     dims: tuple[int, int],
     tol: float = 1e-7,
 ) -> ImaxResult:
-    """min Tr[Y] over Y >= 0 with M_A (x) Y >= rho_AB, by a log-det barrier.
+    """min Tr[Y] over Y with M_A (x) Y >= rho_AB, bracketed by a primal-dual pair.
 
-    Both operators are first compressed onto supp(M_A) (x) supp(rho_B); the
-    optimum is supported there, which keeps the barrier nondegenerate.  The
-    Newton system is assembled by broadcasts and einsums on the (a, i, a', j)
-    block view of the slack M_A (x) Y - rho_AB, with no loop over blocks.
-    `converged` means every centering step solved, the final Y is strictly
-    feasible for the barrier, and the primal residual is at least -tol.  No
-    dual witness is computed, so Tr[Y] is certified from above only.
+    Compressed onto supp(M_A) (x) supp(rho_B), where the optimum lies, with
+    D = diag(m_A) and C the compressed rho, the dual is max Tr[C X] over
+    X >= 0 with Tr_A[(D (x) 1) X] = 1 (Y >= 0 follows from m_a Y >= C_aa).
+    From the feasible pair Y = 2 t_min 1, X = 1/Tr D, each iteration takes
+    0.98 of the largest feasible HKM step with a Mehrotra predictor and
+    corrector (Helmberg, Rendl, Vanderbei & Wolkowicz 1996; Todd, Toh &
+    Tutuncu 1998), from one Cholesky factor each of X and S = D (x) Y - C.
+    The best iterate is made exactly feasible: Y shifted by its slack
+    deficit gives the upper value Tr Y, X rescaled by Q^-1/2 (Q = Tr_A[(D (x)
+    1) X]) the lower value Tr[C X] = Tr[rho Z] of the lifted dual point Z.
+    `converged` means a bracket of at most GAP_TOL bits and a full-space
+    residual of at least -tol.
     """
     dA, dB = dims
     M_A = _as_matrix(M_A)
@@ -331,86 +332,80 @@ def dominating_trace_min(
     VA, mA = SA.basis, SA.w[SA.keep]
     VB = Spectrum(reduced(rho_AB, dims, 1)).basis
     rA, rB = VA.shape[1], VB.shape[1]
+    n, eye = rA * rB, np.eye(rB)
     W = np.kron(VA, VB)
-    rho_c = W.conj().T @ rho_AB @ W  # compressed (rA*rB)
-
-    # Strictly feasible start: Y = 2 t_min I.
-    Dm = np.kron(np.diag(1.0 / np.sqrt(mA)), np.eye(rB))
-    t_min = float(np.linalg.eigvalsh(Dm @ rho_c @ Dm).max())
-    Y = 2.0 * max(t_min, 1e-12) * np.eye(rB, dtype=complex)
-    # Columns: row-major vec of an orthonormal Hermitian basis, so that
-    # P^H vec(G) are G's coordinates and P @ y is the matrix with coordinates y.
-    P = np.column_stack([E.reshape(-1) for E in _herm_basis(rB)])
-    n = rA * rB
+    C = W.conj().T @ rho_AB @ W
+    C = (C + C.conj().T) / 2
+    dm = np.repeat(mA, rB)  # diagonal of D (x) 1
     diag_m = np.diag(mA)[:, None, :, None]
-    mm = np.multiply.outer(mA, mA)
 
-    def slack(Yc):  # diag(m_A) (x) Y - rho_c
-        return (diag_m * Yc[None, :, None, :]).reshape(n, n) - rho_c
+    def lift(Yc):  # D (x) Y
+        return (diag_m * Yc[None, :, None, :]).reshape(n, n)
 
-    def barrier(Yc, mu):
-        """Tr Y - mu log det(slack) - mu log det Y; inf outside the open cone."""
-        try:
-            LK = np.linalg.cholesky(slack(Yc))
-            LY = np.linalg.cholesky(Yc)
-        except np.linalg.LinAlgError:
-            return math.inf
-        logdet = 2.0 * float(np.log(LK.diagonal().real).sum()
-                             + np.log(LY.diagonal().real).sum())
-        return float(np.trace(Yc).real) - mu * logdet
+    def dual_map(Z):  # Tr_A[(D (x) 1) Z]
+        return np.einsum("a,aiaj->ij", mA, Z.reshape(rA, rB, rA, rB))
 
-    def grad_hess(Yc, mu):
-        K4 = np.linalg.inv(slack(Yc)).reshape(rA, rB, rA, rB)
-        Yinv = np.linalg.inv(Yc)
-        G = np.eye(rB) - mu * (np.einsum("a,abac->bc", mA, K4) + Yinv)
-        g = (P.conj().T @ ((G + G.conj().T) / 2).reshape(-1)).real
-        # Hessian of the barrier in superoperator (row-major vec) form:
-        # X -> sum m_a m_a' B_aa' X B_a'a  plus  X -> Yinv X Yinv.
-        S = (np.einsum("ap,aipj,plak->ikjl", mm, K4, K4)
-             + np.einsum("ij,lk->ikjl", Yinv, Yinv))
-        H = mu * (P.conj().T @ S.reshape(rB * rB, rB * rB) @ P).real
-        return g, (H + H.T) / 2
+    def herm(Z):
+        return (Z + Z.conj().T) / 2
 
-    nu = rA * rB + rB  # total barrier parameter
-    mu = max(2.0 * max(t_min, 1e-12) * rB / nu, 1e-3)
-    mu_final = 1e-11
-    converged = True
-    while True:
-        # Damped Newton centering for the current barrier weight.
-        f0 = barrier(Y, mu)
-        for _ in range(60):
-            g, H = grad_hess(Y, mu)
-            try:
-                dy = np.linalg.solve(H + 1e-14 * np.eye(H.shape[0]), -g)
-            except np.linalg.LinAlgError:
-                converged = False
-                break
-            lam2 = float(-g @ dy)
-            if lam2 < 2e-10:  # Newton decrement lam^2/2 below 1e-10
-                break
-            dY = (P @ dy).reshape(rB, rB)
-            t = 1.0
-            while t > 1e-14:
-                f_t = barrier(Y + t * dY, mu)
-                if f_t <= f0 + 0.25 * t * float(g @ dy):
-                    break
-                t *= 0.5
-            if t <= 1e-14:
-                break
-            Y, f0 = Y + t * dY, f_t
-        if mu <= mu_final:
+    def step(L_inv, dM):  # 0.98 of the largest step keeping L L^H + a dM > 0, at most 1
+        lam = float(np.linalg.eigvalsh(L_inv @ dM @ L_inv.conj().T)[0])
+        return min(1.0, -0.98 / lam) if lam < 0 else 1.0
+
+    t_min = float(np.linalg.eigvalsh(C / np.sqrt(np.outer(dm, dm))).max())
+    Y = 2.0 * max(t_min, 1e-12) * eye.astype(complex)
+    X = np.eye(n, dtype=complex) / mA.sum()
+    best, prev = (math.inf, Y, X), math.inf
+    for it in range(101):
+        S = lift(Y) - C
+        rel = 1.0 - float(np.vdot(C, X).real) / float(np.trace(Y).real)
+        if rel < best[0]:
+            best = (rel, Y, X)
+        # Stop at the target, or once round-off keeps the gap from halving.
+        if rel <= 1e-12 or prev / 2 < rel < 1e-10 or it == 100:
             break
-        mu = max(mu * 0.1, mu_final)
-    Y_c = Y
-    tr = float(np.trace(Y_c).real)
-    if not math.isfinite(tr) or tr <= 0 or not math.isfinite(barrier(Y_c, mu)):
-        converged = False
-    Y_full = VB @ Y_c @ VB.conj().T
+        prev = rel
+        try:
+            LXi = np.linalg.inv(np.linalg.cholesky(X))
+            LSi = np.linalg.inv(np.linalg.cholesky(S))
+        except np.linalg.LinAlgError:
+            break
+        Si = LSi.conj().T @ LSi
+        mu = float(np.vdot(X, S).real) / n
+        # The HKM Schur complement dY -> herm Tr_A[(D (x) 1) X (D (x) dY) S^-1]
+        # as a complex matrix on row-major vec(dY): it commutes with the
+        # adjoint, so Hermitian right-hand sides have Hermitian solutions.
+        K = np.einsum("aibj,bpaq->iqjp",
+                      (dm[:, None] * X * dm[None, :]).reshape(rA, rB, rA, rB),
+                      Si.reshape(rA, rB, rA, rB))
+        K = (K + K.transpose(3, 2, 1, 0)).reshape(rB * rB, rB * rB) / 2
+
+        def direction(R):  # linearized X S = R S (R = 0: predictor), X stays feasible
+            rhs = herm(dual_map(R)) - eye
+            dY = herm(np.linalg.solve(K, rhs.reshape(-1)).reshape(rB, rB))
+            dS = lift(dY)
+            return dY, dS, herm(R - X - X @ dS @ Si)
+
+        dYp, dSp, dXp = direction(np.zeros((n, n)))
+        ap, ad = step(LXi, dXp), step(LSi, dSp)
+        mu_aff = float(np.vdot(X + ap * dXp, S + ad * dSp).real) / n
+        sigma = min(1.0, mu_aff / mu) ** max(1.0, 3.0 * min(ap, ad) ** 2)
+        dY, dS, dX = direction(sigma * mu * Si - dXp @ dSp @ Si)
+        X, Y = X + step(LXi, dX) * dX, Y + step(LSi, dS) * dY
+    _, Y, X = best
+
+    Y = Y + max(-float(np.linalg.eigvalsh(lift(Y) - C)[0]), 0.0) / mA.min() * eye
+    q, U = np.linalg.eigh(dual_map(X))
+    Qh = np.kron(np.eye(rA), (U / np.sqrt(np.clip(q, 1e-300, None))) @ U.conj().T)
+    X = Qh @ X @ Qh
+    upper, lower = float(np.trace(Y).real), float(np.vdot(C, X).real)
+    Y_full = VB @ Y @ VB.conj().T
     full_res = np.kron(M_A, Y_full) - rho_AB
-    residual = float(np.linalg.eigvalsh((full_res + full_res.conj().T) / 2).min())
-    if residual < -tol:
-        converged = False
-    return ImaxResult(math.log2(tr), Y_full, converged, residual)
+    residual = float(np.linalg.eigvalsh(herm(full_res)).min())
+    lower_bits = math.log2(lower) if lower > 0 else -math.inf
+    converged = math.log2(upper) - lower_bits <= GAP_TOL and residual >= -tol
+    return ImaxResult(math.log2(upper), Y_full, converged, residual, lower_bits, it,
+                      W @ X @ W.conj().T)
 
 
 def imax_sdp(rho_ab, dims: tuple[int, int], tol: float = 1e-7) -> ImaxResult:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import threading
@@ -233,6 +234,26 @@ def test_exit_1_on_failed_certificate(tmp_path, capsys, monkeypatch):
     assert failure == {"kind": "certificate",
                        "message": "convex solver stopped with Frank-Wolfe gap 1e-3"}
     assert not (tmp_path / "cs.csv").exists()
+
+
+def test_exit_1_on_wide_sdp_bracket(tmp_path, capsys, monkeypatch):
+    # An I_max solve whose bracket is wider than GAP_TOL stops verify-uab as
+    # a certificate failure, even when the result claims convergence.
+    solve = cli.infomeasures.imax_sdp
+
+    def wide(rho_ab, dims):
+        res = solve(rho_ab, dims)
+        return dataclasses.replace(res, lower_bits=res.lower_bits - 1e-6)
+
+    monkeypatch.setattr(cli.infomeasures, "imax_sdp", wide)
+    code, stdout, err = run(["verify-uab", "--dims", "2,2", "--samples", "1",
+                             "--seed", "5", "--out", str(tmp_path / "uab.csv")], capsys)
+    assert code == 1
+    assert err == ""
+    failure = json.loads(stdout)["failure"]
+    assert failure["kind"] == "certificate"
+    assert "not certified" in failure["message"]
+    assert not (tmp_path / "uab.csv").exists()
 
 
 def test_exit_2_on_bad_config_values(tmp_path, capsys):

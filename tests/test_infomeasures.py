@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from csl import infomeasures
+from csl import infomeasures, optim
 from csl.infomeasures import (
     C_SMOOTH,
     check_rld_bound,
@@ -212,3 +213,31 @@ def test_h_min_conditional_raises_when_not_converged(monkeypatch):
     monkeypatch.setattr(infomeasures, "dominating_trace_min", unconverged)
     with pytest.raises(CertificateError, match="did not converge"):
         h_min_conditional(bell_density(), (2, 2))
+
+
+def widened(solve):
+    """The solver, with its lower value 1e-6 bits lower but still `converged`."""
+    def wide(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        return dataclasses.replace(res, lower_bits=res.lower_bits - 1e-6)
+    return wide
+
+
+def test_wide_bracket_is_not_certified(monkeypatch):
+    # A result that claims convergence with a bracket wider than GAP_TOL
+    # certifies neither I_max nor H_min.
+    monkeypatch.setattr(infomeasures, "imax_sdp", widened(imax_sdp))
+    monkeypatch.setattr(infomeasures, "dominating_trace_min",
+                        widened(optim.dominating_trace_min))
+    with pytest.raises(CertificateError, match="bracket 1.0"):
+        infomeasures.imax_certified(bell_density(), (2, 2))
+    with pytest.raises(CertificateError, match="bracket 1.0"):
+        h_min_conditional(bell_density(), (2, 2))
+
+
+def test_h_min_reported_from_dual_side():
+    # H_min is the sound upper side -lower_bits, within GAP_TOL of -value_bits.
+    rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2), ("B", 3)), 12).matrix
+    res = optim.dominating_trace_min(np.eye(2), rho, (2, 3))
+    assert h_min_conditional(rho, (2, 3)) == -res.lower_bits
+    assert -1e-14 <= res.gap_bits <= optim.GAP_TOL

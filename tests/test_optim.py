@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from csl import infomeasures
 from csl.divergences import d_alpha, q_alpha
-from csl.matcore import CertificateError, ContractViolation, RegisterLayout, sample
+from csl.matcore import (RANK_TOL, CertificateError, ContractViolation, RegisterLayout,
+                         reduced, sample)
 from csl.optim import (
+    GAP_TOL,
     dominating_trace_min,
     frank_wolfe_gap,
     imax_sdp,
@@ -121,16 +124,17 @@ def _sdp_cases():
     return cases
 
 
-# log2 min Tr Y recorded with the barrier solver whose Newton system was
-# assembled block by block with np.kron.
+# log2 min Tr Y, the certified upper value of the primal-dual solver.  Each
+# case was re-recorded from the log-det barrier's value, which lay above this
+# upper value (by 6.1e-12 to 6.2e-11 bits): the barrier's was the worse bound.
 PINNED_SDP = {
-    "eye-2x3": -0.10567436920539969,
-    "rhoA-2x3": 0.8797667718518523,
-    "eye-3x2": -0.23302387068222571,
-    "rhoA-3x2": 1.2654386062833674,
-    "rankdef-MA": 1.1377805164275037,
-    "rankdef-rhoB-eye": 0.11886313942766003,
-    "rankdef-rhoB-rhoA": 1.1377805164275037,
+    "eye-2x3": -0.1056743692215235,
+    "rhoA-2x3": 0.8797667718341329,
+    "eye-3x2": -0.2330238707443201,
+    "rhoA-3x2": 1.265438606277271,
+    "rankdef-MA": 1.13778051641921,
+    "rankdef-rhoB-eye": 0.11886313937141652,
+    "rankdef-rhoB-rhoA": 1.1377805164192105,
 }
 
 
@@ -140,6 +144,139 @@ def test_dominating_trace_min_pinned(name):
     res = dominating_trace_min(M_A, rho, dims)
     assert abs(res.value_bits - PINNED_SDP[name]) <= 1e-12
     assert res.converged and res.residual >= -1e-7
+    assert res.gap_bits <= GAP_TOL
+    # Iteration count, not time: a solver change that needs many more
+    # steps fails here on any machine.
+    assert res.iterations <= 50
+
+
+def _check_dual(res, M_A, rho, dims):
+    """Z >= 0, Tr_A[(M_A (x) 1) Z] <= 1, and Tr[rho Z] is the lower value."""
+    Z = res.dual
+    assert np.linalg.eigvalsh(Z).min() >= -1e-12 * np.linalg.eigvalsh(Z).max()
+    image = reduced(np.kron(M_A, np.eye(dims[1])) @ Z, dims, 1)
+    assert np.linalg.eigvalsh((image + image.conj().T) / 2).max() <= 1.0 + 1e-12
+    assert abs(math.log2(np.trace(rho @ Z).real) - res.lower_bits) <= 1e-12
+    assert res.lower_bits <= res.value_bits + 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SDP))
+def test_dual_point_is_feasible_and_reproduces_lower_value(name):
+    M_A, rho, dims = _sdp_cases()[name]
+    _check_dual(dominating_trace_min(M_A, rho, dims), M_A, rho, dims)
+
+
+@pytest.fixture(scope="module")
+def criterion_08_sdps():
+    """I_max and H_min solves on the criterion-08 states of seeds 30000-30039."""
+    out = []
+    for i in range(40):
+        dims = (2, 2) if i % 2 else (2, 3)
+        rho = sample("mixed-hilbert-schmidt", dims[0] * dims[1], 30000 + i).matrix
+        for M_A in (reduced(rho, dims, 0), np.eye(dims[0])):
+            out.append((dominating_trace_min(M_A, rho, dims), M_A, rho, dims))
+    return out
+
+
+def test_criterion_08_brackets_within_gap_tol(criterion_08_sdps):
+    # The log-det barrier's rescaled dual point left 45 of these 80
+    # brackets wider than 1e-6; every one must now certify.
+    assert len(criterion_08_sdps) == 80
+    for res, M_A, rho, dims in criterion_08_sdps:
+        assert res.converged and res.gap_bits <= GAP_TOL
+        _check_dual(res, M_A, rho, dims)
+
+
+def test_criterion_08_mean_iterations(criterion_08_sdps):
+    iterations = [res.iterations for res, *_ in criterion_08_sdps]
+    assert max(iterations) <= 50
+    assert sum(iterations) / len(iterations) <= 20
+
+
+def _pure(amplitudes):
+    v = np.asarray(amplitudes, dtype=complex)
+    return np.outer(v, v.conj())
+
+
+def test_exact_values_inside_brackets():
+    # Round-off in evaluating Tr Y and Tr[rho Z] is allowed 1e-14 bits.
+    def inside(res, value):
+        assert res.converged
+        assert res.lower_bits - 1e-14 <= value <= res.value_bits + 1e-14
+
+    bell = bell_density()
+    inside(imax_sdp(bell, (2, 2)), 2.0)
+    inside(dominating_trace_min(np.eye(2), bell, (2, 2)), 1.0)  # H_min = -1
+    for seed in range(5):
+        a = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2)), seed).matrix
+        b = sample("mixed-hilbert-schmidt", RegisterLayout.of(("B", 3)), seed + 20).matrix
+        inside(imax_sdp(np.kron(a, b), (2, 3)), 0.0)
+
+
+def _edge_cases():
+    rho = sample("mixed-hilbert-schmidt", 6, 5).matrix
+    cases = {}
+    for tag, f in (("above", 10 * RANK_TOL), ("below", RANK_TOL / 10)):
+        # M_A's small eigenvalue relative to its largest: kept above
+        # RANK_TOL (D's condition number 1e8), cut below it.
+        cases[f"MA-eig-{tag}-2x3"] = (np.diag([1.0, f]), rho, (2, 3))
+        cases[f"MA-eig-{tag}-3x2"] = (np.diag([1.0, 0.5, f]), rho, (3, 2))
+        # A state whose rho_A has that eigenvalue.
+        G = sample("mixed-hilbert-schmidt", 3, 7).matrix
+        st = (1 - f) * np.kron(np.diag([1.0, 0.0]), G) + f * np.kron(np.diag([0.0, 1.0]),
+                                                                     np.eye(3) / 3)
+        cases[f"rhoA-eig-{tag}-imax"] = (reduced(st, (2, 3), 0), st, (2, 3))
+    r2 = sample("rank-limited", RegisterLayout.of(("A", 2), ("B", 2)), 9, rank=3).matrix
+    WB = np.kron(np.eye(2), np.eye(3)[:, :2])  # rank-2 rho_B with dB = 3
+    st = WB @ r2 @ WB.conj().T
+    cases["rank2-rhoB-imax"] = (reduced(st, (2, 3), 0), st, (2, 3))
+    cases["rank2-rhoB-hmin"] = (np.eye(2), st, (2, 3))
+    ent = _pure([math.sqrt(0.7), 0, 0, 0, math.sqrt(0.3), 0])
+    cases["pure-entangled-imax"] = (reduced(ent, (2, 3), 0), ent, (2, 3))
+    cases["pure-entangled-hmin"] = (np.eye(2), ent, (2, 3))
+    prod = _pure(np.kron([0.6, 0.8j], np.array([1, 1, 1j]) / math.sqrt(3)))
+    cases["pure-product-imax"] = (reduced(prod, (2, 3), 0), prod, (2, 3))
+    cases["pure-product-hmin"] = (np.eye(2), prod, (2, 3))
+    for dB in (2, 3):
+        st = sample("mixed-hilbert-schmidt", 3 * dB, 40 + dB).matrix
+        cases[f"dA3-3x{dB}-imax"] = (reduced(st, (3, dB), 0), st, (3, dB))
+        cases[f"dA3-3x{dB}-hmin"] = (np.eye(3), st, (3, dB))
+    return cases
+
+
+# log2 min Tr Y in closed form: Schmidt rank r gives I_max = 2 log2 r, and
+# H_min(A|B) = -2 log2 sum_i sqrt(lambda_i) for a pure state.
+EDGE_EXACT = {
+    "pure-entangled-imax": 2.0,
+    "pure-entangled-hmin": 2 * math.log2(math.sqrt(0.7) + math.sqrt(0.3)),
+    "pure-product-imax": 0.0,
+    "pure-product-hmin": 0.0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_edge_cases()))
+def test_edge_cases_certify_or_refuse(name):
+    M_A, rho, dims = _edge_cases()[name]
+    res = dominating_trace_min(M_A, rho, dims)
+    # Never a converged result with a wider bracket.
+    assert not res.converged or (res.gap_bits <= GAP_TOL and res.residual >= -1e-7)
+    if res.converged:
+        _check_dual(res, M_A, rho, dims)
+    if name in EDGE_EXACT:
+        assert res.converged
+        assert res.lower_bits - 1e-12 <= EDGE_EXACT[name] <= res.value_bits + 1e-12
+    if name == "MA-eig-below-2x3":
+        # rho has weight on the cut direction of M_A: infeasible, refused.
+        assert not res.converged
+    # The package's readers of the solver certify or raise, never more.
+    reader = {"imax": infomeasures.imax_certified,
+              "hmin": infomeasures.h_min_conditional}.get(name.rsplit("-", 1)[1])
+    if reader is not None:
+        if res.converged:
+            reader(rho, dims)
+        else:
+            with pytest.raises(CertificateError):
+                reader(rho, dims)
 
 
 def _product(K, sigma, sigma_first):
