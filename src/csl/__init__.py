@@ -4,23 +4,19 @@ Numerically verified one-shot quantum information bounds: the sandwiched
 Renyi divergence family, an equality-form convex-split identity with its
 derived bounds, a constructive state-splitting protocol, a universal upper
 bound on smoothed max-information, and a one-shot reverse-Shannon cost
-bound.  All logarithms are base 2.
+bound.  States are complex NumPy arrays (density matrices, or unit vectors
+for pure states) with their register sizes passed as a ``dims`` tuple.  All
+logarithms are base 2.
 """
 
 from .matcore import (
     CertificateError,
     ContractViolation,
-    DensityOperator,
-    PureStateVector,
-    RegisterLayout,
     fidelity,
-    partial_trace,
     purified_distance,
-    purify,
+    reduced,
     sample,
     state_from_dict,
-    state_to_dict,
-    tensor,
     trace_distance,
 )
 from .divergences import (
@@ -61,17 +57,11 @@ from .smoothing import uab_chain_verify
 __all__ = [
     "CertificateError",
     "ContractViolation",
-    "DensityOperator",
-    "PureStateVector",
-    "RegisterLayout",
     "fidelity",
-    "partial_trace",
     "purified_distance",
-    "purify",
+    "reduced",
     "sample",
     "state_from_dict",
-    "state_to_dict",
-    "tensor",
     "trace_distance",
     "chi_squared",
     "d2",

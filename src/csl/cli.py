@@ -133,8 +133,15 @@ def _load_json(path: str, what: str, parse):
             raise ConfigError(f"cannot read {what} {path}: {exc!r}") from None
 
 
-def _load_state_matrix(path: str):
+def _load_state(path: str):
+    """(array, dims) of a state file, validated by matcore.state_from_dict."""
     return _load_json(path, "state file", matcore.state_from_dict)
+
+
+def _load_density(path: str) -> np.ndarray:
+    """The density matrix of a state file; a vector file v gives |v><v|."""
+    M, _ = _load_state(path)
+    return np.outer(M, M.conj()) if M.ndim == 1 else M
 
 
 def _parse_dims(text) -> tuple[int, int]:
@@ -161,9 +168,8 @@ def run_convex_split(cfg) -> tuple[str, list, dict]:
 
     def one(i):
         s = seed + 1000 * i
-        rho = matcore.sample("rank-limited", matcore.RegisterLayout.of(("R", dR), ("A", dA)),
-                             s, rank=1 + i % (dR * dA)).matrix
-        sigma = matcore.sample("mixed-hilbert-schmidt", dA, s + 1).matrix
+        rho = matcore.sample("rank-limited", (dR, dA), s, rank=1 + i % (dR * dA))
+        sigma = matcore.sample("mixed-hilbert-schmidt", dA, s + 1)
         n = 1 + i % n_max
         rng = np.random.default_rng(s + 2)
         weights = None
@@ -193,6 +199,10 @@ def run_convex_split(cfg) -> tuple[str, list, dict]:
     return _csv_text(header, rows), results, {}
 
 
+_UAB_HEADER = ["instance_id", "alpha", "beta", "eps", "imax_upper", "rhs",
+               "slack", "certified"]
+
+
 def run_uab(cfg) -> tuple[str, list, dict]:
     dA, dB = _parse_dims(cfg["dims"])
     samples = _option(cfg, "samples", int)
@@ -203,8 +213,7 @@ def run_uab(cfg) -> tuple[str, list, dict]:
 
     def one(i):
         s = seed + 1000 * i
-        rho = matcore.sample("mixed-hilbert-schmidt",
-                             matcore.RegisterLayout.of(("A", dA), ("B", dB)), s).matrix
+        rho = matcore.sample("mixed-hilbert-schmidt", (dA, dB), s)
         rep = smoothing.uab_chain_verify(rho, (dA, dB), alpha, beta, eps)
         worst = max(st.lhs - st.rhs for st in rep.steps)
         row = [i, alpha, beta, eps, rep.imax_truncated, rep.rhs_final,
@@ -212,9 +221,7 @@ def run_uab(cfg) -> tuple[str, list, dict]:
         return row, rep.passed, worst
 
     out = _map_samples(one, samples, cfg)
-    header = ["instance_id", "alpha", "beta", "eps", "imax_upper", "rhs",
-              "slack", "certified"]
-    return (_csv_text(header, [r for r, _, _ in out]),
+    return (_csv_text(_UAB_HEADER, [r for r, _, _ in out]),
             [(ok, v) for _, ok, v in out], {})
 
 
@@ -226,13 +233,10 @@ def run_bounds_sweep(cfg) -> tuple[str, list, dict]:
     alpha = _option(cfg, "alpha", float, 0.5)
     beta = _option(cfg, "beta", float, 2.0)
     eps = _option(cfg, "eps", float, 0.1)
-    header = ["instance_id", "alpha", "beta", "eps", "imax_upper", "rhs",
-              "slack", "certified"]
 
     def one_uab(i):
         s = seed + 1000 * i
-        rho = matcore.sample("mixed-hilbert-schmidt",
-                             matcore.RegisterLayout.of(("A", dA), ("B", dB)), s).matrix
+        rho = matcore.sample("mixed-hilbert-schmidt", (dA, dB), s)
         cache = {}
         est = infomeasures.imax_smoothed_upper(rho, eps, (dA, dB), alpha=alpha,
                                                cache=cache)
@@ -244,8 +248,8 @@ def run_bounds_sweep(cfg) -> tuple[str, list, dict]:
 
     def one_rld(i):
         s = seed + 1000 * i
-        rho = matcore.sample("mixed-hilbert-schmidt", dA * dB, s).matrix
-        sigma = matcore.sample("mixed-hilbert-schmidt", dA * dB, s + 1).matrix
+        rho = matcore.sample("mixed-hilbert-schmidt", dA * dB, s)
+        sigma = matcore.sample("mixed-hilbert-schmidt", dA * dB, s + 1)
         rep = infomeasures.check_rld_bound(rho, sigma, eps, beta)
         row = [i, alpha, beta, eps, rep.lhs, rep.rhs, rep.slack, rep.ok]
         return row, rep.ok, rep.lhs - rep.rhs
@@ -254,18 +258,17 @@ def run_bounds_sweep(cfg) -> tuple[str, list, dict]:
     if one is None:
         raise ConfigError(f"unknown sweep {which!r}")
     out = _map_samples(one, samples, cfg)
-    return (_csv_text(header, [r for r, _, _ in out]),
+    return (_csv_text(_UAB_HEADER, [r for r, _, _ in out]),
             [(ok, v) for _, ok, v in out], {})
 
 
 def run_qss_sim(cfg) -> tuple[str, list, dict]:
-    state = _load_state_matrix(cfg["state"])
-    if not isinstance(state, matcore.PureStateVector):
+    psi, dims = _load_state(cfg["state"])
+    if psi.ndim != 1:
         raise ConfigError("qss-sim needs a pure state file (vector field)")
-    dims = state.layout.dims
     if len(dims) != 3:
         raise ConfigError("qss-sim state must have three registers (R, A, A')")
-    inst = protocols.QSSInstance(state.amplitudes, dims,
+    inst = protocols.QSSInstance(psi, dims,
                                  _option(cfg, "eps", float, 0.6),
                                  _option(cfg, "delta", float, 0.5))
     res = protocols.qss_simulate(inst, seed=_option(cfg, "seed", int))
@@ -291,8 +294,8 @@ def run_divergence(cfg) -> tuple[str, list, dict]:
     alpha_raw = cfg["alpha"]
     alpha = (math.inf if str(alpha_raw) in ("inf", "Infinity")
              else _option(cfg, "alpha", float))
-    rho = matcore._as_matrix(_load_state_matrix(cfg["rho"]))
-    sigma = matcore._as_matrix(_load_state_matrix(cfg["sigma"]))
+    rho = _load_density(cfg["rho"])
+    sigma = _load_density(cfg["sigma"])
     value, branch = divergences.d_alpha_with_branch(rho, sigma, alpha)
     record = {"alpha": "inf" if math.isinf(alpha) else alpha,
               "value_bits": value, "branch": branch}
@@ -320,32 +323,30 @@ def run_rev_shannon(cfg) -> tuple[str, list, dict]:
 
 # --- plumbing ---------------------------------------------------------------
 
-_FLAG_SPECS = {
-    "verify-convex-split": [("dims", str), ("n-max", int), ("samples", int)],
-    "verify-uab": [("dims", str), ("samples", int), ("alpha", float),
-                   ("beta", float), ("eps", float)],
-    "bounds-sweep": [("suite", str), ("dims", str), ("samples", int),
-                     ("alpha", float), ("beta", float), ("eps", float)],
-    "qss-sim": [("state", str), ("eps", float), ("delta", float)],
-    "divergence": [("alpha", str), ("rho", str), ("sigma", str)],
-    "rev-shannon": [("channel", str), ("alpha", float), ("beta", float),
-                    ("eps", float), ("n", int)],
-}
-
-_REQUIRED = {
-    "verify-convex-split": ["dims", "samples"],
-    "verify-uab": ["dims", "samples"],
-    "bounds-sweep": ["dims", "samples"],
-    "qss-sim": ["state"],
-    "divergence": ["alpha", "rho", "sigma"],
-    "rev-shannon": ["channel"],
+# command: (suite name, runner, required options, flags)
+_COMMANDS = {
+    "verify-convex-split": ("convex-split", run_convex_split, ["dims", "samples"],
+                            [("dims", str), ("n-max", int), ("samples", int)]),
+    "verify-uab": ("uab", run_uab, ["dims", "samples"],
+                   [("dims", str), ("samples", int), ("alpha", float),
+                    ("beta", float), ("eps", float)]),
+    "bounds-sweep": ("bounds", run_bounds_sweep, ["dims", "samples"],
+                     [("suite", str), ("dims", str), ("samples", int),
+                      ("alpha", float), ("beta", float), ("eps", float)]),
+    "qss-sim": ("qss", run_qss_sim, ["state"],
+                [("state", str), ("eps", float), ("delta", float)]),
+    "divergence": ("divergence", run_divergence, ["alpha", "rho", "sigma"],
+                   [("alpha", str), ("rho", str), ("sigma", str)]),
+    "rev-shannon": ("rev-shannon", run_rev_shannon, ["channel"],
+                    [("channel", str), ("alpha", float), ("beta", float),
+                     ("eps", float), ("n", int)]),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="csl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, flags in _FLAG_SPECS.items():
+    for name, (_, _, _, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         for flag, typ in flags:
             p.add_argument(f"--{flag}", type=typ, default=None)
@@ -381,20 +382,10 @@ def _merge_config(args) -> dict:
     return cfg
 
 
-_SUITES = {
-    "verify-convex-split": ("convex-split", run_convex_split),
-    "verify-uab": ("uab", run_uab),
-    "bounds-sweep": ("bounds", run_bounds_sweep),
-    "qss-sim": ("qss", run_qss_sim),
-    "divergence": ("divergence", run_divergence),
-    "rev-shannon": ("rev-shannon", run_rev_shannon),
-}
-
-
 def run_suite(command: str, cfg: dict) -> int:
     t0 = time.time()
-    suite, fn = _SUITES[command]
-    for key in _REQUIRED[command]:
+    suite, fn, required, _ = _COMMANDS[command]
+    for key in required:
         if key not in cfg:
             raise ConfigError(f"missing required option --{key}")
     text, results, extras = fn(cfg)

@@ -17,7 +17,6 @@ from .divergences import d_alpha, d_max
 from .matcore import (
     CertificateError,
     ContractViolation,
-    DensityOperator,
     Spectrum,
     _as_matrix,
     eig_hermitian,
@@ -59,11 +58,6 @@ class SmoothedEstimate:
 
 def _bipartite(rho, dims):
     R = _as_matrix(rho)
-    if dims is None:
-        if isinstance(rho, DensityOperator) and len(rho.layout.dims) == 2:
-            dims = rho.layout.dims
-        else:
-            raise ContractViolation("dims required for bare matrices")
     dA, dB = dims
     if R.shape[0] != dA * dB:
         raise ContractViolation("dims do not match operator size")
@@ -89,7 +83,7 @@ def renyi_entropy(rho, alpha: float) -> float:
     return (1.0 / (1.0 - alpha)) * math.log2(float(np.sum(w**alpha)))
 
 
-def mutual_info_alpha(rho_ab, alpha: float, dims=None, restarts: int = 16,
+def mutual_info_alpha(rho_ab, alpha: float, dims, restarts: int = 16,
                       seed: int = 0, return_report: bool = False):
     """I_alpha(A:B) = min over sigma of D_alpha(rho_AB || rho_A (x) sigma)."""
     R, dA, dB = _bipartite(rho_ab, dims)
@@ -102,7 +96,7 @@ def mutual_info_alpha(rho_ab, alpha: float, dims=None, restarts: int = 16,
     return (value, report) if return_report else value
 
 
-def h_min_conditional(rho_ab, dims=None, tol: float = 1e-7) -> float:
+def h_min_conditional(rho_ab, dims, tol: float = 1e-7) -> float:
     """H_min(A|B) = -log min Tr[Y] over Y with I (x) Y >= rho_AB.
 
     Reported from the SDP's dual side, -log Tr[rho Z] for a feasible dual
@@ -117,7 +111,7 @@ def h_min_conditional(rho_ab, dims=None, tol: float = 1e-7) -> float:
     return -res.lower_bits
 
 
-def conditional_renyi_up(rho_ab, beta: float, dims=None) -> float:
+def conditional_renyi_up(rho_ab, beta: float, dims) -> float:
     """Optimized conditional entropy -min over sigma of D_beta(rho || I (x) sigma).
 
     For finite beta != 1 the minimization is convex in Q_beta (convex for
@@ -133,7 +127,7 @@ def conditional_renyi_up(rho_ab, beta: float, dims=None) -> float:
         return h_min_conditional(R, (dA, dB))
     if beta == 1:
         return renyi_entropy(R, 1) - renyi_entropy(rho_B, 1)
-    # Pure bipartite states: duality with a trivial purifying system gives
+    # Pure bipartite states: duality with a trivial purification gives
     # the closed form -H_{beta/(2 beta - 1)}(A); skip the optimizer.
     if np.linalg.eigvalsh(R).max(initial=0.0) >= 1.0 - 1e-12:
         return -renyi_entropy(rho_A, beta / (2.0 * beta - 1.0))
@@ -166,7 +160,7 @@ def imax_certified(rho_ab, dims) -> float:
     return res.value_bits
 
 
-def imax_bound_lemma(rho_ab, dims=None) -> BoundReport:
+def imax_bound_lemma(rho_ab, dims) -> BoundReport:
     """I_max(A:B) <= -log lambda_min_nz(rho_A) - H_min(A|B)."""
     R, dA, dB = _bipartite(rho_ab, dims)
     rho_A, _ = _marginals(R, dA, dB)
@@ -202,7 +196,7 @@ def universal_rhs(rho_ab, dims, alpha: float, beta: float, eps: float,
     return renyi_entropy(rho_A, alpha) - cache[key] + f_alpha_beta(alpha, beta, eps)
 
 
-def imax_smoothed_upper(rho_ab, eps: float, dims=None, alpha: float = 0.5,
+def imax_smoothed_upper(rho_ab, eps: float, dims, alpha: float = 0.5,
                         cache: dict | None = None) -> SmoothedEstimate:
     """Feasible-point upper estimate of the smoothed max-information.
 

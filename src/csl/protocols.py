@@ -192,11 +192,7 @@ def qss_simulate(instance: QSSInstance, seed: int = 0) -> QSSResult:
     d = max(dA0, dAp0)  # padded common dimension of A, A', B
     psi = _pad_vector(instance.psi, (dR, dA0, dAp0), (dR, d, d))
 
-    # rho_RB: the ideal channel renames A' to B; marginal over A.
-    T3 = psi.reshape(dR, d, d)
-    rho_RAB = np.einsum("iab,jcd->iabjcd", T3, T3.conj())
-    rho_RB = np.einsum("iabjad->ibjd", rho_RAB).reshape(dR * d, dR * d)
-
+    rho_RB = _rho_RB(psi, dR, d)
     sigma, i2 = qss_optimal_sigma(rho_RB, (dR, d), seed=seed)
     mu = max(q2(rho_RB, np.kron(_marginal_R(psi, dR, d), sigma)) - 1.0, 0.0)
 
@@ -292,6 +288,13 @@ def qss_simulate(instance: QSSInstance, seed: int = 0) -> QSSResult:
                      n_unclamped, np.array(probs))
 
 
+def _rho_RB(psi, dR, d):
+    """rho_RB of psi on R (x) A (x) A': the ideal channel renames A' to B,
+    and A is traced out."""
+    T3 = psi.reshape(dR, d, d)
+    return np.einsum("iab,jad->ibjd", T3, T3.conj()).reshape(dR * d, dR * d)
+
+
 def _marginal_R(psi, dR, d):
     T = np.asarray(psi).reshape(dR, d * d)
     return T @ T.conj().T
@@ -330,19 +333,17 @@ def qss_cost_report(instance: QSSInstance, seed: int = 0) -> BoundReport:
     """Simulated cost against the protocol bound and the smoothed cost bounds."""
     res = qss_simulate(instance, seed=seed)
     term_bound = 0.5 * res.i2_bits + math.log2(1.0 / instance.delta)
-    # Smoothed upper bound: feasible witness rho' = rho (one-sided estimate).
-    ub = 0.5 * res.i2_bits + math.log2(1.0 / instance.delta)
     dR, dA0, dAp0 = instance.dims
     d = max(dA0, dAp0)
     psi = _pad_vector(instance.psi, (dR, dA0, dAp0), (dR, d, d))
-    T3 = psi.reshape(dR, d, d)
-    rho_RB = np.einsum("iab,jad->ibjd", T3, T3.conj()).reshape(dR * d, dR * d)
+    rho_RB = _rho_RB(psi, dR, d)
     lb_est = 0.5 * imax_smoothed_upper(rho_RB, instance.eps, (dR, d)).value_bits
     ok = res.cost_bits <= term_bound + 1e-7
     return BoundReport(
         "splitting-cost", res.cost_bits, term_bound, ok,
         {
-            "upper_bound_smoothed": ub,
+            # smoothed upper bound: the feasible witness rho' = rho
+            "upper_bound_smoothed": term_bound,
             "lower_bound_estimate_one_sided": lb_est,
             "achieved_distance": res.achieved_distance,
             "n": res.n,

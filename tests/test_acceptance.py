@@ -13,7 +13,7 @@ import scipy.optimize
 
 from csl import cli, convexsplit, divergences, matcore, protocols, smoothing
 from csl.infomeasures import f_alpha_beta
-from csl.matcore import RegisterLayout, fidelity, sample
+from csl.matcore import fidelity, sample
 from csl.optim import imax_sdp
 
 
@@ -29,12 +29,11 @@ def random_instance(i, with_omega_choice=True):
     dA = 2 + (i // 4) % 2
     n = 1 + i % 5
     s = 90000 + 13 * i
-    rho = sample("rank-limited", RegisterLayout.of(("R", dR), ("A", dA)), s,
-                 rank=1 + i % (dR * dA)).matrix
-    sigma = sample("mixed-hilbert-schmidt", dA, s + 1).matrix
+    rho = sample("rank-limited", (dR, dA), s, rank=1 + i % (dR * dA))
+    sigma = sample("mixed-hilbert-schmidt", dA, s + 1)
     dRm = np.trace(rho.reshape(dR, dA, dR, dA), axis1=1, axis2=3)
     if with_omega_choice and i % 2:
-        omega = sample("mixed-hilbert-schmidt", dR, s + 2).matrix
+        omega = sample("mixed-hilbert-schmidt", dR, s + 2)
     else:
         omega = dRm
     weights = None
@@ -98,8 +97,8 @@ def test_criterion_04_collision_distance_bounds():
     rng = np.random.default_rng(42)
     for i in range(10000):
         d = 2 + i % 3
-        rho = sample("mixed-hilbert-schmidt", d, 50000 + i).matrix
-        sig = sample("mixed-hilbert-schmidt", d, 60000 + i).matrix
+        rho = sample("mixed-hilbert-schmidt", d, 50000 + i)
+        sig = sample("mixed-hilbert-schmidt", d, 60000 + i)
         D2 = divergences.d2(rho, sig)
         T = trace_distance(rho, sig)
         P = purified_distance(rho, sig)
@@ -144,10 +143,10 @@ def test_criterion_04_collision_distance_bounds():
     # Direct sum: Q_2 of a block pair equals the weighted sum of block values.
     ds_worst = 0.0
     for i in range(20):
-        r1 = sample("mixed-hilbert-schmidt", 2, 70000 + i).matrix
-        s1 = sample("mixed-hilbert-schmidt", 2, 71000 + i).matrix
-        r2 = sample("mixed-hilbert-schmidt", 3, 72000 + i).matrix
-        s2 = sample("mixed-hilbert-schmidt", 3, 73000 + i).matrix
+        r1 = sample("mixed-hilbert-schmidt", 2, 70000 + i)
+        s1 = sample("mixed-hilbert-schmidt", 2, 71000 + i)
+        r2 = sample("mixed-hilbert-schmidt", 3, 72000 + i)
+        s2 = sample("mixed-hilbert-schmidt", 3, 73000 + i)
         p = rng.uniform(0.2, 0.8)
         Z23, Z32 = np.zeros((2, 3)), np.zeros((3, 2))
         R = np.block([[p * r1, Z23], [Z32, (1 - p) * r2]])
@@ -194,8 +193,8 @@ def test_criterion_05_hypothesis_testing():
     worst_b = math.inf
     for i in range(500):
         d = 2 + i % 2
-        rho = sample("mixed-hilbert-schmidt", d, 80000 + i).matrix
-        sig = sample("mixed-hilbert-schmidt", d, 81000 + i).matrix
+        rho = sample("mixed-hilbert-schmidt", d, 80000 + i)
+        sig = sample("mixed-hilbert-schmidt", d, 81000 + i)
         for eps in [0.05, 0.2, 0.5]:
             dh = divergences.d_min_eps(rho, sig, eps)
             for alpha in [0.3, 0.6, 0.9]:
@@ -282,8 +281,7 @@ def test_criterion_08_universal_bound_chain():
     passed, total = 0, 0
     for i in range(200):
         dims = (2, 2) if i % 2 else (2, 3)
-        rho = sample("mixed-hilbert-schmidt", dims[0] * dims[1],
-                     30000 + i).matrix
+        rho = sample("mixed-hilbert-schmidt", dims[0] * dims[1], 30000 + i)
         cache = {}
         for alpha in [0.3, 0.5, 0.9]:
             for beta in [1.5, 2.0, 4.0]:

@@ -8,17 +8,22 @@ import pytest
 
 from csl import cli, matcore
 from csl.cli import main
-from csl.matcore import PureStateVector, RegisterLayout, state_to_dict
+
+
+def write_state(path, layout, field, array):
+    """A state file: layout [label, dim] pairs, entries as [re, im] pairs."""
+    a = np.asarray(array, dtype=complex)
+    path.write_text(json.dumps(
+        {"layout": layout, field: np.stack([a.real, a.imag], axis=-1).tolist()}))
+    return str(path)
 
 
 @pytest.fixture
 def bell_state_file(tmp_path):
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 1 / math.sqrt(2)
-    st = PureStateVector(v, RegisterLayout.of(("R", 2), ("A", 1), ("Ap", 2)))
-    path = tmp_path / "phi.json"
-    path.write_text(json.dumps(state_to_dict(st)))
-    return str(path)
+    return write_state(tmp_path / "phi.json", [["R", 2], ["A", 1], ["Ap", 2]],
+                       "vector", v)
 
 
 @pytest.fixture
@@ -80,19 +85,57 @@ def test_qss_sim_json(tmp_path, bell_state_file, capsys):
 
 
 def test_divergence_command(tmp_path, capsys):
-    rho = tmp_path / "rho.json"
-    sig = tmp_path / "sig.json"
-    layout = RegisterLayout.of(("A", 2))
-    rho.write_text(json.dumps(state_to_dict(
-        matcore.DensityOperator(np.diag([0.75, 0.25]), layout))))
-    sig.write_text(json.dumps(state_to_dict(
-        matcore.DensityOperator(np.eye(2) / 2, layout))))
-    code, stdout, _ = run(["divergence", "--alpha", "inf", "--rho", str(rho),
-                           "--sigma", str(sig), "--seed", "0"], capsys)
+    rho = write_state(tmp_path / "rho.json", [["A", 2]], "matrix", np.diag([0.75, 0.25]))
+    sig = write_state(tmp_path / "sig.json", [["A", 2]], "matrix", np.eye(2) / 2)
+    code, stdout, _ = run(["divergence", "--alpha", "inf", "--rho", rho,
+                           "--sigma", sig, "--seed", "0"], capsys)
     assert code == 0
     record = json.loads(stdout)["result"]
     assert record["branch"] == "max"
     assert abs(record["value_bits"] - math.log2(1.5)) < 1e-10
+
+
+@pytest.mark.parametrize("layout, field, array", [
+    ([["A", 1], ["A", 2]], "matrix", np.eye(2) / 2),
+    ([["A", 2], ["B", 0]], "matrix", np.eye(2) / 2),
+    ([["A", 2]], "matrix", [[1.0, 0.5], [0.4, 0.0]]),
+    ([["A", 2]], "matrix", np.diag([0.7, 0.7])),
+    ([["A", 2]], "matrix", np.diag([1.2, -0.2])),
+    ([["A", 3]], "matrix", np.eye(2) / 2),
+    ([["A", 2]], "vector", [1.0, 1.0]),
+], ids=["duplicate-labels", "zero-dim", "non-hermitian", "trace-1.4",
+        "negative-eigenvalue", "shape-mismatch", "vector-norm"])
+def test_divergence_rejects_malformed_state_file(tmp_path, capsys, layout, field, array):
+    rho = write_state(tmp_path / "rho.json", layout, field, array)
+    sig = write_state(tmp_path / "sig.json", [["A", 2]], "matrix", np.eye(2) / 2)
+    code, _, stderr = run(["divergence", "--alpha", "2", "--rho", rho,
+                           "--sigma", sig, "--seed", "0"], capsys)
+    assert code == 2
+    assert "error" in json.loads(stderr)
+
+
+def test_divergence_vector_file_is_its_projector(tmp_path, capsys):
+    v = np.array([0.6, 0.8j])
+    sig = write_state(tmp_path / "sig.json", [["A", 2]], "matrix", np.diag([0.3, 0.7]))
+    values = []
+    for field, array in (("vector", v), ("matrix", np.outer(v, v.conj()))):
+        rho = write_state(tmp_path / f"{field}.json", [["A", 2]], field, array)
+        code, stdout, _ = run(["divergence", "--alpha", "2", "--rho", rho,
+                               "--sigma", sig, "--seed", "0"], capsys)
+        assert code == 0
+        values.append(json.loads(stdout)["result"]["value_bits"])
+    assert values[0] == values[1]
+
+
+@pytest.mark.parametrize("layout, field, array", [
+    ([["R", 2], ["A", 1], ["Ap", 2]], "matrix", np.eye(4) / 4),
+    ([["R", 2], ["A", 2]], "vector", [0.5 ** 0.5, 0.0, 0.0, 0.5 ** 0.5]),
+], ids=["matrix-file", "two-registers"])
+def test_qss_sim_needs_three_register_vector(tmp_path, capsys, layout, field, array):
+    state = write_state(tmp_path / "state.json", layout, field, array)
+    code, _, stderr = run(["qss-sim", "--state", state, "--seed", "0"], capsys)
+    assert code == 2
+    assert "error" in json.loads(stderr)
 
 
 def test_rev_shannon_command(kraus_file, capsys):

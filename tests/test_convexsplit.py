@@ -19,7 +19,6 @@ from csl.convexsplit import (
 from csl.divergences import INF, q2
 from csl.matcore import (
     ContractViolation,
-    RegisterLayout,
     Spectrum,
     eig_hermitian,
     random_unitary,
@@ -41,13 +40,10 @@ def closed_instance(n):
 
 
 def random_instance(seed, n, dR=2, dA=2, weights=None, omega=None):
-    rho = sample("rank-limited", RegisterLayout.of(("R", dR), ("A", dA)), seed,
-                 rank=1 + seed % (dR * dA)).matrix
-    sigma = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", dA)),
-                   seed + 17).matrix
+    rho = sample("rank-limited", (dR, dA), seed, rank=1 + seed % (dR * dA))
+    sigma = sample("mixed-hilbert-schmidt", dA, seed + 17)
     if omega is None:
-        omega = sample("mixed-hilbert-schmidt", RegisterLayout.of(("R", dR)),
-                       seed + 37).matrix
+        omega = sample("mixed-hilbert-schmidt", dR, seed + 37)
     return ConvexSplitInstance(rho, sigma, omega, n, (dR, dA), weights)
 
 
@@ -182,9 +178,8 @@ def test_nu_n_pinned_and_certified(key):
 def test_nu_n_rank_deficient_rho_r(n, want):
     # rho_RA on span(e0, e1) (x) A inside a 3-dim R has the values of the
     # 2-dim instance (pinned); omega is solved on supp(rho_R) and stays there.
-    M = sample("mixed-hilbert-schmidt", RegisterLayout.of(("R", 2), ("A", 2)),
-               19).matrix
-    sigma = sample("mixed-hilbert-schmidt", 2, 23).matrix
+    M = sample("mixed-hilbert-schmidt", (2, 2), 19)
+    sigma = sample("mixed-hilbert-schmidt", 2, 23)
     W = np.kron(np.eye(3)[:, :2], np.eye(2))
     for rho, dims in [(M, (2, 2)), (W @ M @ W.conj().T, (3, 2))]:
         nu, argopt, rep = nu_n(rho, sigma, n, dims)
@@ -243,9 +238,8 @@ def test_ly2024_compare_pins_uniform_weights(dA):
     # sides assume weights 1/n, and against the skewed mixture the check
     # failed (2x2: LHS 1.525 > RHS 1.218).
     s = 2 + 1000
-    rho = sample("rank-limited", RegisterLayout.of(("R", 2), ("A", dA)), s,
-                 rank=2).matrix
-    sigma = sample("mixed-hilbert-schmidt", dA, s + 1).matrix
+    rho = sample("rank-limited", (2, dA), s, rank=2)
+    sigma = sample("mixed-hilbert-schmidt", dA, s + 1)
     w = np.random.default_rng(s + 2).random(2)
     inst = ConvexSplitInstance(rho, sigma, np.eye(2) / 2, 2, (2, dA), w / w.sum())
     rep = ly2024_compare(inst, 0.5)
@@ -352,8 +346,7 @@ def cut_crossing_instance(n, seed=0):
     rng = np.random.default_rng(seed)
     U = random_unitary(2, rng)
     sigma = (U * np.array([1.0, 1e-2]) / 1.01) @ U.conj().T
-    rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("R", 2), ("A", 2)),
-                 seed + 5).matrix
+    rho = sample("mixed-hilbert-schmidt", (2, 2), seed + 5)
     return ConvexSplitInstance(rho, sigma, np.eye(2) / 2, n, (2, 2))
 
 
@@ -394,8 +387,7 @@ def rank_deficient_sigma_instance(n, leaking):
     rng = np.random.default_rng(60 + n)
     v = random_unitary(2, rng)[:, 0]
     sigma = np.outer(v, v.conj())
-    rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("R", 2), ("A", 2)),
-                 61 + n).matrix
+    rho = sample("mixed-hilbert-schmidt", (2, 2), 61 + n)
     if not leaking:
         P = np.kron(np.eye(2), sigma)
         rho = P @ rho @ P
@@ -461,11 +453,10 @@ def test_public_dense_values_match_oracle():
 
 def test_rank_deficient_omega():
     # rho_RA lives on span(e0, e1) (x) A inside a 3-dim R.
-    M = sample("mixed-hilbert-schmidt", RegisterLayout.of(("R", 2), ("A", 2)),
-               41).matrix
+    M = sample("mixed-hilbert-schmidt", (2, 2), 41)
     W = np.kron(np.eye(3)[:, :2], np.eye(2))
     rho = W @ M @ W.conj().T
-    sigma = sample("mixed-hilbert-schmidt", 2, 42).matrix
+    sigma = sample("mixed-hilbert-schmidt", 2, 42)
     U = random_unitary(3, np.random.default_rng(43))
     for n in (1, 2, 3):
         # ker omega = e2 is orthogonal to supp rho_R: finite.

@@ -23,7 +23,6 @@ from csl.matcore import (
     RANK_TOL,
     CertificateError,
     ContractViolation,
-    RegisterLayout,
     Spectrum,
     eig_hermitian,
     random_unitary,
@@ -35,8 +34,8 @@ ALPHA_GRID = [0.3, 0.49, 0.5, 0.7, 1.0, 1.5, 2.0, 4.0, math.inf]
 
 def rand_pair(seed, d=3, rank=None):
     rho = sample("rank-limited" if rank else "mixed-hilbert-schmidt",
-                 RegisterLayout.of(("A", d)), seed, rank=rank).matrix
-    sig = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", d)), seed + 7919).matrix
+                 d, seed, rank=rank)
+    sig = sample("mixed-hilbert-schmidt", d, seed + 7919)
     return rho, sig
 
 
@@ -88,10 +87,10 @@ def test_monotone_in_alpha():
 
 
 def test_data_processing_partial_trace():
-    layout = RegisterLayout.of(("A", 2), ("B", 2))
+    dims = (2, 2)
     for seed in range(10):
-        rho = sample("mixed-hilbert-schmidt", layout, seed).matrix
-        sig = sample("mixed-hilbert-schmidt", layout, seed + 100).matrix
+        rho = sample("mixed-hilbert-schmidt", dims, seed)
+        sig = sample("mixed-hilbert-schmidt", dims, seed + 100)
         rA = np.trace(rho.reshape(2, 2, 2, 2), axis1=1, axis2=3)
         sA = np.trace(sig.reshape(2, 2, 2, 2), axis1=1, axis2=3)
         for a in [0.5, 1.0, 2.0, math.inf]:
@@ -222,14 +221,14 @@ def test_d_alpha_bits_match_two_decomposition_oracle():
     pairs = []
     for k in range(25):
         d = (2, 3, 4, 6)[k % 4]
-        rho = sample("mixed-hilbert-schmidt", d, 1000 + k).matrix
+        rho = sample("mixed-hilbert-schmidt", d, 1000 + k)
         sig = sample("rank-limited" if k % 5 == 0 else "mixed-hilbert-schmidt",
-                     d, 2000 + k, rank=d - 1).matrix
+                     d, 2000 + k, rank=d - 1)
         pairs.append((rho, sig))
     # References as mutual_info_alpha builds them: rho_A (x) sigma.
     for k in range(25):
         dA, dB = ((2, 2), (2, 3), (3, 2))[k % 3]
-        rho = sample("mixed-hilbert-schmidt", dA * dB, 3000 + k).matrix
+        rho = sample("mixed-hilbert-schmidt", dA * dB, 3000 + k)
         rho_A = np.trace(rho.reshape(dA, dB, dA, dB), axis1=1, axis2=3)
         G = rng.standard_normal((dB, dB)) + 1j * rng.standard_normal((dB, dB))
         if k % 6 == 0:
@@ -339,13 +338,13 @@ def test_d_min_eps_pinned_corpus():
 
 def test_d_min_eps_equal_states_and_kernel_mass():
     for seed, eps in ((21, 0.05), (22, 0.3), (23, 0.7)):
-        rho = sample("mixed-hilbert-schmidt", 3, seed).matrix
+        rho = sample("mixed-hilbert-schmidt", 3, seed)
         assert abs(d_min_eps(rho, rho, eps) + math.log2(1.0 - eps)) <= 1e-12
     # rho puts 0.95 + 0.05 <k|tau|k> >= 1 - eps of its mass on ker sigma = |k>,
     # yet Tr[rho sigma] > 0, so the early orthogonality exit does not apply.
     U = random_unitary(3, np.random.default_rng(24))
     k = U[:, :1]
-    tau = sample("mixed-hilbert-schmidt", 3, 25).matrix
+    tau = sample("mixed-hilbert-schmidt", 3, 25)
     rho = 0.95 * (k @ k.conj().T) + 0.05 * tau
     sigma = (U * np.array([0.0, 0.3, 0.7])) @ U.conj().T
     assert not perpendicular(rho, sigma)
@@ -356,8 +355,8 @@ def test_d_min_eps_equal_states_and_kernel_mass():
 def test_d_min_eps_raises_when_primal_misses_dual(monkeypatch):
     # A Neyman-Pearson test worse than the dual bound by more than 1e-8 is
     # a failed certificate, not a value.
-    rho = sample("mixed-hilbert-schmidt", 3, 31).matrix
-    sigma = sample("mixed-hilbert-schmidt", 3, 32).matrix
+    rho = sample("mixed-hilbert-schmidt", 3, 31)
+    sigma = sample("mixed-hilbert-schmidt", 3, 32)
     np_test = divergences._np_test_value
 
     def worse(*args):
@@ -367,3 +366,34 @@ def test_d_min_eps_raises_when_primal_misses_dual(monkeypatch):
     monkeypatch.setattr(divergences, "_np_test_value", worse)
     with pytest.raises(CertificateError, match="primal/dual gap"):
         d_min_eps(rho, sigma, 0.1)
+
+
+def _classical_d_alpha(p, q, alpha):
+    """D_alpha of two commuting states from their eigenvalues, in bits."""
+    if alpha == 1:
+        return float(np.sum(p * np.log2(p / q)))
+    if math.isinf(alpha):
+        return math.log2(float(np.max(p / q)))
+    return math.log2(float(np.sum(p**alpha * q ** (1 - alpha)))) / (alpha - 1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("kappa", [1e4, 1e6, 1e8])
+def test_ill_conditioned_commuting_pairs(kappa, d):
+    # q falls geometrically from 1 to 1/kappa (above the RANK_TOL cut), p is
+    # seeded and well conditioned, both in one Haar-rotated basis; each pair
+    # is checked in both argument orders.
+    rng = np.random.default_rng([round(math.log10(kappa)), d])
+    q = kappa ** (-np.arange(d) / (d - 1))
+    q /= q.sum()
+    p = rng.uniform(0.2, 1.0, d)
+    p /= p.sum()
+    U = random_unitary(d, rng)
+    for a, b in ((p, q), (q, p)):
+        rho, sigma = (U * a) @ U.conj().T, (U * b) @ U.conj().T
+        for alpha in (0.3, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0, math.inf):
+            got, want = d_alpha(rho, sigma, alpha), _classical_d_alpha(a, b, alpha)
+            assert abs(got - want) <= 1e-8 * abs(want), (alpha, got, want)
+        for eps in (0.05, 0.3):
+            got, want = d_min_eps(rho, sigma, eps), _np_classical(a, b, eps)
+            assert abs(got - want) <= 1e-8 * abs(want), (eps, got, want)

@@ -18,7 +18,7 @@ from csl.infomeasures import (
     renyi_entropy,
     universal_rhs,
 )
-from csl.matcore import CertificateError, ContractViolation, RegisterLayout, sample
+from csl.matcore import CertificateError, ContractViolation, sample
 from csl.optim import ImaxResult, imax_sdp, minimize_convex_over_states
 
 
@@ -40,8 +40,8 @@ def test_renyi_entropy_limits():
 
 
 def test_mutual_info_alpha_product_zero():
-    a = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2)), 0).matrix
-    b = sample("mixed-hilbert-schmidt", RegisterLayout.of(("B", 2)), 1).matrix
+    a = sample("mixed-hilbert-schmidt", 2, 0)
+    b = sample("mixed-hilbert-schmidt", 2, 1)
     assert mutual_info_alpha(np.kron(a, b), 2.0, (2, 2)) < 1e-7
 
 
@@ -53,7 +53,7 @@ def test_mutual_info_alpha_bell():
 
 
 def test_mutual_info_monotone_in_alpha():
-    rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2), ("B", 2)), 5).matrix
+    rho = sample("mixed-hilbert-schmidt", (2, 2), 5)
     vals = [mutual_info_alpha(rho, a, (2, 2), restarts=8) for a in [0.5, 1.0, 2.0]]
     for lo, hi in zip(vals, vals[1:]):
         assert hi >= lo - 1e-7
@@ -67,7 +67,7 @@ def test_h_min_conditional_values():
 
 
 def test_conditional_renyi_up_limits_and_order():
-    rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2), ("B", 2)), 7).matrix
+    rho = sample("mixed-hilbert-schmidt", (2, 2), 7)
     h1 = conditional_renyi_up(rho, 1.0, (2, 2))
     h2 = conditional_renyi_up(rho, 2.0, (2, 2))
     hinf = conditional_renyi_up(rho, math.inf, (2, 2))
@@ -77,7 +77,7 @@ def test_conditional_renyi_up_limits_and_order():
 
 def test_conditional_renyi_up_pure_state_duality():
     # For pure rho_AB the optimized entropy collapses to -H_{b/(2b-1)}(A).
-    v = sample("pure-haar", RegisterLayout.of(("A", 2), ("B", 3)), 9).amplitudes
+    v = sample("pure-haar", (2, 3), 9)
     rho = np.outer(v, v.conj())
     rho_A = np.trace(rho.reshape(2, 3, 2, 3), axis1=1, axis2=3)
     for beta in [1.5, 2.0, 4.0]:
@@ -99,14 +99,11 @@ PINNED_H_UP = {
 
 
 def _pinned_states():
-    M = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2), ("B", 2)),
-               13).matrix
+    M = sample("mixed-hilbert-schmidt", (2, 2), 13)
     W = np.kron(np.eye(2), np.eye(3)[:, :2])
     return {
-        "hs22": (sample("mixed-hilbert-schmidt",
-                        RegisterLayout.of(("A", 2), ("B", 2)), 7).matrix, (2, 2)),
-        "hs23": (sample("mixed-hilbert-schmidt",
-                        RegisterLayout.of(("A", 2), ("B", 3)), 11).matrix, (2, 3)),
+        "hs22": (sample("mixed-hilbert-schmidt", (2, 2), 7), (2, 2)),
+        "hs23": (sample("mixed-hilbert-schmidt", (2, 3), 11), (2, 3)),
         "compressed": (M, (2, 2)),
         # rank-deficient rho_B: M placed on A (x) span(e0, e1) of a 3-dim B.
         # It has the values of M; the multi-start optimizer, whose minimizer
@@ -143,8 +140,7 @@ def test_imax_bound_lemma_bell():
 
 def test_imax_bound_lemma_random():
     for seed in range(5):
-        rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2), ("B", 2)),
-                     seed).matrix
+        rho = sample("mixed-hilbert-schmidt", (2, 2), seed)
         rep = imax_bound_lemma(rho, (2, 2))
         assert rep.ok
 
@@ -165,8 +161,8 @@ def test_universal_rhs_product_maximally_mixed():
 
 
 def test_imax_smoothed_upper_basics():
-    a = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2)), 0).matrix
-    b = sample("mixed-hilbert-schmidt", RegisterLayout.of(("B", 2)), 1).matrix
+    a = sample("mixed-hilbert-schmidt", 2, 0)
+    b = sample("mixed-hilbert-schmidt", 2, 1)
     prod = np.kron(a, b)
     est = imax_smoothed_upper(prod, 0.2, (2, 2))
     assert est.kind == "upper-feasible"
@@ -181,7 +177,7 @@ def test_imax_smoothed_upper_basics():
 
 
 def test_imax_smoothed_upper_monotone_in_eps():
-    rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2), ("B", 2)), 3).matrix
+    rho = sample("mixed-hilbert-schmidt", (2, 2), 3)
     vals = [imax_smoothed_upper(rho, e, (2, 2)).value_bits
             for e in [0.01, 0.05, 0.1, 0.3]]
     for lo, hi in zip(vals, vals[1:]):
@@ -189,7 +185,7 @@ def test_imax_smoothed_upper_monotone_in_eps():
 
 
 def test_dmax_smoothed_upper_same_state():
-    rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 3)), 4).matrix
+    rho = sample("mixed-hilbert-schmidt", 3, 4)
     est = dmax_smoothed_upper(rho, rho, 0.1)
     assert est.value_bits < 1e-9
 
@@ -200,8 +196,8 @@ def test_check_rld_bound_commuting_and_random():
     rep = check_rld_bound(rho, sig, 0.3, 2.0)
     assert rep.ok
     for seed in range(5):
-        r = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 3)), seed).matrix
-        s = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 3)), seed + 50).matrix
+        r = sample("mixed-hilbert-schmidt", 3, seed)
+        s = sample("mixed-hilbert-schmidt", 3, seed + 50)
         rep = check_rld_bound(r, s, 0.3, 2.0)
         assert rep.ok  # one-sided: certification expected on generic pairs
 
@@ -237,7 +233,7 @@ def test_wide_bracket_is_not_certified(monkeypatch):
 
 def test_h_min_reported_from_dual_side():
     # H_min is the sound upper side -lower_bits, within GAP_TOL of -value_bits.
-    rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2), ("B", 3)), 12).matrix
+    rho = sample("mixed-hilbert-schmidt", (2, 3), 12)
     res = optim.dominating_trace_min(np.eye(2), rho, (2, 3))
     assert h_min_conditional(rho, (2, 3)) == -res.lower_bits
     assert -1e-14 <= res.gap_bits <= optim.GAP_TOL

@@ -1,44 +1,29 @@
 import math
 
 import numpy as np
-import pytest
 
 from csl.matcore import (
-    ContractViolation,
-    DensityOperator,
-    PureStateVector,
-    RegisterLayout,
+    Spectrum,
     eig_hermitian,
     fidelity,
-    partial_trace,
-    power_on_support,
     purified_distance,
-    purify,
+    reduced,
     sample,
     state_from_dict,
-    state_to_dict,
-    tensor,
     trace_distance,
 )
 
 
 def bell_pair():
-    layout = RegisterLayout.of(("R", 2), ("A", 2))
+    """The maximally entangled vector on R x A, dims (2, 2)."""
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 1 / math.sqrt(2)
-    return PureStateVector(v, layout)
+    return v
 
 
-def test_layout_rejects_duplicates():
-    with pytest.raises(ContractViolation):
-        RegisterLayout.of(("A", 2), ("A", 3))
-
-
-def test_density_operator_contract():
-    with pytest.raises(ContractViolation):
-        DensityOperator(np.array([[1.0, 0.5], [0.4, 0.0]]), RegisterLayout.of(("A", 2)))
-    with pytest.raises(ContractViolation):
-        DensityOperator(np.diag([0.7, 0.7]), RegisterLayout.of(("A", 2)))
+def pairs(a):
+    """Complex entries as the state file's [re, im] pairs."""
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def test_eig_hermitian_descending():
@@ -49,30 +34,31 @@ def test_eig_hermitian_descending():
 
 def test_power_on_support_pseudoinverse():
     P = np.diag([0.5, 0.5, 0.0])
-    M = power_on_support(P, -1.0)
+    M = Spectrum(P).power(-1.0)
     assert np.allclose(M, np.diag([2.0, 2.0, 0.0]))
 
 
 def test_partial_trace_bell():
     psi = bell_pair()
-    rho = psi.to_density()
-    red = partial_trace(rho, keep=["R"])
-    assert np.allclose(red.matrix, np.eye(2) / 2, atol=1e-12)
+    red = reduced(np.outer(psi, psi.conj()), (2, 2), 0)
+    assert np.allclose(red, np.eye(2) / 2, atol=1e-12)
 
 
 def test_tensor_and_trace_roundtrip():
-    a = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2)), 0)
-    b = sample("mixed-hilbert-schmidt", RegisterLayout.of(("B", 3)), 1)
-    ab = tensor(a, b)
-    assert np.allclose(partial_trace(ab, keep=["A"]).matrix, a.matrix, atol=1e-12)
-    assert np.allclose(partial_trace(ab, keep=["B"]).matrix, b.matrix, atol=1e-12)
+    a = sample("mixed-hilbert-schmidt", 2, 0)
+    b = sample("mixed-hilbert-schmidt", 3, 1)
+    ab = np.kron(a, b)
+    assert np.allclose(reduced(ab, (2, 3), 0), a, atol=1e-12)
+    assert np.allclose(reduced(ab, (2, 3), 1), b, atol=1e-12)
 
 
 def test_purify_recovers_marginal():
-    rho = sample("rank-limited", RegisterLayout.of(("A", 3)), 2, rank=2)
-    psi = purify(rho)
-    red = partial_trace(psi.to_density(), keep=["A"])
-    assert np.abs(red.matrix - rho.matrix).max() < 1e-10
+    rho = sample("rank-limited", 3, 2, rank=2)
+    w, V = eig_hermitian(rho)
+    # spectral purification sum_i sqrt(w_i) |v_i>|i> on A x A'
+    psi = (V * np.sqrt(np.clip(w, 0.0, None))).reshape(-1)
+    red = reduced(np.outer(psi, psi.conj()), (3, 3), 0)
+    assert np.abs(red - rho).max() < 1e-10
 
 
 def test_trace_distance_fidelity_basics():
@@ -87,8 +73,8 @@ def test_trace_distance_fidelity_basics():
 def test_fuchs_van_de_graaf():
     rng = np.random.default_rng(5)
     for i in range(20):
-        rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 3)), 10 + i).matrix
-        sig = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 3)), 50 + i).matrix
+        rho = sample("mixed-hilbert-schmidt", 3, 10 + i)
+        sig = sample("mixed-hilbert-schmidt", 3, 50 + i)
         T = trace_distance(rho, sig)
         F = fidelity(rho, sig)
         assert 1.0 - F <= T + 1e-9
@@ -97,15 +83,16 @@ def test_fuchs_van_de_graaf():
 
 def test_state_dict_roundtrip():
     psi = bell_pair()
-    again = state_from_dict(state_to_dict(psi))
-    assert np.allclose(again.amplitudes, psi.amplitudes)
-    rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2), ("B", 2)), 3)
-    back = state_from_dict(state_to_dict(rho))
-    assert np.allclose(back.matrix, rho.matrix)
-    assert back.layout == rho.layout
+    again, dims = state_from_dict({"layout": [["R", 2], ["A", 2]], "vector": pairs(psi)})
+    assert np.allclose(again, psi)
+    assert dims == (2, 2)
+    rho = sample("mixed-hilbert-schmidt", (2, 2), 3)
+    back, dims = state_from_dict({"layout": [["A", 2], ["B", 2]], "matrix": pairs(rho)})
+    assert np.allclose(back, rho)
+    assert dims == (2, 2)
 
 
 def test_sample_seeded_reproducible():
-    a = sample("pure-haar", 5, 42).amplitudes
-    b = sample("pure-haar", 5, 42).amplitudes
+    a = sample("pure-haar", 5, 42)
+    b = sample("pure-haar", 5, 42)
     assert np.array_equal(a, b)

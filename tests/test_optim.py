@@ -5,8 +5,7 @@ import pytest
 
 from csl import infomeasures
 from csl.divergences import d_alpha, q_alpha
-from csl.matcore import (RANK_TOL, CertificateError, ContractViolation, RegisterLayout,
-                         reduced, sample)
+from csl.matcore import RANK_TOL, CertificateError, ContractViolation, reduced, sample
 from csl.optim import (
     GAP_TOL,
     dominating_trace_min,
@@ -27,7 +26,7 @@ def bell_density():
 
 def test_minimize_over_states_quadratic():
     # min over sigma of ||sigma - target||_F^2 is attained at the target.
-    target = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 3)), 0).matrix
+    target = sample("mixed-hilbert-schmidt", 3, 0)
     rep = minimize_over_states(lambda s: float(np.abs(s - target).sum() ** 2), 3,
                                restarts=8)
     assert rep.value < 1e-8
@@ -36,7 +35,7 @@ def test_minimize_over_states_quadratic():
 
 def test_minimize_recovers_divergence_minimizer():
     # min_sigma D_2(rho || sigma) = 0 at sigma = rho.
-    rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2)), 1).matrix
+    rho = sample("mixed-hilbert-schmidt", 2, 1)
     rep = minimize_over_states(lambda s: d_alpha(rho, s, 2.0), 2, restarts=8,
                                extra_starts=[rho])
     assert rep.value < 1e-9
@@ -50,8 +49,8 @@ def test_maximize_over_pure_largest_eigenvalue():
 
 
 def test_imax_product_zero():
-    a = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2)), 2).matrix
-    b = sample("mixed-hilbert-schmidt", RegisterLayout.of(("B", 2)), 3).matrix
+    a = sample("mixed-hilbert-schmidt", 2, 2)
+    b = sample("mixed-hilbert-schmidt", 2, 3)
     res = imax_sdp(np.kron(a, b), (2, 2))
     assert abs(res.value_bits) < 1e-6
     assert res.residual > -1e-7
@@ -72,8 +71,7 @@ def test_imax_classical_bit():
 
 def test_certificate_feasibility():
     for seed in range(5):
-        rho = sample("mixed-hilbert-schmidt",
-                     RegisterLayout.of(("A", 2), ("B", 3)), seed).matrix
+        rho = sample("mixed-hilbert-schmidt", (2, 3), seed)
         res = imax_sdp(rho, (2, 3))
         assert res.converged
         assert res.residual > -1e-7
@@ -95,8 +93,7 @@ def test_dominating_trace_min_hmin():
 
 
 def test_rank_deficient_inputs():
-    rho = sample("rank-limited", RegisterLayout.of(("A", 2), ("B", 2)), 4,
-                 rank=2).matrix
+    rho = sample("rank-limited", (2, 2), 4, rank=2)
     res = imax_sdp(rho, (2, 2))
     assert res.converged
     assert res.residual > -1e-7
@@ -109,11 +106,10 @@ def _marginal_A(rho, dA, dB):
 def _sdp_cases():
     cases = {}
     for dA, dB in ((2, 3), (3, 2)):
-        rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", dA), ("B", dB)),
-                     21).matrix
+        rho = sample("mixed-hilbert-schmidt", (dA, dB), 21)
         cases[f"eye-{dA}x{dB}"] = (np.eye(dA), rho, (dA, dB))
         cases[f"rhoA-{dA}x{dB}"] = (_marginal_A(rho, dA, dB), rho, (dA, dB))
-    M = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2), ("B", 2)), 22).matrix
+    M = sample("mixed-hilbert-schmidt", (2, 2), 22)
     WA = np.kron(np.eye(3)[:, :2], np.eye(2))  # M on span(e0, e1) (x) B, dA = 3
     rho = WA @ M @ WA.conj().T
     cases["rankdef-MA"] = (_marginal_A(rho, 3, 2), rho, (3, 2))
@@ -172,7 +168,7 @@ def criterion_08_sdps():
     out = []
     for i in range(40):
         dims = (2, 2) if i % 2 else (2, 3)
-        rho = sample("mixed-hilbert-schmidt", dims[0] * dims[1], 30000 + i).matrix
+        rho = sample("mixed-hilbert-schmidt", dims[0] * dims[1], 30000 + i)
         for M_A in (reduced(rho, dims, 0), np.eye(dims[0])):
             out.append((dominating_trace_min(M_A, rho, dims), M_A, rho, dims))
     return out
@@ -208,13 +204,13 @@ def test_exact_values_inside_brackets():
     inside(imax_sdp(bell, (2, 2)), 2.0)
     inside(dominating_trace_min(np.eye(2), bell, (2, 2)), 1.0)  # H_min = -1
     for seed in range(5):
-        a = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2)), seed).matrix
-        b = sample("mixed-hilbert-schmidt", RegisterLayout.of(("B", 3)), seed + 20).matrix
+        a = sample("mixed-hilbert-schmidt", 2, seed)
+        b = sample("mixed-hilbert-schmidt", 3, seed + 20)
         inside(imax_sdp(np.kron(a, b), (2, 3)), 0.0)
 
 
 def _edge_cases():
-    rho = sample("mixed-hilbert-schmidt", 6, 5).matrix
+    rho = sample("mixed-hilbert-schmidt", 6, 5)
     cases = {}
     for tag, f in (("above", 10 * RANK_TOL), ("below", RANK_TOL / 10)):
         # M_A's small eigenvalue relative to its largest: kept above
@@ -222,11 +218,11 @@ def _edge_cases():
         cases[f"MA-eig-{tag}-2x3"] = (np.diag([1.0, f]), rho, (2, 3))
         cases[f"MA-eig-{tag}-3x2"] = (np.diag([1.0, 0.5, f]), rho, (3, 2))
         # A state whose rho_A has that eigenvalue.
-        G = sample("mixed-hilbert-schmidt", 3, 7).matrix
+        G = sample("mixed-hilbert-schmidt", 3, 7)
         st = (1 - f) * np.kron(np.diag([1.0, 0.0]), G) + f * np.kron(np.diag([0.0, 1.0]),
                                                                      np.eye(3) / 3)
         cases[f"rhoA-eig-{tag}-imax"] = (reduced(st, (2, 3), 0), st, (2, 3))
-    r2 = sample("rank-limited", RegisterLayout.of(("A", 2), ("B", 2)), 9, rank=3).matrix
+    r2 = sample("rank-limited", (2, 2), 9, rank=3)
     WB = np.kron(np.eye(2), np.eye(3)[:, :2])  # rank-2 rho_B with dB = 3
     st = WB @ r2 @ WB.conj().T
     cases["rank2-rhoB-imax"] = (reduced(st, (2, 3), 0), st, (2, 3))
@@ -238,7 +234,7 @@ def _edge_cases():
     cases["pure-product-imax"] = (reduced(prod, (2, 3), 0), prod, (2, 3))
     cases["pure-product-hmin"] = (np.eye(2), prod, (2, 3))
     for dB in (2, 3):
-        st = sample("mixed-hilbert-schmidt", 3 * dB, 40 + dB).matrix
+        st = sample("mixed-hilbert-schmidt", 3 * dB, 40 + dB)
         cases[f"dA3-3x{dB}-imax"] = (reduced(st, (3, dB), 0), st, (3, dB))
         cases[f"dA3-3x{dB}-hmin"] = (np.eye(3), st, (3, dB))
     return cases
@@ -288,9 +284,9 @@ def _product(K, sigma, sigma_first):
 def test_q_alpha_grad_matches_central_differences(alpha, sigma_first):
     rng = np.random.default_rng(3)
     for dK, dS in [(1, 3), (2, 2), (2, 3), (3, 2)]:
-        rho = sample("mixed-hilbert-schmidt", dK * dS, 5).matrix
-        K = sample("mixed-hilbert-schmidt", dK, 6).matrix
-        sigma = sample("mixed-hilbert-schmidt", dS, 7).matrix
+        rho = sample("mixed-hilbert-schmidt", dK * dS, 5)
+        K = sample("mixed-hilbert-schmidt", dK, 6)
+        sigma = sample("mixed-hilbert-schmidt", dS, 7)
         value, grad = q_alpha_grad(rho, K, sigma, alpha, sigma_first)
         assert abs(value - q_alpha(rho, _product(K, sigma, sigma_first), alpha)) \
             <= 1e-12 * max(1.0, value)
@@ -308,8 +304,7 @@ def test_q_alpha_grad_matches_central_differences(alpha, sigma_first):
 def test_frank_wolfe_gap_bounds_suboptimality(alpha):
     # f = +-Q_alpha(rho || 1 (x) sigma) is convex; at a deliberately poor
     # sigma the gap must cover f(sigma) - f*.
-    rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2), ("B", 3)),
-                 8).matrix
+    rho = sample("mixed-hilbert-schmidt", (2, 3), 8)
     sign = 1.0 if alpha > 1 else -1.0
 
     def fun_grad(s):
@@ -319,7 +314,7 @@ def test_frank_wolfe_gap_bounds_suboptimality(alpha):
     best = minimize_convex_over_states(fun_grad, 3)
     assert best.gap_estimate <= 1e-9
     for seed in range(5):
-        poor = sample("rank-limited", 3, 40 + seed, rank=3).matrix
+        poor = sample("rank-limited", 3, 40 + seed, rank=3)
         poor = 0.9 * poor + 0.1 * np.diag([1.0, 0.0, 0.0])
         f, grad = fun_grad(poor)
         excess = f - best.value

@@ -7,7 +7,6 @@ from csl import infomeasures
 from csl.matcore import (
     CertificateError,
     ContractViolation,
-    RegisterLayout,
     purified_distance,
     sample,
     trace_distance,
@@ -35,9 +34,8 @@ def test_min_unitary_trace_distance_achieved():
     # The returned unitary attains the sorted-spectrum value exactly.
     for seed in range(25):
         d = 2 + seed % 4
-        rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", d)), seed).matrix
-        sig = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", d)),
-                     seed + 99).matrix
+        rho = sample("mixed-hilbert-schmidt", d, seed)
+        sig = sample("mixed-hilbert-schmidt", d, seed + 99)
         value, U = min_unitary_trace_distance(rho, sig)
         achieved = trace_distance(rho, U @ sig @ U.conj().T)
         assert abs(achieved - value) < 1e-10
@@ -112,7 +110,7 @@ def test_truncation_m_smallest_and_tie_break():
 
 def test_truncation_survival_and_gentle_measurement():
     for seed in range(20):
-        omega = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 4)), seed).matrix
+        omega = sample("mixed-hilbert-schmidt", 4, seed)
         q = np.sort(np.linalg.eigvalsh(omega))[::-1]
         for delta in [0.05, 0.2]:
             res = truncation_effect(omega, q, delta)
@@ -130,7 +128,7 @@ def test_truncation_rejects_disjoint_spectra():
 
 
 def test_apply_truncation_survival():
-    rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2), ("B", 2)), 3).matrix
+    rho = sample("mixed-hilbert-schmidt", (2, 2), 3)
     state, survival = apply_truncation(rho, np.diag([1.0, 0.0]), (2, 2))
     assert 0.0 < survival <= 1.0
     assert abs(np.trace(state).real - 1.0) < 1e-12
@@ -138,15 +136,14 @@ def test_apply_truncation_survival():
 
 def test_uab_chain_verify_passes():
     for seed in range(5):
-        rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2), ("B", 2)),
-                     seed).matrix
+        rho = sample("mixed-hilbert-schmidt", (2, 2), seed)
         rep = uab_chain_verify(rho, (2, 2), 0.5, 2.0, 0.1)
         assert rep.passed, [(s.name, s.lhs, s.rhs) for s in rep.steps]
         assert rep.imax_truncated <= rep.rhs_final + 1e-7
 
 
 def test_uab_chain_cache_reuse():
-    rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2), ("B", 2)), 8).matrix
+    rho = sample("mixed-hilbert-schmidt", (2, 2), 8)
     cache = {}
     rep1 = uab_chain_verify(rho, (2, 2), 0.5, 2.0, 0.1, cache=cache)
     rep2 = uab_chain_verify(rho, (2, 2), 0.5, 2.0, 0.1, cache=cache)
@@ -163,8 +160,7 @@ def test_uab_chain_rejects_uncertified_imax(monkeypatch, converged, residual):
         return ImaxResult(0.0, np.eye(dims[1]), converged, residual)
 
     monkeypatch.setattr(infomeasures, "imax_sdp", uncertified)
-    rho = sample("mixed-hilbert-schmidt", RegisterLayout.of(("A", 2), ("B", 2)),
-                 3).matrix
+    rho = sample("mixed-hilbert-schmidt", (2, 2), 3)
     with pytest.raises(CertificateError, match="not certified"):
         uab_chain_verify(rho, (2, 2), 0.5, 2.0, 0.1)
     with pytest.raises(CertificateError, match="not certified"):
