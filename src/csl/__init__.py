@@ -39,11 +39,7 @@ from .convexsplit import (
     nu_n,
     split_equality_check,
 )
-from .infomeasures import (
-    f_alpha_beta,
-    imax_smoothed_upper,
-    universal_rhs,
-)
+from .infomeasures import f_alpha_beta, universal_rhs
 from .optim import imax_sdp
 from .protocols import (
     ChannelSpec,
@@ -52,7 +48,7 @@ from .protocols import (
     reverse_shannon_bound,
     uhlmann_isometry,
 )
-from .smoothing import uab_chain_verify
+from .smoothing import imax_smoothed_upper, uab_chain_verify
 
 __all__ = [
     "CertificateError",

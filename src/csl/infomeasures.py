@@ -26,6 +26,7 @@ from .matcore import (
 )
 from .optim import (
     GAP_TOL,
+    RESIDUAL_TOL,
     dominating_trace_min,
     imax_sdp,
     minimize_convex_over_states,
@@ -96,7 +97,7 @@ def mutual_info_alpha(rho_ab, alpha: float, dims, restarts: int = 16,
     return (value, report) if return_report else value
 
 
-def h_min_conditional(rho_ab, dims, tol: float = 1e-7) -> float:
+def h_min_conditional(rho_ab, dims) -> float:
     """H_min(A|B) = -log min Tr[Y] over Y with I (x) Y >= rho_AB.
 
     Reported from the SDP's dual side, -log Tr[rho Z] for a feasible dual
@@ -104,7 +105,7 @@ def h_min_conditional(rho_ab, dims, tol: float = 1e-7) -> float:
     sound side wherever H_min is subtracted (the chain's rhs = lhs - h_min).
     """
     R, dA, dB = _bipartite(rho_ab, dims)
-    res = dominating_trace_min(np.eye(dA), R, (dA, dB), tol=tol)
+    res = dominating_trace_min(np.eye(dA), R, (dA, dB))
     if not (res.converged and res.gap_bits <= GAP_TOL):
         raise CertificateError("conditional min-entropy solver did not converge "
                                f"(bracket {res.gap_bits:.3e} bits)")
@@ -150,10 +151,10 @@ def imax_certified(rho_ab, dims) -> float:
     """I_max(A:B) in bits, the upper side of imax_sdp's checked bracket.
 
     Raises unless the solve converged with a bracket of at most GAP_TOL bits
-    and a certificate residual of at least -1e-7.
+    and a certificate residual of at least -RESIDUAL_TOL.
     """
     res = imax_sdp(rho_ab, dims)
-    if not (res.converged and res.gap_bits <= GAP_TOL) or res.residual < -1e-7:
+    if not (res.converged and res.gap_bits <= GAP_TOL) or res.residual < -RESIDUAL_TOL:
         raise CertificateError(
             f"max-information SDP not certified (converged={res.converged}, "
             f"bracket {res.gap_bits:.3e} bits, residual {res.residual:.3e})")
@@ -194,46 +195,6 @@ def universal_rhs(rho_ab, dims, alpha: float, beta: float, eps: float,
     if key not in cache:
         cache[key] = conditional_renyi_up(R, beta, (dA, dB))
     return renyi_entropy(rho_A, alpha) - cache[key] + f_alpha_beta(alpha, beta, eps)
-
-
-def imax_smoothed_upper(rho_ab, eps: float, dims, alpha: float = 0.5,
-                        cache: dict | None = None) -> SmoothedEstimate:
-    """Feasible-point upper estimate of the smoothed max-information.
-
-    Witness pool: rho itself plus tail-truncated states over a delta grid;
-    every witness is checked inside the trace-distance eps-ball.  One-sided:
-    the true smoothed value can only be smaller.
-    """
-    from .smoothing import apply_truncation, smooth_renyi_entropy_min, truncation_effect
-
-    if not (0.0 < eps < 1.0):
-        raise ContractViolation(f"eps must be in (0,1), got {eps}")
-    R, dA, dB = _bipartite(rho_ab, dims)
-    rho_A, _ = _marginals(R, dA, dB)
-    p = np.sort(np.clip(np.linalg.eigvalsh(rho_A), 0.0, None))[::-1]
-    cache = cache if cache is not None else {}
-
-    def imax_of(key, state):
-        if key not in cache:
-            cache[key] = imax_certified(state, (dA, dB))
-        return cache[key]
-
-    best_v = imax_of("imax_rho", R)
-    best_w = R
-    grid = {C_SMOOTH * eps * eps, eps * eps / 2.0, eps / 4.0, eps / 2.0}
-    for delta in sorted(d for d in grid if 0.0 < d < min(eps, 0.5)):
-        try:
-            _, tau = smooth_renyi_entropy_min(p, delta, alpha)
-            tr = truncation_effect(rho_A, tau, delta)
-        except ContractViolation:
-            continue
-        omega, _ = apply_truncation(R, tr.effect, (dA, dB))
-        if trace_distance(omega, R) > eps + 1e-9:
-            continue
-        v = imax_of(("imax_w", round(delta, 14), round(alpha, 14)), omega)
-        if v < best_v:
-            best_v, best_w = v, omega
-    return SmoothedEstimate(best_v, "upper-feasible", best_w)
 
 
 def dmax_smoothed_upper(rho, sigma, eps: float) -> SmoothedEstimate:

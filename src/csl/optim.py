@@ -1,17 +1,18 @@
 """Shared optimization engines.
 
-Four workhorses: a certified solver for convex functionals of a density
-operator (analytic gradients, Frank-Wolfe gap), multi-start descent over
-density operators, a primal-dual interior-point solver for the
-max-information semidefinite program (a checked two-sided bracket), and
-multi-start ascent over pure states.  Desk-scale dimensions (<= 36 total)
-keep all of these cheap; no external SDP engine is used.
+Three engines: a certified solver for convex functionals of a density
+operator (analytic gradients, Frank-Wolfe gap), a primal-dual interior-point
+solver for the max-information semidefinite program (a checked two-sided
+bracket), and one multi-start L-BFGS-B loop with two parametrizations:
+descent over density operators and ascent over pure states.  Desk-scale
+dimensions (<= 36 total) keep all of these cheap; no external SDP engine is
+used.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.optimize
@@ -47,74 +48,12 @@ def _state_to_params(sigma: np.ndarray) -> np.ndarray:
     return np.concatenate([G.real.reshape(-1), G.imag.reshape(-1)])
 
 
-def minimize_over_states(
-    objective,
-    dim: int,
-    restarts: int = 32,
-    tol: float = 1e-7,
-    seed: int = 0,
-    extra_starts=(),
-) -> OptimizerReport:
-    """Multi-start local descent of a state functional over D(dim)."""
-    rng = np.random.default_rng(seed)
-    d = dim
+def _multistart(fun, starts) -> OptimizerReport:
+    """L-BFGS-B from every start; the best run, in parameter space.
 
-    def fun(x):
-        v = objective(_gram_state(x, d))
-        return v if math.isfinite(v) else 1e12
-
-    starts = [_state_to_params(np.eye(d) / d)]
-    for s in extra_starts:
-        starts.append(_state_to_params(_as_matrix(s)))
-    while len(starts) < restarts:
-        G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        M = G.conj().T @ G
-        starts.append(_state_to_params(M / np.trace(M).real))
-
-    results = []
-    n_it = 0
-    for x0 in starts[:max(restarts, len(starts))]:
-        res = scipy.optimize.minimize(fun, x0, method="L-BFGS-B",
-                                      options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10})
-        n_it += res.nit
-        results.append((float(res.fun), res.x, bool(res.success)))
-    results.sort(key=lambda r: r[0])
-    best_val, best_x, best_ok = results[0]
-    if best_val >= 1e12:
-        return OptimizerReport(math.inf, np.eye(d) / d, n_it, False, math.inf)
-    gap = results[1][0] - best_val if len(results) > 1 else 0.0
-    sigma = _gram_state(best_x, d)
-    return OptimizerReport(best_val, sigma, n_it, best_ok and gap <= tol, max(gap, 0.0))
-
-
-def maximize_over_pure(
-    objective,
-    dim: int,
-    restarts: int = 32,
-    tol: float = 1e-7,
-    seed: int = 0,
-    extra_starts=(),
-) -> OptimizerReport:
-    """Multi-start ascent of a pure-state functional over the unit sphere."""
-    rng = np.random.default_rng(seed)
-    d = dim
-
-    def vec(x):
-        v = x[:d] + 1j * x[d:]
-        n = np.linalg.norm(v)
-        return v / n if n > 0 else np.eye(d, 1).reshape(-1).astype(complex)
-
-    def fun(x):
-        v = objective(vec(x))
-        return -v if math.isfinite(v) else 1e12
-
-    starts = []
-    for s in extra_starts:
-        s = np.asarray(s, dtype=complex).reshape(-1)
-        starts.append(np.concatenate([s.real, s.imag]))
-    while len(starts) < restarts:
-        starts.append(rng.standard_normal(2 * d))
-
+    `converged` needs the best run to succeed and the runner-up to end within
+    1e-7 of it; the gap estimate is that difference.
+    """
     results = []
     n_it = 0
     for x0 in starts:
@@ -125,7 +64,55 @@ def maximize_over_pure(
     results.sort(key=lambda r: r[0])
     best_val, best_x, best_ok = results[0]
     gap = results[1][0] - best_val if len(results) > 1 else 0.0
-    return OptimizerReport(-best_val, vec(best_x), n_it, best_ok and gap <= tol, max(gap, 0.0))
+    return OptimizerReport(best_val, best_x, n_it, best_ok and gap <= 1e-7, max(gap, 0.0))
+
+
+def minimize_over_states(objective, dim: int, restarts: int = 32, seed: int = 0,
+                         extra_starts=()) -> OptimizerReport:
+    """Multi-start local descent of a state functional over D(dim)."""
+    rng = np.random.default_rng(seed)
+
+    def fun(x):
+        v = objective(_gram_state(x, dim))
+        return v if math.isfinite(v) else 1e12
+
+    starts = [_state_to_params(np.eye(dim) / dim)]
+    for s in extra_starts:
+        starts.append(_state_to_params(_as_matrix(s)))
+    while len(starts) < restarts:
+        G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        M = G.conj().T @ G
+        starts.append(_state_to_params(M / np.trace(M).real))
+
+    rep = _multistart(fun, starts)
+    if rep.value >= 1e12:  # never finite
+        return OptimizerReport(math.inf, np.eye(dim) / dim, rep.iterations, False, math.inf)
+    return replace(rep, argopt=_gram_state(rep.argopt, dim))
+
+
+def maximize_over_pure(objective, dim: int, restarts: int = 32, seed: int = 0,
+                       extra_starts=()) -> OptimizerReport:
+    """Multi-start ascent of a pure-state functional over the unit sphere."""
+    rng = np.random.default_rng(seed)
+
+    def vec(x):
+        v = x[:dim] + 1j * x[dim:]
+        n = np.linalg.norm(v)
+        return v / n if n > 0 else np.eye(dim, 1).reshape(-1).astype(complex)
+
+    def fun(x):
+        v = objective(vec(x))
+        return -v if math.isfinite(v) else 1e12
+
+    starts = []
+    for s in extra_starts:
+        s = np.asarray(s, dtype=complex).reshape(-1)
+        starts.append(np.concatenate([s.real, s.imag]))
+    while len(starts) < restarts:
+        starts.append(rng.standard_normal(2 * dim))
+
+    rep = _multistart(fun, starts)
+    return replace(rep, value=-rep.value, argopt=vec(rep.argopt))
 
 
 # --- certified convex solver ------------------------------------------------
@@ -202,6 +189,9 @@ def _traceless_basis(d: int) -> np.ndarray:
 # Largest certificate gap, in the reported value's units: the Frank-Wolfe
 # gap of the convex solver, the bracket of the SDP in bits.
 GAP_TOL = 1e-9
+# Most negative eigenvalue of M_A (x) Y - rho_AB that a certified SDP
+# solution may leave.
+RESIDUAL_TOL = 1e-7
 
 
 def minimize_convex_over_states(fun_grad, dim: int, value_of=None) -> OptimizerReport:
@@ -301,12 +291,8 @@ class ImaxResult:
         return self.value_bits - self.lower_bits
 
 
-def dominating_trace_min(
-    M_A: np.ndarray,
-    rho_AB: np.ndarray,
-    dims: tuple[int, int],
-    tol: float = 1e-7,
-) -> ImaxResult:
+def dominating_trace_min(M_A: np.ndarray, rho_AB: np.ndarray,
+                         dims: tuple[int, int]) -> ImaxResult:
     """min Tr[Y] over Y with M_A (x) Y >= rho_AB, bracketed by a primal-dual pair.
 
     Compressed onto supp(M_A) (x) supp(rho_B), where the optimum lies, with
@@ -320,7 +306,7 @@ def dominating_trace_min(
     deficit gives the upper value Tr Y, X rescaled by Q^-1/2 (Q = Tr_A[(D (x)
     1) X]) the lower value Tr[C X] = Tr[rho Z] of the lifted dual point Z.
     `converged` means a bracket of at most GAP_TOL bits and a full-space
-    residual of at least -tol.
+    residual of at least -RESIDUAL_TOL.
     """
     dA, dB = dims
     M_A = _as_matrix(M_A)
@@ -403,12 +389,12 @@ def dominating_trace_min(
     full_res = np.kron(M_A, Y_full) - rho_AB
     residual = float(np.linalg.eigvalsh(herm(full_res)).min())
     lower_bits = math.log2(lower) if lower > 0 else -math.inf
-    converged = math.log2(upper) - lower_bits <= GAP_TOL and residual >= -tol
+    converged = math.log2(upper) - lower_bits <= GAP_TOL and residual >= -RESIDUAL_TOL
     return ImaxResult(math.log2(upper), Y_full, converged, residual, lower_bits, it,
                       W @ X @ W.conj().T)
 
 
-def imax_sdp(rho_ab, dims: tuple[int, int], tol: float = 1e-7) -> ImaxResult:
+def imax_sdp(rho_ab, dims: tuple[int, int]) -> ImaxResult:
     """I_max(A:B) as min Tr[Y] with rho_A (x) Y >= rho_AB (Y = t sigma)."""
     rho_AB = _as_matrix(rho_ab)
-    return dominating_trace_min(reduced(rho_AB, dims, 0), rho_AB, dims, tol=tol)
+    return dominating_trace_min(reduced(rho_AB, dims, 0), rho_AB, dims)

@@ -4,8 +4,9 @@ The splitting simulator runs the full purified protocol: borrow n entangled
 pairs, apply the Uhlmann alignment isometry on the sender's side, measure
 the outcome register, swap the indicated slot, and measure the distance of
 the final branch mixture to the ideal target.  All protocol states are kept
-as pure vectors; the final distance is evaluated inside the small subspace
-spanned by the branches.
+as pure vectors.  Source, target and ideal are axis permutations of one
+tensor power psi (x) phi^(n-1) (times one more phi for the source), and the
+final distance comes from the Gram matrix of the branches and the ideal.
 
 The alignment is applied in factored form (`_aligned_source`): it needs
 only the triangular factor of the source's QR, so the source's Q factor and
@@ -28,12 +29,12 @@ from .infomeasures import (
     BoundReport,
     conditional_renyi_up,
     f_alpha_beta,
-    imax_smoothed_upper,
     mutual_info_alpha,
     renyi_entropy,
 )
 from .matcore import RANK_TOL, ContractViolation, Spectrum, _as_matrix, reduced
 from .optim import maximize_over_pure
+from .smoothing import imax_smoothed_upper
 
 AMPLITUDE_CAP = 2**24
 
@@ -207,39 +208,32 @@ def qss_simulate(instance: QSSInstance, seed: int = 0) -> QSSResult:
     w = np.clip(w, 0.0, None)
     phi_t = (V * np.sqrt(w)).T  # indices (Atilde, B)
 
+    def power(k):  # psi (x) phi^(x)k, axes R, A, A', (At, B) pairs
+        acc = psi.reshape(dR, d, d)
+        for _ in range(k):
+            acc = np.tensordot(acc, phi_t, axes=0)
+        return acc
+
+    def slots(x):  # power(n-1) as B_1..B_n, At_1..At_n; psi's A', A in slot x
+        pairs = [(3 + 2 * i, 4 + 2 * i) for i in range(n - 1)]
+        pairs.insert(x, (1, 2))
+        return [b for _, b in pairs] + [a for a, _ in pairs]
+
     # The outcome register must hold the sender's local space: ta >= sa needs
     # nL * d^n >= d^2 * d^n.
     nL = max(n, d * d)
-    # Source: R (x) [A A' Atilde^n] (x) B^n, shared factor = R (x) B^n.
-    acc = psi.reshape(dR, d, d)
-    for _ in range(n):
-        acc = np.tensordot(acc, phi_t, axes=0)
-    # acc axes: R, A, A', (At_1, B_1), ..., (At_n, B_n) interleaved; lay the
-    # source out shared-first: R, B_1..B_n, A, A', At_1..At_n.
-    source = np.ascontiguousarray(acc.transpose(
+    # Source: R (x) [A A' Atilde^n] (x) B^n, shared factor = R (x) B^n; lay
+    # it out shared-first: R, B_1..B_n, A, A', At_1..At_n.
+    base = power(n - 1)
+    source = np.ascontiguousarray(np.tensordot(base, phi_t, axes=0).transpose(
         [0] + [4 + 2 * i for i in range(n)] + [1, 2] + [3 + 2 * i for i in range(n)]))
-    del acc
-
     # Target: |tau> on R (x) [L Atilde^n] (x) B^n, laid out shared-first:
-    # R, B_1..B_n, L, At_1..At_n.
-    rho_vec = psi.reshape(dR, d, d)  # axes R, A->At_x slot, A'->B_x slot
+    # R, B_1..B_n, L, At_1..At_n; branch x holds psi's A, A' in slot x.
     target = np.zeros((dR,) + (d,) * n + (nL,) + (d,) * n, dtype=complex)
     for x in range(n):
-        branch = rho_vec
-        for _ in range(n - 1):
-            branch = np.tensordot(branch, phi_t, axes=0)
-        # axes: R, At_x, B_x, then pairs for slots != x in increasing order
-        others = [y for y in range(n) if y != x]
-        at_axes = [0] * n
-        b_axes = [0] * n
-        at_axes[x] = 1
-        b_axes[x] = 2
-        for idx, y in enumerate(others):
-            at_axes[y] = 3 + 2 * idx
-            b_axes[y] = 4 + 2 * idx
-        target[(slice(None),) * (1 + n) + (x,)] += (
-            branch.transpose([0] + b_axes + at_axes) / math.sqrt(n))
-    del branch
+        target[(slice(None),) * (1 + n) + (x,)] += base.transpose([0] + slots(x))
+    del base
+    target /= math.sqrt(n)  # in place: no branch-sized temporary
 
     shared = dR * d**n
     factors = _uhlmann_factors(target, source, shared)
@@ -249,35 +243,32 @@ def qss_simulate(instance: QSSInstance, seed: int = 0) -> QSSResult:
     out = out.reshape((dR,) + (d,) * n + (nL,) + (d,) * n)
     # axes: R, B_1..B_n, L, At_1..At_n
 
-    # Ideal final state: rho^{R At_1 B_1} (x) phi^{(x)(n-1)} on remaining slots.
-    ideal = rho_vec
-    for _ in range(n - 1):
-        ideal = np.tensordot(ideal, phi_t, axes=0)
-    at_axes = [1] + [3 + 2 * i for i in range(n - 1)]
-    b_axes = [2] + [4 + 2 * i for i in range(n - 1)]
-    ideal = ideal.transpose([0] + b_axes + at_axes)  # R, B^n, At^n
-    ideal_vec = ideal.reshape(-1)
-
-    # Measure L, swap slot x with slot 1 on both sides, collect branches.
-    branches = []
-    probs = []
+    # Measure L and swap slot x with slot 1 on both sides; the ideal final
+    # state rho^{R At_1 B_1} (x) phi^{(x)(n-1)} follows the branches.  It is
+    # built first, so that its freed intermediates do not sit above the
+    # branch copies and keep the heap from shrinking.
+    ideal = power(n - 1).transpose([0] + slots(0)).reshape(-1)
+    vecs = []
     for x in range(nL):
         bx = out[(slice(None),) + (slice(None),) * n + (x,)]
         # axes: R, B_1..B_n, At_1..At_n
         if x < n:
             bx = np.swapaxes(bx, 1, 1 + x)  # B_x <-> B_1
             bx = np.swapaxes(bx, 1 + n, 1 + n + x)  # At_x <-> At_1
-        v = bx.reshape(-1)
-        p = float(np.vdot(v, v).real)
-        probs.append(p)
-        if p > 1e-15:
-            branches.append(v)
+        vecs.append(bx.reshape(-1))
     del out, bx  # every branch is a copy
+    vecs.append(ideal)
+    G = np.empty((nL + 1, nL + 1), dtype=complex)
+    for i in range(nL + 1):
+        for j in range(i, nL + 1):
+            G[i, j] = np.vdot(vecs[i], vecs[j])
+            G[j, i] = np.conj(G[i, j])
+    probs = G.diagonal()[:nL].real.copy()
 
     # Amplitude outside the aligned subspace (rank-deficient overlap) shows
-    # up as missing mass; treat it as an orthogonal failure branch.
+    # up as missing mass: an orthogonal failure branch, which adds lost/2.
     lost = max(1.0 - float(sum(probs)), 0.0)
-    achieved = _mixture_vs_pure_distance(branches, ideal_vec, extra_weight=lost)
+    achieved = _mixture_vs_pure_distance(G) + 0.5 * lost
     dist_bound = math.sqrt(mu / (mu + n)) if mu > 0 else 0.0
     cost = 0.5 * math.log2(n)
     bound_ok = (
@@ -285,7 +276,7 @@ def qss_simulate(instance: QSSInstance, seed: int = 0) -> QSSResult:
         and cost <= 0.5 * i2 + math.log2(1.0 / instance.delta) + 1e-7
     )
     return QSSResult(n, cost, achieved, sigma, bound_ok, mu, i2, dist_bound,
-                     n_unclamped, np.array(probs))
+                     n_unclamped, probs)
 
 
 def _rho_RB(psi, dR, d):
@@ -300,33 +291,18 @@ def _marginal_R(psi, dR, d):
     return T @ T.conj().T
 
 
-def _mixture_vs_pure_distance(branch_vectors, pure_vector,
-                              extra_weight: float = 0.0) -> float:
-    """Trace distance between an unnormalized branch mixture and a pure state.
+def _mixture_vs_pure_distance(G: np.ndarray) -> float:
+    """Trace distance between sum_i |b_i><b_i| and |t><t| from their Gram matrix.
 
-    All operators live in the span of the branches plus the target, so the
-    spectrum of the difference is computed in that small subspace.
+    G is the Gram matrix of [b_1, ..., b_m, t].  With A = [b_1 ... b_m t] and
+    J = diag(1, ..., 1, -1) the difference is A J A^H, whose nonzero spectrum
+    is that of G^1/2 J G^1/2 (unitarily similar to R^H J R for G = R R^H).
     """
-    basis = list(branch_vectors) + [pure_vector]
-    # Orthonormalize via the Gram matrix (dimensions are tiny).
-    M = np.array(basis)
-    G = M.conj() @ M.T  # G[i,j] = <b_i|b_j>
-    w, U = np.linalg.eigh((G + G.conj().T) / 2)
-    keep = w > 1e-13 * max(w.max(), 1.0)
-    # coords[i] = representation of basis[i] in the orthonormal frame.
-    coords = (U[:, keep] * (1.0 / np.sqrt(w[keep]))).conj().T @ G  # (r, len(basis))
-    k = coords.shape[0]
-    mix = np.zeros((k, k), dtype=complex)
-    for i in range(len(branch_vectors)):
-        c = coords[:, i]
-        mix += np.outer(c, c.conj())
-    ct = coords[:, -1]
-    ct = ct / np.linalg.norm(ct)
-    diff = mix - np.outer(ct, ct.conj())
-    dist = 0.5 * float(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum())
-    # Mass on a direction orthogonal to every tracked vector contributes a
-    # clean extra eigenvalue.
-    return dist + 0.5 * extra_weight
+    w, U = np.linalg.eigh(G)
+    R = U * np.sqrt(np.clip(w, 0.0, None))
+    J = np.ones(len(G))
+    J[-1] = -1.0
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(R.conj().T @ (J[:, None] * R))).sum())
 
 
 def qss_cost_report(instance: QSSInstance, seed: int = 0) -> BoundReport:
@@ -353,7 +329,7 @@ def qss_cost_report(instance: QSSInstance, seed: int = 0) -> BoundReport:
 
 
 def channel_alpha_beta_info(channel: ChannelSpec, alpha: float, beta: float,
-                            restarts: int = 4, seed: int = 0, maxiter: int = 200):
+                            restarts: int = 4, seed: int = 0):
     """max over pure inputs of H_alpha(A) - optimized conditional beta-entropy.
 
     The reference A mirrors the channel input; alpha = beta = 1 routes to the

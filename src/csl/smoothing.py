@@ -3,7 +3,8 @@
 Unitarily invariant smoothing reduces to sorted spectra: the minimal trace
 distance over unitary orbits, classical Renyi-entropy smoothing over the
 total-variation ball, the truncation effect built from two aligned spectra,
-and the step-by-step verifier for the universal max-information bound.
+the step-by-step verifier for the universal max-information bound, and the
+feasible-point upper estimate of the smoothed max-information.
 """
 
 from __future__ import annotations
@@ -13,6 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .infomeasures import (
+    C_SMOOTH,
+    SmoothedEstimate,
+    _bipartite,
+    h_min_conditional,
+    imax_certified,
+    universal_rhs,
+)
 from .matcore import (
     ContractViolation,
     _as_matrix,
@@ -141,6 +150,54 @@ def apply_truncation(rho_ab, effect_a: np.ndarray, dims: tuple[int, int]):
     return out / survival, survival
 
 
+def _truncated_witness(R, dims, delta: float, alpha: float):
+    """rho_AB truncated on A to the steepest delta-smoothing of rho_A's spectrum.
+
+    Returns (H_alpha of the smoothed spectrum, the TruncationResult, the
+    normalized truncated state).
+    """
+    rho_A = reduced(R, dims, 0)
+    p = np.sort(np.clip(np.linalg.eigvalsh(rho_A), 0.0, None))[::-1]
+    h_delta, tau_spec = smooth_renyi_entropy_min(p, delta, alpha)
+    tr = truncation_effect(rho_A, tau_spec, delta)
+    omega, _ = apply_truncation(R, tr.effect, dims)
+    return h_delta, tr, omega
+
+
+def imax_smoothed_upper(rho_ab, eps: float, dims, alpha: float = 0.5,
+                        cache: dict | None = None) -> SmoothedEstimate:
+    """Feasible-point upper estimate of the smoothed max-information.
+
+    Witness pool: rho itself plus tail-truncated states over a delta grid;
+    every witness is checked inside the trace-distance eps-ball before its
+    I_max is solved.  One-sided: the true smoothed value can only be smaller.
+    """
+    if not (0.0 < eps < 1.0):
+        raise ContractViolation(f"eps must be in (0,1), got {eps}")
+    R, dA, dB = _bipartite(rho_ab, dims)
+    cache = cache if cache is not None else {}
+
+    def imax_of(key, state):
+        if key not in cache:
+            cache[key] = imax_certified(state, (dA, dB))
+        return cache[key]
+
+    best_v = imax_of("imax_rho", R)
+    best_w = R
+    grid = {C_SMOOTH * eps * eps, eps * eps / 2.0, eps / 4.0, eps / 2.0}
+    for delta in sorted(d for d in grid if 0.0 < d < min(eps, 0.5)):
+        try:
+            _, _, omega = _truncated_witness(R, (dA, dB), delta, alpha)
+        except ContractViolation:
+            continue
+        if trace_distance(omega, R) > eps + 1e-9:
+            continue
+        v = imax_of(("imax_w", round(delta, 14), round(alpha, 14)), omega)
+        if v < best_v:
+            best_v, best_w = v, omega
+    return SmoothedEstimate(best_v, "upper-feasible", best_w)
+
+
 @dataclass
 class ChainStep:
     name: str
@@ -167,29 +224,21 @@ def uab_chain_verify(rho_ab, dims: tuple[int, int], alpha: float, beta: float,
     Parameter split: eps1 = (sqrt(3)-1) eps, delta = c eps^2 with
     c = 2 - sqrt(3), so that sqrt(2 delta) = eps1 and delta + eps1 = eps.
     """
-    from . import infomeasures
-
     if not (0.0 < alpha < 1.0 and beta > 1.0 and 0.0 < eps < 1.0):
         raise ContractViolation("need alpha in (0,1), beta > 1, eps in (0,1)")
     R = _as_matrix(rho_ab)
-    delta = infomeasures.C_SMOOTH * eps * eps
+    delta = C_SMOOTH * eps * eps
     eps1 = (math.sqrt(3.0) - 1.0) * eps
     cache = cache if cache is not None else {}
 
-    rho_A = reduced(R, dims, 0)
-    p = np.sort(np.clip(np.linalg.eigvalsh(rho_A), 0.0, None))[::-1]
-
     key_t = ("trunc", round(delta, 14), round(alpha, 14))
     if key_t not in cache:
-        h_delta, tau_spec = smooth_renyi_entropy_min(p, delta, alpha)
-        tr = truncation_effect(rho_A, tau_spec, delta)
-        omega_l, _ = apply_truncation(R, tr.effect, dims)
-        imax_val = infomeasures.imax_certified(omega_l, dims)
-        cache[key_t] = (h_delta, tr, omega_l, imax_val)
+        h_delta, tr, omega_l = _truncated_witness(R, dims, delta, alpha)
+        cache[key_t] = (h_delta, tr, omega_l, imax_certified(omega_l, dims))
     h_delta, tr, omega_l, imax_val = cache[key_t]
 
     if "h_min" not in cache:
-        cache["h_min"] = infomeasures.h_min_conditional(R, dims)
+        cache["h_min"] = h_min_conditional(R, dims)
     h_min = cache["h_min"]
 
     steps = []
@@ -203,7 +252,7 @@ def uab_chain_verify(rho_ab, dims: tuple[int, int], alpha: float, beta: float,
     rhs3 = lhs2 - h_min
     steps.append(ChainStep("imax-vs-minentropy", imax_val, rhs3,
                            imax_val <= rhs3 + 1e-7))
-    rhs4 = infomeasures.universal_rhs(R, dims, alpha, beta, eps, cache=cache)
+    rhs4 = universal_rhs(R, dims, alpha, beta, eps, cache=cache)
     steps.append(ChainStep("final-certification", imax_val, rhs4,
                            imax_val <= rhs4 + 1e-7))
     # Gentle-measurement audit rides along with the ball check.

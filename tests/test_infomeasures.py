@@ -13,13 +13,13 @@ from csl.infomeasures import (
     f_alpha_beta,
     h_min_conditional,
     imax_bound_lemma,
-    imax_smoothed_upper,
     mutual_info_alpha,
     renyi_entropy,
     universal_rhs,
 )
 from csl.matcore import CertificateError, ContractViolation, sample
 from csl.optim import ImaxResult, imax_sdp, minimize_convex_over_states
+from csl.smoothing import imax_smoothed_upper
 
 
 def bell_density():
@@ -203,7 +203,7 @@ def test_check_rld_bound_commuting_and_random():
 
 
 def test_h_min_conditional_raises_when_not_converged(monkeypatch):
-    def unconverged(M_A, rho_ab, dims, tol):
+    def unconverged(M_A, rho_ab, dims):
         return ImaxResult(0.0, np.eye(dims[1]), False, 0.0)
 
     monkeypatch.setattr(infomeasures, "dominating_trace_min", unconverged)

@@ -41,6 +41,17 @@ def test_minimize_recovers_divergence_minimizer():
     assert rep.value < 1e-9
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_minimize_over_states_never_finite(bad):
+    # An objective that is never finite gets the sentinel report: value inf,
+    # not converged, the maximally mixed state.
+    rep = minimize_over_states(lambda s: bad, 3, restarts=4)
+    assert rep.value == math.inf
+    assert not rep.converged
+    assert rep.gap_estimate == math.inf
+    assert np.array_equal(rep.argopt, np.eye(3) / 3)
+
+
 def test_maximize_over_pure_largest_eigenvalue():
     H = np.diag([0.1, 0.7, 0.3])
     rep = maximize_over_pure(lambda v: float((v.conj() @ H @ v).real), 3)

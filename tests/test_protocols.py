@@ -9,6 +9,7 @@ from csl.matcore import ContractViolation, fidelity
 from csl.protocols import (
     ChannelSpec,
     _aligned_source,
+    _mixture_vs_pure_distance,
     _uhlmann_factors,
     QSSInstance,
     channel_alpha_beta_info,
@@ -102,6 +103,29 @@ def test_factored_alignment_equals_isometry():
         V = uhlmann_isometry(t, s, shared)
         assert out.shape == (shared, ta)
         assert np.abs(out - s.reshape(shared, sa) @ V.T).max() <= 1e-12
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_mixture_vs_pure_distance_matches_dense_oracle(m):
+    # From the Gram matrix of [b_1..b_m, t], the distance equals half the
+    # trace norm of sum_i |b_i><b_i| - |t><t| formed densely.  The last branch
+    # is parallel to t, the first is zero (for m = 1, at odd dimensions).
+    rng = np.random.default_rng([7310, m])
+    for dim in range(3, 9):
+        t = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        t /= np.linalg.norm(t)
+        B = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
+        B[-1] = (0.6 - 0.3j) * t
+        if m > 1 or dim % 2:
+            B[0] = 0.0
+        mass = float(np.vdot(B, B).real)
+        if mass > 0:
+            B *= math.sqrt(rng.uniform(0.1, 1.0) / mass)  # total mass <= 1
+        A = np.vstack([B, t])
+        G = A.conj() @ A.T  # G[i, j] = <a_i|a_j>
+        diff = B.T @ B.conj() - np.outer(t, t.conj())
+        dense = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum()
+        assert abs(_mixture_vs_pure_distance(G) - dense) <= 1e-12
 
 
 def test_qss_peak_memory():

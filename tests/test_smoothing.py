@@ -15,6 +15,7 @@ from csl.optim import ImaxResult
 from csl.smoothing import (
     SpectrumPair,
     apply_truncation,
+    imax_smoothed_upper,
     min_unitary_trace_distance,
     smooth_renyi_entropy_min,
     truncation_effect,
@@ -164,6 +165,6 @@ def test_uab_chain_rejects_uncertified_imax(monkeypatch, converged, residual):
     with pytest.raises(CertificateError, match="not certified"):
         uab_chain_verify(rho, (2, 2), 0.5, 2.0, 0.1)
     with pytest.raises(CertificateError, match="not certified"):
-        infomeasures.imax_smoothed_upper(rho, 0.1, (2, 2))
+        imax_smoothed_upper(rho, 0.1, (2, 2))
     with pytest.raises(CertificateError, match="not certified"):
         infomeasures.imax_bound_lemma(rho, (2, 2))
