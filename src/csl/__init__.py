@@ -20,7 +20,6 @@ from .matcore import (
     trace_distance,
 )
 from .divergences import (
-    chi_squared,
     d2,
     d_alpha,
     d_alpha_with_branch,
@@ -59,7 +58,6 @@ __all__ = [
     "sample",
     "state_from_dict",
     "trace_distance",
-    "chi_squared",
     "d2",
     "d_alpha",
     "d_alpha_with_branch",

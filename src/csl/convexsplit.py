@@ -378,10 +378,10 @@ def bounds_report(instance: ConvexSplitInstance) -> SplitReport:
     return rep
 
 
-def spectrum_cardinality(P, tol_scale: float = 1e-8) -> int:
+def spectrum_cardinality(P) -> int:
     """|spec| with gap-based clustering at 1e-8 of the largest eigenvalue."""
     w = np.sort(np.linalg.eigvalsh(_as_matrix(P)))
-    tol = tol_scale * max(abs(float(w[-1])), 1.0e-300)
+    tol = 1e-8 * max(abs(float(w[-1])), 1.0e-300)
     count = 1
     for i in range(1, len(w)):
         if w[i] - w[i - 1] > tol:

@@ -137,20 +137,6 @@ def d2(rho, sigma) -> float:
     return INF if math.isinf(q) else _log2(q)
 
 
-def chi_squared(p, q) -> float:
-    """Classical chi^2 distance sum (p-q)^2 / q."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    out = 0.0
-    for px, qx in zip(p, q):
-        if qx <= 0:
-            if px > _PERP_TOL:
-                return INF
-            continue
-        out += (px - qx) ** 2 / qx
-    return out
-
-
 # --- hypothesis-testing divergence -----------------------------------------
 
 def _np_test_value(rho: np.ndarray, sigma: np.ndarray, t: float, eps: float):
@@ -240,10 +226,3 @@ def d_min_eps(rho, sigma, eps: float) -> float:
             f"hypothesis-testing primal/dual gap {gap:.3e} exceeds 1e-8"
         )
     return -_log2(best)
-
-
-def binary_entropy(a: float) -> float:
-    """h(a) = -a log a - (1-a) log(1-a), base 2."""
-    if a <= 0 or a >= 1:
-        return 0.0
-    return -a * math.log2(a) - (1 - a) * math.log2(1 - a)

@@ -2,7 +2,7 @@
 
 Built on the divergence family and the shared optimizers: Renyi entropy,
 the optimized conditional Renyi entropy, conditional min-entropy, the
-alpha-mutual information, the max-information bound, and feasible-point
+alpha-mutual information, the certified max-information, and feasible-point
 (one-sided) estimators for smoothed quantities.
 """
 
@@ -53,7 +53,6 @@ class BoundReport:
 @dataclass
 class SmoothedEstimate:
     value_bits: float
-    kind: str  # "exact" or "upper-feasible"
     witness: np.ndarray
 
 
@@ -161,21 +160,6 @@ def imax_certified(rho_ab, dims) -> float:
     return res.value_bits
 
 
-def imax_bound_lemma(rho_ab, dims) -> BoundReport:
-    """I_max(A:B) <= -log lambda_min_nz(rho_A) - H_min(A|B)."""
-    R, dA, dB = _bipartite(rho_ab, dims)
-    rho_A, _ = _marginals(R, dA, dB)
-    imax = imax_certified(R, (dA, dB))
-    w = np.clip(np.linalg.eigvalsh(rho_A), 0.0, None)
-    lam_min = float(w[w > support_cut(w)].min())
-    h_min = h_min_conditional(R, (dA, dB))
-    rhs = -math.log2(lam_min) - h_min
-    return BoundReport(
-        "imax-minentropy-bound", imax, rhs, imax <= rhs + 1e-7,
-        {"lambda_min": lam_min, "h_min": h_min},
-    )
-
-
 def f_alpha_beta(alpha: float, beta: float, eps: float) -> float:
     """Smoothing overhead (2/(beta-1) + 1/(1-alpha)) log(1/(c eps^2))."""
     if not (0.0 < alpha < 1.0 and beta > 1.0 and 0.0 < eps < 1.0):
@@ -225,7 +209,7 @@ def dmax_smoothed_upper(rho, sigma, eps: float) -> SmoothedEstimate:
         v = d_max(cand, S)
         if v < best_v:
             best_v, best_w = v, cand
-    return SmoothedEstimate(best_v, "upper-feasible", best_w)
+    return SmoothedEstimate(best_v, best_w)
 
 
 def check_rld_bound(rho, sigma, eps: float, beta: float) -> BoundReport:
@@ -242,5 +226,5 @@ def check_rld_bound(rho, sigma, eps: float, beta: float) -> BoundReport:
     ok = est.value_bits <= rhs + 1e-8
     return BoundReport(
         "dmax-smoothed-renyi-bound", est.value_bits, rhs, ok,
-        {"conclusive": bool(ok), "witness_kind": est.kind},
+        {"conclusive": bool(ok)},
     )

@@ -160,13 +160,6 @@ def sample(kind: str, dims, seed, rank: int | None = None) -> np.ndarray:
     raise ContractViolation(f"unknown sample kind {kind!r}")
 
 
-def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR with phase fix."""
-    G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    Q, R = np.linalg.qr(G)
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
-
-
 # --- state file format ------------------------------------------------------
 
 def _pairs_to_complex(data) -> np.ndarray:

@@ -26,7 +26,6 @@ import numpy as np
 
 from .divergences import q2
 from .infomeasures import (
-    BoundReport,
     conditional_renyi_up,
     f_alpha_beta,
     mutual_info_alpha,
@@ -34,7 +33,6 @@ from .infomeasures import (
 )
 from .matcore import RANK_TOL, ContractViolation, Spectrum, _as_matrix, reduced
 from .optim import maximize_over_pure
-from .smoothing import imax_smoothed_upper
 
 AMPLITUDE_CAP = 2**24
 
@@ -305,31 +303,8 @@ def _mixture_vs_pure_distance(G: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh(R.conj().T @ (J[:, None] * R))).sum())
 
 
-def qss_cost_report(instance: QSSInstance, seed: int = 0) -> BoundReport:
-    """Simulated cost against the protocol bound and the smoothed cost bounds."""
-    res = qss_simulate(instance, seed=seed)
-    term_bound = 0.5 * res.i2_bits + math.log2(1.0 / instance.delta)
-    dR, dA0, dAp0 = instance.dims
-    d = max(dA0, dAp0)
-    psi = _pad_vector(instance.psi, (dR, dA0, dAp0), (dR, d, d))
-    rho_RB = _rho_RB(psi, dR, d)
-    lb_est = 0.5 * imax_smoothed_upper(rho_RB, instance.eps, (dR, d)).value_bits
-    ok = res.cost_bits <= term_bound + 1e-7
-    return BoundReport(
-        "splitting-cost", res.cost_bits, term_bound, ok,
-        {
-            # smoothed upper bound: the feasible witness rho' = rho
-            "upper_bound_smoothed": term_bound,
-            "lower_bound_estimate_one_sided": lb_est,
-            "achieved_distance": res.achieved_distance,
-            "n": res.n,
-            "bound_ok": res.bound_ok,
-        },
-    )
-
-
 def channel_alpha_beta_info(channel: ChannelSpec, alpha: float, beta: float,
-                            restarts: int = 4, seed: int = 0):
+                            seed: int = 0):
     """max over pure inputs of H_alpha(A) - optimized conditional beta-entropy.
 
     The reference A mirrors the channel input; alpha = beta = 1 routes to the
@@ -351,7 +326,7 @@ def channel_alpha_beta_info(channel: ChannelSpec, alpha: float, beta: float,
 
     # Maximally entangled input is the natural first guess.
     ent = np.eye(dI).reshape(-1) / math.sqrt(dI)
-    report = maximize_over_pure(objective, dim, restarts=restarts, seed=seed,
+    report = maximize_over_pure(objective, dim, restarts=4, seed=seed,
                                 extra_starts=[ent])
     return report.value, report
 
@@ -368,10 +343,8 @@ def reverse_shannon_delta_n(dim_in: int, alpha: float, beta: float, eps: float,
 
 
 def reverse_shannon_bound(channel: ChannelSpec, alpha: float, beta: float,
-                          eps: float, n: int, restarts: int = 4,
-                          seed: int = 0) -> tuple[float, float]:
+                          eps: float, n: int, seed: int = 0) -> tuple[float, float]:
     """(bits-per-use upper bound, overhead delta_n) for n-fold simulation."""
     delta_n = reverse_shannon_delta_n(channel.dim_in, alpha, beta, eps, n)
-    info, _ = channel_alpha_beta_info(channel, alpha, beta, restarts=restarts,
-                                     seed=seed)
+    info, _ = channel_alpha_beta_info(channel, alpha, beta, seed=seed)
     return info + delta_n, delta_n

@@ -1,16 +1,16 @@
 """Spectrum-level smoothing machinery.
 
-Unitarily invariant smoothing reduces to sorted spectra: the minimal trace
-distance over unitary orbits, classical Renyi-entropy smoothing over the
-total-variation ball, the truncation effect built from two aligned spectra,
-the step-by-step verifier for the universal max-information bound, and the
-feasible-point upper estimate of the smoothed max-information.
+Unitarily invariant smoothing reduces to sorted spectra: classical
+Renyi-entropy smoothing over the total-variation ball, the truncation
+effect built from two aligned spectra, the step-by-step verifier for the
+universal max-information bound, and the feasible-point upper estimate of
+the smoothed max-information.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,42 +32,12 @@ from .matcore import (
 )
 
 @dataclass
-class SpectrumPair:
-    """Two non-increasing spectra and their entrywise minimum."""
-
-    p: np.ndarray
-    q: np.ndarray
-    s: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.p = np.sort(np.asarray(self.p, dtype=float))[::-1]
-        self.q = np.sort(np.asarray(self.q, dtype=float))[::-1]
-        if self.p.shape != self.q.shape:
-            raise ContractViolation("spectra must have equal length")
-        self.s = np.minimum(self.p, self.q)
-
-
-@dataclass
 class TruncationResult:
     effect: np.ndarray  # Lambda, diagonal in omega's eigenbasis
     m: int  # cutoff index (1-based)
     survival: float  # Tr[Lambda omega Lambda]
     omega_trunc: np.ndarray  # normalized truncated state
     s_min_kept: float  # smallest retained s_x = lambda_min_nz of Lambda omega Lambda
-
-
-def min_unitary_trace_distance(rho, sigma) -> tuple[float, np.ndarray]:
-    """min over unitaries U of T(rho, U sigma U^dag) = half l1 of sorted spectra.
-
-    The aligning unitary maps sigma's sorted eigenbasis onto rho's, which
-    makes the difference diagonal and attains the value exactly.
-    """
-    R, S = _as_matrix(rho), _as_matrix(sigma)
-    wr, Vr = eig_hermitian(R)
-    ws, Vs = eig_hermitian(S)
-    value = 0.5 * float(np.abs(wr - ws).sum())
-    U = Vr @ Vs.conj().T
-    return value, U
 
 
 def _renyi_of_spectrum(q: np.ndarray, alpha: float) -> float:
@@ -195,7 +165,7 @@ def imax_smoothed_upper(rho_ab, eps: float, dims, alpha: float = 0.5,
         v = imax_of(("imax_w", round(delta, 14), round(alpha, 14)), omega)
         if v < best_v:
             best_v, best_w = v, omega
-    return SmoothedEstimate(best_v, "upper-feasible", best_w)
+    return SmoothedEstimate(best_v, best_w)
 
 
 @dataclass

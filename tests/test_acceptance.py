@@ -11,10 +11,11 @@ import math
 import numpy as np
 import scipy.optimize
 
-from csl import cli, convexsplit, divergences, matcore, protocols, smoothing
+from csl import cli, convexsplit, divergences, protocols, smoothing
 from csl.infomeasures import f_alpha_beta
 from csl.matcore import fidelity, sample
 from csl.optim import imax_sdp
+from helpers import binary_entropy, random_unitary
 
 
 def report(num, name, ok, detail=""):
@@ -200,7 +201,7 @@ def test_criterion_05_hypothesis_testing():
             for alpha in [0.3, 0.6, 0.9]:
                 lower = divergences.d_alpha(rho, sig, alpha) + (
                     alpha / (1.0 - alpha)) * (
-                    divergences.binary_entropy(alpha) / alpha
+                    binary_entropy(alpha) / alpha
                     - math.log2(1.0 / eps))
                 worst_b = min(worst_b, dh - lower)
             for beta in [1.5, 2.0, 4.0]:
@@ -267,7 +268,7 @@ def test_criterion_07_purification_alignment():
     Sm = s.reshape(ds, dl)
     best = abs(np.vdot(t, (Sm @ V.T).reshape(-1)))
     for _ in range(200):
-        U = matcore.random_unitary(dl, rng)
+        U = random_unitary(dl, rng)
         beat_ok = beat_ok and abs(np.vdot(t, (Sm @ U.T).reshape(-1))) <= best + 1e-8
     report(7, "purification-alignment", eq_ok and beat_ok,
            f"worst overlap gap {worst:.2e}")

@@ -21,11 +21,11 @@ from csl.matcore import (
     ContractViolation,
     Spectrum,
     eig_hermitian,
-    random_unitary,
     sample,
     support_cut,
     trace_distance,
 )
+from helpers import random_unitary
 
 
 def bell_density():

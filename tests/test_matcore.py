@@ -1,4 +1,7 @@
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 
@@ -90,6 +93,16 @@ def test_state_dict_roundtrip():
     back, dims = state_from_dict({"layout": [["A", 2], ["B", 2]], "matrix": pairs(rho)})
     assert np.allclose(back, rho)
     assert dims == (2, 2)
+
+
+def test_readme_state_file_is_valid():
+    # The example state file in README.md must load as written; only the
+    # file is checked, the protocol is not run on it.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
+    state = next(b for b in blocks if "layout" in b)
+    psi, dims = state_from_dict(state)  # raises ContractViolation if invalid
+    assert dims == (2, 1, 2) and psi.shape == (4,)
 
 
 def test_sample_seeded_reproducible():

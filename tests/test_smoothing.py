@@ -9,39 +9,15 @@ from csl.matcore import (
     ContractViolation,
     purified_distance,
     sample,
-    trace_distance,
 )
 from csl.optim import ImaxResult
 from csl.smoothing import (
-    SpectrumPair,
     apply_truncation,
     imax_smoothed_upper,
-    min_unitary_trace_distance,
     smooth_renyi_entropy_min,
     truncation_effect,
     uab_chain_verify,
 )
-
-
-def test_spectrum_pair_sorts_and_minimum():
-    pair = SpectrumPair([0.1, 0.6, 0.3], [0.5, 0.2, 0.3])
-    assert np.array_equal(pair.p, [0.6, 0.3, 0.1])
-    assert np.array_equal(pair.q, [0.5, 0.3, 0.2])
-    assert np.array_equal(pair.s, [0.5, 0.3, 0.1])
-    assert pair.s.sum() >= 1.0 - 0.2  # overlap large for close spectra
-
-
-def test_min_unitary_trace_distance_achieved():
-    # The returned unitary attains the sorted-spectrum value exactly.
-    for seed in range(25):
-        d = 2 + seed % 4
-        rho = sample("mixed-hilbert-schmidt", d, seed)
-        sig = sample("mixed-hilbert-schmidt", d, seed + 99)
-        value, U = min_unitary_trace_distance(rho, sig)
-        achieved = trace_distance(rho, U @ sig @ U.conj().T)
-        assert abs(achieved - value) < 1e-10
-        # and no rotation does better than the sorted-spectrum value
-        assert value <= trace_distance(rho, sig) + 1e-12
 
 
 def _renyi(q, alpha):
@@ -166,5 +142,3 @@ def test_uab_chain_rejects_uncertified_imax(monkeypatch, converged, residual):
         uab_chain_verify(rho, (2, 2), 0.5, 2.0, 0.1)
     with pytest.raises(CertificateError, match="not certified"):
         imax_smoothed_upper(rho, 0.1, (2, 2))
-    with pytest.raises(CertificateError, match="not certified"):
-        infomeasures.imax_bound_lemma(rho, (2, 2))
