@@ -47,7 +47,7 @@ from .protocols import (
     reverse_shannon_bound,
     uhlmann_isometry,
 )
-from .smoothing import imax_smoothed_upper, uab_chain_verify
+from .smoothing import imax_smoothed_upper, smooth_renyi_entropy_min, uab_chain_verify
 
 __all__ = [
     "CertificateError",
@@ -82,6 +82,7 @@ __all__ = [
     "qss_simulate",
     "reverse_shannon_bound",
     "uhlmann_isometry",
+    "smooth_renyi_entropy_min",
     "uab_chain_verify",
 ]
 

@@ -238,8 +238,7 @@ def run_bounds_sweep(cfg) -> tuple[str, list, dict]:
         s = seed + 1000 * i
         rho = matcore.sample("mixed-hilbert-schmidt", (dA, dB), s)
         cache = {}
-        est = smoothing.imax_smoothed_upper(rho, eps, (dA, dB), alpha=alpha,
-                                            cache=cache)
+        est = smoothing.imax_smoothed_upper(rho, eps, (dA, dB), cache=cache)
         rhs = infomeasures.universal_rhs(rho, (dA, dB), alpha, beta, eps,
                                          cache=cache)
         ok = est.value_bits <= rhs + 1e-7

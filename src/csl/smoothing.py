@@ -46,21 +46,17 @@ def _renyi_of_spectrum(q: np.ndarray, alpha: float) -> float:
     return (1.0 / (1.0 - alpha)) * math.log2(float(np.sum(q**alpha)))
 
 
-def smooth_renyi_entropy_min(p, delta: float, alpha: float):
-    """H_alpha minimized over the total-variation delta-ball around p.
+def _steepest_smoothing(p, delta: float) -> np.ndarray:
+    """The steepest element of the total-variation delta-ball around p.
 
-    For alpha < 1, H_alpha is Schur-concave, and the ball holds a steepest
-    element that majorizes every other point of it: delta of mass moved from
-    the smallest entries onto the largest (Horodecki, Oppenheim & Sparaciari,
-    J. Phys. A 51, 305301, 2018).  Its H_alpha is the minimum, in closed
-    form.  Returns (value, witness spectrum).
+    delta of mass moved from the smallest entries onto the largest; sorted
+    non-increasing.  It majorizes every point of the ball (Horodecki,
+    Oppenheim & Sparaciari, J. Phys. A 51, 305301, 2018), whatever entropy
+    is then taken of it.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ContractViolation(f"alpha must be in (0,1), got {alpha}")
     if not (0.0 <= delta < 0.5):
         raise ContractViolation(f"delta must be in [0,1/2), got {delta}")
-    p = np.sort(np.asarray(p, dtype=float))[::-1]
-    q = p.copy()
+    q = np.sort(np.asarray(p, dtype=float))[::-1].copy()
     remaining = delta
     for i in range(len(q) - 1, 0, -1):
         take = min(q[i], remaining)
@@ -69,6 +65,19 @@ def smooth_renyi_entropy_min(p, delta: float, alpha: float):
         remaining -= take
         if remaining <= 0:
             break
+    return q
+
+
+def smooth_renyi_entropy_min(p, delta: float, alpha: float):
+    """H_alpha minimized over the total-variation delta-ball around p.
+
+    For alpha < 1, H_alpha is Schur-concave, so its minimum over the ball is
+    its value at the steepest element, in closed form.  Returns (value,
+    witness spectrum).
+    """
+    if not (0.0 < alpha < 1.0):
+        raise ContractViolation(f"alpha must be in (0,1), got {alpha}")
+    q = _steepest_smoothing(p, delta)
     return _renyi_of_spectrum(q, alpha), q
 
 
@@ -120,21 +129,21 @@ def apply_truncation(rho_ab, effect_a: np.ndarray, dims: tuple[int, int]):
     return out / survival, survival
 
 
-def _truncated_witness(R, dims, delta: float, alpha: float):
+def _truncated_witness(R, dims, delta: float):
     """rho_AB truncated on A to the steepest delta-smoothing of rho_A's spectrum.
 
-    Returns (H_alpha of the smoothed spectrum, the TruncationResult, the
-    normalized truncated state).
+    Returns (the smoothed spectrum, the TruncationResult, the normalized
+    truncated state); none of them depends on a Renyi order.
     """
     rho_A = reduced(R, dims, 0)
     p = np.sort(np.clip(np.linalg.eigvalsh(rho_A), 0.0, None))[::-1]
-    h_delta, tau_spec = smooth_renyi_entropy_min(p, delta, alpha)
-    tr = truncation_effect(rho_A, tau_spec, delta)
+    spectrum = _steepest_smoothing(p, delta)
+    tr = truncation_effect(rho_A, spectrum, delta)
     omega, _ = apply_truncation(R, tr.effect, dims)
-    return h_delta, tr, omega
+    return spectrum, tr, omega
 
 
-def imax_smoothed_upper(rho_ab, eps: float, dims, alpha: float = 0.5,
+def imax_smoothed_upper(rho_ab, eps: float, dims,
                         cache: dict | None = None) -> SmoothedEstimate:
     """Feasible-point upper estimate of the smoothed max-information.
 
@@ -157,12 +166,12 @@ def imax_smoothed_upper(rho_ab, eps: float, dims, alpha: float = 0.5,
     grid = {C_SMOOTH * eps * eps, eps * eps / 2.0, eps / 4.0, eps / 2.0}
     for delta in sorted(d for d in grid if 0.0 < d < min(eps, 0.5)):
         try:
-            _, _, omega = _truncated_witness(R, (dA, dB), delta, alpha)
+            _, _, omega = _truncated_witness(R, (dA, dB), delta)
         except ContractViolation:
             continue
         if trace_distance(omega, R) > eps + 1e-9:
             continue
-        v = imax_of(("imax_w", round(delta, 14), round(alpha, 14)), omega)
+        v = imax_of(("imax_w", round(delta, 14)), omega)
         if v < best_v:
             best_v, best_w = v, omega
     return SmoothedEstimate(best_v, best_w)
@@ -193,6 +202,17 @@ def uab_chain_verify(rho_ab, dims: tuple[int, int], alpha: float, beta: float,
     failure would flag this implementation, never the bound itself.
     Parameter split: eps1 = (sqrt(3)-1) eps, delta = c eps^2 with
     c = 2 - sqrt(3), so that sqrt(2 delta) = eps1 and delta + eps1 = eps.
+
+    ``cache`` belongs to one rho and may be shared across (alpha, beta, eps).
+    It holds, per delta, the steepest delta-smoothing of spec(rho_A), the
+    smallest weight its truncation keeps, and the truncated witness's
+    certified I_max and trace and purified distances to rho; H_min(A|B)
+    once; and H_up_beta(A|B) per beta.
+    The steepest smoothing majorizes the whole delta-ball for every alpha,
+    so the witness depends on (rho, eps) only: alpha enters only through
+    h_delta (a closed-form sum over the cached spectrum), H_alpha(A) and
+    f(alpha, beta, eps), and a shared cache returns the same bits as a
+    fresh one.
     """
     if not (0.0 < alpha < 1.0 and beta > 1.0 and 0.0 < eps < 1.0):
         raise ContractViolation("need alpha in (0,1), beta > 1, eps in (0,1)")
@@ -201,21 +221,21 @@ def uab_chain_verify(rho_ab, dims: tuple[int, int], alpha: float, beta: float,
     eps1 = (math.sqrt(3.0) - 1.0) * eps
     cache = cache if cache is not None else {}
 
-    key_t = ("trunc", round(delta, 14), round(alpha, 14))
+    key_t = ("trunc", round(delta, 14))
     if key_t not in cache:
-        h_delta, tr, omega_l = _truncated_witness(R, dims, delta, alpha)
-        cache[key_t] = (h_delta, tr, omega_l, imax_certified(omega_l, dims))
-    h_delta, tr, omega_l, imax_val = cache[key_t]
+        spectrum, tr, omega = _truncated_witness(R, dims, delta)
+        cache[key_t] = (spectrum, tr.s_min_kept, imax_certified(omega, dims),
+                        trace_distance(omega, R), purified_distance(omega, R))
+    spectrum, s_min_kept, imax_val, dist, pdist = cache[key_t]
+    h_delta = _renyi_of_spectrum(spectrum, alpha)
 
     if "h_min" not in cache:
         cache["h_min"] = h_min_conditional(R, dims)
     h_min = cache["h_min"]
 
     steps = []
-    dist = trace_distance(omega_l, R)
-    pdist = purified_distance(omega_l, R)
     steps.append(ChainStep("ball-membership", dist, eps1, dist <= eps1 + 1e-9))
-    lhs2 = -math.log2(tr.s_min_kept)
+    lhs2 = -math.log2(s_min_kept)
     rhs2 = h_delta + math.log2(1.0 / delta) / (1.0 - alpha)
     steps.append(ChainStep("lambda-min-vs-smoothed-entropy", lhs2, rhs2,
                            lhs2 <= rhs2 + 1e-8))

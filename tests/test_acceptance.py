@@ -5,7 +5,6 @@ complete.  Every criterion states its tolerance inline; sampled checks print
 the worst observed violation alongside the verdict.
 """
 
-import json
 import math
 
 import numpy as np

@@ -16,7 +16,7 @@ from csl.convexsplit import (
     split_equality_check,
     spectrum_cardinality,
 )
-from csl.divergences import INF, q2
+from csl.divergences import INF
 from csl.matcore import (
     ContractViolation,
     Spectrum,

@@ -5,7 +5,7 @@ import pytest
 
 from csl import infomeasures
 from csl.divergences import d_alpha, q_alpha
-from csl.matcore import RANK_TOL, CertificateError, ContractViolation, reduced, sample
+from csl.matcore import RANK_TOL, CertificateError, reduced, sample
 from csl.optim import (
     GAP_TOL,
     dominating_trace_min,

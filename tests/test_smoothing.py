@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from csl import infomeasures
+from csl import infomeasures, optim
 from csl.matcore import (
     CertificateError,
     ContractViolation,
@@ -126,7 +127,54 @@ def test_uab_chain_cache_reuse():
     rep2 = uab_chain_verify(rho, (2, 2), 0.5, 2.0, 0.1, cache=cache)
     assert rep1.imax_truncated == rep2.imax_truncated
     assert rep1.rhs_final == rep2.rhs_final
-    assert "h_min" in cache
+    # The witness is keyed on delta alone: no Renyi order in the key.
+    delta = infomeasures.C_SMOOTH * 0.1 * 0.1
+    assert set(cache) == {("trunc", round(delta, 14)), "h_min", ("h_up", 2.0)}
+
+
+UAB_GRID = list(itertools.product((0.3, 0.5, 0.9), (1.5, 2.0, 4.0), (0.05, 0.1, 0.3)))
+
+
+def _steps(rep):
+    return [(s.name, s.lhs, s.rhs, s.ok) for s in rep.steps], rep.passed
+
+
+@pytest.mark.parametrize("dims, seed", [((2, 2), 41), ((2, 3), 42)])
+def test_uab_chain_shared_cache_matches_fresh(dims, seed):
+    # One cache shared over the whole grid gives every step's lhs and rhs
+    # with exactly the bits of a fresh cache per point.
+    rho = sample("mixed-hilbert-schmidt", dims[0] * dims[1], seed)
+    cache = {}
+    for alpha, beta, eps in UAB_GRID:
+        shared = uab_chain_verify(rho, dims, alpha, beta, eps, cache=cache)
+        fresh = uab_chain_verify(rho, dims, alpha, beta, eps)
+        assert _steps(shared) == _steps(fresh), (alpha, beta, eps)
+        assert (shared.imax_truncated, shared.rhs_final) == (
+            fresh.imax_truncated, fresh.rhs_final)
+
+
+@pytest.mark.parametrize("dims, seed", [((2, 2), 43), ((2, 3), 44)])
+def test_uab_chain_solves_per_state(monkeypatch, dims, seed):
+    # On one cache the 27-point grid solves one SDP per delta (3) plus H_min,
+    # and one conditional_renyi_up per beta (3).
+    calls = {"sdp": 0, "renyi_up": 0}
+
+    def counting(fn, key):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    sdp = counting(optim.dominating_trace_min, "sdp")
+    monkeypatch.setattr(optim, "dominating_trace_min", sdp)
+    monkeypatch.setattr(infomeasures, "dominating_trace_min", sdp)
+    monkeypatch.setattr(infomeasures, "conditional_renyi_up",
+                        counting(infomeasures.conditional_renyi_up, "renyi_up"))
+    rho = sample("mixed-hilbert-schmidt", dims[0] * dims[1], seed)
+    cache = {}
+    for alpha, beta, eps in UAB_GRID:
+        assert uab_chain_verify(rho, dims, alpha, beta, eps, cache=cache).passed
+    assert calls == {"sdp": 4, "renyi_up": 3}
 
 
 @pytest.mark.parametrize("converged, residual", [(False, 0.0), (True, -1e-3)])
