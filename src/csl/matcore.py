@@ -49,8 +49,11 @@ def eig_hermitian(H) -> tuple[np.ndarray, np.ndarray]:
 
 
 def support_cut(w: np.ndarray) -> float:
-    """Eigenvalues at or below RANK_TOL * lambda_max count as zero."""
-    return RANK_TOL * max(w.max(initial=0.0), 0.0)
+    """Eigenvalues at or below RANK_TOL * lambda_max count as zero.
+
+    For a stack of spectra (last axis) the cut is per spectrum.
+    """
+    return RANK_TOL * w.max(axis=-1, initial=0.0)
 
 
 class Spectrum:

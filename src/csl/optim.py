@@ -1,10 +1,15 @@
 """Shared optimization engines.
 
 Three engines: a certified solver for convex functionals of a density
-operator (analytic gradients, Frank-Wolfe gap), a primal-dual interior-point
-solver for the max-information semidefinite program (a checked two-sided
-bracket), and one multi-start L-BFGS-B loop with two parametrizations:
-descent over density operators and ascent over pure states.  Desk-scale
+operator (damped Newton from the maximally mixed state, Frank-Wolfe gap),
+fed by the one gradient kernel `q_alpha_grad`, which evaluates a whole stack
+of states in one call; a primal-dual interior-point solver for the
+max-information semidefinite program (a checked two-sided bracket); and one
+multi-start L-BFGS-B loop with two parametrizations, descent over density
+operators and ascent over pure states, for the two problems left off the
+convex solver: `mutual_info_alpha`'s sigma, whose protocol outputs are pinned
+to that loop's last bits, and the channel maximization, which is not known
+to be concave.  Desk-scale
 dimensions (<= 36 total) keep all of these cheap; no external SDP engine is
 used.
 """
@@ -25,7 +30,7 @@ from .matcore import (CertificateError, ContractViolation, Spectrum, _as_matrix,
 class OptimizerReport:
     value: float
     argopt: np.ndarray
-    iterations: int
+    iterations: int  # Newton steps (convex solver) or summed L-BFGS-B iterations
     converged: bool
     gap_estimate: float
 
@@ -117,6 +122,11 @@ def maximize_over_pure(objective, dim: int, restarts: int = 32, seed: int = 0,
 
 # --- certified convex solver ------------------------------------------------
 
+def _dag(M: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return M.conj().swapaxes(-1, -2)
+
+
 def q_alpha_grad(rho, K, sigma, alpha: float, sigma_first: bool = False):
     """Q_alpha(rho || K (x) sigma) (or sigma (x) K) and its gradient in sigma.
 
@@ -127,40 +137,50 @@ def q_alpha_grad(rho, K, sigma, alpha: float, sigma_first: bool = False):
     eigenbasis (Bhatia, Matrix Analysis, ch. V); the gradient in sigma is
     grad_S weighted by K and traced over K's factor, Tr_K[(K (x) 1) grad_S]
     (mirrored for sigma (x) K).  Returns (Q, G) with dQ = Tr[G dsigma].
+
+    sigma may carry a leading stack axis, shape (m, d, d); Q then has shape
+    (m,) and G (m, d, d), each member computed exactly as alone.  A 2-D sigma
+    is a stack of one and returns (float, (d, d) array).
     """
+    single = np.ndim(sigma) == 2
+    sigma = np.asarray(sigma)[None] if single else np.asarray(sigma)
     e = (1.0 - alpha) / (2.0 * alpha)
     lk, Uk = np.linalg.eigh(K)
     ls, Us = np.linalg.eigh(sigma)
-    dk, ds = len(lk), len(ls)
-    (la, Ua), (lb, Ub) = ((ls, Us), (lk, Uk)) if sigma_first else ((lk, Uk), (ls, Us))
-    lam = np.multiply.outer(la, lb).reshape(-1)
+    (m, ds), dk = ls.shape, len(lk)
+    (la, Ua), (lb, Ub) = (((ls, Us), (lk[None], Uk[None])) if sigma_first
+                          else ((lk[None], Uk[None]), (ls, Us)))
+    lam = (la[:, :, None] * lb[:, None, :]).reshape(m, -1)
+    n = lam.shape[1]
     # U = Ua (x) Ub by broadcasting: np.kron's products without its overhead.
-    U = (Ua[:, None, :, None] * Ub[None, :, None, :]).reshape(lam.size, lam.size)
+    U = (Ua[:, :, None, :, None] * Ub[:, None, :, None, :]).reshape(m, n, n)
     if lam.min() <= 0:
         raise ContractViolation("q_alpha_grad needs K and sigma positive definite")
     # Everything below lives in S's eigenbasis, where S^e is diagonal.
     le = lam**e
-    Rt = U.conj().T @ rho @ U
-    w, V = np.linalg.eigh(le[:, None] * Rt * le[None, :])
+    Rt = _dag(U) @ rho @ U
+    w, V = np.linalg.eigh(le[:, :, None] * Rt * le[:, None, :])
     w = np.clip(w, 0.0, None)
     p = np.zeros_like(w)
-    nz = w > support_cut(w)
+    nz = w > support_cut(w)[:, None]
     p[nz] = w[nz] ** (alpha - 1.0)
-    A = (V * p) @ V.conj().T @ (le[:, None] * Rt)
+    A = (V * p[:, None, :]) @ _dag(V) @ (le[:, :, None] * Rt)
     # (a^e - b^e)/(a - b) = b^(e-1) expm1(e L)/expm1(L), L = log(a/b): stable
     # at (near-)degenerate pairs, where it tends to e b^(e-1).
-    L = np.subtract.outer(np.log(lam), np.log(lam))
+    loglam = np.log(lam)
+    L = loglam[:, :, None] - loglam[:, None, :]
     den = np.expm1(L)
     safe = den != 0.0
     ratio = np.where(safe, np.expm1(e * L) / np.where(safe, den, 1.0), e)
-    Y = alpha * ratio * lam[None, :] ** (e - 1.0) * (A + A.conj().T)
+    Y = alpha * ratio * lam[:, None, :] ** (e - 1.0) * (A + _dag(A))
     # Tr_K[(K (x) 1) U Y U^dag] = Us Tr_K[(diag(lk) (x) 1) Y] Us^dag.
     if sigma_first:
-        Gt = np.einsum("iaja,a->ij", Y.reshape(ds, dk, ds, dk), lk)
+        Gt = np.einsum("miaja,a->mij", Y.reshape(m, ds, dk, ds, dk), lk)
     else:
-        Gt = np.einsum("aiaj,a->ij", Y.reshape(dk, ds, dk, ds), lk)
-    G = Us @ Gt @ Us.conj().T
-    return float(np.sum(w**alpha)), (G + G.conj().T) / 2
+        Gt = np.einsum("maiaj,a->mij", Y.reshape(m, dk, ds, dk, ds), lk)
+    G = Us @ Gt @ _dag(Us)
+    Q, G = np.sum(w**alpha, axis=1), (G + _dag(G)) / 2
+    return (float(Q[0]), G[0]) if single else (Q, G)
 
 
 def frank_wolfe_gap(grad: np.ndarray, sigma: np.ndarray) -> float:
@@ -192,86 +212,96 @@ GAP_TOL = 1e-9
 # Most negative eigenvalue of M_A (x) Y - rho_AB that a certified SDP
 # solution may leave.
 RESIDUAL_TOL = 1e-7
+# Newton steps of the convex solver before it gives up on its gap, and the
+# halvings its line search tries.
+_NEWTON_STEPS = 30
+_HALVINGS = 14
+# Relative rise of f that its line search still counts as round-off: for
+# beta < 1, Q_beta of a rank-deficient rho jitters by ~1e-12 relative.
+_FLAT = 1e-12
 
 
 def minimize_convex_over_states(fun_grad, dim: int, value_of=None) -> OptimizerReport:
     """Minimize a convex functional over D(dim), certified by the Frank-Wolfe gap.
 
-    ``fun_grad(sigma)`` returns (f, G) with df = Tr[G dsigma].  ``value_of``
-    maps f increasingly onto the reported value (identity by default); the
-    report's value and gap are in its units, the gap being
-    value_of(f) - value_of(f - Tr[G sigma] + lambda_min(G)).  One L-BFGS-B
-    run from the maximally mixed state on the Gram parametrization reaches the
-    value; Newton steps in the traceless tangent space (Hessian by central
-    differences of the gradient) then drive the gap down, since L-BFGS-B's
-    line search stalls on round-off in f.  Raises CertificateError when the
-    gap stays above GAP_TOL: an unconverged solve never returns a value.
+    ``fun_grad(stack)`` takes states stacked as (m, dim, dim) and returns
+    (f of shape (m,), G of shape (m, dim, dim)) with df = Tr[G dsigma] for
+    each member.  ``value_of`` maps f increasingly onto the reported value
+    (identity by default); the report's value and gap are in its units, the
+    gap being value_of(f) - value_of(f - Tr[G sigma] + lambda_min(G)).
+
+    Damped Newton in the traceless tangent space from the maximally mixed
+    state (for convex f it converges from any start; Boyd & Vandenberghe,
+    Convex Optimization, sec. 9.5).  At each iterate one stacked call at
+    sigma and sigma +- h E_k, over an orthonormal traceless basis E_k with
+    h = 1e-4 lambda_min(sigma), gives f, the gradient and the Hessian by
+    central differences of the gradient.  A step that would leave the
+    positive cone starts 0.99 of the way to its boundary; it is halved until
+    the candidate is positive definite and shows an Armijo decrease of f or,
+    once f is flat to round-off, a smaller gap.  The report's `iterations`
+    counts Newton steps.  Raises CertificateError when the gap stays above
+    GAP_TOL: an unconverged solve never returns a value.
     """
     value_of = value_of if value_of is not None else (lambda f: f)
     d = dim
-
-    def certify(sigma, f, grad):
-        v, lower = value_of(f), value_of(f - frank_wolfe_gap(grad, sigma))
-        return v, v - lower if math.isfinite(lower) else math.inf
-
     if d == 1:
         sigma = np.ones((1, 1), dtype=complex)
-        return OptimizerReport(value_of(fun_grad(sigma)[0]), sigma, 0, True, 0.0)
-
-    def fg(x):
-        Gm = (x[: d * d] + 1j * x[d * d:]).reshape(d, d)
-        M = Gm.conj().T @ Gm
-        t = np.trace(M).real
-        try:
-            f, grad = fun_grad(M / t)
-        except ContractViolation:  # left the open set of definite states
-            return 1e12, np.zeros_like(x)
-        C = (grad - np.einsum("ij,ji->", grad, M).real / t * np.eye(d)) / t
-        GC = Gm @ C
-        return f, 2.0 * np.concatenate([GC.real.reshape(-1), GC.imag.reshape(-1)])
-
-    # Scaled so that L-BFGS-B's first unit-length step cannot reach a
-    # singular Gram factor (at norm 1 it does for d = 2).
-    x0 = 4.0 * _state_to_params(np.eye(d) / d)
-    res = scipy.optimize.minimize(fg, x0, jac=True, method="L-BFGS-B",
-                                  options={"maxiter": 500, "ftol": 1e-15,
-                                           "gtol": 1e-12})
-    sigma = _gram_state(res.x, d)
-    f, grad = fun_grad(sigma)
-    value, gap = certify(sigma, f, grad)
+        return OptimizerReport(value_of(fun_grad(sigma[None])[0][0]), sigma, 0, True, 0.0)
 
     E = _traceless_basis(d)
+    k = len(E)
 
-    def tangent(g):
-        return np.einsum("kij,ji->k", E, g).real
+    def expand(sigma):
+        """f, G, the Hessian in E's coordinates and the certificate at sigma."""
+        lo = float(np.linalg.eigvalsh(sigma)[0])
+        if lo <= 0:
+            raise ContractViolation("sigma left the positive cone")
+        h = 1e-4 * lo  # sigma +- h E_k stays definite: ||E_k|| <= 1
+        f, G = fun_grad(np.concatenate([sigma[None], sigma + h * E, sigma - h * E]))
+        T = np.einsum("kij,mji->mk", E, G[1:]).real
+        H = (T[:k] - T[k:]).T / (2 * h)
+        f, grad = float(f[0]), G[0]
+        v, lower = value_of(f), value_of(f - frank_wolfe_gap(grad, sigma))
+        gap = v - lower if math.isfinite(lower) else math.inf
+        return f, grad, (H + H.T) / 2, v, gap
 
-    # Polish well past GAP_TOL: the value's error is second order in sigma's,
-    # the gap first order, so the value then carries ~1e-15 error, not 1e-9.
+    sigma = np.eye(d, dtype=complex) / d
+    f, grad, H, value, gap = expand(sigma)
+    # Converge well past GAP_TOL: the value's error is second order in
+    # sigma's, the gap first order, so the value then carries ~1e-15 error.
     steps = 0
-    while gap > 1e-3 * GAP_TOL and steps < 10:
-        steps += 1
-        h = 1e-4 * float(np.linalg.eigvalsh(sigma)[0])
-        H = np.column_stack([
-            (tangent(fun_grad(sigma + h * Ek)[1]) - tangent(fun_grad(sigma - h * Ek)[1]))
-            / (2 * h) for Ek in E])
-        step = np.linalg.lstsq((H + H.T) / 2, -tangent(grad), rcond=None)[0]
+    while gap > 1e-3 * GAP_TOL and steps < _NEWTON_STEPS:
+        g = np.einsum("kij,ji->k", E, grad).real
+        step = np.linalg.lstsq(H, -g, rcond=None)[0]
         D = np.einsum("k,kij->ij", step, E)
-        t = 1.0
-        while t > 1e-3:
+        slope = float(g @ step)
+        if not slope < 0:  # no descent direction left
+            break
+        # Start inside the cone: 0.99 of the way to its boundary along D.
+        Li = np.linalg.inv(np.linalg.cholesky(sigma))
+        mu = float(np.linalg.eigvalsh(Li @ D @ Li.conj().T)[0])
+        t = min(1.0, -0.99 / mu) if mu < 0 else 1.0
+        for _ in range(_HALVINGS):
             cand = sigma + t * D
-            if np.linalg.eigvalsh(cand)[0] > 0:
-                f_c, grad_c = fun_grad(cand)
-                v_c, gap_c = certify(cand, f_c, grad_c)
-                if gap_c < gap:
-                    break
+            try:
+                new = expand(cand)
+            except ContractViolation:  # outside the open set of definite states
+                new = None
+            # Once f is flat to round-off, a smaller gap carries the last steps.
+            if new is not None and (
+                    new[0] <= f + 1e-4 * t * slope
+                    or (new[0] <= f + _FLAT * abs(f) and new[4] < gap)):
+                break
             t *= 0.5
         else:
             break
-        sigma, grad, value, gap = cand, grad_c, v_c, gap_c
+        steps += 1
+        sigma = cand
+        f, grad, H, value, gap = new
     if not gap <= GAP_TOL:
         raise CertificateError(
             f"convex solver stopped with Frank-Wolfe gap {gap:.3e} > {GAP_TOL:.1e}")
-    return OptimizerReport(value, sigma, res.nit + steps, True, gap)
+    return OptimizerReport(value, sigma, steps, True, gap)
 
 
 # --- max-information SDP ----------------------------------------------------

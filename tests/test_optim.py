@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from csl import infomeasures
+from csl import cli, convexsplit, infomeasures
 from csl.divergences import d_alpha, q_alpha
-from csl.matcore import RANK_TOL, CertificateError, reduced, sample
+from csl.matcore import RANK_TOL, CertificateError, ContractViolation, reduced, sample
 from csl.optim import (
     GAP_TOL,
     dominating_trace_min,
@@ -336,7 +336,122 @@ def test_frank_wolfe_gap_bounds_suboptimality(alpha):
 def test_convex_solver_raises_when_gap_stays_open():
     # A gradient that disagrees with f never closes the gap: no value.
     def inconsistent(s):
-        return 0.0, np.diag([1.0, 0.0]).astype(complex)
+        return np.zeros(len(s)), np.broadcast_to(np.diag([1.0, 0.0]).astype(complex), s.shape)
 
     with pytest.raises(CertificateError, match="Frank-Wolfe gap"):
         minimize_convex_over_states(inconsistent, 2)
+
+
+@pytest.mark.parametrize("dK,dS", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("alpha", [0.6, 1.5, 2.0, 4.0])
+@pytest.mark.parametrize("sigma_first", [False, True])
+def test_q_alpha_grad_stack_equals_single_calls(dK, dS, alpha, sigma_first):
+    rho = sample("mixed-hilbert-schmidt", dK * dS, 5)
+    K = sample("mixed-hilbert-schmidt", dK, 6)
+    stack = np.array([sample("mixed-hilbert-schmidt", dS, 10 + i) for i in range(5)])
+    Q, G = q_alpha_grad(rho, K, stack, alpha, sigma_first)
+    assert Q.shape == (5,) and G.shape == (5, dS, dS)
+    for i, sigma in enumerate(stack):
+        q, g = q_alpha_grad(rho, K, sigma, alpha, sigma_first)
+        assert type(q) is float and g.shape == (dS, dS)
+        assert q == Q[i] and np.array_equal(g, G[i])
+    singular = stack.copy()
+    singular[2] = np.diag([1.0] + [0.0] * (dS - 1))
+    with pytest.raises(ContractViolation):
+        q_alpha_grad(rho, K, singular, alpha, sigma_first)
+
+
+def _counted(monkeypatch, module):
+    """Record (Newton steps, stacked calls, report) of every convex solve."""
+    solves = []
+
+    def counting(fun_grad, dim, value_of=None):
+        calls = [0]
+
+        def stacked(s):
+            assert s.ndim == 3
+            calls[0] += 1
+            return fun_grad(s)
+
+        rep = minimize_convex_over_states(stacked, dim, value_of)
+        solves.append((rep.iterations, calls[0], rep))
+        return rep
+
+    monkeypatch.setattr(module, "minimize_convex_over_states", counting)
+    return solves
+
+
+def _check_counts(solves, n_solves):
+    assert len(solves) == n_solves
+    for steps, calls, rep in solves:
+        assert steps <= 10 and calls <= 12, (steps, calls)
+        assert rep.converged and rep.gap_estimate <= GAP_TOL
+
+
+def test_newton_counts_on_criterion_08_states(monkeypatch):
+    # A count, not a timing: every H_up solve of criterion 08's first 40
+    # states at its three betas.
+    solves = _counted(monkeypatch, infomeasures)
+    for i in range(40):
+        dims = (2, 2) if i % 2 else (2, 3)
+        rho = sample("mixed-hilbert-schmidt", dims[0] * dims[1], 30000 + i)
+        for beta in [1.5, 2.0, 4.0]:
+            infomeasures.conditional_renyi_up(rho, beta, dims)
+    _check_counts(solves, 120)
+
+
+def test_newton_counts_on_convex_split_suite(monkeypatch):
+    # The nu_n solves of `verify-convex-split --dims 2x2 --n-max 9
+    # --samples 9 --seed 5000`.
+    solves = _counted(monkeypatch, convexsplit)
+    cfg = {"dims": "2x2", "n_max": 9, "samples": 9, "seed": 5000}
+    _, results, _ = cli.run_convex_split(cfg)
+    assert all(ok for ok, _ in results)
+    _check_counts(solves, 9)
+
+
+def test_boundary_minimizer_at_half_refused():
+    # At beta = 1/2 this state's minimizer lies on the boundary of D(B),
+    # where the gap stalls: the solver must raise, never return a value.
+    rho = sample("rank-limited", 6, 101, rank=3)
+    with pytest.raises(CertificateError, match="Frank-Wolfe gap"):
+        infomeasures.conditional_renyi_up(rho, 0.5, (2, 3))
+
+
+def _newton_leaves_cone(p, beta):
+    """Whether the first Newton step from I/d leaves the cone for rho_B = diag(p).
+
+    For a product rho_A (x) diag(p), f = c sum_i p_i^beta x_i^(1-beta) on
+    diagonal sigma = diag(x), and the off-diagonal directions decouple, so
+    the tangent-space Newton step is the diagonal one with sum dx = 0.
+    """
+    x = np.full(len(p), 1.0 / len(p))
+    g = (1 - beta) * p**beta * x**-beta
+    h = beta * (beta - 1) * p**beta * x ** (-beta - 1)
+    nu = np.sum(g / h) / np.sum(1 / h)
+    return bool(np.min(x - (g - nu) / h) < 0)
+
+
+@pytest.mark.parametrize("beta", [0.75, 1.5, 2.0, 4.0])
+@pytest.mark.parametrize("dB,rotated", [(2, False), (3, False), (3, True)])
+def test_near_boundary_minimizers_certify_or_refuse(beta, dB, rotated):
+    # rho_A (x) rho_B with lambda_min(rho_B) = 10 RANK_TOL: the minimizer is
+    # sigma = rho_B, and H_up_beta(A|B) = H_beta(A).  At dB = 3 and beta < 2
+    # the first Newton step from I/d leaves the positive cone.  Either the
+    # solver certifies the exact value or it raises.
+    p = np.array([0.7, 0.3 - 10 * RANK_TOL, 10 * RANK_TOL])
+    if dB == 2:
+        p = np.array([1 - 10 * RANK_TOL, 10 * RANK_TOL])
+    else:
+        assert _newton_leaves_cone(p, beta) == (beta < 2)
+    U = np.eye(dB)
+    if rotated:
+        rng = np.random.default_rng(1)
+        U = np.linalg.qr(rng.standard_normal((dB, dB)) + 1j * rng.standard_normal((dB, dB)))[0]
+    rho_A = sample("mixed-hilbert-schmidt", 2, 4)
+    rho = np.kron(rho_A, U @ np.diag(p) @ U.conj().T)
+    try:
+        value = infomeasures.conditional_renyi_up(rho, beta, (2, dB))
+    except CertificateError:
+        return
+    assert abs(value - infomeasures.renyi_entropy(rho_A, beta)) <= 1e-9
