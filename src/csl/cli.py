@@ -270,7 +270,7 @@ def run_qss_sim(cfg) -> tuple[str, list, dict]:
     inst = protocols.QSSInstance(psi, dims,
                                  _option(cfg, "eps", float, 0.6),
                                  _option(cfg, "delta", float, 0.5))
-    res = protocols.qss_simulate(inst, seed=_option(cfg, "seed", int))
+    res = protocols.qss_simulate(inst)
     record = {
         "n": res.n,
         "n_unclamped": res.n_unclamped,
@@ -313,8 +313,7 @@ def run_rev_shannon(cfg) -> tuple[str, list, dict]:
     beta = _option(cfg, "beta", float, 2.0)
     eps = _option(cfg, "eps", float, 0.1)
     n = _option(cfg, "n", int, 10)
-    rhs, delta_n = protocols.reverse_shannon_bound(spec, alpha, beta, eps, n,
-                                                   seed=_option(cfg, "seed", int))
+    rhs, delta_n = protocols.reverse_shannon_bound(spec, alpha, beta, eps, n)
     record = {"alpha": alpha, "beta": beta, "eps": eps, "n": n,
               "bits_per_use": rhs, "delta_n": delta_n}
     return _json_text(record), [(True, 0.0)], {"result": record}

@@ -83,17 +83,20 @@ def renyi_entropy(rho, alpha: float) -> float:
     return (1.0 / (1.0 - alpha)) * math.log2(float(np.sum(w**alpha)))
 
 
-def mutual_info_alpha(rho_ab, alpha: float, dims, restarts: int = 16,
-                      seed: int = 0, return_report: bool = False):
-    """I_alpha(A:B) = min over sigma of D_alpha(rho_AB || rho_A (x) sigma)."""
+def mutual_info_alpha(rho_ab, alpha: float, dims):
+    """I_alpha(A:B) = min over sigma of D_alpha(rho_AB || rho_A (x) sigma).
+
+    Returns (value, report): the value clipped at 0 and the solver's report,
+    whose argopt is the minimizing sigma.  The descent starts from I/d and
+    rho_B, then 14 random states.
+    """
     R, dA, dB = _bipartite(rho_ab, dims)
     rho_A, rho_B = _marginals(R, dA, dB)
     report = minimize_over_states(
         lambda s: d_alpha(R, np.kron(rho_A, s), alpha),
-        dB, restarts=restarts, seed=seed, extra_starts=[rho_B],
+        dB, restarts=16, extra_starts=[rho_B],
     )
-    value = max(report.value, 0.0)
-    return (value, report) if return_report else value
+    return max(report.value, 0.0), report
 
 
 def h_min_conditional(rho_ab, dims) -> float:

@@ -5,19 +5,17 @@ operator (damped Newton from the maximally mixed state, Frank-Wolfe gap),
 fed by the one gradient kernel `q_alpha_grad`, which evaluates a whole stack
 of states in one call; a primal-dual interior-point solver for the
 max-information semidefinite program (a checked two-sided bracket); and one
-multi-start L-BFGS-B loop with two parametrizations, descent over density
-operators and ascent over pure states, for the two problems left off the
-convex solver: `mutual_info_alpha`'s sigma, whose protocol outputs are pinned
-to that loop's last bits, and the channel maximization, which is not known
-to be concave.  Desk-scale
-dimensions (<= 36 total) keep all of these cheap; no external SDP engine is
-used.
+multi-start L-BFGS-B descent over density operators for the two problems
+left off the convex solver: `mutual_info_alpha`'s sigma, whose protocol
+outputs are pinned to that descent's last bits, and the channel
+maximization, which is not known to be concave.  Desk-scale dimensions
+(<= 36 total) keep all of these cheap; no external SDP engine is used.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -53,29 +51,18 @@ def _state_to_params(sigma: np.ndarray) -> np.ndarray:
     return np.concatenate([G.real.reshape(-1), G.imag.reshape(-1)])
 
 
-def _multistart(fun, starts) -> OptimizerReport:
-    """L-BFGS-B from every start; the best run, in parameter space.
-
-    `converged` needs the best run to succeed and the runner-up to end within
-    1e-7 of it; the gap estimate is that difference.
-    """
-    results = []
-    n_it = 0
-    for x0 in starts:
-        res = scipy.optimize.minimize(fun, x0, method="L-BFGS-B",
-                                      options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10})
-        n_it += res.nit
-        results.append((float(res.fun), res.x, bool(res.success)))
-    results.sort(key=lambda r: r[0])
-    best_val, best_x, best_ok = results[0]
-    gap = results[1][0] - best_val if len(results) > 1 else 0.0
-    return OptimizerReport(best_val, best_x, n_it, best_ok and gap <= 1e-7, max(gap, 0.0))
-
-
-def minimize_over_states(objective, dim: int, restarts: int = 32, seed: int = 0,
+def minimize_over_states(objective, dim: int, restarts: int = 32,
                          extra_starts=()) -> OptimizerReport:
-    """Multi-start local descent of a state functional over D(dim)."""
-    rng = np.random.default_rng(seed)
+    """Multi-start L-BFGS-B descent of a state functional over D(dim).
+
+    The starts are I/d, then `extra_starts`, then random Gram states from
+    `np.random.default_rng(0)` up to `restarts`; each runs in the Gram
+    parametrization sigma = G^dag G / Tr.  The best run wins (a stable sort,
+    so ties go to the earlier start).  `converged` needs that run to succeed
+    and the runner-up to end within 1e-7 of it; the gap estimate is that
+    difference.  A non-finite objective counts as 1e12.
+    """
+    rng = np.random.default_rng(0)
 
     def fun(x):
         v = objective(_gram_state(x, dim))
@@ -89,35 +76,20 @@ def minimize_over_states(objective, dim: int, restarts: int = 32, seed: int = 0,
         M = G.conj().T @ G
         starts.append(_state_to_params(M / np.trace(M).real))
 
-    rep = _multistart(fun, starts)
-    if rep.value >= 1e12:  # never finite
-        return OptimizerReport(math.inf, np.eye(dim) / dim, rep.iterations, False, math.inf)
-    return replace(rep, argopt=_gram_state(rep.argopt, dim))
-
-
-def maximize_over_pure(objective, dim: int, restarts: int = 32, seed: int = 0,
-                       extra_starts=()) -> OptimizerReport:
-    """Multi-start ascent of a pure-state functional over the unit sphere."""
-    rng = np.random.default_rng(seed)
-
-    def vec(x):
-        v = x[:dim] + 1j * x[dim:]
-        n = np.linalg.norm(v)
-        return v / n if n > 0 else np.eye(dim, 1).reshape(-1).astype(complex)
-
-    def fun(x):
-        v = objective(vec(x))
-        return -v if math.isfinite(v) else 1e12
-
-    starts = []
-    for s in extra_starts:
-        s = np.asarray(s, dtype=complex).reshape(-1)
-        starts.append(np.concatenate([s.real, s.imag]))
-    while len(starts) < restarts:
-        starts.append(rng.standard_normal(2 * dim))
-
-    rep = _multistart(fun, starts)
-    return replace(rep, value=-rep.value, argopt=vec(rep.argopt))
+    results = []
+    n_it = 0
+    for x0 in starts:
+        res = scipy.optimize.minimize(fun, x0, method="L-BFGS-B",
+                                      options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10})
+        n_it += res.nit
+        results.append((float(res.fun), res.x, bool(res.success)))
+    results.sort(key=lambda r: r[0])
+    best_val, best_x, best_ok = results[0]
+    if best_val >= 1e12:  # never finite
+        return OptimizerReport(math.inf, np.eye(dim) / dim, n_it, False, math.inf)
+    gap = results[1][0] - best_val if len(results) > 1 else 0.0
+    return OptimizerReport(best_val, _gram_state(best_x, dim), n_it,
+                           best_ok and gap <= 1e-7, gap)
 
 
 # --- certified convex solver ------------------------------------------------
@@ -159,11 +131,14 @@ def q_alpha_grad(rho, K, sigma, alpha: float, sigma_first: bool = False):
     # Everything below lives in S's eigenbasis, where S^e is diagonal.
     le = lam**e
     Rt = _dag(U) @ rho @ U
+    # X has rank(rho) genuine eigenvalues: Q and G both keep X's top rank(rho)
+    # and drop the rest as round-off, wherever S^e moves them near the cut.
+    wr = np.linalg.eigvalsh(rho)
+    r = int(np.count_nonzero(wr > support_cut(wr)))
     w, V = np.linalg.eigh(le[:, :, None] * Rt * le[:, None, :])
-    w = np.clip(w, 0.0, None)
+    w, V = np.clip(w[:, n - r:], 0.0, None), V[:, :, n - r:]
     p = np.zeros_like(w)
-    nz = w > support_cut(w)[:, None]
-    p[nz] = w[nz] ** (alpha - 1.0)
+    p[w > 0] = w[w > 0] ** (alpha - 1.0)
     A = (V * p[:, None, :]) @ _dag(V) @ (le[:, :, None] * Rt)
     # (a^e - b^e)/(a - b) = b^(e-1) expm1(e L)/expm1(L), L = log(a/b): stable
     # at (near-)degenerate pairs, where it tends to e b^(e-1).

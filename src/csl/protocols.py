@@ -15,12 +15,17 @@ Ra Rb^H of `_uhlmann_factors` must keep its bits: when the target is
 rank-deficient it has zero singular values, and the vectors LAPACK returns
 for them carry source mass into `achieved_distance` and `branch_probs`
 (ROADMAP item 1 makes the alignment canonical).
+
+The cost bound's information term maximizes H_alpha(A) - H_beta^up(A|B)
+over input density operators with the multi-start `minimize_over_states`.
+Neither the protocol nor the bound takes a seed: their random starts are
+fixed, so their outputs are functions of their inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,7 +37,7 @@ from .infomeasures import (
     renyi_entropy,
 )
 from .matcore import RANK_TOL, ContractViolation, Spectrum, _as_matrix, reduced
-from .optim import maximize_over_pure
+from .optim import minimize_over_states
 
 AMPLITUDE_CAP = 2**24
 
@@ -91,15 +96,14 @@ class QSSResult:
     branch_probs: np.ndarray = field(default=None)
 
 
-def qss_optimal_sigma(rho_RB, dims: tuple[int, int], seed: int = 0):
+def qss_optimal_sigma(rho_RB, dims: tuple[int, int]):
     """Optimal product-reference state for the collision mutual information.
 
     The optimizer's state is projected onto supp(rho_B): mass outside the
     output marginal's support never helps and shows up as dust that breaks
     the mu -> 0 limit.
     """
-    value, report = mutual_info_alpha(rho_RB, 2.0, dims, seed=seed,
-                                      return_report=True)
+    value, report = mutual_info_alpha(rho_RB, 2.0, dims)
     Pi = Spectrum(reduced(_as_matrix(rho_RB), dims, 1)).projector()
     sigma = Pi @ report.argopt @ Pi
     tr = float(np.trace(sigma).real)
@@ -185,14 +189,14 @@ def _pad_vector(psi, dims, target_dims):
     return out.reshape(-1)
 
 
-def qss_simulate(instance: QSSInstance, seed: int = 0) -> QSSResult:
+def qss_simulate(instance: QSSInstance) -> QSSResult:
     """Run the full splitting protocol and measure the achieved distance."""
     dR, dA0, dAp0 = instance.dims
     d = max(dA0, dAp0)  # padded common dimension of A, A', B
     psi = _pad_vector(instance.psi, (dR, dA0, dAp0), (dR, d, d))
 
     rho_RB = _rho_RB(psi, dR, d)
-    sigma, i2 = qss_optimal_sigma(rho_RB, (dR, d), seed=seed)
+    sigma, i2 = qss_optimal_sigma(rho_RB, (dR, d))
     mu = max(q2(rho_RB, np.kron(_marginal_R(psi, dR, d), sigma)) - 1.0, 0.0)
 
     n_unclamped = max(1, math.ceil(mu * (1.0 / instance.delta**2 - 1.0) - 1e-9))
@@ -303,19 +307,23 @@ def _mixture_vs_pure_distance(G: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh(R.conj().T @ (J[:, None] * R))).sum())
 
 
-def channel_alpha_beta_info(channel: ChannelSpec, alpha: float, beta: float,
-                            seed: int = 0):
-    """max over pure inputs of H_alpha(A) - optimized conditional beta-entropy.
+def channel_alpha_beta_info(channel: ChannelSpec, alpha: float, beta: float):
+    """max over inputs of H_alpha(A) - optimized conditional beta-entropy.
 
-    The reference A mirrors the channel input; alpha = beta = 1 routes to the
-    ordinary mutual information of the channel output.
+    The reference A purifies the channel input: both terms depend on the
+    input only through rho_in (a local unitary on A changes neither), so the
+    search runs over rho_in in D(dim_in) and the objective feeds the channel
+    the purification vec(sqrt(rho_in)^T).  The first start, I/d, is the
+    maximally entangled input.  alpha = beta = 1 routes to the ordinary
+    mutual information of the channel output.  Returns (value, report), the
+    report's argopt being the maximizing rho_in.
     """
     dI, dO = channel.dim_in, channel.dim_out
-    dim = dI * dI  # pure states on A (x) input
 
-    def objective(v):
-        rho_in = np.outer(v, v.conj())
-        omega = channel.apply_local(rho_in, dI)
+    def info(rho_in):
+        w, U = np.linalg.eigh(rho_in)
+        v = ((U * np.sqrt(np.clip(w, 0.0, None))) @ U.conj().T).T.reshape(-1)
+        omega = channel.apply_local(np.outer(v, v.conj()), dI)
         omega_A = reduced(omega, (dI, dO), 0)
         if alpha == 1.0 and beta == 1.0:
             omega_B = reduced(omega, (dI, dO), 1)
@@ -324,11 +332,8 @@ def channel_alpha_beta_info(channel: ChannelSpec, alpha: float, beta: float,
         h_up = conditional_renyi_up(omega, beta, (dI, dO))
         return renyi_entropy(omega_A, alpha) - h_up
 
-    # Maximally entangled input is the natural first guess.
-    ent = np.eye(dI).reshape(-1) / math.sqrt(dI)
-    report = maximize_over_pure(objective, dim, restarts=4, seed=seed,
-                                extra_starts=[ent])
-    return report.value, report
+    report = minimize_over_states(lambda rho_in: -info(rho_in), dI, restarts=4)
+    return -report.value, replace(report, value=-report.value)
 
 
 def reverse_shannon_delta_n(dim_in: int, alpha: float, beta: float, eps: float,
@@ -343,8 +348,8 @@ def reverse_shannon_delta_n(dim_in: int, alpha: float, beta: float, eps: float,
 
 
 def reverse_shannon_bound(channel: ChannelSpec, alpha: float, beta: float,
-                          eps: float, n: int, seed: int = 0) -> tuple[float, float]:
+                          eps: float, n: int) -> tuple[float, float]:
     """(bits-per-use upper bound, overhead delta_n) for n-fold simulation."""
     delta_n = reverse_shannon_delta_n(channel.dim_in, alpha, beta, eps, n)
-    info, _ = channel_alpha_beta_info(channel, alpha, beta, seed=seed)
+    info, _ = channel_alpha_beta_info(channel, alpha, beta)
     return info + delta_n, delta_n

@@ -147,6 +147,26 @@ def test_rev_shannon_command(kraus_file, capsys):
     assert record["bits_per_use"] >= record["delta_n"] + 2.0 - 1e-6
 
 
+def test_qss_sim_and_rev_shannon_ignore_seed(tmp_path, capsys):
+    # --seed seeds sampled inputs only: these two commands sample nothing, so
+    # their artifacts depend on the input files alone.
+    rng = np.random.default_rng(12)
+    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    state = write_state(tmp_path / "psi.json", [["R", 2], ["A", 1], ["Ap", 2]],
+                        "vector", v / np.linalg.norm(v))
+    chan = tmp_path / "damping.json"
+    chan.write_text(json.dumps({"kraus": [[[1.0, 0.0], [0.0, math.sqrt(0.7)]],
+                                          [[0.0, math.sqrt(0.3)], [0.0, 0.0]]],
+                                "dim_in": 2, "dim_out": 2}))
+    for cmd in (["qss-sim", "--state", state, "--eps", "0.9", "--delta", "0.6"],
+                ["rev-shannon", "--channel", str(chan)]):
+        outs = [tmp_path / f"{cmd[0]}-{seed}.json" for seed in (0, 5)]
+        for seed, out in zip((0, 5), outs):
+            assert main(cmd + ["--seed", str(seed), "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+    capsys.readouterr()
+
+
 def test_determinism_byte_identical(tmp_path, capsys):
     args = ["verify-convex-split", "--dims", "2x2", "--samples", "3",
             "--seed", "21"]

@@ -11,7 +11,6 @@ from csl.optim import (
     dominating_trace_min,
     frank_wolfe_gap,
     imax_sdp,
-    maximize_over_pure,
     minimize_convex_over_states,
     minimize_over_states,
     q_alpha_grad,
@@ -50,13 +49,6 @@ def test_minimize_over_states_never_finite(bad):
     assert not rep.converged
     assert rep.gap_estimate == math.inf
     assert np.array_equal(rep.argopt, np.eye(3) / 3)
-
-
-def test_maximize_over_pure_largest_eigenvalue():
-    H = np.diag([0.1, 0.7, 0.3])
-    rep = maximize_over_pure(lambda v: float((v.conj() @ H @ v).real), 3)
-    assert abs(rep.value - 0.7) < 1e-8
-    assert abs(abs(rep.argopt[1]) - 1.0) < 1e-4
 
 
 def test_imax_product_zero():
@@ -309,6 +301,26 @@ def test_q_alpha_grad_matches_central_differences(alpha, sigma_first):
                   - q_alpha(rho, _product(K, sigma - h * H, sigma_first), alpha)) / (2 * h)
             exact = float(np.trace(grad @ H).real)
             assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact)), (dK, dS)
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-8])
+@pytest.mark.parametrize("alpha", [0.75, 1.5, 2.0])
+def test_q_alpha_grad_closed_form_near_support_cut(lam, alpha):
+    # rho = rho_A (x) diag(b), sigma = diag(s): Q = Tr rho_A^alpha sum_j
+    # b_j^alpha s_j^(1-alpha), so G_jj = (1-alpha) Tr rho_A^alpha (b_j/s_j)^alpha.
+    # X's eigenvalue along b_3 = lam falls below the cut of X's spectrum at
+    # lam = 1e-8, but it is one of rho's rank(rho) eigenvalues, so Q and G
+    # both keep it.
+    rho_A = np.diag([0.75, 0.25])
+    tr = 0.75**alpha + 0.25**alpha
+    b = np.array([0.7, 0.3 - lam, lam])
+    for s in (b, np.array([0.5, 0.5 - lam, lam])):
+        Q, G = q_alpha_grad(np.kron(rho_A, np.diag(b)), np.eye(2), np.diag(s), alpha)
+        want_q = tr * np.sum(b**alpha * s ** (1 - alpha))
+        want_g = (1 - alpha) * tr * (b / s) ** alpha
+        assert abs(Q - want_q) <= 1e-8 * want_q
+        assert np.all(np.abs(np.diag(G) - want_g) <= 1e-8 * np.abs(want_g))
+        assert np.abs(G - np.diag(np.diag(G))).max() <= 1e-12
 
 
 @pytest.mark.parametrize("alpha", [0.75, 2.0])
