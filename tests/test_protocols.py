@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,20 +262,48 @@ QSS_POOL_PINS = [
      [0.33541367672640987, 0.33233911774843106, 0.3322472055251582, 0.0]),
 ]
 
-
-@pytest.mark.parametrize("key,delta,distance,probs", QSS_POOL_PINS,
-                         ids=[p[0] for p in QSS_POOL_PINS])
-def test_qss_protocol_pool_pinned(key, delta, distance, probs):
-    # The benchmark's reference pins these to 1e-10; a 1e-14 change of the
-    # optimizer's sigma moves them by up to 1e-3.
+_QSS_POOL_CHILD = """
+import json, sys
+import numpy as np
+from csl.protocols import QSSInstance, qss_simulate
+out = {}
+for key, delta in json.loads(sys.argv[1]):
     k = int(key.split("-")[1])
     rng = np.random.default_rng([81000, round(10 * delta), k])
     psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     psi /= np.linalg.norm(psi)
     res = qss_simulate(QSSInstance(psi, (2, 1, 2), eps=min(2 * delta, 0.9), delta=delta))
-    assert abs(res.achieved_distance - distance) <= 1e-10
-    assert len(res.branch_probs) == len(probs)
-    assert np.abs(res.branch_probs - np.array(probs)).max() <= 1e-10
+    out[key] = [res.achieved_distance, res.branch_probs.tolist()]
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def qss_pool_results():
+    # The reference was recorded with one BLAS thread, as perfbench runs every
+    # workload; another thread count reorders BLAS sums, and the pool's
+    # distance amplifies that round-off to 1e-4 (d6-0 on two threads). So the
+    # instances run in a child pinned like perfbench/run.py's pinned_env().
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    arg = json.dumps([[key, delta] for key, delta, _, _ in QSS_POOL_PINS])
+    proc = subprocess.run([sys.executable, "-c", _QSS_POOL_CHILD, arg], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("key,delta,distance,probs", QSS_POOL_PINS,
+                         ids=[p[0] for p in QSS_POOL_PINS])
+def test_qss_protocol_pool_pinned(qss_pool_results, key, delta, distance, probs):
+    # The benchmark's reference pins these to 1e-10; a 1e-14 change of the
+    # optimizer's sigma moves them by up to 1e-3.
+    achieved, branch_probs = qss_pool_results[key]
+    assert abs(achieved - distance) <= 1e-10
+    assert len(branch_probs) == len(probs)
+    assert np.abs(np.array(branch_probs) - np.array(probs)).max() <= 1e-10
 
 
 def test_delta_n_formula_and_trends():
