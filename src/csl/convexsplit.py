@@ -19,7 +19,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .divergences import INF, d_alpha, d_max, q2
-from .infomeasures import BoundReport
 from .matcore import (
     ContractViolation,
     Spectrum,
@@ -87,6 +86,7 @@ class SplitReport:
     mu_max: float
     nu_n: float | None = None
     bounds: dict = field(default_factory=dict)
+    ly2024_tighter: bool | None = None
     # nu_n's solver report (iterations, Frank-Wolfe gap); kept off artifacts.
     nu_report: OptimizerReport | None = None
 
@@ -136,11 +136,6 @@ class _Block(NamedTuple):
 def _schur_weyl(instance: ConvexSplitInstance) -> bool:
     """Uniform weights on qubit slots: X splits into closed-form blocks."""
     return instance.dims[1] == 2 and np.ptp(instance.weights) == 0.0
-
-
-def _largest_block(instance: ConvexSplitInstance) -> int:
-    dR, dA = instance.dims
-    return dR * (instance.n + 1) if _schur_weyl(instance) else dR * dA**instance.n
 
 
 def _schur_weyl_blocks(rho, ws, wo, keep_o, keep_s, n: int, p: float) -> list[_Block]:
@@ -203,7 +198,8 @@ class _ReferenceFrame:
     """
 
     def __init__(self, instance: ConvexSplitInstance):
-        size = _largest_block(instance)
+        dR, dA = instance.dims
+        size = dR * (instance.n + 1) if _schur_weyl(instance) else dR * dA**instance.n
         if size > DENSE_DIM_CAP:
             raise ContractViolation(f"block dimension {size} exceeds cap {DENSE_DIM_CAP}")
         if math.comb(instance.n, instance.n // 2) > sys.float_info.max:
@@ -339,23 +335,28 @@ def nu_n(rho_RA, sigma_A, n: int,
     return report.value, report.argopt, report
 
 
-def bounds_report(instance: ConvexSplitInstance) -> SplitReport:
+def bounds_report(rho_RA, sigma_A, n: int, dims: tuple[int, int]) -> SplitReport:
     """Every derived bound evaluated against the reference frame's LHS values.
 
-    The bounds hold for the canonical mixture, so omega is pinned to rho_R
-    and the weights to uniform (the minimizing choice); mu/n formulas do not
-    cover skewed weights.  Bound names: gmain0 (Umegaki vs mu_max), pinsker
-    (trace vs mu_max), split7 (purified vs mu_max), gmain8 (exact collision
-    value), split9 (purified vs nu_n), pmu0 (purified vs mu), trace_sqrt
-    (trace vs mu).
+    The bounds hold for the canonical mixture: omega = rho_R and uniform
+    weights (the minimizing choice); mu/n formulas do not cover skewed
+    weights.  Bound names: gmain0 (Umegaki vs mu_max), pinsker (trace vs
+    mu_max), split7 (purified vs mu_max), gmain8 (exact collision value),
+    split9 (purified vs nu_n), pmu0 (purified vs mu), trace_sqrt (trace vs
+    mu), ly2024 (Umegaki vs the smaller of gmain8's log(1 + mu/n) and the
+    spectral-pinching bound (l^s / (s n^s)) 2^{s D_{1+s}} at s = 1/2, with
+    the spectrum count l of rho_R (x) sigma standing in for the comparison
+    constant v).  ``ly2024_tighter`` records log(1 + mu/n) <= the pinching
+    bound.
     """
-    pinned = ConvexSplitInstance(instance.rho_RA, instance.sigma_A,
-                                 instance.rho_R, instance.n, instance.dims)
+    # Validated as given, then pinned to omega = rho_R.
+    pinned = ConvexSplitInstance(rho_RA, sigma_A, np.eye(dims[0]), n, dims)
+    pinned.omega_R = pinned.rho_R
+    R = pinned.rho_RA
     frame = _ReferenceFrame(pinned)
     rep = _split_report(pinned, frame.q2())
-    n = instance.n
     mu, mu_max = rep.mu, rep.mu_max
-    nu, _, rep.nu_report = nu_n(instance.rho_RA, instance.sigma_A, n, instance.dims)
+    nu, _, rep.nu_report = nu_n(R, pinned.sigma_A, n, dims)
     rep.nu_n = nu
 
     lhs_umegaki = frame.umegaki()
@@ -363,6 +364,10 @@ def bounds_report(instance: ConvexSplitInstance) -> SplitReport:
     lhs_trace = frame.trace_distance()
     F = frame.fidelity()
     lhs_p2 = max(1.0 - F * F, 0.0)
+    ref1 = np.kron(pinned.omega_R, pinned.sigma_A)
+    ell = spectrum_cardinality(ref1)
+    d15 = d_alpha(R, ref1, 1.5)
+    pinching = (ell**0.5 / (0.5 * n**0.5)) * 2.0 ** (0.5 * d15) if not math.isinf(d15) else INF
 
     b = {}
     b["gmain0"] = (lhs_umegaki, math.log2(1.0 + mu_max / n) if not math.isinf(mu_max) else INF)
@@ -374,6 +379,8 @@ def bounds_report(instance: ConvexSplitInstance) -> SplitReport:
     # Prefactor 1/2 follows from 1 + (2 T)^2 <= Q_2 = 1 + mu/n; a smaller
     # constant would already fail on the maximally entangled closed instance.
     b["trace_sqrt"] = (lhs_trace, 0.5 * math.sqrt(mu / n) if not math.isinf(mu) else INF)
+    b["ly2024"] = (lhs_umegaki, min(pinching, b["gmain8"][1]))
+    rep.ly2024_tighter = b["gmain8"][1] <= pinching
     rep.bounds = b
     return rep
 
@@ -387,62 +394,3 @@ def spectrum_cardinality(P) -> int:
         if w[i] - w[i - 1] > tol:
             count += 1
     return count
-
-
-def ly2024_compare(instance: ConvexSplitInstance, s: float,
-                   lhs: float | None = None) -> BoundReport:
-    """Spectral-pinching bound vs the exact-identity bound at parameter s.
-
-    Evaluates (l^s / (s n^s)) 2^{s D_{1+s}} against log(1 + mu/n), the
-    crossover threshold on log n (with the spectrum count l standing in for
-    the comparison constant v), and checks the Umegaki value against the
-    smaller of the two.  Both right-hand sides are for the canonical
-    mixture, so omega is pinned to rho_R and the weights to uniform, as in
-    bounds_report.  ``lhs`` is that Umegaki value when the caller already
-    has it (bounds_report's gmain0 left-hand side); otherwise it is
-    evaluated here whenever the reference frame's largest block fits
-    DENSE_DIM_CAP.
-    """
-    if not (0.0 < s <= 1.0):
-        raise ContractViolation(f"s must be in (0,1], got {s}")
-    R = _as_matrix(instance.rho_RA)
-    n = instance.n
-    rho_R = reduced(R, instance.dims, 0)
-    ref1 = np.kron(rho_R, instance.sigma_A)
-    ell = spectrum_cardinality(ref1)
-    mu, _ = mu_quantities(R, instance.sigma_A, instance.dims)
-
-    d1s = d_alpha(R, ref1, 1.0 + s)
-    ryr_rhs = (ell**s / (s * n**s)) * 2.0 ** (s * d1s) if not math.isinf(d1s) else INF
-    imp_rhs = math.log2(1.0 + mu / n) if not math.isinf(mu) else INF
-
-    a_s = s * d1s
-    a_1 = d_alpha(R, ref1, 2.0)
-    if s == 1.0 or math.isinf(a_1) or math.isinf(a_s):
-        crossover_log_n = -INF  # degenerate: both bounds coincide in form
-    else:
-        crossover_log_n = (a_1 - a_s - s * math.log2(ell)
-                           - math.log2(1.0 / s)) / (1.0 - s)
-
-    rhs = min(ryr_rhs, imp_rhs)
-    pinned = ConvexSplitInstance(R, instance.sigma_A, rho_R, n, instance.dims)
-    if lhs is None and _largest_block(pinned) <= DENSE_DIM_CAP:
-        lhs = _ReferenceFrame(pinned).umegaki()
-    lhs_verified = lhs is not None
-    if lhs_verified:
-        ok = lhs <= rhs + 1e-8
-    else:
-        lhs = math.nan  # frame out of reach; only the RHS comparison runs
-        ok = True
-    return BoundReport(
-        "pinching-vs-exact-identity", lhs, rhs, ok,
-        {
-            "s": s,
-            "ell": ell,
-            "ryr_rhs": ryr_rhs,
-            "imp_rhs": imp_rhs,
-            "crossover_log_n": crossover_log_n,
-            "exact_identity_tighter": bool(imp_rhs <= ryr_rhs),
-            "lhs_verified": lhs_verified,
-        },
-    )

@@ -25,9 +25,9 @@ def _log2(x: float) -> float:
     return math.log2(x) if x > 0 else -INF
 
 
-def supp_contained(rho, sigma, tol: float = 1e-10) -> bool:
+def supp_contained(rho, sigma) -> bool:
     """supp(rho) subseteq supp(sigma), judged via rank_tol spectral cuts."""
-    return Spectrum.of(sigma).contains(_as_matrix(rho), tol)
+    return Spectrum.of(sigma).contains(_as_matrix(rho))
 
 
 def perpendicular(rho, sigma) -> bool:
@@ -61,7 +61,7 @@ def q_alpha(rho, sigma, alpha: float) -> float:
 
 def d_alpha_with_branch(rho, sigma, alpha: float) -> tuple[float, str]:
     """Piecewise sandwiched divergence; returns (bits, branch name)."""
-    if alpha < 0:
+    if not alpha >= 0:  # NaN fails too
         raise ContractViolation(f"alpha must be >= 0, got {alpha}")
     if alpha == 0:
         return d_min(rho, sigma), "min"

@@ -70,7 +70,7 @@ def _marginals(R, dA, dB):
 
 def renyi_entropy(rho, alpha: float) -> float:
     """H_alpha = (1/(1-alpha)) log Tr rho^alpha, with 0, 1, inf limits."""
-    if alpha < 0:
+    if not alpha >= 0:  # NaN fails too
         raise ContractViolation(f"alpha must be >= 0, got {alpha}")
     w = np.clip(np.linalg.eigvalsh(_as_matrix(rho)), 0.0, None)
     w = w[w > support_cut(w)]
@@ -222,8 +222,10 @@ def check_rld_bound(rho, sigma, eps: float, beta: float) -> BoundReport:
     a failure is inconclusive (the estimate is itself an upper bound) and
     is reported as such, never as a refutation.
     """
-    if beta <= 1.0:
+    if not beta > 1.0:  # NaN fails too
         raise ContractViolation(f"beta must be > 1, got {beta}")
+    if not (0.0 < eps < 1.0):
+        raise ContractViolation(f"eps must be in (0,1), got {eps}")
     est = dmax_smoothed_upper(rho, sigma, eps)
     rhs = d_alpha(rho, sigma, beta) + math.log2(1.0 / (eps * eps)) / (beta - 1.0)
     ok = est.value_bits <= rhs + 1e-8

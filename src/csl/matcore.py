@@ -15,6 +15,8 @@ import math
 import numpy as np
 
 TOL_HERM = 1e-10
+# Trace mass of an operator outside a support above this means it leaves it.
+SUPPORT_TOL = 1e-10
 # Eigenvalues <= RANK_TOL * lambda_max count as zero (pseudo-inverse powers).
 RANK_TOL = 1e-9
 
@@ -33,9 +35,9 @@ def _as_matrix(x) -> np.ndarray:
     return np.asarray(x, dtype=complex)
 
 
-def _check_hermitian(M: np.ndarray, tol: float = TOL_HERM, what: str = "matrix"):
+def _check_hermitian(M: np.ndarray, what: str = "matrix"):
     dev = np.max(np.abs(M - M.conj().T)) if M.size else 0.0
-    if dev > tol:
+    if dev > TOL_HERM:
         raise ContractViolation(f"{what} not Hermitian (max deviation {dev:.3e})")
 
 
@@ -94,10 +96,10 @@ class Spectrum:
         B = self.basis
         return B @ B.conj().T
 
-    def contains(self, R: np.ndarray, tol: float = 1e-10) -> bool:
-        """supp(R) inside the support: R's trace outside it is at most tol."""
+    def contains(self, R: np.ndarray) -> bool:
+        """supp(R) inside the support: R's trace outside it is at most SUPPORT_TOL."""
         Pi = self.projector()
-        return abs(float(np.trace(R - Pi @ R @ Pi).real)) <= tol
+        return abs(float(np.trace(R - Pi @ R @ Pi).real)) <= SUPPORT_TOL
 
 
 def reduced(M: np.ndarray, dims, keep) -> np.ndarray:

@@ -184,9 +184,9 @@ def test_threads_is_validated_and_runs_sequentially(tmp_path, capsys,
     seen = set()
     report = cli.convexsplit.bounds_report
 
-    def recording(instance):
+    def recording(*args):
         seen.add(threading.get_ident())
-        return report(instance)
+        return report(*args)
 
     monkeypatch.setattr(cli.convexsplit, "bounds_report", recording)
     args = ["verify-convex-split", "--dims", "2x2", "--samples", "3",
@@ -285,7 +285,7 @@ def test_atomic_write_failure_leaves_no_temp(tmp_path, monkeypatch):
 def test_exit_1_on_failed_certificate(tmp_path, capsys, monkeypatch):
     # A solver whose certificate fails is a numerical failure of the run,
     # reported as such, not a configuration error.
-    def uncertified(instance):
+    def uncertified(*args):
         raise matcore.CertificateError("convex solver stopped with Frank-Wolfe gap 1e-3")
 
     monkeypatch.setattr(cli.convexsplit, "bounds_report", uncertified)
@@ -320,12 +320,13 @@ def test_exit_1_on_wide_sdp_bracket(tmp_path, capsys, monkeypatch):
 
 
 def test_exit_2_on_bad_config_values(tmp_path, capsys):
-    # Text that does not parse, in a config file or a state file, is a
-    # configuration error.
+    # Text that does not parse or a value out of range, in a config file, a
+    # flag or a state file, is a configuration error.
     for cfg in ({"dims": "2x2", "samples": "many", "seed": 1},
                 {"dims": "2xtwo", "samples": 2, "seed": 1},
                 {"dims": "2x2", "samples": 2, "seed": 1, "n_max": 0},
-                {"dims": "2x2", "samples": 2, "seed": 1, "tol_slack": [1]}):
+                {"dims": "2x2", "samples": 2, "seed": 1, "tol_slack": [1]},
+                {"dims": "2x0", "samples": 1, "seed": 0}):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         code, _, err = run(["verify-convex-split", "--config", str(path)], capsys)
@@ -335,12 +336,20 @@ def test_exit_2_on_bad_config_values(tmp_path, capsys):
     state.write_text(json.dumps({"vector": [[1.0, 0.0]]}))
     code, _, _ = run(["qss-sim", "--state", str(state), "--seed", "0"], capsys)
     assert code == 2
+    # A NaN order or radius fails every range check.
+    rho = write_state(tmp_path / "rho.json", [["A", 2]], "matrix", np.diag([0.75, 0.25]))
+    rld = ["bounds-sweep", "--suite", "rld", "--dims", "2x2", "--samples", "1"]
+    for argv in (["divergence", "--alpha", "nan", "--rho", rho, "--sigma", rho],
+                 rld + ["--beta", "nan"], rld + ["--eps", "nan"]):
+        code, _, err = run(argv + ["--seed", "0"], capsys)
+        assert code == 2, argv
+        assert "error" in json.loads(err)
 
 
 def test_bug_in_a_suite_is_not_a_config_error(monkeypatch, capsys):
     # Only configuration, contract and OS errors map to exit 2; anything
     # else is a fault of the program and propagates.
-    def broken(instance):
+    def broken(*args):
         raise KeyError("internal")
 
     monkeypatch.setattr(cli.convexsplit, "bounds_report", broken)
@@ -350,20 +359,56 @@ def test_bug_in_a_suite_is_not_a_config_error(monkeypatch, capsys):
 
 
 def test_convex_split_row_checks_ly2024(tmp_path, capsys, monkeypatch):
-    # Seed 2, row 1 has skewed weights; the pinching comparison runs on the
-    # uniform mixture and holds.  A failing comparison fails the row.
+    # The spectral-pinching comparison is bounds_report's ly2024 entry, and a
+    # row passes only when every entry does: an entry whose rhs falls below
+    # its lhs fails the row.
     out = tmp_path / "cs.csv"
     args = ["verify-convex-split", "--dims", "2x2", "--samples", "2", "--seed", "2",
             "--out", str(out)]
     code, stdout, _ = run(args, capsys)
     assert code == 0 and json.loads(stdout)["pass_rate"] == 1.0
-    inner = cli.convexsplit.ly2024_compare
+    inner = cli.convexsplit.bounds_report
 
-    def failing(instance, s, lhs=None):
-        rep = inner(instance, s, lhs)
-        rep.ok = False
+    def failing(*args):
+        rep = inner(*args)
+        lhs, _ = rep.bounds["ly2024"]
+        rep.bounds["ly2024"] = (lhs, lhs - 1e-3)
         return rep
 
-    monkeypatch.setattr(cli.convexsplit, "ly2024_compare", failing)
+    monkeypatch.setattr(cli.convexsplit, "bounds_report", failing)
     code, stdout, _ = run(args, capsys)
-    assert code == 1 and json.loads(stdout)["pass_rate"] == 0.0
+    summary = json.loads(stdout)
+    assert code == 1 and summary["pass_rate"] == 0.0
+    assert summary["max_violation"] == pytest.approx(1e-3)
+
+
+# verify-convex-split --dims 2x3 --n-max 5 --samples 6 --seed 7: dA = 3
+# takes the reference frame's dense block, which no other CLI test reaches.
+CONVEX_SPLIT_2X3_ROWS = """\
+instance_id,n,t,q2_lhs,q2_rhs,residual,mu,mu_max,nu_n,slack_gmain0,slack_split9,slack_pmu0,ly2024_tighter
+0,1,1,6.7426570919494226,6.7426570919494404,2.6345056780674484e-15,5.7426570919494404,6.898450155035837,6.7182421289289671,0.4090417946759124,0.051834244481463898,0.052373220380119268,1
+1,2,0.5,4.1868447393789507,4.1868447393789525,4.2427100835455e-16,6.3736894787579059,14.111904053559316,4.0676504350958949,1.6480428277219583,0.36781026551137352,0.37480908871941487,1
+2,3,0.33333333333333331,4.5845470776276933,4.5845470776277075,3.0997292588727242e-15,10.753641232883124,24.846156925371737,4.4091305076534129,1.8401800918874627,0.41278677108976991,0.42146480262733799,1
+3,4,0.25,2.0738036398166342,2.0738036398166368,1.2848541722763944e-15,4.29521455926655,6.4820537113116856,2.0641934088206169,0.67021798576653069,0.26029155988111652,0.26253655710003199,1
+4,5,0.20000000000000004,6.7716376700805538,6.7716376700805743,3.0167154015580802e-15,28.85818835040287,92.207776386460196,6.0604930213529649,3.0054119610432695,0.55318503070128422,0.57051334348778804,1
+5,1,1,9.220430583796265,9.2204305837962508,1.5412354755075945e-15,8.2204305837962508,19.004401394537727,8.5725574560207356,2.4764096904517969,0.4636594223688103,0.47185592079172944,1
+"""
+
+
+def test_convex_split_2x3_rows_pinned(tmp_path, capsys):
+    # instance_id, n and ly2024_tighter exactly; every other column to 1e-9
+    # relative to max(1, |value|), the rule of the split-bounds benchmark.
+    out = tmp_path / "cs.csv"
+    code, _, _ = run(["verify-convex-split", "--dims", "2x3", "--n-max", "5",
+                      "--samples", "6", "--seed", "7", "--out", str(out)], capsys)
+    assert code == 0
+    got, want = (text.splitlines() for text in (out.read_text(), CONVEX_SPLIT_2X3_ROWS))
+    assert got[0] == want[0] and len(got) == len(want)
+    header = want[0].split(",")
+    for got_row, want_row in zip(got[1:], want[1:]):
+        for col, g, w in zip(header, got_row.split(","), want_row.split(",")):
+            if col in ("instance_id", "n", "ly2024_tighter"):
+                assert g == w, (col, got_row)
+            else:
+                g, w = float(g), float(w)
+                assert abs(g - w) <= 1e-9 * max(1.0, abs(w)), (col, got_row)

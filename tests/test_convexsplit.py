@@ -10,7 +10,6 @@ from csl.convexsplit import (
     _ReferenceFrame,
     bounds_report,
     build_tau,
-    ly2024_compare,
     mu_quantities,
     nu_n,
     split_equality_check,
@@ -21,6 +20,7 @@ from csl.matcore import (
     ContractViolation,
     Spectrum,
     eig_hermitian,
+    reduced,
     sample,
     support_cut,
     trace_distance,
@@ -53,6 +53,8 @@ def test_instance_validation():
     with pytest.raises(ContractViolation):
         ConvexSplitInstance(bell_density(), np.eye(2) / 2, np.eye(2) / 2, 2,
                             (2, 2), weights=[0.7, 0.7])
+    with pytest.raises(ContractViolation):
+        bounds_report(bell_density(), np.eye(2) / 2, 2, (2, 3))
 
 
 def test_build_tau_is_state():
@@ -188,11 +190,16 @@ def test_nu_n_rank_deficient_rho_r(n, want):
     assert np.abs(argopt[2]).max() < 1e-15  # the embedded omega stays on supp(rho_R)
 
 
+def report_of(inst):
+    """bounds_report on an instance's rho_RA, sigma_A, n and dims."""
+    return bounds_report(inst.rho_RA, inst.sigma_A, inst.n, inst.dims)
+
+
 def test_bounds_report_all_hold():
     for seed in range(8):
         n = 1 + seed % 4
         inst = random_instance(seed, n)
-        rep = bounds_report(inst)
+        rep = report_of(inst)
         for name, (lhs, rhs) in rep.bounds.items():
             assert lhs <= rhs + 1e-8, (name, lhs, rhs)
         assert rep.nu_n == rep.nu_report.value
@@ -204,7 +211,7 @@ def test_bounds_report_all_hold():
 def test_trace_bound_prefactor_is_tight_on_closed_instance():
     # T(tau, ref) on the Bell closed instance shows a prefactor below 1/2
     # in T <= c sqrt(mu/n) would fail at n = 4.
-    rep = bounds_report(closed_instance(4))
+    rep = report_of(closed_instance(4))
     lhs, rhs = rep.bounds["trace_sqrt"]
     assert lhs <= rhs + 1e-10
     assert lhs > 0.25 * math.sqrt(rep.mu / 4)
@@ -217,43 +224,36 @@ def test_spectrum_cardinality_clusters():
 
 
 def test_ly2024_compare_holds_and_reports():
-    inst = random_instance(2, 3)
-    rep = ly2024_compare(inst, 0.5)
-    assert rep.ok
-    assert rep.details["lhs_verified"]
-    assert rep.details["ell"] >= 1
-    # Qubit slots past the dense cap: the Schur-Weyl blocks still give the LHS.
-    rep_big = ly2024_compare(random_instance(2, 16), 0.5)
-    assert rep_big.details["lhs_verified"] and rep_big.ok
-    assert math.isfinite(rep_big.lhs)
-    # dA = 3 past the cap: the frame side is skipped, the comparison still runs.
-    rep_big = ly2024_compare(random_instance(2, 8, dA=3), 0.5)
-    assert not rep_big.details["lhs_verified"]
-    assert math.isnan(rep_big.lhs)
+    # The pinching comparison is bounds_report's ly2024 entry: the Umegaki
+    # LHS of gmain0 against min(pinching bound, gmain8's log(1 + mu/n)).
+    for inst in (random_instance(2, 3), random_instance(2, 16)):
+        rep = report_of(inst)
+        lhs, rhs = rep.bounds["ly2024"]
+        assert lhs == rep.bounds["gmain0"][0] and math.isfinite(lhs)
+        assert lhs <= rhs + 1e-8
+        assert rhs <= rep.bounds["gmain8"][1]
+        assert (rhs == rep.bounds["gmain8"][1]) == rep.ly2024_tighter
 
 
 @pytest.mark.parametrize("dA", [2, 3])
 def test_ly2024_compare_pins_uniform_weights(dA):
-    # The CLI row of seed 2, row 1 (n = 2, skewed weights): both right-hand
-    # sides assume weights 1/n, and against the skewed mixture the check
-    # failed (2x2: LHS 1.525 > RHS 1.218).
+    # The CLI row of seed 2, row 1 (n = 2).  Against a mixture with skewed
+    # weights the check once failed (2x2: LHS 1.525 > RHS 1.218); both
+    # right-hand sides assume weights 1/n, and bounds_report takes none.
     s = 2 + 1000
     rho = sample("rank-limited", (2, dA), s, rank=2)
     sigma = sample("mixed-hilbert-schmidt", dA, s + 1)
-    w = np.random.default_rng(s + 2).random(2)
-    inst = ConvexSplitInstance(rho, sigma, np.eye(2) / 2, 2, (2, dA), w / w.sum())
-    rep = ly2024_compare(inst, 0.5)
-    assert rep.ok and rep.lhs <= rep.rhs
-    umegaki = bounds_report(inst).bounds["gmain0"][0]
-    assert abs(rep.lhs - umegaki) <= 1e-12 * abs(umegaki)
-    assert ly2024_compare(inst, 0.5, lhs=umegaki).lhs == umegaki
+    rep = bounds_report(rho, sigma, 2, (2, dA))
+    assert rep.t == 0.5
+    lhs, rhs = rep.bounds["ly2024"]
+    assert lhs <= rhs
+    pinned = ConvexSplitInstance(rho, sigma, reduced(rho, (2, dA), 0), 2, (2, dA))
+    assert abs(lhs - _ReferenceFrame(pinned).umegaki()) <= 1e-12 * abs(lhs)
 
 
 def test_ly2024_crossover_trend():
     # For large n the exact-identity bound wins (1/n beats 1/n^s decay).
-    inst = random_instance(7, 16)
-    rep = ly2024_compare(inst, 0.5)
-    assert rep.details["exact_identity_tighter"]
+    assert report_of(random_instance(7, 16)).ly2024_tighter
 
 
 def isotypic_projectors(inst):
@@ -416,7 +416,7 @@ def test_schur_weyl_closed_checks_at_large_n():
     assert abs(rep.q2_lhs - (1.0 + 3.0 / 30)) <= 1e-12 * (1.0 + 3.0 / 30)
     assert rep.residual <= 1e-12
     for inst in (closed_instance(50), random_instance(3, 50)):
-        rep = bounds_report(inst)
+        rep = report_of(inst)
         assert rep.residual <= 1e-10
         for name, (lhs, rhs) in rep.bounds.items():
             assert lhs <= rhs + 1e-8, (name, lhs, rhs)
@@ -436,19 +436,18 @@ def test_reference_frame_cut_crossing_sigma():
 
 
 def test_public_dense_values_match_oracle():
-    # bounds_report pins omega = rho_R and uniform weights; ly2024_compare
-    # pins omega only.
+    # bounds_report pins omega = rho_R and uniform weights.
     for inst in (random_instance(3, 3), random_instance(4, 4, 2, 3),
                  cut_crossing_instance(5)):
         pinned = ConvexSplitInstance(inst.rho_RA, inst.sigma_A, inst.rho_R, inst.n,
                                      inst.dims)
         q2_lhs, umegaki, trace, p2 = dense_oracle(pinned)
-        rep = bounds_report(inst)
+        rep = report_of(inst)
         got = (rep.q2_lhs, rep.bounds["gmain0"][0], rep.bounds["pinsker"][0],
                rep.bounds["split7"][0])
         assert_close(got, (q2_lhs, umegaki, trace, p2), "bounds_report")
         assert split_equality_check(pinned).q2_lhs == rep.q2_lhs
-        assert abs(ly2024_compare(pinned, 0.5).lhs - umegaki) <= 1e-12 * abs(umegaki)
+        assert rep.bounds["ly2024"][0] == rep.bounds["gmain0"][0]
 
 
 def test_rank_deficient_omega():

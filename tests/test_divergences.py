@@ -179,6 +179,8 @@ def test_invalid_alpha_rejected():
     with pytest.raises(ContractViolation):
         d_alpha(rho, sig, -0.5)
     with pytest.raises(ContractViolation):
+        d_alpha(rho, sig, math.nan)
+    with pytest.raises(ContractViolation):
         q_alpha(rho, sig, 1.0)
 
 

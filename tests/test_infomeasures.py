@@ -187,6 +187,15 @@ def test_check_rld_bound_commuting_and_random():
         assert rep.ok  # one-sided: certification expected on generic pairs
 
 
+def test_nan_orders_and_radii_refused():
+    rho, sig = np.diag([0.8, 0.2]), np.diag([0.4, 0.6])
+    with pytest.raises(ContractViolation):
+        renyi_entropy(rho, math.nan)
+    for eps, beta in ((0.3, math.nan), (math.nan, 2.0), (0.0, 2.0), (1.0, 2.0)):
+        with pytest.raises(ContractViolation):
+            check_rld_bound(rho, sig, eps, beta)
+
+
 def test_h_min_conditional_raises_when_not_converged(monkeypatch):
     def unconverged(M_A, rho_ab, dims):
         return ImaxResult(0.0, np.eye(dims[1]), False, 0.0)
