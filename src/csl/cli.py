@@ -174,7 +174,7 @@ def run_convex_split(cfg) -> tuple[str, list, dict]:
         sigma = matcore.sample("mixed-hilbert-schmidt", dA, s + 1)
         n = 1 + i % n_max
         rep = convexsplit.bounds_report(rho, sigma, n, (dR, dA))
-        slack = {k: rep.bounds[k][1] - rep.bounds[k][0] for k in rep.bounds}
+        slack = rep.slack
         ok = rep.residual <= tol_res and all(v >= -tol_slack for v in slack.values())
         violation = max(rep.residual - tol_res, max(-v for v in slack.values()))
         row = [i, n, rep.t, rep.q2_lhs, rep.q2_rhs, rep.residual,

@@ -90,6 +90,12 @@ class SplitReport:
     # nu_n's solver report (iterations, Frank-Wolfe gap); kept off artifacts.
     nu_report: OptimizerReport | None = None
 
+    @property
+    def slack(self) -> dict:
+        """rhs - lhs per bound, and +inf where rhs = +inf: an infinite bound
+        holds for every left-hand side, an infinite one included."""
+        return {k: INF if rhs == INF else rhs - lhs for k, (lhs, rhs) in self.bounds.items()}
+
 
 def build_tau(instance: ConvexSplitInstance) -> np.ndarray:
     """Weighted mixture sum_x p_x rho^{R A_x} (x) sigma^{other slots}."""
@@ -176,6 +182,43 @@ def _schur_weyl_blocks(rho, ws, wo, keep_o, keep_s, n: int, p: float) -> list[_B
     return blocks
 
 
+def _mixture_entries(rho, ws, weights, dR: int, dA: int):
+    """X = sum_x p_x rho^{R A_x} (x) diag(ws)^{others} as its nonzero entries.
+
+    Row (r, a_1..a_n) meets column (r', b_1..b_n) only where the A-strings
+    differ in at most one slot.  Where they differ in slot x alone the entry
+    is p_x rho[r a_x, r' b_x] prod_{y != x} ws[a_y]; equal strings carry the
+    dR x dR block sum_x p_x rho[r a_x, r' a_x] prod_{y != x} ws[a_y].  Rows
+    and columns are flat indices of build_tau's layout, each pair at most once.
+    """
+    n = len(weights)
+    S = dA**n
+    s = np.arange(S)
+    rho = rho.reshape(dR, dA, dR, dA).transpose(1, 3, 0, 2)  # [a, b, r, r']
+    reg = np.arange(dR) * S
+
+    def flat(strings, r):  # flat indices of (r, string), laid out as [string, r, r']
+        return np.broadcast_to(strings[:, None, None] + r, (len(strings), dR, dR)).ravel()
+
+    rows, cols, vals = [], [], []
+    same = np.zeros((S, dR, dR), dtype=complex)
+    for x, p in enumerate(weights):
+        stride = dA ** (n - 1 - x)
+        a = (s // stride) % dA
+        others = functools.reduce(np.multiply.outer,
+                                  [np.ones(dA) if y == x else ws for y in range(n)])
+        term = p * rho[a] * others.reshape(S, 1, 1, 1)  # [s, b, r, r']
+        same += term[s, a]
+        s_m, b_m = np.nonzero(np.arange(dA) != a[:, None])
+        vals.append(term[s_m, b_m].ravel())
+        rows.append(flat(s_m, reg[:, None]))
+        cols.append(flat(s_m + (b_m - a[s_m]) * stride, reg))
+    rows.append(flat(s, reg[:, None]))
+    cols.append(flat(s, reg))
+    vals.append(same.ravel())
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
 class _ReferenceFrame:
     """tau and omega (x) sigma^n in the reference's eigenbasis, as blocks.
 
@@ -186,8 +229,10 @@ class _ReferenceFrame:
     blocks (mult, X_lambda, w_lambda, keep_lambda), and every value below is
     a multiplicity-weighted sum over them.  With uniform weights and qubit
     slots they are the Schur-Weyl blocks of _schur_weyl_blocks; otherwise
-    there is one dense block, build_tau of the rotated factors.  No block may
-    exceed DENSE_DIM_CAP.
+    there is one dense block, held as X's nonzero entries (_mixture_entries):
+    Q_2 and the support test are sums over them, and the dense block is
+    scattered from them only when a spectral value asks for it.  No block
+    may exceed DENSE_DIM_CAP.
 
     The reference's support ``keep`` is decided per factor: a global cut on
     w would misread deep-but-genuine eigenvalues (lambda_min^n) as kernel
@@ -211,16 +256,27 @@ class _ReferenceFrame:
         factors = [np.clip(f, 0.0, None) for f in (wo, ws)]
         keep_o, keep_s = (f > support_cut(f) for f in factors)
         if _schur_weyl(instance):
+            self.entries = None
             self.blocks = _schur_weyl_blocks(rho, ws, factors[0], keep_o, keep_s,
                                              instance.n, instance.weights[0])
+            self.leaks = sum(b.mult * float(b.X.diagonal().real[~b.keep].sum())
+                             for b in self.blocks) > 1e-10
         else:
-            X = build_tau(ConvexSplitInstance(rho, np.diag(ws), np.diag(wo), instance.n,
-                                              instance.dims, instance.weights))
-            w = functools.reduce(np.kron, [factors[0]] + [factors[1]] * instance.n)
-            keep = functools.reduce(np.kron, [keep_o] + [keep_s] * instance.n)
-            self.blocks = [_Block(1, X, w, keep)]
-        self.leaks = sum(b.mult * float(b.X.diagonal().real[~b.keep].sum())
-                         for b in self.blocks) > 1e-10
+            self.entries = _mixture_entries(rho, ws, instance.weights, dR, dA)
+            n = instance.n
+            self.w = functools.reduce(np.multiply.outer, [factors[0]] + [factors[1]] * n).ravel()
+            self.keep = functools.reduce(np.multiply.outer, [keep_o] + [keep_s] * n).ravel()
+            i, j, v = self.entries
+            self.leaks = float(v.real[(i == j) & ~self.keep[i]].sum()) > 1e-10
+
+    @functools.cached_property
+    def blocks(self) -> list[_Block]:
+        """The dense class's one block, scattered from X's entries.  (The
+        Schur-Weyl blocks are set in __init__ and shadow this.)"""
+        i, j, v = self.entries
+        X = np.zeros((self.w.size, self.w.size), dtype=v.dtype)
+        X[i, j] = v
+        return [_Block(1, X, self.w, self.keep)]
 
     @functools.cached_property
     def spectra(self) -> list[Spectrum]:
@@ -231,6 +287,10 @@ class _ReferenceFrame:
         """Q_2(tau || omega (x) sigma^n), elementwise in this basis."""
         if self.leaks:
             return INF
+        if self.entries is not None:
+            i, j, v = self.entries
+            q = np.where(self.keep, self.w, INF) ** -0.25  # 0 off the support
+            return float(np.sum(np.abs(q[i] * v * q[j]) ** 2))
         total = 0.0
         for b in self.blocks:
             k = b.keep

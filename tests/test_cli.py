@@ -382,6 +382,27 @@ def test_convex_split_row_checks_ly2024(tmp_path, capsys, monkeypatch):
     assert summary["max_violation"] == pytest.approx(1e-3)
 
 
+def test_convex_split_row_passes_infinite_bounds(capsys, monkeypatch):
+    # A row whose rho_RA leaves R (x) supp(sigma) meets the infinite bounds
+    # of gmain0, gmain8 and ly2024 with infinite left-hand sides: their slack
+    # is +inf and the row passes, as the package's tests count it.
+    v = np.linalg.eigh(matcore.sample("mixed-hilbert-schmidt", 2, 5))[1][:, 0]
+    sigma = np.outer(v, v.conj())
+    rho = matcore.sample("mixed-hilbert-schmidt", (2, 2), 6)
+    inner = cli.convexsplit.bounds_report
+    reports = []
+
+    def leaking(_rho, _sigma, n, dims):
+        reports.append(inner(rho, sigma, n, dims))
+        return reports[-1]
+
+    monkeypatch.setattr(cli.convexsplit, "bounds_report", leaking)
+    code, stdout, _ = run(["verify-convex-split", "--dims", "2x2", "--samples", "2",
+                           "--seed", "3"], capsys)
+    assert code == 0 and json.loads(stdout)["pass_rate"] == 1.0
+    assert all(rep.bounds["gmain0"] == (math.inf, math.inf) for rep in reports)
+
+
 # verify-convex-split --dims 2x3 --n-max 5 --samples 6 --seed 7: dA = 3
 # takes the reference frame's dense block, which no other CLI test reaches.
 CONVEX_SPLIT_2X3_ROWS = """\

@@ -300,6 +300,18 @@ def dense_frame(inst):
     return tau, V.conj().T @ tau @ V, w, keep, ref
 
 
+def dense_q2(X, w, keep):
+    """sum |X_ij|^2 / sqrt(w_i w_j) over the product's support, row by row;
+    inf when X leaves it (X's trace outside the support exceeds 1e-10)."""
+    diag = X.diagonal().real
+    if float(np.sum(diag)) - float(np.sum(diag[keep])) > 1e-10:
+        return INF
+    inv_sqrt = np.zeros(len(w))
+    inv_sqrt[keep] = 1.0 / np.sqrt(w[keep])
+    return float(sum(c * np.sum(np.abs(row) ** 2 * inv_sqrt)
+                     for row, c in zip(X, inv_sqrt) if c))
+
+
 def dense_oracle(inst):
     """q2_lhs, Umegaki LHS, T and P^2 from the dense tau and the dense product.
 
@@ -311,12 +323,10 @@ def dense_oracle(inst):
     tau, X, w, keep, ref = dense_frame(inst)
     diag = X.diagonal().real
     parts = [Spectrum(P @ X @ P) for P in isotypic_projectors(inst)]
-    if float(np.trace(tau).real) - float(np.sum(diag[keep])) > 1e-10:
-        q2_lhs = umegaki = INF
+    q2_lhs = dense_q2(X, w, keep)
+    if math.isinf(q2_lhs):
+        umegaki = INF
     else:
-        inv_sqrt = 1.0 / np.sqrt(w[keep])
-        q2_lhs = float(np.sum(np.abs(X[np.ix_(keep, keep)]) ** 2
-                              * np.outer(inv_sqrt, inv_sqrt)))
         wt = np.concatenate([s.w[s.keep] for s in parts])
         umegaki = (float(np.sum(wt * np.log2(wt)))
                    - float(np.sum(diag[keep] * np.log2(w[keep]))))
@@ -496,3 +506,140 @@ def test_schur_weyl_frame_at_float_limits():
     # Multiplicities C(n, k) past the largest float are refused.
     with pytest.raises(ContractViolation):
         _ReferenceFrame(closed_instance(1100))
+
+
+def test_infinite_bound_met_by_infinite_lhs_holds():
+    # rho_RA leaves R (x) supp(sigma): gmain0, gmain8 and ly2024 read
+    # (inf, inf), and an infinite bound holds, so their slack is +inf, not NaN.
+    inst = rank_deficient_sigma_instance(2, leaking=True)
+    rep = report_of(inst)
+    for name in ("gmain0", "gmain8", "ly2024"):
+        assert rep.bounds[name] == (INF, INF), name
+        assert rep.slack[name] == INF, name
+    lhs, rhs = rep.bounds["split7"]
+    assert math.isfinite(rhs) and rep.slack["split7"] == rhs - lhs
+    assert all(v >= -1e-8 for v in rep.slack.values())
+
+
+def entrywise_q2(inst):
+    """The frame's Q_2, checked to come from X's entries without the dense block."""
+    frame = _ReferenceFrame(inst)
+    assert frame.entries is not None
+    q = frame.q2()
+    assert "blocks" not in vars(frame)
+    return q
+
+
+def test_entrywise_q2_matches_dense_oracle_3x3():
+    rng = np.random.default_rng(33)
+    for n in range(1, 6):
+        w = rng.random(n)
+        for weights in (None, w / w.sum()):
+            inst = random_instance(n + 40, n, 3, 3, weights)
+            assert_close((entrywise_q2(inst),), dense_oracle(inst)[:1], (n, weights))
+
+
+def diagonal_instance_at_cap():
+    """Skewed weights on (2,2) at n = 11, dim 4096 = DENSE_DIM_CAP, with
+    omega and sigma diagonal in decreasing order, so that the reference's
+    eigenbasis is the standard one and X is tau itself."""
+    rng = np.random.default_rng(11)
+    w = rng.random(11)
+    rho = sample("mixed-hilbert-schmidt", (2, 2), 11)
+    inst = ConvexSplitInstance(rho, np.diag([0.7, 0.3]), np.diag([0.6, 0.4]), 11,
+                               (2, 2), w / w.sum())
+    assert 2 * 2**11 == DENSE_DIM_CAP
+    return inst
+
+
+def test_entrywise_q2_matches_dense_oracle_at_cap():
+    inst = diagonal_instance_at_cap()
+    for M in (inst.sigma_A, inst.omega_R):
+        assert np.array_equal(eig_hermitian(M)[1], np.eye(2))
+    w = np.diag(inst.omega_R).real
+    for _ in range(inst.n):
+        w = np.multiply.outer(w, np.diag(inst.sigma_A).real).reshape(-1)
+    want = dense_q2(build_tau(inst), w, np.ones(w.size, dtype=bool))
+    assert_close((entrywise_q2(inst),), (want,), "n = 11")
+
+
+def rank_deficient_dense_instances():
+    """Dense-class instances (skewed weights or a qutrit A) with a
+    rank-deficient sigma or omega, each finite and leaking."""
+    rng = np.random.default_rng(70)
+    out = []
+    for n in (2, 3):
+        w = rng.random(n)
+        for leaking in (False, True):
+            inst = rank_deficient_sigma_instance(n, leaking)
+            out.append((ConvexSplitInstance(inst.rho_RA, inst.sigma_A, inst.omega_R, n,
+                                            (2, 2), w / w.sum()), leaking))
+    # sigma of rank 2 on a qutrit A.
+    U = random_unitary(3, rng)
+    sigma = (U * np.array([0.6, 0.4, 0.0])) @ U.conj().T
+    rho = sample("mixed-hilbert-schmidt", (2, 3), 71)
+    P = np.kron(np.eye(2), U[:, :2] @ U[:, :2].conj().T)
+    inside = P @ rho @ P
+    for r, leaking in ((inside / np.trace(inside).real, False), (rho, True)):
+        out.append((ConvexSplitInstance(r, sigma, np.eye(2) / 2, 3, (2, 3)), leaking))
+    # omega of rank 2 in a 3-dim R, around rho_RA on span(e0, e1) (x) A.
+    W = np.kron(np.eye(3)[:, :2], np.eye(2))
+    rho = W @ sample("mixed-hilbert-schmidt", (2, 2), 72) @ W.conj().T
+    sigma = sample("mixed-hilbert-schmidt", 2, 73)
+    w = rng.random(3)
+    for omega, leaking in ((np.diag([0.6, 0.4, 0.0]), False),
+                           (np.diag([0.6, 0.0, 0.4]), True)):
+        out.append((ConvexSplitInstance(rho, sigma, omega, 3, (3, 2), w / w.sum()),
+                    leaking))
+    return out
+
+
+def test_entrywise_q2_rank_deficient_and_leaking():
+    # A leaking instance gives inf on both sides of the identity.
+    for k, (inst, leaking) in enumerate(rank_deficient_dense_instances()):
+        got = entrywise_q2(inst)
+        assert math.isinf(got) == leaking, k
+        assert_close((got,), dense_oracle(inst)[:1], k)
+        rep = split_equality_check(inst)
+        assert math.isinf(rep.q2_rhs) == leaking, k
+        assert rep.residual <= 1e-10, k
+
+
+def test_split_check_never_forms_the_dense_block():
+    # Dense at the cap, tau is 4096 x 4096 complex: 268 MB.
+    inst = diagonal_instance_at_cap()
+    tracemalloc.start()
+    try:
+        rep = split_equality_check(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.residual <= 1e-10
+    assert peak < 32 * 2**20, peak
+
+
+@pytest.mark.parametrize("dims, weighted", [((2, 2), False), ((3, 2), False),
+                                            ((2, 2), True), ((2, 3), False),
+                                            ((3, 3), True)])
+def test_frame_values_invariant_under_local_unitaries(dims, weighted):
+    # rho_RA -> (U_R (x) U_A) rho_RA (.)^dag, sigma -> U_A sigma U_A^dag and
+    # omega -> U_R omega U_R^dag move the reference's eigenbasis, not a value.
+    # Uniform weights on qubit slots take the Schur-Weyl blocks, the rest
+    # the entrywise dense class.
+    dR, dA = dims
+    rng = np.random.default_rng(dR * 10 + dA + 100 * weighted)
+    for n in range(1, 5 if dA == 3 else 6):
+        w = rng.random(n)
+        inst = random_instance(n + 50, n, dR, dA, w / w.sum() if weighted else None)
+        UR, UA = random_unitary(dR, rng), random_unitary(dA, rng)
+        U = np.kron(UR, UA)
+        moved = ConvexSplitInstance(U @ inst.rho_RA @ U.conj().T,
+                                    UA @ inst.sigma_A @ UA.conj().T,
+                                    UR @ inst.omega_R @ UR.conj().T, n, dims, inst.weights)
+        values = []
+        for case in (inst, moved):
+            frame = _ReferenceFrame(case)
+            values.append((frame.q2(), frame.umegaki(), frame.trace_distance(),
+                           frame.fidelity()))
+        for name, a, b in zip(("q2", "umegaki", "trace", "fidelity"), *values):
+            assert abs(a - b) <= 1e-12 * abs(a), (dims, n, name, a, b)
