@@ -27,6 +27,7 @@ from .matcore import (
 from .optim import (
     GAP_TOL,
     RESIDUAL_TOL,
+    ImaxResult,
     dominating_trace_min,
     imax_sdp,
     minimize_convex_over_states,
@@ -149,18 +150,20 @@ def conditional_renyi_up(rho_ab, beta: float, dims) -> float:
     return -minimize_convex_over_states(fun_grad, VB.shape[1], value_of).value
 
 
-def imax_certified(rho_ab, dims) -> float:
-    """I_max(A:B) in bits, the upper side of imax_sdp's checked bracket.
+def imax_certified(rho_ab, dims) -> ImaxResult:
+    """imax_sdp's result once its bracket and residual are checked.
 
-    Raises unless the solve converged with a bracket of at most GAP_TOL bits
-    and a certificate residual of at least -RESIDUAL_TOL.
+    I_max(A:B) in bits is its value_bits, the upper side of the bracket, and
+    its certificate Y attains it.  Raises unless the solve converged with a
+    bracket of at most GAP_TOL bits and a certificate residual of at least
+    -RESIDUAL_TOL.
     """
     res = imax_sdp(rho_ab, dims)
     if not (res.converged and res.gap_bits <= GAP_TOL) or res.residual < -RESIDUAL_TOL:
         raise CertificateError(
             f"max-information SDP not certified (converged={res.converged}, "
             f"bracket {res.gap_bits:.3e} bits, residual {res.residual:.3e})")
-    return res.value_bits
+    return res
 
 
 def f_alpha_beta(alpha: float, beta: float, eps: float) -> float:
@@ -174,14 +177,20 @@ def f_alpha_beta(alpha: float, beta: float, eps: float) -> float:
 
 def universal_rhs(rho_ab, dims, alpha: float, beta: float, eps: float,
                   cache: dict | None = None) -> float:
-    """H_alpha(A) - optimized conditional beta-entropy + smoothing overhead."""
+    """H_alpha(A) - optimized conditional beta-entropy + smoothing overhead.
+
+    ``cache`` belongs to one rho; it holds H_alpha(A) per alpha and
+    H_up_beta(A|B) per beta.
+    """
     R, dA, dB = _bipartite(rho_ab, dims)
-    rho_A, _ = _marginals(R, dA, dB)
     cache = cache if cache is not None else {}
+    key_a = ("h_alpha", round(alpha, 14))
+    if key_a not in cache:
+        cache[key_a] = renyi_entropy(_marginals(R, dA, dB)[0], alpha)
     key = ("h_up", round(beta, 14))
     if key not in cache:
         cache[key] = conditional_renyi_up(R, beta, (dA, dB))
-    return renyi_entropy(rho_A, alpha) - cache[key] + f_alpha_beta(alpha, beta, eps)
+    return cache[key_a] - cache[key] + f_alpha_beta(alpha, beta, eps)
 
 
 def dmax_smoothed_upper(rho, sigma, eps: float) -> SmoothedEstimate:

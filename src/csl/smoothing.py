@@ -23,13 +23,16 @@ from .infomeasures import (
     universal_rhs,
 )
 from .matcore import (
+    CertificateError,
     ContractViolation,
+    Spectrum,
     _as_matrix,
     eig_hermitian,
     purified_distance,
     reduced,
     trace_distance,
 )
+from .optim import RESIDUAL_TOL
 
 @dataclass
 class TruncationResult:
@@ -143,25 +146,58 @@ def _truncated_witness(R, dims, delta: float):
     return spectrum, tr, omega
 
 
+def _witness_imax(R, dims, omega, cache: dict) -> float:
+    """Certified I_max of omega = (Lam (x) 1) rho (Lam (x) 1)/s, in bits.
+
+    Lam is diagonal in rho_A's eigenbasis with non-increasing weights, so
+    omega_A keeps the top k of rho_A's eigenvectors: the witness's cutoff
+    class.  I_max is unchanged by a filter L (x) 1 with L invertible on
+    supp(omega_A), since it conjugates both sides of rho_A (x) Y >= rho_AB
+    (Berta, Christandl & Renner, CMP 306, 579, 2011).  So the SDP runs once
+    per class, on rho when nothing is cut and on P_k rho P_k / Tr otherwise
+    (P_k the top-k eigenprojector of rho_A, tensored with 1_B), and the
+    cache keys it on k alone.  The class's Y is feasible for every witness
+    of the class with the same Tr Y; it is checked against this witness,
+    omega_A (x) Y - omega_AB >= -RESIDUAL_TOL, before the value is used.
+    """
+    omega_A = reduced(omega, dims, 0)
+    k = int(np.count_nonzero(Spectrum(omega_A).keep))
+    key = ("imax_class", k)
+    if key not in cache:
+        SA = Spectrum(reduced(R, dims, 0))
+        state = R
+        if k != np.count_nonzero(SA.keep):
+            Vk = SA.V[:, :k]
+            P = np.kron(Vk @ Vk.conj().T, np.eye(dims[1]))
+            state = P @ R @ P
+            state = state / np.trace(state).real
+        res = imax_certified(state, dims)
+        cache[key] = (res.value_bits, res.certificate)
+    value, Y = cache[key]
+    residual = float(np.linalg.eigvalsh(np.kron(omega_A, Y) - omega)[0])
+    if residual < -RESIDUAL_TOL:
+        raise CertificateError(
+            f"max-information SDP not certified for the witness of class {k} "
+            f"(residual {residual:.3e})")
+    return value
+
+
 def imax_smoothed_upper(rho_ab, eps: float, dims,
                         cache: dict | None = None) -> SmoothedEstimate:
     """Feasible-point upper estimate of the smoothed max-information.
 
     Witness pool: rho itself plus tail-truncated states over a delta grid;
     every witness is checked inside the trace-distance eps-ball before its
-    I_max is solved.  One-sided: the true smoothed value can only be smaller.
+    I_max is taken.  A witness's I_max is its cutoff class's (see
+    _witness_imax), so rho and every witness that cuts nothing share one
+    SDP, and a class's certificate is checked against each witness.
+    One-sided: the true smoothed value can only be smaller.
     """
     if not (0.0 < eps < 1.0):
         raise ContractViolation(f"eps must be in (0,1), got {eps}")
     R, dA, dB = _bipartite(rho_ab, dims)
     cache = cache if cache is not None else {}
-
-    def imax_of(key, state):
-        if key not in cache:
-            cache[key] = imax_certified(state, (dA, dB))
-        return cache[key]
-
-    best_v = imax_of("imax_rho", R)
+    best_v = _witness_imax(R, (dA, dB), R, cache)
     best_w = R
     grid = {C_SMOOTH * eps * eps, eps * eps / 2.0, eps / 4.0, eps / 2.0}
     for delta in sorted(d for d in grid if 0.0 < d < min(eps, 0.5)):
@@ -171,7 +207,7 @@ def imax_smoothed_upper(rho_ab, eps: float, dims,
             continue
         if trace_distance(omega, R) > eps + 1e-9:
             continue
-        v = imax_of(("imax_w", round(delta, 14)), omega)
+        v = _witness_imax(R, (dA, dB), omega, cache)
         if v < best_v:
             best_v, best_w = v, omega
     return SmoothedEstimate(best_v, best_w)
@@ -206,8 +242,11 @@ def uab_chain_verify(rho_ab, dims: tuple[int, int], alpha: float, beta: float,
     ``cache`` belongs to one rho and may be shared across (alpha, beta, eps).
     It holds, per delta, the steepest delta-smoothing of spec(rho_A), the
     smallest weight its truncation keeps, and the truncated witness's
-    certified I_max and trace and purified distances to rho; H_min(A|B)
-    once; and H_up_beta(A|B) per beta.
+    I_max and trace and purified distances to rho; the I_max SDP's value
+    and certificate per cutoff class (see _witness_imax), so a grid whose
+    witnesses cut nothing solves one I_max SDP, yet each witness's I_max is
+    checked against its own certificate residual; H_min(A|B) once; and
+    H_alpha(A) per alpha and H_up_beta(A|B) per beta (universal_rhs).
     The steepest smoothing majorizes the whole delta-ball for every alpha,
     so the witness depends on (rho, eps) only: alpha enters only through
     h_delta (a closed-form sum over the cached spectrum), H_alpha(A) and
@@ -224,7 +263,7 @@ def uab_chain_verify(rho_ab, dims: tuple[int, int], alpha: float, beta: float,
     key_t = ("trunc", round(delta, 14))
     if key_t not in cache:
         spectrum, tr, omega = _truncated_witness(R, dims, delta)
-        cache[key_t] = (spectrum, tr.s_min_kept, imax_certified(omega, dims),
+        cache[key_t] = (spectrum, tr.s_min_kept, _witness_imax(R, dims, omega, cache),
                         trace_distance(omega, R), purified_distance(omega, R))
     spectrum, s_min_kept, imax_val, dist, pdist = cache[key_t]
     h_delta = _renyi_of_spectrum(spectrum, alpha)

@@ -1,0 +1,103 @@
+"""Closed-form oracles and invariances of the max-information solvers.
+
+I_max(A:B) = log min{Tr Y : rho_A (x) Y >= rho_AB} is unchanged when rho is
+replaced by (L (x) 1) rho (L (x) 1)^H / Tr for L invertible on A: both sides
+of the constraint are conjugated by L (x) 1.  A filter on B has no such
+symmetry.  On classical states both SDPs have closed forms (Koenig, Renner
+& Schaffner, IEEE TIT 55, 4337, 2009).
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from csl.infomeasures import h_min_conditional, imax_certified
+from csl.matcore import reduced, sample
+from csl.optim import imax_sdp
+
+DIMS = [(2, 2), (2, 3), (3, 2)]
+
+
+def _filtered(rho, L):
+    out = L @ rho @ L.conj().T
+    return out / np.trace(out).real
+
+
+def _random_filter(d, rng):
+    """A well-conditioned invertible d x d matrix, generic (not normal)."""
+    G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return np.eye(d) + 0.4 * G
+
+
+@pytest.mark.parametrize("dims", DIMS)
+def test_imax_invariant_under_invertible_filter_on_a(dims):
+    dA, dB = dims
+    rng = np.random.default_rng([17, dA, dB])
+    for seed in range(3):
+        rho = sample("mixed-hilbert-schmidt", dims, 1700 + 10 * dA + seed)
+        want = imax_certified(rho, dims).value_bits
+        for _ in range(2):
+            L = _random_filter(dA, rng)
+            rho_A = reduced(rho, dims, 0)
+            assert np.linalg.norm(L @ rho_A - rho_A @ L) > 1e-2  # not a function of rho_A
+            got = imax_certified(_filtered(rho, np.kron(L, np.eye(dB))), dims).value_bits
+            assert abs(got - want) <= 1e-10, (seed, got, want)
+
+
+@pytest.mark.parametrize("dims", DIMS)
+def test_imax_moves_under_filter_on_b(dims):
+    # Negative control: the same kind of filter on B changes I_max.
+    dA, dB = dims
+    rng = np.random.default_rng([18, dA, dB])
+    for seed in range(3):
+        rho = sample("mixed-hilbert-schmidt", dims, 1800 + 10 * dA + seed)
+        want = imax_certified(rho, dims).value_bits
+        M = _random_filter(dB, rng)
+        got = imax_certified(_filtered(rho, np.kron(np.eye(dA), M)), dims).value_bits
+        assert abs(got - want) > 1e-3, (seed, got, want)
+
+
+def _classical_states():
+    """Diagonal p(a, b), 2x2 to 3x3, with zero entries, a zero row of A and
+    a zero column of B (a rank-deficient rho_B)."""
+    out = []
+    for dA, dB in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+        rng = np.random.default_rng([19, dA, dB])
+        for case in range(3):
+            p = rng.random((dA, dB))
+            if case >= 1:
+                p[rng.random((dA, dB)) < 0.3] = 0.0
+                p[0, -1] = 0.0
+            if case == 2:
+                p[:, -1] = 0.0  # rho_B rank-deficient
+                if dA == 3:
+                    p[1, :] = 0.0  # rho_A rank-deficient too
+            out.append(((dA, dB), p / p.sum()))
+    return out
+
+
+CLASSICAL = _classical_states()
+
+
+def _diag_state(p):
+    return np.diag(p.reshape(-1)).astype(complex)
+
+
+@pytest.mark.parametrize("dims, p", CLASSICAL)
+def test_imax_classical_closed_form(dims, p):
+    # I_max = log2 sum_b max_{a: p(a) > 0} p(b|a).
+    pa = p.sum(axis=1)
+    cond = p[pa > 0] / pa[pa > 0, None]
+    want = math.log2(float(cond.max(axis=0).sum()))
+    res = imax_sdp(_diag_state(p), dims)
+    assert res.converged
+    assert abs(res.value_bits - want) <= 1e-10, (res.value_bits, want)
+
+
+@pytest.mark.parametrize("dims, p", CLASSICAL)
+def test_h_min_classical_closed_form(dims, p):
+    # H_min(A|B) = -log2 sum_b max_a p(a, b).
+    want = -math.log2(float(p.max(axis=0).sum()))
+    got = h_min_conditional(_diag_state(p), dims)
+    assert abs(got - want) <= 1e-10, (got, want)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -9,6 +10,7 @@ from csl.matcore import (
     CertificateError,
     ContractViolation,
     purified_distance,
+    reduced,
     sample,
 )
 from csl.optim import ImaxResult
@@ -127,9 +129,12 @@ def test_uab_chain_cache_reuse():
     rep2 = uab_chain_verify(rho, (2, 2), 0.5, 2.0, 0.1, cache=cache)
     assert rep1.imax_truncated == rep2.imax_truncated
     assert rep1.rhs_final == rep2.rhs_final
-    # The witness is keyed on delta alone: no Renyi order in the key.
+    # The witness is keyed on delta alone: no Renyi order in the key.  Its
+    # I_max SDP is keyed on the cutoff class, here the uncut one (k = dA),
+    # and H_alpha(A) on alpha.
     delta = infomeasures.C_SMOOTH * 0.1 * 0.1
-    assert set(cache) == {("trunc", round(delta, 14)), "h_min", ("h_up", 2.0)}
+    assert set(cache) == {("trunc", round(delta, 14)), ("imax_class", 2), "h_min",
+                          ("h_alpha", 0.5), ("h_up", 2.0)}
 
 
 UAB_GRID = list(itertools.product((0.3, 0.5, 0.9), (1.5, 2.0, 4.0), (0.05, 0.1, 0.3)))
@@ -153,10 +158,8 @@ def test_uab_chain_shared_cache_matches_fresh(dims, seed):
             fresh.imax_truncated, fresh.rhs_final)
 
 
-@pytest.mark.parametrize("dims, seed", [((2, 2), 43), ((2, 3), 44)])
-def test_uab_chain_solves_per_state(monkeypatch, dims, seed):
-    # On one cache the 27-point grid solves one SDP per delta (3) plus H_min,
-    # and one conditional_renyi_up per beta (3).
+def _count_solves(monkeypatch):
+    """Count SDP solves (I_max and H_min) and conditional_renyi_up calls."""
     calls = {"sdp": 0, "renyi_up": 0}
 
     def counting(fn, key):
@@ -170,11 +173,70 @@ def test_uab_chain_solves_per_state(monkeypatch, dims, seed):
     monkeypatch.setattr(infomeasures, "dominating_trace_min", sdp)
     monkeypatch.setattr(infomeasures, "conditional_renyi_up",
                         counting(infomeasures.conditional_renyi_up, "renyi_up"))
+    return calls
+
+
+@pytest.mark.parametrize("dims, seed", [((2, 2), 43), ((2, 3), 44)])
+def test_uab_chain_solves_per_state(monkeypatch, dims, seed):
+    # On one cache the 27-point grid solves one I_max SDP per cutoff class
+    # (one here: no delta cuts these states) plus H_min, and one
+    # conditional_renyi_up per beta (3).
+    calls = _count_solves(monkeypatch)
     rho = sample("mixed-hilbert-schmidt", dims[0] * dims[1], seed)
     cache = {}
     for alpha, beta, eps in UAB_GRID:
         assert uab_chain_verify(rho, dims, alpha, beta, eps, cache=cache).passed
-    assert calls == {"sdp": 4, "renyi_up": 3}
+    assert calls == {"sdp": 2, "renyi_up": 3}
+
+
+def _filtered_on_a(rho, dims, weights):
+    """(L (x) 1) rho (L (x) 1)/Tr with L = diag(weights) on A."""
+    L = np.kron(np.diag(weights), np.eye(dims[1]))
+    out = L @ rho @ L
+    return out / np.trace(out).real
+
+
+@pytest.mark.parametrize("dims, seed, weights", [
+    ((2, 3), 50, [1.0, 0.15]),
+    ((3, 2), 51, [1.0, 1.0, 0.15]),
+])
+def test_uab_chain_cut_class_matches_witness_sdp(monkeypatch, dims, seed, weights):
+    # rho_A's smallest eigenvalue lies below 2 delta at eps = 0.3 and above it
+    # at eps = 0.1, so the eps = 0.3 witness cuts one direction of A: its
+    # class (dA - 1) is solved on P rho P / Tr, not on rho.  Each witness's
+    # I_max equals its own SDP, and the grid runs 3 SDPs: two classes and
+    # H_min.
+    rho = _filtered_on_a(sample("mixed-hilbert-schmidt", dims[0] * dims[1], seed),
+                         dims, weights)
+    lam = np.linalg.eigvalsh(reduced(rho, dims, 0))[0]
+    assert 2 * infomeasures.C_SMOOTH * 0.1**2 < lam < 2 * infomeasures.C_SMOOTH * 0.3**2
+    calls = _count_solves(monkeypatch)
+    cache = {}
+    for alpha, beta, eps in UAB_GRID:
+        assert uab_chain_verify(rho, dims, alpha, beta, eps, cache=cache).passed
+    assert calls == {"sdp": 3, "renyi_up": 3}
+    classes = {k[1] for k in cache if k[0] == "imax_class"}
+    assert classes == {dims[0], dims[0] - 1}
+    rho_A = reduced(rho, dims, 0)
+    p = np.sort(np.linalg.eigvalsh(rho_A))[::-1]
+    for eps in (0.05, 0.1, 0.3):
+        delta = infomeasures.C_SMOOTH * eps * eps
+        _, spectrum = smooth_renyi_entropy_min(p, delta, 0.5)
+        omega, _ = apply_truncation(
+            rho, truncation_effect(rho_A, spectrum, delta).effect, dims)
+        own = infomeasures.imax_certified(omega, dims).value_bits
+        assert abs(cache[("trunc", round(delta, 14))][2] - own) <= 1e-10, eps
+
+
+def test_imax_smoothed_upper_one_sdp_when_nothing_is_cut(monkeypatch):
+    # rho and every witness that cuts nothing share the uncut class's SDP,
+    # and no uncut witness can beat rho by round-off.
+    rho = sample("mixed-hilbert-schmidt", (2, 2), 45)
+    calls = _count_solves(monkeypatch)
+    est = imax_smoothed_upper(rho, 0.1, (2, 2))
+    assert calls["sdp"] == 1
+    assert np.array_equal(est.witness, rho)
+    assert est.value_bits == infomeasures.imax_certified(rho, (2, 2)).value_bits
 
 
 @pytest.mark.parametrize("converged, residual", [(False, 0.0), (True, -1e-3)])
@@ -189,4 +251,21 @@ def test_uab_chain_rejects_uncertified_imax(monkeypatch, converged, residual):
     with pytest.raises(CertificateError, match="not certified"):
         uab_chain_verify(rho, (2, 2), 0.5, 2.0, 0.1)
     with pytest.raises(CertificateError, match="not certified"):
+        imax_smoothed_upper(rho, 0.1, (2, 2))
+
+
+def test_class_certificate_is_checked_against_each_witness(monkeypatch):
+    # A class solve that passes its own checks but returns a Y too small for
+    # the witness must not certify that witness's I_max.
+    solve = infomeasures.imax_sdp
+
+    def shrunk(rho_ab, dims):
+        res = solve(rho_ab, dims)
+        return dataclasses.replace(res, certificate=0.5 * res.certificate)
+
+    monkeypatch.setattr(infomeasures, "imax_sdp", shrunk)
+    rho = sample("mixed-hilbert-schmidt", (2, 2), 3)
+    with pytest.raises(CertificateError, match="not certified for the witness"):
+        uab_chain_verify(rho, (2, 2), 0.5, 2.0, 0.1)
+    with pytest.raises(CertificateError, match="not certified for the witness"):
         imax_smoothed_upper(rho, 0.1, (2, 2))
