@@ -4,7 +4,8 @@ hypothesis-testing divergence.
 All logarithms are base 2 (values in bits).  Infinite divergence is a value
 (math.inf), never an exception.  The second argument of the Q/D functionals
 may be any PSD operator (conditional entropies pass I (x) sigma), or its
-matcore.Spectrum, which is then not decomposed again.
+matcore.Spectrum, which is then not decomposed again.  `d_alpha` also takes
+a stack of them, shape (m, d, d), and returns each member's value as alone.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import math
 
 import numpy as np
 
-from .matcore import CertificateError, ContractViolation, Spectrum, _as_matrix, eig_hermitian
+from .matcore import (CertificateError, ContractViolation, Spectrum, SpectrumStack,
+                      _as_matrix, eig_hermitian)
 
 INF = math.inf
 
@@ -30,20 +32,25 @@ def supp_contained(rho, sigma) -> bool:
     return Spectrum.of(sigma).contains(_as_matrix(rho))
 
 
-def perpendicular(rho, sigma) -> bool:
-    """Tr[rho sigma] vanishes."""
+def perpendicular(rho, sigma):
+    """Tr[rho sigma] vanishes (per member when sigma is a stack)."""
     R, S = _as_matrix(rho), _as_matrix(sigma)
-    return float(np.trace(R @ S).real) <= _PERP_TOL
+    out = np.trace(R @ S, axis1=-2, axis2=-1).real <= _PERP_TOL
+    return bool(out) if out.ndim == 0 else out
 
 
-def _q(R: np.ndarray, S: Spectrum, alpha: float) -> float:
-    """Tr (S^e R S^e)^alpha, e = (1-alpha)/(2 alpha), with no support check."""
+def _q(R: np.ndarray, S: Spectrum, alpha: float):
+    """Tr (S^e R S^e)^alpha, e = (1-alpha)/(2 alpha), with no support check.
+
+    For a SpectrumStack S, one value per member: one ``eigh`` for the stack
+    of sandwiched operators.
+    """
     Se = S.power((1.0 - alpha) / (2.0 * alpha))
     X = Se @ R @ Se
-    X = (X + X.conj().T) / 2  # exact in theory; kills float asymmetry
+    X = (X + X.conj().mT) / 2  # exact in theory; kills float asymmetry
     w, _ = eig_hermitian(X)
     w = np.clip(w, 0.0, None)
-    return float(np.sum(w**alpha))
+    return np.sum(w**alpha, axis=-1)
 
 
 def q_alpha(rho, sigma, alpha: float) -> float:
@@ -56,7 +63,24 @@ def q_alpha(rho, sigma, alpha: float) -> float:
     R, S = _as_matrix(rho), Spectrum.of(sigma)
     if alpha > 1 and not S.contains(R):
         return INF
-    return _q(R, S, alpha)
+    return float(_q(R, S, alpha))
+
+
+def _sandwiched(R: np.ndarray, S: SpectrumStack, alpha: float) -> np.ndarray:
+    """D_alpha, alpha in [1/2, 1) or (1, inf), against each member of S: the
+    rule and the `_q` of d_alpha_with_branch, member by member, with `_q` run
+    once on the finite members."""
+    if alpha > 1:
+        finite = S.contains(R)
+    else:
+        finite = ~perpendicular(R, S)
+        if not finite.all():
+            finite[~finite] = S[~finite].contains(R)
+    values = np.full(len(finite), INF)
+    if finite.any():
+        q = _q(R, S if finite.all() else S[finite], alpha)
+        values[finite] = [(1.0 / (alpha - 1.0)) * _log2(v) for v in q]
+    return values
 
 
 def d_alpha_with_branch(rho, sigma, alpha: float) -> tuple[float, str]:
@@ -85,8 +109,22 @@ def d_alpha_with_branch(rho, sigma, alpha: float) -> tuple[float, str]:
     return (1.0 / (alpha - 1.0)) * _log2(q), "sandwiched"
 
 
-def d_alpha(rho, sigma, alpha: float) -> float:
-    return d_alpha_with_branch(rho, sigma, alpha)[0]
+def d_alpha(rho, sigma, alpha: float):
+    """D_alpha(rho || sigma) in bits.
+
+    sigma may be a stack of references (m, d, d), or its SpectrumStack: the
+    result is then an array of m values, each bit for bit the value of that
+    member alone.  The sandwiched orders (alpha in [1/2, 1) and (1, inf))
+    evaluate the whole stack with one ``eigh`` for the references and one
+    for the sandwiched operators, through the same `_q` as a single
+    reference; the Hermitian, PSD and support checks stay per member.  The
+    other orders run member by member.
+    """
+    if _as_matrix(sigma).ndim != 3:
+        return d_alpha_with_branch(rho, sigma, alpha)[0]
+    if 0.5 <= alpha < INF and alpha != 1:
+        return _sandwiched(_as_matrix(rho), SpectrumStack.of(sigma), alpha)
+    return np.array([d_alpha_with_branch(rho, s, alpha)[0] for s in _as_matrix(sigma)])
 
 
 def d_min(rho, sigma) -> float:

@@ -89,14 +89,18 @@ def mutual_info_alpha(rho_ab, alpha: float, dims):
 
     Returns (value, report): the value clipped at 0 and the solver's report,
     whose argopt is the minimizing sigma.  The descent starts from I/d and
-    rho_B, then 14 random states.
+    rho_B, then 14 random states.  Each of its points is one stacked
+    `d_alpha` call: rho_A (x) sigma for the whole stack of states is formed
+    by broadcasting, the same products np.kron forms for each alone.
     """
     R, dA, dB = _bipartite(rho_ab, dims)
     rho_A, rho_B = _marginals(R, dA, dB)
-    report = minimize_over_states(
-        lambda s: d_alpha(R, np.kron(rho_A, s), alpha),
-        dB, restarts=16, extra_starts=[rho_B],
-    )
+
+    def objective(stack):
+        ref = rho_A[None, :, None, :, None] * stack[:, None, :, None, :]
+        return d_alpha(R, ref.reshape(len(stack), dA * dB, dA * dB), alpha)
+
+    report = minimize_over_states(objective, dB, restarts=16, extra_starts=[rho_B])
     return max(report.value, 0.0), report
 
 

@@ -36,18 +36,23 @@ def _as_matrix(x) -> np.ndarray:
 
 
 def _check_hermitian(M: np.ndarray, what: str = "matrix"):
-    dev = np.max(np.abs(M - M.conj().T)) if M.size else 0.0
+    """Raise unless M (every member of a stack) is Hermitian to TOL_HERM."""
+    dev = np.max(np.abs(M - M.conj().mT)) if M.size else 0.0
     if dev > TOL_HERM:
         raise ContractViolation(f"{what} not Hermitian (max deviation {dev:.3e})")
 
 
 def eig_hermitian(H) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues non-increasing."""
+    """Eigendecomposition of a Hermitian matrix, eigenvalues non-increasing.
+
+    A stack (m, n, n) takes one ``eigh`` call and gives each member's
+    eigenpairs exactly as alone: w of shape (m, n), V of shape (m, n, n).
+    """
     M = _as_matrix(H)
     _check_hermitian(M)
-    Ms = (M + M.conj().T) / 2
+    Ms = (M + M.conj().mT) / 2
     w, V = np.linalg.eigh(Ms)
-    return w[::-1].copy(), V[:, ::-1].copy()
+    return w[..., ::-1].copy(), V[..., ::-1].copy()
 
 
 def support_cut(w: np.ndarray) -> float:
@@ -70,11 +75,11 @@ class Spectrum:
         self.matrix = _as_matrix(H)
         self.w, self.V = eig_hermitian(self.matrix)
         self.cut = support_cut(self.w)
-        self.keep = self.w > self.cut
+        self.keep = (self.w.T > self.cut).T  # the cut per member of a stack
 
     @classmethod
     def of(cls, H) -> "Spectrum":
-        return H if isinstance(H, Spectrum) else cls(H)
+        return H if isinstance(H, cls) else cls(H)
 
     def require_psd(self) -> None:
         if self.w.min(initial=0.0) < -max(1e-10, self.cut):
@@ -85,7 +90,7 @@ class Spectrum:
         self.require_psd()
         out = np.zeros_like(self.w)
         out[self.keep] = self.w[self.keep] ** exponent
-        return (self.V * out) @ self.V.conj().T
+        return (self.V * out[..., None, :]) @ self.V.conj().mT
 
     @property
     def basis(self) -> np.ndarray:
@@ -100,6 +105,42 @@ class Spectrum:
         """supp(R) inside the support: R's trace outside it is at most SUPPORT_TOL."""
         Pi = self.projector()
         return abs(float(np.trace(R - Pi @ R @ Pi).real)) <= SUPPORT_TOL
+
+
+class SpectrumStack(Spectrum):
+    """The Spectrum of each operator in a stack (m, n, n), from one ``eigh`` call.
+
+    ``w``, ``V``, ``cut`` and ``keep`` carry the stack axis.  `power`,
+    `require_psd`, `projector` and `contains` act member by member, each
+    exactly as Spectrum on that member alone; ``S[idx]`` selects members
+    without decomposing again.
+    """
+
+    def __getitem__(self, idx) -> "SpectrumStack":
+        S = object.__new__(SpectrumStack)
+        S.matrix, S.w, S.V, S.cut, S.keep = (
+            a[idx] for a in (self.matrix, self.w, self.V, self.cut, self.keep))
+        return S
+
+    def require_psd(self) -> None:
+        low = self.w.min(axis=-1, initial=0.0)
+        if ((low < -1e-10) & (low < -self.cut)).any():
+            raise ContractViolation(f"matrix not PSD (min eigenvalue {self.w.min():.3e})")
+
+    def projector(self) -> np.ndarray:
+        # Members with one support mask share one stacked product.
+        P = np.empty_like(self.V)
+        groups = {}
+        for i, mask in enumerate(self.keep):
+            groups.setdefault(mask.tobytes(), []).append(i)
+        for idx in groups.values():
+            B = self.V[idx][..., self.keep[idx[0]]]
+            P[idx] = B @ B.conj().mT
+        return P
+
+    def contains(self, R: np.ndarray) -> np.ndarray:
+        Pi = self.projector()
+        return abs(np.trace(R - Pi @ R @ Pi, axis1=-2, axis2=-1).real) <= SUPPORT_TOL
 
 
 def reduced(M: np.ndarray, dims, keep) -> np.ndarray:

@@ -8,8 +8,12 @@ max-information semidefinite program (a checked two-sided bracket); and one
 multi-start L-BFGS-B descent over density operators for the two problems
 left off the convex solver: `mutual_info_alpha`'s sigma, whose protocol
 outputs are pinned to that descent's last bits, and the channel
-maximization, which is not known to be concave.  Desk-scale dimensions
-(<= 36 total) keep all of these cheap; no external SDP engine is used.
+maximization, which is not known to be concave.  The descent's objective
+takes a stack of states too: each L-BFGS-B point is one call on the point
+and its 2d^2 forward-difference neighbours, with scipy's own steps and
+arithmetic, so the descent keeps every bit it had when scipy differenced
+one state at a time.  Desk-scale dimensions (<= 36 total) keep all of these
+cheap; no external SDP engine is used.
 """
 
 from __future__ import annotations
@@ -34,13 +38,15 @@ class OptimizerReport:
 
 
 def _gram_state(x: np.ndarray, d: int) -> np.ndarray:
-    """Map 2d^2 reals to a density matrix via sigma = G^dag G / Tr."""
-    G = (x[: d * d] + 1j * x[d * d :]).reshape(d, d)
-    M = G.conj().T @ G
-    tr = np.trace(M).real
-    if tr <= 0:
-        return np.eye(d) / d
-    return M / tr
+    """Map 2d^2 reals to a density matrix via sigma = G^dag G / Tr.
+
+    A stack of parameter vectors (m, 2d^2) maps member by member to (m, d, d).
+    """
+    G = (x[..., : d * d] + 1j * x[..., d * d :]).reshape(x.shape[:-1] + (d, d))
+    M = G.conj().mT @ G
+    tr = np.trace(M, axis1=-2, axis2=-1).real[..., None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(tr > 0, M / tr, np.eye(d) / d)
 
 
 def _state_to_params(sigma: np.ndarray) -> np.ndarray:
@@ -51,22 +57,55 @@ def _state_to_params(sigma: np.ndarray) -> np.ndarray:
     return np.concatenate([G.real.reshape(-1), G.imag.reshape(-1)])
 
 
+# The forward-difference step of scipy's L-BFGS-B (its `eps` option), and
+# the step scipy's approx_derivative falls back to, times max(1, |x_i|),
+# where x_i + 1e-8 rounds to x_i: sqrt of the float64 machine epsilon.
+_FD_STEP = 1e-8
+_FD_FALLBACK = float(np.finfo(np.float64).eps) ** 0.5
+# scipy's default cap of 15000 objective evaluations for L-BFGS-B.  With the
+# stacked gradient scipy counts points, each worth 1 + 2d^2 evaluations, so
+# the cap passed is 15000 // (1 + 2d^2) points: the same stopping rule.
+_MAXFUN = 15000
+
+
+def _forward_difference(x: np.ndarray, objective, dim: int):
+    """f and its forward-difference gradient at the Gram parameters x, from
+    one objective call on the stack [sigma(x), sigma(x + h_1 e_1), ...]."""
+    sign = (x >= 0).astype(float) * 2 - 1
+    h = np.where((x + _FD_STEP) - x == 0,
+                 _FD_FALLBACK * sign * np.maximum(1.0, np.abs(x)), _FD_STEP)
+    X = np.repeat(x[None], len(x) + 1, axis=0)
+    X[np.arange(1, len(x) + 1), np.arange(len(x))] = x + h
+    f = np.asarray(objective(_gram_state(X, dim)), dtype=float)
+    f = np.where(np.isfinite(f), f, 1e12)
+    return float(f[0]), (f[1:] - f[0]) / ((x + h) - x)
+
+
 def minimize_over_states(objective, dim: int, restarts: int = 32,
                          extra_starts=()) -> OptimizerReport:
     """Multi-start L-BFGS-B descent of a state functional over D(dim).
 
-    The starts are I/d, then `extra_starts`, then random Gram states from
-    `np.random.default_rng(0)` up to `restarts`; each runs in the Gram
-    parametrization sigma = G^dag G / Tr.  The best run wins (a stable sort,
-    so ties go to the earlier start).  `converged` needs that run to succeed
-    and the runner-up to end within 1e-7 of it; the gap estimate is that
-    difference.  A non-finite objective counts as 1e12.
+    ``objective(stack)`` takes states stacked as (m, dim, dim) and returns
+    their m values.  The starts are I/d, then `extra_starts`, then random
+    Gram states from `np.random.default_rng(0)` up to `restarts`; each runs
+    in the Gram parametrization sigma = G^dag G / Tr, x in R^(2 dim^2).  The
+    best run wins (a stable sort, so ties go to the earlier start).
+    `converged` needs that run to succeed and the runner-up to end within
+    1e-7 of it; the gap estimate is that difference.  A non-finite value
+    counts as 1e12, member by member.
+
+    Each L-BFGS-B point costs one objective call, on the stack
+    [sigma(x), sigma(x + h_1 e_1), ..., sigma(x + h_n e_n)], n = 2 dim^2.
+    Its gradient is the forward difference g_i = (f_i - f_0)/((x_i + h_i) -
+    x_i) with scipy's own arithmetic for L-BFGS-B without a gradient:
+    absolute step h_i = 1e-8, or sqrt(eps) sign(x_i) max(1, |x_i|) where
+    x_i + 1e-8 rounds to x_i.  So the descent, its evaluation budget
+    (15000 evaluations, 1 + n per point) and its output are bit for bit
+    those of scipy differencing one state at a time.  The step stays
+    pinned: `qss_simulate`'s outputs amplify a 1e-14 change of the sigma
+    found here to 1e-3.
     """
     rng = np.random.default_rng(0)
-
-    def fun(x):
-        v = objective(_gram_state(x, dim))
-        return v if math.isfinite(v) else 1e12
 
     starts = [_state_to_params(np.eye(dim) / dim)]
     for s in extra_starts:
@@ -79,8 +118,10 @@ def minimize_over_states(objective, dim: int, restarts: int = 32,
     results = []
     n_it = 0
     for x0 in starts:
-        res = scipy.optimize.minimize(fun, x0, method="L-BFGS-B",
-                                      options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10})
+        res = scipy.optimize.minimize(_forward_difference, x0, args=(objective, dim),
+                                      method="L-BFGS-B", jac=True,
+                                      options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10,
+                                               "maxfun": _MAXFUN // (1 + len(x0))})
         n_it += res.nit
         results.append((float(res.fun), res.x, bool(res.success)))
     results.sort(key=lambda r: r[0])

@@ -16,10 +16,15 @@ rank-deficient it has zero singular values, and the vectors LAPACK returns
 for them carry source mass into `achieved_distance` and `branch_probs`
 (ROADMAP item 1 makes the alignment canonical).
 
-The cost bound's information term maximizes H_alpha(A) - H_beta^up(A|B)
-over input density operators with the multi-start `minimize_over_states`.
-Neither the protocol nor the bound takes a seed: their random starts are
-fixed, so their outputs are functions of their inputs.
+The protocol's sigma = argmin D_2(rho_RB || rho_R (x) sigma) comes from
+`mutual_info_alpha`, a multi-start L-BFGS-B descent whose points each take
+one stacked `d_alpha` call; its differencing is scipy's own, bit for bit,
+because the distance amplifies a 1e-14 change of sigma to 1e-3.  The cost
+bound's information term maximizes H_alpha(A) - H_beta^up(A|B) over input
+density operators with the same `minimize_over_states`, evaluating the
+members of each stack one by one (each runs a certified solve).  Neither the
+protocol nor the bound takes a seed: their random starts are fixed, so their
+outputs are functions of their inputs.
 """
 
 from __future__ import annotations
@@ -332,7 +337,9 @@ def channel_alpha_beta_info(channel: ChannelSpec, alpha: float, beta: float):
         h_up = conditional_renyi_up(omega, beta, (dI, dO))
         return renyi_entropy(omega_A, alpha) - h_up
 
-    report = minimize_over_states(lambda rho_in: -info(rho_in), dI, restarts=4)
+    # Each member of the descent's stack runs a certified solve of its own.
+    report = minimize_over_states(lambda stack: [-info(s) for s in stack], dI,
+                                  restarts=4)
     return -report.value, replace(report, value=-report.value)
 
 

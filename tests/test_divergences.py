@@ -22,6 +22,7 @@ from csl.matcore import (
     CertificateError,
     ContractViolation,
     Spectrum,
+    SpectrumStack,
     eig_hermitian,
     sample,
 )
@@ -243,6 +244,52 @@ def test_d_alpha_bits_match_two_decomposition_oracle():
             assert d_alpha(rho, sig, a) == want
             infinite += math.isinf(want)
     assert 0 < infinite < 50
+
+
+def _stack_with_edge_members():
+    """rho on C^2 (x) |0>, and references rho_A (x) sigma with sigma: three
+    full-rank states, |+><+| (rho leaves its support), |1><1| (orthogonal to
+    rho) and one with an eigenvalue under the cut.  Plus one generic 4x4."""
+    rho_A = sample("mixed-hilbert-schmidt", 2, 41)
+    rho = np.kron(rho_A, np.diag([1.0, 0.0]))
+    U = random_unitary(2, np.random.default_rng(42))
+    sigmas = [sample("mixed-hilbert-schmidt", 2, 43 + k) for k in range(3)]
+    sigmas += [np.full((2, 2), 0.5), np.diag([0.0, 1.0]),
+               (U * np.array([1.0 - 1e-12, 1e-12])) @ U.conj().T]
+    refs = [np.kron(rho_A, s) for s in sigmas] + [sample("mixed-hilbert-schmidt", 4, 49)]
+    return rho, np.array(refs)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.5, 2.0, 4.0])
+def test_stacked_d_alpha_equals_single_calls(alpha):
+    # One stacked call gives each member's value bit for bit, infinities
+    # included: members 3 (rho leaves) and 5 (cut eigenvalue) are infinite
+    # for alpha > 1 only, member 4 (orthogonal) for every order.
+    rho, refs = _stack_with_edge_members()
+    got = d_alpha(rho, refs, alpha)
+    assert got.shape == (len(refs),)
+    for i, ref in enumerate(refs):
+        alone = d_alpha(rho, ref, alpha)
+        assert got[i] == alone, (i, got[i], alone)
+        if alpha > 1:
+            assert got[i] == _d_alpha_oracle(rho, ref, alpha)
+    assert [math.isinf(v) for v in got] == [False] * 3 + [alpha > 1, True, alpha > 1, False]
+    # The stack's spectra, decomposed once, give the same values.
+    assert np.array_equal(d_alpha(rho, SpectrumStack(refs), alpha), got)
+
+
+def test_stacked_d_alpha_checks_each_member():
+    rho, refs = _stack_with_edge_members()
+    skew = refs.copy()
+    skew[2, 0, 1] += 1e-6  # one member not Hermitian
+    with pytest.raises(ContractViolation, match="not Hermitian"):
+        d_alpha(rho, skew, 2.0)
+    negative = refs.copy()
+    negative[1] = np.diag([0.6, -0.1, 0.6, -0.1])  # one member not PSD
+    with pytest.raises(ContractViolation, match="not PSD"):
+        d_alpha(rho, negative, 2.0)
+    with pytest.raises(ContractViolation, match="not PSD"):
+        d_alpha(rho, negative[1], 2.0)
 
 
 def test_family_agrees_across_the_rank_cut():

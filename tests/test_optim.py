@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+import scipy.optimize._differentiable_functions
+import scipy.optimize._numdiff
 
 from csl import cli, convexsplit, infomeasures
 from csl.divergences import d_alpha, q_alpha
 from csl.matcore import RANK_TOL, CertificateError, ContractViolation, reduced, sample
 from csl.optim import (
     GAP_TOL,
+    _forward_difference,
+    _gram_state,
     dominating_trace_min,
     frank_wolfe_gap,
     imax_sdp,
@@ -26,16 +31,16 @@ def bell_density():
 def test_minimize_over_states_quadratic():
     # min over sigma of ||sigma - target||_F^2 is attained at the target.
     target = sample("mixed-hilbert-schmidt", 3, 0)
-    rep = minimize_over_states(lambda s: float(np.abs(s - target).sum() ** 2), 3,
-                               restarts=8)
+    rep = minimize_over_states(
+        lambda stack: [float(np.abs(s - target).sum() ** 2) for s in stack], 3, restarts=8)
     assert rep.value < 1e-8
     assert np.abs(rep.argopt - target).max() < 1e-3
 
 
 def test_minimize_recovers_divergence_minimizer():
-    # min_sigma D_2(rho || sigma) = 0 at sigma = rho.
+    # min_sigma D_2(rho || sigma) = 0 at sigma = rho; d_alpha takes the stack.
     rho = sample("mixed-hilbert-schmidt", 2, 1)
-    rep = minimize_over_states(lambda s: d_alpha(rho, s, 2.0), 2, restarts=8,
+    rep = minimize_over_states(lambda stack: d_alpha(rho, stack, 2.0), 2, restarts=8,
                                extra_starts=[rho])
     assert rep.value < 1e-9
 
@@ -44,11 +49,55 @@ def test_minimize_recovers_divergence_minimizer():
 def test_minimize_over_states_never_finite(bad):
     # An objective that is never finite gets the sentinel report: value inf,
     # not converged, the maximally mixed state.
-    rep = minimize_over_states(lambda s: bad, 3, restarts=4)
+    rep = minimize_over_states(lambda stack: np.full(len(stack), bad), 3, restarts=4)
     assert rep.value == math.inf
     assert not rep.converged
     assert rep.gap_estimate == math.inf
     assert np.array_equal(rep.argopt, np.eye(3) / 3)
+
+
+def _pole_at(x0, dim):
+    """A state functional with a pole at sigma(x0): 1/(sigma_00 - sigma(x0)_00),
+    inf there and nan where the difference is negative, one state at a time."""
+    s0 = float(_gram_state(x0, dim)[0, 0].real)
+
+    def one(sigma):
+        gap = float(sigma[0, 0].real) - s0
+        return 1.0 / gap if gap > 0 else (math.inf if gap == 0 else math.nan)
+
+    return one
+
+
+@pytest.mark.parametrize("case", ["divergence", "large-x", "non-finite"])
+def test_stacked_gradient_is_scipys_forward_difference(case):
+    # One stacked objective call gives scipy's own 2-point gradient, bit for
+    # bit: the 1e-8 step, its fallback where x_i + 1e-8 rounds to x_i (here
+    # |x_i| ~ 1e9), and 1e12 for every non-finite member.
+    rng = np.random.default_rng([23, len(case)])
+    rho = sample("mixed-hilbert-schmidt", 4, 23)
+    rho_A = reduced(rho, (2, 2), 0)
+    x = rng.standard_normal(8)
+    x[3] = 0.0
+    one = lambda s: d_alpha(rho, np.kron(rho_A, s), 2.0)  # noqa: E731
+    if case == "large-x":
+        x[::2] *= 1e9
+    elif case == "non-finite":
+        one = _pole_at(x, 2)
+
+    def capped(y):  # what scipy differenced: one state, non-finite as 1e12
+        v = one(_gram_state(y, 2))
+        return v if math.isfinite(v) else 1e12
+
+    f, g = _forward_difference(x, lambda stack: [one(s) for s in stack], 2)
+    want = scipy.optimize.approx_fprime(x, capped, 1e-8)
+    assert f == capped(x)
+    assert np.array_equal(g, want), np.abs(g - want).max()
+    if case == "large-x":
+        rounds = (x + 1e-8) - x == 0  # where the fallback step is taken
+        assert rounds.any() and not rounds.all()
+    if case == "non-finite":
+        assert f == 1e12 and np.isnan([one(s) for s in _gram_state(
+            x + 1e-8 * np.eye(8), 2)]).any()
 
 
 def test_imax_product_zero():
@@ -420,6 +469,46 @@ def test_newton_counts_on_convex_split_suite(monkeypatch):
     _, results, _ = cli.run_convex_split(cfg)
     assert all(ok for ok, _ in results)
     _check_counts(solves, 9)
+
+
+def test_mutual_info_alpha_one_stacked_call_per_point(monkeypatch):
+    # A count, not a timing: every L-BFGS-B point of the descent is one
+    # objective call on 1 + 2 d^2 states, and scipy never differences.
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy was left to difference the objective")
+
+    monkeypatch.setattr(scipy.optimize._numdiff, "approx_derivative", refuse)
+    monkeypatch.setattr(scipy.optimize._differentiable_functions, "approx_derivative",
+                        refuse)
+    points = []
+    minimize = scipy.optimize.minimize
+
+    def counting_minimize(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        points.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "minimize", counting_minimize)
+    sizes = []
+
+    def counting(objective, dim, **kwargs):
+        def stacked(stack):
+            sizes.append(stack.shape)
+            return objective(stack)
+
+        return minimize_over_states(stacked, dim, **kwargs)
+
+    monkeypatch.setattr(infomeasures, "minimize_over_states", counting)
+    psi = sample("pure-haar", 8, 6)
+    rho_RB = np.einsum("iab,jad->ibjd", psi.reshape(2, 2, 2),
+                       psi.reshape(2, 2, 2).conj()).reshape(4, 4)
+    for rho, dims in [(rho_RB, (2, 2)), (sample("mixed-hilbert-schmidt", 6, 7), (2, 3))]:
+        points.clear()
+        sizes.clear()
+        infomeasures.mutual_info_alpha(rho, 2.0, dims)
+        dB = dims[1]
+        assert len(points) == 16 and len(sizes) == sum(points)
+        assert set(sizes) == {(1 + 2 * dB * dB, dB, dB)}
 
 
 def test_boundary_minimizer_at_half_refused():

@@ -1,10 +1,12 @@
-"""Closed-form oracles and invariances of the max-information solvers.
+"""Closed-form oracles and invariances of the information solvers.
 
 I_max(A:B) = log min{Tr Y : rho_A (x) Y >= rho_AB} is unchanged when rho is
 replaced by (L (x) 1) rho (L (x) 1)^H / Tr for L invertible on A: both sides
 of the constraint are conjugated by L (x) 1.  A filter on B has no such
 symmetry.  On classical states both SDPs have closed forms (Koenig, Renner
-& Schaffner, IEEE TIT 55, 4337, 2009).
+& Schaffner, IEEE TIT 55, 4337, 2009), and so do Sibson's I_alpha (Sibson,
+1969) and Arimoto's H_up_beta (Arimoto, 1977); on pure states I_alpha is
+2 H_{1/(2 alpha - 1)}(rho_B).
 """
 
 import math
@@ -12,7 +14,8 @@ import math
 import numpy as np
 import pytest
 
-from csl.infomeasures import h_min_conditional, imax_certified
+from csl.infomeasures import (conditional_renyi_up, h_min_conditional, imax_certified,
+                              mutual_info_alpha, renyi_entropy)
 from csl.matcore import reduced, sample
 from csl.optim import imax_sdp
 
@@ -101,3 +104,43 @@ def test_h_min_classical_closed_form(dims, p):
     want = -math.log2(float(p.max(axis=0).sum()))
     got = h_min_conditional(_diag_state(p), dims)
     assert abs(got - want) <= 1e-10, (got, want)
+
+
+ORDERS = [1.5, 2.0, 4.0]
+
+
+@pytest.mark.parametrize("dims, p", [c for c in CLASSICAL if (c[1].sum(axis=0) > 0).all()])
+def test_sibson_mutual_information_classical_closed_form(dims, p):
+    # I_alpha = alpha/(alpha-1) log2 sum_b (sum_a p(a) p(b|a)^alpha)^(1/alpha),
+    # with rho_B full rank (below it the descent's sigma leaks mass under the cut).
+    pa = p.sum(axis=1)[:, None]
+    for alpha in ORDERS:
+        inner = np.sum(pa * np.divide(p, pa, out=np.zeros_like(p), where=pa > 0) ** alpha,
+                       axis=0)
+        want = alpha / (alpha - 1) * math.log2(float(np.sum(inner ** (1 / alpha))))
+        got, _ = mutual_info_alpha(_diag_state(p), alpha, dims)
+        assert abs(got - want) <= 1e-10, (alpha, got, want)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (3, 3)])
+def test_mutual_information_of_pure_states(dims):
+    # I_alpha(A:B) = 2 H_{1/(2 alpha - 1)}(rho_B) on pure states whose rho_B
+    # is full rank (dA >= dB).
+    for seed in range(2):
+        v = sample("pure-haar", dims, 500 + seed)
+        rho = np.outer(v, v.conj())
+        rho_B = reduced(rho, dims, 1)
+        for alpha in ORDERS:
+            want = 2 * renyi_entropy(rho_B, 1 / (2 * alpha - 1))
+            got, _ = mutual_info_alpha(rho, alpha, dims)
+            assert abs(got - want) <= 1e-10, (seed, alpha, got, want)
+
+
+@pytest.mark.parametrize("dims, p", CLASSICAL)
+def test_arimoto_conditional_entropy_classical_closed_form(dims, p):
+    # H_up_beta(A|B) = beta/(1-beta) log2 sum_b (sum_a p(a, b)^beta)^(1/beta).
+    for beta in ORDERS:
+        want = beta / (1 - beta) * math.log2(
+            float(np.sum(np.sum(p ** beta, axis=0) ** (1 / beta))))
+        got = conditional_renyi_up(_diag_state(p), beta, dims)
+        assert abs(got - want) <= 1e-10, (beta, got, want)
