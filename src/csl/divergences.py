@@ -5,7 +5,9 @@ All logarithms are base 2 (values in bits).  Infinite divergence is a value
 (math.inf), never an exception.  The second argument of the Q/D functionals
 may be any PSD operator (conditional entropies pass I (x) sigma), or its
 matcore.Spectrum, which is then not decomposed again.  `d_alpha` also takes
-a stack of them, shape (m, d, d), and returns each member's value as alone.
+a stack of them, shape (m, d, d), or the Spectrum of the stack, and returns
+each member's value as alone; one reference and a stack share one support
+rule and one `_q`.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ import math
 
 import numpy as np
 
-from .matcore import (CertificateError, ContractViolation, Spectrum, SpectrumStack,
-                      _as_matrix, eig_hermitian)
+from .matcore import CertificateError, ContractViolation, Spectrum, _as_matrix, eig_hermitian
 
 INF = math.inf
 
@@ -35,15 +36,14 @@ def supp_contained(rho, sigma) -> bool:
 def perpendicular(rho, sigma):
     """Tr[rho sigma] vanishes (per member when sigma is a stack)."""
     R, S = _as_matrix(rho), _as_matrix(sigma)
-    out = np.trace(R @ S, axis1=-2, axis2=-1).real <= _PERP_TOL
-    return bool(out) if out.ndim == 0 else out
+    return np.trace(R @ S, axis1=-2, axis2=-1).real <= _PERP_TOL
 
 
 def _q(R: np.ndarray, S: Spectrum, alpha: float):
     """Tr (S^e R S^e)^alpha, e = (1-alpha)/(2 alpha), with no support check.
 
-    For a SpectrumStack S, one value per member: one ``eigh`` for the stack
-    of sandwiched operators.
+    For a stack S, one value per member: one ``eigh`` for the stack of
+    sandwiched operators.
     """
     Se = S.power((1.0 - alpha) / (2.0 * alpha))
     X = Se @ R @ Se
@@ -66,20 +66,22 @@ def q_alpha(rho, sigma, alpha: float) -> float:
     return float(_q(R, S, alpha))
 
 
-def _sandwiched(R: np.ndarray, S: SpectrumStack, alpha: float) -> np.ndarray:
-    """D_alpha, alpha in [1/2, 1) or (1, inf), against each member of S: the
-    rule and the `_q` of d_alpha_with_branch, member by member, with `_q` run
-    once on the finite members."""
-    if alpha > 1:
-        finite = S.contains(R)
-    else:
-        finite = ~perpendicular(R, S)
-        if not finite.all():
-            finite[~finite] = S[~finite].contains(R)
-    values = np.full(len(finite), INF)
-    if finite.any():
-        q = _q(R, S if finite.all() else S[finite], alpha)
-        values[finite] = [(1.0 / (alpha - 1.0)) * _log2(v) for v in q]
+def _sandwiched(R: np.ndarray, S: Spectrum, alpha: float) -> np.ndarray:
+    """D_alpha, alpha in [1/2, 1) or (1, inf), against S or each member of it.
+
+    The support rule: infinite for alpha > 1 whenever rho leaves supp(sigma),
+    for alpha < 1 only for orthogonal supports.  `_q` runs once, on the
+    finite members.  The result has S's leading shape: 0-d for one operator.
+    """
+    finite = S.contains(R) if alpha > 1 else ~perpendicular(R, S)
+    n = np.count_nonzero(finite)
+    if alpha < 1 and n < finite.size:
+        finite = finite | S.contains(R)
+        n = np.count_nonzero(finite)
+    values = np.full(finite.shape, INF)
+    if n:
+        q = _q(R, S if n == values.size else S[finite], alpha)
+        values[finite] = [(1.0 / (alpha - 1.0)) * _log2(v) for v in q.reshape(-1).tolist()]
     return values
 
 
@@ -100,31 +102,27 @@ def d_alpha_with_branch(rho, sigma, alpha: float) -> tuple[float, str]:
             return INF, "infinite"
         q = _q(S, Spectrum(R), 1.0 - alpha)
         return (1.0 / (alpha - 1.0)) * _log2(q), "low"
-    # alpha in [1/2, 1) is infinite only for orthogonal supports; alpha > 1
-    # whenever rho leaves supp(sigma).
-    S = Spectrum.of(sigma)
-    if (alpha > 1 or perpendicular(R, S)) and not S.contains(R):
-        return INF, "infinite"
-    q = _q(R, S, alpha)
-    return (1.0 / (alpha - 1.0)) * _log2(q), "sandwiched"
+    value = float(_sandwiched(R, Spectrum.of(sigma), alpha))
+    return value, "infinite" if value == INF else "sandwiched"
 
 
 def d_alpha(rho, sigma, alpha: float):
     """D_alpha(rho || sigma) in bits.
 
-    sigma may be a stack of references (m, d, d), or its SpectrumStack: the
+    sigma may be a stack of references (m, d, d), or its Spectrum: the
     result is then an array of m values, each bit for bit the value of that
     member alone.  The sandwiched orders (alpha in [1/2, 1) and (1, inf))
-    evaluate the whole stack with one ``eigh`` for the references and one
-    for the sandwiched operators, through the same `_q` as a single
-    reference; the Hermitian, PSD and support checks stay per member.  The
-    other orders run member by member.
+    run `_sandwiched` for one reference and for a stack alike: one ``eigh``
+    for the references and one for the sandwiched operators, with the
+    Hermitian, PSD and support checks per member.  The other orders run
+    member by member.
     """
-    if _as_matrix(sigma).ndim != 3:
-        return d_alpha_with_branch(rho, sigma, alpha)[0]
     if 0.5 <= alpha < INF and alpha != 1:
-        return _sandwiched(_as_matrix(rho), SpectrumStack.of(sigma), alpha)
-    return np.array([d_alpha_with_branch(rho, s, alpha)[0] for s in _as_matrix(sigma)])
+        values = _sandwiched(_as_matrix(rho), Spectrum.of(sigma), alpha)
+        return values if values.ndim else float(values)
+    if _as_matrix(sigma).ndim == 3:
+        return np.array([d_alpha_with_branch(rho, s, alpha)[0] for s in _as_matrix(sigma)])
+    return d_alpha_with_branch(rho, sigma, alpha)[0]
 
 
 def d_min(rho, sigma) -> float:

@@ -81,6 +81,9 @@ def renyi_entropy(rho, alpha: float) -> float:
         return float(-np.sum(w * np.log2(w)))
     if math.isinf(alpha):
         return -math.log2(float(w.max()))
+    if alpha > 1:  # factor out lambda_max: sum w^alpha underflows at large orders
+        top = float(w.max())
+        return (alpha * math.log2(top) + math.log2(float(np.sum((w / top)**alpha)))) / (1.0 - alpha)
     return (1.0 / (1.0 - alpha)) * math.log2(float(np.sum(w**alpha)))
 
 
@@ -136,9 +139,10 @@ def conditional_renyi_up(rho_ab, beta: float, dims) -> float:
     if beta == 1:
         return renyi_entropy(R, 1) - renyi_entropy(rho_B, 1)
     # Pure bipartite states: duality with a trivial purification gives
-    # the closed form -H_{beta/(2 beta - 1)}(A); skip the optimizer.
+    # the closed form -H_{beta/(2 beta - 1)}(A), order inf at beta = 1/2;
+    # skip the optimizer.
     if np.linalg.eigvalsh(R).max(initial=0.0) >= 1.0 - 1e-12:
-        return -renyi_entropy(rho_A, beta / (2.0 * beta - 1.0))
+        return -renyi_entropy(rho_A, math.inf if beta == 0.5 else beta / (2.0 * beta - 1.0))
     VB = Spectrum(rho_B).basis
     W = np.kron(np.eye(dA), VB)
     Rc = W.conj().T @ R @ W

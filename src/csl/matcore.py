@@ -64,11 +64,14 @@ def support_cut(w: np.ndarray) -> float:
 
 
 class Spectrum:
-    """One eigendecomposition of a Hermitian operator and its support cut.
+    """One eigendecomposition of a Hermitian operator, or of each member of a
+    stack (m, n, n) from one ``eigh`` call, and its support cut.
 
     ``w`` (non-increasing) and ``V`` come from eig_hermitian; ``keep`` marks
     the eigenvalues above support_cut(w).  Build it once per operator and
-    pass it on: powers, the support and containment tests all reuse it.
+    pass it on: powers, the support and containment tests all reuse it.  On
+    a stack every method acts member by member, each exactly as on that
+    member alone, and ``S[idx]`` selects members without decomposing again.
     """
 
     def __init__(self, H):
@@ -81,8 +84,15 @@ class Spectrum:
     def of(cls, H) -> "Spectrum":
         return H if isinstance(H, cls) else cls(H)
 
+    def __getitem__(self, idx) -> "Spectrum":
+        S = object.__new__(Spectrum)
+        S.matrix, S.w, S.V, S.cut, S.keep = (
+            a[idx] for a in (self.matrix, self.w, self.V, self.cut, self.keep))
+        return S
+
     def require_psd(self) -> None:
-        if self.w.min(initial=0.0) < -max(1e-10, self.cut):
+        # A member fails below -max(1e-10, its cut); the first test is the fast path.
+        if self.w.min(initial=0.0) < -1e-10 and (self.w.T < -np.maximum(self.cut, 1e-10)).any():
             raise ContractViolation(f"matrix not PSD (min eigenvalue {self.w.min():.3e})")
 
     def power(self, exponent: float) -> np.ndarray:
@@ -94,51 +104,17 @@ class Spectrum:
 
     @property
     def basis(self) -> np.ndarray:
-        """Orthonormal columns spanning the support."""
+        """Orthonormal columns spanning the support of one operator."""
+        if self.w.ndim != 1:
+            raise ContractViolation(f"basis needs one operator, got a stack of {len(self.w)}")
         return self.V[:, self.keep]
 
     def projector(self) -> np.ndarray:
-        B = self.basis
-        return B @ B.conj().T
+        return (self.V * self.keep[..., None, :]) @ self.V.conj().mT
 
-    def contains(self, R: np.ndarray) -> bool:
-        """supp(R) inside the support: R's trace outside it is at most SUPPORT_TOL."""
-        Pi = self.projector()
-        return abs(float(np.trace(R - Pi @ R @ Pi).real)) <= SUPPORT_TOL
-
-
-class SpectrumStack(Spectrum):
-    """The Spectrum of each operator in a stack (m, n, n), from one ``eigh`` call.
-
-    ``w``, ``V``, ``cut`` and ``keep`` carry the stack axis.  `power`,
-    `require_psd`, `projector` and `contains` act member by member, each
-    exactly as Spectrum on that member alone; ``S[idx]`` selects members
-    without decomposing again.
-    """
-
-    def __getitem__(self, idx) -> "SpectrumStack":
-        S = object.__new__(SpectrumStack)
-        S.matrix, S.w, S.V, S.cut, S.keep = (
-            a[idx] for a in (self.matrix, self.w, self.V, self.cut, self.keep))
-        return S
-
-    def require_psd(self) -> None:
-        low = self.w.min(axis=-1, initial=0.0)
-        if ((low < -1e-10) & (low < -self.cut)).any():
-            raise ContractViolation(f"matrix not PSD (min eigenvalue {self.w.min():.3e})")
-
-    def projector(self) -> np.ndarray:
-        # Members with one support mask share one stacked product.
-        P = np.empty_like(self.V)
-        groups = {}
-        for i, mask in enumerate(self.keep):
-            groups.setdefault(mask.tobytes(), []).append(i)
-        for idx in groups.values():
-            B = self.V[idx][..., self.keep[idx[0]]]
-            P[idx] = B @ B.conj().mT
-        return P
-
-    def contains(self, R: np.ndarray) -> np.ndarray:
+    def contains(self, R: np.ndarray):
+        """supp(R) inside the support (a numpy bool per member): R's trace
+        outside it is at most SUPPORT_TOL."""
         Pi = self.projector()
         return abs(np.trace(R - Pi @ R @ Pi, axis1=-2, axis2=-1).real) <= SUPPORT_TOL
 

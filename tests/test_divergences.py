@@ -22,7 +22,6 @@ from csl.matcore import (
     CertificateError,
     ContractViolation,
     Spectrum,
-    SpectrumStack,
     eig_hermitian,
     sample,
 )
@@ -275,7 +274,7 @@ def test_stacked_d_alpha_equals_single_calls(alpha):
             assert got[i] == _d_alpha_oracle(rho, ref, alpha)
     assert [math.isinf(v) for v in got] == [False] * 3 + [alpha > 1, True, alpha > 1, False]
     # The stack's spectra, decomposed once, give the same values.
-    assert np.array_equal(d_alpha(rho, SpectrumStack(refs), alpha), got)
+    assert np.array_equal(d_alpha(rho, Spectrum(refs), alpha), got)
 
 
 def test_stacked_d_alpha_checks_each_member():

@@ -85,6 +85,25 @@ def test_conditional_renyi_up_pure_state_duality():
         assert abs(conditional_renyi_up(rho, beta, (2, 3)) - expect) < 1e-8
 
 
+@pytest.mark.parametrize("beta", [0.5, 0.5 + 1e-9])
+def test_conditional_renyi_up_pure_state_at_half(beta):
+    # The dual order beta/(2 beta - 1) is inf at beta = 1/2 and about 5e8
+    # just above it: H_up_{1/2}(A|B) = log2 lambda_max(rho_A) on pure states.
+    for dims, seed in (((2, 3), 9), ((3, 2), 10), ((3, 3), 11)):
+        v = sample("pure-haar", dims, seed)
+        rho = np.outer(v, v.conj())
+        rho_A = np.trace(rho.reshape(dims + dims), axis1=1, axis2=3)
+        want = math.log2(np.linalg.eigvalsh(rho_A).max())
+        assert abs(conditional_renyi_up(rho, beta, dims) - want) <= 1e-8
+
+
+@pytest.mark.parametrize("alpha", [1100, 1e6])
+def test_renyi_entropy_at_large_orders(alpha):
+    # sum w^alpha underflows here; the maximally mixed state has H = log2 d.
+    for d in (2, 3, 5):
+        assert abs(renyi_entropy(np.eye(d) / d, alpha) - math.log2(d)) <= 1e-12
+
+
 BETAS = (0.5, 0.75, 1.5, 2.0, 4.0)
 # H_up_beta(A|B) at BETAS, recorded with the multi-start optimizer this
 # package used before the certified convex solver.

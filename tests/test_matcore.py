@@ -4,8 +4,10 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from csl.matcore import (
+    ContractViolation,
     Spectrum,
     eig_hermitian,
     fidelity,
@@ -39,6 +41,58 @@ def test_power_on_support_pseudoinverse():
     P = np.diag([0.5, 0.5, 0.0])
     M = Spectrum(P).power(-1.0)
     assert np.allclose(M, np.diag([2.0, 2.0, 0.0]))
+
+
+def _mixed_stack():
+    """3x3 members of full rank, rank 2, rank 1, with an eigenvalue just under
+    the cut, and at scale 1e-4 with an eigenvalue 1e-10 that its own cut
+    keeps and the largest member's cut would drop."""
+    rng = np.random.default_rng(3)
+    spectra = [[0.5, 0.3, 0.2], [0.6, 0.4, 0.0], [1.0, 0.0, 0.0],
+               [0.7, 0.3, 0.5e-9], [1e-4, 1e-10, 0.0]]
+    out = []
+    for w in spectra:
+        G = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        U, _ = np.linalg.qr(G)
+        out.append((U * np.array(w)) @ U.conj().T)
+    return np.array(out)
+
+
+def test_stacked_spectrum_members_equal_single_spectra():
+    stack = _mixed_stack()
+    S = Spectrum(stack)
+    rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    held = S.contains(rho)
+    assert held.shape == (len(stack),)
+    P, Pw = S.projector(), S.power(-0.5)
+    for i, member in enumerate(stack):
+        alone = Spectrum(member)
+        for got, k in ((S, i), (S[i:i + 1], 0)):
+            assert np.array_equal(got.w[k], alone.w) and np.array_equal(got.V[k], alone.V)
+            assert got.cut[k] == alone.cut
+            assert np.array_equal(got.keep[k], alone.keep)
+        assert np.array_equal(P[i], alone.projector())
+        B = alone.basis
+        assert np.abs(P[i] - B @ B.conj().T).max() <= 1e-15
+        assert np.array_equal(Pw[i], alone.power(-0.5))
+        assert held[i] == alone.contains(rho)
+        assert np.array_equal(S[i].projector(), alone.projector())
+    assert [int(k.sum()) for k in S.keep] == [3, 2, 1, 2, 2]
+    assert held.tolist() == [True, False, False, False, False]
+    assert np.array_equal(P[0], S.V[0] @ S.V[0].conj().T)  # full support: bit for bit
+    picked = S[np.array([False, True, False, True, True])]
+    assert np.array_equal(picked.power(0.5), S.power(0.5)[[1, 3, 4]])
+
+
+def test_stacked_spectrum_checks_each_member():
+    stack = _mixed_stack()
+    stack[2] = np.diag([0.6, 0.5, -0.1])
+    with pytest.raises(ContractViolation, match="not PSD"):
+        Spectrum(stack).power(0.5)
+    Spectrum(stack[[0, 1, 3, 4]]).require_psd()
+    with pytest.raises(ContractViolation, match="stack"):
+        Spectrum(_mixed_stack()).basis
+    assert Spectrum(stack[0]).basis.shape == (3, 3)
 
 
 def test_partial_trace_bell():

@@ -6,7 +6,9 @@ of the constraint are conjugated by L (x) 1.  A filter on B has no such
 symmetry.  On classical states both SDPs have closed forms (Koenig, Renner
 & Schaffner, IEEE TIT 55, 4337, 2009), and so do Sibson's I_alpha (Sibson,
 1969) and Arimoto's H_up_beta (Arimoto, 1977); on pure states I_alpha is
-2 H_{1/(2 alpha - 1)}(rho_B).
+2 H_{1/(2 alpha - 1)}(rho_B), and the sandwiched D_alpha(|psi><psi| || sigma)
+is alpha/(alpha-1) log2 <psi|sigma^((1-alpha)/alpha)|psi>.  D_alpha is also
+unchanged when an isometry embeds both arguments in a larger space.
 """
 
 import math
@@ -14,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from csl.divergences import d_alpha
 from csl.infomeasures import (conditional_renyi_up, h_min_conditional, imax_certified,
                               mutual_info_alpha, renyi_entropy)
 from csl.matcore import reduced, sample
@@ -144,3 +147,49 @@ def test_arimoto_conditional_entropy_classical_closed_form(dims, p):
             float(np.sum(np.sum(p ** beta, axis=0) ** (1 / beta))))
         got = conditional_renyi_up(_diag_state(p), beta, dims)
         assert abs(got - want) <= 1e-10, (beta, got, want)
+
+
+D_ORDERS = (0.75, 1.5, 2.0, 4.0)
+
+
+def _pure_d_alpha(v, sigma, alpha):
+    w, U = np.linalg.eigh(sigma)
+    S = (U * w ** ((1 - alpha) / alpha)) @ U.conj().T
+    return alpha / (alpha - 1) * math.log2(float((v.conj() @ S @ v).real))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_sandwiched_d_alpha_of_pure_states(d):
+    # One reference and a stack of them meet the closed form alike.
+    sigmas = np.array([sample("mixed-hilbert-schmidt", d, 600 + k) for k in range(3)])
+    for seed in range(2):
+        v = sample("pure-haar", d, 610 + seed)
+        rho = np.outer(v, v.conj())
+        for alpha in D_ORDERS:
+            stacked = d_alpha(rho, sigmas, alpha)
+            for i, sigma in enumerate(sigmas):
+                want = _pure_d_alpha(v, sigma, alpha)
+                for got in (d_alpha(rho, sigma, alpha), stacked[i]):
+                    assert abs(got - want) <= 1e-10, (alpha, i, got, want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_sandwiched_d_alpha_invariant_under_isometric_embedding(d):
+    # V sigma V^H is rank-deficient on d + 2 dimensions, so the support cut
+    # decides which eigenvalues count, on one reference and on a stack.
+    rng = np.random.default_rng(620 + d)
+    G = rng.standard_normal((d + 2, d)) + 1j * rng.standard_normal((d + 2, d))
+    V, _ = np.linalg.qr(G)
+    sigmas = np.array([sample("mixed-hilbert-schmidt", d, 630 + k) for k in range(3)])
+    v = sample("pure-haar", d, 640)
+    rhos = [sample("mixed-hilbert-schmidt", d, 641), np.outer(v, v.conj()),
+            sample("rank-limited", d, 642, rank=max(1, d - 1))]
+    for rho in rhos:
+        big = V @ rho @ V.conj().T
+        big_sigmas = V @ sigmas @ V.conj().T
+        for alpha in D_ORDERS:
+            stacked = d_alpha(big, big_sigmas, alpha)
+            for i, sigma in enumerate(sigmas):
+                want = d_alpha(rho, sigma, alpha)
+                for got in (d_alpha(big, big_sigmas[i], alpha), stacked[i]):
+                    assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (alpha, i, got, want)
