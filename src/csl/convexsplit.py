@@ -29,8 +29,8 @@ from .matcore import (
 )
 from .optim import (
     OptimizerReport,
+    QAlphaKernel,
     minimize_convex_over_states,
-    q_alpha_grad,
 )
 
 # Cap on a dense tau operator on R (x) A^n, and on the largest block the
@@ -364,7 +364,9 @@ def nu_n(rho_RA, sigma_A, n: int,
 
     Both terms are jointly convex; the minimum lies on supp(rho_R) by data
     processing under the pinching onto it, so omega is solved for there and
-    certified by the convex solver's Frank-Wolfe gap.  When rho_RA leaves
+    certified by the convex solver's Frank-Wolfe gap, from one QAlphaKernel
+    call per Newton step that holds both terms.  The solve starts at rho_R,
+    the first term's minimizer and the limit as n -> inf.  When rho_RA leaves
     R (x) supp(sigma) every omega gives inf, which is returned exactly.
     """
     if n < 1:
@@ -381,16 +383,10 @@ def nu_n(rho_RA, sigma_A, n: int,
         return INF, omega, OptimizerReport(INF, omega, 0, True, 0.0)
     rho_Rc = VR.conj().T @ rho_R @ VR
     Sc = VS.conj().T @ _as_matrix(sigma_A) @ VS
-    one = np.ones((1, 1))
-
-    def fun_grad(omega):
-        qb, gb = q_alpha_grad(Rc, Sc, omega, 2.0, sigma_first=True)
-        if n == 1:
-            return qb, gb
-        qa, ga = q_alpha_grad(rho_Rc, one, omega, 2.0)
-        return (n - 1) / n * qa + qb / n, (n - 1) / n * ga + gb / n
-
-    report = minimize_convex_over_states(fun_grad, VR.shape[1])
+    terms = [((n - 1) / n, rho_Rc, np.ones((1, 1)), False)] if n > 1 else []
+    kernel = QAlphaKernel(2.0, terms + [(1.0 / n, Rc, Sc, True)])
+    report = minimize_convex_over_states(kernel, VR.shape[1],
+                                         start=rho_Rc / np.trace(rho_Rc).real)
     report.argopt = VR @ report.argopt @ VR.conj().T
     return report.value, report.argopt, report
 

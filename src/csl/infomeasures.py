@@ -15,6 +15,7 @@ import numpy as np
 
 from .divergences import d_alpha, d_max
 from .matcore import (
+    RANK_TOL,
     CertificateError,
     ContractViolation,
     Spectrum,
@@ -28,11 +29,11 @@ from .optim import (
     GAP_TOL,
     RESIDUAL_TOL,
     ImaxResult,
+    QAlphaKernel,
     dominating_trace_min,
     imax_sdp,
     minimize_convex_over_states,
     minimize_over_states,
-    q_alpha_grad,
 )
 
 C_SMOOTH = 2.0 - math.sqrt(3.0)
@@ -70,7 +71,12 @@ def _marginals(R, dA, dB):
 
 
 def renyi_entropy(rho, alpha: float) -> float:
-    """H_alpha = (1/(1-alpha)) log Tr rho^alpha, with 0, 1, inf limits."""
+    """H_alpha = (1/(1-alpha)) log Tr rho^alpha, with 0, 1, inf limits.
+
+    Evaluated on the spectrum w above the support cut; finite orders other
+    than 0 and 1 take log sum (w/W)^alpha, W = sum w, which is log Tr
+    rho^alpha up to the mass the cut drops.
+    """
     if not alpha >= 0:  # NaN fails too
         raise ContractViolation(f"alpha must be >= 0, got {alpha}")
     w = np.clip(np.linalg.eigvalsh(_as_matrix(rho)), 0.0, None)
@@ -79,12 +85,15 @@ def renyi_entropy(rho, alpha: float) -> float:
         return math.log2(len(w))
     if alpha == 1:
         return float(-np.sum(w * np.log2(w)))
+    top, W = float(w.max()), float(w.sum())
     if math.isinf(alpha):
-        return -math.log2(float(w.max()))
-    if alpha > 1:  # factor out lambda_max: sum w^alpha underflows at large orders
-        top = float(w.max())
-        return (alpha * math.log2(top) + math.log2(float(np.sum((w / top)**alpha)))) / (1.0 - alpha)
-    return (1.0 / (1.0 - alpha)) * math.log2(float(np.sum(w**alpha)))
+        return -math.log2(top)
+    # log sum (w/W)^alpha = (alpha-1) log(top/W) + log1p(S/W) with S = sum w
+    # expm1((alpha-1) log(w/top)): no O(1) terms cancel near alpha = 1, and
+    # S/W stays above top/W - 1 >= 1/d - 1, so nothing underflows at large
+    # orders, where sum w^alpha would.
+    S = float(np.sum(w * np.expm1((alpha - 1.0) * np.log(w / top))))
+    return math.log2(W / top) + math.log1p(S / W) / ((1.0 - alpha) * math.log(2.0))
 
 
 def mutual_info_alpha(rho_ab, alpha: float, dims):
@@ -128,7 +137,11 @@ def conditional_renyi_up(rho_ab, beta: float, dims) -> float:
     For finite beta != 1 the minimization is convex in Q_beta (convex for
     beta > 1, concave for beta in [1/2, 1); Frank & Lieb 2013) and is solved
     on supp(rho_B), where the optimum lies by data processing under the
-    pinching onto it; the solver certifies the value by its Frank-Wolfe gap.
+    pinching onto it.  The solve starts at the Petz conditional entropy's
+    optimizer (Tr_A rho^beta)^(1/beta)/Tr (Tomamichel, Berta & Hayashi, JMP
+    55, 082206, 2014), exact on product states, and certifies the value by
+    its Frank-Wolfe gap plus the bound on what the cut on rho's spectrum
+    drops (QAlphaKernel.cut_bound).
     """
     if beta < 0.5:
         raise ContractViolation(f"beta must be >= 1/2, got {beta}")
@@ -144,18 +157,21 @@ def conditional_renyi_up(rho_ab, beta: float, dims) -> float:
     if np.linalg.eigvalsh(R).max(initial=0.0) >= 1.0 - 1e-12:
         return -renyi_entropy(rho_A, math.inf if beta == 0.5 else beta / (2.0 * beta - 1.0))
     VB = Spectrum(rho_B).basis
+    rB = VB.shape[1]
     W = np.kron(np.eye(dA), VB)
-    Rc = W.conj().T @ R @ W
+    Rc = Spectrum(W.conj().T @ R @ W)
     sign = 1.0 if beta > 1 else -1.0  # minimize Q (beta > 1) or -Q
-
-    def fun_grad(s):
-        q, grad = q_alpha_grad(Rc, np.eye(dA), s, beta)
-        return sign * q, sign * grad
+    kernel = QAlphaKernel(beta, [(sign, Rc, np.eye(dA), False)])
 
     def value_of(f):  # D_beta, increasing in f
         return math.log2(sign * f) / (beta - 1.0) if sign * f > 0 else -math.inf
 
-    return -minimize_convex_over_states(fun_grad, VB.shape[1], value_of).value
+    # The Petz optimizer (Tr_A Rc^beta)^(1/beta), floored at RANK_TOL to stay
+    # positive definite where Rc^beta's small eigenvalues are lost to round-off.
+    w, V = np.linalg.eigh(reduced(Rc.power(beta), (dA, rB), 1))
+    w = np.clip(w, 0.0, None) ** (1.0 / beta)
+    start = (V * np.maximum(w / w.sum(), RANK_TOL)) @ V.conj().T
+    return -minimize_convex_over_states(kernel, rB, value_of, start).value
 
 
 def imax_certified(rho_ab, dims) -> ImaxResult:

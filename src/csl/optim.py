@@ -1,15 +1,16 @@
 """Shared optimization engines.
 
 Three engines: a certified solver for convex functionals of a density
-operator (damped Newton from the maximally mixed state, Frank-Wolfe gap),
-fed by the one gradient kernel `q_alpha_grad`, which evaluates a whole stack
-of states in one call; a primal-dual interior-point solver for the
+operator (damped Newton from a given start, Frank-Wolfe gap), fed by the one
+kernel `QAlphaKernel`, which gives a weighted sum of sandwiched Q_alpha terms
+with its gradient and exact Hessian from one call on one state and bounds
+what its spectral cut drops; a primal-dual interior-point solver for the
 max-information semidefinite program (a checked two-sided bracket); and one
 multi-start L-BFGS-B descent over density operators for the two problems
 left off the convex solver: `mutual_info_alpha`'s sigma, whose protocol
 outputs are pinned to that descent's last bits, and the channel
 maximization, which is not known to be concave.  The descent's objective
-takes a stack of states too: each L-BFGS-B point is one call on the point
+takes a stack of states: each L-BFGS-B point is one call on the point
 and its 2d^2 forward-difference neighbours, with scipy's own steps and
 arithmetic, so the descent keeps every bit it had when scipy differenced
 one state at a time.  Desk-scale dimensions (<= 36 total) keep all of these
@@ -18,14 +19,14 @@ cheap; no external SDP engine is used.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 
-from .matcore import (CertificateError, ContractViolation, Spectrum, _as_matrix,
-                      reduced, support_cut)
+from .matcore import CertificateError, ContractViolation, Spectrum, _as_matrix, reduced
 
 
 @dataclass
@@ -135,68 +136,161 @@ def minimize_over_states(objective, dim: int, restarts: int = 32,
 
 # --- certified convex solver ------------------------------------------------
 
-def _dag(M: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of each matrix in a stack."""
-    return M.conj().swapaxes(-1, -2)
+_EPS = float(np.finfo(np.float64).eps)
 
 
-def q_alpha_grad(rho, K, sigma, alpha: float, sigma_first: bool = False):
-    """Q_alpha(rho || K (x) sigma) (or sigma (x) K) and its gradient in sigma.
+def _divided(lam: np.ndarray, e: float) -> np.ndarray:
+    """Gamma_ij = (l_i^e - l_j^e)/(l_i - l_j), e l_j^(e-1) where l_i = l_j, for lam > 0.
 
-    K and sigma must be positive definite.  With S = K (x) sigma and
-    X = S^e rho S^e, e = (1-alpha)/(2 alpha), dQ = alpha Tr[M dS^e] for
-    M = X^(alpha-1) S^e rho + h.c.  The derivative of S^e is the Hadamard
-    product with the Daleckii-Krein divided differences of t -> t^e in S's
-    eigenbasis (Bhatia, Matrix Analysis, ch. V); the gradient in sigma is
-    grad_S weighted by K and traced over K's factor, Tr_K[(K (x) 1) grad_S]
-    (mirrored for sigma (x) K).  Returns (Q, G) with dQ = Tr[G dsigma].
-
-    sigma may carry a leading stack axis, shape (m, d, d); Q then has shape
-    (m,) and G (m, d, d), each member computed exactly as alone.  A 2-D sigma
-    is a stack of one and returns (float, (d, d) array).
+    Taken as l_j^(e-1) expm1(e L)/expm1(L), L = log(l_i/l_j): stable at
+    (near-)degenerate pairs, where it tends to e l_j^(e-1).
     """
-    single = np.ndim(sigma) == 2
-    sigma = np.asarray(sigma)[None] if single else np.asarray(sigma)
-    e = (1.0 - alpha) / (2.0 * alpha)
-    lk, Uk = np.linalg.eigh(K)
-    ls, Us = np.linalg.eigh(sigma)
-    (m, ds), dk = ls.shape, len(lk)
-    (la, Ua), (lb, Ub) = (((ls, Us), (lk[None], Uk[None])) if sigma_first
-                          else ((lk[None], Uk[None]), (ls, Us)))
-    lam = (la[:, :, None] * lb[:, None, :]).reshape(m, -1)
-    n = lam.shape[1]
-    # U = Ua (x) Ub by broadcasting: np.kron's products without its overhead.
-    U = (Ua[:, :, None, :, None] * Ub[:, None, :, None, :]).reshape(m, n, n)
-    if lam.min() <= 0:
-        raise ContractViolation("q_alpha_grad needs K and sigma positive definite")
-    # Everything below lives in S's eigenbasis, where S^e is diagonal.
-    le = lam**e
-    Rt = _dag(U) @ rho @ U
-    # X has rank(rho) genuine eigenvalues: Q and G both keep X's top rank(rho)
-    # and drop the rest as round-off, wherever S^e moves them near the cut.
-    wr = np.linalg.eigvalsh(rho)
-    r = int(np.count_nonzero(wr > support_cut(wr)))
-    w, V = np.linalg.eigh(le[:, :, None] * Rt * le[:, None, :])
-    w, V = np.clip(w[:, n - r:], 0.0, None), V[:, :, n - r:]
-    p = np.zeros_like(w)
-    p[w > 0] = w[w > 0] ** (alpha - 1.0)
-    A = (V * p[:, None, :]) @ _dag(V) @ (le[:, :, None] * Rt)
-    # (a^e - b^e)/(a - b) = b^(e-1) expm1(e L)/expm1(L), L = log(a/b): stable
-    # at (near-)degenerate pairs, where it tends to e b^(e-1).
-    loglam = np.log(lam)
-    L = loglam[:, :, None] - loglam[:, None, :]
+    lg = np.log(lam)
+    L = lg[:, None] - lg[None, :]
     den = np.expm1(L)
-    safe = den != 0.0
-    ratio = np.where(safe, np.expm1(e * L) / np.where(safe, den, 1.0), e)
-    Y = alpha * ratio * lam[:, None, :] ** (e - 1.0) * (A + _dag(A))
-    # Tr_K[(K (x) 1) U Y U^dag] = Us Tr_K[(diag(lk) (x) 1) Y] Us^dag.
-    if sigma_first:
-        Gt = np.einsum("miaja,a->mij", Y.reshape(m, ds, dk, ds, dk), lk)
-    else:
-        Gt = np.einsum("maiaj,a->mij", Y.reshape(m, dk, ds, dk, ds), lk)
-    G = Us @ Gt @ _dag(Us)
-    Q, G = np.sum(w**alpha, axis=1), (G + _dag(G)) / 2
-    return (float(Q[0]), G[0]) if single else (Q, G)
+    ratio = np.full_like(L, e)
+    np.divide(np.expm1(e * L), den, out=ratio, where=den != 0.0)
+    return ratio * lam ** (e - 1.0)
+
+
+# Relative spread below which a triple's second divided difference is taken
+# as f''(mean)/2: that error (spread^2) then stays under the difference
+# quotient's cancellation error (eps/spread), both near 1e-10.
+_COINCIDENT = 1e-5
+
+
+def _divided2(lam: np.ndarray, G1: np.ndarray, e: float, order) -> np.ndarray:
+    """f[l_i, l_m, l_j] for f(t) = t^e, shape (n, n, n), from G1 = _divided(lam, e).
+
+    lam ascends and ``order`` holds the sorted indices (lo, mid, hi) of each
+    triple, so the quotient (f[x, y] - f[y, z])/(x - z), x >= y >= z, divides
+    by the triple's widest pair; it covers a = c != b as (f'(a) - f[a, b])/
+    (a - b).  Triples within _COINCIDENT of each other, the fully degenerate
+    ones among them, take f''(mean)/2.
+    """
+    lo, mid, hi = order
+    x, y, z = lam[hi], lam[mid], lam[lo]
+    spread = x - z
+    close = spread <= _COINCIDENT * x
+    quotient = (G1[hi, mid] - G1[mid, lo]) / np.where(close, 1.0, spread)
+    return np.where(close, 0.5 * e * (e - 1.0) * ((x + y + z) / 3.0) ** (e - 2.0), quotient)
+
+
+class QAlphaKernel:
+    """f(sigma) = sum_t c_t Q_alpha(rho_t || K_t (x) sigma), with its gradient
+    and Hessian in sigma from one call on one sigma.
+
+    ``terms`` lists (c_t, rho_t, K_t, sigma_first); rho_t may be given as
+    its Spectrum, sigma_first puts sigma before K_t, every K_t must be
+    positive definite, and the c_t share one sign s.  Built once per solve: rho_t = F_t F_t^dag over its eigenvalues
+    above support_cut, and with p = (1-alpha)/alpha, Y_t = |c_t|^(1/alpha)
+    F_t^dag (K_t^p (x) sigma^p) F_t has the nonzero spectrum of the
+    sandwiched operator scaled so that f = s Tr Y^alpha, Y the direct sum of
+    the Y_t: one eigendecomposition serves every term.  Y is linear in
+    P = sigma^p, Y = sum_ab P_ab Phi_ab with Phi precomputed; a call rotates
+    Phi into sigma's eigenbasis, where P is diagonal.
+
+    A call returns (f, G, H): df = Tr[G dsigma], and H the Hessian in the
+    coordinates of _traceless_basis(dim), from first and second
+    Daleckii-Krein divided differences (Bhatia, Matrix Analysis, ch. V):
+    alpha Tr[D(Y^(alpha-1))[B_l] B_k] with B_k = F^dag (K^p (x) DP[E_k]) F,
+    plus Tr[M D^2P[E_k, E_l]] with M the gradient in P.  ``cut_bound``
+    bounds what the cut on each rho_t's spectrum drops from f.
+    """
+
+    def __init__(self, alpha: float, terms):
+        self.alpha, self.p = alpha, (1.0 - alpha) / alpha
+        self.sign = 1.0 if terms[0][0] > 0 else -1.0
+        blocks, self.cuts = [], []
+        for c, rho, K, sigma_first in terms:
+            if self.sign * c <= 0:
+                raise ContractViolation("QAlphaKernel needs weights of one sign")
+            S = Spectrum.of(rho)
+            F = S.V[:, S.keep] * np.sqrt(S.w[S.keep] * abs(c) ** (1.0 / alpha))
+            low = S.w[~S.keep]
+            low = low[low > 0]  # the cut eigenvalues that carry mass
+            kw, kV = np.linalg.eigh(_as_matrix(K))
+            if kw[0] <= 0:
+                raise ContractViolation("QAlphaKernel needs every K positive definite")
+            Kp = (kV * kw**self.p) @ kV.conj().T
+            dk, r = len(kw), F.shape[1]
+            self.dim = S.w.shape[0] // dk
+            if sigma_first:
+                Fr = F.reshape(self.dim, dk, r)
+                blocks.append(np.einsum("axi,xy,byj->abij", Fr.conj(), Kp, Fr))
+            else:
+                Fr = F.reshape(dk, self.dim, r)
+                blocks.append(np.einsum("xai,xy,ybj->abij", Fr.conj(), Kp, Fr))
+            # (rows of Y, scaled cut mass, cut count, lambda_max(K^p))
+            self.cuts.append((r, abs(c) ** (1.0 / alpha) * float(low.sum()), len(low),
+                              float((kw**self.p).max())))
+        d, n = self.dim, sum(B.shape[-1] for B in blocks)
+        Phi, o = np.zeros((d, d, n, n), dtype=complex), 0
+        for B in blocks:
+            r = B.shape[-1]
+            Phi[:, :, o:o + r, o:o + r] = B
+            o += r
+        self.n, self.Phi = n, Phi.reshape(d * d, n * n)
+        self.E = _traceless_basis(d)
+        self.order = np.sort(np.indices((d,) * 3), axis=0)
+
+    def _at(self, sigma: np.ndarray):
+        """sigma's eigenpairs, Phi in sigma's eigenbasis, and Y there."""
+        ls, U = np.linalg.eigh(sigma)
+        if ls[0] <= 0:
+            raise ContractViolation("QAlphaKernel needs sigma positive definite")
+        d = self.dim
+        # Row (c, d) of rot Phi is sum_ab U_ac conj(U_bd) Phi_ab.
+        rot = (U[:, None, :, None] * U.conj()[None, :, None, :]).reshape(d * d, d * d).T
+        Pt = rot @ self.Phi
+        return ls, U, Pt, (ls**self.p @ Pt[:: d + 1]).reshape(self.n, self.n)
+
+    def __call__(self, sigma: np.ndarray):
+        alpha, d, k, n = self.alpha, self.dim, len(self.E), self.n
+        ls, U, Pt, Y = self._at(sigma)
+        y, V = np.linalg.eigh(Y)
+        # Below eps lambda_max eigh cannot resolve Y's eigenvalues; the floor
+        # keeps their powers and divided differences finite.
+        y = np.maximum(y, _EPS * y[-1])
+        Uh, Vh = U.conj().T, V.conj().T
+        yg = y ** (alpha - 1.0)
+        G1 = _divided(ls, self.p)
+        Et = Uh @ self.E @ U  # E_k in sigma's eigenbasis, and DP[E_k] there
+        B = (Vh @ ((G1 * Et).reshape(k, d * d) @ Pt).reshape(k, n, n) @ V).reshape(k, n * n)
+        H = alpha * ((_divided(y, alpha - 1.0).reshape(-1) * B) @ B.conj().T).real
+        # M_dc = alpha Tr[Y^(alpha-1) Phi_cd]: the gradient in P, dQ = Tr[M dP].
+        Mt = alpha * (Pt @ ((V * yg) @ Vh).T.reshape(-1)).reshape(d, d).T
+        A = np.einsum("kim,imj,lmj->kl", Et,
+                      Mt.T[:, None, :] * _divided2(ls, G1, self.p, self.order), Et)
+        G = U @ (G1 * Mt) @ Uh
+        H = H + (A + A.T).real
+        s = self.sign
+        return s * float(yg @ y), s * (G + G.conj().T) / 2, s * (H + H.T) / 2
+
+    def cut_bound(self, sigma: np.ndarray) -> tuple[float, float]:
+        """(below, above): f_full - f lies in [-below, above] at sigma, where
+        f_full is f on the whole of each rho_t.  The cut only lowers each Q_t:
+        with m_t and r_t the mass and the number of rho_t's cut eigenvalues and
+        t = lambda_max(K_t^p (x) sigma^p), Q_t lies under Q_> + r^(1-alpha)
+        (m t)^alpha for alpha < 1 (monotonicity, Rotfel'd, Jensen), with t at
+        its supremum lambda_max(K_t^p) over states so that the bound holds at
+        every sigma, and under (Q_>^(1/alpha) + m t)^alpha for alpha > 1
+        (Weyl monotonicity, Minkowski).  Weighted by |c_t|, the bounds add up
+        in ``above`` for c_t > 0 and in ``below`` for c_t < 0; both are zero
+        when nothing is cut.
+        """
+        alpha = self.alpha
+        ls, _, _, Y = self._at(sigma)
+        s_top = max(1.0, float(ls[0] ** self.p))
+        bound, o = 0.0, 0
+        for r, mass, count, k_top in self.cuts:
+            if count:
+                mt = mass * k_top * s_top
+                q = float(np.sum(np.clip(np.linalg.eigvalsh(Y[o:o + r, o:o + r]), 0, None)**alpha))
+                bound += (count ** (1.0 - alpha) * mt**alpha if alpha < 1
+                          else (q ** (1.0 / alpha) + mt) ** alpha - q)
+            o += r
+        return (0.0, bound) if self.sign > 0 else (bound, 0.0)
 
 
 def frank_wolfe_gap(grad: np.ndarray, sigma: np.ndarray) -> float:
@@ -205,8 +299,12 @@ def frank_wolfe_gap(grad: np.ndarray, sigma: np.ndarray) -> float:
     return max(float(np.einsum("ij,ji->", grad, sigma).real) - lo, 0.0)
 
 
+@functools.cache
 def _traceless_basis(d: int) -> np.ndarray:
-    """Orthonormal basis of the traceless Hermitian d x d matrices."""
+    """Orthonormal basis of the traceless Hermitian d x d matrices, (d^2-1, d, d).
+
+    Cached per d and read-only: every solve and kernel of one size shares it.
+    """
     basis = []
     for i in range(d):
         for j in range(i + 1, d):
@@ -219,11 +317,14 @@ def _traceless_basis(d: int) -> np.ndarray:
         D[:k] = 1.0
         D[k] = -k
         basis.append(np.diag(D / math.sqrt(k * (k + 1))).astype(complex))
-    return np.array(basis)
+    basis = np.array(basis, dtype=complex).reshape(-1, d, d)
+    basis.flags.writeable = False
+    return basis
 
 
 # Largest certificate gap, in the reported value's units: the Frank-Wolfe
-# gap of the convex solver, the bracket of the SDP in bits.
+# gap of the convex solver plus its kernel's cut bound, the bracket of the
+# SDP in bits.
 GAP_TOL = 1e-9
 # Most negative eigenvalue of M_A (x) Y - rho_AB that a certified SDP
 # solution may leave.
@@ -237,56 +338,55 @@ _HALVINGS = 14
 _FLAT = 1e-12
 
 
-def minimize_convex_over_states(fun_grad, dim: int, value_of=None) -> OptimizerReport:
+def minimize_convex_over_states(fun, dim: int, value_of=None, start=None) -> OptimizerReport:
     """Minimize a convex functional over D(dim), certified by the Frank-Wolfe gap.
 
-    ``fun_grad(stack)`` takes states stacked as (m, dim, dim) and returns
-    (f of shape (m,), G of shape (m, dim, dim)) with df = Tr[G dsigma] for
-    each member.  ``value_of`` maps f increasingly onto the reported value
-    (identity by default); the report's value and gap are in its units, the
-    gap being value_of(f) - value_of(f - Tr[G sigma] + lambda_min(G)).
+    ``fun(sigma)`` takes one state and returns (f, G, H): df = Tr[G dsigma],
+    and H the Hessian in the coordinates of _traceless_basis(dim).
+    ``value_of`` maps f increasingly onto the reported value (identity by
+    default); the report's value and gap are in its units.  ``start`` is a
+    positive definite first iterate (I/dim by default), scaled to trace 1.
 
-    Damped Newton in the traceless tangent space from the maximally mixed
-    state (for convex f it converges from any start; Boyd & Vandenberghe,
-    Convex Optimization, sec. 9.5).  At each iterate one stacked call at
-    sigma and sigma +- h E_k, over an orthonormal traceless basis E_k with
-    h = 1e-4 lambda_min(sigma), gives f, the gradient and the Hessian by
-    central differences of the gradient.  A step that would leave the
-    positive cone starts 0.99 of the way to its boundary; it is halved until
-    the candidate is positive definite and shows an Armijo decrease of f or,
+    Damped Newton in the traceless tangent space (for convex f it converges
+    from any start; Boyd & Vandenberghe, Convex Optimization, sec. 9.5): one
+    ``fun`` call per iterate.  A step that would leave the positive cone
+    starts 0.99 of the way to its boundary; it is halved until the
+    candidate is positive definite and shows an Armijo decrease of f or,
     once f is flat to round-off, a smaller gap.  The report's `iterations`
-    counts Newton steps.  Raises CertificateError when the gap stays above
-    GAP_TOL: an unconverged solve never returns a value.
+    counts Newton steps.  When ``fun`` has a ``cut_bound(sigma)`` (as
+    QAlphaKernel does), the functional f stands for lies in [f - below,
+    f + above]: the gap is then value_of(f + above) - value_of(f - fw -
+    below) at the returned sigma, fw the Frank-Wolfe gap in f's units, which
+    brackets both the reported value and the true minimum.  Raises
+    CertificateError when the gap stays above GAP_TOL: an unconverged solve
+    never returns a value.
     """
     value_of = value_of if value_of is not None else (lambda f: f)
-    d = dim
-    if d == 1:
-        sigma = np.ones((1, 1), dtype=complex)
-        return OptimizerReport(value_of(fun_grad(sigma[None])[0][0]), sigma, 0, True, 0.0)
 
+    def certificate(f, fw, below=0.0, above=0.0):
+        lower = value_of(f - fw - below)
+        return value_of(f + above) - lower if math.isfinite(lower) else math.inf
+
+    d = dim
     E = _traceless_basis(d)
-    k = len(E)
 
     def expand(sigma):
-        """f, G, the Hessian in E's coordinates and the certificate at sigma."""
-        lo = float(np.linalg.eigvalsh(sigma)[0])
-        if lo <= 0:
-            raise ContractViolation("sigma left the positive cone")
-        h = 1e-4 * lo  # sigma +- h E_k stays definite: ||E_k|| <= 1
-        f, G = fun_grad(np.concatenate([sigma[None], sigma + h * E, sigma - h * E]))
-        T = np.einsum("kij,mji->mk", E, G[1:]).real
-        H = (T[:k] - T[k:]).T / (2 * h)
-        f, grad = float(f[0]), G[0]
-        v, lower = value_of(f), value_of(f - frank_wolfe_gap(grad, sigma))
-        gap = v - lower if math.isfinite(lower) else math.inf
-        return f, grad, (H + H.T) / 2, v, gap
+        """f, G, the Hessian, the value, the Frank-Wolfe gap and the inverse
+        Cholesky factor at sigma."""
+        try:
+            Li = np.linalg.inv(np.linalg.cholesky(sigma))
+        except np.linalg.LinAlgError:
+            raise ContractViolation("sigma left the positive cone") from None
+        f, grad, H = fun(sigma)
+        return f, grad, H, value_of(f), certificate(f, frank_wolfe_gap(grad, sigma)), Li
 
-    sigma = np.eye(d, dtype=complex) / d
-    f, grad, H, value, gap = expand(sigma)
+    sigma = np.eye(d, dtype=complex) / d if start is None else start / np.trace(start).real
+    f, grad, H, value, gap, Li = expand(sigma)
     # Converge well past GAP_TOL: the value's error is second order in
     # sigma's, the gap first order, so the value then carries ~1e-15 error.
+    # At d = 1 the only state is optimal: no step is taken.
     steps = 0
-    while gap > 1e-3 * GAP_TOL and steps < _NEWTON_STEPS:
+    while d > 1 and gap > 1e-3 * GAP_TOL and steps < _NEWTON_STEPS:
         g = np.einsum("kij,ji->k", E, grad).real
         step = np.linalg.lstsq(H, -g, rcond=None)[0]
         D = np.einsum("k,kij->ij", step, E)
@@ -294,7 +394,6 @@ def minimize_convex_over_states(fun_grad, dim: int, value_of=None) -> OptimizerR
         if not slope < 0:  # no descent direction left
             break
         # Start inside the cone: 0.99 of the way to its boundary along D.
-        Li = np.linalg.inv(np.linalg.cholesky(sigma))
         mu = float(np.linalg.eigvalsh(Li @ D @ Li.conj().T)[0])
         t = min(1.0, -0.99 / mu) if mu < 0 else 1.0
         for _ in range(_HALVINGS):
@@ -313,10 +412,15 @@ def minimize_convex_over_states(fun_grad, dim: int, value_of=None) -> OptimizerR
             break
         steps += 1
         sigma = cand
-        f, grad, H, value, gap = new
+        f, grad, H, value, gap, Li = new
+    cut = (0.0, 0.0)
+    if gap <= GAP_TOL and hasattr(fun, "cut_bound"):
+        cut = fun.cut_bound(sigma)
+        gap = certificate(f, frank_wolfe_gap(grad, sigma), *cut)
     if not gap <= GAP_TOL:
         raise CertificateError(
-            f"convex solver stopped with Frank-Wolfe gap {gap:.3e} > {GAP_TOL:.1e}")
+            f"convex solver stopped with Frank-Wolfe gap {gap:.3e} > {GAP_TOL:.1e}"
+            + (" with the cut bound" if any(cut) else ""))
     return OptimizerReport(value, sigma, steps, True, gap)
 
 

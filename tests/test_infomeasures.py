@@ -104,6 +104,15 @@ def test_renyi_entropy_at_large_orders(alpha):
         assert abs(renyi_entropy(np.eye(d) / d, alpha) - math.log2(d)) <= 1e-12
 
 
+@pytest.mark.parametrize("alpha", [1 - 1e-9, 1 + 1e-9])
+def test_renyi_entropy_next_to_order_one(alpha):
+    # No O(1) terms cancel next to alpha = 1: I/3 gives log2 3 exactly, and a
+    # random state lies within O(alpha - 1) of its von Neumann entropy.
+    assert abs(renyi_entropy(np.eye(3) / 3, alpha) - math.log2(3)) <= 1e-12
+    rho = sample("mixed-hilbert-schmidt", 4, 3)
+    assert abs(renyi_entropy(rho, alpha) - renyi_entropy(rho, 1)) <= 1e-8
+
+
 BETAS = (0.5, 0.75, 1.5, 2.0, 4.0)
 # H_up_beta(A|B) at BETAS, recorded with the multi-start optimizer this
 # package used before the certified convex solver.

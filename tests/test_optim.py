@@ -11,14 +11,15 @@ from csl.divergences import d_alpha, q_alpha
 from csl.matcore import RANK_TOL, CertificateError, ContractViolation, reduced, sample
 from csl.optim import (
     GAP_TOL,
+    QAlphaKernel,
     _forward_difference,
     _gram_state,
+    _traceless_basis,
     dominating_trace_min,
     frank_wolfe_gap,
     imax_sdp,
     minimize_convex_over_states,
     minimize_over_states,
-    q_alpha_grad,
 )
 
 
@@ -331,6 +332,11 @@ def _product(K, sigma, sigma_first):
     return np.kron(sigma, K) if sigma_first else np.kron(K, sigma)
 
 
+def _q_alpha_grad(rho, K, sigma, alpha, sigma_first=False):
+    """Q_alpha(rho || K (x) sigma) (or sigma (x) K) and its gradient in sigma."""
+    return QAlphaKernel(alpha, [(1.0, rho, K, sigma_first)])(sigma)[:2]
+
+
 @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.5, 2.0, 4.0])
 @pytest.mark.parametrize("sigma_first", [False, True])
 def test_q_alpha_grad_matches_central_differences(alpha, sigma_first):
@@ -339,7 +345,7 @@ def test_q_alpha_grad_matches_central_differences(alpha, sigma_first):
         rho = sample("mixed-hilbert-schmidt", dK * dS, 5)
         K = sample("mixed-hilbert-schmidt", dK, 6)
         sigma = sample("mixed-hilbert-schmidt", dS, 7)
-        value, grad = q_alpha_grad(rho, K, sigma, alpha, sigma_first)
+        value, grad = _q_alpha_grad(rho, K, sigma, alpha, sigma_first)
         assert abs(value - q_alpha(rho, _product(K, sigma, sigma_first), alpha)) \
             <= 1e-12 * max(1.0, value)
         for _ in range(3):
@@ -364,7 +370,7 @@ def test_q_alpha_grad_closed_form_near_support_cut(lam, alpha):
     tr = 0.75**alpha + 0.25**alpha
     b = np.array([0.7, 0.3 - lam, lam])
     for s in (b, np.array([0.5, 0.5 - lam, lam])):
-        Q, G = q_alpha_grad(np.kron(rho_A, np.diag(b)), np.eye(2), np.diag(s), alpha)
+        Q, G = _q_alpha_grad(np.kron(rho_A, np.diag(b)), np.eye(2), np.diag(s), alpha)
         want_q = tr * np.sum(b**alpha * s ** (1 - alpha))
         want_g = (1 - alpha) * tr * (b / s) ** alpha
         assert abs(Q - want_q) <= 1e-8 * want_q
@@ -377,18 +383,13 @@ def test_frank_wolfe_gap_bounds_suboptimality(alpha):
     # f = +-Q_alpha(rho || 1 (x) sigma) is convex; at a deliberately poor
     # sigma the gap must cover f(sigma) - f*.
     rho = sample("mixed-hilbert-schmidt", (2, 3), 8)
-    sign = 1.0 if alpha > 1 else -1.0
-
-    def fun_grad(s):
-        q, g = q_alpha_grad(rho, np.eye(2), s, alpha)
-        return sign * q, sign * g
-
-    best = minimize_convex_over_states(fun_grad, 3)
+    kernel = QAlphaKernel(alpha, [(1.0 if alpha > 1 else -1.0, rho, np.eye(2), False)])
+    best = minimize_convex_over_states(kernel, 3)
     assert best.gap_estimate <= 1e-9
     for seed in range(5):
         poor = sample("rank-limited", 3, 40 + seed, rank=3)
         poor = 0.9 * poor + 0.1 * np.diag([1.0, 0.0, 0.0])
-        f, grad = fun_grad(poor)
+        f, grad, _ = kernel(poor)
         excess = f - best.value
         assert excess > 1e-4
         assert excess <= frank_wolfe_gap(grad, poor) + 1e-12
@@ -397,45 +398,104 @@ def test_frank_wolfe_gap_bounds_suboptimality(alpha):
 def test_convex_solver_raises_when_gap_stays_open():
     # A gradient that disagrees with f never closes the gap: no value.
     def inconsistent(s):
-        return np.zeros(len(s)), np.broadcast_to(np.diag([1.0, 0.0]).astype(complex), s.shape)
+        return 0.0, np.diag([1.0, 0.0]).astype(complex), np.zeros((3, 3))
 
     with pytest.raises(CertificateError, match="Frank-Wolfe gap"):
         minimize_convex_over_states(inconsistent, 2)
 
 
-@pytest.mark.parametrize("dK,dS", [(2, 2), (2, 3), (3, 2)])
-@pytest.mark.parametrize("alpha", [0.6, 1.5, 2.0, 4.0])
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.5, 2.0, 4.0])
 @pytest.mark.parametrize("sigma_first", [False, True])
-def test_q_alpha_grad_stack_equals_single_calls(dK, dS, alpha, sigma_first):
-    rho = sample("mixed-hilbert-schmidt", dK * dS, 5)
-    K = sample("mixed-hilbert-schmidt", dK, 6)
-    stack = np.array([sample("mixed-hilbert-schmidt", dS, 10 + i) for i in range(5)])
-    Q, G = q_alpha_grad(rho, K, stack, alpha, sigma_first)
-    assert Q.shape == (5,) and G.shape == (5, dS, dS)
-    for i, sigma in enumerate(stack):
-        q, g = q_alpha_grad(rho, K, sigma, alpha, sigma_first)
-        assert type(q) is float and g.shape == (dS, dS)
-        assert q == Q[i] and np.array_equal(g, G[i])
-    singular = stack.copy()
-    singular[2] = np.diag([1.0] + [0.0] * (dS - 1))
-    with pytest.raises(ContractViolation):
-        q_alpha_grad(rho, K, singular, alpha, sigma_first)
+@pytest.mark.parametrize("at", ["maximally-mixed", "near-degenerate"])
+def test_q_alpha_hessian_matches_central_differences(alpha, sigma_first, at):
+    # The exact Hessian against central differences of the exact gradient,
+    # h = 1e-5: agreement to the differencing error, ~1e-9 relative.  I/d is
+    # fully degenerate, so every second divided difference takes a
+    # coincident branch; the near-degenerate sigma splits I/d by 1e-7.
+    for dK, dS in [(1, 3), (2, 2), (2, 3), (3, 2)]:
+        rho = sample("mixed-hilbert-schmidt", dK * dS, 5)
+        K = sample("mixed-hilbert-schmidt", dK, 6)
+        kernel = QAlphaKernel(alpha, [(1.0, rho, K, sigma_first)])
+        sigma = np.eye(dS, dtype=complex) / dS
+        if at == "near-degenerate":
+            sigma = sigma + np.diag(1e-7 * (np.arange(dS) - (dS - 1) / 2))
+        E = _traceless_basis(dS)
+        _, _, H = kernel(sigma)
+        h = 1e-5
+        fd = np.array([np.einsum("kij,ji->k", E, kernel(sigma + h * El)[1]
+                                 - kernel(sigma - h * El)[1]).real / (2 * h) for El in E]).T
+        assert np.abs(H - fd).max() <= 1e-7 * max(1.0, np.abs(H).max()), (dK, dS)
+        singular = np.diag([1.0] + [0.0] * (dS - 1))
+        with pytest.raises(ContractViolation):
+            kernel(singular)
+
+
+def test_q_alpha_kernel_sums_its_terms():
+    # One call on several terms is the weighted sum of one-term calls, for
+    # f, G and H alike, with K (x) sigma and sigma (x) K mixed.
+    rho_R = sample("mixed-hilbert-schmidt", 2, 3)
+    rho_RA = sample("mixed-hilbert-schmidt", (2, 2), 4)
+    K = sample("mixed-hilbert-schmidt", 2, 6)
+    terms = [(0.75, rho_R, np.ones((1, 1)), False), (0.25, rho_RA, K, True),
+             (0.5, rho_RA, K, False)]
+    sigma = sample("mixed-hilbert-schmidt", 2, 7)
+    f, G, H = QAlphaKernel(2.0, terms)(sigma)
+    parts = [QAlphaKernel(2.0, [(1.0,) + t[1:]])(sigma) for t in terms]
+    for got, want in zip((f, G, H), zip(*parts)):
+        total = sum(t[0] * w for t, w in zip(terms, want))
+        assert np.abs(got - total).max() <= 1e-13 * max(1.0, np.abs(total).max())
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.5, 2.0, 4.0])
+@pytest.mark.parametrize("sigma_first", [False, True])
+def test_cut_bound_brackets_the_uncut_value(alpha, sigma_first):
+    # rho with eigenvalues 0.5 RANK_TOL and 0.2 RANK_TOL of lambda_max: the
+    # kernel drops them, and f_full (q_alpha on the whole rho) lies in
+    # [f - below, f + above].  With nothing cut both sides are zero.
+    rng = np.random.default_rng([31, sigma_first])
+    sign = 1.0 if alpha > 1 else -1.0
+    for dK, dS in [(1, 3), (2, 2), (2, 3)]:
+        U = np.linalg.qr(rng.standard_normal((dK * dS,) * 2)
+                         + 1j * rng.standard_normal((dK * dS,) * 2))[0]
+        w = rng.random(dK * dS) + 0.5
+        w[:2] = np.array([0.5, 0.2]) * RANK_TOL * w.max()
+        rho = (U * (w / w.sum())) @ U.conj().T
+        K = sample("mixed-hilbert-schmidt", dK, 6)
+        for seed in range(3):
+            sigma = sample("mixed-hilbert-schmidt", dS, 50 + seed)
+            kernel = QAlphaKernel(alpha, [(sign, rho, K, sigma_first)])
+            f = kernel(sigma)[0]
+            below, above = kernel.cut_bound(sigma)
+            full = sign * q_alpha(rho, _product(K, sigma, sigma_first), alpha)
+            assert f - below - 1e-14 <= full <= f + above + 1e-14, (dK, dS, f, full)
+            assert (below if sign > 0 else above) == 0.0 < (above if sign > 0 else below)
+    kernel = QAlphaKernel(alpha, [(sign, sample("mixed-hilbert-schmidt", 4, 5), np.eye(2), False)])
+    assert kernel.cut_bound(np.eye(2) / 2) == (0.0, 0.0)
+
+
+class _Counting:
+    """A kernel that counts its calls, each on one state."""
+
+    def __init__(self, kernel, dim):
+        self.kernel, self.dim, self.calls = kernel, dim, 0
+
+    def __call__(self, sigma):
+        assert sigma.shape == (self.dim, self.dim)
+        self.calls += 1
+        return self.kernel(sigma)
+
+    def cut_bound(self, sigma):
+        return self.kernel.cut_bound(sigma)
 
 
 def _counted(monkeypatch, module):
-    """Record (Newton steps, stacked calls, report) of every convex solve."""
+    """Record (Newton steps, kernel calls, report) of every convex solve."""
     solves = []
 
-    def counting(fun_grad, dim, value_of=None):
-        calls = [0]
-
-        def stacked(s):
-            assert s.ndim == 3
-            calls[0] += 1
-            return fun_grad(s)
-
-        rep = minimize_convex_over_states(stacked, dim, value_of)
-        solves.append((rep.iterations, calls[0], rep))
+    def counting(kernel, dim, value_of=None, start=None):
+        fun = _Counting(kernel, dim)
+        rep = minimize_convex_over_states(fun, dim, value_of, start)
+        solves.append((rep.iterations, fun.calls, rep))
         return rep
 
     monkeypatch.setattr(module, "minimize_convex_over_states", counting)
@@ -555,4 +615,30 @@ def test_near_boundary_minimizers_certify_or_refuse(beta, dB, rotated):
         value = infomeasures.conditional_renyi_up(rho, beta, (2, dB))
     except CertificateError:
         return
+    assert abs(value - infomeasures.renyi_entropy(rho_A, beta)) <= 1e-9
+
+
+@pytest.mark.parametrize("beta", [0.75, 1.5, 2.0])
+def test_rho_b_at_the_cut_certifies_or_refuses(beta):
+    # rho_A (x) diag(1 - RANK_TOL, RANK_TOL): rho_B's small direction survives
+    # the compression onto supp rho_B, while rho's eigenvalues along it fall
+    # on or below rho's own cut.  What the kernel drops there is inside its
+    # certificate, so the solve meets H_beta(A) or raises.
+    rho_A = sample("mixed-hilbert-schmidt", 2, 4)
+    rho = np.kron(rho_A, np.diag([1 - RANK_TOL, RANK_TOL]))
+    try:
+        value = infomeasures.conditional_renyi_up(rho, beta, (2, 2))
+    except CertificateError:
+        return
+    assert abs(value - infomeasures.renyi_entropy(rho_A, beta)) <= 1e-9
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.75])
+def test_minimizer_near_the_boundary_certifies(beta):
+    # sigma* = diag(0.7, 0.3 - 1e-6, 1e-6): from I/3 the first Newton steps
+    # overshoot to sigma_33 ~ 2e-9, where the gap stalled.  From the Petz
+    # start, which is sigma* itself for this product state, it certifies.
+    rho_A = sample("mixed-hilbert-schmidt", 2, 4)
+    rho = np.kron(rho_A, np.diag([0.7, 0.3 - 1e-6, 1e-6]))
+    value = infomeasures.conditional_renyi_up(rho, beta, (2, 3))
     assert abs(value - infomeasures.renyi_entropy(rho_A, beta)) <= 1e-9

@@ -19,7 +19,7 @@ import pytest
 from csl.divergences import d_alpha
 from csl.infomeasures import (conditional_renyi_up, h_min_conditional, imax_certified,
                               mutual_info_alpha, renyi_entropy)
-from csl.matcore import reduced, sample
+from csl.matcore import RANK_TOL, CertificateError, reduced, sample
 from csl.optim import imax_sdp
 
 DIMS = [(2, 2), (2, 3), (3, 2)]
@@ -147,6 +147,30 @@ def test_arimoto_conditional_entropy_classical_closed_form(dims, p):
             float(np.sum(np.sum(p ** beta, axis=0) ** (1 / beta))))
         got = conditional_renyi_up(_diag_state(p), beta, dims)
         assert abs(got - want) <= 1e-10, (beta, got, want)
+
+
+def _near_cut_classical_states():
+    """3x2 classical p(a, b) with one entry at 0.95 RANK_TOL of the largest."""
+    rng = np.random.default_rng(5)
+    out = []
+    for _ in range(6):
+        p = rng.random((3, 2))
+        p[np.unravel_index(rng.integers(6), p.shape)] = 0.95 * RANK_TOL * p.max()
+        out.append(p / p.sum())
+    return out
+
+
+@pytest.mark.parametrize("p", _near_cut_classical_states())
+def test_arimoto_near_the_cut_certifies_or_refuses(p):
+    # The entry under rho's cut adds about p^beta to Q at beta = 0.75, far
+    # more than GAP_TOL: the solve meets Arimoto's form or raises.
+    beta = 0.75
+    want = beta / (1 - beta) * math.log2(float(np.sum(np.sum(p ** beta, axis=0) ** (1 / beta))))
+    try:
+        got = conditional_renyi_up(_diag_state(p), beta, (3, 2))
+    except CertificateError:
+        return
+    assert abs(got - want) <= 1e-9, (got, want)
 
 
 D_ORDERS = (0.75, 1.5, 2.0, 4.0)
