@@ -430,6 +430,33 @@ def test_q_alpha_hessian_matches_central_differences(alpha, sigma_first, at):
             kernel(singular)
 
 
+@pytest.mark.parametrize("dK,dS", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("alpha", [0.6, 1.5, 2.0, 4.0])
+@pytest.mark.parametrize("sigma_first", [False, True])
+def test_q_alpha_grad_stack_equals_single_calls(dK, dS, alpha, sigma_first):
+    # One kernel called on a stack of states, one state per call, returns
+    # (f, G, H) bit for bit as a fresh kernel built for each state, in either
+    # call order; a singular state raises and leaves later calls unchanged.
+    rho = sample("mixed-hilbert-schmidt", dK * dS, 5)
+    K = sample("mixed-hilbert-schmidt", dK, 6)
+    stack = np.array([sample("mixed-hilbert-schmidt", dS, 10 + i) for i in range(5)])
+    terms = [(1.0, rho, K, sigma_first)]
+    kernel = QAlphaKernel(alpha, terms)
+    reused = [kernel(sigma) for sigma in stack]
+    backwards = [kernel(sigma) for sigma in stack[::-1]][::-1]
+    for sigma, got, again in zip(stack, reused, backwards):
+        q, g, h = QAlphaKernel(alpha, terms)(sigma)
+        assert type(q) is float and g.shape == (dS, dS) and h.shape == (dS * dS - 1,) * 2
+        assert abs(q - q_alpha(rho, _product(K, sigma, sigma_first), alpha)) <= 1e-12 * max(1.0, q)
+        for result in (got, again):
+            assert q == result[0] and np.array_equal(g, result[1]) and np.array_equal(h, result[2])
+    with pytest.raises(ContractViolation):
+        kernel(np.diag([1.0] + [0.0] * (dS - 1)))
+    after = kernel(stack[3])
+    assert after[0] == reused[3][0] and np.array_equal(after[1], reused[3][1]) \
+        and np.array_equal(after[2], reused[3][2])
+
+
 def test_q_alpha_kernel_sums_its_terms():
     # One call on several terms is the weighted sum of one-term calls, for
     # f, G and H alike, with K (x) sigma and sigma (x) K mixed.
