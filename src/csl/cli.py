@@ -282,9 +282,7 @@ def run_qss_sim(cfg) -> tuple[str, list, dict]:
 
 
 def run_divergence(cfg) -> tuple[str, list, dict]:
-    alpha_raw = cfg["alpha"]
-    alpha = (math.inf if str(alpha_raw) in ("inf", "Infinity")
-             else _option(cfg, "alpha", float))
+    alpha = _option(cfg, "alpha", float)
     rho = _load_density(cfg["rho"])
     sigma = _load_density(cfg["sigma"])
     value, branch = divergences.d_alpha_with_branch(rho, sigma, alpha)

@@ -4,10 +4,10 @@ hypothesis-testing divergence.
 All logarithms are base 2 (values in bits).  Infinite divergence is a value
 (math.inf), never an exception.  The second argument of the Q/D functionals
 may be any PSD operator (conditional entropies pass I (x) sigma), or its
-matcore.Spectrum, which is then not decomposed again.  `d_alpha` also takes
-a stack of them, shape (m, d, d), or the Spectrum of the stack, and returns
-each member's value as alone; one reference and a stack share one support
-rule and one `_q`.
+matcore.Spectrum, which is then not decomposed again.  At the sandwiched
+orders `d_alpha` also takes a stack of them, shape (m, d, d), or the
+Spectrum of the stack, and returns each member's value as alone; one
+reference and a stack share one support rule and one `_q`.
 """
 
 from __future__ import annotations
@@ -109,19 +109,19 @@ def d_alpha_with_branch(rho, sigma, alpha: float) -> tuple[float, str]:
 def d_alpha(rho, sigma, alpha: float):
     """D_alpha(rho || sigma) in bits.
 
-    sigma may be a stack of references (m, d, d), or its Spectrum: the
-    result is then an array of m values, each bit for bit the value of that
-    member alone.  The sandwiched orders (alpha in [1/2, 1) and (1, inf))
-    run `_sandwiched` for one reference and for a stack alike: one ``eigh``
-    for the references and one for the sandwiched operators, with the
-    Hermitian, PSD and support checks per member.  The other orders run
-    member by member.
+    sigma may be a stack of references (m, d, d), or its Spectrum, at the
+    sandwiched orders alpha in [1/2, 1) and (1, inf): the result is then an
+    array of m values, each bit for bit the value of that member alone.  One
+    reference and a stack alike run `_sandwiched`: one ``eigh`` for the
+    references and one for the sandwiched operators, with the Hermitian, PSD
+    and support checks per member.  A stack at any other order is refused.
     """
     if 0.5 <= alpha < INF and alpha != 1:
         values = _sandwiched(_as_matrix(rho), Spectrum.of(sigma), alpha)
         return values if values.ndim else float(values)
     if _as_matrix(sigma).ndim == 3:
-        return np.array([d_alpha_with_branch(rho, s, alpha)[0] for s in _as_matrix(sigma)])
+        raise ContractViolation(
+            f"a stack of references needs alpha in [1/2, 1) or (1, inf), got {alpha}")
     return d_alpha_with_branch(rho, sigma, alpha)[0]
 
 
@@ -175,42 +175,24 @@ def d2(rho, sigma) -> float:
 
 # --- hypothesis-testing divergence -----------------------------------------
 
-def _np_test_value(rho: np.ndarray, sigma: np.ndarray, t: float, eps: float):
-    """Neyman-Pearson test at threshold t with fractional weights.
+def _threshold_test(R: np.ndarray, S: np.ndarray, t: float):
+    """(t, Tr[rho P], P, w) for the projective test P = Pi_+(t rho - sigma),
+    w the eigenvalues of t rho - sigma, from one ``eigh``."""
+    w, V = np.linalg.eigh(t * R - S)
+    P = V[:, w > 0]
+    return t, float(np.einsum("ji,jk,ki->", P.conj(), R, P).real), P, w
 
-    Builds Lambda from the eigenbasis of rho - t sigma: weight 1 on clearly
-    positive eigenvectors, fractional weight on near-zero ones (ordered by
-    rho-to-sigma ratio) until Tr[rho Lambda] = 1 - eps.  Returns
-    (Tr[sigma Lambda], feasible) or (None, False) when 1 - eps is out of
-    reach at this threshold.
+
+def _bracket_primal(S: np.ndarray, lo, hi, eps: float):
+    """(Tr[rho Lambda], Tr[sigma Lambda]) for Lambda = lam P_hi + (1-lam) P_lo.
+
+    lam in [0, 1] puts Tr[rho Lambda] at 1 - eps when the two threshold
+    tests bracket it; Lambda is then an optimal test (quantum Neyman-Pearson).
     """
-    d = rho.shape[0]
-    M = rho - t * sigma  # large t amplifies float asymmetry; resymmetrize
-    w, V = eig_hermitian((M + M.conj().T) / 2)
-    scale = max(np.max(np.abs(w)), 1.0)
-    ctol = 1e-9 * scale
-    r_diag = np.array([float((V[:, j].conj() @ rho @ V[:, j]).real) for j in range(d)])
-    s_diag = np.array([float((V[:, j].conj() @ sigma @ V[:, j]).real) for j in range(d)])
-    r_diag = np.clip(r_diag, 0.0, None)
-    s_diag = np.clip(s_diag, 0.0, None)
-    # Greedy by descending eigenvalue, fractional weight on the boundary
-    # vector; near-degenerate eigenvalues break ties by rho-per-sigma ratio.
-    ratio = r_diag / np.maximum(s_diag, 1e-300)
-    coarse = np.where(np.abs(w) > ctol, w, 0.0)
-    order = np.lexsort((-ratio, -coarse))
-    need = 1.0 - eps
-    cost = 0.0
-    for j in order:
-        if need <= 1e-15:
-            break
-        if r_diag[j] <= 0:
-            continue
-        take = min(r_diag[j], need)
-        cost += (take / r_diag[j]) * s_diag[j]
-        need -= take
-    if need > 1e-12:
-        return None, False
-    return max(cost, 0.0), True
+    (_, r_lo, P_lo, _), (_, r_hi, P_hi, _) = lo, hi
+    s_lo, s_hi = (float(np.einsum("ji,jk,ki->", P.conj(), S, P).real) for P in (P_lo, P_hi))
+    lam = 1.0 if r_hi == r_lo else min(max(((1.0 - eps) - r_lo) / (r_hi - r_lo), 0.0), 1.0)
+    return lam * r_hi + (1.0 - lam) * r_lo, lam * s_hi + (1.0 - lam) * s_lo
 
 
 def d_min_eps(rho, sigma, eps: float) -> float:
@@ -218,10 +200,10 @@ def d_min_eps(rho, sigma, eps: float) -> float:
 
     The concave dual t(1-eps) - Tr[(t rho - sigma)_+] peaks where its
     supergradient (1-eps) - Tr[rho Pi_+(t rho - sigma)], which falls with t,
-    changes sign; that t is bisected to machine precision, and the NP tests
-    at threshold 1/t on both ends of the bracket give the primal.
-    Self-certified: the achieved Tr[sigma Lambda] is checked against the dual
-    to 1e-8.
+    changes sign; that t is bisected to machine precision.  The primal is
+    the mixture of the projective tests Pi_+ at the two ends of the bracket
+    that carries rho-mass 1 - eps.  Self-certified: that mass is checked to
+    1e-12, and the achieved Tr[sigma Lambda] against the dual to 1e-8.
     """
     if not (0.0 < eps < 1.0):
         raise ContractViolation(f"eps must be in (0,1), got {eps}")
@@ -230,35 +212,26 @@ def d_min_eps(rho, sigma, eps: float) -> float:
     if perpendicular(R, S) and not supp_contained(R, S) and math.isinf(d_min(R, S)):
         return INF
 
-    def slope(t: float) -> float:
-        w, V = np.linalg.eigh(t * R - S)
-        P = V[:, w > 0]
-        return (1.0 - eps) - float(np.einsum("ji,jk,ki->", P.conj(), R, P).real)
-
-    def dual(t: float) -> float:
-        w = np.linalg.eigvalsh(t * R - S)
-        return t * (1.0 - eps) - float(np.clip(w, 0.0, None).sum())
-
-    lo, hi = 0.0, 1.0
-    while slope(hi) > 0 and hi < 1e12:
-        lo, hi = hi, 2.0 * hi
+    need = 1.0 - eps
+    empty = np.zeros((len(R), 0))
+    lo, hi = (0.0, 0.0, empty, empty[0]), _threshold_test(R, S, 1.0)  # Pi_+(-sigma) = 0
+    while need - hi[1] > 0 and hi[0] < 1e12:
+        lo, hi = hi, _threshold_test(R, S, 2.0 * hi[0])
     # Capped for a root at t = 0 (rho's mass on ker sigma reaches 1 - eps),
     # where hi halves toward zero and the answer is inf.
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+        mid = 0.5 * (lo[0] + hi[0])
+        if not lo[0] < mid < hi[0]:
             break
-        if slope(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    tests = [_np_test_value(R, S, 1.0 / t, eps) for t in (lo, hi) if t > 0]
-    best = min((val for val, ok in tests if ok), default=None)
-    if best is None or best <= _PERP_TOL:
+        test = _threshold_test(R, S, mid)
+        lo, hi = (test, hi) if need - test[1] > 0 else (lo, test)
+    mass, value = _bracket_primal(S, lo, hi, eps)
+    if abs(mass - need) > 1e-12:
+        raise CertificateError(f"hypothesis-testing primal has rho-mass {mass:.15g}, "
+                               f"not 1 - eps = {need:.15g}")
+    if value <= _PERP_TOL:
         return INF
-    gap = best - max(dual(lo), dual(hi))
+    gap = value - max(t * need - float(np.clip(w, 0.0, None).sum()) for t, _, _, w in (lo, hi))
     if gap > 1e-8:
-        raise CertificateError(
-            f"hypothesis-testing primal/dual gap {gap:.3e} exceeds 1e-8"
-        )
-    return -_log2(best)
+        raise CertificateError(f"hypothesis-testing primal/dual gap {gap:.3e} exceeds 1e-8")
+    return -_log2(value)

@@ -29,6 +29,7 @@ from .optim import (
     GAP_TOL,
     RESIDUAL_TOL,
     ImaxResult,
+    OptimizerReport,
     QAlphaKernel,
     dominating_trace_min,
     imax_sdp,
@@ -70,21 +71,13 @@ def _marginals(R, dA, dB):
     return reduced(R, (dA, dB), 0), reduced(R, (dA, dB), 1)
 
 
-def renyi_entropy(rho, alpha: float) -> float:
-    """H_alpha = (1/(1-alpha)) log Tr rho^alpha, with 0, 1, inf limits.
+def _spectrum_renyi(w: np.ndarray, alpha: float) -> float:
+    """H_alpha of the spectrum w, for alpha = inf or finite other than 0, 1.
 
-    Evaluated on the spectrum w above the support cut; finite orders other
-    than 0 and 1 take log sum (w/W)^alpha, W = sum w, which is log Tr
-    rho^alpha up to the mass the cut drops.
+    Finite orders take log sum (w/W)^alpha, W = sum w.  Zero entries are
+    dropped; nothing else is cut.
     """
-    if not alpha >= 0:  # NaN fails too
-        raise ContractViolation(f"alpha must be >= 0, got {alpha}")
-    w = np.clip(np.linalg.eigvalsh(_as_matrix(rho)), 0.0, None)
-    w = w[w > support_cut(w)]
-    if alpha == 0:
-        return math.log2(len(w))
-    if alpha == 1:
-        return float(-np.sum(w * np.log2(w)))
+    w = w[w > 0]
     top, W = float(w.max()), float(w.sum())
     if math.isinf(alpha):
         return -math.log2(top)
@@ -96,17 +89,42 @@ def renyi_entropy(rho, alpha: float) -> float:
     return math.log2(W / top) + math.log1p(S / W) / ((1.0 - alpha) * math.log(2.0))
 
 
+def renyi_entropy(rho, alpha: float) -> float:
+    """H_alpha = (1/(1-alpha)) log Tr rho^alpha, with 0, 1, inf limits.
+
+    Evaluated on the spectrum w above the support cut; other orders than 0
+    and 1 go to _spectrum_renyi, which is log Tr rho^alpha up to the mass
+    the cut drops.
+    """
+    if not alpha >= 0:  # NaN fails too
+        raise ContractViolation(f"alpha must be >= 0, got {alpha}")
+    w = np.clip(np.linalg.eigvalsh(_as_matrix(rho)), 0.0, None)
+    w = w[w > support_cut(w)]
+    if alpha == 0:
+        return math.log2(len(w))
+    if alpha == 1:
+        return float(-np.sum(w * np.log2(w)))
+    return _spectrum_renyi(w, alpha)
+
+
 def mutual_info_alpha(rho_ab, alpha: float, dims):
     """I_alpha(A:B) = min over sigma of D_alpha(rho_AB || rho_A (x) sigma).
 
-    Returns (value, report): the value clipped at 0 and the solver's report,
-    whose argopt is the minimizing sigma.  The descent starts from I/d and
-    rho_B, then 14 random states.  Each of its points is one stacked
-    `d_alpha` call: rho_A (x) sigma for the whole stack of states is formed
-    by broadcasting, the same products np.kron forms for each alone.
+    For alpha in [1/2, inf).  Returns (value, report): the value clipped at
+    0 and a report whose argopt is the minimizing sigma.  At alpha = 1 that
+    is rho_B and the value H(A) + H(B) - H(AB).  Other orders run the
+    descent from I/d and rho_B, then 14 random states.  Each of its points
+    is one stacked `d_alpha` call: rho_A (x) sigma for the whole stack of
+    states is formed by broadcasting, the same products np.kron forms for
+    each alone.
     """
+    if not 0.5 <= alpha < math.inf:  # NaN fails too
+        raise ContractViolation(f"alpha must be in [1/2, inf), got {alpha}")
     R, dA, dB = _bipartite(rho_ab, dims)
     rho_A, rho_B = _marginals(R, dA, dB)
+    if alpha == 1:
+        value = renyi_entropy(rho_A, 1) + renyi_entropy(rho_B, 1) - renyi_entropy(R, 1)
+        return max(value, 0.0), OptimizerReport(value, rho_B, 0, True, 0.0)
 
     def objective(stack):
         ref = rho_A[None, :, None, :, None] * stack[:, None, :, None, :]

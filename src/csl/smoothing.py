@@ -18,6 +18,7 @@ from .infomeasures import (
     C_SMOOTH,
     SmoothedEstimate,
     _bipartite,
+    _spectrum_renyi,
     h_min_conditional,
     imax_certified,
     universal_rhs,
@@ -41,12 +42,6 @@ class TruncationResult:
     survival: float  # Tr[Lambda omega Lambda]
     omega_trunc: np.ndarray  # normalized truncated state
     s_min_kept: float  # smallest retained s_x = lambda_min_nz of Lambda omega Lambda
-
-
-def _renyi_of_spectrum(q: np.ndarray, alpha: float) -> float:
-    q = np.asarray(q, dtype=float)
-    q = q[q > 0]
-    return (1.0 / (1.0 - alpha)) * math.log2(float(np.sum(q**alpha)))
 
 
 def _steepest_smoothing(p, delta: float) -> np.ndarray:
@@ -81,7 +76,7 @@ def smooth_renyi_entropy_min(p, delta: float, alpha: float):
     if not (0.0 < alpha < 1.0):
         raise ContractViolation(f"alpha must be in (0,1), got {alpha}")
     q = _steepest_smoothing(p, delta)
-    return _renyi_of_spectrum(q, alpha), q
+    return _spectrum_renyi(q, alpha), q
 
 
 def truncation_effect(omega, tau_spectrum, delta: float) -> TruncationResult:
@@ -266,7 +261,7 @@ def uab_chain_verify(rho_ab, dims: tuple[int, int], alpha: float, beta: float,
         cache[key_t] = (spectrum, tr.s_min_kept, _witness_imax(R, dims, omega, cache),
                         trace_distance(omega, R), purified_distance(omega, R))
     spectrum, s_min_kept, imax_val, dist, pdist = cache[key_t]
-    h_delta = _renyi_of_spectrum(spectrum, alpha)
+    h_delta = _spectrum_renyi(spectrum, alpha)
 
     if "h_min" not in cache:
         cache["h_min"] = h_min_conditional(R, dims)

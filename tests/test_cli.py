@@ -95,6 +95,21 @@ def test_divergence_command(tmp_path, capsys):
     assert abs(record["value_bits"] - math.log2(1.5)) < 1e-10
 
 
+def test_divergence_infinite_order_spellings_write_the_same_bytes(tmp_path, capsys):
+    rho = write_state(tmp_path / "rho.json", [["A", 2]], "matrix", np.diag([0.75, 0.25]))
+    sig = write_state(tmp_path / "sig.json", [["A", 2]], "matrix", np.eye(2) / 2)
+    artifacts = []
+    for spelling in ("inf", "Infinity", "INF"):
+        out = tmp_path / f"{spelling}.json"
+        code, _, _ = run(["divergence", "--alpha", spelling, "--rho", rho, "--sigma", sig,
+                          "--seed", "0", "--out", str(out)], capsys)
+        assert code == 0
+        artifacts.append(out.read_bytes())
+    record = json.loads(artifacts[0])
+    assert (record["branch"], record["alpha"]) == ("max", "inf")
+    assert artifacts[1] == artifacts[0] and artifacts[2] == artifacts[0]
+
+
 @pytest.mark.parametrize("layout, field, array", [
     ([["A", 1], ["A", 2]], "matrix", np.eye(2) / 2),
     ([["A", 2], ["B", 0]], "matrix", np.eye(2) / 2),

@@ -291,6 +291,15 @@ def test_stacked_d_alpha_checks_each_member():
         d_alpha(rho, negative[1], 2.0)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0, math.inf])
+def test_stacked_d_alpha_refused_off_the_sandwiched_orders(alpha):
+    rho, refs = _stack_with_edge_members()
+    with pytest.raises(ContractViolation, match="stack"):
+        d_alpha(rho, refs, alpha)
+    with pytest.raises(ContractViolation, match="stack"):
+        d_alpha(rho, Spectrum(refs), alpha)
+
+
 def test_family_agrees_across_the_rank_cut():
     # sigma's eigenvalues straddle the cut: 2 RANK_TOL lambda_max is support,
     # 0.5 RANK_TOL lambda_max is not, and one eigenvalue is exactly zero.
@@ -404,15 +413,74 @@ def test_d_min_eps_raises_when_primal_misses_dual(monkeypatch):
     # a failed certificate, not a value.
     rho = sample("mixed-hilbert-schmidt", 3, 31)
     sigma = sample("mixed-hilbert-schmidt", 3, 32)
-    np_test = divergences._np_test_value
+    primal = divergences._bracket_primal
 
     def worse(*args):
-        val, ok = np_test(*args)
-        return (None if val is None else 2.0 * val), ok
+        mass, value = primal(*args)
+        return mass, 2.0 * value
 
-    monkeypatch.setattr(divergences, "_np_test_value", worse)
+    monkeypatch.setattr(divergences, "_bracket_primal", worse)
     with pytest.raises(CertificateError, match="primal/dual gap"):
         d_min_eps(rho, sigma, 0.1)
+
+
+def test_d_min_eps_raises_when_primal_misses_the_mass(monkeypatch):
+    # Half the optimal test costs half as much, below the dual bound, so the
+    # gap check alone would pass it; its rho-mass (1 - eps)/2 makes it
+    # infeasible, and that is a failed certificate too.
+    rho = sample("mixed-hilbert-schmidt", 3, 31)
+    sigma = sample("mixed-hilbert-schmidt", 3, 32)
+    primal = divergences._bracket_primal
+
+    def halved(*args):
+        mass, value = primal(*args)
+        return 0.5 * mass, 0.5 * value
+
+    monkeypatch.setattr(divergences, "_bracket_primal", halved)
+    with pytest.raises(CertificateError, match="rho-mass"):
+        d_min_eps(rho, sigma, 0.1)
+
+
+# Commuting pairs (p, q, eps) where two outcomes share the likelihood ratio
+# p/q at which the optimal test takes its fractional part, so t* rho - sigma
+# has a two-dimensional null space.
+DH_TIED = [
+    ((0.5, 0.2, 0.2, 0.1), (0.1, 0.25, 0.25, 0.4), 0.3),
+    ((0.5, 0.2, 0.2, 0.1), (0.1, 0.25, 0.25, 0.4), 0.45),
+    ((0.3, 0.3, 0.4), (0.2, 0.2, 0.6), 0.5),
+    ((0.3, 0.3, 0.4), (0.2, 0.2, 0.6), 0.65),
+    ((0.6, 0.15, 0.15, 0.1), (0.3, 0.05, 0.05, 0.6), 0.2),
+]
+
+
+@pytest.mark.parametrize("p, q, eps", DH_TIED)
+def test_d_min_eps_tied_likelihood_ratios(p, q, eps):
+    want = _np_classical(p, q, eps)
+    rng = np.random.default_rng([len(p), round(100 * eps)])
+    rotations = [np.eye(len(p))] + [random_unitary(len(p), rng) for _ in range(3)]
+    for U in rotations:
+        rho, sigma = (U * np.array(p)) @ U.conj().T, (U * np.array(q)) @ U.conj().T
+        got = d_min_eps(rho, sigma, eps)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_d_min_eps_invariant_under_unitaries_and_embedding(d):
+    rng = np.random.default_rng(660 + d)
+    G = rng.standard_normal((d + 2, d)) + 1j * rng.standard_normal((d + 2, d))
+    V, _ = np.linalg.qr(G)
+    for k in range(4):
+        rho = sample("rank-limited" if k % 2 else "mixed-hilbert-schmidt", d, 670 + k,
+                     rank=max(1, d - 1))
+        sigma = sample("rank-limited" if k >= 2 else "mixed-hilbert-schmidt", d, 680 + k,
+                       rank=max(1, d - 1))
+        U = random_unitary(d, rng)
+        for eps in (0.05, 0.3, 0.9):
+            want = d_min_eps(rho, sigma, eps)
+            for got in (d_min_eps(U @ rho @ U.conj().T, U @ sigma @ U.conj().T, eps),
+                        d_min_eps(V @ rho @ V.conj().T, V @ sigma @ V.conj().T, eps)):
+                assert got == want or abs(got - want) <= 1e-12 * max(1.0, abs(want)), \
+                    (k, eps, got, want)
 
 
 def _classical_d_alpha(p, q, alpha):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from csl import infomeasures, optim
+from csl.divergences import d_umegaki
 from csl.infomeasures import (
     C_SMOOTH,
     check_rld_bound,
@@ -57,6 +58,26 @@ def test_mutual_info_monotone_in_alpha():
     vals = [mutual_info_alpha(rho, a, (2, 2))[0] for a in [0.5, 1.0, 2.0]]
     for lo, hi in zip(vals, vals[1:]):
         assert hi >= lo - 1e-7
+
+
+def test_mutual_info_alpha_one_is_the_umegaki_closed_form():
+    # I_1 = D(rho_AB || rho_A (x) rho_B), here with rho_B of rank 2 on C^3.
+    dims = (2, 3)
+    rho = sample("rank-limited", dims, 61, rank=3)
+    W = np.kron(np.eye(2), np.diag([1.0, 1.0, 0.0]))
+    rho = W @ rho @ W
+    rho /= np.trace(rho).real
+    rho_A, rho_B = (np.trace(rho.reshape(2, 3, 2, 3), axis1=a, axis2=a + 2) for a in (1, 0))
+    assert np.linalg.matrix_rank(rho_B) == 2
+    val, report = mutual_info_alpha(rho, 1.0, dims)
+    assert abs(val - d_umegaki(rho, np.kron(rho_A, rho_B))) <= 1e-12
+    assert np.array_equal(report.argopt, rho_B)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.49, math.inf, math.nan])
+def test_mutual_info_alpha_refuses_orders_outside_half_to_inf(alpha):
+    with pytest.raises(ContractViolation, match="alpha"):
+        mutual_info_alpha(sample("mixed-hilbert-schmidt", (2, 2), 5), alpha, (2, 2))
 
 
 def test_h_min_conditional_values():

@@ -9,6 +9,12 @@ symmetry.  On classical states both SDPs have closed forms (Koenig, Renner
 2 H_{1/(2 alpha - 1)}(rho_B), and the sandwiched D_alpha(|psi><psi| || sigma)
 is alpha/(alpha-1) log2 <psi|sigma^((1-alpha)/alpha)|psi>.  D_alpha is also
 unchanged when an isometry embeds both arguments in a larger space.
+
+The paper's bounds are independent of the systems' dimensions: the chain of
+the universal max-information bound, the optimized conditional Renyi
+entropy and the convex-split bounds take the same values under local
+unitaries and when a local isometry embeds each system in one more
+dimension.
 """
 
 import math
@@ -16,11 +22,14 @@ import math
 import numpy as np
 import pytest
 
+from csl.convexsplit import bounds_report
 from csl.divergences import d_alpha
 from csl.infomeasures import (conditional_renyi_up, h_min_conditional, imax_certified,
                               mutual_info_alpha, renyi_entropy)
 from csl.matcore import RANK_TOL, CertificateError, reduced, sample
 from csl.optim import imax_sdp
+from csl.smoothing import uab_chain_verify
+from helpers import random_unitary
 
 DIMS = [(2, 2), (2, 3), (3, 2)]
 
@@ -217,3 +226,75 @@ def test_sandwiched_d_alpha_invariant_under_isometric_embedding(d):
                 want = d_alpha(rho, sigma, alpha)
                 for got in (d_alpha(big, big_sigmas[i], alpha), stacked[i]):
                     assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (alpha, i, got, want)
+
+
+def _isometry(d, rng):
+    """A random isometry from C^d into C^(d+1)."""
+    G = rng.standard_normal((d + 1, d)) + 1j * rng.standard_normal((d + 1, d))
+    return np.linalg.qr(G)[0]
+
+
+def _close(got, want, tol):
+    return got == want or abs(got - want) <= tol * max(1.0, abs(want))
+
+
+def _mapped_states(dims, kind, seed):
+    """(rho, its image, the image's dims) for local unitaries on A and B or
+    local isometries into (dA + 1, dB + 1)."""
+    dA, dB = dims
+    rng = np.random.default_rng([seed, dA, dB])
+    rho = sample("mixed-hilbert-schmidt", dims, seed + 10 * dA + dB)
+    if kind == "unitary":
+        M, image_dims = np.kron(random_unitary(dA, rng), random_unitary(dB, rng)), dims
+    else:
+        M, image_dims = np.kron(_isometry(dA, rng), _isometry(dB, rng)), (dA + 1, dB + 1)
+    return rho, M @ rho @ M.conj().T, image_dims
+
+
+@pytest.mark.parametrize("kind", ["unitary", "embed"])
+@pytest.mark.parametrize("dims", DIMS)
+def test_uab_chain_steps_independent_of_the_dimensions(dims, kind):
+    for seed in (7000, 7001):
+        rho, image, image_dims = _mapped_states(dims, kind, seed)
+        want = uab_chain_verify(rho, dims, 0.5, 2.0, 0.1).steps
+        got = uab_chain_verify(image, image_dims, 0.5, 2.0, 0.1).steps
+        assert [s.name for s in got] == [s.name for s in want]
+        for g, w in zip(got, want):
+            assert _close(g.lhs, w.lhs, 1e-10) and _close(g.rhs, w.rhs, 1e-10), (seed, g, w)
+
+
+@pytest.mark.parametrize("kind", ["unitary", "embed"])
+@pytest.mark.parametrize("dims", DIMS)
+def test_conditional_renyi_up_independent_of_the_dimensions(dims, kind):
+    for seed in (7100, 7101):
+        rho, image, image_dims = _mapped_states(dims, kind, seed)
+        for beta in (0.75, 1.5, 2.0, 4.0):
+            want = conditional_renyi_up(rho, beta, dims)
+            got = conditional_renyi_up(image, beta, image_dims)
+            assert _close(got, want, 1e-12), (seed, beta, got, want)
+
+
+@pytest.mark.parametrize("kind", ["unitary", "pad"])
+@pytest.mark.parametrize("dims", DIMS)
+def test_convex_split_bounds_independent_of_the_dimensions(dims, kind):
+    # Local unitaries on R and A rotate sigma with A; padding embeds R in
+    # dR + 1 dimensions.
+    dR, dA = dims
+    rng = np.random.default_rng([72, dR, dA])
+    for seed, n in ((7200, 2), (7201, 3)):
+        rho = sample("rank-limited", dims, seed, rank=1 + (seed % 2) * 2)
+        sigma = sample("mixed-hilbert-schmidt", dA, seed + 50)
+        if kind == "unitary":
+            UA = random_unitary(dA, rng)
+            M = np.kron(random_unitary(dR, rng), UA)
+            args = (M @ rho @ M.conj().T, UA @ sigma @ UA.conj().T, n, dims)
+        else:
+            M = np.kron(_isometry(dR, rng), np.eye(dA))
+            args = (M @ rho @ M.conj().T, sigma, n, (dR + 1, dA))
+        want = bounds_report(rho, sigma, n, dims).bounds
+        got = bounds_report(*args).bounds
+        assert got.keys() == want.keys()
+        for name, (lhs, rhs) in want.items():
+            g_lhs, g_rhs = got[name]
+            assert _close(g_lhs, lhs, 1e-10) and _close(g_rhs, rhs, 1e-10), \
+                (seed, name, got[name], want[name])
