@@ -380,7 +380,7 @@ def nu_n(rho_RA, sigma_A, n: int,
     Rc = W.conj().T @ R @ W
     if float(np.trace(R).real - np.trace(Rc).real) > 1e-10:
         omega = np.eye(dR) / dR
-        return INF, omega, OptimizerReport(INF, omega, 0, True, 0.0)
+        return INF, omega, OptimizerReport(INF, omega, 0, 0.0)
     rho_Rc = VR.conj().T @ rho_R @ VR
     Sc = VS.conj().T @ _as_matrix(sigma_A) @ VS
     terms = [((n - 1) / n, rho_Rc, np.ones((1, 1)), False)] if n > 1 else []

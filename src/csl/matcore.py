@@ -186,16 +186,19 @@ def sample(kind: str, dims, seed, rank: int | None = None) -> np.ndarray:
 
 def _pairs_to_complex(data) -> np.ndarray:
     a = np.asarray(data, dtype=float)
+    if not np.isfinite(a).all():
+        raise ContractViolation("state entries must be finite")
     return a[..., 0] + 1j * a[..., 1]
 
 
 def state_from_dict(data: dict) -> tuple[np.ndarray, tuple[int, ...]]:
     """Validate a JSON state record and return (array, dims).
 
-    ``layout`` lists [label, dim] pairs: labels unique, dims positive.  A
-    ``matrix`` must be a density operator of the layout's dimension:
-    Hermitian, eigenvalues >= -1e-10 and trace 1, each to 1e-10.  A
-    ``vector`` must be a unit vector (norm 1 to 1e-10) of that dimension.
+    ``layout`` lists [label, dim] pairs: labels unique, dims positive.
+    Every entry must be finite.  A ``matrix`` must be a density operator of
+    the layout's dimension: Hermitian, eigenvalues >= -1e-10 and trace 1,
+    each to 1e-10.  A ``vector`` must be a unit vector (norm 1 to 1e-10) of
+    that dimension.
     """
     labels = [str(lbl) for lbl, _ in data["layout"]]
     dims = tuple(int(d) for _, d in data["layout"])
@@ -210,10 +213,10 @@ def state_from_dict(data: dict) -> tuple[np.ndarray, tuple[int, ...]]:
             raise ContractViolation(f"matrix shape {M.shape} does not match layout dim {dim}")
         _check_hermitian(M, what="density operator")
         w = np.linalg.eigvalsh((M + M.conj().T) / 2)
-        if w.min() < -1e-10:
+        if not w.min() >= -1e-10:
             raise ContractViolation(f"negative eigenvalue {w.min():.3e}")
         tr = float(np.trace(M).real)
-        if abs(tr - 1.0) > 1e-10:
+        if not abs(tr - 1.0) <= 1e-10:
             raise ContractViolation(f"trace {tr} deviates from 1")
         return M, dims
     if "vector" in data:
@@ -221,7 +224,7 @@ def state_from_dict(data: dict) -> tuple[np.ndarray, tuple[int, ...]]:
         if v.shape != (dim,):
             raise ContractViolation(f"vector length {v.shape} does not match layout dim {dim}")
         nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > 1e-10:
+        if not abs(nrm - 1.0) <= 1e-10:
             raise ContractViolation(f"norm {nrm} deviates from 1")
         return v, dims
     raise ContractViolation("state dict needs a 'matrix' or 'vector' field")

@@ -5,7 +5,7 @@ operator (damped Newton from a given start, Frank-Wolfe gap), fed by the one
 kernel `QAlphaKernel`, which gives a weighted sum of sandwiched Q_alpha terms
 with its gradient and exact Hessian from one call on one state and bounds
 what its spectral cut drops; a primal-dual interior-point solver for the
-max-information semidefinite program (a checked two-sided bracket); and one
+max-information semidefinite program (a certified two-sided bracket); and one
 multi-start L-BFGS-B descent over density operators for the two problems
 left off the convex solver: `mutual_info_alpha`'s sigma, whose protocol
 outputs are pinned to that descent's last bits, and the channel
@@ -34,7 +34,6 @@ class OptimizerReport:
     value: float
     argopt: np.ndarray
     iterations: int  # Newton steps (convex solver) or summed L-BFGS-B iterations
-    converged: bool
     gap_estimate: float
 
 
@@ -90,9 +89,8 @@ def minimize_over_states(objective, dim: int, restarts: int = 32,
     their m values.  The starts are I/d, then `extra_starts`, then random
     Gram states from `np.random.default_rng(0)` up to `restarts`; each runs
     in the Gram parametrization sigma = G^dag G / Tr, x in R^(2 dim^2).  The
-    best run wins (a stable sort, so ties go to the earlier start).
-    `converged` needs that run to succeed and the runner-up to end within
-    1e-7 of it; the gap estimate is that difference.  A non-finite value
+    best run wins (a stable sort, so ties go to the earlier start), and the
+    gap estimate is the runner-up's excess over it.  A non-finite value
     counts as 1e12, member by member.
 
     Each L-BFGS-B point costs one objective call, on the stack
@@ -124,14 +122,13 @@ def minimize_over_states(objective, dim: int, restarts: int = 32,
                                       options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10,
                                                "maxfun": _MAXFUN // (1 + len(x0))})
         n_it += res.nit
-        results.append((float(res.fun), res.x, bool(res.success)))
+        results.append((float(res.fun), res.x))
     results.sort(key=lambda r: r[0])
-    best_val, best_x, best_ok = results[0]
+    best_val, best_x = results[0]
     if best_val >= 1e12:  # never finite
-        return OptimizerReport(math.inf, np.eye(dim) / dim, n_it, False, math.inf)
+        return OptimizerReport(math.inf, np.eye(dim) / dim, n_it, math.inf)
     gap = results[1][0] - best_val if len(results) > 1 else 0.0
-    return OptimizerReport(best_val, _gram_state(best_x, dim), n_it,
-                           best_ok and gap <= 1e-7, gap)
+    return OptimizerReport(best_val, _gram_state(best_x, dim), n_it, gap)
 
 
 # --- certified convex solver ------------------------------------------------
@@ -421,7 +418,7 @@ def minimize_convex_over_states(fun, dim: int, value_of=None, start=None) -> Opt
         raise CertificateError(
             f"convex solver stopped with Frank-Wolfe gap {gap:.3e} > {GAP_TOL:.1e}"
             + (" with the cut bound" if any(cut) else ""))
-    return OptimizerReport(value, sigma, steps, True, gap)
+    return OptimizerReport(value, sigma, steps, gap)
 
 
 # --- max-information SDP ----------------------------------------------------
@@ -430,7 +427,6 @@ def minimize_convex_over_states(fun, dim: int, value_of=None, start=None) -> Opt
 class ImaxResult:
     value_bits: float  # log2 Tr[Y], the certified upper value
     certificate: np.ndarray  # Y with M_A (x) Y >= rho_AB
-    converged: bool
     residual: float  # min eigenvalue of M_A (x) Y - rho_AB
     lower_bits: float = -math.inf  # log2 Tr[rho_AB Z], the certified lower value
     iterations: int = 0
@@ -439,6 +435,22 @@ class ImaxResult:
     @property
     def gap_bits(self) -> float:
         return self.value_bits - self.lower_bits
+
+
+def dominance_residual(M_A: np.ndarray, Y: np.ndarray, rho_AB: np.ndarray,
+                       gap_bits: float, what: str = "") -> float:
+    """lambda_min(M_A (x) Y - rho_AB) for a certificate Y whose SDP bracket is
+    gap_bits wide.
+
+    Raises CertificateError unless the bracket is at most GAP_TOL bits and
+    the residual at least -RESIDUAL_TOL; ``what`` tells which Y failed.
+    """
+    D = np.kron(M_A, Y) - rho_AB
+    residual = float(np.linalg.eigvalsh((D + D.conj().T) / 2)[0])
+    if not (gap_bits <= GAP_TOL and residual >= -RESIDUAL_TOL):
+        raise CertificateError(f"max-information SDP not certified{what} "
+                               f"(bracket {gap_bits:.3e} bits, residual {residual:.3e})")
+    return residual
 
 
 def dominating_trace_min(M_A: np.ndarray, rho_AB: np.ndarray,
@@ -455,8 +467,8 @@ def dominating_trace_min(M_A: np.ndarray, rho_AB: np.ndarray,
     The best iterate is made exactly feasible: Y shifted by its slack
     deficit gives the upper value Tr Y, X rescaled by Q^-1/2 (Q = Tr_A[(D (x)
     1) X]) the lower value Tr[C X] = Tr[rho Z] of the lifted dual point Z.
-    `converged` means a bracket of at most GAP_TOL bits and a full-space
-    residual of at least -RESIDUAL_TOL.
+    Raises CertificateError unless the bracket is at most GAP_TOL bits and
+    the full-space residual at least -RESIDUAL_TOL (dominance_residual).
     """
     dA, dB = dims
     M_A = _as_matrix(M_A)
@@ -536,12 +548,9 @@ def dominating_trace_min(M_A: np.ndarray, rho_AB: np.ndarray,
     X = Qh @ X @ Qh
     upper, lower = float(np.trace(Y).real), float(np.vdot(C, X).real)
     Y_full = VB @ Y @ VB.conj().T
-    full_res = np.kron(M_A, Y_full) - rho_AB
-    residual = float(np.linalg.eigvalsh(herm(full_res)).min())
     lower_bits = math.log2(lower) if lower > 0 else -math.inf
-    converged = math.log2(upper) - lower_bits <= GAP_TOL and residual >= -RESIDUAL_TOL
-    return ImaxResult(math.log2(upper), Y_full, converged, residual, lower_bits, it,
-                      W @ X @ W.conj().T)
+    residual = dominance_residual(M_A, Y_full, rho_AB, math.log2(upper) - lower_bits)
+    return ImaxResult(math.log2(upper), Y_full, residual, lower_bits, it, W @ X @ W.conj().T)
 
 
 def imax_sdp(rho_ab, dims: tuple[int, int]) -> ImaxResult:

@@ -55,8 +55,10 @@ class ChannelSpec:
 
     def __post_init__(self):
         self.kraus = [np.asarray(K, dtype=complex) for K in self.kraus]
+        if not all(np.isfinite(K).all() for K in self.kraus):
+            raise ContractViolation("Kraus operators must be finite")
         acc = sum(K.conj().T @ K for K in self.kraus)
-        if np.abs(acc - np.eye(self.dim_in)).max() > 1e-10:
+        if not np.abs(acc - np.eye(self.dim_in)).max() <= 1e-10:
             raise ContractViolation("Kraus operators are not trace preserving")
 
     def apply_local(self, rho, dims_ref: int):
@@ -81,7 +83,7 @@ class QSSInstance:
         dR, dA, dAp = self.dims
         if len(self.psi) != dR * dA * dAp:
             raise ContractViolation("psi does not match dims")
-        if abs(np.linalg.norm(self.psi) - 1.0) > 1e-10:
+        if not abs(np.linalg.norm(self.psi) - 1.0) <= 1e-10:  # NaN fails too
             raise ContractViolation("psi must be normalized")
         if not (0.0 < self.delta < self.eps < 1.0):
             raise ContractViolation("need 0 < delta < eps < 1")

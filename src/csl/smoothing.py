@@ -20,11 +20,9 @@ from .infomeasures import (
     _bipartite,
     _spectrum_renyi,
     h_min_conditional,
-    imax_certified,
     universal_rhs,
 )
 from .matcore import (
-    CertificateError,
     ContractViolation,
     Spectrum,
     _as_matrix,
@@ -33,7 +31,7 @@ from .matcore import (
     reduced,
     trace_distance,
 )
-from .optim import RESIDUAL_TOL
+from .optim import dominance_residual, imax_sdp
 
 @dataclass
 class TruncationResult:
@@ -152,8 +150,8 @@ def _witness_imax(R, dims, omega, cache: dict) -> float:
     per class, on rho when nothing is cut and on P_k rho P_k / Tr otherwise
     (P_k the top-k eigenprojector of rho_A, tensored with 1_B), and the
     cache keys it on k alone.  The class's Y is feasible for every witness
-    of the class with the same Tr Y; it is checked against this witness,
-    omega_A (x) Y - omega_AB >= -RESIDUAL_TOL, before the value is used.
+    of the class with the same Tr Y; dominance_residual checks it against
+    this witness before the value is used.
     """
     omega_A = reduced(omega, dims, 0)
     k = int(np.count_nonzero(Spectrum(omega_A).keep))
@@ -166,15 +164,11 @@ def _witness_imax(R, dims, omega, cache: dict) -> float:
             P = np.kron(Vk @ Vk.conj().T, np.eye(dims[1]))
             state = P @ R @ P
             state = state / np.trace(state).real
-        res = imax_certified(state, dims)
-        cache[key] = (res.value_bits, res.certificate)
-    value, Y = cache[key]
-    residual = float(np.linalg.eigvalsh(np.kron(omega_A, Y) - omega)[0])
-    if residual < -RESIDUAL_TOL:
-        raise CertificateError(
-            f"max-information SDP not certified for the witness of class {k} "
-            f"(residual {residual:.3e})")
-    return value
+        cache[key] = imax_sdp(state, dims)
+    res = cache[key]
+    dominance_residual(omega_A, res.certificate, omega, res.gap_bits,
+                       f" for the witness of class {k}")
+    return res.value_bits
 
 
 def imax_smoothed_upper(rho_ab, eps: float, dims,
@@ -237,11 +231,11 @@ def uab_chain_verify(rho_ab, dims: tuple[int, int], alpha: float, beta: float,
     ``cache`` belongs to one rho and may be shared across (alpha, beta, eps).
     It holds, per delta, the steepest delta-smoothing of spec(rho_A), the
     smallest weight its truncation keeps, and the truncated witness's
-    I_max and trace and purified distances to rho; the I_max SDP's value
-    and certificate per cutoff class (see _witness_imax), so a grid whose
-    witnesses cut nothing solves one I_max SDP, yet each witness's I_max is
-    checked against its own certificate residual; H_min(A|B) once; and
-    H_alpha(A) per alpha and H_up_beta(A|B) per beta (universal_rhs).
+    I_max and trace and purified distances to rho; the I_max SDP's result
+    per cutoff class (see _witness_imax), so a grid whose witnesses cut
+    nothing solves one I_max SDP, yet each witness's I_max is checked
+    against its own certificate residual; H_min(A|B) once; and H_alpha(A)
+    per alpha and H_up_beta(A|B) per beta (universal_rhs).
     The steepest smoothing majorizes the whole delta-ball for every alpha,
     so the witness depends on (rho, eps) only: alpha enters only through
     h_delta (a closed-form sum over the cached spectrum), H_alpha(A) and

@@ -1,12 +1,16 @@
-import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from csl import cli, matcore
+import csl
+from csl import cli, matcore, optim
 from csl.cli import main
 
 
@@ -127,6 +131,68 @@ def test_divergence_rejects_malformed_state_file(tmp_path, capsys, layout, field
                            "--sigma", sig, "--seed", "0"], capsys)
     assert code == 2
     assert "error" in json.loads(stderr)
+
+
+@pytest.mark.parametrize("field, entries", [
+    ("matrix", [[[math.nan, 0], [0, 0]], [[0, 0], [0.5, 0]]]),
+    ("matrix", [[[math.inf, 0], [0, 0]], [[0, 0], [0.5, 0]]]),
+    ("vector", [[math.nan, 0], [0, 0], [0, 0], [1, 0]]),
+    ("kraus", [[[1.0, 0.0], [0.0, math.nan]]]),
+], ids=["matrix-nan", "matrix-inf", "vector-nan", "channel-nan"])
+def test_non_finite_input_files_are_config_errors(tmp_path, capsys, field, entries):
+    # json reads NaN and Infinity; no check of a state or channel may let
+    # them through.
+    path = tmp_path / "input.json"
+    if field == "kraus":
+        path.write_text(json.dumps({"kraus": entries, "dim_in": 2, "dim_out": 2}))
+        argv = ["rev-shannon", "--channel", str(path)]
+    elif field == "vector":
+        path.write_text(json.dumps({"layout": [["R", 2], ["A", 1], ["Ap", 2]],
+                                    "vector": entries}))
+        argv = ["qss-sim", "--state", str(path)]
+    else:
+        path.write_text(json.dumps({"layout": [["A", 2]], "matrix": entries}))
+        argv = ["divergence", "--alpha", "2", "--rho", str(path), "--sigma", str(path)]
+    code, stdout, stderr = run(argv + ["--seed", "0"], capsys)
+    assert code == 2, stdout
+    assert "finite" in json.loads(stderr)["error"]
+
+
+def test_bounds_sweep_nan_beta_is_a_config_error(capsys):
+    code, _, stderr = run(["bounds-sweep", "--suite", "uab", "--dims", "2x2", "--samples", "1",
+                           "--seed", "1", "--beta", "nan"], capsys)
+    assert code == 2
+    assert "beta" in json.loads(stderr)["error"]
+
+
+def _assert_numbers_close(got: str, want: str, rel: float):
+    """Two numeric CSV texts: the same header and shape, and every cell
+    within rel of max(1, |want|)."""
+    got, want = got.splitlines(), want.splitlines()
+    assert got[0] == want[0] and len(got) == len(want)
+    for g_row, w_row in zip(got[1:], want[1:]):
+        for g, w in zip(g_row.split(","), w_row.split(","), strict=True):
+            assert abs(float(g) - float(w)) <= rel * max(1.0, abs(float(w))), (g_row, w_row)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-convex-split", "--dims", "2x2", "--n-max", "9", "--samples", "9", "--seed", "5000"],
+    ["verify-convex-split", "--dims", "2x3", "--n-max", "5", "--samples", "6", "--seed", "7"],
+    ["verify-uab", "--dims", "2x3", "--samples", "4", "--seed", "7"],
+], ids=["convex-split-2x2", "convex-split-2x3", "uab-2x3"])
+def test_artifacts_agree_on_one_and_two_blas_threads(tmp_path, argv):
+    # Each run is a fresh process, since BLAS reads its thread count once.
+    src = str(Path(csl.__file__).resolve().parents[1])
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}.csv"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "csl.cli", *argv, "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        texts.append(out.read_text())
+    _assert_numbers_close(texts[1], texts[0], 1e-12)
 
 
 def test_divergence_vector_file_is_its_projector(tmp_path, capsys):
@@ -316,14 +382,8 @@ def test_exit_1_on_failed_certificate(tmp_path, capsys, monkeypatch):
 
 def test_exit_1_on_wide_sdp_bracket(tmp_path, capsys, monkeypatch):
     # An I_max solve whose bracket is wider than GAP_TOL stops verify-uab as
-    # a certificate failure, even when the result claims convergence.
-    solve = cli.infomeasures.imax_sdp
-
-    def wide(rho_ab, dims):
-        res = solve(rho_ab, dims)
-        return dataclasses.replace(res, lower_bits=res.lower_bits - 1e-6)
-
-    monkeypatch.setattr(cli.infomeasures, "imax_sdp", wide)
+    # a certificate failure.
+    monkeypatch.setattr(optim, "GAP_TOL", -1.0)
     code, stdout, err = run(["verify-uab", "--dims", "2,2", "--samples", "1",
                              "--seed", "5", "--out", str(tmp_path / "uab.csv")], capsys)
     assert code == 1

@@ -1,5 +1,5 @@
-import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from csl.infomeasures import (
     universal_rhs,
 )
 from csl.matcore import CertificateError, ContractViolation, sample
-from csl.optim import ImaxResult, imax_sdp, minimize_convex_over_states
+from csl.optim import imax_sdp, minimize_convex_over_states
 from csl.smoothing import imax_smoothed_upper
 
 
@@ -176,7 +176,7 @@ def test_conditional_renyi_up_pinned_and_certified(name, monkeypatch):
     for beta, want in zip(BETAS, pinned):
         value = conditional_renyi_up(rho, beta, dims)
         assert abs(value - want) <= 1e-9, (beta, value, want)
-        assert reports[-1].converged and reports[-1].gap_estimate <= 1e-9
+        assert reports[-1].gap_estimate <= 1e-9
     assert len(reports) == len(BETAS)
 
 
@@ -245,33 +245,34 @@ def test_nan_orders_and_radii_refused():
             check_rld_bound(rho, sig, eps, beta)
 
 
+def test_conditional_renyi_up_refuses_nan_order():
+    # A mixed state, so that no closed form refuses the order first.
+    rho = sample("mixed-hilbert-schmidt", (2, 2), 3)
+    with pytest.raises(ContractViolation, match="beta"):
+        conditional_renyi_up(rho, math.nan, (2, 2))
+
+
 def test_h_min_conditional_raises_when_not_converged(monkeypatch):
-    def unconverged(M_A, rho_ab, dims):
-        return ImaxResult(0.0, np.eye(dims[1]), False, 0.0)
-
-    monkeypatch.setattr(infomeasures, "dominating_trace_min", unconverged)
-    with pytest.raises(CertificateError, match="did not converge"):
+    # No bracket is narrow enough: the SDP refuses, so H_min does.
+    monkeypatch.setattr(optim, "GAP_TOL", -1.0)
+    with pytest.raises(CertificateError, match="not certified"):
         h_min_conditional(bell_density(), (2, 2))
-
-
-def widened(solve):
-    """The solver, with its lower value 1e-6 bits lower but still `converged`."""
-    def wide(*args, **kwargs):
-        res = solve(*args, **kwargs)
-        return dataclasses.replace(res, lower_bits=res.lower_bits - 1e-6)
-    return wide
 
 
 def test_wide_bracket_is_not_certified(monkeypatch):
-    # A result that claims convergence with a bracket wider than GAP_TOL
-    # certifies neither I_max nor H_min.
-    monkeypatch.setattr(infomeasures, "imax_sdp", widened(imax_sdp))
-    monkeypatch.setattr(infomeasures, "dominating_trace_min",
-                        widened(optim.dominating_trace_min))
-    with pytest.raises(CertificateError, match="bracket 1.0"):
-        infomeasures.imax_certified(bell_density(), (2, 2))
-    with pytest.raises(CertificateError, match="bracket 1.0"):
-        h_min_conditional(bell_density(), (2, 2))
+    # A bracket wider than GAP_TOL certifies neither I_max nor H_min, and the
+    # refusal names the bracket and residual the solver reached.
+    rho, dims = sample("mixed-hilbert-schmidt", (2, 2), 0), (2, 2)
+    imax = imax_sdp(rho, dims)
+    hmin = optim.dominating_trace_min(np.eye(2), rho, dims)
+    assert min(imax.gap_bits, hmin.gap_bits) > 0
+    monkeypatch.setattr(optim, "GAP_TOL", min(imax.gap_bits, hmin.gap_bits) / 2)
+    for res, solve in ((imax, lambda: imax_sdp(rho, dims)),
+                       (hmin, lambda: h_min_conditional(rho, dims))):
+        with pytest.raises(CertificateError, match=re.escape(
+                f"not certified (bracket {res.gap_bits:.3e} bits, "
+                f"residual {res.residual:.3e})")):
+            solve()
 
 
 def test_h_min_reported_from_dual_side():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from csl import infomeasures, optim
+from csl import infomeasures, optim, smoothing
 from csl.matcore import (
     CertificateError,
     ContractViolation,
@@ -13,7 +13,7 @@ from csl.matcore import (
     reduced,
     sample,
 )
-from csl.optim import ImaxResult
+from csl.optim import imax_sdp
 from csl.smoothing import (
     apply_truncation,
     imax_smoothed_upper,
@@ -224,7 +224,7 @@ def test_uab_chain_cut_class_matches_witness_sdp(monkeypatch, dims, seed, weight
         _, spectrum = smooth_renyi_entropy_min(p, delta, 0.5)
         omega, _ = apply_truncation(
             rho, truncation_effect(rho_A, spectrum, delta).effect, dims)
-        own = infomeasures.imax_certified(omega, dims).value_bits
+        own = imax_sdp(omega, dims).value_bits
         assert abs(cache[("trunc", round(delta, 14))][2] - own) <= 1e-10, eps
 
 
@@ -236,20 +236,34 @@ def test_imax_smoothed_upper_one_sdp_when_nothing_is_cut(monkeypatch):
     est = imax_smoothed_upper(rho, 0.1, (2, 2))
     assert calls["sdp"] == 1
     assert np.array_equal(est.witness, rho)
-    assert est.value_bits == infomeasures.imax_certified(rho, (2, 2)).value_bits
+    assert est.value_bits == imax_sdp(rho, (2, 2)).value_bits
 
 
-@pytest.mark.parametrize("converged, residual", [(False, 0.0), (True, -1e-3)])
-def test_uab_chain_rejects_uncertified_imax(monkeypatch, converged, residual):
-    # A non-converged or infeasible SDP certificate must stop the chain
-    # instead of certifying a step.
-    def uncertified(rho_ab, dims):
-        return ImaxResult(0.0, np.eye(dims[1]), converged, residual)
+def _narrowed_rho_b(rho, dims, keep):
+    """reduced, with rho_B's smallest eigenvalue dropped: an SDP that reads it
+    solves on too small a support of B, so its bracket closes there while
+    its Y misses a direction that rho_AB weighs."""
+    out = reduced(rho, dims, keep)
+    if keep == 1:
+        w, V = np.linalg.eigh(out)
+        out = (V[:, 1:] * w[1:]) @ V[:, 1:].conj().T
+    return out
 
-    monkeypatch.setattr(infomeasures, "imax_sdp", uncertified)
+
+@pytest.mark.parametrize("case", ["wide-bracket", "negative-residual"])
+def test_uab_chain_rejects_uncertified_imax(monkeypatch, case):
+    # An SDP whose bracket does not close, or whose Y leaves a negative
+    # residual on the full space, must stop the chain instead of certifying
+    # a step.
+    if case == "wide-bracket":
+        monkeypatch.setattr(optim, "GAP_TOL", -1.0)
+    else:
+        monkeypatch.setattr(optim, "reduced", _narrowed_rho_b)
     rho = sample("mixed-hilbert-schmidt", (2, 2), 3)
-    with pytest.raises(CertificateError, match="not certified"):
+    with pytest.raises(CertificateError, match="not certified") as exc:
         uab_chain_verify(rho, (2, 2), 0.5, 2.0, 0.1)
+    residual = float(str(exc.value).rsplit("residual ", 1)[1].rstrip(")"))
+    assert (residual < -1e-3) == (case == "negative-residual"), residual
     with pytest.raises(CertificateError, match="not certified"):
         imax_smoothed_upper(rho, 0.1, (2, 2))
 
@@ -257,13 +271,11 @@ def test_uab_chain_rejects_uncertified_imax(monkeypatch, converged, residual):
 def test_class_certificate_is_checked_against_each_witness(monkeypatch):
     # A class solve that passes its own checks but returns a Y too small for
     # the witness must not certify that witness's I_max.
-    solve = infomeasures.imax_sdp
-
     def shrunk(rho_ab, dims):
-        res = solve(rho_ab, dims)
+        res = imax_sdp(rho_ab, dims)
         return dataclasses.replace(res, certificate=0.5 * res.certificate)
 
-    monkeypatch.setattr(infomeasures, "imax_sdp", shrunk)
+    monkeypatch.setattr(smoothing, "imax_sdp", shrunk)
     rho = sample("mixed-hilbert-schmidt", (2, 2), 3)
     with pytest.raises(CertificateError, match="not certified for the witness"):
         uab_chain_verify(rho, (2, 2), 0.5, 2.0, 0.1)
