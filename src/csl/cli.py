@@ -81,8 +81,6 @@ def _json_text(record: dict) -> str:
 
 def emit_summary(suite: str, results: list, runtime: float) -> dict:
     """Aggregate (ok, violation) pairs; order-independent by construction."""
-    if not results:
-        raise ConfigError("empty result set")
     n_pass = sum(1 for ok, _ in results if ok)
     return {
         "suite": suite,
@@ -93,29 +91,34 @@ def emit_summary(suite: str, results: list, runtime: float) -> dict:
     }
 
 
-def _map_samples(fn, samples: int, cfg: dict) -> list:
-    """[fn(i) for i in range(samples)], in order.
+def _sampled(header: list, one, opts: dict) -> tuple[str, list, dict]:
+    """The CSV of one(i, seed + 1000 i) -> (row, ok, violation) per sample.
 
-    `--threads` (or `CSL_THREADS`) is still validated, but the samples run
-    sequentially: on these small, Python-bound samples a thread pool
-    measured no faster, so the option changes nothing.
+    The samples run in order on the calling thread: on these small,
+    Python-bound samples a thread pool measured no faster, so `--threads`
+    is validated but changes nothing.
     """
-    _option(cfg, "threads", int, 1)
-    return [fn(i) for i in range(samples)]
+    out = [one(i, opts["seed"] + 1000 * i) for i in range(opts["samples"])]
+    return _csv_text(header, [r for r, _, _ in out]), [(ok, v) for _, ok, v in out], {}
 
 
 def _option(cfg: dict, key: str, typ, default=None):
     """cfg[key], or default when absent, converted by typ.
 
-    A value that does not convert is a configuration error, like a missing one.
+    A missing value, one that does not convert and a NaN are configuration
+    errors.
     """
+    flag = "--" + key.replace("_", "-")
     value = cfg.get(key, default)
     if value is None:
-        raise ConfigError(f"missing required option --{key.replace('_', '-')}")
+        raise ConfigError(f"missing required option {flag}")
     try:
-        return typ(value)
+        value = typ(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"option --{key.replace('_', '-')}: {exc}") from None
+        raise ConfigError(f"option {flag}: {exc}") from None
+    if isinstance(value, float) and math.isnan(value):
+        raise ConfigError(f"option {flag}: NaN")
+    return value
 
 
 def _load_json(path: str, what: str, parse):
@@ -154,25 +157,31 @@ def _parse_dims(text) -> tuple[int, int]:
     return first, second
 
 
+def _count(value) -> int:
+    count = int(value)
+    if count < 1:
+        raise ValueError(f"must be >= 1, got {count}")
+    return count
+
+
 # --- suites -----------------------------------------------------------------
 #
-# Each suite returns (artifact text, [(ok, violation)], summary extras).
+# Each suite takes the converted options and returns (artifact text,
+# [(ok, violation)], summary extras).
 
-def run_convex_split(cfg) -> tuple[str, list, dict]:
-    dR, dA = _parse_dims(cfg["dims"])
-    n_max = _option(cfg, "n_max", int, 5)
-    if n_max < 1:
-        raise ConfigError("n_max must be >= 1")
-    samples = _option(cfg, "samples", int)
-    seed = _option(cfg, "seed", int)
-    tol_res = _option(cfg, "tol_residual", float, 1e-10)
-    tol_slack = _option(cfg, "tol_slack", float, 1e-8)
+_CONVEX_SPLIT_HEADER = ["instance_id", "n", "t", "q2_lhs", "q2_rhs", "residual", "mu",
+                        "mu_max", "nu_n", "slack_gmain0", "slack_split9", "slack_pmu0",
+                        "ly2024_tighter"]
 
-    def one(i):
-        s = seed + 1000 * i
+
+def run_convex_split(opts) -> tuple[str, list, dict]:
+    dR, dA = opts["dims"]
+    tol_res, tol_slack = opts["tol_residual"], opts["tol_slack"]
+
+    def one(i, s):
         rho = matcore.sample("rank-limited", (dR, dA), s, rank=1 + i % (dR * dA))
         sigma = matcore.sample("mixed-hilbert-schmidt", dA, s + 1)
-        n = 1 + i % n_max
+        n = 1 + i % opts["n_max"]
         rep = convexsplit.bounds_report(rho, sigma, n, (dR, dA))
         slack = rep.slack
         ok = rep.residual <= tol_res and all(v >= -tol_slack for v in slack.values())
@@ -182,87 +191,60 @@ def run_convex_split(cfg) -> tuple[str, list, dict]:
                slack["pmu0"], rep.ly2024_tighter]
         return row, ok, violation
 
-    out = _map_samples(one, samples, cfg)
-    header = ["instance_id", "n", "t", "q2_lhs", "q2_rhs", "residual", "mu",
-              "mu_max", "nu_n", "slack_gmain0", "slack_split9", "slack_pmu0",
-              "ly2024_tighter"]
-    rows = [r for r, _, _ in out]
-    results = [(ok, v) for _, ok, v in out]
-    return _csv_text(header, rows), results, {}
+    return _sampled(_CONVEX_SPLIT_HEADER, one, opts)
 
 
 _UAB_HEADER = ["instance_id", "alpha", "beta", "eps", "imax_upper", "rhs",
                "slack", "certified"]
 
 
-def run_uab(cfg) -> tuple[str, list, dict]:
-    dA, dB = _parse_dims(cfg["dims"])
-    samples = _option(cfg, "samples", int)
-    seed = _option(cfg, "seed", int)
-    alpha = _option(cfg, "alpha", float, 0.5)
-    beta = _option(cfg, "beta", float, 2.0)
-    eps = _option(cfg, "eps", float, 0.1)
+def run_uab(opts) -> tuple[str, list, dict]:
+    dims, alpha, beta, eps = (opts[k] for k in ("dims", "alpha", "beta", "eps"))
 
-    def one(i):
-        s = seed + 1000 * i
-        rho = matcore.sample("mixed-hilbert-schmidt", (dA, dB), s)
-        rep = smoothing.uab_chain_verify(rho, (dA, dB), alpha, beta, eps)
+    def one(i, s):
+        rho = matcore.sample("mixed-hilbert-schmidt", dims, s)
+        rep = smoothing.uab_chain_verify(rho, dims, alpha, beta, eps)
         worst = max(st.lhs - st.rhs for st in rep.steps)
         row = [i, alpha, beta, eps, rep.imax_truncated, rep.rhs_final,
                rep.rhs_final - rep.imax_truncated, rep.passed]
         return row, rep.passed, worst
 
-    out = _map_samples(one, samples, cfg)
-    return (_csv_text(_UAB_HEADER, [r for r, _, _ in out]),
-            [(ok, v) for _, ok, v in out], {})
+    return _sampled(_UAB_HEADER, one, opts)
 
 
-def run_bounds_sweep(cfg) -> tuple[str, list, dict]:
-    which = cfg.get("sweep", "uab")
-    dA, dB = _parse_dims(cfg["dims"])
-    samples = _option(cfg, "samples", int)
-    seed = _option(cfg, "seed", int)
-    alpha = _option(cfg, "alpha", float, 0.5)
-    beta = _option(cfg, "beta", float, 2.0)
-    eps = _option(cfg, "eps", float, 0.1)
+def run_bounds_sweep(opts) -> tuple[str, list, dict]:
+    dims, alpha, beta, eps = (opts[k] for k in ("dims", "alpha", "beta", "eps"))
+    d = dims[0] * dims[1]
 
-    def one_uab(i):
-        s = seed + 1000 * i
-        rho = matcore.sample("mixed-hilbert-schmidt", (dA, dB), s)
+    def one_uab(i, s):
+        rho = matcore.sample("mixed-hilbert-schmidt", dims, s)
         cache = {}
-        est = smoothing.imax_smoothed_upper(rho, eps, (dA, dB), cache=cache)
-        rhs = infomeasures.universal_rhs(rho, (dA, dB), alpha, beta, eps,
-                                         cache=cache)
+        est = smoothing.imax_smoothed_upper(rho, eps, dims, cache=cache)
+        rhs = infomeasures.universal_rhs(rho, dims, alpha, beta, eps, cache=cache)
         ok = est.value_bits <= rhs + 1e-7
         row = [i, alpha, beta, eps, est.value_bits, rhs, rhs - est.value_bits, ok]
         return row, ok, est.value_bits - rhs
 
-    def one_rld(i):
-        s = seed + 1000 * i
-        rho = matcore.sample("mixed-hilbert-schmidt", dA * dB, s)
-        sigma = matcore.sample("mixed-hilbert-schmidt", dA * dB, s + 1)
+    def one_rld(i, s):
+        rho = matcore.sample("mixed-hilbert-schmidt", d, s)
+        sigma = matcore.sample("mixed-hilbert-schmidt", d, s + 1)
         rep = infomeasures.check_rld_bound(rho, sigma, eps, beta)
         row = [i, alpha, beta, eps, rep.lhs, rep.rhs, rep.slack, rep.ok]
         return row, rep.ok, rep.lhs - rep.rhs
 
-    one = {"uab": one_uab, "rld": one_rld}.get(which)
+    one = {"uab": one_uab, "rld": one_rld}.get(opts["suite"])
     if one is None:
-        raise ConfigError(f"unknown sweep {which!r}")
-    out = _map_samples(one, samples, cfg)
-    return (_csv_text(_UAB_HEADER, [r for r, _, _ in out]),
-            [(ok, v) for _, ok, v in out], {})
+        raise ConfigError(f"unknown suite {opts['suite']!r}")
+    return _sampled(_UAB_HEADER, one, opts)
 
 
-def run_qss_sim(cfg) -> tuple[str, list, dict]:
-    psi, dims = _load_state(cfg["state"])
+def run_qss_sim(opts) -> tuple[str, list, dict]:
+    psi, dims = _load_state(opts["state"])
     if psi.ndim != 1:
         raise ConfigError("qss-sim needs a pure state file (vector field)")
     if len(dims) != 3:
         raise ConfigError("qss-sim state must have three registers (R, A, A')")
-    inst = protocols.QSSInstance(psi, dims,
-                                 _option(cfg, "eps", float, 0.6),
-                                 _option(cfg, "delta", float, 0.5))
-    res = protocols.qss_simulate(inst)
+    res = protocols.qss_simulate(protocols.QSSInstance(psi, dims, opts["eps"], opts["delta"]))
     record = {
         "n": res.n,
         "n_unclamped": res.n_unclamped,
@@ -281,28 +263,24 @@ def run_qss_sim(cfg) -> tuple[str, list, dict]:
             {"result": record})
 
 
-def run_divergence(cfg) -> tuple[str, list, dict]:
-    alpha = _option(cfg, "alpha", float)
-    rho = _load_density(cfg["rho"])
-    sigma = _load_density(cfg["sigma"])
-    value, branch = divergences.d_alpha_with_branch(rho, sigma, alpha)
+def run_divergence(opts) -> tuple[str, list, dict]:
+    alpha = opts["alpha"]
+    value, branch = divergences.d_alpha_with_branch(
+        _load_density(opts["rho"]), _load_density(opts["sigma"]), alpha)
     record = {"alpha": "inf" if math.isinf(alpha) else alpha,
               "value_bits": value, "branch": branch}
     return _json_text(record), [(True, 0.0)], {"result": record}
 
 
-def run_rev_shannon(cfg) -> tuple[str, list, dict]:
+def run_rev_shannon(opts) -> tuple[str, list, dict]:
     def channel(data):
         kraus = [np.asarray(K, dtype=float) if np.asarray(K).ndim == 2
                  else np.asarray(K)[..., 0] + 1j * np.asarray(K)[..., 1]
                  for K in data["kraus"]]
         return protocols.ChannelSpec(kraus, int(data["dim_in"]), int(data["dim_out"]))
 
-    spec = _load_json(cfg["channel"], "channel file", channel)
-    alpha = _option(cfg, "alpha", float, 0.5)
-    beta = _option(cfg, "beta", float, 2.0)
-    eps = _option(cfg, "eps", float, 0.1)
-    n = _option(cfg, "n", int, 10)
+    spec = _load_json(opts["channel"], "channel file", channel)
+    alpha, beta, eps, n = (opts[k] for k in ("alpha", "beta", "eps", "n"))
     rhs, delta_n = protocols.reverse_shannon_bound(spec, alpha, beta, eps, n)
     record = {"alpha": alpha, "beta": beta, "eps": eps, "n": n,
               "bits_per_use": rhs, "delta_n": delta_n}
@@ -310,42 +288,48 @@ def run_rev_shannon(cfg) -> tuple[str, list, dict]:
 
 
 # --- plumbing ---------------------------------------------------------------
+#
+# Each command's options, as key: (type, default); a default of None means
+# required.  Flags get a --flag (key with "-" for "_"); config keys are read
+# from the --config file only.  Every command also takes --seed (required),
+# --threads, --out and --config.
 
-# command: (suite name, runner, required options, flags)
+_SAMPLING = {"dims": (_parse_dims, None), "samples": (_count, None)}
+_ORDERS = {"alpha": (float, 0.5), "beta": (float, 2.0), "eps": (float, 0.1)}
+
+# command: (suite name, runner, flags, config keys)
 _COMMANDS = {
-    "verify-convex-split": ("convex-split", run_convex_split, ["dims", "samples"],
-                            [("dims", str), ("n-max", int), ("samples", int)]),
-    "verify-uab": ("uab", run_uab, ["dims", "samples"],
-                   [("dims", str), ("samples", int), ("alpha", float),
-                    ("beta", float), ("eps", float)]),
-    "bounds-sweep": ("bounds", run_bounds_sweep, ["dims", "samples"],
-                     [("suite", str), ("dims", str), ("samples", int),
-                      ("alpha", float), ("beta", float), ("eps", float)]),
-    "qss-sim": ("qss", run_qss_sim, ["state"],
-                [("state", str), ("eps", float), ("delta", float)]),
-    "divergence": ("divergence", run_divergence, ["alpha", "rho", "sigma"],
-                   [("alpha", str), ("rho", str), ("sigma", str)]),
-    "rev-shannon": ("rev-shannon", run_rev_shannon, ["channel"],
-                    [("channel", str), ("alpha", float), ("beta", float),
-                     ("eps", float), ("n", int)]),
+    "verify-convex-split": ("convex-split", run_convex_split,
+                            {**_SAMPLING, "n_max": (_count, 5)},
+                            {"tol_residual": (float, 1e-10), "tol_slack": (float, 1e-8)}),
+    "verify-uab": ("uab", run_uab, {**_SAMPLING, **_ORDERS}, {}),
+    "bounds-sweep": ("bounds", run_bounds_sweep,
+                     {"suite": (str, "uab"), **_SAMPLING, **_ORDERS}, {}),
+    "qss-sim": ("qss", run_qss_sim,
+                {"state": (str, None), "eps": (float, 0.6), "delta": (float, 0.5)}, {}),
+    "divergence": ("divergence", run_divergence,
+                   {"alpha": (float, None), "rho": (str, None), "sigma": (str, None)}, {}),
+    "rev-shannon": ("rev-shannon", run_rev_shannon,
+                    {"channel": (str, None), **_ORDERS, "n": (int, 10)}, {}),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Flags are collected as text; _merge_config converts them."""
     parser = argparse.ArgumentParser(prog="csl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, _, flags) in _COMMANDS.items():
+    for name, (_, _, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name)
-        for flag, typ in flags:
-            p.add_argument(f"--{flag}", type=typ, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--threads", type=int, default=None)
+        for key in [*flags, "seed", "out", "config", "threads"]:
+            p.add_argument("--" + key.replace("_", "-"))
     return parser
 
 
 def _merge_config(args) -> dict:
+    """The command's converted options: its flags over the --config object.
+
+    `CSL_THREADS` stands in for `--threads` in the sampling suites.
+    """
     cfg = {}
     if args.config:
         try:
@@ -355,30 +339,21 @@ def _merge_config(args) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {exc}")
         if not isinstance(cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        cfg[key.replace("-", "_")] = value
-    if "suite" in cfg and args.command == "bounds-sweep":
-        cfg["sweep"] = cfg.pop("suite")
-    if cfg.get("seed") is None:
-        raise ConfigError("seed is mandatory")
-    if "samples" in cfg and _option(cfg, "samples", int) < 1:
-        raise ConfigError("samples must be >= 1")
-    if cfg.get("threads") is None:
-        cfg["threads"] = os.environ.get("CSL_THREADS", "1")
-    return cfg
+    cfg.update((key, value) for key, value in vars(args).items() if value is not None)
+    _, _, flags, keys = _COMMANDS[args.command]
+    threads = os.environ.get("CSL_THREADS", 1) if "samples" in flags else 1
+    table = {**flags, **keys, "seed": (int, None), "threads": (int, threads)}
+    opts = {key: _option(cfg, key, typ, default) for key, (typ, default) in table.items()}
+    opts["out"] = cfg.get("out")
+    return opts
 
 
-def run_suite(command: str, cfg: dict) -> int:
+def run_suite(command: str, opts: dict) -> int:
     t0 = time.time()
-    suite, fn, required, _ = _COMMANDS[command]
-    for key in required:
-        if key not in cfg:
-            raise ConfigError(f"missing required option --{key}")
-    text, results, extras = fn(cfg)
-    if cfg.get("out"):
-        _atomic_write(cfg["out"], text)
+    suite, fn, _, _ = _COMMANDS[command]
+    text, results, extras = fn(opts)
+    if opts["out"]:
+        _atomic_write(opts["out"], text)
     summary = {**emit_summary(suite, results, time.time() - t0), **extras}
     passed = summary["pass_rate"] == 1.0
     if not passed:
@@ -398,8 +373,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = _merge_config(args)
-        return run_suite(args.command, cfg)
+        return run_suite(args.command, _merge_config(args))
     except matcore.CertificateError as exc:
         print(json.dumps({"failure": {"kind": "certificate", "message": str(exc)}}))
         return 1

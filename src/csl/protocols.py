@@ -204,7 +204,7 @@ def qss_simulate(instance: QSSInstance) -> QSSResult:
 
     rho_RB = _rho_RB(psi, dR, d)
     sigma, i2 = qss_optimal_sigma(rho_RB, (dR, d))
-    mu = max(q2(rho_RB, np.kron(_marginal_R(psi, dR, d), sigma)) - 1.0, 0.0)
+    mu = max(q2(rho_RB, np.kron(reduced(rho_RB, (dR, d), 0), sigma)) - 1.0, 0.0)
 
     n_unclamped = max(1, math.ceil(mu * (1.0 / instance.delta**2 - 1.0) - 1e-9))
     n = n_unclamped
@@ -295,11 +295,6 @@ def _rho_RB(psi, dR, d):
     return np.einsum("iab,jad->ibjd", T3, T3.conj()).reshape(dR * d, dR * d)
 
 
-def _marginal_R(psi, dR, d):
-    T = np.asarray(psi).reshape(dR, d * d)
-    return T @ T.conj().T
-
-
 def _mixture_vs_pure_distance(G: np.ndarray) -> float:
     """Trace distance between sum_i |b_i><b_i| and |t><t| from their Gram matrix.
 
@@ -321,9 +316,10 @@ def channel_alpha_beta_info(channel: ChannelSpec, alpha: float, beta: float):
     input only through rho_in (a local unitary on A changes neither), so the
     search runs over rho_in in D(dim_in) and the objective feeds the channel
     the purification vec(sqrt(rho_in)^T).  The first start, I/d, is the
-    maximally entangled input.  alpha = beta = 1 routes to the ordinary
-    mutual information of the channel output.  Returns (value, report), the
-    report's argopt being the maximizing rho_in.
+    maximally entangled input.  At alpha = beta = 1 the value is the ordinary
+    mutual information of the channel output, since conditional_renyi_up is
+    then H(AB) - H(B).  Returns (value, report), the report's argopt being
+    the maximizing rho_in.
     """
     dI, dO = channel.dim_in, channel.dim_out
 
@@ -331,13 +327,8 @@ def channel_alpha_beta_info(channel: ChannelSpec, alpha: float, beta: float):
         w, U = np.linalg.eigh(rho_in)
         v = ((U * np.sqrt(np.clip(w, 0.0, None))) @ U.conj().T).T.reshape(-1)
         omega = channel.apply_local(np.outer(v, v.conj()), dI)
-        omega_A = reduced(omega, (dI, dO), 0)
-        if alpha == 1.0 and beta == 1.0:
-            omega_B = reduced(omega, (dI, dO), 1)
-            return (renyi_entropy(omega_A, 1) + renyi_entropy(omega_B, 1)
-                    - renyi_entropy(omega, 1))
         h_up = conditional_renyi_up(omega, beta, (dI, dO))
-        return renyi_entropy(omega_A, alpha) - h_up
+        return renyi_entropy(reduced(omega, (dI, dO), 0), alpha) - h_up
 
     # Each member of the descent's stack runs a certified solve of its own.
     report = minimize_over_states(lambda stack: [-info(s) for s in stack], dI,

@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -311,9 +313,34 @@ def test_exit_2_on_missing_required(capsys):
 
 
 def test_exit_2_on_missing_seed(capsys):
-    code, _, _ = run(["verify-convex-split", "--dims", "2x2",
-                      "--samples", "2"], capsys)
+    code, _, err = run(["verify-convex-split", "--dims", "2x2",
+                        "--samples", "2"], capsys)
     assert code == 2
+    assert json.loads(err)["error"] == "missing required option --seed"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_command_lines_match_the_parser(monkeypatch):
+    # Every `csl ...` line of README parses and converts, and every --flag
+    # its "Command line" section names is a flag of some subcommand.
+    monkeypatch.delenv("CSL_THREADS", raising=False)
+    text = README.read_text()
+    parser = cli._build_parser()
+    examples = [line.split()[1:] for line in text.splitlines() if line.startswith("csl ")]
+    assert examples
+    for argv in examples:
+        try:
+            cli._merge_config(parser.parse_args(argv))
+        except SystemExit:
+            pytest.fail(f"README line does not parse: csl {' '.join(argv)}")
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {opt for sub in subparsers.choices.values() for action in sub._actions
+             for opt in action.option_strings}
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    assert named and named <= flags, sorted(named - flags)
 
 
 def test_exit_2_on_bad_config(tmp_path, capsys):
@@ -394,7 +421,7 @@ def test_exit_1_on_wide_sdp_bracket(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "uab.csv").exists()
 
 
-def test_exit_2_on_bad_config_values(tmp_path, capsys):
+def test_exit_2_on_bad_config_values(tmp_path, bell_state_file, capsys):
     # Text that does not parse or a value out of range, in a config file, a
     # flag or a state file, is a configuration error.
     for cfg in ({"dims": "2x2", "samples": "many", "seed": 1},
@@ -419,6 +446,27 @@ def test_exit_2_on_bad_config_values(tmp_path, capsys):
         code, _, err = run(argv + ["--seed", "0"], capsys)
         assert code == 2, argv
         assert "error" in json.loads(err)
+    # A NaN option is refused where it is converted, before any check reads
+    # it: a NaN tolerance would otherwise fail every row as a broken bound.
+    for key, value in (("tol_slack", "nan"), ("tol_residual", math.nan)):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dims": "2x2", "samples": 1, "seed": 1, key: value}))
+        code, _, err = run(["verify-convex-split", "--config", str(path)], capsys)
+        assert code == 2, key
+        assert key.replace("_", "-") in json.loads(err)["error"]
+    code, _, err = run(["qss-sim", "--state", bell_state_file, "--eps", "nan",
+                        "--seed", "0"], capsys)
+    assert code == 2
+    assert "--eps" in json.loads(err)["error"]
+
+
+def test_malformed_flag_value_is_a_json_error(capsys):
+    # Flags are converted with the config file's values, so a flag that does
+    # not convert gets the same JSON error record, not argparse's usage text.
+    code, stdout, err = run(["verify-convex-split", "--dims", "2x2", "--samples", "two",
+                             "--seed", "1"], capsys)
+    assert code == 2 and stdout == ""
+    assert "--samples" in json.loads(err)["error"]
 
 
 def test_bug_in_a_suite_is_not_a_config_error(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -544,13 +545,13 @@ def test_newton_counts_on_criterion_08_states(monkeypatch):
     _check_counts(solves, 120)
 
 
-def test_newton_counts_on_convex_split_suite(monkeypatch):
+def test_newton_counts_on_convex_split_suite(monkeypatch, tmp_path, capsys):
     # The nu_n solves of `verify-convex-split --dims 2x2 --n-max 9
     # --samples 9 --seed 5000`.
     solves = _counted(monkeypatch, convexsplit)
-    cfg = {"dims": "2x2", "n_max": 9, "samples": 9, "seed": 5000}
-    _, results, _ = cli.run_convex_split(cfg)
-    assert all(ok for ok, _ in results)
+    assert cli.main(["verify-convex-split", "--dims", "2x2", "--n-max", "9", "--samples", "9",
+                     "--seed", "5000", "--out", str(tmp_path / "cs.csv")]) == 0
+    assert json.loads(capsys.readouterr().out)["pass_rate"] == 1.0
     _check_counts(solves, 9)
 
 
