@@ -103,13 +103,15 @@ def _sampled(header: list, one, opts: dict) -> tuple[str, list, dict]:
 
 
 def _option(cfg: dict, key: str, typ, default=None):
-    """cfg[key], or default when absent, converted by typ.
+    """cfg[key], or default when absent or null, converted by typ.
 
     A missing value, one that does not convert and a NaN are configuration
     errors.
     """
     flag = "--" + key.replace("_", "-")
-    value = cfg.get(key, default)
+    value = cfg.get(key)
+    if value is None:
+        value = default
     if value is None:
         raise ConfigError(f"missing required option {flag}")
     try:

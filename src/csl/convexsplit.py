@@ -23,7 +23,6 @@ from .matcore import (
     ContractViolation,
     Spectrum,
     _as_matrix,
-    eig_hermitian,
     reduced,
     support_cut,
 )
@@ -240,6 +239,9 @@ class _ReferenceFrame:
     block's own spectrum, which is where its decomposition stops resolving
     them; a global cut would drop blocks whose every eigenvalue is small but
     whose multiplicity is large (a few percent of tau's mass at n = 50).
+
+    ``omega`` and ``sigma`` are the factors' Spectra, decomposed here once
+    for every consumer of the split report.
     """
 
     def __init__(self, instance: ConvexSplitInstance):
@@ -249,9 +251,9 @@ class _ReferenceFrame:
             raise ContractViolation(f"block dimension {size} exceeds cap {DENSE_DIM_CAP}")
         if math.comb(instance.n, instance.n // 2) > sys.float_info.max:
             raise ContractViolation(f"block multiplicities at n = {instance.n} overflow a float")
-        wo, Vo = eig_hermitian(instance.omega_R)
-        ws, Vs = eig_hermitian(instance.sigma_A)
-        W = np.kron(Vo, Vs)
+        self.omega, self.sigma = Spectrum(instance.omega_R), Spectrum(instance.sigma_A)
+        wo, ws = self.omega.w, self.sigma.w
+        W = np.kron(self.omega.V, self.sigma.V)
         rho = W.conj().T @ instance.rho_RA @ W
         factors = [np.clip(f, 0.0, None) for f in (wo, ws)]
         keep_o, keep_s = (f > support_cut(f) for f in factors)
@@ -325,27 +327,45 @@ class _ReferenceFrame:
                          for b in self.blocks))
 
 
-def mu_quantities(rho_RA, sigma_A, dims: tuple[int, int]) -> tuple[float, float]:
-    """mu = Q_2 against the pinned product minus 1; mu_max = 2^D_max - 1."""
-    R = _as_matrix(rho_RA)
-    ref = np.kron(reduced(R, dims, 0), _as_matrix(sigma_A))
-    q = q2(R, ref)
+def _mu(q: float, dm: float) -> tuple[float, float]:
+    """(mu, mu_max) from Q_2 and D_max against the pinned product."""
     mu = INF if math.isinf(q) else max(q - 1.0, 0.0)
-    dm = d_max(R, ref)
     mu_max = INF if math.isinf(dm) else max(2.0**dm - 1.0, 0.0)
     return mu, mu_max
 
 
+def mu_quantities(rho_RA, sigma_A, dims: tuple[int, int]) -> tuple[float, float]:
+    """mu = Q_2 against the pinned product minus 1; mu_max = 2^D_max - 1.
+
+    The product rho_R (x) sigma is decomposed once for both.
+    """
+    R = _as_matrix(rho_RA)
+    ref = Spectrum(np.kron(reduced(R, dims, 0), _as_matrix(sigma_A)))
+    return _mu(q2(R, ref), d_max(R, ref))
+
+
 def split_equality_check(instance: ConvexSplitInstance) -> SplitReport:
     """The frame's LHS vs the two-term decomposition; residual is relative."""
-    return _split_report(instance, _ReferenceFrame(instance).q2())
+    return _split_report(instance, _ReferenceFrame(instance))[0]
 
 
-def _split_report(instance: ConvexSplitInstance, lhs: float) -> SplitReport:
+def _split_report(instance: ConvexSplitInstance,
+                  frame: _ReferenceFrame) -> tuple[SplitReport, Spectrum]:
+    """The report against the frame's LHS, and the Spectrum of omega (x) sigma.
+
+    Each operator is decomposed once: omega and sigma by the frame, the
+    pinned product rho_R (x) sigma (mu's reference) here, and omega (x) sigma
+    only when omega is not rho_R bit for bit.  When it is, the two products
+    are one operator and Q_2(rho_RA || omega (x) sigma) serves mu as well.
+    """
+    R, rho_R, sigma = instance.rho_RA, instance.rho_R, instance.sigma_A
     t = instance.t_collision
-    ref1 = np.kron(instance.omega_R, instance.sigma_A)
-    term_R = q2(instance.rho_R, instance.omega_R)
-    term_RA = q2(instance.rho_RA, ref1)
+    lhs = frame.q2()
+    product = Spectrum(np.kron(rho_R, sigma))
+    pinned = instance.omega_R.tobytes() == rho_R.tobytes()
+    ref1 = product if pinned else Spectrum(np.kron(instance.omega_R, sigma))
+    term_R = q2(rho_R, frame.omega)
+    term_RA = q2(R, ref1)
     if math.isinf(term_R) or math.isinf(term_RA):
         rhs = INF
     else:
@@ -354,8 +374,8 @@ def _split_report(instance: ConvexSplitInstance, lhs: float) -> SplitReport:
         residual = 0.0 if math.isinf(lhs) and math.isinf(rhs) else INF
     else:
         residual = abs(lhs - rhs) / max(1.0, lhs)
-    mu, mu_max = mu_quantities(instance.rho_RA, instance.sigma_A, instance.dims)
-    return SplitReport(lhs, rhs, residual, t, mu, mu_max)
+    mu, mu_max = _mu(term_RA if pinned else q2(R, product), d_max(R, product))
+    return SplitReport(lhs, rhs, residual, t, mu, mu_max), ref1
 
 
 def nu_n(rho_RA, sigma_A, n: int,
@@ -369,20 +389,24 @@ def nu_n(rho_RA, sigma_A, n: int,
     the first term's minimizer and the limit as n -> inf.  When rho_RA leaves
     R (x) supp(sigma) every omega gives inf, which is returned exactly.
     """
+    R = _as_matrix(rho_RA)
+    return _nu_n(R, Spectrum(reduced(R, dims, 0)), Spectrum(sigma_A), n)
+
+
+def _nu_n(R: np.ndarray, rho_R: Spectrum, sigma: Spectrum,
+          n: int) -> tuple[float, np.ndarray, OptimizerReport]:
+    """nu_n of rho_RA = R from the Spectra of rho_R and sigma."""
     if n < 1:
         raise ContractViolation("n must be >= 1")
-    R = _as_matrix(rho_RA)
-    dR = dims[0]
-    rho_R = reduced(R, dims, 0)
-    VR = Spectrum(rho_R).basis
-    VS = Spectrum(sigma_A).basis
+    dR = len(rho_R.w)
+    VR, VS = rho_R.basis, sigma.basis
     W = np.kron(VR, VS)
     Rc = W.conj().T @ R @ W
     if float(np.trace(R).real - np.trace(Rc).real) > 1e-10:
         omega = np.eye(dR) / dR
         return INF, omega, OptimizerReport(INF, omega, 0, 0.0)
-    rho_Rc = VR.conj().T @ rho_R @ VR
-    Sc = VS.conj().T @ _as_matrix(sigma_A) @ VS
+    rho_Rc = VR.conj().T @ rho_R.matrix @ VR
+    Sc = VS.conj().T @ sigma.matrix @ VS
     terms = [((n - 1) / n, rho_Rc, np.ones((1, 1)), False)] if n > 1 else []
     kernel = QAlphaKernel(2.0, terms + [(1.0 / n, Rc, Sc, True)])
     report = minimize_convex_over_states(kernel, VR.shape[1],
@@ -403,16 +427,18 @@ def bounds_report(rho_RA, sigma_A, n: int, dims: tuple[int, int]) -> SplitReport
     spectral-pinching bound (l^s / (s n^s)) 2^{s D_{1+s}} at s = 1/2, with
     the spectrum count l of rho_R (x) sigma standing in for the comparison
     constant v).  ``ly2024_tighter`` records log(1 + mu/n) <= the pinching
-    bound.
+    bound.  rho_R (= omega), sigma and rho_R (x) sigma are each decomposed
+    once, and their Spectra serve the frame, the split report, nu_n and
+    D_1.5.
     """
     # Validated as given, then pinned to omega = rho_R.
     pinned = ConvexSplitInstance(rho_RA, sigma_A, np.eye(dims[0]), n, dims)
     pinned.omega_R = pinned.rho_R
     R = pinned.rho_RA
     frame = _ReferenceFrame(pinned)
-    rep = _split_report(pinned, frame.q2())
+    rep, ref1 = _split_report(pinned, frame)
     mu, mu_max = rep.mu, rep.mu_max
-    nu, _, rep.nu_report = nu_n(R, pinned.sigma_A, n, dims)
+    nu, _, rep.nu_report = _nu_n(R, frame.omega, frame.sigma, n)
     rep.nu_n = nu
 
     lhs_umegaki = frame.umegaki()
@@ -420,8 +446,7 @@ def bounds_report(rho_RA, sigma_A, n: int, dims: tuple[int, int]) -> SplitReport
     lhs_trace = frame.trace_distance()
     F = frame.fidelity()
     lhs_p2 = max(1.0 - F * F, 0.0)
-    ref1 = np.kron(pinned.omega_R, pinned.sigma_A)
-    ell = spectrum_cardinality(ref1)
+    ell = spectrum_cardinality(ref1.matrix)
     d15 = d_alpha(R, ref1, 1.5)
     pinching = (ell**0.5 / (0.5 * n**0.5)) * 2.0 ** (0.5 * d15) if not math.isinf(d15) else INF
 

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .matcore import CertificateError, ContractViolation, Spectrum, _as_matrix, eig_hermitian
+from .matcore import CertificateError, ContractViolation, Spectrum, _as_matrix
 
 INF = math.inf
 
@@ -43,13 +43,14 @@ def _q(R: np.ndarray, S: Spectrum, alpha: float):
     """Tr (S^e R S^e)^alpha, e = (1-alpha)/(2 alpha), with no support check.
 
     For a stack S, one value per member: one ``eigh`` for the stack of
-    sandwiched operators.
+    sandwiched operators.  The symmetrized X is Hermitian bit for bit, so it
+    goes to ``eigh`` as it is, with no check; its eigenvalues are summed in
+    non-increasing order, as eig_hermitian gives them.
     """
     Se = S.power((1.0 - alpha) / (2.0 * alpha))
     X = Se @ R @ Se
     X = (X + X.conj().mT) / 2  # exact in theory; kills float asymmetry
-    w, _ = eig_hermitian(X)
-    w = np.clip(w, 0.0, None)
+    w = np.clip(np.linalg.eigh(X)[0][..., ::-1], 0.0, None)
     return np.sum(w**alpha, axis=-1)
 
 
@@ -152,10 +153,10 @@ def d_max(rho, sigma) -> float:
     if not S.contains(R):
         return INF
     Sm = S.power(-0.5)
-    # Entries grow as 1/lambda_min(sigma), past the absolute Hermiticity
-    # tolerance of eig_hermitian's input check; resymmetrize first.
+    # Entries grow as 1/lambda_min(sigma); the symmetrized X is Hermitian
+    # bit for bit, so ``eigh`` takes it with no check.
     X = Sm @ R @ Sm
-    w, _ = eig_hermitian((X + X.conj().T) / 2)
+    w = np.linalg.eigh((X + X.conj().T) / 2)[0]
     lam = float(max(w.max(initial=0.0), 0.0))
     if lam <= 0:
         return -INF

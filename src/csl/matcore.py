@@ -10,6 +10,7 @@ tight tolerances.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -69,7 +70,8 @@ class Spectrum:
 
     ``w`` (non-increasing) and ``V`` come from eig_hermitian; ``keep`` marks
     the eigenvalues above support_cut(w).  Build it once per operator and
-    pass it on: powers, the support and containment tests all reuse it.  On
+    pass it on: powers, the support and containment tests all reuse it, and
+    its projector is built on first use and kept read-only.  On
     a stack every method acts member by member, each exactly as on that
     member alone, and ``S[idx]`` selects members without decomposing again.
     """
@@ -109,8 +111,15 @@ class Spectrum:
             raise ContractViolation(f"basis needs one operator, got a stack of {len(self.w)}")
         return self.V[:, self.keep]
 
+    @functools.cached_property
+    def _projector(self) -> np.ndarray:
+        P = (self.V * self.keep[..., None, :]) @ self.V.conj().mT
+        P.flags.writeable = False
+        return P
+
     def projector(self) -> np.ndarray:
-        return (self.V * self.keep[..., None, :]) @ self.V.conj().mT
+        """The orthogonal projector onto the support, shared and read-only."""
+        return self._projector
 
     def contains(self, R: np.ndarray):
         """supp(R) inside the support (a numpy bool per member): R's trace

@@ -230,9 +230,17 @@ class QAlphaKernel:
         self.n, self.Phi = n, Phi.reshape(d * d, n * n)
         self.E = _traceless_basis(d)
         self.order = np.sort(np.indices((d,) * 3), axis=0)
+        self._last = (None, None)
 
     def _at(self, sigma: np.ndarray):
-        """sigma's eigenpairs, Phi in sigma's eigenbasis, and Y there."""
+        """sigma's eigenpairs, Phi in sigma's eigenbasis, and Y there.
+
+        The last result is kept, keyed by sigma's bytes: ``cut_bound`` at
+        the sigma a solve evaluated last takes it as it is.
+        """
+        key = sigma.tobytes()
+        if key == self._last[0]:
+            return self._last[1]
         ls, U = np.linalg.eigh(sigma)
         if ls[0] <= 0:
             raise ContractViolation("QAlphaKernel needs sigma positive definite")
@@ -240,7 +248,9 @@ class QAlphaKernel:
         # Row (c, d) of rot Phi is sum_ab U_ac conj(U_bd) Phi_ab.
         rot = (U[:, None, :, None] * U.conj()[None, :, None, :]).reshape(d * d, d * d).T
         Pt = rot @ self.Phi
-        return ls, U, Pt, (ls**self.p @ Pt[:: d + 1]).reshape(self.n, self.n)
+        at = ls, U, Pt, (ls**self.p @ Pt[:: d + 1]).reshape(self.n, self.n)
+        self._last = (key, at)
+        return at
 
     def __call__(self, sigma: np.ndarray):
         alpha, d, k, n = self.alpha, self.dim, len(self.E), self.n
@@ -368,17 +378,18 @@ def minimize_convex_over_states(fun, dim: int, value_of=None, start=None) -> Opt
     E = _traceless_basis(d)
 
     def expand(sigma):
-        """f, G, the Hessian, the value, the Frank-Wolfe gap and the inverse
-        Cholesky factor at sigma."""
+        """f, G, the Hessian, the value, the certificate gap, the inverse
+        Cholesky factor and the Frank-Wolfe gap at sigma."""
         try:
             Li = np.linalg.inv(np.linalg.cholesky(sigma))
         except np.linalg.LinAlgError:
             raise ContractViolation("sigma left the positive cone") from None
         f, grad, H = fun(sigma)
-        return f, grad, H, value_of(f), certificate(f, frank_wolfe_gap(grad, sigma)), Li
+        fw = frank_wolfe_gap(grad, sigma)
+        return f, grad, H, value_of(f), certificate(f, fw), Li, fw
 
     sigma = np.eye(d, dtype=complex) / d if start is None else start / np.trace(start).real
-    f, grad, H, value, gap, Li = expand(sigma)
+    f, grad, H, value, gap, Li, fw = expand(sigma)
     # Converge well past GAP_TOL: the value's error is second order in
     # sigma's, the gap first order, so the value then carries ~1e-15 error.
     # At d = 1 the only state is optimal: no step is taken.
@@ -409,11 +420,11 @@ def minimize_convex_over_states(fun, dim: int, value_of=None, start=None) -> Opt
             break
         steps += 1
         sigma = cand
-        f, grad, H, value, gap, Li = new
+        f, grad, H, value, gap, Li, fw = new
     cut = (0.0, 0.0)
     if gap <= GAP_TOL and hasattr(fun, "cut_bound"):
         cut = fun.cut_bound(sigma)
-        gap = certificate(f, frank_wolfe_gap(grad, sigma), *cut)
+        gap = certificate(f, fw, *cut)
     if not gap <= GAP_TOL:
         raise CertificateError(
             f"convex solver stopped with Frank-Wolfe gap {gap:.3e} > {GAP_TOL:.1e}"

@@ -319,6 +319,31 @@ def test_exit_2_on_missing_seed(capsys):
     assert json.loads(err)["error"] == "missing required option --seed"
 
 
+def test_config_null_takes_the_default(tmp_path, capsys):
+    # A JSON null is an absent key: n_max falls back to its default 5, and
+    # the artifact is byte-identical to one from a config without the key.
+    base = {"dims": "2x2", "samples": 6, "seed": 1}
+    texts = []
+    for extra in ({}, {"n_max": None, "tol_slack": None}):
+        cfg, out = tmp_path / f"cfg{len(texts)}.json", tmp_path / f"c{len(texts)}.csv"
+        cfg.write_text(json.dumps({**base, **extra}))
+        code, _, err = run(["verify-convex-split", "--config", str(cfg),
+                            "--out", str(out)], capsys)
+        assert code == 0, err
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    assert [row.split(",")[1] for row in texts[1].splitlines()[1:]] == list("123451")
+
+
+@pytest.mark.parametrize("key", ["dims", "seed"])
+def test_config_null_for_a_required_option_is_missing(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dims": "2x2", "samples": 1, "seed": 1, key: None}))
+    code, _, err = run(["verify-convex-split", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert json.loads(err)["error"] == f"missing required option --{key}"
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -15,10 +15,12 @@ from csl.convexsplit import (
     split_equality_check,
     spectrum_cardinality,
 )
-from csl.divergences import INF
+from csl import convexsplit
+from csl.divergences import INF, d_alpha, d_max, q2
 from csl.matcore import (
     ContractViolation,
     Spectrum,
+    _as_matrix,
     eig_hermitian,
     reduced,
     sample,
@@ -643,3 +645,160 @@ def test_frame_values_invariant_under_local_unitaries(dims, weighted):
                            frame.fidelity()))
         for name, a, b in zip(("q2", "umegaki", "trace", "fidelity"), *values):
             assert abs(a - b) <= 1e-12 * abs(a), (dims, n, name, a, b)
+
+
+def _count_eigh(monkeypatch) -> dict:
+    """Count the np.linalg.eigh and eigvalsh calls from here on."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _inner=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def pinned_to_rho_r(inst):
+    """The instance with omega = its rho_R, bit for bit."""
+    return ConvexSplitInstance(inst.rho_RA, inst.sigma_A, inst.rho_R, inst.n, inst.dims,
+                               inst.weights)
+
+
+def split_cases():
+    """(name, instance): omega = rho_R and not, on both frame classes, with
+    rank-deficient omega and sigma, and leaking instances whose values are inf."""
+    cases = []
+    for n, dA, weighted in [(3, 2, False), (1, 2, False), (3, 2, True), (2, 3, False)]:
+        w = np.arange(1.0, n + 1) / (n * (n + 1) / 2) if weighted else None
+        inst = random_instance(80 + n + dA, n, dA=dA, weights=w)
+        cases += [(f"omega-{n}-{dA}-{weighted}", inst),
+                  (f"rho_R-{n}-{dA}-{weighted}", pinned_to_rho_r(inst))]
+    for leaking in (False, True):
+        inst = rank_deficient_sigma_instance(3, leaking)
+        cases += [(f"sigma-rank-1-{leaking}", inst),
+                  (f"sigma-rank-1-rho_R-{leaking}", pinned_to_rho_r(inst))]
+    for k, (inst, leaking) in enumerate(rank_deficient_dense_instances()):
+        cases += [(f"dense-{k}-{leaking}", inst), (f"dense-{k}-rho_R", pinned_to_rho_r(inst))]
+    return cases
+
+
+def fresh_split_report(inst):
+    """The split report with a fresh decomposition for every term."""
+    lhs = _ReferenceFrame(inst).q2()
+    t = inst.t_collision
+    term_R = q2(inst.rho_R, inst.omega_R)
+    term_RA = q2(inst.rho_RA, np.kron(inst.omega_R, inst.sigma_A))
+    rhs = INF if math.isinf(term_R) or math.isinf(term_RA) else (1 - t) * term_R + t * term_RA
+    if math.isinf(lhs) or math.isinf(rhs):
+        residual = 0.0 if math.isinf(lhs) and math.isinf(rhs) else INF
+    else:
+        residual = abs(lhs - rhs) / max(1.0, lhs)
+    ref = np.kron(reduced(inst.rho_RA, inst.dims, 0), inst.sigma_A)
+    q, dm = q2(inst.rho_RA, ref), d_max(inst.rho_RA, ref)
+    mu = INF if math.isinf(q) else max(q - 1.0, 0.0)
+    mu_max = INF if math.isinf(dm) else max(2.0**dm - 1.0, 0.0)
+    return lhs, rhs, residual, t, mu, mu_max
+
+
+def test_split_report_equals_fresh_decompositions_bit_for_bit():
+    seen = set()
+    for name, inst in split_cases():
+        rep = split_equality_check(inst)
+        got = (rep.q2_lhs, rep.q2_rhs, rep.residual, rep.t, rep.mu, rep.mu_max)
+        assert got == fresh_split_report(inst), name
+        assert (rep.mu, rep.mu_max) == mu_quantities(inst.rho_RA, inst.sigma_A, inst.dims)
+        seen.add(math.isinf(rep.q2_rhs))
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("dA, weighted", [(2, False), (3, False), (2, True)])
+def test_split_check_decomposes_each_operator_once(monkeypatch, dA, weighted):
+    # omega, sigma, rho_R (x) sigma, and omega (x) sigma unless omega is
+    # rho_R; then one sandwich per distinct Q_2 term and one for D_max.
+    inst = random_instance(90, 3, dA=dA, weights=[0.5, 0.3, 0.2] if weighted else None)
+    assert convexsplit._schur_weyl(inst) == (dA == 2 and not weighted)
+    calls = _count_eigh(monkeypatch)
+    split_equality_check(inst)
+    assert calls == {"eigh": 8, "eigvalsh": 0}
+    calls["eigh"] = 0
+    split_equality_check(pinned_to_rho_r(inst))
+    assert calls == {"eigh": 6, "eigvalsh": 0}
+
+
+def fresh_bounds_report(rho_RA, sigma_A, n, dims):
+    """bounds_report's values with a fresh decomposition for every consumer."""
+    inst = ConvexSplitInstance(rho_RA, sigma_A, reduced(_as_matrix(rho_RA), dims, 0), n, dims)
+    R, frame = inst.rho_RA, _ReferenceFrame(inst)
+    lhs, rhs, residual, t, mu, mu_max = fresh_split_report(inst)
+    nu, argopt, nu_rep = nu_n(R, inst.sigma_A, n, dims)
+    lhs_umegaki = frame.umegaki()
+    lhs_d2 = math.log2(lhs) if not math.isinf(lhs) else INF
+    lhs_trace = frame.trace_distance()
+    F = frame.fidelity()
+    lhs_p2 = max(1.0 - F * F, 0.0)
+    ref1 = np.kron(inst.omega_R, inst.sigma_A)
+    ell = spectrum_cardinality(ref1)
+    d15 = d_alpha(R, ref1, 1.5)
+    pinching = (ell**0.5 / (0.5 * n**0.5)) * 2.0 ** (0.5 * d15) if not math.isinf(d15) else INF
+    b = {
+        "gmain0": (lhs_umegaki, math.log2(1.0 + mu_max / n) if not math.isinf(mu_max) else INF),
+        "pinsker": (lhs_trace, math.sqrt(mu_max / (2 * n)) if not math.isinf(mu_max) else INF),
+        "split7": (lhs_p2, mu_max / (n + mu_max) if not math.isinf(mu_max) else 1.0),
+        "gmain8": (lhs_d2, math.log2(1.0 + mu / n) if not math.isinf(mu) else INF),
+        "split9": (lhs_p2, 1.0 - 1.0 / nu),
+        "pmu0": (lhs_p2, mu / (mu + n) if not math.isinf(mu) else 1.0),
+        "trace_sqrt": (lhs_trace, 0.5 * math.sqrt(mu / n) if not math.isinf(mu) else INF),
+    }
+    b["ly2024"] = (lhs_umegaki, min(pinching, b["gmain8"][1]))
+    return ((lhs, rhs, residual, t, mu, mu_max, nu, b["gmain8"][1] <= pinching), b,
+            (nu_rep.value, nu_rep.iterations, nu_rep.gap_estimate), argopt)
+
+
+def bounds_cases():
+    """(name, rho_RA, sigma_A, n, dims): full-rank and rank-deficient rho_R
+    and sigma, on both frame classes, and a leaking row whose bounds are inf."""
+    cases = [(f"cli-{dims}-{n}", sample("rank-limited", dims, s, rank=1 + s % 4),
+              sample("mixed-hilbert-schmidt", dims[1], s + 1), n, dims)
+             for s, n, dims in [(5000, 1, (2, 2)), (5001, 3, (2, 2)), (7, 2, (2, 3)),
+                                (8, 1, (2, 3))]]
+    cases.append(("mixed-2x2", sample("mixed-hilbert-schmidt", 4, 501),
+                  sample("mixed-hilbert-schmidt", 2, 901), 2, (2, 2)))
+    W = np.kron(np.eye(3)[:, :2], np.eye(2))  # rho_R of rank 2 in a qutrit R
+    cases.append(("rho_R-rank-2", W @ sample("mixed-hilbert-schmidt", (2, 2), 41) @ W.T,
+                  sample("mixed-hilbert-schmidt", 2, 42), 2, (3, 2)))
+    for leaking in (False, True):
+        inst = rank_deficient_sigma_instance(2, leaking)
+        cases.append((f"sigma-rank-1-{leaking}", inst.rho_RA, inst.sigma_A, 2, (2, 2)))
+    return cases
+
+
+def test_bounds_report_equals_fresh_decompositions_bit_for_bit():
+    seen = set()
+    for name, rho, sigma, n, dims in bounds_cases():
+        rep = bounds_report(rho, sigma, n, dims)
+        values, bounds, nu_rep, argopt = fresh_bounds_report(rho, sigma, n, dims)
+        assert (rep.q2_lhs, rep.q2_rhs, rep.residual, rep.t, rep.mu, rep.mu_max, rep.nu_n,
+                rep.ly2024_tighter) == values, name
+        assert rep.bounds == bounds, name
+        got = rep.nu_report
+        assert (got.value, got.iterations, got.gap_estimate) == nu_rep, name
+        assert np.array_equal(got.argopt, argopt), name
+        seen.add(math.isinf(rep.mu_max))
+    assert seen == {False, True}
+
+
+def test_bounds_report_decomposes_each_operator_once(monkeypatch):
+    # A 2x2 row at n = 1, rho_RA of full rank (nothing cut).  Each of
+    # nu_n's Newton steps takes two eigh (sigma and Y) and two eigvalsh (the
+    # Frank-Wolfe gap and the step to the cone's boundary).  The rest: eigh
+    # of omega, sigma, rho_R (x) sigma, three sandwiches (two Q_2, D_max),
+    # nu_n's kernel set-up (rho_RA, K) and first call (sigma, Y), D_1.5's
+    # sandwich and tau's one block; eigvalsh for the spectrum count, the
+    # trace distance and the first Frank-Wolfe gap.  The cut bound and the
+    # final gap reuse the last call.
+    rho = sample("mixed-hilbert-schmidt", 4, 501)
+    sigma = sample("mixed-hilbert-schmidt", 2, 901)
+    calls = _count_eigh(monkeypatch)
+    rep = bounds_report(rho, sigma, 1, (2, 2))
+    steps = rep.nu_report.iterations
+    assert calls == {"eigh": 12 + 2 * steps, "eigvalsh": 3 + 2 * steps}

@@ -512,3 +512,31 @@ def test_ill_conditioned_commuting_pairs(kappa, d):
         for eps in (0.05, 0.3):
             got, want = d_min_eps(rho, sigma, eps), _np_classical(a, b, eps)
             assert abs(got - want) <= 1e-8 * abs(want), (eps, got, want)
+
+
+def test_symmetrized_sandwich_needs_no_hermitian_check():
+    # (X + X^H)/2 is Hermitian bit for bit and symmetrizing it again returns
+    # it bit for bit, so eig_hermitian's check and second symmetrization do
+    # nothing there: _q and d_max give the same bits with one bare eigh.
+    rng = np.random.default_rng(250)
+    for d, scale in [(2, 1.0), (3, 1e9), (4, 1e-12), (6, 3.7)]:
+        A = scale * (rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d)))
+        X = (A + A.conj().mT) / 2
+        assert np.array_equal(X, X.conj().mT)
+        assert np.array_equal((X + X.conj().mT) / 2, X)
+    for seed in range(6):
+        rho = sample("mixed-hilbert-schmidt", 3, 260 + seed)
+        S = Spectrum(np.stack([sample("rank-limited", 3, 270 + seed + k, rank=2 + k % 2)
+                               for k in range(4)]))
+        for alpha in (0.5, 0.75, 1.5, 2.0, 4.0):
+            Se = S.power((1.0 - alpha) / (2.0 * alpha))
+            X = Se @ rho @ Se
+            w, _ = eig_hermitian((X + X.conj().mT) / 2)
+            want = np.sum(np.clip(w, 0.0, None) ** alpha, axis=-1)
+            assert np.array_equal(divergences._q(rho, S, alpha), want)
+        for sigma in S.matrix[:2]:  # of rank 2 (rho leaves it) and 3
+            Sm = Spectrum(sigma).power(-0.5)
+            X = Sm @ rho @ Sm
+            lam = max(eig_hermitian((X + X.conj().T) / 2)[0].max(), 0.0)
+            inside = Spectrum(sigma).contains(rho)
+            assert d_max(rho, sigma) == (math.log2(lam) if inside else math.inf)

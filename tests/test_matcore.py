@@ -163,3 +163,18 @@ def test_sample_seeded_reproducible():
     a = sample("pure-haar", 5, 42)
     b = sample("pure-haar", 5, 42)
     assert np.array_equal(a, b)
+
+
+def test_projector_is_built_once_and_read_only():
+    # contains() on a shared Spectrum takes the one cached projector; a
+    # write into it would corrupt every later support test.
+    S = Spectrum(_mixed_stack())
+    P = S.projector()
+    assert S.projector() is P
+    assert np.array_equal(P, (S.V * S.keep[..., None, :]) @ S.V.conj().mT)
+    S.contains(np.eye(3) / 3)
+    assert S.projector() is P
+    with pytest.raises(ValueError):
+        P[0, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        S[1].projector()[0, 0] = 0.0

@@ -666,3 +666,27 @@ def test_minimizer_near_the_boundary_certifies(beta):
     rho = np.kron(rho_A, np.diag([0.7, 0.3 - 1e-6, 1e-6]))
     value = infomeasures.conditional_renyi_up(rho, beta, (2, 3))
     assert abs(value - infomeasures.renyi_entropy(rho_A, beta)) <= 1e-9
+
+
+def test_cut_bound_reuses_the_last_call(monkeypatch):
+    # The solver asks for the cut bound at the sigma of its last kernel
+    # call: cut_bound then takes that call's sigma eigh, rotation and Y as
+    # they are, and gives the bits of a kernel that never saw sigma.
+    rng = np.random.default_rng(32)
+    U = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    w = rng.random(4) + 0.5
+    w[:1] = 0.5 * RANK_TOL * w.max()
+    rho = (U * (w / w.sum())) @ U.conj().T
+    terms = [(1.0, rho, sample("mixed-hilbert-schmidt", 2, 6), False)]
+    sigma, other = (sample("mixed-hilbert-schmidt", 2, s) for s in (51, 52))
+    fresh = QAlphaKernel(2.0, terms).cut_bound(sigma)
+    kernel = QAlphaKernel(2.0, terms)
+    kernel(sigma)
+    calls = []
+    inner = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or inner(*a, **k))
+    assert kernel.cut_bound(sigma) == fresh and fresh[1] > 0.0
+    assert calls == []
+    assert kernel.cut_bound(sigma.copy()) == fresh and calls == []  # the same bits
+    kernel.cut_bound(other)
+    assert len(calls) == 1
