@@ -23,6 +23,7 @@ from .matcore import (
     ContractViolation,
     Spectrum,
     _as_matrix,
+    kron,
     reduced,
     support_cut,
 )
@@ -107,7 +108,7 @@ def build_tau(instance: ConvexSplitInstance) -> np.ndarray:
         )
     base = instance.rho_RA
     for _ in range(n - 1):
-        base = np.kron(base, instance.sigma_A)
+        base = kron(base, instance.sigma_A)
     shape = (dR,) + (dA,) * n
     T = base.reshape(shape + shape)
     tau = np.zeros_like(T)
@@ -253,7 +254,7 @@ class _ReferenceFrame:
             raise ContractViolation(f"block multiplicities at n = {instance.n} overflow a float")
         self.omega, self.sigma = Spectrum(instance.omega_R), Spectrum(instance.sigma_A)
         wo, ws = self.omega.w, self.sigma.w
-        W = np.kron(self.omega.V, self.sigma.V)
+        W = kron(self.omega.V, self.sigma.V)
         rho = W.conj().T @ instance.rho_RA @ W
         factors = [np.clip(f, 0.0, None) for f in (wo, ws)]
         keep_o, keep_s = (f > support_cut(f) for f in factors)
@@ -340,7 +341,7 @@ def mu_quantities(rho_RA, sigma_A, dims: tuple[int, int]) -> tuple[float, float]
     The product rho_R (x) sigma is decomposed once for both.
     """
     R = _as_matrix(rho_RA)
-    ref = Spectrum(np.kron(reduced(R, dims, 0), _as_matrix(sigma_A)))
+    ref = Spectrum(kron(reduced(R, dims, 0), _as_matrix(sigma_A)))
     return _mu(q2(R, ref), d_max(R, ref))
 
 
@@ -361,9 +362,9 @@ def _split_report(instance: ConvexSplitInstance,
     R, rho_R, sigma = instance.rho_RA, instance.rho_R, instance.sigma_A
     t = instance.t_collision
     lhs = frame.q2()
-    product = Spectrum(np.kron(rho_R, sigma))
+    product = Spectrum(kron(rho_R, sigma))
     pinned = instance.omega_R.tobytes() == rho_R.tobytes()
-    ref1 = product if pinned else Spectrum(np.kron(instance.omega_R, sigma))
+    ref1 = product if pinned else Spectrum(kron(instance.omega_R, sigma))
     term_R = q2(rho_R, frame.omega)
     term_RA = q2(R, ref1)
     if math.isinf(term_R) or math.isinf(term_RA):
@@ -400,7 +401,7 @@ def _nu_n(R: np.ndarray, rho_R: Spectrum, sigma: Spectrum,
         raise ContractViolation("n must be >= 1")
     dR = len(rho_R.w)
     VR, VS = rho_R.basis, sigma.basis
-    W = np.kron(VR, VS)
+    W = kron(VR, VS)
     Rc = W.conj().T @ R @ W
     if float(np.trace(R).real - np.trace(Rc).real) > 1e-10:
         omega = np.eye(dR) / dR

@@ -20,6 +20,7 @@ from .matcore import (
     Spectrum,
     _as_matrix,
     eig_hermitian,
+    kron,
     reduced,
     support_cut,
     trace_distance,
@@ -110,8 +111,8 @@ def mutual_info_alpha(rho_ab, alpha: float, dims):
     is rho_B and the value H(A) + H(B) - H(AB).  Other orders run the
     descent from I/d and rho_B, then 14 random states.  Each of its points
     is one stacked `d_alpha` call: rho_A (x) sigma for the whole stack of
-    states is formed by broadcasting, the same products np.kron forms for
-    each alone.
+    states is formed by broadcasting, the same products matcore.kron forms
+    for each alone.
     """
     if not 0.5 <= alpha < math.inf:  # NaN fails too
         raise ContractViolation(f"alpha must be in [1/2, inf), got {alpha}")
@@ -139,7 +140,7 @@ def h_min_conditional(rho_ab, dims) -> float:
     CertificateError.
     """
     R, dA, dB = _bipartite(rho_ab, dims)
-    return -dominating_trace_min(np.eye(dA), R, (dA, dB)).lower_bits
+    return -dominating_trace_min(np.eye(dA)[None], R[None], (dA, dB))[0].lower_bits
 
 
 def conditional_renyi_up(rho_ab, beta: float, dims) -> float:
@@ -169,7 +170,7 @@ def conditional_renyi_up(rho_ab, beta: float, dims) -> float:
         return -renyi_entropy(rho_A, math.inf if beta == 0.5 else beta / (2.0 * beta - 1.0))
     VB = Spectrum(rho_B).basis
     rB = VB.shape[1]
-    W = np.kron(np.eye(dA), VB)
+    W = kron(np.eye(dA), VB)
     Rc = Spectrum(W.conj().T @ R @ W)
     sign = 1.0 if beta > 1 else -1.0  # minimize Q (beta > 1) or -Q
     kernel = QAlphaKernel(beta, [(sign, Rc, np.eye(dA), False)])

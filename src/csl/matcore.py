@@ -20,6 +20,7 @@ TOL_HERM = 1e-10
 SUPPORT_TOL = 1e-10
 # Eigenvalues <= RANK_TOL * lambda_max count as zero (pseudo-inverse powers).
 RANK_TOL = 1e-9
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class ContractViolation(ValueError):
@@ -62,6 +63,30 @@ def support_cut(w: np.ndarray) -> float:
     For a stack of spectra (last axis) the cut is per spectrum.
     """
     return RANK_TOL * w.max(axis=-1, initial=0.0)
+
+
+def q_alpha_cut(w: np.ndarray, alpha: float) -> float:
+    """Where a Q_alpha kernel cuts the spectrum w of its state (last axis).
+
+    For alpha > 1 a cut eigenvalue l enters Q_alpha only as (l t)^alpha, so
+    cutting at round-off, 64 eps lambda_max, costs ~1e-13 of Q; a RANK_TOL
+    cut there would cost ~1e-9, which a log divided by alpha - 1 turns into
+    more than a certificate allows near alpha = 1.  For alpha < 1 round-off
+    eigenvalues count as l^alpha, so the cut stays at support_cut.
+    """
+    if alpha > 1:
+        return 64 * _EPS * w.max(axis=-1, initial=0.0)
+    return support_cut(w)
+
+
+def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A (x) B of two matrices as one broadcast product.
+
+    Every entry is the one product a_ij b_kl, so the bits are np.kron's;
+    only np.kron's general-rank set-up is skipped.
+    """
+    (a0, a1), (b0, b1) = A.shape, B.shape
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(a0 * b0, a1 * b1)
 
 
 class Spectrum:

@@ -5,7 +5,10 @@ operator (damped Newton from a given start, Frank-Wolfe gap), fed by the one
 kernel `QAlphaKernel`, which gives a weighted sum of sandwiched Q_alpha terms
 with its gradient and exact Hessian from one call on one state and bounds
 what its spectral cut drops; a primal-dual interior-point solver for the
-max-information semidefinite program (a certified two-sided bracket); and one
+max-information semidefinite program (a certified two-sided bracket), which
+takes a stack of problems and iterates the members of one shape together,
+one LAPACK call per step for all of them, each member keeping the bits of
+its lone solve (a single problem is a stack of one); and one
 multi-start L-BFGS-B descent over density operators for the two problems
 left off the convex solver: `mutual_info_alpha`'s sigma, whose protocol
 outputs are pinned to that descent's last bits, and the channel
@@ -26,7 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .matcore import CertificateError, ContractViolation, Spectrum, _as_matrix, reduced
+from .matcore import (
+    _EPS,
+    CertificateError,
+    ContractViolation,
+    Spectrum,
+    _as_matrix,
+    kron,
+    q_alpha_cut,
+    reduced,
+)
 
 
 @dataclass
@@ -133,9 +145,6 @@ def minimize_over_states(objective, dim: int, restarts: int = 32,
 
 # --- certified convex solver ------------------------------------------------
 
-_EPS = float(np.finfo(np.float64).eps)
-
-
 def _divided(lam: np.ndarray, e: float) -> np.ndarray:
     """Gamma_ij = (l_i^e - l_j^e)/(l_i - l_j), e l_j^(e-1) where l_i = l_j, for lam > 0.
 
@@ -179,9 +188,10 @@ class QAlphaKernel:
 
     ``terms`` lists (c_t, rho_t, K_t, sigma_first); rho_t may be given as
     its Spectrum, sigma_first puts sigma before K_t, every K_t must be
-    positive definite, and the c_t share one sign s.  Built once per solve: rho_t = F_t F_t^dag over its eigenvalues
-    above support_cut, and with p = (1-alpha)/alpha, Y_t = |c_t|^(1/alpha)
-    F_t^dag (K_t^p (x) sigma^p) F_t has the nonzero spectrum of the
+    positive definite, and the c_t share one sign s.  Built once per solve:
+    rho_t = F_t F_t^dag over its eigenvalues above q_alpha_cut (round-off
+    for alpha > 1, support_cut otherwise), and with p = (1-alpha)/alpha,
+    Y_t = |c_t|^(1/alpha) F_t^dag (K_t^p (x) sigma^p) F_t has the nonzero spectrum of the
     sandwiched operator scaled so that f = s Tr Y^alpha, Y the direct sum of
     the Y_t: one eigendecomposition serves every term.  Y is linear in
     P = sigma^p, Y = sum_ab P_ab Phi_ab with Phi precomputed; a call rotates
@@ -203,8 +213,9 @@ class QAlphaKernel:
             if self.sign * c <= 0:
                 raise ContractViolation("QAlphaKernel needs weights of one sign")
             S = Spectrum.of(rho)
-            F = S.V[:, S.keep] * np.sqrt(S.w[S.keep] * abs(c) ** (1.0 / alpha))
-            low = S.w[~S.keep]
+            keep = S.w > q_alpha_cut(S.w, alpha)
+            F = S.V[:, keep] * np.sqrt(S.w[keep] * abs(c) ** (1.0 / alpha))
+            low = S.w[~keep]
             low = low[low > 0]  # the cut eigenvalues that carry mass
             kw, kV = np.linalg.eigh(_as_matrix(K))
             if kw[0] <= 0:
@@ -456,7 +467,7 @@ def dominance_residual(M_A: np.ndarray, Y: np.ndarray, rho_AB: np.ndarray,
     Raises CertificateError unless the bracket is at most GAP_TOL bits and
     the residual at least -RESIDUAL_TOL; ``what`` tells which Y failed.
     """
-    D = np.kron(M_A, Y) - rho_AB
+    D = kron(M_A, Y) - rho_AB
     residual = float(np.linalg.eigvalsh((D + D.conj().T) / 2)[0])
     if not (gap_bits <= GAP_TOL and residual >= -RESIDUAL_TOL):
         raise CertificateError(f"max-information SDP not certified{what} "
@@ -464,107 +475,186 @@ def dominance_residual(M_A: np.ndarray, Y: np.ndarray, rho_AB: np.ndarray,
     return residual
 
 
-def dominating_trace_min(M_A: np.ndarray, rho_AB: np.ndarray,
-                         dims: tuple[int, int]) -> ImaxResult:
-    """min Tr[Y] over Y with M_A (x) Y >= rho_AB, bracketed by a primal-dual pair.
+def _herm(Z):
+    return (Z + Z.conj().mT) / 2
 
-    Compressed onto supp(M_A) (x) supp(rho_B), where the optimum lies, with
-    D = diag(m_A) and C the compressed rho, the dual is max Tr[C X] over
-    X >= 0 with Tr_A[(D (x) 1) X] = 1 (Y >= 0 follows from m_a Y >= C_aa).
-    From the feasible pair Y = 2 t_min 1, X = 1/Tr D, each iteration takes
-    0.98 of the largest feasible HKM step with a Mehrotra predictor and
-    corrector (Helmberg, Rendl, Vanderbei & Wolkowicz 1996; Todd, Toh &
-    Tutuncu 1998), from one Cholesky factor each of X and S = D (x) Y - C.
-    The best iterate is made exactly feasible: Y shifted by its slack
-    deficit gives the upper value Tr Y, X rescaled by Q^-1/2 (Q = Tr_A[(D (x)
-    1) X]) the lower value Tr[C X] = Tr[rho Z] of the lifted dual point Z.
-    Raises CertificateError unless the bracket is at most GAP_TOL bits and
-    the full-space residual at least -RESIDUAL_TOL (dominance_residual).
+
+def _step_lengths(L_inv, dM) -> list:
+    """Per member, 0.98 of the largest step keeping L L^H + a dM > 0, at most 1:
+    one eigvalsh call on the stacked L^-1 dM L^-H."""
+    lam = np.linalg.eigvalsh(L_inv @ dM @ L_inv.conj().mT)[:, 0].tolist()
+    return [min(1.0, -0.98 / v) if v < 0 else 1.0 for v in lam]
+
+
+def _inverse_factors(X, S):
+    """The inverse Cholesky factors of X and S, stacked, or None if one fails."""
+    try:
+        return np.linalg.inv(np.linalg.cholesky(np.concatenate([X, S])))
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _hkm(mA: np.ndarray, C: np.ndarray, rB: int):
+    """The HKM iteration on a stack of compressed problems of one shape.
+
+    mA (k, rA) holds each D's diagonal and C (k, n, n), n = rA rB, each
+    compressed rho.  Every LAPACK call runs once on the members still
+    running; vdot, trace and the Mehrotra sigma run member by member, so
+    each member's bits are those of its solve alone.  Returns the
+    iteration each member stopped at and the stacks of their best iterates
+    made exactly feasible: Y shifted by its slack deficit, X rescaled by
+    Q^-1/2, Q = Tr_A[(D (x) 1) X].
     """
-    dA, dB = dims
-    M_A = _as_matrix(M_A)
-    rho_AB = _as_matrix(rho_AB)
-    if M_A.shape != (dA, dA) or rho_AB.shape != (dA * dB, dA * dB):
-        raise ContractViolation("dimension mismatch in dominating_trace_min")
-
-    SA = Spectrum(M_A)
-    VA, mA = SA.basis, SA.w[SA.keep]
-    VB = Spectrum(reduced(rho_AB, dims, 1)).basis
-    rA, rB = VA.shape[1], VB.shape[1]
+    k, rA = mA.shape
     n, eye = rA * rB, np.eye(rB)
-    W = np.kron(VA, VB)
-    C = W.conj().T @ rho_AB @ W
-    C = (C + C.conj().T) / 2
-    dm = np.repeat(mA, rB)  # diagonal of D (x) 1
-    diag_m = np.diag(mA)[:, None, :, None]
+    D = np.zeros((k, rA, rA))
+    D[:, range(rA), range(rA)] = mA
+    dm = np.repeat(mA, rB, axis=-1)  # diagonal of D (x) 1
+    diag_m = D[:, :, None, :, None]
 
     def lift(Yc):  # D (x) Y
-        return (diag_m * Yc[None, :, None, :]).reshape(n, n)
+        return (diag_m * Yc[:, None, :, None, :]).reshape(len(Yc), n, n)
 
     def dual_map(Z):  # Tr_A[(D (x) 1) Z]
-        return np.einsum("a,aiaj->ij", mA, Z.reshape(rA, rB, rA, rB))
+        return np.einsum("ma,maiaj->mij", mA, Z.reshape(-1, rA, rB, rA, rB))
 
-    def herm(Z):
-        return (Z + Z.conj().T) / 2
+    t_min = np.linalg.eigvalsh(C / np.sqrt(dm[:, :, None] * dm[:, None, :])).max(axis=-1)
+    Y = np.array([2.0 * max(float(t), 1e-12) * eye.astype(complex) for t in t_min])
+    X = np.array([np.eye(n, dtype=complex) / a.sum() for a in mA])
+    live = np.arange(k)  # the members still running, in stack order
+    best = [(math.inf, Y[i], X[i]) for i in range(k)]
+    prev, stopped = [math.inf] * k, [0] * k
+    group = (mA, C, dm, diag_m)  # drop() narrows these; lift and dual_map read them
 
-    def step(L_inv, dM):  # 0.98 of the largest step keeping L L^H + a dM > 0, at most 1
-        lam = float(np.linalg.eigvalsh(L_inv @ dM @ L_inv.conj().T)[0])
-        return min(1.0, -0.98 / lam) if lam < 0 else 1.0
+    def drop(done):  # the members at positions ``done`` leave the stack
+        run = [j for j in range(len(live)) if j not in done]
+        return (a[run] for a in (live, X, Y, C, S, mA, dm, diag_m))
 
-    t_min = float(np.linalg.eigvalsh(C / np.sqrt(np.outer(dm, dm))).max())
-    Y = 2.0 * max(t_min, 1e-12) * eye.astype(complex)
-    X = np.eye(n, dtype=complex) / mA.sum()
-    best, prev = (math.inf, Y, X), math.inf
     for it in range(101):
         S = lift(Y) - C
-        rel = 1.0 - float(np.vdot(C, X).real) / float(np.trace(Y).real)
-        if rel < best[0]:
-            best = (rel, Y, X)
-        # Stop at the target, or once round-off keeps the gap from halving.
-        if rel <= 1e-12 or prev / 2 < rel < 1e-10 or it == 100:
+        done = []
+        for j, i in enumerate(live.tolist()):
+            rel = 1.0 - float(np.vdot(C[j], X[j]).real) / float(Y[j].trace().real)
+            if rel < best[i][0]:
+                best[i] = (rel, Y[j], X[j])
+            # Stop at the target, or once round-off keeps the gap from halving.
+            if rel <= 1e-12 or prev[i] / 2 < rel < 1e-10 or it == 100:
+                done.append(j)
+            prev[i], stopped[i] = rel, it
+        if done:
+            live, X, Y, C, S, mA, dm, diag_m = drop(done)
+        L = _inverse_factors(X, S) if len(live) else None
+        if L is None and len(live):  # a member with no Cholesky factor stops alone
+            live, X, Y, C, S, mA, dm, diag_m = drop(
+                [j for j in range(len(live)) if _inverse_factors(X[j:j + 1], S[j:j + 1]) is None])
+            L = _inverse_factors(X, S) if len(live) else None
+        if L is None:
             break
-        prev = rel
-        try:
-            LXi = np.linalg.inv(np.linalg.cholesky(X))
-            LSi = np.linalg.inv(np.linalg.cholesky(S))
-        except np.linalg.LinAlgError:
-            break
-        Si = LSi.conj().T @ LSi
-        mu = float(np.vdot(X, S).real) / n
+        m = len(live)
+        Si = L[m:].conj().mT @ L[m:]
+        mu = [float(np.vdot(X[j], S[j]).real) / n for j in range(m)]
         # The HKM Schur complement dY -> herm Tr_A[(D (x) 1) X (D (x) dY) S^-1]
         # as a complex matrix on row-major vec(dY): it commutes with the
         # adjoint, so Hermitian right-hand sides have Hermitian solutions.
-        K = np.einsum("aibj,bpaq->iqjp",
-                      (dm[:, None] * X * dm[None, :]).reshape(rA, rB, rA, rB),
-                      Si.reshape(rA, rB, rA, rB))
-        K = (K + K.transpose(3, 2, 1, 0)).reshape(rB * rB, rB * rB) / 2
+        K = np.einsum("maibj,mbpaq->miqjp",
+                      (dm[:, :, None] * X * dm[:, None, :]).reshape(m, rA, rB, rA, rB),
+                      Si.reshape(m, rA, rB, rA, rB))
+        K = (K + K.transpose(0, 4, 3, 2, 1)).reshape(m, rB * rB, rB * rB) / 2
 
         def direction(R):  # linearized X S = R S (R = 0: predictor), X stays feasible
-            rhs = herm(dual_map(R)) - eye
-            dY = herm(np.linalg.solve(K, rhs.reshape(-1)).reshape(rB, rB))
+            rhs = _herm(dual_map(R)) - eye
+            dY = _herm(np.linalg.solve(K, rhs.reshape(m, -1, 1)).reshape(m, rB, rB))
             dS = lift(dY)
-            return dY, dS, herm(R - X - X @ dS @ Si)
+            return dY, dS, _herm(R - X - X @ dS @ Si)
 
-        dYp, dSp, dXp = direction(np.zeros((n, n)))
-        ap, ad = step(LXi, dXp), step(LSi, dSp)
-        mu_aff = float(np.vdot(X + ap * dXp, S + ad * dSp).real) / n
-        sigma = min(1.0, mu_aff / mu) ** max(1.0, 3.0 * min(ap, ad) ** 2)
-        dY, dS, dX = direction(sigma * mu * Si - dXp @ dSp @ Si)
-        X, Y = X + step(LXi, dX) * dX, Y + step(LSi, dS) * dY
-    _, Y, X = best
+        dYp, dSp, dXp = direction(np.zeros((m, n, n)))
+        a = _step_lengths(L, np.concatenate([dXp, dSp]))
+        t = np.array(a)[:, None, None]
+        Xa, Sa = X + t[:m] * dXp, S + t[m:] * dSp
+        coef = []
+        for j in range(m):
+            mu_aff = float(np.vdot(Xa[j], Sa[j]).real) / n
+            sigma = min(1.0, mu_aff / mu[j]) ** max(1.0, 3.0 * min(a[j], a[m + j]) ** 2)
+            coef.append(sigma * mu[j])
+        dY, dS, dX = direction(np.array(coef)[:, None, None] * Si - dXp @ dSp @ Si)
+        t = np.array(_step_lengths(L, np.concatenate([dX, dS])))[:, None, None]
+        X, Y = X + t[:m] * dX, Y + t[m:] * dY
 
-    Y = Y + max(-float(np.linalg.eigvalsh(lift(Y) - C)[0]), 0.0) / mA.min() * eye
+    mA, C, dm, diag_m = group
+    Y, X = np.array([b[1] for b in best]), np.array([b[2] for b in best])
+    slack = np.linalg.eigvalsh(lift(Y) - C)[:, 0].tolist()
+    Y = Y + np.array([max(-v, 0.0) / a.min() for v, a in zip(slack, mA)])[:, None, None] * eye
     q, U = np.linalg.eigh(dual_map(X))
-    Qh = np.kron(np.eye(rA), (U / np.sqrt(np.clip(q, 1e-300, None))) @ U.conj().T)
-    X = Qh @ X @ Qh
-    upper, lower = float(np.trace(Y).real), float(np.vdot(C, X).real)
-    Y_full = VB @ Y @ VB.conj().T
-    lower_bits = math.log2(lower) if lower > 0 else -math.inf
-    residual = dominance_residual(M_A, Y_full, rho_AB, math.log2(upper) - lower_bits)
-    return ImaxResult(math.log2(upper), Y_full, residual, lower_bits, it, W @ X @ W.conj().T)
+    B = (U / np.sqrt(np.clip(q, 1e-300, None))[:, None, :]) @ U.conj().mT
+    Qh = (np.eye(rA)[None, :, None, :, None] * B[:, None, :, None, :]).reshape(k, n, n)
+    return stopped, Y, Qh @ X @ Qh
+
+
+def dominating_trace_min(M_A: np.ndarray, rho_AB: np.ndarray,
+                         dims: tuple[int, int]) -> list[ImaxResult]:
+    """min Tr[Y] over Y with M_A (x) Y >= rho_AB, bracketed by a primal-dual
+    pair, for each member of a stack: one ImaxResult per member.
+
+    M_A (m, dA, dA) and rho_AB (m, dA dB, dA dB) hold m problems; one
+    problem is a stack of one.  Each is compressed onto supp(M_A) (x)
+    supp(rho_B), where the optimum lies, with D = diag(m_A) and C the
+    compressed rho; the dual is max Tr[C X] over X >= 0 with Tr_A[(D (x) 1)
+    X] = 1 (Y >= 0 follows from m_a Y >= C_aa).  From the feasible pair
+    Y = 2 t_min 1, X = 1/Tr D, each iteration takes 0.98 of the largest
+    feasible HKM step with a Mehrotra predictor and corrector (Helmberg,
+    Rendl, Vanderbei & Wolkowicz 1996; Todd, Toh & Tutuncu 1998), from one
+    Cholesky factor each of X and S = D (x) Y - C.  Members of one
+    compressed shape (rA, rB) iterate together: each iteration factors and
+    inverts every member's X and S in one call, takes the four step lengths
+    in two eigvalsh calls and solves the Schur complements in one call per
+    direction.  Each member keeps its own Mehrotra sigma, step lengths,
+    stop test (relative gap 1e-12, or a stall below 1e-10), best iterate
+    and 100-iteration cap, and leaves the stack when it stops; one whose X
+    or S has no Cholesky factor stops alone.  So every member gets exactly
+    the bits it would get alone.  The best iterate is made exactly
+    feasible: Y shifted by its slack deficit gives the upper value Tr Y, X
+    rescaled by Q^-1/2 (Q = Tr_A[(D (x) 1) X]) the lower value Tr[C X] =
+    Tr[rho Z] of the lifted dual point Z.  Raises CertificateError, for the
+    first member in stack order that fails it, unless the bracket is at
+    most GAP_TOL bits and the full-space residual at least -RESIDUAL_TOL
+    (dominance_residual).
+    """
+    dA, dB = dims
+    M_A, rho_AB = _as_matrix(M_A), _as_matrix(rho_AB)
+    m = len(M_A) if M_A.ndim == 3 else -1
+    if M_A.shape != (m, dA, dA) or rho_AB.shape != (m, dA * dB, dA * dB):
+        raise ContractViolation("dimension mismatch in dominating_trace_min")
+
+    SA = Spectrum(M_A)
+    SB = Spectrum(np.array([reduced(r, dims, 1) for r in rho_AB]))
+    members, groups = [], {}
+    for i in range(m):
+        VA, VB = SA[i].basis, SB[i].basis
+        W = kron(VA, VB)
+        C = W.conj().T @ rho_AB[i] @ W
+        members.append((SA.w[i][SA.keep[i]], (C + C.conj().T) / 2, VB, W))
+        groups.setdefault((VA.shape[1], VB.shape[1]), []).append(i)
+    solved = {}
+    for (rA, rB), idx in groups.items():
+        its, Ys, Xs = _hkm(np.array([members[i][0] for i in idx]),
+                           np.array([members[i][1] for i in idx]), rB)
+        solved.update(zip(idx, zip(its, Ys, Xs)))
+
+    out = []
+    for i in range(m):
+        _, C, VB, W = members[i]
+        it, Y, X = solved[i]
+        upper, lower = float(Y.trace().real), float(np.vdot(C, X).real)
+        Y_full = VB @ Y @ VB.conj().T
+        lower_bits = math.log2(lower) if lower > 0 else -math.inf
+        residual = dominance_residual(M_A[i], Y_full, rho_AB[i], math.log2(upper) - lower_bits)
+        out.append(ImaxResult(math.log2(upper), Y_full, residual, lower_bits, it,
+                              W @ X @ W.conj().T))
+    return out
 
 
 def imax_sdp(rho_ab, dims: tuple[int, int]) -> ImaxResult:
-    """I_max(A:B) as min Tr[Y] with rho_A (x) Y >= rho_AB (Y = t sigma)."""
+    """I_max(A:B) as min Tr[Y] with rho_A (x) Y >= rho_AB (Y = t sigma): a
+    stack of one."""
     rho_AB = _as_matrix(rho_ab)
-    return dominating_trace_min(reduced(rho_AB, dims, 0), rho_AB, dims)
+    return dominating_trace_min(reduced(rho_AB, dims, 0)[None], rho_AB[None], dims)[0]

@@ -41,7 +41,7 @@ from .infomeasures import (
     mutual_info_alpha,
     renyi_entropy,
 )
-from .matcore import RANK_TOL, ContractViolation, Spectrum, _as_matrix, reduced
+from .matcore import RANK_TOL, ContractViolation, Spectrum, _as_matrix, kron, reduced
 from .optim import minimize_over_states
 
 AMPLITUDE_CAP = 2**24
@@ -66,7 +66,7 @@ class ChannelSpec:
         R = _as_matrix(rho)
         out = np.zeros((dims_ref * self.dim_out,) * 2, dtype=complex)
         for K in self.kraus:
-            L = np.kron(np.eye(dims_ref), K)
+            L = kron(np.eye(dims_ref), K)
             out += L @ R @ L.conj().T
         return out
 
@@ -204,7 +204,7 @@ def qss_simulate(instance: QSSInstance) -> QSSResult:
 
     rho_RB = _rho_RB(psi, dR, d)
     sigma, i2 = qss_optimal_sigma(rho_RB, (dR, d))
-    mu = max(q2(rho_RB, np.kron(reduced(rho_RB, (dR, d), 0), sigma)) - 1.0, 0.0)
+    mu = max(q2(rho_RB, kron(reduced(rho_RB, (dR, d), 0), sigma)) - 1.0, 0.0)
 
     n_unclamped = max(1, math.ceil(mu * (1.0 / instance.delta**2 - 1.0) - 1e-9))
     n = n_unclamped

@@ -27,11 +27,12 @@ from .matcore import (
     Spectrum,
     _as_matrix,
     eig_hermitian,
+    kron,
     purified_distance,
     reduced,
     trace_distance,
 )
-from .optim import dominance_residual, imax_sdp
+from .optim import dominance_residual, dominating_trace_min
 
 @dataclass
 class TruncationResult:
@@ -119,7 +120,7 @@ def apply_truncation(rho_ab, effect_a: np.ndarray, dims: tuple[int, int]):
     """Apply an A-local effect to a bipartite state; returns (state, survival)."""
     dA, dB = dims
     R = _as_matrix(rho_ab)
-    L = np.kron(effect_a, np.eye(dB))
+    L = kron(effect_a, np.eye(dB))
     out = L @ R @ L.conj().T
     survival = float(np.trace(out).real)
     return out / survival, survival
@@ -139,7 +140,7 @@ def _truncated_witness(R, dims, delta: float):
     return spectrum, tr, omega
 
 
-def _witness_imax(R, dims, omega, cache: dict) -> float:
+def _witness_imax(R, dims, omega, cache: dict, h_min: bool = False) -> float:
     """Certified I_max of omega = (Lam (x) 1) rho (Lam (x) 1)/s, in bits.
 
     Lam is diagonal in rho_A's eigenbasis with non-increasing weights, so
@@ -149,9 +150,11 @@ def _witness_imax(R, dims, omega, cache: dict) -> float:
     (Berta, Christandl & Renner, CMP 306, 579, 2011).  So the SDP runs once
     per class, on rho when nothing is cut and on P_k rho P_k / Tr otherwise
     (P_k the top-k eigenprojector of rho_A, tensored with 1_B), and the
-    cache keys it on k alone.  The class's Y is feasible for every witness
-    of the class with the same Tr Y; dominance_residual checks it against
-    this witness before the value is used.
+    cache keys it on k alone.  With ``h_min``, a class solve also solves
+    H_min(A|B) of rho in the same stack unless the cache holds it.  The
+    class's Y is feasible for every witness of the class with the same
+    Tr Y; dominance_residual checks it against this witness before the
+    value is used.
     """
     omega_A = reduced(omega, dims, 0)
     k = int(np.count_nonzero(Spectrum(omega_A).keep))
@@ -161,10 +164,17 @@ def _witness_imax(R, dims, omega, cache: dict) -> float:
         state = R
         if k != np.count_nonzero(SA.keep):
             Vk = SA.V[:, :k]
-            P = np.kron(Vk @ Vk.conj().T, np.eye(dims[1]))
+            P = kron(Vk @ Vk.conj().T, np.eye(dims[1]))
             state = P @ R @ P
             state = state / np.trace(state).real
-        cache[key] = imax_sdp(state, dims)
+        pairs = [(reduced(state, dims, 0), state)]
+        if h_min and "h_min" not in cache:
+            pairs.append((np.eye(dims[0]), R))
+        solved = dominating_trace_min(np.array([M for M, _ in pairs]),
+                                      np.array([r for _, r in pairs]), dims)
+        cache[key] = solved[0]
+        if len(solved) == 2:  # as h_min_conditional reads it
+            cache["h_min"] = -solved[1].lower_bits
     res = cache[key]
     dominance_residual(omega_A, res.certificate, omega, res.gap_bits,
                        f" for the witness of class {k}")
@@ -235,7 +245,10 @@ def uab_chain_verify(rho_ab, dims: tuple[int, int], alpha: float, beta: float,
     per cutoff class (see _witness_imax), so a grid whose witnesses cut
     nothing solves one I_max SDP, yet each witness's I_max is checked
     against its own certificate residual; H_min(A|B) once; and H_alpha(A)
-    per alpha and H_up_beta(A|B) per beta (universal_rhs).
+    per alpha and H_up_beta(A|B) per beta (universal_rhs).  The first
+    class's I_max SDP and the H_min SDP are solved as one stack of two
+    (dominating_trace_min), each member with the bits of its lone solve;
+    a later cutoff class is a stack of one.
     The steepest smoothing majorizes the whole delta-ball for every alpha,
     so the witness depends on (rho, eps) only: alpha enters only through
     h_delta (a closed-form sum over the cached spectrum), H_alpha(A) and
@@ -252,7 +265,8 @@ def uab_chain_verify(rho_ab, dims: tuple[int, int], alpha: float, beta: float,
     key_t = ("trunc", round(delta, 14))
     if key_t not in cache:
         spectrum, tr, omega = _truncated_witness(R, dims, delta)
-        cache[key_t] = (spectrum, tr.s_min_kept, _witness_imax(R, dims, omega, cache),
+        cache[key_t] = (spectrum, tr.s_min_kept,
+                        _witness_imax(R, dims, omega, cache, h_min=True),
                         trace_distance(omega, R), purified_distance(omega, R))
     spectrum, s_min_kept, imax_val, dist, pdist = cache[key_t]
     h_delta = _spectrum_renyi(spectrum, alpha)

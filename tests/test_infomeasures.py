@@ -264,7 +264,7 @@ def test_wide_bracket_is_not_certified(monkeypatch):
     # refusal names the bracket and residual the solver reached.
     rho, dims = sample("mixed-hilbert-schmidt", (2, 2), 0), (2, 2)
     imax = imax_sdp(rho, dims)
-    hmin = optim.dominating_trace_min(np.eye(2), rho, dims)
+    hmin = optim.dominating_trace_min(np.eye(2)[None], rho[None], dims)[0]
     assert min(imax.gap_bits, hmin.gap_bits) > 0
     monkeypatch.setattr(optim, "GAP_TOL", min(imax.gap_bits, hmin.gap_bits) / 2)
     for res, solve in ((imax, lambda: imax_sdp(rho, dims)),
@@ -278,6 +278,6 @@ def test_wide_bracket_is_not_certified(monkeypatch):
 def test_h_min_reported_from_dual_side():
     # H_min is the sound upper side -lower_bits, within GAP_TOL of -value_bits.
     rho = sample("mixed-hilbert-schmidt", (2, 3), 12)
-    res = optim.dominating_trace_min(np.eye(2), rho, (2, 3))
+    res = optim.dominating_trace_min(np.eye(2)[None], rho[None], (2, 3))[0]
     assert h_min_conditional(rho, (2, 3)) == -res.lower_bits
     assert -1e-14 <= res.gap_bits <= optim.GAP_TOL

@@ -7,14 +7,18 @@ import numpy as np
 import pytest
 
 from csl.matcore import (
+    RANK_TOL,
     ContractViolation,
     Spectrum,
     eig_hermitian,
     fidelity,
+    kron,
     purified_distance,
+    q_alpha_cut,
     reduced,
     sample,
     state_from_dict,
+    support_cut,
     trace_distance,
 )
 
@@ -107,6 +111,28 @@ def test_tensor_and_trace_roundtrip():
     ab = np.kron(a, b)
     assert np.allclose(reduced(ab, (2, 3), 0), a, atol=1e-12)
     assert np.allclose(reduced(ab, (2, 3), 1), b, atol=1e-12)
+
+
+def test_kron_has_np_kron_bits():
+    rng = np.random.default_rng(3)
+    cases = [(sample("mixed-hilbert-schmidt", 3, 1), sample("mixed-hilbert-schmidt", 2, 2)),
+              (np.eye(2), rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))),
+              (rng.standard_normal((2, 3)), np.eye(4)[:, :2])]
+    for A, B in cases:
+        got, want = kron(A, B), np.kron(A, B)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_q_alpha_cut_is_round_off_above_one():
+    # alpha > 1 cuts at 64 eps lambda_max, every other order at support_cut;
+    # a stack of spectra is cut member by member.
+    w = np.array([[2.0, RANK_TOL, 1e-15], [0.5, 0.25, 0.0]])
+    eps = np.finfo(np.float64).eps
+    assert np.array_equal(q_alpha_cut(w, 1.01), 64 * eps * np.array([2.0, 0.5]))
+    for alpha in (0.5, 0.99):
+        assert np.array_equal(q_alpha_cut(w, alpha), support_cut(w))
+    assert (w[0] > q_alpha_cut(w[0], 2.0)).tolist() == [True, True, False]
+    assert (w[0] > q_alpha_cut(w[0], 0.5)).tolist() == [True, False, False]
 
 
 def test_purify_recovers_marginal():

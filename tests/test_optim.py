@@ -7,9 +7,17 @@ import scipy.optimize
 import scipy.optimize._differentiable_functions
 import scipy.optimize._numdiff
 
-from csl import cli, convexsplit, infomeasures
+from csl import cli, convexsplit, infomeasures, optim
 from csl.divergences import d_alpha, q_alpha
-from csl.matcore import RANK_TOL, CertificateError, ContractViolation, reduced, sample
+from csl.matcore import (
+    RANK_TOL,
+    CertificateError,
+    ContractViolation,
+    q_alpha_cut,
+    reduced,
+    sample,
+    support_cut,
+)
 from csl.optim import (
     GAP_TOL,
     QAlphaKernel,
@@ -28,6 +36,11 @@ def bell_density():
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 1 / math.sqrt(2)
     return np.outer(v, v.conj())
+
+
+def _lone(M_A, rho, dims):
+    """dominating_trace_min on a stack of one."""
+    return dominating_trace_min(np.asarray(M_A)[None], np.asarray(rho)[None], dims)[0]
 
 
 def test_minimize_over_states_quadratic():
@@ -134,12 +147,12 @@ def test_certificate_feasibility():
 
 def test_dominating_trace_min_hmin():
     # H_min(A|B) of Bell = -1, so min Tr Y with I (x) Y >= rho is 2.
-    res = dominating_trace_min(np.eye(2), bell_density(), (2, 2))
+    res = _lone(np.eye(2), bell_density(), (2, 2))
     assert abs(res.value_bits - 1.0) < 1e-6  # log2 Tr Y = 1
 
     a = np.diag([0.7, 0.3])
     b = np.diag([0.5, 0.5])
-    res2 = dominating_trace_min(np.eye(2), np.kron(a, b), (2, 2))
+    res2 = _lone(np.eye(2), np.kron(a, b), (2, 2))
     assert abs(res2.value_bits - math.log2(0.7)) < 1e-6
 
 
@@ -187,7 +200,7 @@ PINNED_SDP = {
 @pytest.mark.parametrize("name", sorted(PINNED_SDP))
 def test_dominating_trace_min_pinned(name):
     M_A, rho, dims = _sdp_cases()[name]
-    res = dominating_trace_min(M_A, rho, dims)
+    res = _lone(M_A, rho, dims)
     assert abs(res.value_bits - PINNED_SDP[name]) <= 1e-12
     assert res.residual >= -1e-7
     assert res.gap_bits <= GAP_TOL
@@ -209,7 +222,7 @@ def _check_dual(res, M_A, rho, dims):
 @pytest.mark.parametrize("name", sorted(PINNED_SDP))
 def test_dual_point_is_feasible_and_reproduces_lower_value(name):
     M_A, rho, dims = _sdp_cases()[name]
-    _check_dual(dominating_trace_min(M_A, rho, dims), M_A, rho, dims)
+    _check_dual(_lone(M_A, rho, dims), M_A, rho, dims)
 
 
 @pytest.fixture(scope="module")
@@ -220,7 +233,7 @@ def criterion_08_sdps():
         dims = (2, 2) if i % 2 else (2, 3)
         rho = sample("mixed-hilbert-schmidt", dims[0] * dims[1], 30000 + i)
         for M_A in (reduced(rho, dims, 0), np.eye(dims[0])):
-            out.append((dominating_trace_min(M_A, rho, dims), M_A, rho, dims))
+            out.append((_lone(M_A, rho, dims), M_A, rho, dims))
     return out
 
 
@@ -239,6 +252,78 @@ def test_criterion_08_mean_iterations(criterion_08_sdps):
     assert sum(iterations) / len(iterations) <= 20
 
 
+_RESULT_FIELDS = ("value_bits", "lower_bits", "certificate", "dual", "residual", "iterations")
+
+
+def _stacked(problems):
+    """dominating_trace_min on a stack of (M_A, rho, dims) that share dims."""
+    return dominating_trace_min(np.array([M for M, _, _ in problems], dtype=complex),
+                                np.array([rho for _, rho, _ in problems]), problems[0][2])
+
+
+def _assert_same_bits(got, want):
+    for field in _RESULT_FIELDS:
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+def test_criterion_08_pairs_stacked_match_lone_solves(criterion_08_sdps):
+    # Each state's I_max and H_min as one stack of two: every member keeps
+    # the bits of its lone solve.
+    for k in range(0, len(criterion_08_sdps), 2):
+        pair = criterion_08_sdps[k:k + 2]
+        stacked = _stacked([(M_A, rho, dims) for _, M_A, rho, dims in pair])
+        assert len(stacked) == 2
+        for got, (want, *_) in zip(stacked, pair):
+            _assert_same_bits(got, want)
+
+
+def test_mixed_shape_stack_matches_lone_solves():
+    # rankdef-MA compresses to (rA, rB) = (2, 2), the full-rank cases to
+    # (3, 2): the stack runs one group per shape and returns stack order.
+    cases = _sdp_cases()
+    problems = [cases[name] for name in ("rhoA-3x2", "rankdef-MA", "eye-3x2")]
+    for got, problem in zip(_stacked(problems), problems):
+        _assert_same_bits(got, _lone(*problem))
+
+
+def test_stack_with_an_uncertifiable_member_raises_its_message():
+    cases = _edge_cases()
+    bad = cases["MA-eig-below-2x3"]
+    with pytest.raises(CertificateError) as alone:
+        _lone(*bad)
+    with pytest.raises(CertificateError) as stacked:
+        _stacked([cases["MA-eig-above-2x3"], bad])
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_cholesky_failure_stops_only_its_member(monkeypatch):
+    # The victim (M_A = 1000 rho_A, so its X has trace ~1e-3) loses its
+    # Cholesky factor from its last iteration on: it stops one iteration
+    # early, as it would alone, while the other member of its group runs to
+    # its own stop.
+    rho = sample("mixed-hilbert-schmidt", (2, 3), 21)
+    victim = (1000.0 * _marginal_A(rho, 2, 3), rho, (2, 3))
+    other = (np.eye(2), rho, (2, 3))
+    free = [_lone(*victim), _lone(*other)]
+    cholesky, seen = np.linalg.cholesky, []
+
+    def failing(a):
+        X = a[: len(a) // 2]
+        if np.trace(X, axis1=1, axis2=2).real.min() < 0.05:
+            seen.append(1)
+            if len(seen) >= free[0].iterations:
+                raise np.linalg.LinAlgError("not positive definite")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    alone = _lone(*victim)
+    seen.clear()
+    stacked = _stacked([victim, other])
+    assert alone.iterations == free[0].iterations - 1 < free[1].iterations
+    _assert_same_bits(stacked[0], alone)
+    _assert_same_bits(stacked[1], free[1])
+
+
 def _pure(amplitudes):
     v = np.asarray(amplitudes, dtype=complex)
     return np.outer(v, v.conj())
@@ -251,7 +336,7 @@ def test_exact_values_inside_brackets():
 
     bell = bell_density()
     inside(imax_sdp(bell, (2, 2)), 2.0)
-    inside(dominating_trace_min(np.eye(2), bell, (2, 2)), 1.0)  # H_min = -1
+    inside(_lone(np.eye(2), bell, (2, 2)), 1.0)  # H_min = -1
     for seed in range(5):
         a = sample("mixed-hilbert-schmidt", 2, seed)
         b = sample("mixed-hilbert-schmidt", 3, seed + 20)
@@ -307,7 +392,7 @@ def test_edge_cases_certify_or_refuse(name):
     reader = {"imax": imax_sdp,
               "hmin": infomeasures.h_min_conditional}.get(name.rsplit("-", 1)[1])
     try:
-        res = dominating_trace_min(M_A, rho, dims)
+        res = _lone(M_A, rho, dims)
     except CertificateError as exc:
         assert "not certified" in str(exc)
         assert name not in EDGE_EXACT
@@ -472,10 +557,14 @@ def test_q_alpha_kernel_sums_its_terms():
 
 @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.5, 2.0, 4.0])
 @pytest.mark.parametrize("sigma_first", [False, True])
-def test_cut_bound_brackets_the_uncut_value(alpha, sigma_first):
+def test_cut_bound_brackets_the_uncut_value(monkeypatch, alpha, sigma_first):
     # rho with eigenvalues 0.5 RANK_TOL and 0.2 RANK_TOL of lambda_max: the
     # kernel drops them, and f_full (q_alpha on the whole rho) lies in
-    # [f - below, f + above].  With nothing cut both sides are zero.
+    # [f - below, f + above].  With nothing cut both sides are zero.  For
+    # alpha > 1 the kernel cuts at round-off, where what it drops cannot be
+    # told from round-off; the bound's arithmetic is the same at any cut, so
+    # here it cuts at RANK_TOL for every alpha.
+    monkeypatch.setattr(optim, "q_alpha_cut", lambda w, alpha: support_cut(w))
     rng = np.random.default_rng([31, sigma_first])
     sign = 1.0 if alpha > 1 else -1.0
     for dK, dS in [(1, 3), (2, 2), (2, 3)]:
@@ -675,7 +764,7 @@ def test_cut_bound_reuses_the_last_call(monkeypatch):
     rng = np.random.default_rng(32)
     U = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
     w = rng.random(4) + 0.5
-    w[:1] = 0.5 * RANK_TOL * w.max()
+    w[:1] = 0.5 * q_alpha_cut(w, 2.0)
     rho = (U * (w / w.sum())) @ U.conj().T
     terms = [(1.0, rho, sample("mixed-hilbert-schmidt", 2, 6), False)]
     sigma, other = (sample("mixed-hilbert-schmidt", 2, s) for s in (51, 52))

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from csl.infomeasures import f_alpha_beta
+from csl.infomeasures import conditional_renyi_up, f_alpha_beta
 from csl.matcore import ContractViolation, fidelity
 from csl.protocols import (
     ChannelSpec,
@@ -23,7 +24,7 @@ from csl.protocols import (
     reverse_shannon_delta_n,
     uhlmann_isometry,
 )
-from helpers import random_unitary
+from helpers import binary_entropy, random_unitary
 
 
 def bell_vector():
@@ -248,6 +249,35 @@ def test_channel_info_pinned(name, alpha, beta, want):
     assert abs(val - want) <= 1e-9
     assert report.value == val
     assert abs(np.trace(report.argopt) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("beta", [1.01, 1.1, 2.0])
+def test_channel_objective_certifies_near_pure_inputs(beta):
+    # Inputs diag(1 - p, p) through amplitude damping 0.3 leave the output
+    # an eigenvalue near p.  The kernel cuts rho at round-off for beta > 1,
+    # so what it drops stays inside the certificate after the log divides
+    # it by beta - 1: every inner solve certifies (at p = 1e-9 and 1e-10 a
+    # cut at RANK_TOL refused).  From p = 1e-12 the output counts as pure.
+    chan = _amplitude_damping(0.3)
+    for p in (1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13):
+        v = np.diag(np.sqrt([1 - p, p])).T.reshape(-1)  # vec(sqrt(rho_in)^T)
+        omega = chan.apply_local(np.outer(v, v.conj()), 2)
+        assert math.isfinite(conditional_renyi_up(omega, beta, (2, 2))), p
+
+
+def test_channel_info_near_one_certifies_above_capacity():
+    # At (alpha, beta) = (0.99, 1.01) the descent visits near-pure inputs,
+    # whose inner solves refused at a RANK_TOL cut.  Each must certify, and
+    # the value must reach amplitude damping's entanglement-assisted capacity
+    # C_E = max_p [h(p) + h((1 - g) p) - h(g p)]: H_alpha(A) >= H(A) and
+    # H_up_beta(A|B) <= H(A|B) for alpha < 1 < beta, input by input.
+    g = 0.3
+    c_e = -scipy.optimize.minimize_scalar(
+        lambda p: -(binary_entropy(p) + binary_entropy((1 - g) * p) - binary_entropy(g * p)),
+        bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-12}).fun
+    assert abs(channel_alpha_beta_info(_amplitude_damping(g), 1.0, 1.0)[0] - c_e) <= 1e-9
+    val, _ = channel_alpha_beta_info(_amplitude_damping(g), 0.99, 1.01)
+    assert c_e <= val <= c_e + 0.01, (val, c_e)
 
 
 # (key, delta, achieved_distance, branch_probs) of perfbench's qss-protocol

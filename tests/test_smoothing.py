@@ -159,34 +159,38 @@ def test_uab_chain_shared_cache_matches_fresh(dims, seed):
 
 
 def _count_solves(monkeypatch):
-    """Count SDP solves (I_max and H_min) and conditional_renyi_up calls."""
-    calls = {"sdp": 0, "renyi_up": 0}
+    """Count SDP members (I_max and H_min), the stacked SDP calls that solve
+    them, and conditional_renyi_up calls."""
+    calls = {"sdp": 0, "sdp_calls": 0, "renyi_up": 0}
+    solve = optim.dominating_trace_min
 
-    def counting(fn, key):
-        def wrapped(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapped
+    def sdp(M_A, rho_AB, dims):
+        calls["sdp"] += len(M_A)
+        calls["sdp_calls"] += 1
+        return solve(M_A, rho_AB, dims)
 
-    sdp = counting(optim.dominating_trace_min, "sdp")
-    monkeypatch.setattr(optim, "dominating_trace_min", sdp)
-    monkeypatch.setattr(infomeasures, "dominating_trace_min", sdp)
-    monkeypatch.setattr(infomeasures, "conditional_renyi_up",
-                        counting(infomeasures.conditional_renyi_up, "renyi_up"))
+    def renyi_up(*args, **kwargs):
+        calls["renyi_up"] += 1
+        return conditional_renyi_up(*args, **kwargs)
+
+    conditional_renyi_up = infomeasures.conditional_renyi_up
+    for module in (optim, infomeasures, smoothing):
+        monkeypatch.setattr(module, "dominating_trace_min", sdp)
+    monkeypatch.setattr(infomeasures, "conditional_renyi_up", renyi_up)
     return calls
 
 
 @pytest.mark.parametrize("dims, seed", [((2, 2), 43), ((2, 3), 44)])
 def test_uab_chain_solves_per_state(monkeypatch, dims, seed):
     # On one cache the 27-point grid solves one I_max SDP per cutoff class
-    # (one here: no delta cuts these states) plus H_min, and one
-    # conditional_renyi_up per beta (3).
+    # (one here: no delta cuts these states) plus H_min, both in one stacked
+    # call, and one conditional_renyi_up per beta (3).
     calls = _count_solves(monkeypatch)
     rho = sample("mixed-hilbert-schmidt", dims[0] * dims[1], seed)
     cache = {}
     for alpha, beta, eps in UAB_GRID:
         assert uab_chain_verify(rho, dims, alpha, beta, eps, cache=cache).passed
-    assert calls == {"sdp": 2, "renyi_up": 3}
+    assert calls == {"sdp": 2, "sdp_calls": 1, "renyi_up": 3}
 
 
 def _filtered_on_a(rho, dims, weights):
@@ -205,7 +209,8 @@ def test_uab_chain_cut_class_matches_witness_sdp(monkeypatch, dims, seed, weight
     # at eps = 0.1, so the eps = 0.3 witness cuts one direction of A: its
     # class (dA - 1) is solved on P rho P / Tr, not on rho.  Each witness's
     # I_max equals its own SDP, and the grid runs 3 SDPs: two classes and
-    # H_min.
+    # H_min, in two stacked calls (the first class with H_min, then the cut
+    # class alone).
     rho = _filtered_on_a(sample("mixed-hilbert-schmidt", dims[0] * dims[1], seed),
                          dims, weights)
     lam = np.linalg.eigvalsh(reduced(rho, dims, 0))[0]
@@ -214,7 +219,7 @@ def test_uab_chain_cut_class_matches_witness_sdp(monkeypatch, dims, seed, weight
     cache = {}
     for alpha, beta, eps in UAB_GRID:
         assert uab_chain_verify(rho, dims, alpha, beta, eps, cache=cache).passed
-    assert calls == {"sdp": 3, "renyi_up": 3}
+    assert calls == {"sdp": 3, "sdp_calls": 2, "renyi_up": 3}
     classes = {k[1] for k in cache if k[0] == "imax_class"}
     assert classes == {dims[0], dims[0] - 1}
     rho_A = reduced(rho, dims, 0)
@@ -270,12 +275,15 @@ def test_uab_chain_rejects_uncertified_imax(monkeypatch, case):
 
 def test_class_certificate_is_checked_against_each_witness(monkeypatch):
     # A class solve that passes its own checks but returns a Y too small for
-    # the witness must not certify that witness's I_max.
-    def shrunk(rho_ab, dims):
-        res = imax_sdp(rho_ab, dims)
-        return dataclasses.replace(res, certificate=0.5 * res.certificate)
+    # the witness must not certify that witness's I_max.  The class is the
+    # first member of every stack the chain and the estimate solve.
+    solve = smoothing.dominating_trace_min
 
-    monkeypatch.setattr(smoothing, "imax_sdp", shrunk)
+    def shrunk(M_A, rho_AB, dims):
+        res = solve(M_A, rho_AB, dims)
+        return [dataclasses.replace(res[0], certificate=0.5 * res[0].certificate)] + res[1:]
+
+    monkeypatch.setattr(smoothing, "dominating_trace_min", shrunk)
     rho = sample("mixed-hilbert-schmidt", (2, 2), 3)
     with pytest.raises(CertificateError, match="not certified for the witness"):
         uab_chain_verify(rho, (2, 2), 0.5, 2.0, 0.1)
