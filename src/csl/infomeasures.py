@@ -26,6 +26,7 @@ from .matcore import (
     trace_distance,
 )
 from .optim import (
+    ImaxResult,
     OptimizerReport,
     QAlphaKernel,
     dominating_trace_min,
@@ -140,7 +141,13 @@ def h_min_conditional(rho_ab, dims) -> float:
     CertificateError.
     """
     R, dA, dB = _bipartite(rho_ab, dims)
-    return -dominating_trace_min(np.eye(dA)[None], R[None], (dA, dB))[0].lower_bits
+    return h_min_from_sdp(dominating_trace_min(np.eye(dA)[None], R[None], (dA, dB))[0])
+
+
+def h_min_from_sdp(res: ImaxResult) -> float:
+    """H_min(A|B) from the certified SDP min Tr[Y] with I (x) Y >= rho_AB:
+    -lower_bits, the dual side (see h_min_conditional)."""
+    return -res.lower_bits
 
 
 def conditional_renyi_up(rho_ab, beta: float, dims) -> float:

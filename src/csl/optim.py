@@ -494,6 +494,19 @@ def _inverse_factors(X, S):
         return None
 
 
+def _lift(D, Y):
+    """D (x) Y member by member, for stacks D (k, rA, rA) and Y (k, rB, rB)."""
+    (k, rA, _), rB = D.shape, Y.shape[-1]
+    return (D[:, :, None, :, None] * Y[:, None, :, None, :]).reshape(k, rA * rB, rA * rB)
+
+
+def _dual_map(mA, Z):
+    """Tr_A[(D (x) 1) Z] member by member, D = diag(mA): mA (k, rA), Z (k, n, n)."""
+    k, rA = mA.shape
+    rB = Z.shape[-1] // rA
+    return np.einsum("ma,maiaj->mij", mA, Z.reshape(k, rA, rB, rA, rB))
+
+
 def _hkm(mA: np.ndarray, C: np.ndarray, rB: int):
     """The HKM iteration on a stack of compressed problems of one shape.
 
@@ -510,46 +523,37 @@ def _hkm(mA: np.ndarray, C: np.ndarray, rB: int):
     D = np.zeros((k, rA, rA))
     D[:, range(rA), range(rA)] = mA
     dm = np.repeat(mA, rB, axis=-1)  # diagonal of D (x) 1
-    diag_m = D[:, :, None, :, None]
-
-    def lift(Yc):  # D (x) Y
-        return (diag_m * Yc[:, None, :, None, :]).reshape(len(Yc), n, n)
-
-    def dual_map(Z):  # Tr_A[(D (x) 1) Z]
-        return np.einsum("ma,maiaj->mij", mA, Z.reshape(-1, rA, rB, rA, rB))
-
     t_min = np.linalg.eigvalsh(C / np.sqrt(dm[:, :, None] * dm[:, None, :])).max(axis=-1)
     Y = np.array([2.0 * max(float(t), 1e-12) * eye.astype(complex) for t in t_min])
     X = np.array([np.eye(n, dtype=complex) / a.sum() for a in mA])
     live = np.arange(k)  # the members still running, in stack order
     best = [(math.inf, Y[i], X[i]) for i in range(k)]
     prev, stopped = [math.inf] * k, [0] * k
-    group = (mA, C, dm, diag_m)  # drop() narrows these; lift and dual_map read them
-
-    def drop(done):  # the members at positions ``done`` leave the stack
-        run = [j for j in range(len(live)) if j not in done]
-        return (a[run] for a in (live, X, Y, C, S, mA, dm, diag_m))
+    lmA, lD, ldm, lC = mA, D, dm, C  # mA, D, dm and C of the members in live
 
     for it in range(101):
-        S = lift(Y) - C
-        done = []
+        S = _lift(lD, Y) - lC
+        keep = []
         for j, i in enumerate(live.tolist()):
-            rel = 1.0 - float(np.vdot(C[j], X[j]).real) / float(Y[j].trace().real)
+            rel = 1.0 - float(np.vdot(lC[j], X[j]).real) / float(Y[j].trace().real)
             if rel < best[i][0]:
                 best[i] = (rel, Y[j], X[j])
             # Stop at the target, or once round-off keeps the gap from halving.
-            if rel <= 1e-12 or prev[i] / 2 < rel < 1e-10 or it == 100:
-                done.append(j)
+            if not (rel <= 1e-12 or prev[i] / 2 < rel < 1e-10 or it == 100):
+                keep.append(j)
             prev[i], stopped[i] = rel, it
-        if done:
-            live, X, Y, C, S, mA, dm, diag_m = drop(done)
+        if len(keep) < len(live):  # the stopped members leave the stack
+            live, X, Y, S = live[keep], X[keep], Y[keep], S[keep]
         L = _inverse_factors(X, S) if len(live) else None
         if L is None and len(live):  # a member with no Cholesky factor stops alone
-            live, X, Y, C, S, mA, dm, diag_m = drop(
-                [j for j in range(len(live)) if _inverse_factors(X[j:j + 1], S[j:j + 1]) is None])
+            keep = [j for j in range(len(live))
+                    if _inverse_factors(X[j:j + 1], S[j:j + 1]) is not None]
+            live, X, Y, S = live[keep], X[keep], Y[keep], S[keep]
             L = _inverse_factors(X, S) if len(live) else None
         if L is None:
             break
+        if len(lC) > len(live):
+            lmA, lD, ldm, lC = mA[live], D[live], dm[live], C[live]
         m = len(live)
         Si = L[m:].conj().mT @ L[m:]
         mu = [float(np.vdot(X[j], S[j]).real) / n for j in range(m)]
@@ -557,14 +561,14 @@ def _hkm(mA: np.ndarray, C: np.ndarray, rB: int):
         # as a complex matrix on row-major vec(dY): it commutes with the
         # adjoint, so Hermitian right-hand sides have Hermitian solutions.
         K = np.einsum("maibj,mbpaq->miqjp",
-                      (dm[:, :, None] * X * dm[:, None, :]).reshape(m, rA, rB, rA, rB),
+                      (ldm[:, :, None] * X * ldm[:, None, :]).reshape(m, rA, rB, rA, rB),
                       Si.reshape(m, rA, rB, rA, rB))
         K = (K + K.transpose(0, 4, 3, 2, 1)).reshape(m, rB * rB, rB * rB) / 2
 
         def direction(R):  # linearized X S = R S (R = 0: predictor), X stays feasible
-            rhs = _herm(dual_map(R)) - eye
+            rhs = _herm(_dual_map(lmA, R)) - eye
             dY = _herm(np.linalg.solve(K, rhs.reshape(m, -1, 1)).reshape(m, rB, rB))
-            dS = lift(dY)
+            dS = _lift(lD, dY)
             return dY, dS, _herm(R - X - X @ dS @ Si)
 
         dYp, dSp, dXp = direction(np.zeros((m, n, n)))
@@ -580,13 +584,12 @@ def _hkm(mA: np.ndarray, C: np.ndarray, rB: int):
         t = np.array(_step_lengths(L, np.concatenate([dX, dS])))[:, None, None]
         X, Y = X + t[:m] * dX, Y + t[m:] * dY
 
-    mA, C, dm, diag_m = group
     Y, X = np.array([b[1] for b in best]), np.array([b[2] for b in best])
-    slack = np.linalg.eigvalsh(lift(Y) - C)[:, 0].tolist()
+    slack = np.linalg.eigvalsh(_lift(D, Y) - C)[:, 0].tolist()
     Y = Y + np.array([max(-v, 0.0) / a.min() for v, a in zip(slack, mA)])[:, None, None] * eye
-    q, U = np.linalg.eigh(dual_map(X))
+    q, U = np.linalg.eigh(_dual_map(mA, X))
     B = (U / np.sqrt(np.clip(q, 1e-300, None))[:, None, :]) @ U.conj().mT
-    Qh = (np.eye(rA)[None, :, None, :, None] * B[:, None, :, None, :]).reshape(k, n, n)
+    Qh = _lift(np.broadcast_to(np.eye(rA), (k, rA, rA)), B)  # 1 (x) Q^-1/2
     return stopped, Y, Qh @ X @ Qh
 
 

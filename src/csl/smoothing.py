@@ -19,7 +19,7 @@ from .infomeasures import (
     SmoothedEstimate,
     _bipartite,
     _spectrum_renyi,
-    h_min_conditional,
+    h_min_from_sdp,
     universal_rhs,
 )
 from .matcore import (
@@ -150,15 +150,17 @@ def _witness_imax(R, dims, omega, cache: dict, h_min: bool = False) -> float:
     (Berta, Christandl & Renner, CMP 306, 579, 2011).  So the SDP runs once
     per class, on rho when nothing is cut and on P_k rho P_k / Tr otherwise
     (P_k the top-k eigenprojector of rho_A, tensored with 1_B), and the
-    cache keys it on k alone.  With ``h_min``, a class solve also solves
-    H_min(A|B) of rho in the same stack unless the cache holds it.  The
-    class's Y is feasible for every witness of the class with the same
-    Tr Y; dominance_residual checks it against this witness before the
-    value is used.
+    cache keys it on k alone.  With ``h_min`` the cache also holds, on
+    return, the SDP result of H_min(A|B) of rho under "h_min"
+    (h_min_from_sdp reads it), solved in one stack with the class when
+    both are missing.  The class's Y is feasible for every witness of the
+    class with the same Tr Y; dominance_residual checks it against this
+    witness before the value is used.
     """
     omega_A = reduced(omega, dims, 0)
     k = int(np.count_nonzero(Spectrum(omega_A).keep))
     key = ("imax_class", k)
+    problems = {}  # cache key -> (M_A, rho_AB) of each SDP still to solve
     if key not in cache:
         SA = Spectrum(reduced(R, dims, 0))
         state = R
@@ -167,14 +169,13 @@ def _witness_imax(R, dims, omega, cache: dict, h_min: bool = False) -> float:
             P = kron(Vk @ Vk.conj().T, np.eye(dims[1]))
             state = P @ R @ P
             state = state / np.trace(state).real
-        pairs = [(reduced(state, dims, 0), state)]
-        if h_min and "h_min" not in cache:
-            pairs.append((np.eye(dims[0]), R))
-        solved = dominating_trace_min(np.array([M for M, _ in pairs]),
-                                      np.array([r for _, r in pairs]), dims)
-        cache[key] = solved[0]
-        if len(solved) == 2:  # as h_min_conditional reads it
-            cache["h_min"] = -solved[1].lower_bits
+        problems[key] = (reduced(state, dims, 0), state)
+    if h_min and "h_min" not in cache:
+        problems["h_min"] = (np.eye(dims[0]), R)
+    if problems:
+        cache.update(zip(problems, dominating_trace_min(
+            np.array([M for M, _ in problems.values()]),
+            np.array([r for _, r in problems.values()]), dims)))
     res = cache[key]
     dominance_residual(omega_A, res.certificate, omega, res.gap_bits,
                        f" for the witness of class {k}")
@@ -244,8 +245,8 @@ def uab_chain_verify(rho_ab, dims: tuple[int, int], alpha: float, beta: float,
     I_max and trace and purified distances to rho; the I_max SDP's result
     per cutoff class (see _witness_imax), so a grid whose witnesses cut
     nothing solves one I_max SDP, yet each witness's I_max is checked
-    against its own certificate residual; H_min(A|B) once; and H_alpha(A)
-    per alpha and H_up_beta(A|B) per beta (universal_rhs).  The first
+    against its own certificate residual; H_min(A|B)'s SDP once; and
+    H_alpha(A) per alpha and H_up_beta(A|B) per beta (universal_rhs).  The first
     class's I_max SDP and the H_min SDP are solved as one stack of two
     (dominating_trace_min), each member with the bits of its lone solve;
     a later cutoff class is a stack of one.
@@ -270,10 +271,7 @@ def uab_chain_verify(rho_ab, dims: tuple[int, int], alpha: float, beta: float,
                         trace_distance(omega, R), purified_distance(omega, R))
     spectrum, s_min_kept, imax_val, dist, pdist = cache[key_t]
     h_delta = _spectrum_renyi(spectrum, alpha)
-
-    if "h_min" not in cache:
-        cache["h_min"] = h_min_conditional(R, dims)
-    h_min = cache["h_min"]
+    h_min = h_min_from_sdp(cache["h_min"])  # left by _witness_imax(h_min=True)
 
     steps = []
     steps.append(ChainStep("ball-membership", dist, eps1, dist <= eps1 + 1e-9))

@@ -7,7 +7,7 @@ import scipy.optimize
 import scipy.optimize._differentiable_functions
 import scipy.optimize._numdiff
 
-from csl import cli, convexsplit, infomeasures, optim
+from csl import cli, convexsplit, infomeasures
 from csl.divergences import d_alpha, q_alpha
 from csl.matcore import (
     RANK_TOL,
@@ -16,7 +16,6 @@ from csl.matcore import (
     q_alpha_cut,
     reduced,
     sample,
-    support_cut,
 )
 from csl.optim import (
     GAP_TOL,
@@ -557,21 +556,23 @@ def test_q_alpha_kernel_sums_its_terms():
 
 @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.5, 2.0, 4.0])
 @pytest.mark.parametrize("sigma_first", [False, True])
-def test_cut_bound_brackets_the_uncut_value(monkeypatch, alpha, sigma_first):
-    # rho with eigenvalues 0.5 RANK_TOL and 0.2 RANK_TOL of lambda_max: the
-    # kernel drops them, and f_full (q_alpha on the whole rho) lies in
-    # [f - below, f + above].  With nothing cut both sides are zero.  For
-    # alpha > 1 the kernel cuts at round-off, where what it drops cannot be
-    # told from round-off; the bound's arithmetic is the same at any cut, so
-    # here it cuts at RANK_TOL for every alpha.
-    monkeypatch.setattr(optim, "q_alpha_cut", lambda w, alpha: support_cut(w))
+def test_cut_bound_brackets_the_uncut_value(alpha, sigma_first):
+    # rho with eigenvalues at 0.5 and 0.2 of the kernel's cut (RANK_TOL
+    # lambda_max for alpha < 1, round-off for alpha > 1): the kernel drops
+    # them, and f_full (q_alpha on the whole rho) lies in [f - below,
+    # f + above].  With nothing cut both sides are zero.  For alpha > 1 what
+    # the cut drops, ~(64 eps)^alpha, lies below the round-off between the
+    # kernel and q_alpha, so there the bracket holds to that round-off: on
+    # these states, with the two eigenvalues raised 1e6-fold so that nothing
+    # is cut, the two already differ by up to 5.5e3 eps of f (alpha = 4,
+    # f ~ 3e7), and the slack is 1e-11 of f.
     rng = np.random.default_rng([31, sigma_first])
     sign = 1.0 if alpha > 1 else -1.0
     for dK, dS in [(1, 3), (2, 2), (2, 3)]:
         U = np.linalg.qr(rng.standard_normal((dK * dS,) * 2)
                          + 1j * rng.standard_normal((dK * dS,) * 2))[0]
         w = rng.random(dK * dS) + 0.5
-        w[:2] = np.array([0.5, 0.2]) * RANK_TOL * w.max()
+        w[:2] = np.array([0.5, 0.2]) * q_alpha_cut(w, alpha)
         rho = (U * (w / w.sum())) @ U.conj().T
         K = sample("mixed-hilbert-schmidt", dK, 6)
         for seed in range(3):
@@ -580,7 +581,8 @@ def test_cut_bound_brackets_the_uncut_value(monkeypatch, alpha, sigma_first):
             f = kernel(sigma)[0]
             below, above = kernel.cut_bound(sigma)
             full = sign * q_alpha(rho, _product(K, sigma, sigma_first), alpha)
-            assert f - below - 1e-14 <= full <= f + above + 1e-14, (dK, dS, f, full)
+            slack = 1e-14 if alpha < 1 else 1e-11 * max(1.0, abs(f))
+            assert f - below - slack <= full <= f + above + slack, (dK, dS, f, full)
             assert (below if sign > 0 else above) == 0.0 < (above if sign > 0 else below)
     kernel = QAlphaKernel(alpha, [(sign, sample("mixed-hilbert-schmidt", 4, 5), np.eye(2), False)])
     assert kernel.cut_bound(np.eye(2) / 2) == (0.0, 0.0)

@@ -193,6 +193,21 @@ def test_uab_chain_solves_per_state(monkeypatch, dims, seed):
     assert calls == {"sdp": 2, "sdp_calls": 1, "renyi_up": 3}
 
 
+
+def test_uab_chain_solves_h_min_alone_on_a_cache_holding_the_class(monkeypatch):
+    # A cache that imax_smoothed_upper filled holds the uncut class but not
+    # H_min: the chain solves H_min as a stack of one, with the bits of a
+    # fresh cache.
+    rho = sample("mixed-hilbert-schmidt", (2, 2), 46)
+    fresh = uab_chain_verify(rho, (2, 2), 0.5, 2.0, 0.1)
+    cache = {}
+    imax_smoothed_upper(rho, 0.1, (2, 2), cache=cache)
+    calls = _count_solves(monkeypatch)
+    shared = uab_chain_verify(rho, (2, 2), 0.5, 2.0, 0.1, cache=cache)
+    assert calls == {"sdp": 1, "sdp_calls": 1, "renyi_up": 1}
+    assert _steps(shared) == _steps(fresh)
+    assert (shared.imax_truncated, shared.rhs_final) == (fresh.imax_truncated, fresh.rhs_final)
+
 def _filtered_on_a(rho, dims, weights):
     """(L (x) 1) rho (L (x) 1)/Tr with L = diag(weights) on A."""
     L = np.kron(np.diag(weights), np.eye(dims[1]))
