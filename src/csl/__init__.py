@@ -33,8 +33,6 @@ from .divergences import (
 from .convexsplit import (
     ConvexSplitInstance,
     bounds_report,
-    build_tau,
-    mu_quantities,
     nu_n,
     split_equality_check,
 )
@@ -69,8 +67,6 @@ __all__ = [
     "q_alpha",
     "ConvexSplitInstance",
     "bounds_report",
-    "build_tau",
-    "mu_quantities",
     "nu_n",
     "split_equality_check",
     "f_alpha_beta",

@@ -33,8 +33,8 @@ from .optim import (
     minimize_convex_over_states,
 )
 
-# Cap on a dense tau operator on R (x) A^n, and on the largest block the
-# reference frame decomposes; protocols handle larger n with pure states only.
+# Cap on the largest block the reference frame decomposes (a dense tau on
+# R (x) A^n is one block); protocols handle larger n with pure states only.
 DENSE_DIM_CAP = 4096
 
 
@@ -97,38 +97,6 @@ class SplitReport:
         return {k: INF if rhs == INF else rhs - lhs for k, (lhs, rhs) in self.bounds.items()}
 
 
-def build_tau(instance: ConvexSplitInstance) -> np.ndarray:
-    """Weighted mixture sum_x p_x rho^{R A_x} (x) sigma^{other slots}."""
-    dR, dA = instance.dims
-    n = instance.n
-    dim = dR * dA**n
-    if dim > DENSE_DIM_CAP:
-        raise ContractViolation(
-            f"dense tau dimension {dim} exceeds cap {DENSE_DIM_CAP}"
-        )
-    base = instance.rho_RA
-    for _ in range(n - 1):
-        base = kron(base, instance.sigma_A)
-    shape = (dR,) + (dA,) * n
-    T = base.reshape(shape + shape)
-    tau = np.zeros_like(T)
-    # From dim 256 on, accumulate slab by slab over the leading row registers,
-    # so the weighted temporary is at most an eighth of tau, not a third
-    # dim x dim array; below that the per-slab overhead would dominate.
-    lead = shape[:3] if dim >= 256 else ()
-    for x in range(n):
-        # Registers are [R, A(rho), A_2..A_n]; send rho's A slot to slot x.
-        order = [0] + [0] * n
-        rest = iter(range(2, n + 1))
-        for j in range(1, n + 1):
-            order[j] = 1 if j == x + 1 else next(rest)
-        perm = order + [a + n + 1 for a in order]
-        Tx = T.transpose(perm)
-        for idx in np.ndindex(*lead):
-            tau[idx] += instance.weights[x] * Tx[idx]
-    return tau.reshape(dim, dim)
-
-
 class _Block(NamedTuple):
     """One block X_lambda of X = (+)_lambda X_lambda (x) I_mult, with the
     reference's eigenvalues w and per-factor support mask keep on it."""
@@ -189,7 +157,8 @@ def _mixture_entries(rho, ws, weights, dR: int, dA: int):
     differ in at most one slot.  Where they differ in slot x alone the entry
     is p_x rho[r a_x, r' b_x] prod_{y != x} ws[a_y]; equal strings carry the
     dR x dR block sum_x p_x rho[r a_x, r' a_x] prod_{y != x} ws[a_y].  Rows
-    and columns are flat indices of build_tau's layout, each pair at most once.
+    and columns are flat indices of R (x) A_1 (x) ... (x) A_n, each pair at
+    most once.
     """
     n = len(weights)
     S = dA**n
@@ -223,7 +192,7 @@ class _ReferenceFrame:
     """tau and omega (x) sigma^n in the reference's eigenbasis, as blocks.
 
     With V = V_omega (x) V_sigma^n, X = V^dag tau V is the mixture of
-    rotated factors (V acts slot by slot, so it commutes with build_tau's
+    rotated factors (V acts slot by slot, so it commutes with the mixture's
     slot permutations), and the reference is diag(w) with w the exact
     products of factor eigenvalues.  X and diag(w) are held as a list of
     blocks (mult, X_lambda, w_lambda, keep_lambda), and every value below is
@@ -335,16 +304,6 @@ def _mu(q: float, dm: float) -> tuple[float, float]:
     return mu, mu_max
 
 
-def mu_quantities(rho_RA, sigma_A, dims: tuple[int, int]) -> tuple[float, float]:
-    """mu = Q_2 against the pinned product minus 1; mu_max = 2^D_max - 1.
-
-    The product rho_R (x) sigma is decomposed once for both.
-    """
-    R = _as_matrix(rho_RA)
-    ref = Spectrum(kron(reduced(R, dims, 0), _as_matrix(sigma_A)))
-    return _mu(q2(R, ref), d_max(R, ref))
-
-
 def split_equality_check(instance: ConvexSplitInstance) -> SplitReport:
     """The frame's LHS vs the two-term decomposition; residual is relative."""
     return _split_report(instance, _ReferenceFrame(instance))[0]
@@ -447,7 +406,7 @@ def bounds_report(rho_RA, sigma_A, n: int, dims: tuple[int, int]) -> SplitReport
     lhs_trace = frame.trace_distance()
     F = frame.fidelity()
     lhs_p2 = max(1.0 - F * F, 0.0)
-    ell = spectrum_cardinality(ref1.matrix)
+    ell = spectrum_cardinality(ref1)
     d15 = d_alpha(R, ref1, 1.5)
     pinching = (ell**0.5 / (0.5 * n**0.5)) * 2.0 ** (0.5 * d15) if not math.isinf(d15) else INF
 
@@ -468,8 +427,11 @@ def bounds_report(rho_RA, sigma_A, n: int, dims: tuple[int, int]) -> SplitReport
 
 
 def spectrum_cardinality(P) -> int:
-    """|spec| with gap-based clustering at 1e-8 of the largest eigenvalue."""
-    w = np.sort(np.linalg.eigvalsh(_as_matrix(P)))
+    """|spec| with gap-based clustering at 1e-8 of the largest eigenvalue.
+
+    P is an operator or its Spectrum, whose eigenvalues are then reused.
+    """
+    w = Spectrum.of(P).w[::-1]
     tol = 1e-8 * max(abs(float(w[-1])), 1.0e-300)
     count = 1
     for i in range(1, len(w)):

@@ -1,10 +1,12 @@
 """Spectrum-level smoothing machinery.
 
 Unitarily invariant smoothing reduces to sorted spectra: classical
-Renyi-entropy smoothing over the total-variation ball, the truncation
-effect built from two aligned spectra, the step-by-step verifier for the
-universal max-information bound, and the feasible-point upper estimate of
-the smoothed max-information.
+Renyi-entropy smoothing over the total-variation ball; one witness builder,
+which truncates rho_AB on A to the steepest delta-smoothing of rho_A's
+spectrum from one decomposition of rho_A; the step-by-step verifier for the
+universal max-information bound; and the feasible-point upper estimate of
+the smoothed max-information.  The last two take their witnesses from that
+one builder.
 """
 
 from __future__ import annotations
@@ -26,21 +28,12 @@ from .matcore import (
     ContractViolation,
     Spectrum,
     _as_matrix,
-    eig_hermitian,
     kron,
     purified_distance,
     reduced,
     trace_distance,
 )
 from .optim import dominance_residual, dominating_trace_min
-
-@dataclass
-class TruncationResult:
-    effect: np.ndarray  # Lambda, diagonal in omega's eigenbasis
-    m: int  # cutoff index (1-based)
-    survival: float  # Tr[Lambda omega Lambda]
-    omega_trunc: np.ndarray  # normalized truncated state
-    s_min_kept: float  # smallest retained s_x = lambda_min_nz of Lambda omega Lambda
 
 
 def _steepest_smoothing(p, delta: float) -> np.ndarray:
@@ -78,66 +71,32 @@ def smooth_renyi_entropy_min(p, delta: float, alpha: float):
     return _spectrum_renyi(q, alpha), q
 
 
-def truncation_effect(omega, tau_spectrum, delta: float) -> TruncationResult:
-    """Build the tail-truncation effect from omega's spectrum and a target.
+def _truncated_witness(R, dims, delta: float):
+    """rho_AB truncated on A to the steepest delta-smoothing of rho_A's spectrum.
 
-    With q = spec(omega) and t = tau_spectrum both sorted non-increasing and
-    s_x = min(q_x, t_x), the cutoff m is the smallest index such that the
-    tail sum_{x>m} s_x is at most delta; the effect keeps the top m
-    eigenvectors with amplitudes sqrt(s_x/q_x).  Survival is at least
-    1 - 2 delta, so the truncated state is sqrt(2 delta)-close to omega.
+    With q = spec(rho_A), t = _steepest_smoothing(q, delta) and
+    s_x = min(q_x, t_x), the cutoff m is the smallest index whose tail
+    sum_{x>m} s_x is at most delta.  The effect Lam keeps rho_A's top m
+    eigenvectors with amplitudes sqrt(s_x/q_x), and the witness is
+    omega = (Lam (x) 1) rho (Lam (x) 1)/Tr, sqrt(2 delta)-close to rho.
+    t moves its mass onto t_0 alone, so s_0 = q_0 > 0, s_x = t_x after it,
+    s is non-increasing and sum s >= 1 - delta > delta: every kept s_x and
+    q_x is positive.
+    Returns (t, s_{m-1}, omega); none of them depends on a Renyi order.
     """
-    if not (0.0 < delta < 0.5):
-        raise ContractViolation(f"delta must be in (0,1/2), got {delta}")
-    W = _as_matrix(omega)
-    q, V = eig_hermitian(W)
-    q = np.clip(q, 0.0, None)
-    d = len(q)
-    t = np.sort(np.asarray(tau_spectrum, dtype=float))[::-1]
-    if len(t) < d:
-        t = np.concatenate([t, np.zeros(d - len(t))])
-    t = t[:d]
+    S = Spectrum(reduced(R, dims, 0))
+    q, V = np.clip(S.w, 0.0, None), S.V
+    t = _steepest_smoothing(q, delta)
     s = np.minimum(q, t)
-    if s.sum() <= delta:
-        raise ContractViolation("degenerate spectra: total overlap below delta")
     tails = np.concatenate([np.cumsum(s[::-1])[::-1][1:], [0.0]])  # tails[k] = sum_{x>k+1}
     # smallest 1-based m with tail <= delta; ties resolve to the smaller m,
     # so exact-tie comparisons get a float-noise allowance
     m = int(np.argmax(tails <= delta + 1e-12)) + 1
-    ratios = np.zeros(d)
-    kept = np.arange(d) < m
-    nz = kept & (q > 0)
-    ratios[nz] = s[nz] / q[nz]
-    Lam = (V * np.sqrt(ratios)) @ V.conj().T
-    survival = float(s[:m].sum())
-    omega_trunc = (Lam @ W @ Lam) / survival
-    s_kept = s[:m][s[:m] > 0]
-    s_min = float(s_kept.min()) if len(s_kept) else 0.0
-    return TruncationResult(Lam, m, survival, omega_trunc, s_min)
-
-
-def apply_truncation(rho_ab, effect_a: np.ndarray, dims: tuple[int, int]):
-    """Apply an A-local effect to a bipartite state; returns (state, survival)."""
-    dA, dB = dims
-    R = _as_matrix(rho_ab)
-    L = kron(effect_a, np.eye(dB))
+    ratios = np.zeros(len(q))
+    ratios[:m] = s[:m] / q[:m]
+    L = kron((V * np.sqrt(ratios)) @ V.conj().T, np.eye(dims[1]))
     out = L @ R @ L.conj().T
-    survival = float(np.trace(out).real)
-    return out / survival, survival
-
-
-def _truncated_witness(R, dims, delta: float):
-    """rho_AB truncated on A to the steepest delta-smoothing of rho_A's spectrum.
-
-    Returns (the smoothed spectrum, the TruncationResult, the normalized
-    truncated state); none of them depends on a Renyi order.
-    """
-    rho_A = reduced(R, dims, 0)
-    p = np.sort(np.clip(np.linalg.eigvalsh(rho_A), 0.0, None))[::-1]
-    spectrum = _steepest_smoothing(p, delta)
-    tr = truncation_effect(rho_A, spectrum, delta)
-    omega, _ = apply_truncation(R, tr.effect, dims)
-    return spectrum, tr, omega
+    return t, float(s[m - 1]), out / float(np.trace(out).real)
 
 
 def _witness_imax(R, dims, omega, cache: dict, h_min: bool = False) -> float:
@@ -186,7 +145,8 @@ def imax_smoothed_upper(rho_ab, eps: float, dims,
                         cache: dict | None = None) -> SmoothedEstimate:
     """Feasible-point upper estimate of the smoothed max-information.
 
-    Witness pool: rho itself plus tail-truncated states over a delta grid;
+    Witness pool: rho itself plus _truncated_witness over a delta grid,
+    every delta of which lies in (0, min(eps, 1/2)) for eps in (0, 1);
     every witness is checked inside the trace-distance eps-ball before its
     I_max is taken.  A witness's I_max is its cutoff class's (see
     _witness_imax), so rho and every witness that cuts nothing share one
@@ -200,11 +160,8 @@ def imax_smoothed_upper(rho_ab, eps: float, dims,
     best_v = _witness_imax(R, (dA, dB), R, cache)
     best_w = R
     grid = {C_SMOOTH * eps * eps, eps * eps / 2.0, eps / 4.0, eps / 2.0}
-    for delta in sorted(d for d in grid if 0.0 < d < min(eps, 0.5)):
-        try:
-            _, _, omega = _truncated_witness(R, (dA, dB), delta)
-        except ContractViolation:
-            continue
+    for delta in sorted(grid):
+        _, _, omega = _truncated_witness(R, (dA, dB), delta)
         if trace_distance(omega, R) > eps + 1e-9:
             continue
         v = _witness_imax(R, (dA, dB), omega, cache)
@@ -265,8 +222,8 @@ def uab_chain_verify(rho_ab, dims: tuple[int, int], alpha: float, beta: float,
 
     key_t = ("trunc", round(delta, 14))
     if key_t not in cache:
-        spectrum, tr, omega = _truncated_witness(R, dims, delta)
-        cache[key_t] = (spectrum, tr.s_min_kept,
+        spectrum, s_min_kept, omega = _truncated_witness(R, dims, delta)
+        cache[key_t] = (spectrum, s_min_kept,
                         _witness_imax(R, dims, omega, cache, h_min=True),
                         trace_distance(omega, R), purified_distance(omega, R))
     spectrum, s_min_kept, imax_val, dist, pdist = cache[key_t]

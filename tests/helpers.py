@@ -1,8 +1,12 @@
-"""Oracles shared by the tests: the binary entropy and a Haar sampler."""
+"""Oracles shared by the tests: the binary entropy, a Haar sampler, and the
+dense convex-split mixture tau with its mu quantities."""
 
 import math
 
 import numpy as np
+
+from csl.divergences import INF, d_max, q2
+from csl.matcore import reduced
 
 
 def binary_entropy(a: float) -> float:
@@ -17,3 +21,33 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     Q, R = np.linalg.qr(G)
     return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def build_tau(instance) -> np.ndarray:
+    """Weighted mixture sum_x p_x rho^{R A_x} (x) sigma^{other slots}, dense,
+    on R (x) A_1 (x) ... (x) A_n."""
+    dR, dA = instance.dims
+    n = instance.n
+    shape = (dR,) + (dA,) * n
+    tau = np.zeros(shape + shape, dtype=complex)
+    for x, p in enumerate(instance.weights):
+        term = p * instance.rho_RA
+        for _ in range(n - 1):
+            term = np.kron(term, instance.sigma_A)
+        # Registers are [R, A(rho), A_2..A_n]; send rho's A slot to slot x.
+        order = [0] + [0] * n
+        rest = iter(range(2, n + 1))
+        for j in range(1, n + 1):
+            order[j] = 1 if j == x + 1 else next(rest)
+        tau += term.reshape(shape + shape).transpose(order + [a + n + 1 for a in order])
+    return tau.reshape(dR * dA**n, dR * dA**n)
+
+
+def mu_quantities(rho_RA, sigma_A, dims) -> tuple[float, float]:
+    """mu = Q_2(rho_RA || rho_R (x) sigma) - 1 and mu_max = 2^D_max - 1 against
+    the same product, each floored at 0."""
+    R = np.asarray(rho_RA, dtype=complex)
+    ref = np.kron(reduced(R, dims, 0), np.asarray(sigma_A, dtype=complex))
+    q, dm = q2(R, ref), d_max(R, ref)
+    return (INF if math.isinf(q) else max(q - 1.0, 0.0),
+            INF if math.isinf(dm) else max(2.0**dm - 1.0, 0.0))

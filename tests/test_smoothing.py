@@ -8,17 +8,16 @@ import pytest
 from csl import infomeasures, optim, smoothing
 from csl.matcore import (
     CertificateError,
-    ContractViolation,
     purified_distance,
     reduced,
     sample,
+    trace_distance,
 )
 from csl.optim import imax_sdp
 from csl.smoothing import (
-    apply_truncation,
+    _truncated_witness,
     imax_smoothed_upper,
     smooth_renyi_entropy_min,
-    truncation_effect,
     uab_chain_verify,
 )
 
@@ -71,47 +70,46 @@ def test_smooth_renyi_entropy_grid_oracle():
     assert val <= best + 1e-6
 
 
+def _kept(omega, dims):
+    """The number of rho_A's eigenvectors a witness keeps: the rank of omega_A."""
+    return int(np.count_nonzero(np.linalg.eigvalsh(reduced(omega, dims, 0)) > 1e-12))
+
+
 def test_truncation_effect_example():
-    # spectrum (3/4, 1/4) with target (3/4, 0): tail s_2 = 0 <= delta keeps m=1.
-    omega = np.diag([0.75, 0.25])
-    res = truncation_effect(omega, [0.75, 0.0], 0.2)
-    assert res.m == 1
-    assert abs(res.survival - 0.75) < 1e-12
-    assert abs(res.s_min_kept - 0.75) < 1e-12
+    # spectrum (3/4, 1/4) at delta = 0.2: t = (0.95, 0.05), s = (0.75, 0.05),
+    # and the tail s_2 = 0.05 <= delta keeps m = 1.
+    t, s_min, omega = _truncated_witness(np.diag([0.75, 0.25]), (2, 1), 0.2)
+    assert np.abs(t - [0.95, 0.05]).max() < 1e-12
+    assert abs(s_min - 0.75) < 1e-12
+    assert np.abs(omega - np.diag([1.0, 0.0])).max() < 1e-12
 
 
 def test_truncation_m_smallest_and_tie_break():
-    omega = np.diag([0.4, 0.3, 0.2, 0.1])
-    # delta = 0.3: tail after m=2 is exactly 0.3 -> m = 2 on the tie.
-    res = truncation_effect(omega, [0.4, 0.3, 0.2, 0.1], 0.3)
-    assert res.m == 2
-    assert abs(res.survival - 0.7) < 1e-12
+    rho = np.diag([0.4, 0.3, 0.2, 0.1])
+    # delta = 0.3: t = (0.7, 0.3, 0, 0), so the tail after m = 1 is exactly
+    # 0.3 -> m = 1 on the tie.
+    _, s_min, omega = _truncated_witness(rho, (4, 1), 0.3)
+    assert _kept(omega, (4, 1)) == 1 and abs(s_min - 0.4) < 1e-12
+    # delta = 0.25: the tail after m = 1 is 0.35, after m = 2 it is 0.05.
+    _, s_min, omega = _truncated_witness(rho, (4, 1), 0.25)
+    assert _kept(omega, (4, 1)) == 2 and abs(s_min - 0.3) < 1e-12
+    assert np.abs(omega - np.diag([0.4, 0.3, 0.0, 0.0]) / 0.7).max() < 1e-12
 
 
 def test_truncation_survival_and_gentle_measurement():
+    # omega_A = diag(s_kept)/survival in rho_A's eigenbasis, so its smallest
+    # kept eigenvalue gives the survival s_min/lambda_min, at least 1 - 2 delta.
     for seed in range(20):
-        omega = sample("mixed-hilbert-schmidt", 4, seed)
-        q = np.sort(np.linalg.eigvalsh(omega))[::-1]
-        for delta in [0.05, 0.2]:
-            res = truncation_effect(omega, q, delta)
-            assert res.survival >= 1.0 - 2 * delta - 1e-12
-            assert purified_distance(res.omega_trunc, omega) <= math.sqrt(
-                2 * delta) + 1e-9
-            w = np.linalg.eigvalsh(res.effect)
-            assert w.min() > -1e-12 and w.max() < 1.0 + 1e-12
-
-
-def test_truncation_rejects_disjoint_spectra():
-    omega = np.diag([0.9, 0.1])
-    with pytest.raises(ContractViolation):
-        truncation_effect(omega, [0.0, 0.0], 0.2)
-
-
-def test_apply_truncation_survival():
-    rho = sample("mixed-hilbert-schmidt", (2, 2), 3)
-    state, survival = apply_truncation(rho, np.diag([1.0, 0.0]), (2, 2))
-    assert 0.0 < survival <= 1.0
-    assert abs(np.trace(state).real - 1.0) < 1e-12
+        rho = sample("mixed-hilbert-schmidt", (2, 2), seed)
+        for dims, delta in itertools.product(((4, 1), (2, 2)), (0.05, 0.2)):
+            t, s_min, omega = _truncated_witness(rho, dims, delta)
+            q = np.sort(np.linalg.eigvalsh(reduced(rho, dims, 0)))[::-1]
+            assert 0.5 * np.abs(t - q).sum() <= delta + 1e-12
+            assert abs(np.trace(omega).real - 1.0) < 1e-12
+            w = np.linalg.eigvalsh(reduced(omega, dims, 0))
+            assert w.min() > -1e-12
+            assert s_min / w[w > 1e-12].min() >= 1.0 - 2 * delta - 1e-12
+            assert purified_distance(omega, rho) <= math.sqrt(2 * delta) + 1e-9
 
 
 def test_uab_chain_verify_passes():
@@ -237,13 +235,9 @@ def test_uab_chain_cut_class_matches_witness_sdp(monkeypatch, dims, seed, weight
     assert calls == {"sdp": 3, "sdp_calls": 2, "renyi_up": 3}
     classes = {k[1] for k in cache if k[0] == "imax_class"}
     assert classes == {dims[0], dims[0] - 1}
-    rho_A = reduced(rho, dims, 0)
-    p = np.sort(np.linalg.eigvalsh(rho_A))[::-1]
     for eps in (0.05, 0.1, 0.3):
         delta = infomeasures.C_SMOOTH * eps * eps
-        _, spectrum = smooth_renyi_entropy_min(p, delta, 0.5)
-        omega, _ = apply_truncation(
-            rho, truncation_effect(rho_A, spectrum, delta).effect, dims)
+        _, _, omega = _truncated_witness(rho, dims, delta)
         own = imax_sdp(omega, dims).value_bits
         assert abs(cache[("trunc", round(delta, 14))][2] - own) <= 1e-10, eps
 
@@ -257,6 +251,21 @@ def test_imax_smoothed_upper_one_sdp_when_nothing_is_cut(monkeypatch):
     assert calls["sdp"] == 1
     assert np.array_equal(est.witness, rho)
     assert est.value_bits == imax_sdp(rho, (2, 2)).value_bits
+
+
+def test_imax_smoothed_upper_takes_a_cut_witness_below_rho():
+    # 0.95|00><00| + 0.05|Phi+><Phi+|: rho itself has I_max 1.214 bits, and
+    # the truncated witness |00><00| is a product state within eps of rho.
+    e00 = np.zeros(4)
+    e00[0] = 1.0
+    phi = np.zeros(4)
+    phi[0] = phi[3] = math.sqrt(0.5)
+    rho = 0.95 * np.outer(e00, e00) + 0.05 * np.outer(phi, phi)
+    assert abs(imax_sdp(rho, (2, 2)).value_bits - 1.214) < 1e-3
+    est = imax_smoothed_upper(rho, 0.3, (2, 2))
+    assert not np.array_equal(est.witness, rho)
+    assert trace_distance(est.witness, rho) <= 0.3
+    assert est.value_bits < 1e-9
 
 
 def _narrowed_rho_b(rho, dims, keep):
