@@ -221,11 +221,11 @@ def run_bounds_sweep(opts) -> tuple[str, list, dict]:
     def one_uab(i, s):
         rho = matcore.sample("mixed-hilbert-schmidt", dims, s)
         cache = {}
-        est = smoothing.imax_smoothed_upper(rho, eps, dims, cache=cache)
+        est, _ = smoothing.imax_smoothed_upper(rho, eps, dims, cache=cache)
         rhs = infomeasures.universal_rhs(rho, dims, alpha, beta, eps, cache=cache)
-        ok = est.value_bits <= rhs + 1e-7
-        row = [i, alpha, beta, eps, est.value_bits, rhs, rhs - est.value_bits, ok]
-        return row, ok, est.value_bits - rhs
+        ok = est <= rhs + 1e-7
+        row = [i, alpha, beta, eps, est, rhs, rhs - est, ok]
+        return row, ok, est - rhs
 
     def one_rld(i, s):
         rho = matcore.sample("mixed-hilbert-schmidt", d, s)

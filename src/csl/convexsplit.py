@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -27,11 +27,7 @@ from .matcore import (
     reduced,
     support_cut,
 )
-from .optim import (
-    OptimizerReport,
-    QAlphaKernel,
-    minimize_convex_over_states,
-)
+from .optim import Certified, QAlphaKernel, minimize_convex_over_states
 
 # Cap on the largest block the reference frame decomposes (a dense tau on
 # R (x) A^n is one block); protocols handle larger n with pure states only.
@@ -84,11 +80,13 @@ class SplitReport:
     t: float
     mu: float
     mu_max: float
-    nu_n: float | None = None
+    nu: Certified | None = None  # nu_n's certified solve (bounds_report only)
     bounds: dict = field(default_factory=dict)
     ly2024_tighter: bool | None = None
-    # nu_n's solver report (iterations, Frank-Wolfe gap); kept off artifacts.
-    nu_report: OptimizerReport | None = None
+
+    @property
+    def nu_n(self) -> float | None:
+        return None if self.nu is None else self.nu.value
 
     @property
     def slack(self) -> dict:
@@ -338,23 +336,23 @@ def _split_report(instance: ConvexSplitInstance,
     return SplitReport(lhs, rhs, residual, t, mu, mu_max), ref1
 
 
-def nu_n(rho_RA, sigma_A, n: int,
-         dims: tuple[int, int]) -> tuple[float, np.ndarray, OptimizerReport]:
+def nu_n(rho_RA, sigma_A, n: int, dims: tuple[int, int]) -> Certified:
     """min over omega of (n-1)/n Q_2(rho_R||omega) + 1/n Q_2(rho_RA||omega (x) sigma).
 
     Both terms are jointly convex; the minimum lies on supp(rho_R) by data
     processing under the pinching onto it, so omega is solved for there and
     certified by the convex solver's Frank-Wolfe gap, from one QAlphaKernel
     call per Newton step that holds both terms.  The solve starts at rho_R,
-    the first term's minimizer and the limit as n -> inf.  When rho_RA leaves
-    R (x) supp(sigma) every omega gives inf, which is returned exactly.
+    the first term's minimizer and the limit as n -> inf.  The result's
+    witness is omega, lifted to R.  When rho_RA leaves R (x) supp(sigma)
+    every omega gives inf, which is returned exactly: value, lower and
+    upper inf, witness I/dR.
     """
     R = _as_matrix(rho_RA)
     return _nu_n(R, Spectrum(reduced(R, dims, 0)), Spectrum(sigma_A), n)
 
 
-def _nu_n(R: np.ndarray, rho_R: Spectrum, sigma: Spectrum,
-          n: int) -> tuple[float, np.ndarray, OptimizerReport]:
+def _nu_n(R: np.ndarray, rho_R: Spectrum, sigma: Spectrum, n: int) -> Certified:
     """nu_n of rho_RA = R from the Spectra of rho_R and sigma."""
     if n < 1:
         raise ContractViolation("n must be >= 1")
@@ -363,16 +361,13 @@ def _nu_n(R: np.ndarray, rho_R: Spectrum, sigma: Spectrum,
     W = kron(VR, VS)
     Rc = W.conj().T @ R @ W
     if float(np.trace(R).real - np.trace(Rc).real) > 1e-10:
-        omega = np.eye(dR) / dR
-        return INF, omega, OptimizerReport(INF, omega, 0, 0.0)
+        return Certified(INF, INF, INF, np.eye(dR) / dR, 0)
     rho_Rc = VR.conj().T @ rho_R.matrix @ VR
     Sc = VS.conj().T @ sigma.matrix @ VS
     terms = [((n - 1) / n, rho_Rc, np.ones((1, 1)), False)] if n > 1 else []
     kernel = QAlphaKernel(2.0, terms + [(1.0 / n, Rc, Sc, True)])
-    report = minimize_convex_over_states(kernel, VR.shape[1],
-                                         start=rho_Rc / np.trace(rho_Rc).real)
-    report.argopt = VR @ report.argopt @ VR.conj().T
-    return report.value, report.argopt, report
+    res = minimize_convex_over_states(kernel, VR.shape[1], start=rho_Rc / np.trace(rho_Rc).real)
+    return replace(res, witness=VR @ res.witness @ VR.conj().T)
 
 
 def bounds_report(rho_RA, sigma_A, n: int, dims: tuple[int, int]) -> SplitReport:
@@ -398,8 +393,7 @@ def bounds_report(rho_RA, sigma_A, n: int, dims: tuple[int, int]) -> SplitReport
     frame = _ReferenceFrame(pinned)
     rep, ref1 = _split_report(pinned, frame)
     mu, mu_max = rep.mu, rep.mu_max
-    nu, _, rep.nu_report = _nu_n(R, frame.omega, frame.sigma, n)
-    rep.nu_n = nu
+    rep.nu = _nu_n(R, frame.omega, frame.sigma, n)
 
     lhs_umegaki = frame.umegaki()
     lhs_d2 = math.log2(rep.q2_lhs) if not math.isinf(rep.q2_lhs) else INF
@@ -415,7 +409,7 @@ def bounds_report(rho_RA, sigma_A, n: int, dims: tuple[int, int]) -> SplitReport
     b["pinsker"] = (lhs_trace, math.sqrt(mu_max / (2 * n)) if not math.isinf(mu_max) else INF)
     b["split7"] = (lhs_p2, mu_max / (n + mu_max) if not math.isinf(mu_max) else 1.0)
     b["gmain8"] = (lhs_d2, math.log2(1.0 + mu / n) if not math.isinf(mu) else INF)
-    b["split9"] = (lhs_p2, 1.0 - 1.0 / nu)
+    b["split9"] = (lhs_p2, 1.0 - 1.0 / rep.nu_n)
     b["pmu0"] = (lhs_p2, mu / (mu + n) if not math.isinf(mu) else 1.0)
     # Prefactor 1/2 follows from 1 + (2 T)^2 <= Q_2 = 1 + mu/n; a smaller
     # constant would already fail on the maximally entangled closed instance.

@@ -9,7 +9,7 @@ smoothed quantities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +26,6 @@ from .matcore import (
     trace_distance,
 )
 from .optim import (
-    ImaxResult,
-    OptimizerReport,
     QAlphaKernel,
     dominating_trace_min,
     minimize_convex_over_states,
@@ -39,21 +37,16 @@ C_SMOOTH = 2.0 - math.sqrt(3.0)
 
 @dataclass
 class BoundReport:
+    """One checked inequality lhs <= rhs and its verdict."""
+
     name: str
     lhs: float
     rhs: float
     ok: bool
-    details: dict = field(default_factory=dict)
 
     @property
     def slack(self) -> float:
         return self.rhs - self.lhs
-
-
-@dataclass
-class SmoothedEstimate:
-    value_bits: float
-    witness: np.ndarray
 
 
 def _bipartite(rho, dims):
@@ -107,13 +100,12 @@ def renyi_entropy(rho, alpha: float) -> float:
 def mutual_info_alpha(rho_ab, alpha: float, dims):
     """I_alpha(A:B) = min over sigma of D_alpha(rho_AB || rho_A (x) sigma).
 
-    For alpha in [1/2, inf).  Returns (value, report): the value clipped at
-    0 and a report whose argopt is the minimizing sigma.  At alpha = 1 that
-    is rho_B and the value H(A) + H(B) - H(AB).  Other orders run the
-    descent from I/d and rho_B, then 14 random states.  Each of its points
-    is one stacked `d_alpha` call: rho_A (x) sigma for the whole stack of
-    states is formed by broadcasting, the same products matcore.kron forms
-    for each alone.
+    For alpha in [1/2, inf).  Returns (value, sigma): the value clipped at
+    0 and the minimizing sigma.  At alpha = 1 that is rho_B and the value
+    H(A) + H(B) - H(AB).  Other orders run the descent from I/d and rho_B,
+    then 14 random states.  Each of its points is one stacked `d_alpha`
+    call: rho_A (x) sigma for the whole stack of states is formed by
+    broadcasting, the same products matcore.kron forms for each alone.
     """
     if not 0.5 <= alpha < math.inf:  # NaN fails too
         raise ContractViolation(f"alpha must be in [1/2, inf), got {alpha}")
@@ -121,14 +113,14 @@ def mutual_info_alpha(rho_ab, alpha: float, dims):
     rho_A, rho_B = _marginals(R, dA, dB)
     if alpha == 1:
         value = renyi_entropy(rho_A, 1) + renyi_entropy(rho_B, 1) - renyi_entropy(R, 1)
-        return max(value, 0.0), OptimizerReport(value, rho_B, 0, 0.0)
+        return max(value, 0.0), rho_B
 
     def objective(stack):
         ref = rho_A[None, :, None, :, None] * stack[:, None, :, None, :]
         return d_alpha(R, ref.reshape(len(stack), dA * dB, dA * dB), alpha)
 
-    report = minimize_over_states(objective, dB, restarts=16, extra_starts=[rho_B])
-    return max(report.value, 0.0), report
+    value, sigma = minimize_over_states(objective, dB, restarts=16, extra_starts=[rho_B])
+    return max(value, 0.0), sigma
 
 
 def h_min_conditional(rho_ab, dims) -> float:
@@ -141,13 +133,7 @@ def h_min_conditional(rho_ab, dims) -> float:
     CertificateError.
     """
     R, dA, dB = _bipartite(rho_ab, dims)
-    return h_min_from_sdp(dominating_trace_min(np.eye(dA)[None], R[None], (dA, dB))[0])
-
-
-def h_min_from_sdp(res: ImaxResult) -> float:
-    """H_min(A|B) from the certified SDP min Tr[Y] with I (x) Y >= rho_AB:
-    -lower_bits, the dual side (see h_min_conditional)."""
-    return -res.lower_bits
+    return -dominating_trace_min(np.eye(dA)[None], R[None], (dA, dB))[0].lower
 
 
 def conditional_renyi_up(rho_ab, beta: float, dims) -> float:
@@ -220,8 +206,9 @@ def universal_rhs(rho_ab, dims, alpha: float, beta: float, eps: float,
     return cache[key_a] - cache[key] + f_alpha_beta(alpha, beta, eps)
 
 
-def dmax_smoothed_upper(rho, sigma, eps: float) -> SmoothedEstimate:
-    """Feasible-point upper estimate of the smoothed max-relative entropy.
+def dmax_smoothed_upper(rho, sigma, eps: float) -> tuple[float, np.ndarray]:
+    """Feasible-point upper estimate of the smoothed max-relative entropy:
+    (value_bits, witness).
 
     Witnesses: rho, and spectral caps of sigma^(-1/2) rho sigma^(-1/2) at
     each eigenvalue level (classical truncation relative to sigma), each
@@ -248,7 +235,7 @@ def dmax_smoothed_upper(rho, sigma, eps: float) -> SmoothedEstimate:
         v = d_max(cand, S)
         if v < best_v:
             best_v, best_w = v, cand
-    return SmoothedEstimate(best_v, best_w)
+    return best_v, best_w
 
 
 def check_rld_bound(rho, sigma, eps: float, beta: float) -> BoundReport:
@@ -262,10 +249,6 @@ def check_rld_bound(rho, sigma, eps: float, beta: float) -> BoundReport:
         raise ContractViolation(f"beta must be > 1, got {beta}")
     if not (0.0 < eps < 1.0):
         raise ContractViolation(f"eps must be in (0,1), got {eps}")
-    est = dmax_smoothed_upper(rho, sigma, eps)
+    est, _ = dmax_smoothed_upper(rho, sigma, eps)
     rhs = d_alpha(rho, sigma, beta) + math.log2(1.0 / (eps * eps)) / (beta - 1.0)
-    ok = est.value_bits <= rhs + 1e-8
-    return BoundReport(
-        "dmax-smoothed-renyi-bound", est.value_bits, rhs, ok,
-        {"conclusive": bool(ok)},
-    )
+    return BoundReport("dmax-smoothed-renyi-bound", est, rhs, est <= rhs + 1e-8)

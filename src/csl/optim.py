@@ -5,19 +5,22 @@ operator (damped Newton from a given start, Frank-Wolfe gap), fed by the one
 kernel `QAlphaKernel`, which gives a weighted sum of sandwiched Q_alpha terms
 with its gradient and exact Hessian from one call on one state and bounds
 what its spectral cut drops; a primal-dual interior-point solver for the
-max-information semidefinite program (a certified two-sided bracket), which
-takes a stack of problems and iterates the members of one shape together,
-one LAPACK call per step for all of them, each member keeping the bits of
-its lone solve (a single problem is a stack of one); and one
-multi-start L-BFGS-B descent over density operators for the two problems
-left off the convex solver: `mutual_info_alpha`'s sigma, whose protocol
-outputs are pinned to that descent's last bits, and the channel
-maximization, which is not known to be concave.  The descent's objective
-takes a stack of states: each L-BFGS-B point is one call on the point
-and its 2d^2 forward-difference neighbours, with scipy's own steps and
-arithmetic, so the descent keeps every bit it had when scipy differenced
-one state at a time.  Desk-scale dimensions (<= 36 total) keep all of these
-cheap; no external SDP engine is used.
+max-information semidefinite program, which takes a stack of problems and
+iterates the members of one shape together, one LAPACK call per step for
+all of them, each member keeping the bits of its lone solve (a single
+problem is a stack of one); and one multi-start L-BFGS-B descent over
+density operators for the two problems left off the convex solver:
+`mutual_info_alpha`'s sigma, whose protocol outputs are pinned to that
+descent's last bits, and the channel maximization, which is not known to be
+concave.  The two certified solvers return one type, `Certified`: the
+value, a bracket [lower, upper] around the true optimum, the witness state
+or certificate, and the steps taken.  The descent certifies nothing and
+returns a plain (value, state) pair.  Its objective takes a stack of
+states: each L-BFGS-B point is one call on the point and its 2d^2
+forward-difference neighbours, with scipy's own steps and arithmetic, so
+the descent keeps every bit it had when scipy differenced one state at a
+time.  Desk-scale dimensions (<= 36 total) keep all of these cheap; no
+external SDP engine is used.
 """
 
 from __future__ import annotations
@@ -41,12 +44,26 @@ from .matcore import (
 )
 
 
-@dataclass
-class OptimizerReport:
+@dataclass(frozen=True)
+class Certified:
+    """A certified solve: the true optimum lies in [lower, upper], around value.
+
+    ``witness`` is the solver's state or certificate (sigma of the convex
+    solver, Y of the SDP), ``steps`` its Newton or interior-point steps, and
+    ``dual`` the SDP's dual point Z.
+    """
+
     value: float
-    argopt: np.ndarray
-    iterations: int  # Newton steps (convex solver) or summed L-BFGS-B iterations
-    gap_estimate: float
+    lower: float
+    upper: float
+    witness: np.ndarray
+    steps: int
+    dual: np.ndarray | None = None
+
+    @property
+    def gap(self) -> float:
+        """upper - lower, and 0.0 for an exact value (infinities included)."""
+        return 0.0 if self.lower == self.upper else self.upper - self.lower
 
 
 def _gram_state(x: np.ndarray, d: int) -> np.ndarray:
@@ -94,16 +111,16 @@ def _forward_difference(x: np.ndarray, objective, dim: int):
 
 
 def minimize_over_states(objective, dim: int, restarts: int = 32,
-                         extra_starts=()) -> OptimizerReport:
+                         extra_starts=()) -> tuple[float, np.ndarray]:
     """Multi-start L-BFGS-B descent of a state functional over D(dim).
 
     ``objective(stack)`` takes states stacked as (m, dim, dim) and returns
     their m values.  The starts are I/d, then `extra_starts`, then random
     Gram states from `np.random.default_rng(0)` up to `restarts`; each runs
-    in the Gram parametrization sigma = G^dag G / Tr, x in R^(2 dim^2).  The
-    best run wins (a stable sort, so ties go to the earlier start), and the
-    gap estimate is the runner-up's excess over it.  A non-finite value
-    counts as 1e12, member by member.
+    in the Gram parametrization sigma = G^dag G / Tr, x in R^(2 dim^2).
+    Returns the best run's (value, state), ties going to the earlier start;
+    nothing certifies it.  A non-finite value counts as 1e12, member by
+    member, and an objective that is never finite gives (inf, I/d).
 
     Each L-BFGS-B point costs one objective call, on the stack
     [sigma(x), sigma(x + h_1 e_1), ..., sigma(x + h_n e_n)], n = 2 dim^2.
@@ -127,20 +144,16 @@ def minimize_over_states(objective, dim: int, restarts: int = 32,
         starts.append(_state_to_params(M / np.trace(M).real))
 
     results = []
-    n_it = 0
     for x0 in starts:
         res = scipy.optimize.minimize(_forward_difference, x0, args=(objective, dim),
                                       method="L-BFGS-B", jac=True,
                                       options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10,
                                                "maxfun": _MAXFUN // (1 + len(x0))})
-        n_it += res.nit
         results.append((float(res.fun), res.x))
-    results.sort(key=lambda r: r[0])
-    best_val, best_x = results[0]
+    best_val, best_x = min(results, key=lambda r: r[0])
     if best_val >= 1e12:  # never finite
-        return OptimizerReport(math.inf, np.eye(dim) / dim, n_it, math.inf)
-    gap = results[1][0] - best_val if len(results) > 1 else 0.0
-    return OptimizerReport(best_val, _gram_state(best_x, dim), n_it, gap)
+        return math.inf, np.eye(dim) / dim
+    return best_val, _gram_state(best_x, dim)
 
 
 # --- certified convex solver ------------------------------------------------
@@ -356,34 +369,38 @@ _HALVINGS = 14
 _FLAT = 1e-12
 
 
-def minimize_convex_over_states(fun, dim: int, value_of=None, start=None) -> OptimizerReport:
+def minimize_convex_over_states(fun, dim: int, value_of=None, start=None) -> Certified:
     """Minimize a convex functional over D(dim), certified by the Frank-Wolfe gap.
 
     ``fun(sigma)`` takes one state and returns (f, G, H): df = Tr[G dsigma],
     and H the Hessian in the coordinates of _traceless_basis(dim).
     ``value_of`` maps f increasingly onto the reported value (identity by
-    default); the report's value and gap are in its units.  ``start`` is a
-    positive definite first iterate (I/dim by default), scaled to trace 1.
+    default); the result's value and bracket are in its units, its witness
+    is the returned sigma.  ``start`` is a positive definite first iterate
+    (I/dim by default), scaled to trace 1.
 
     Damped Newton in the traceless tangent space (for convex f it converges
     from any start; Boyd & Vandenberghe, Convex Optimization, sec. 9.5): one
     ``fun`` call per iterate.  A step that would leave the positive cone
     starts 0.99 of the way to its boundary; it is halved until the
     candidate is positive definite and shows an Armijo decrease of f or,
-    once f is flat to round-off, a smaller gap.  The report's `iterations`
-    counts Newton steps.  When ``fun`` has a ``cut_bound(sigma)`` (as
-    QAlphaKernel does), the functional f stands for lies in [f - below,
-    f + above]: the gap is then value_of(f + above) - value_of(f - fw -
-    below) at the returned sigma, fw the Frank-Wolfe gap in f's units, which
-    brackets both the reported value and the true minimum.  Raises
-    CertificateError when the gap stays above GAP_TOL: an unconverged solve
+    once f is flat to round-off, a smaller gap.  `steps` counts Newton
+    steps.  When ``fun`` has a ``cut_bound(sigma)`` (as QAlphaKernel does),
+    the functional f stands for lies in [f - below, f + above]: the bracket
+    is then [value_of(f - fw - below), value_of(f + above)] at the returned
+    sigma, fw the Frank-Wolfe gap in f's units, which holds both the
+    reported value value_of(f) and the true minimum.  Raises
+    CertificateError when its gap stays above GAP_TOL: an unconverged solve
     never returns a value.
     """
     value_of = value_of if value_of is not None else (lambda f: f)
 
+    def bracket(f, fw, below=0.0, above=0.0):
+        return value_of(f - fw - below), value_of(f + above)
+
     def certificate(f, fw, below=0.0, above=0.0):
-        lower = value_of(f - fw - below)
-        return value_of(f + above) - lower if math.isfinite(lower) else math.inf
+        lower, upper = bracket(f, fw, below, above)
+        return upper - lower if math.isfinite(lower) else math.inf
 
     d = dim
     E = _traceless_basis(d)
@@ -440,38 +457,25 @@ def minimize_convex_over_states(fun, dim: int, value_of=None, start=None) -> Opt
         raise CertificateError(
             f"convex solver stopped with Frank-Wolfe gap {gap:.3e} > {GAP_TOL:.1e}"
             + (" with the cut bound" if any(cut) else ""))
-    return OptimizerReport(value, sigma, steps, gap)
+    return Certified(value, *bracket(f, fw, *cut), sigma, steps)
 
 
 # --- max-information SDP ----------------------------------------------------
 
-@dataclass
-class ImaxResult:
-    value_bits: float  # log2 Tr[Y], the certified upper value
-    certificate: np.ndarray  # Y with M_A (x) Y >= rho_AB
-    residual: float  # min eigenvalue of M_A (x) Y - rho_AB
-    lower_bits: float = -math.inf  # log2 Tr[rho_AB Z], the certified lower value
-    iterations: int = 0
-    dual: np.ndarray | None = None  # Z >= 0 with Tr_A[(M_A (x) 1) Z] <= 1
+def dominance_residual(M_A: np.ndarray, rho_AB: np.ndarray, res: Certified,
+                       what: str = "") -> float:
+    """lambda_min(M_A (x) Y - rho_AB) for the certificate Y = res.witness of
+    an SDP result.
 
-    @property
-    def gap_bits(self) -> float:
-        return self.value_bits - self.lower_bits
-
-
-def dominance_residual(M_A: np.ndarray, Y: np.ndarray, rho_AB: np.ndarray,
-                       gap_bits: float, what: str = "") -> float:
-    """lambda_min(M_A (x) Y - rho_AB) for a certificate Y whose SDP bracket is
-    gap_bits wide.
-
-    Raises CertificateError unless the bracket is at most GAP_TOL bits and
-    the residual at least -RESIDUAL_TOL; ``what`` tells which Y failed.
+    Raises CertificateError unless res's bracket is at most GAP_TOL bits
+    wide and the residual at least -RESIDUAL_TOL; ``what`` tells which Y
+    failed.
     """
-    D = kron(M_A, Y) - rho_AB
+    D = kron(M_A, res.witness) - rho_AB
     residual = float(np.linalg.eigvalsh((D + D.conj().T) / 2)[0])
-    if not (gap_bits <= GAP_TOL and residual >= -RESIDUAL_TOL):
+    if not (res.gap <= GAP_TOL and residual >= -RESIDUAL_TOL):
         raise CertificateError(f"max-information SDP not certified{what} "
-                               f"(bracket {gap_bits:.3e} bits, residual {residual:.3e})")
+                               f"(bracket {res.gap:.3e} bits, residual {residual:.3e})")
     return residual
 
 
@@ -594,9 +598,10 @@ def _hkm(mA: np.ndarray, C: np.ndarray, rB: int):
 
 
 def dominating_trace_min(M_A: np.ndarray, rho_AB: np.ndarray,
-                         dims: tuple[int, int]) -> list[ImaxResult]:
-    """min Tr[Y] over Y with M_A (x) Y >= rho_AB, bracketed by a primal-dual
-    pair, for each member of a stack: one ImaxResult per member.
+                         dims: tuple[int, int]) -> list[Certified]:
+    """log2 min Tr[Y] over Y with M_A (x) Y >= rho_AB, bracketed by a
+    primal-dual pair, for each member of a stack: one Certified per member,
+    Certified(log2 Tr Y, log2 Tr[rho Z], log2 Tr Y, Y, iterations, dual=Z).
 
     M_A (m, dA, dA) and rho_AB (m, dA dB, dA dB) hold m problems; one
     problem is a stack of one.  Each is compressed onto supp(M_A) (x)
@@ -617,7 +622,8 @@ def dominating_trace_min(M_A: np.ndarray, rho_AB: np.ndarray,
     the bits it would get alone.  The best iterate is made exactly
     feasible: Y shifted by its slack deficit gives the upper value Tr Y, X
     rescaled by Q^-1/2 (Q = Tr_A[(D (x) 1) X]) the lower value Tr[C X] =
-    Tr[rho Z] of the lifted dual point Z.  Raises CertificateError, for the
+    Tr[rho Z] of the lifted dual point Z >= 0, Tr_A[(M_A (x) 1) Z] <= 1.
+    The value is the upper side.  Raises CertificateError, for the
     first member in stack order that fails it, unless the bracket is at
     most GAP_TOL bits and the full-space residual at least -RESIDUAL_TOL
     (dominance_residual).
@@ -647,16 +653,15 @@ def dominating_trace_min(M_A: np.ndarray, rho_AB: np.ndarray,
     for i in range(m):
         _, C, VB, W = members[i]
         it, Y, X = solved[i]
-        upper, lower = float(Y.trace().real), float(np.vdot(C, X).real)
-        Y_full = VB @ Y @ VB.conj().T
-        lower_bits = math.log2(lower) if lower > 0 else -math.inf
-        residual = dominance_residual(M_A[i], Y_full, rho_AB[i], math.log2(upper) - lower_bits)
-        out.append(ImaxResult(math.log2(upper), Y_full, residual, lower_bits, it,
-                              W @ X @ W.conj().T))
+        upper, lower = math.log2(Y.trace().real), float(np.vdot(C, X).real)
+        res = Certified(upper, math.log2(lower) if lower > 0 else -math.inf, upper,
+                        VB @ Y @ VB.conj().T, it, dual=W @ X @ W.conj().T)
+        dominance_residual(M_A[i], rho_AB[i], res)
+        out.append(res)
     return out
 
 
-def imax_sdp(rho_ab, dims: tuple[int, int]) -> ImaxResult:
+def imax_sdp(rho_ab, dims: tuple[int, int]) -> Certified:
     """I_max(A:B) as min Tr[Y] with rho_A (x) Y >= rho_AB (Y = t sigma): a
     stack of one."""
     rho_AB = _as_matrix(rho_ab)

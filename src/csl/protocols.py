@@ -30,7 +30,7 @@ outputs are functions of their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,12 +110,12 @@ def qss_optimal_sigma(rho_RB, dims: tuple[int, int]):
     output marginal's support never helps and shows up as dust that breaks
     the mu -> 0 limit.
     """
-    value, report = mutual_info_alpha(rho_RB, 2.0, dims)
+    value, found = mutual_info_alpha(rho_RB, 2.0, dims)
     Pi = Spectrum(reduced(_as_matrix(rho_RB), dims, 1)).projector()
-    sigma = Pi @ report.argopt @ Pi
+    sigma = Pi @ found @ Pi
     tr = float(np.trace(sigma).real)
     if tr <= RANK_TOL:
-        return report.argopt, value
+        return found, value
     sigma = (sigma + sigma.conj().T) / (2 * tr)
     return sigma, value
 
@@ -318,8 +318,8 @@ def channel_alpha_beta_info(channel: ChannelSpec, alpha: float, beta: float):
     the purification vec(sqrt(rho_in)^T).  The first start, I/d, is the
     maximally entangled input.  At alpha = beta = 1 the value is the ordinary
     mutual information of the channel output, since conditional_renyi_up is
-    then H(AB) - H(B).  Returns (value, report), the report's argopt being
-    the maximizing rho_in.
+    then H(AB) - H(B).  Returns (value, rho_in), rho_in the maximizing
+    input.
     """
     dI, dO = channel.dim_in, channel.dim_out
 
@@ -331,9 +331,9 @@ def channel_alpha_beta_info(channel: ChannelSpec, alpha: float, beta: float):
         return renyi_entropy(reduced(omega, (dI, dO), 0), alpha) - h_up
 
     # Each member of the descent's stack runs a certified solve of its own.
-    report = minimize_over_states(lambda stack: [-info(s) for s in stack], dI,
-                                  restarts=4)
-    return -report.value, replace(report, value=-report.value)
+    value, rho_in = minimize_over_states(lambda stack: [-info(s) for s in stack], dI,
+                                         restarts=4)
+    return -value, rho_in
 
 
 def reverse_shannon_delta_n(dim_in: int, alpha: float, beta: float, eps: float,

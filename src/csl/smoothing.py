@@ -18,10 +18,9 @@ import numpy as np
 
 from .infomeasures import (
     C_SMOOTH,
-    SmoothedEstimate,
+    BoundReport,
     _bipartite,
     _spectrum_renyi,
-    h_min_from_sdp,
     universal_rhs,
 )
 from .matcore import (
@@ -71,21 +70,28 @@ def smooth_renyi_entropy_min(p, delta: float, alpha: float):
     return _spectrum_renyi(q, alpha), q
 
 
-def _truncated_witness(R, dims, delta: float):
+def _spectrum_a(R, dims, cache: dict) -> Spectrum:
+    """The Spectrum of rho_A, decomposed once per state and kept in its cache."""
+    if "rho_A" not in cache:
+        cache["rho_A"] = Spectrum(reduced(R, dims, 0))
+    return cache["rho_A"]
+
+
+def _truncated_witness(R, dims, delta: float, SA: Spectrum):
     """rho_AB truncated on A to the steepest delta-smoothing of rho_A's spectrum.
 
-    With q = spec(rho_A), t = _steepest_smoothing(q, delta) and
-    s_x = min(q_x, t_x), the cutoff m is the smallest index whose tail
-    sum_{x>m} s_x is at most delta.  The effect Lam keeps rho_A's top m
-    eigenvectors with amplitudes sqrt(s_x/q_x), and the witness is
-    omega = (Lam (x) 1) rho (Lam (x) 1)/Tr, sqrt(2 delta)-close to rho.
+    SA is the Spectrum of rho_A.  With q = spec(rho_A), t =
+    _steepest_smoothing(q, delta) and s_x = min(q_x, t_x), the cutoff m is
+    the smallest index whose tail sum_{x>m} s_x is at most delta.  The
+    effect Lam keeps rho_A's top m eigenvectors with amplitudes
+    sqrt(s_x/q_x), and the witness is omega = (Lam (x) 1) rho (Lam (x)
+    1)/Tr, sqrt(2 delta)-close to rho.
     t moves its mass onto t_0 alone, so s_0 = q_0 > 0, s_x = t_x after it,
     s is non-increasing and sum s >= 1 - delta > delta: every kept s_x and
     q_x is positive.
     Returns (t, s_{m-1}, omega); none of them depends on a Renyi order.
     """
-    S = Spectrum(reduced(R, dims, 0))
-    q, V = np.clip(S.w, 0.0, None), S.V
+    q, V = np.clip(SA.w, 0.0, None), SA.V
     t = _steepest_smoothing(q, delta)
     s = np.minimum(q, t)
     tails = np.concatenate([np.cumsum(s[::-1])[::-1][1:], [0.0]])  # tails[k] = sum_{x>k+1}
@@ -99,7 +105,7 @@ def _truncated_witness(R, dims, delta: float):
     return t, float(s[m - 1]), out / float(np.trace(out).real)
 
 
-def _witness_imax(R, dims, omega, cache: dict, h_min: bool = False) -> float:
+def _witness_imax(R, dims, SA: Spectrum, omega, cache: dict, h_min: bool = False) -> float:
     """Certified I_max of omega = (Lam (x) 1) rho (Lam (x) 1)/s, in bits.
 
     Lam is diagonal in rho_A's eigenbasis with non-increasing weights, so
@@ -109,19 +115,18 @@ def _witness_imax(R, dims, omega, cache: dict, h_min: bool = False) -> float:
     (Berta, Christandl & Renner, CMP 306, 579, 2011).  So the SDP runs once
     per class, on rho when nothing is cut and on P_k rho P_k / Tr otherwise
     (P_k the top-k eigenprojector of rho_A, tensored with 1_B), and the
-    cache keys it on k alone.  With ``h_min`` the cache also holds, on
-    return, the SDP result of H_min(A|B) of rho under "h_min"
-    (h_min_from_sdp reads it), solved in one stack with the class when
-    both are missing.  The class's Y is feasible for every witness of the
-    class with the same Tr Y; dominance_residual checks it against this
-    witness before the value is used.
+    cache keys it on k alone; SA is rho_A's Spectrum.  With ``h_min`` the
+    cache also holds, on return, the SDP result of H_min(A|B) of rho under
+    "h_min" (H_min is minus its lower side), solved in one stack with the
+    class when both are missing.  The class's Y is feasible for every
+    witness of the class with the same Tr Y; dominance_residual checks it
+    against this witness before the value is used.
     """
     omega_A = reduced(omega, dims, 0)
     k = int(np.count_nonzero(Spectrum(omega_A).keep))
     key = ("imax_class", k)
     problems = {}  # cache key -> (M_A, rho_AB) of each SDP still to solve
     if key not in cache:
-        SA = Spectrum(reduced(R, dims, 0))
         state = R
         if k != np.count_nonzero(SA.keep):
             Vk = SA.V[:, :k]
@@ -136,14 +141,14 @@ def _witness_imax(R, dims, omega, cache: dict, h_min: bool = False) -> float:
             np.array([M for M, _ in problems.values()]),
             np.array([r for _, r in problems.values()]), dims)))
     res = cache[key]
-    dominance_residual(omega_A, res.certificate, omega, res.gap_bits,
-                       f" for the witness of class {k}")
-    return res.value_bits
+    dominance_residual(omega_A, omega, res, f" for the witness of class {k}")
+    return res.value
 
 
 def imax_smoothed_upper(rho_ab, eps: float, dims,
-                        cache: dict | None = None) -> SmoothedEstimate:
-    """Feasible-point upper estimate of the smoothed max-information.
+                        cache: dict | None = None) -> tuple[float, np.ndarray]:
+    """Feasible-point upper estimate of the smoothed max-information:
+    (value_bits, witness).
 
     Witness pool: rho itself plus _truncated_witness over a delta grid,
     every delta of which lies in (0, min(eps, 1/2)) for eps in (0, 1);
@@ -157,30 +162,23 @@ def imax_smoothed_upper(rho_ab, eps: float, dims,
         raise ContractViolation(f"eps must be in (0,1), got {eps}")
     R, dA, dB = _bipartite(rho_ab, dims)
     cache = cache if cache is not None else {}
-    best_v = _witness_imax(R, (dA, dB), R, cache)
+    SA = _spectrum_a(R, (dA, dB), cache)
+    best_v = _witness_imax(R, (dA, dB), SA, R, cache)
     best_w = R
     grid = {C_SMOOTH * eps * eps, eps * eps / 2.0, eps / 4.0, eps / 2.0}
     for delta in sorted(grid):
-        _, _, omega = _truncated_witness(R, (dA, dB), delta)
+        _, _, omega = _truncated_witness(R, (dA, dB), delta, SA)
         if trace_distance(omega, R) > eps + 1e-9:
             continue
-        v = _witness_imax(R, (dA, dB), omega, cache)
+        v = _witness_imax(R, (dA, dB), SA, omega, cache)
         if v < best_v:
             best_v, best_w = v, omega
-    return SmoothedEstimate(best_v, best_w)
-
-
-@dataclass
-class ChainStep:
-    name: str
-    lhs: float
-    rhs: float
-    ok: bool
+    return best_v, best_w
 
 
 @dataclass
 class ChainReport:
-    steps: list
+    steps: list  # one BoundReport per checked inequality
     passed: bool
     imax_truncated: float
     rhs_final: float
@@ -197,7 +195,8 @@ def uab_chain_verify(rho_ab, dims: tuple[int, int], alpha: float, beta: float,
     c = 2 - sqrt(3), so that sqrt(2 delta) = eps1 and delta + eps1 = eps.
 
     ``cache`` belongs to one rho and may be shared across (alpha, beta, eps).
-    It holds, per delta, the steepest delta-smoothing of spec(rho_A), the
+    It holds rho_A's Spectrum, which every witness and cutoff class reads;
+    per delta, the steepest delta-smoothing of spec(rho_A), the
     smallest weight its truncation keeps, and the truncated witness's
     I_max and trace and purified distances to rho; the I_max SDP's result
     per cutoff class (see _witness_imax), so a grid whose witnesses cut
@@ -222,28 +221,29 @@ def uab_chain_verify(rho_ab, dims: tuple[int, int], alpha: float, beta: float,
 
     key_t = ("trunc", round(delta, 14))
     if key_t not in cache:
-        spectrum, s_min_kept, omega = _truncated_witness(R, dims, delta)
+        SA = _spectrum_a(R, dims, cache)
+        spectrum, s_min_kept, omega = _truncated_witness(R, dims, delta, SA)
         cache[key_t] = (spectrum, s_min_kept,
-                        _witness_imax(R, dims, omega, cache, h_min=True),
+                        _witness_imax(R, dims, SA, omega, cache, h_min=True),
                         trace_distance(omega, R), purified_distance(omega, R))
     spectrum, s_min_kept, imax_val, dist, pdist = cache[key_t]
     h_delta = _spectrum_renyi(spectrum, alpha)
-    h_min = h_min_from_sdp(cache["h_min"])  # left by _witness_imax(h_min=True)
+    h_min = -cache["h_min"].lower  # left by _witness_imax(h_min=True)
 
     steps = []
-    steps.append(ChainStep("ball-membership", dist, eps1, dist <= eps1 + 1e-9))
+    steps.append(BoundReport("ball-membership", dist, eps1, dist <= eps1 + 1e-9))
     lhs2 = -math.log2(s_min_kept)
     rhs2 = h_delta + math.log2(1.0 / delta) / (1.0 - alpha)
-    steps.append(ChainStep("lambda-min-vs-smoothed-entropy", lhs2, rhs2,
-                           lhs2 <= rhs2 + 1e-8))
+    steps.append(BoundReport("lambda-min-vs-smoothed-entropy", lhs2, rhs2,
+                             lhs2 <= rhs2 + 1e-8))
     rhs3 = lhs2 - h_min
-    steps.append(ChainStep("imax-vs-minentropy", imax_val, rhs3,
-                           imax_val <= rhs3 + 1e-7))
+    steps.append(BoundReport("imax-vs-minentropy", imax_val, rhs3,
+                             imax_val <= rhs3 + 1e-7))
     rhs4 = universal_rhs(R, dims, alpha, beta, eps, cache=cache)
-    steps.append(ChainStep("final-certification", imax_val, rhs4,
-                           imax_val <= rhs4 + 1e-7))
+    steps.append(BoundReport("final-certification", imax_val, rhs4,
+                             imax_val <= rhs4 + 1e-7))
     # Gentle-measurement audit rides along with the ball check.
     if pdist > math.sqrt(2 * delta) + 1e-9:
-        steps.append(ChainStep("gentle-measurement", pdist,
-                               math.sqrt(2 * delta), False))
+        steps.append(BoundReport("gentle-measurement", pdist,
+                                 math.sqrt(2 * delta), False))
     return ChainReport(steps, all(s.ok for s in steps), imax_val, rhs4)

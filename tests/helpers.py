@@ -1,5 +1,6 @@
-"""Oracles shared by the tests: the binary entropy, a Haar sampler, and the
-dense convex-split mixture tau with its mu quantities."""
+"""Oracles shared by the tests: the binary entropy, a Haar sampler, the
+dense convex-split mixture tau with its mu quantities, and the residual of an
+SDP certificate."""
 
 import math
 
@@ -21,6 +22,14 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     Q, R = np.linalg.qr(G)
     return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def sdp_residual(res, rho, dims, M_A=None) -> float:
+    """lambda_min(M_A (x) Y - rho) for the witness Y of a certified SDP
+    result; M_A is rho_A by default (the I_max SDP)."""
+    M_A = reduced(rho, dims, 0) if M_A is None else M_A
+    D = np.kron(M_A, res.witness) - rho
+    return float(np.linalg.eigvalsh((D + D.conj().T) / 2)[0])
 
 
 def build_tau(instance) -> np.ndarray:

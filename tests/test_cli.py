@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import math
 import os
@@ -366,6 +367,39 @@ def test_readme_command_lines_match_the_parser(monkeypatch):
     section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
     assert named and named <= flags, sorted(named - flags)
+
+
+# Backticked README names that no definition in src/csl carries: the
+# environment variable, symbols of the text, and JSON and Python literals.
+README_NAME_ALLOWLIST = {"CSL_THREADS", "V", "V_sigma", "NaN", "Infinity", "None"}
+
+
+def _source_names() -> set:
+    """Functions, classes and plain assignment targets of src/csl: module
+    constants, dataclass fields and local names."""
+    names = set()
+    for path in Path(csl.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_readme_names_match_the_source():
+    # Every backticked CamelCase or snake_case identifier of README (each
+    # part of a dotted one) names a definition of src/csl, an option key of
+    # cli._COMMANDS or an allowlisted name: a renamed or deleted name cannot
+    # stay in the docs.
+    text = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    parts = {part for span in re.findall(r"`([A-Za-z_][\w.]*)`", text)
+             for part in span.split(".")}
+    code = {part for part in parts if "_" in part or part[:1].isupper()}
+    keys = {key for _, _, flags, config in cli._COMMANDS.values() for key in [*flags, *config]}
+    unknown = code - _source_names() - keys - README_NAME_ALLOWLIST
+    assert code and not unknown, sorted(unknown)
 
 
 def test_exit_2_on_bad_config(tmp_path, capsys):

@@ -136,9 +136,9 @@ def test_nu_n_at_most_relaxed_bound():
     for seed in range(5):
         inst = random_instance(seed, 3)
         mu, _ = mu_quantities(inst.rho_RA, inst.sigma_A, inst.dims)
-        nu, argopt, _ = nu_n(inst.rho_RA, inst.sigma_A, 3, inst.dims)
-        assert nu <= 1.0 + mu / 3 + 1e-7
-        assert abs(np.trace(argopt).real - 1.0) < 1e-8
+        res = nu_n(inst.rho_RA, inst.sigma_A, 3, inst.dims)
+        assert res.value <= 1.0 + mu / 3 + 1e-7
+        assert abs(np.trace(res.witness).real - 1.0) < 1e-8
 
 
 # nu_n recorded with the multi-start optimizer this package used before the
@@ -155,10 +155,10 @@ PINNED_NU = {
 def test_nu_n_pinned_and_certified(key):
     seed, n, dR, dA = key
     inst = random_instance(seed, n, dR, dA)
-    nu, argopt, rep = nu_n(inst.rho_RA, inst.sigma_A, n, inst.dims)
-    assert abs(nu - PINNED_NU[key]) <= 1e-9 * max(1.0, PINNED_NU[key])
-    assert rep.gap_estimate <= 1e-9
-    assert abs(np.trace(argopt).real - 1.0) < 1e-12
+    res = nu_n(inst.rho_RA, inst.sigma_A, n, inst.dims)
+    assert abs(res.value - PINNED_NU[key]) <= 1e-9 * max(1.0, PINNED_NU[key])
+    assert res.gap <= 1e-9
+    assert abs(np.trace(res.witness).real - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("n, want", [(1, 3.591455327570736), (3, 1.8749902729897863)])
@@ -169,10 +169,10 @@ def test_nu_n_rank_deficient_rho_r(n, want):
     sigma = sample("mixed-hilbert-schmidt", 2, 23)
     W = np.kron(np.eye(3)[:, :2], np.eye(2))
     for rho, dims in [(M, (2, 2)), (W @ M @ W.conj().T, (3, 2))]:
-        nu, argopt, rep = nu_n(rho, sigma, n, dims)
-        assert abs(nu - want) <= 1e-9 * want
-        assert rep.gap_estimate <= 1e-9
-    assert np.abs(argopt[2]).max() < 1e-15  # the embedded omega stays on supp(rho_R)
+        res = nu_n(rho, sigma, n, dims)
+        assert abs(res.value - want) <= 1e-9 * want
+        assert res.gap <= 1e-9
+    assert np.abs(res.witness[2]).max() < 1e-15  # the embedded omega stays on supp(rho_R)
 
 
 def report_of(inst):
@@ -187,8 +187,8 @@ def test_bounds_report_all_hold():
         rep = report_of(inst)
         for name, (lhs, rhs) in rep.bounds.items():
             assert lhs <= rhs + 1e-8, (name, lhs, rhs)
-        assert rep.nu_n == rep.nu_report.value
-        assert rep.nu_report.gap_estimate <= 1e-9
+        assert rep.nu_n == rep.nu.value
+        assert rep.nu.gap <= 1e-9
         # corollary ordering: 1 - 1/nu_n <= mu/(mu+n)
         assert 1.0 - 1.0 / rep.nu_n <= rep.mu / (rep.mu + n) + 1e-7
 
@@ -713,7 +713,7 @@ def fresh_bounds_report(rho_RA, sigma_A, n, dims):
     inst = ConvexSplitInstance(rho_RA, sigma_A, reduced(_as_matrix(rho_RA), dims, 0), n, dims)
     R, frame = inst.rho_RA, _ReferenceFrame(inst)
     lhs, rhs, residual, t, mu, mu_max = fresh_split_report(inst)
-    nu, argopt, nu_rep = nu_n(R, inst.sigma_A, n, dims)
+    nu = nu_n(R, inst.sigma_A, n, dims)
     lhs_umegaki = frame.umegaki()
     lhs_d2 = math.log2(lhs) if not math.isinf(lhs) else INF
     lhs_trace = frame.trace_distance()
@@ -728,13 +728,12 @@ def fresh_bounds_report(rho_RA, sigma_A, n, dims):
         "pinsker": (lhs_trace, math.sqrt(mu_max / (2 * n)) if not math.isinf(mu_max) else INF),
         "split7": (lhs_p2, mu_max / (n + mu_max) if not math.isinf(mu_max) else 1.0),
         "gmain8": (lhs_d2, math.log2(1.0 + mu / n) if not math.isinf(mu) else INF),
-        "split9": (lhs_p2, 1.0 - 1.0 / nu),
+        "split9": (lhs_p2, 1.0 - 1.0 / nu.value),
         "pmu0": (lhs_p2, mu / (mu + n) if not math.isinf(mu) else 1.0),
         "trace_sqrt": (lhs_trace, 0.5 * math.sqrt(mu / n) if not math.isinf(mu) else INF),
     }
     b["ly2024"] = (lhs_umegaki, min(pinching, b["gmain8"][1]))
-    return ((lhs, rhs, residual, t, mu, mu_max, nu, b["gmain8"][1] <= pinching), b,
-            (nu_rep.value, nu_rep.iterations, nu_rep.gap_estimate), argopt)
+    return (lhs, rhs, residual, t, mu, mu_max, nu.value, b["gmain8"][1] <= pinching), b, nu
 
 
 def bounds_cases():
@@ -759,13 +758,14 @@ def test_bounds_report_equals_fresh_decompositions_bit_for_bit():
     seen = set()
     for name, rho, sigma, n, dims in bounds_cases():
         rep = bounds_report(rho, sigma, n, dims)
-        values, bounds, nu_rep, argopt = fresh_bounds_report(rho, sigma, n, dims)
+        values, bounds, nu = fresh_bounds_report(rho, sigma, n, dims)
         assert (rep.q2_lhs, rep.q2_rhs, rep.residual, rep.t, rep.mu, rep.mu_max, rep.nu_n,
                 rep.ly2024_tighter) == values, name
         assert rep.bounds == bounds, name
-        got = rep.nu_report
-        assert (got.value, got.iterations, got.gap_estimate) == nu_rep, name
-        assert np.array_equal(got.argopt, argopt), name
+        got = rep.nu
+        assert (got.value, got.lower, got.upper, got.steps) == (
+            nu.value, nu.lower, nu.upper, nu.steps), name
+        assert np.array_equal(got.witness, nu.witness), name
         seen.add(math.isinf(rep.mu_max))
     assert seen == {False, True}
 
@@ -783,5 +783,5 @@ def test_bounds_report_decomposes_each_operator_once(monkeypatch):
     sigma = sample("mixed-hilbert-schmidt", 2, 901)
     calls = _count_eigh(monkeypatch)
     rep = bounds_report(rho, sigma, 1, (2, 2))
-    steps = rep.nu_report.iterations
+    steps = rep.nu.steps
     assert calls == {"eigh": 12 + 2 * steps, "eigvalsh": 2 + 2 * steps}

@@ -17,7 +17,7 @@ from csl.infomeasures import (
     renyi_entropy,
     universal_rhs,
 )
-from csl.matcore import CertificateError, ContractViolation, sample
+from csl.matcore import CertificateError, ContractViolation, reduced, sample
 from csl.optim import imax_sdp, minimize_convex_over_states
 from csl.smoothing import imax_smoothed_upper
 
@@ -69,9 +69,9 @@ def test_mutual_info_alpha_one_is_the_umegaki_closed_form():
     rho /= np.trace(rho).real
     rho_A, rho_B = (np.trace(rho.reshape(2, 3, 2, 3), axis1=a, axis2=a + 2) for a in (1, 0))
     assert np.linalg.matrix_rank(rho_B) == 2
-    val, report = mutual_info_alpha(rho, 1.0, dims)
+    val, sigma = mutual_info_alpha(rho, 1.0, dims)
     assert abs(val - d_umegaki(rho, np.kron(rho_A, rho_B))) <= 1e-12
-    assert np.array_equal(report.argopt, rho_B)
+    assert np.array_equal(sigma, rho_B)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.49, math.inf, math.nan])
@@ -176,7 +176,7 @@ def test_conditional_renyi_up_pinned_and_certified(name, monkeypatch):
     for beta, want in zip(BETAS, pinned):
         value = conditional_renyi_up(rho, beta, dims)
         assert abs(value - want) <= 1e-9, (beta, value, want)
-        assert reports[-1].gap_estimate <= 1e-9
+        assert reports[-1].gap <= 1e-9
     assert len(reports) == len(BETAS)
 
 
@@ -199,29 +199,28 @@ def test_imax_smoothed_upper_basics():
     a = sample("mixed-hilbert-schmidt", 2, 0)
     b = sample("mixed-hilbert-schmidt", 2, 1)
     prod = np.kron(a, b)
-    est = imax_smoothed_upper(prod, 0.2, (2, 2))
-    assert est.value_bits < 1e-6
+    est, _ = imax_smoothed_upper(prod, 0.2, (2, 2))
+    assert est < 1e-6
 
     bell = bell_density()
-    est2 = imax_smoothed_upper(bell, 0.2, (2, 2))
-    assert est2.value_bits <= 2.0 + 1e-9
+    est2, _ = imax_smoothed_upper(bell, 0.2, (2, 2))
+    assert est2 <= 2.0 + 1e-9
     # tiny ball: value collapses to the unsmoothed I_max
-    est3 = imax_smoothed_upper(bell, 1e-6, (2, 2))
-    assert abs(est3.value_bits - imax_sdp(bell, (2, 2)).value_bits) < 1e-6
+    est3, _ = imax_smoothed_upper(bell, 1e-6, (2, 2))
+    assert abs(est3 - imax_sdp(bell, (2, 2)).value) < 1e-6
 
 
 def test_imax_smoothed_upper_monotone_in_eps():
     rho = sample("mixed-hilbert-schmidt", (2, 2), 3)
-    vals = [imax_smoothed_upper(rho, e, (2, 2)).value_bits
-            for e in [0.01, 0.05, 0.1, 0.3]]
+    vals = [imax_smoothed_upper(rho, e, (2, 2))[0] for e in [0.01, 0.05, 0.1, 0.3]]
     for lo, hi in zip(vals, vals[1:]):
         assert hi <= lo + 1e-9
 
 
 def test_dmax_smoothed_upper_same_state():
     rho = sample("mixed-hilbert-schmidt", 3, 4)
-    est = dmax_smoothed_upper(rho, rho, 0.1)
-    assert est.value_bits < 1e-9
+    est, _ = dmax_smoothed_upper(rho, rho, 0.1)
+    assert est < 1e-9
 
 
 def test_check_rld_bound_commuting_and_random():
@@ -265,19 +264,21 @@ def test_wide_bracket_is_not_certified(monkeypatch):
     rho, dims = sample("mixed-hilbert-schmidt", (2, 2), 0), (2, 2)
     imax = imax_sdp(rho, dims)
     hmin = optim.dominating_trace_min(np.eye(2)[None], rho[None], dims)[0]
-    assert min(imax.gap_bits, hmin.gap_bits) > 0
-    monkeypatch.setattr(optim, "GAP_TOL", min(imax.gap_bits, hmin.gap_bits) / 2)
-    for res, solve in ((imax, lambda: imax_sdp(rho, dims)),
-                       (hmin, lambda: h_min_conditional(rho, dims))):
+    cases = [(imax, reduced(rho, dims, 0), lambda: imax_sdp(rho, dims)),
+             (hmin, np.eye(2), lambda: h_min_conditional(rho, dims))]
+    residuals = [optim.dominance_residual(M_A, rho, res) for res, M_A, _ in cases]
+    assert min(imax.gap, hmin.gap) > 0
+    monkeypatch.setattr(optim, "GAP_TOL", min(imax.gap, hmin.gap) / 2)
+    for (res, _, solve), residual in zip(cases, residuals):
         with pytest.raises(CertificateError, match=re.escape(
-                f"not certified (bracket {res.gap_bits:.3e} bits, "
-                f"residual {res.residual:.3e})")):
+                f"not certified (bracket {res.gap:.3e} bits, "
+                f"residual {residual:.3e})")):
             solve()
 
 
 def test_h_min_reported_from_dual_side():
-    # H_min is the sound upper side -lower_bits, within GAP_TOL of -value_bits.
+    # H_min is the sound upper side -lower, within GAP_TOL of -value.
     rho = sample("mixed-hilbert-schmidt", (2, 3), 12)
     res = optim.dominating_trace_min(np.eye(2)[None], rho[None], (2, 3))[0]
-    assert h_min_conditional(rho, (2, 3)) == -res.lower_bits
-    assert -1e-14 <= res.gap_bits <= optim.GAP_TOL
+    assert h_min_conditional(rho, (2, 3)) == -res.lower
+    assert -1e-14 <= res.gap <= optim.GAP_TOL

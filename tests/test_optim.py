@@ -29,6 +29,7 @@ from csl.optim import (
     minimize_convex_over_states,
     minimize_over_states,
 )
+from helpers import sdp_residual
 
 
 def bell_density():
@@ -45,28 +46,27 @@ def _lone(M_A, rho, dims):
 def test_minimize_over_states_quadratic():
     # min over sigma of ||sigma - target||_F^2 is attained at the target.
     target = sample("mixed-hilbert-schmidt", 3, 0)
-    rep = minimize_over_states(
+    value, state = minimize_over_states(
         lambda stack: [float(np.abs(s - target).sum() ** 2) for s in stack], 3, restarts=8)
-    assert rep.value < 1e-8
-    assert np.abs(rep.argopt - target).max() < 1e-3
+    assert value < 1e-8
+    assert np.abs(state - target).max() < 1e-3
 
 
 def test_minimize_recovers_divergence_minimizer():
     # min_sigma D_2(rho || sigma) = 0 at sigma = rho; d_alpha takes the stack.
     rho = sample("mixed-hilbert-schmidt", 2, 1)
-    rep = minimize_over_states(lambda stack: d_alpha(rho, stack, 2.0), 2, restarts=8,
-                               extra_starts=[rho])
-    assert rep.value < 1e-9
+    value, _ = minimize_over_states(lambda stack: d_alpha(rho, stack, 2.0), 2, restarts=8,
+                                    extra_starts=[rho])
+    assert value < 1e-9
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_minimize_over_states_never_finite(bad):
-    # An objective that is never finite gets the sentinel report: value inf,
-    # gap inf, the maximally mixed state.
-    rep = minimize_over_states(lambda stack: np.full(len(stack), bad), 3, restarts=4)
-    assert rep.value == math.inf
-    assert rep.gap_estimate == math.inf
-    assert np.array_equal(rep.argopt, np.eye(3) / 3)
+    # An objective that is never finite gets the sentinel: value inf and the
+    # maximally mixed state.
+    value, state = minimize_over_states(lambda stack: np.full(len(stack), bad), 3, restarts=4)
+    assert value == math.inf
+    assert np.array_equal(state, np.eye(3) / 3)
 
 
 def _pole_at(x0, dim):
@@ -117,48 +117,48 @@ def test_imax_product_zero():
     a = sample("mixed-hilbert-schmidt", 2, 2)
     b = sample("mixed-hilbert-schmidt", 2, 3)
     res = imax_sdp(np.kron(a, b), (2, 2))
-    assert abs(res.value_bits) < 1e-6
-    assert res.residual > -1e-7
+    assert abs(res.value) < 1e-6
+    assert sdp_residual(res, np.kron(a, b), (2, 2)) > -1e-7
 
 
 def test_imax_bell_two_bits():
     res = imax_sdp(bell_density(), (2, 2))
-    assert abs(res.value_bits - 2.0) < 1e-6
-    assert res.residual > -1e-7
+    assert abs(res.value - 2.0) < 1e-6
+    assert sdp_residual(res, bell_density(), (2, 2)) > -1e-7
 
 
 def test_imax_classical_bit():
     rho = 0.5 * np.diag([1.0, 0, 0, 0]) + 0.5 * np.diag([0, 0, 0, 1.0])
     res = imax_sdp(rho, (2, 2))
-    assert abs(res.value_bits - 1.0) < 1e-6
+    assert abs(res.value - 1.0) < 1e-6
 
 
 def test_certificate_feasibility():
     for seed in range(5):
         rho = sample("mixed-hilbert-schmidt", (2, 3), seed)
         res = imax_sdp(rho, (2, 3))
-        assert res.residual > -1e-7
+        assert sdp_residual(res, rho, (2, 3)) > -1e-7
         # certificate actually dominates: rho_A (x) Y - rho is PSD up to tol
         rho_A = np.trace(rho.reshape(2, 3, 2, 3), axis1=1, axis2=3)
-        gap = np.kron(rho_A, res.certificate) - rho
+        gap = np.kron(rho_A, res.witness) - rho
         assert np.linalg.eigvalsh((gap + gap.conj().T) / 2).min() > -1e-7
 
 
 def test_dominating_trace_min_hmin():
     # H_min(A|B) of Bell = -1, so min Tr Y with I (x) Y >= rho is 2.
     res = _lone(np.eye(2), bell_density(), (2, 2))
-    assert abs(res.value_bits - 1.0) < 1e-6  # log2 Tr Y = 1
+    assert abs(res.value - 1.0) < 1e-6  # log2 Tr Y = 1
 
     a = np.diag([0.7, 0.3])
     b = np.diag([0.5, 0.5])
     res2 = _lone(np.eye(2), np.kron(a, b), (2, 2))
-    assert abs(res2.value_bits - math.log2(0.7)) < 1e-6
+    assert abs(res2.value - math.log2(0.7)) < 1e-6
 
 
 def test_rank_deficient_inputs():
     rho = sample("rank-limited", (2, 2), 4, rank=2)
     res = imax_sdp(rho, (2, 2))
-    assert res.residual > -1e-7
+    assert sdp_residual(res, rho, (2, 2)) > -1e-7
 
 
 def _marginal_A(rho, dA, dB):
@@ -200,12 +200,12 @@ PINNED_SDP = {
 def test_dominating_trace_min_pinned(name):
     M_A, rho, dims = _sdp_cases()[name]
     res = _lone(M_A, rho, dims)
-    assert abs(res.value_bits - PINNED_SDP[name]) <= 1e-12
-    assert res.residual >= -1e-7
-    assert res.gap_bits <= GAP_TOL
+    assert abs(res.value - PINNED_SDP[name]) <= 1e-12
+    assert sdp_residual(res, rho, dims, M_A) >= -1e-7
+    assert res.gap <= GAP_TOL
     # Iteration count, not time: a solver change that needs many more
     # steps fails here on any machine.
-    assert res.iterations <= 50
+    assert res.steps <= 50
 
 
 def _check_dual(res, M_A, rho, dims):
@@ -214,8 +214,8 @@ def _check_dual(res, M_A, rho, dims):
     assert np.linalg.eigvalsh(Z).min() >= -1e-12 * np.linalg.eigvalsh(Z).max()
     image = reduced(np.kron(M_A, np.eye(dims[1])) @ Z, dims, 1)
     assert np.linalg.eigvalsh((image + image.conj().T) / 2).max() <= 1.0 + 1e-12
-    assert abs(math.log2(np.trace(rho @ Z).real) - res.lower_bits) <= 1e-12
-    assert res.lower_bits <= res.value_bits + 1e-14
+    assert abs(math.log2(np.trace(rho @ Z).real) - res.lower) <= 1e-12
+    assert res.lower <= res.value + 1e-14
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_SDP))
@@ -241,17 +241,17 @@ def test_criterion_08_brackets_within_gap_tol(criterion_08_sdps):
     # brackets wider than 1e-6; every one must now certify.
     assert len(criterion_08_sdps) == 80
     for res, M_A, rho, dims in criterion_08_sdps:
-        assert res.gap_bits <= GAP_TOL
+        assert res.gap <= GAP_TOL
         _check_dual(res, M_A, rho, dims)
 
 
 def test_criterion_08_mean_iterations(criterion_08_sdps):
-    iterations = [res.iterations for res, *_ in criterion_08_sdps]
+    iterations = [res.steps for res, *_ in criterion_08_sdps]
     assert max(iterations) <= 50
     assert sum(iterations) / len(iterations) <= 20
 
 
-_RESULT_FIELDS = ("value_bits", "lower_bits", "certificate", "dual", "residual", "iterations")
+_RESULT_FIELDS = ("value", "lower", "upper", "witness", "dual", "steps")
 
 
 def _stacked(problems):
@@ -310,7 +310,7 @@ def test_cholesky_failure_stops_only_its_member(monkeypatch):
         X = a[: len(a) // 2]
         if np.trace(X, axis1=1, axis2=2).real.min() < 0.05:
             seen.append(1)
-            if len(seen) >= free[0].iterations:
+            if len(seen) >= free[0].steps:
                 raise np.linalg.LinAlgError("not positive definite")
         return cholesky(a)
 
@@ -318,7 +318,7 @@ def test_cholesky_failure_stops_only_its_member(monkeypatch):
     alone = _lone(*victim)
     seen.clear()
     stacked = _stacked([victim, other])
-    assert alone.iterations == free[0].iterations - 1 < free[1].iterations
+    assert alone.steps == free[0].steps - 1 < free[1].steps
     _assert_same_bits(stacked[0], alone)
     _assert_same_bits(stacked[1], free[1])
 
@@ -331,7 +331,7 @@ def _pure(amplitudes):
 def test_exact_values_inside_brackets():
     # Round-off in evaluating Tr Y and Tr[rho Z] is allowed 1e-14 bits.
     def inside(res, value):
-        assert res.lower_bits - 1e-14 <= value <= res.value_bits + 1e-14
+        assert res.lower - 1e-14 <= value <= res.upper + 1e-14
 
     bell = bell_density()
     inside(imax_sdp(bell, (2, 2)), 2.0)
@@ -340,6 +340,71 @@ def test_exact_values_inside_brackets():
         a = sample("mixed-hilbert-schmidt", 2, seed)
         b = sample("mixed-hilbert-schmidt", 3, seed + 20)
         inside(imax_sdp(np.kron(a, b), (2, 3)), 0.0)
+
+
+def _kernel_solve(beta):
+    """The convex solver on a QAlphaKernel whose rho has two eigenvalues under
+    the kernel's cut, valued as D_beta, and a check that its bracket covers
+    the Frank-Wolfe gap and the cut bound at the returned sigma."""
+    rng = np.random.default_rng([28, int(4 * beta)])
+    U = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+    w = rng.random(6) + 0.5
+    # Under the cut, yet small enough for the gap to close (alpha < 1 cuts at
+    # RANK_TOL, where the bound grows as mass^alpha).
+    w[:2] = np.array([0.5, 0.2]) * (q_alpha_cut(w, beta) if beta > 1 else 1e-14 * w.max())
+    rho = (U * (w / w.sum())) @ U.conj().T
+    sign = 1.0 if beta > 1 else -1.0
+    kernel = QAlphaKernel(beta, [(sign, rho, np.eye(2), False)])
+
+    def value_of(f):
+        return math.log2(sign * f) / (beta - 1.0) if sign * f > 0 else -math.inf
+
+    def check(res):
+        f, G, _ = kernel(res.witness)
+        below, above = kernel.cut_bound(res.witness)
+        assert max(below, above) > 0.0  # the cut drops mass
+        fw = frank_wolfe_gap(G, res.witness)
+        assert res.lower <= value_of(f - fw - below) and value_of(f + above) <= res.upper
+
+    return minimize_convex_over_states(kernel, 3, value_of), check
+
+
+def _nu_n_solve(leaks):
+    rho = sample("mixed-hilbert-schmidt", (2, 2), 3)
+    sigma = np.diag([1.0, 0.0]) if leaks else sample("mixed-hilbert-schmidt", 2, 4)
+    return convexsplit.nu_n(rho, sigma, 3, (2, 2)), None
+
+
+def _sdp_solve(member):
+    rho, dims = sample("mixed-hilbert-schmidt", (2, 3), 29), (2, 3)
+    if member == "imax":
+        return imax_sdp(rho, dims), None
+    stack = dominating_trace_min(np.array([reduced(rho, dims, 0), np.eye(2)]),
+                                 np.array([rho, rho]), dims)
+    return stack[1], None
+
+
+BRACKET_CASES = {
+    "kernel-beta-0.75": lambda: _kernel_solve(0.75),
+    "kernel-beta-2": lambda: _kernel_solve(2.0),
+    "nu_n": lambda: _nu_n_solve(False),
+    "nu_n-inf": lambda: _nu_n_solve(True),
+    "imax_sdp": lambda: _sdp_solve("imax"),
+    "h_min-in-stack-of-two": lambda: _sdp_solve("h_min"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BRACKET_CASES))
+def test_certified_bracket_holds_the_value(case):
+    # Every certified result brackets its value within GAP_TOL; an exact
+    # value (nu_n where rho_RA leaves R (x) supp(sigma)) has gap 0.
+    res, check = BRACKET_CASES[case]()
+    assert res.lower <= res.value <= res.upper
+    assert 0.0 <= res.gap <= GAP_TOL
+    if case == "nu_n-inf":
+        assert res.value == res.lower == res.upper == math.inf and res.gap == 0.0
+    if check is not None:
+        check(res)
 
 
 def _edge_cases():
@@ -401,10 +466,10 @@ def test_edge_cases_certify_or_refuse(name):
         return
     # rho has weight on the cut direction of M_A: infeasible, refused.
     assert name != "MA-eig-below-2x3"
-    assert res.gap_bits <= GAP_TOL and res.residual >= -1e-7
+    assert res.gap <= GAP_TOL and sdp_residual(res, rho, dims, M_A) >= -1e-7
     _check_dual(res, M_A, rho, dims)
     if name in EDGE_EXACT:
-        assert res.lower_bits - 1e-12 <= EDGE_EXACT[name] <= res.value_bits + 1e-12
+        assert res.lower - 1e-12 <= EDGE_EXACT[name] <= res.upper + 1e-12
     if reader is not None:
         reader(rho, dims)
 
@@ -466,7 +531,7 @@ def test_frank_wolfe_gap_bounds_suboptimality(alpha):
     rho = sample("mixed-hilbert-schmidt", (2, 3), 8)
     kernel = QAlphaKernel(alpha, [(1.0 if alpha > 1 else -1.0, rho, np.eye(2), False)])
     best = minimize_convex_over_states(kernel, 3)
-    assert best.gap_estimate <= 1e-9
+    assert best.gap <= 1e-9
     for seed in range(5):
         poor = sample("rank-limited", 3, 40 + seed, rank=3)
         poor = 0.9 * poor + 0.1 * np.diag([1.0, 0.0, 0.0])
@@ -610,7 +675,7 @@ def _counted(monkeypatch, module):
     def counting(kernel, dim, value_of=None, start=None):
         fun = _Counting(kernel, dim)
         rep = minimize_convex_over_states(fun, dim, value_of, start)
-        solves.append((rep.iterations, fun.calls, rep))
+        solves.append((rep.steps, fun.calls, rep))
         return rep
 
     monkeypatch.setattr(module, "minimize_convex_over_states", counting)
@@ -621,7 +686,7 @@ def _check_counts(solves, n_solves):
     assert len(solves) == n_solves
     for steps, calls, rep in solves:
         assert steps <= 10 and calls <= 12, (steps, calls)
-        assert rep.gap_estimate <= GAP_TOL
+        assert rep.gap <= GAP_TOL
 
 
 def test_newton_counts_on_criterion_08_states(monkeypatch):

@@ -51,12 +51,12 @@ def test_imax_invariant_under_invertible_filter_on_a(dims):
     rng = np.random.default_rng([17, dA, dB])
     for seed in range(3):
         rho = sample("mixed-hilbert-schmidt", dims, 1700 + 10 * dA + seed)
-        want = imax_sdp(rho, dims).value_bits
+        want = imax_sdp(rho, dims).value
         for _ in range(2):
             L = _random_filter(dA, rng)
             rho_A = reduced(rho, dims, 0)
             assert np.linalg.norm(L @ rho_A - rho_A @ L) > 1e-2  # not a function of rho_A
-            got = imax_sdp(_filtered(rho, np.kron(L, np.eye(dB))), dims).value_bits
+            got = imax_sdp(_filtered(rho, np.kron(L, np.eye(dB))), dims).value
             assert abs(got - want) <= 1e-10, (seed, got, want)
 
 
@@ -67,9 +67,9 @@ def test_imax_moves_under_filter_on_b(dims):
     rng = np.random.default_rng([18, dA, dB])
     for seed in range(3):
         rho = sample("mixed-hilbert-schmidt", dims, 1800 + 10 * dA + seed)
-        want = imax_sdp(rho, dims).value_bits
+        want = imax_sdp(rho, dims).value
         M = _random_filter(dB, rng)
-        got = imax_sdp(_filtered(rho, np.kron(np.eye(dA), M)), dims).value_bits
+        got = imax_sdp(_filtered(rho, np.kron(np.eye(dA), M)), dims).value
         assert abs(got - want) > 1e-3, (seed, got, want)
 
 
@@ -106,7 +106,7 @@ def test_imax_classical_closed_form(dims, p):
     cond = p[pa > 0] / pa[pa > 0, None]
     want = math.log2(float(cond.max(axis=0).sum()))
     res = imax_sdp(_diag_state(p), dims)
-    assert abs(res.value_bits - want) <= 1e-10, (res.value_bits, want)
+    assert abs(res.value - want) <= 1e-10, (res.value, want)
 
 
 @pytest.mark.parametrize("dims, p", CLASSICAL)

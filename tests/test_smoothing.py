@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from csl import infomeasures, optim, smoothing
+from csl import infomeasures, matcore, optim, smoothing
 from csl.matcore import (
     CertificateError,
+    Spectrum,
     purified_distance,
     reduced,
     sample,
@@ -75,10 +76,15 @@ def _kept(omega, dims):
     return int(np.count_nonzero(np.linalg.eigvalsh(reduced(omega, dims, 0)) > 1e-12))
 
 
+def _witness(rho, dims, delta):
+    """_truncated_witness with a fresh Spectrum of rho_A."""
+    return _truncated_witness(rho, dims, delta, Spectrum(reduced(rho, dims, 0)))
+
+
 def test_truncation_effect_example():
     # spectrum (3/4, 1/4) at delta = 0.2: t = (0.95, 0.05), s = (0.75, 0.05),
     # and the tail s_2 = 0.05 <= delta keeps m = 1.
-    t, s_min, omega = _truncated_witness(np.diag([0.75, 0.25]), (2, 1), 0.2)
+    t, s_min, omega = _witness(np.diag([0.75, 0.25]), (2, 1), 0.2)
     assert np.abs(t - [0.95, 0.05]).max() < 1e-12
     assert abs(s_min - 0.75) < 1e-12
     assert np.abs(omega - np.diag([1.0, 0.0])).max() < 1e-12
@@ -88,10 +94,10 @@ def test_truncation_m_smallest_and_tie_break():
     rho = np.diag([0.4, 0.3, 0.2, 0.1])
     # delta = 0.3: t = (0.7, 0.3, 0, 0), so the tail after m = 1 is exactly
     # 0.3 -> m = 1 on the tie.
-    _, s_min, omega = _truncated_witness(rho, (4, 1), 0.3)
+    _, s_min, omega = _witness(rho, (4, 1), 0.3)
     assert _kept(omega, (4, 1)) == 1 and abs(s_min - 0.4) < 1e-12
     # delta = 0.25: the tail after m = 1 is 0.35, after m = 2 it is 0.05.
-    _, s_min, omega = _truncated_witness(rho, (4, 1), 0.25)
+    _, s_min, omega = _witness(rho, (4, 1), 0.25)
     assert _kept(omega, (4, 1)) == 2 and abs(s_min - 0.3) < 1e-12
     assert np.abs(omega - np.diag([0.4, 0.3, 0.0, 0.0]) / 0.7).max() < 1e-12
 
@@ -102,7 +108,7 @@ def test_truncation_survival_and_gentle_measurement():
     for seed in range(20):
         rho = sample("mixed-hilbert-schmidt", (2, 2), seed)
         for dims, delta in itertools.product(((4, 1), (2, 2)), (0.05, 0.2)):
-            t, s_min, omega = _truncated_witness(rho, dims, delta)
+            t, s_min, omega = _witness(rho, dims, delta)
             q = np.sort(np.linalg.eigvalsh(reduced(rho, dims, 0)))[::-1]
             assert 0.5 * np.abs(t - q).sum() <= delta + 1e-12
             assert abs(np.trace(omega).real - 1.0) < 1e-12
@@ -129,10 +135,10 @@ def test_uab_chain_cache_reuse():
     assert rep1.rhs_final == rep2.rhs_final
     # The witness is keyed on delta alone: no Renyi order in the key.  Its
     # I_max SDP is keyed on the cutoff class, here the uncut one (k = dA),
-    # and H_alpha(A) on alpha.
+    # and H_alpha(A) on alpha; rho_A's Spectrum is held once.
     delta = infomeasures.C_SMOOTH * 0.1 * 0.1
     assert set(cache) == {("trunc", round(delta, 14)), ("imax_class", 2), "h_min",
-                          ("h_alpha", 0.5), ("h_up", 2.0)}
+                          ("h_alpha", 0.5), ("h_up", 2.0), "rho_A"}
 
 
 UAB_GRID = list(itertools.product((0.3, 0.5, 0.9), (1.5, 2.0, 4.0), (0.05, 0.1, 0.3)))
@@ -191,6 +197,25 @@ def test_uab_chain_solves_per_state(monkeypatch, dims, seed):
     assert calls == {"sdp": 2, "sdp_calls": 1, "renyi_up": 3}
 
 
+def test_uab_chain_decomposes_rho_a_once(monkeypatch):
+    # One Spectrum of rho_A, held in the state's cache, serves the three
+    # witnesses of the 27-point grid and the class solve: eig_hermitian
+    # sees rho_A once (the SDP decomposes its stack of M_A on its own).
+    dims = (2, 3)
+    rho = sample("mixed-hilbert-schmidt", 6, 47)
+    rho_A = reduced(rho, dims, 0)
+    eig, seen = matcore.eig_hermitian, []
+
+    def counting(H):
+        seen.append(H.shape == rho_A.shape and np.array_equal(H, rho_A))
+        return eig(H)
+
+    monkeypatch.setattr(matcore, "eig_hermitian", counting)
+    cache = {}
+    for alpha, beta, eps in UAB_GRID:
+        assert uab_chain_verify(rho, dims, alpha, beta, eps, cache=cache).passed
+    assert sum(seen) == 1
+
 
 def test_uab_chain_solves_h_min_alone_on_a_cache_holding_the_class(monkeypatch):
     # A cache that imax_smoothed_upper filled holds the uncut class but not
@@ -237,8 +262,8 @@ def test_uab_chain_cut_class_matches_witness_sdp(monkeypatch, dims, seed, weight
     assert classes == {dims[0], dims[0] - 1}
     for eps in (0.05, 0.1, 0.3):
         delta = infomeasures.C_SMOOTH * eps * eps
-        _, _, omega = _truncated_witness(rho, dims, delta)
-        own = imax_sdp(omega, dims).value_bits
+        _, _, omega = _witness(rho, dims, delta)
+        own = imax_sdp(omega, dims).value
         assert abs(cache[("trunc", round(delta, 14))][2] - own) <= 1e-10, eps
 
 
@@ -247,10 +272,10 @@ def test_imax_smoothed_upper_one_sdp_when_nothing_is_cut(monkeypatch):
     # and no uncut witness can beat rho by round-off.
     rho = sample("mixed-hilbert-schmidt", (2, 2), 45)
     calls = _count_solves(monkeypatch)
-    est = imax_smoothed_upper(rho, 0.1, (2, 2))
+    est, witness = imax_smoothed_upper(rho, 0.1, (2, 2))
     assert calls["sdp"] == 1
-    assert np.array_equal(est.witness, rho)
-    assert est.value_bits == imax_sdp(rho, (2, 2)).value_bits
+    assert np.array_equal(witness, rho)
+    assert est == imax_sdp(rho, (2, 2)).value
 
 
 def test_imax_smoothed_upper_takes_a_cut_witness_below_rho():
@@ -261,11 +286,11 @@ def test_imax_smoothed_upper_takes_a_cut_witness_below_rho():
     phi = np.zeros(4)
     phi[0] = phi[3] = math.sqrt(0.5)
     rho = 0.95 * np.outer(e00, e00) + 0.05 * np.outer(phi, phi)
-    assert abs(imax_sdp(rho, (2, 2)).value_bits - 1.214) < 1e-3
-    est = imax_smoothed_upper(rho, 0.3, (2, 2))
-    assert not np.array_equal(est.witness, rho)
-    assert trace_distance(est.witness, rho) <= 0.3
-    assert est.value_bits < 1e-9
+    assert abs(imax_sdp(rho, (2, 2)).value - 1.214) < 1e-3
+    est, witness = imax_smoothed_upper(rho, 0.3, (2, 2))
+    assert not np.array_equal(witness, rho)
+    assert trace_distance(witness, rho) <= 0.3
+    assert est < 1e-9
 
 
 def _narrowed_rho_b(rho, dims, keep):
@@ -305,7 +330,7 @@ def test_class_certificate_is_checked_against_each_witness(monkeypatch):
 
     def shrunk(M_A, rho_AB, dims):
         res = solve(M_A, rho_AB, dims)
-        return [dataclasses.replace(res[0], certificate=0.5 * res[0].certificate)] + res[1:]
+        return [dataclasses.replace(res[0], witness=0.5 * res[0].witness)] + res[1:]
 
     monkeypatch.setattr(smoothing, "dominating_trace_min", shrunk)
     rho = sample("mixed-hilbert-schmidt", (2, 2), 3)
