@@ -103,9 +103,11 @@ def mutual_info_alpha(rho_ab, alpha: float, dims):
     For alpha in [1/2, inf).  Returns (value, sigma): the value clipped at
     0 and the minimizing sigma.  At alpha = 1 that is rho_B and the value
     H(A) + H(B) - H(AB).  Other orders run the descent from I/d and rho_B,
-    then 14 random states.  Each of its points is one stacked `d_alpha`
-    call: rho_A (x) sigma for the whole stack of states is formed by
-    broadcasting, the same products matcore.kron forms for each alone.
+    then 14 random states, all 16 in lockstep: one stacked `d_alpha` call
+    per round, across all starts, on every point asked for and its
+    difference neighbours.  rho_A (x) sigma for the whole stack of states
+    is formed by broadcasting, the same products matcore.kron forms for
+    each alone.
     """
     if not 0.5 <= alpha < math.inf:  # NaN fails too
         raise ContractViolation(f"alpha must be in [1/2, inf), got {alpha}")

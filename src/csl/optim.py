@@ -15,12 +15,15 @@ descent's last bits, and the channel maximization, which is not known to be
 concave.  The two certified solvers return one type, `Certified`: the
 value, a bracket [lower, upper] around the true optimum, the witness state
 or certificate, and the steps taken.  The descent certifies nothing and
-returns a plain (value, state) pair.  Its objective takes a stack of
-states: each L-BFGS-B point is one call on the point and its 2d^2
-forward-difference neighbours, with scipy's own steps and arithmetic, so
-the descent keeps every bit it had when scipy differenced one state at a
-time.  Desk-scale dimensions (<= 36 total) keep all of these cheap; no
-external SDP engine is used.
+returns a plain (value, state) pair.  Its starts run in lockstep through
+scipy's reverse-communication L-BFGS-B routine `_lbfgsb.setulb`, each
+stepped as scipy.optimize._lbfgsb_py._minimize_lbfgsb (scipy 1.17) steps
+it: one objective call per round, across all starts, on the stack of every
+asking run's point and its 2d^2 forward-difference neighbours, with
+scipy's own steps and arithmetic.  So the descent keeps every bit it had
+when scipy.optimize.minimize ran one start at a time and differenced one
+state at a time.  Desk-scale dimensions (<= 36 total) keep all of these
+cheap; no external SDP engine is used.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
+from scipy.optimize import _lbfgsb
 
 from .matcore import (
     _EPS,
@@ -91,23 +94,84 @@ def _state_to_params(sigma: np.ndarray) -> np.ndarray:
 # where x_i + 1e-8 rounds to x_i: sqrt of the float64 machine epsilon.
 _FD_STEP = 1e-8
 _FD_FALLBACK = float(np.finfo(np.float64).eps) ** 0.5
-# scipy's default cap of 15000 objective evaluations for L-BFGS-B.  With the
-# stacked gradient scipy counts points, each worth 1 + 2d^2 evaluations, so
-# the cap passed is 15000 // (1 + 2d^2) points: the same stopping rule.
+# scipy's default cap of 15000 objective evaluations for L-BFGS-B.  Each
+# point is worth 1 + 2d^2 evaluations, so a run stops at its first iteration
+# past 15000 // (1 + 2d^2) points: the rule scipy applied when it differenced
+# one state at a time.
 _MAXFUN = 15000
+# Iterations of one run, and the settings scipy's L-BFGS-B driver passes to
+# setulb for ftol 1e-14, gtol 1e-10 and its defaults maxcor 10, maxls 20.
+_MAXITER = 500
+_MAXCOR, _MAXLS = 10, 20
+_FACTR = 1e-14 / np.finfo(float).eps
+_PGTOL = 1e-10
+# setulb's task codes: evaluate f and g at x, a new iteration, stop, and the
+# stop reasons scipy records for maxiter and maxfun.
+_FG, _NEW_X, _STOP, _AT_MAXITER, _AT_MAXFUN = 3, 1, 5, 504, 502
 
 
-def _forward_difference(x: np.ndarray, objective, dim: int):
-    """f and its forward-difference gradient at the Gram parameters x, from
-    one objective call on the stack [sigma(x), sigma(x + h_1 e_1), ...]."""
+def _stacked_gradients(x: np.ndarray, objective, dim: int):
+    """f and the forward-difference gradient at each row of the Gram
+    parameters x (k, n), from one objective call on the k (1 + n) states
+    sigma(x_j), sigma(x_j + h_j1 e_1), ..., sigma(x_j + h_jn e_n)."""
+    k, n = x.shape
     sign = (x >= 0).astype(float) * 2 - 1
     h = np.where((x + _FD_STEP) - x == 0,
                  _FD_FALLBACK * sign * np.maximum(1.0, np.abs(x)), _FD_STEP)
-    X = np.repeat(x[None], len(x) + 1, axis=0)
-    X[np.arange(1, len(x) + 1), np.arange(len(x))] = x + h
-    f = np.asarray(objective(_gram_state(X, dim)), dtype=float)
-    f = np.where(np.isfinite(f), f, 1e12)
-    return float(f[0]), (f[1:] - f[0]) / ((x + h) - x)
+    X = np.repeat(x[:, None], n + 1, axis=1)
+    X[:, np.arange(1, n + 1), np.arange(n)] = x + h
+    f = np.asarray(objective(_gram_state(X.reshape(-1, n), dim)), dtype=float)
+    f = np.where(np.isfinite(f), f, 1e12).reshape(k, n + 1)
+    return f[:, 0].tolist(), (f[:, 1:] - f[:, :1]) / ((x + h) - x)
+
+
+class _Run:
+    """One start's L-BFGS-B run, stepped through scipy's reverse-communication
+    routine setulb as scipy.optimize._lbfgsb_py._minimize_lbfgsb steps it
+    (no bounds, g cast to float64 before each call), with the memo of its
+    ScalarFunction: a request for the point evaluated last reuses its f and
+    g and does not count as an evaluation.
+    """
+
+    def __init__(self, x0: np.ndarray):
+        n = len(x0)
+        m = _MAXCOR
+        self.x, self.f, self.g = np.array(x0, dtype=np.float64), np.array(0.0), np.zeros(n)
+        self.no_bounds = np.zeros(n), np.zeros(n, np.int32)
+        self.wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+        self.iwa = np.zeros(3 * n, np.int32)
+        self.task, self.ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+        self.lsave, self.isave = np.zeros(4, np.int32), np.zeros(44, np.int32)
+        self.dsave = np.zeros(29)
+        self.iterations = self.nfev = 0
+        self.memo = None  # (x, f, g) of the point evaluated last
+
+    def advance(self, maxfun: int) -> bool:
+        """Step setulb until it asks for a new point (True) or stops (False)."""
+        zero, nbd = self.no_bounds
+        while True:
+            self.g = self.g.astype(np.float64)
+            _lbfgsb.setulb(_MAXCOR, self.x, zero, zero, nbd, self.f, self.g, _FACTR, _PGTOL,
+                           self.wa, self.iwa, self.task, self.lsave, self.isave, self.dsave,
+                           _MAXLS, self.ln_task)
+            if self.task[0] == _FG:
+                if self.memo is None or not np.array_equal(self.x, self.memo[0]):
+                    return True
+                _, self.f, self.g = self.memo
+            elif self.task[0] == _NEW_X:
+                self.iterations += 1
+                if self.iterations >= _MAXITER:
+                    self.task[:] = _STOP, _AT_MAXITER
+                elif self.nfev > maxfun:
+                    self.task[:] = _STOP, _AT_MAXFUN
+            else:
+                return False
+
+    def take(self, f: float, g: np.ndarray):
+        """Record f and g at the point asked for."""
+        self.f, self.g = f, g
+        self.memo = (self.x.copy(), f, g)
+        self.nfev += 1
 
 
 def minimize_over_states(objective, dim: int, restarts: int = 32,
@@ -118,20 +182,23 @@ def minimize_over_states(objective, dim: int, restarts: int = 32,
     their m values.  The starts are I/d, then `extra_starts`, then random
     Gram states from `np.random.default_rng(0)` up to `restarts`; each runs
     in the Gram parametrization sigma = G^dag G / Tr, x in R^(2 dim^2).
-    Returns the best run's (value, state), ties going to the earlier start;
-    nothing certifies it.  A non-finite value counts as 1e12, member by
-    member, and an objective that is never finite gives (inf, I/d).
+    Returns the best run's last (value, state), ties going to the earlier
+    start; nothing certifies it.  A non-finite value counts as 1e12, member
+    by member, and an objective that is never finite gives (inf, I/d).
 
-    Each L-BFGS-B point costs one objective call, on the stack
-    [sigma(x), sigma(x + h_1 e_1), ..., sigma(x + h_n e_n)], n = 2 dim^2.
-    Its gradient is the forward difference g_i = (f_i - f_0)/((x_i + h_i) -
-    x_i) with scipy's own arithmetic for L-BFGS-B without a gradient:
-    absolute step h_i = 1e-8, or sqrt(eps) sign(x_i) max(1, |x_i|) where
-    x_i + 1e-8 rounds to x_i.  So the descent, its evaluation budget
-    (15000 evaluations, 1 + n per point) and its output are bit for bit
-    those of scipy differencing one state at a time.  The step stays
-    pinned: `qss_simulate`'s outputs amplify a 1e-14 change of the sigma
-    found here to 1e-3.
+    The starts run in lockstep, one objective call per round across all of
+    them: each live run steps scipy's L-BFGS-B (maxiter 500, ftol 1e-14,
+    gtol 1e-10) until it asks for a new point or stops, and the call takes
+    the stack sigma(x), sigma(x + h_1 e_1), ..., sigma(x + h_n e_n),
+    n = 2 dim^2, for every run that asked.  A run's gradient is the forward
+    difference g_i = (f_i - f_0)/((x_i + h_i) - x_i) with scipy's own
+    arithmetic for L-BFGS-B without a gradient: absolute step h_i = 1e-8,
+    or sqrt(eps) sign(x_i) max(1, |x_i|) where x_i + 1e-8 rounds to x_i.
+    Every run keeps scipy's stopping rules, its budget of 15000 evaluations
+    (1 + n per point) included, so its output is bit for bit that of
+    scipy.optimize.minimize differencing one state at a time.  The step
+    stays pinned: `qss_simulate`'s outputs amplify a 1e-14 change of the
+    sigma found here to 1e-3.
     """
     rng = np.random.default_rng(0)
 
@@ -143,17 +210,19 @@ def minimize_over_states(objective, dim: int, restarts: int = 32,
         M = G.conj().T @ G
         starts.append(_state_to_params(M / np.trace(M).real))
 
-    results = []
-    for x0 in starts:
-        res = scipy.optimize.minimize(_forward_difference, x0, args=(objective, dim),
-                                      method="L-BFGS-B", jac=True,
-                                      options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10,
-                                               "maxfun": _MAXFUN // (1 + len(x0))})
-        results.append((float(res.fun), res.x))
-    best_val, best_x = min(results, key=lambda r: r[0])
-    if best_val >= 1e12:  # never finite
+    maxfun = _MAXFUN // (1 + 2 * dim * dim)
+    runs = [_Run(x0) for x0 in starts]
+    live = runs
+    while live:
+        live = [r for r in live if r.advance(maxfun)]
+        if live:
+            f, g = _stacked_gradients(np.array([r.x for r in live]), objective, dim)
+            for r, fr, gr in zip(live, f, g):
+                r.take(fr, gr)
+    best = min(runs, key=lambda r: float(r.f))
+    if float(best.f) >= 1e12:  # never finite
         return math.inf, np.eye(dim) / dim
-    return best_val, _gram_state(best_x, dim)
+    return float(best.f), _gram_state(best.x, dim)
 
 
 # --- certified convex solver ------------------------------------------------

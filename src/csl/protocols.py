@@ -17,9 +17,10 @@ for them carry source mass into `achieved_distance` and `branch_probs`
 (ROADMAP item 1 makes the alignment canonical).
 
 The protocol's sigma = argmin D_2(rho_RB || rho_R (x) sigma) comes from
-`mutual_info_alpha`, a multi-start L-BFGS-B descent whose points each take
-one stacked `d_alpha` call; its differencing is scipy's own, bit for bit,
-because the distance amplifies a 1e-14 change of sigma to 1e-3.  The cost
+`mutual_info_alpha`, a multi-start L-BFGS-B descent whose starts run in
+lockstep, one stacked `d_alpha` call per round across all of them; its
+steps and differencing are scipy's own, bit for bit, because the distance
+amplifies a 1e-14 change of sigma to 1e-3.  The cost
 bound's information term maximizes H_alpha(A) - H_beta^up(A|B) over input
 density operators with the same `minimize_over_states`, evaluating the
 members of each stack one by one (each runs a certified solve).  Neither the

@@ -1,13 +1,16 @@
 """Oracles shared by the tests: the binary entropy, a Haar sampler, the
-dense convex-split mixture tau with its mu quantities, and the residual of an
-SDP certificate."""
+dense convex-split mixture tau with its mu quantities, the residual of an
+SDP certificate, and the multi-start descent as one scipy.optimize.minimize
+call per start."""
 
 import math
 
 import numpy as np
+import scipy.optimize
 
+from csl import optim
 from csl.divergences import INF, d_max, q2
-from csl.matcore import reduced
+from csl.matcore import _as_matrix, reduced
 
 
 def binary_entropy(a: float) -> float:
@@ -60,3 +63,44 @@ def mu_quantities(rho_RA, sigma_A, dims) -> tuple[float, float]:
     q, dm = q2(R, ref), d_max(R, ref)
     return (INF if math.isinf(q) else max(q - 1.0, 0.0),
             INF if math.isinf(dm) else max(2.0**dm - 1.0, 0.0))
+
+
+def _forward_difference(x, objective, dim):
+    """f and its forward-difference gradient at the Gram parameters x, from
+    one objective call on the stack [sigma(x), sigma(x + h_1 e_1), ...]."""
+    sign = (x >= 0).astype(float) * 2 - 1
+    h = np.where((x + optim._FD_STEP) - x == 0,
+                 optim._FD_FALLBACK * sign * np.maximum(1.0, np.abs(x)), optim._FD_STEP)
+    X = np.repeat(x[None], len(x) + 1, axis=0)
+    X[np.arange(1, len(x) + 1), np.arange(len(x))] = x + h
+    f = np.asarray(objective(optim._gram_state(X, dim)), dtype=float)
+    f = np.where(np.isfinite(f), f, 1e12)
+    return float(f[0]), (f[1:] - f[0]) / ((x + h) - x)
+
+
+def multistart_oracle(objective, dim, restarts=32, extra_starts=()):
+    """optim.minimize_over_states as one scipy.optimize.minimize call per
+    start, run after run: (value, state, nfev of each run).  The caps are
+    read from optim at call time, so a test that patches them patches both.
+    """
+    rng = np.random.default_rng(0)
+    starts = [optim._state_to_params(np.eye(dim) / dim)]
+    for s in extra_starts:
+        starts.append(optim._state_to_params(_as_matrix(s)))
+    while len(starts) < restarts:
+        G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        M = G.conj().T @ G
+        starts.append(optim._state_to_params(M / np.trace(M).real))
+    results, nfev = [], []
+    for x0 in starts:
+        res = scipy.optimize.minimize(_forward_difference, x0, args=(objective, dim),
+                                      method="L-BFGS-B", jac=True,
+                                      options={"maxiter": optim._MAXITER, "ftol": 1e-14,
+                                               "gtol": 1e-10,
+                                               "maxfun": optim._MAXFUN // (1 + len(x0))})
+        results.append((float(res.fun), res.x))
+        nfev.append(res.nfev)
+    best_val, best_x = min(results, key=lambda r: r[0])
+    if best_val >= 1e12:  # never finite
+        return math.inf, np.eye(dim) / dim, nfev
+    return best_val, optim._gram_state(best_x, dim), nfev

@@ -7,7 +7,7 @@ import scipy.optimize
 import scipy.optimize._differentiable_functions
 import scipy.optimize._numdiff
 
-from csl import cli, convexsplit, infomeasures
+from csl import cli, convexsplit, infomeasures, optim, protocols
 from csl.divergences import d_alpha, q_alpha
 from csl.matcore import (
     RANK_TOL,
@@ -20,8 +20,8 @@ from csl.matcore import (
 from csl.optim import (
     GAP_TOL,
     QAlphaKernel,
-    _forward_difference,
     _gram_state,
+    _stacked_gradients,
     _traceless_basis,
     dominating_trace_min,
     frank_wolfe_gap,
@@ -29,7 +29,7 @@ from csl.optim import (
     minimize_convex_over_states,
     minimize_over_states,
 )
-from helpers import sdp_residual
+from helpers import multistart_oracle, sdp_residual
 
 
 def bell_density():
@@ -83,9 +83,10 @@ def _pole_at(x0, dim):
 
 @pytest.mark.parametrize("case", ["divergence", "large-x", "non-finite"])
 def test_stacked_gradient_is_scipys_forward_difference(case):
-    # One stacked objective call gives scipy's own 2-point gradient, bit for
-    # bit: the 1e-8 step, its fallback where x_i + 1e-8 rounds to x_i (here
-    # |x_i| ~ 1e9), and 1e12 for every non-finite member.
+    # One stacked objective call gives scipy's own 2-point gradient at every
+    # point of the stack, bit for bit: the 1e-8 step, its fallback where
+    # x_i + 1e-8 rounds to x_i (here |x_i| ~ 1e9), and 1e12 for every
+    # non-finite member.
     rng = np.random.default_rng([23, len(case)])
     rho = sample("mixed-hilbert-schmidt", 4, 23)
     rho_A = reduced(rho, (2, 2), 0)
@@ -101,16 +102,93 @@ def test_stacked_gradient_is_scipys_forward_difference(case):
         v = one(_gram_state(y, 2))
         return v if math.isfinite(v) else 1e12
 
-    f, g = _forward_difference(x, lambda stack: [one(s) for s in stack], 2)
-    want = scipy.optimize.approx_fprime(x, capped, 1e-8)
-    assert f == capped(x)
-    assert np.array_equal(g, want), np.abs(g - want).max()
+    points = np.array([x, x[::-1]])
+    f, g = _stacked_gradients(points, lambda stack: [one(s) for s in stack], 2)
+    for y, fy, gy in zip(points, f, g):
+        want = scipy.optimize.approx_fprime(y, capped, 1e-8)
+        assert fy == capped(y)
+        assert np.array_equal(gy, want), np.abs(gy - want).max()
     if case == "large-x":
         rounds = (x + 1e-8) - x == 0  # where the fallback step is taken
         assert rounds.any() and not rounds.all()
     if case == "non-finite":
-        assert f == 1e12 and np.isnan([one(s) for s in _gram_state(
+        assert f[0] == 1e12 and np.isnan([one(s) for s in _gram_state(
             x + 1e-8 * np.eye(8), 2)]).any()
+
+
+def _against_oracle(monkeypatch, module):
+    """Run module's minimize_over_states calls through both the lockstep
+    descent and the per-start scipy loop, asserting the same bits; returns
+    the list of (value, oracle nfev per run) of the calls."""
+    calls = []
+
+    def both(objective, dim, **kwargs):
+        value, state = minimize_over_states(objective, dim, **kwargs)
+        want_value, want_state, nfev = multistart_oracle(objective, dim, **kwargs)
+        assert value == want_value
+        assert state.tobytes() == want_state.tobytes()
+        calls.append((value, nfev))
+        return value, state
+
+    monkeypatch.setattr(module, "minimize_over_states", both)
+    return calls
+
+
+@pytest.mark.parametrize("alpha", [0.75, 1.5, 2.0])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+@pytest.mark.parametrize("kind", ["mixed-hilbert-schmidt", "pure-haar"])
+def test_lockstep_descent_matches_per_start_loop(monkeypatch, kind, dims, alpha):
+    # mutual_info_alpha's descent, bit for bit that of one scipy.optimize.
+    # minimize call per start; a pure rho_AB at (2, 3) leaves rho_B
+    # rank-deficient.
+    calls = _against_oracle(monkeypatch, infomeasures)
+    rho = sample(kind, dims, 31)
+    if kind == "pure-haar":
+        rho = np.outer(rho, rho.conj())
+    infomeasures.mutual_info_alpha(rho, alpha, dims)
+    (_, nfev), = calls
+    assert len(nfev) == 16
+
+
+def test_lockstep_channel_descent_matches_per_start_loop(monkeypatch):
+    # The channel maximization (amplitude damping 0.3, alpha 1/2, beta 2):
+    # 4 starts, each point a stack of certified solves.
+    calls = _against_oracle(monkeypatch, protocols)
+    chan = protocols.ChannelSpec([np.array([[1.0, 0.0], [0.0, math.sqrt(0.7)]]),
+                                  np.array([[0.0, math.sqrt(0.3)], [0.0, 0.0]])], 2, 2)
+    protocols.channel_alpha_beta_info(chan, 0.5, 2.0)
+    (_, nfev), = calls
+    assert len(nfev) == 4
+
+
+def _quadratic(dim):
+    target = sample("mixed-hilbert-schmidt", dim, 0)
+    return lambda stack: [float(np.abs(s - target).sum() ** 2) for s in stack]
+
+
+@pytest.mark.parametrize("objective", ["quadratic", "inf", "nan"])
+def test_lockstep_matches_per_start_loop_on_test_objectives(objective):
+    fun = (_quadratic(3) if objective == "quadratic"
+           else lambda stack: np.full(len(stack), float(objective)))
+    value, state = minimize_over_states(fun, 3, restarts=8)
+    want_value, want_state, _ = multistart_oracle(fun, 3, restarts=8)
+    assert value == want_value and state.tobytes() == want_state.tobytes()
+
+
+@pytest.mark.parametrize("cap", ["maxiter", "maxfun"])
+def test_lockstep_keeps_the_early_stops(monkeypatch, cap):
+    # Both caps cut the runs short and the descent stops where scipy's loop
+    # stops: at 3 iterations, or at the first iteration past 4 points.
+    fun = _quadratic(2)
+    _, _, free = multistart_oracle(fun, 2, restarts=8)
+    if cap == "maxiter":
+        monkeypatch.setattr(optim, "_MAXITER", 3)
+    else:
+        monkeypatch.setattr(optim, "_MAXFUN", 4 * (1 + 2 * 2 * 2))
+    value, state = minimize_over_states(fun, 2, restarts=8)
+    want_value, want_state, nfev = multistart_oracle(fun, 2, restarts=8)
+    assert value == want_value and state.tobytes() == want_state.tobytes()
+    assert sum(nfev) < sum(free) and max(nfev) < min(free)
 
 
 def test_imax_product_zero():
@@ -712,43 +790,40 @@ def test_newton_counts_on_convex_split_suite(monkeypatch, tmp_path, capsys):
 
 
 def test_mutual_info_alpha_one_stacked_call_per_point(monkeypatch):
-    # A count, not a timing: every L-BFGS-B point of the descent is one
-    # objective call on 1 + 2 d^2 states, and scipy never differences.
+    # A count, not a timing: the 16 runs of the descent advance in lockstep,
+    # each objective call a stack of 1 + 2 d^2 states for each of the k runs
+    # that asked for a point, and the k add up to the points the per-start
+    # scipy loop evaluates.  scipy never differences.
     def refuse(*args, **kwargs):
         raise AssertionError("scipy was left to difference the objective")
 
-    monkeypatch.setattr(scipy.optimize._numdiff, "approx_derivative", refuse)
-    monkeypatch.setattr(scipy.optimize._differentiable_functions, "approx_derivative",
-                        refuse)
-    points = []
-    minimize = scipy.optimize.minimize
-
-    def counting_minimize(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        points.append(res.nfev)
-        return res
-
-    monkeypatch.setattr(scipy.optimize, "minimize", counting_minimize)
-    sizes = []
+    asked, oracle_nfev = [], []
 
     def counting(objective, dim, **kwargs):
+        oracle_nfev.extend(multistart_oracle(objective, dim, **kwargs)[2])
+        n = 1 + 2 * dim * dim
+
         def stacked(stack):
-            sizes.append(stack.shape)
+            assert stack.shape[1:] == (dim, dim) and len(stack) % n == 0
+            asked.append(len(stack) // n)
             return objective(stack)
 
-        return minimize_over_states(stacked, dim, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(scipy.optimize._numdiff, "approx_derivative", refuse)
+            m.setattr(scipy.optimize._differentiable_functions, "approx_derivative", refuse)
+            return minimize_over_states(stacked, dim, **kwargs)
 
     monkeypatch.setattr(infomeasures, "minimize_over_states", counting)
     psi = sample("pure-haar", 8, 6)
     rho_RB = np.einsum("iab,jad->ibjd", psi.reshape(2, 2, 2),
                        psi.reshape(2, 2, 2).conj()).reshape(4, 4)
     for rho, dims in [(rho_RB, (2, 2)), (sample("mixed-hilbert-schmidt", 6, 7), (2, 3))]:
-        points.clear()
-        sizes.clear()
+        asked.clear()
+        oracle_nfev.clear()
         infomeasures.mutual_info_alpha(rho, 2.0, dims)
-        dB = dims[1]
-        assert len(points) == 16 and len(sizes) == sum(points)
-        assert set(sizes) == {(1 + 2 * dB * dB, dB, dB)}
+        assert asked[0] == len(oracle_nfev) == 16
+        assert sum(asked) == sum(oracle_nfev)
+        assert len(asked) < sum(asked) / 4
 
 
 def test_boundary_minimizer_at_half_refused():
