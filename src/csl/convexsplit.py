@@ -23,6 +23,8 @@ from .matcore import (
     ContractViolation,
     Spectrum,
     _as_matrix,
+    _eigvalsh,
+    _svdvals,
     kron,
     reduced,
     support_cut,
@@ -287,11 +289,11 @@ class _ReferenceFrame:
         for b, s in zip(self.blocks, self.spectra):
             s.require_psd()
             M = (s.basis * np.sqrt(s.w[s.keep])).conj().T[:, b.keep] * np.sqrt(b.w[b.keep])
-            total += b.mult * float(np.linalg.svd(M, compute_uv=False).sum())
+            total += b.mult * float(_svdvals(M).sum())
         return min(total, 1.0)
 
     def trace_distance(self) -> float:
-        return float(sum(b.mult * 0.5 * np.abs(np.linalg.eigvalsh(b.X - np.diag(b.w))).sum()
+        return float(sum(b.mult * 0.5 * np.abs(_eigvalsh(b.X - np.diag(b.w))).sum()
                          for b in self.blocks))
 
 

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .matcore import CertificateError, ContractViolation, Spectrum, _as_matrix
+from .matcore import CertificateError, ContractViolation, Spectrum, _as_matrix, _eigh
 
 INF = math.inf
 
@@ -50,7 +50,7 @@ def _q(R: np.ndarray, S: Spectrum, alpha: float):
     Se = S.power((1.0 - alpha) / (2.0 * alpha))
     X = Se @ R @ Se
     X = (X + X.conj().mT) / 2  # exact in theory; kills float asymmetry
-    w = np.clip(np.linalg.eigh(X)[0][..., ::-1], 0.0, None)
+    w = np.clip(_eigh(X)[0][..., ::-1], 0.0, None)
     return np.sum(w**alpha, axis=-1)
 
 
@@ -156,7 +156,7 @@ def d_max(rho, sigma) -> float:
     # Entries grow as 1/lambda_min(sigma); the symmetrized X is Hermitian
     # bit for bit, so ``eigh`` takes it with no check.
     X = Sm @ R @ Sm
-    w = np.linalg.eigh((X + X.conj().T) / 2)[0]
+    w = _eigh((X + X.conj().T) / 2)[0]
     lam = float(max(w.max(initial=0.0), 0.0))
     if lam <= 0:
         return -INF
@@ -179,7 +179,7 @@ def d2(rho, sigma) -> float:
 def _threshold_test(R: np.ndarray, S: np.ndarray, t: float):
     """(t, Tr[rho P], P, w) for the projective test P = Pi_+(t rho - sigma),
     w the eigenvalues of t rho - sigma, from one ``eigh``."""
-    w, V = np.linalg.eigh(t * R - S)
+    w, V = _eigh(t * R - S)
     P = V[:, w > 0]
     return t, float(np.einsum("ji,jk,ki->", P.conj(), R, P).real), P, w
 

@@ -19,6 +19,8 @@ from .matcore import (
     ContractViolation,
     Spectrum,
     _as_matrix,
+    _eigh,
+    _eigvalsh,
     eig_hermitian,
     kron,
     reduced,
@@ -88,7 +90,7 @@ def renyi_entropy(rho, alpha: float) -> float:
     """
     if not alpha >= 0:  # NaN fails too
         raise ContractViolation(f"alpha must be >= 0, got {alpha}")
-    w = np.clip(np.linalg.eigvalsh(_as_matrix(rho)), 0.0, None)
+    w = np.clip(_eigvalsh(_as_matrix(rho)), 0.0, None)
     w = w[w > support_cut(w)]
     if alpha == 0:
         return math.log2(len(w))
@@ -150,23 +152,39 @@ def conditional_renyi_up(rho_ab, beta: float, dims) -> float:
     its Frank-Wolfe gap plus the bound on what the cut on rho's spectrum
     drops (QAlphaKernel.cut_bound).
     """
-    if not beta >= 0.5:  # NaN fails too
-        raise ContractViolation(f"beta must be >= 1/2, got {beta}")
-    R, dA, dB = _bipartite(rho_ab, dims)
+    return _h_up(rho_ab, beta, dims, {})
+
+
+def _h_up_setup(R, dA, dB):
+    """What H_up_beta(A|B) needs of rho at every finite beta != 1: (rho_A,
+    None) for a pure rho, else (rho_A, Rc), Rc the Spectrum of rho
+    compressed onto 1_A (x) supp(rho_B)."""
     rho_A, rho_B = _marginals(R, dA, dB)
-    if math.isinf(beta):
-        return h_min_conditional(R, (dA, dB))
-    if beta == 1:
-        return renyi_entropy(R, 1) - renyi_entropy(rho_B, 1)
     # Pure bipartite states: duality with a trivial purification gives
     # the closed form -H_{beta/(2 beta - 1)}(A), order inf at beta = 1/2;
     # skip the optimizer.
-    if np.linalg.eigvalsh(R).max(initial=0.0) >= 1.0 - 1e-12:
+    if _eigvalsh(R).max(initial=0.0) >= 1.0 - 1e-12:
+        return rho_A, None
+    W = kron(np.eye(dA), Spectrum(rho_B).basis)
+    return rho_A, Spectrum(W.conj().T @ R @ W)
+
+
+def _h_up(rho_ab, beta: float, dims, cache: dict) -> float:
+    """conditional_renyi_up with its order-free set-up (_h_up_setup) kept in
+    ``cache``, which belongs to one rho."""
+    if not beta >= 0.5:  # NaN fails too
+        raise ContractViolation(f"beta must be >= 1/2, got {beta}")
+    R, dA, dB = _bipartite(rho_ab, dims)
+    if math.isinf(beta):
+        return h_min_conditional(R, (dA, dB))
+    if beta == 1:
+        return renyi_entropy(R, 1) - renyi_entropy(reduced(R, (dA, dB), 1), 1)
+    if "h_up_setup" not in cache:
+        cache["h_up_setup"] = _h_up_setup(R, dA, dB)
+    rho_A, Rc = cache["h_up_setup"]
+    if Rc is None:
         return -renyi_entropy(rho_A, math.inf if beta == 0.5 else beta / (2.0 * beta - 1.0))
-    VB = Spectrum(rho_B).basis
-    rB = VB.shape[1]
-    W = kron(np.eye(dA), VB)
-    Rc = Spectrum(W.conj().T @ R @ W)
+    rB = len(Rc.w) // dA
     sign = 1.0 if beta > 1 else -1.0  # minimize Q (beta > 1) or -Q
     kernel = QAlphaKernel(beta, [(sign, Rc, np.eye(dA), False)])
 
@@ -175,7 +193,7 @@ def conditional_renyi_up(rho_ab, beta: float, dims) -> float:
 
     # The Petz optimizer (Tr_A Rc^beta)^(1/beta), floored at RANK_TOL to stay
     # positive definite where Rc^beta's small eigenvalues are lost to round-off.
-    w, V = np.linalg.eigh(reduced(Rc.power(beta), (dA, rB), 1))
+    w, V = _eigh(reduced(Rc.power(beta), (dA, rB), 1))
     w = np.clip(w, 0.0, None) ** (1.0 / beta)
     start = (V * np.maximum(w / w.sum(), RANK_TOL)) @ V.conj().T
     return -minimize_convex_over_states(kernel, rB, value_of, start).value
@@ -194,8 +212,8 @@ def universal_rhs(rho_ab, dims, alpha: float, beta: float, eps: float,
                   cache: dict | None = None) -> float:
     """H_alpha(A) - optimized conditional beta-entropy + smoothing overhead.
 
-    ``cache`` belongs to one rho; it holds H_alpha(A) per alpha and
-    H_up_beta(A|B) per beta.
+    ``cache`` belongs to one rho; it holds H_alpha(A) per alpha,
+    H_up_beta(A|B) per beta, and the set-up all of its orders share.
     """
     R, dA, dB = _bipartite(rho_ab, dims)
     cache = cache if cache is not None else {}
@@ -204,7 +222,7 @@ def universal_rhs(rho_ab, dims, alpha: float, beta: float, eps: float,
         cache[key_a] = renyi_entropy(_marginals(R, dA, dB)[0], alpha)
     key = ("h_up", round(beta, 14))
     if key not in cache:
-        cache[key] = conditional_renyi_up(R, beta, (dA, dB))
+        cache[key] = _h_up(R, beta, (dA, dB), cache)
     return cache[key_a] - cache[key] + f_alpha_beta(alpha, beta, eps)
 
 

@@ -6,6 +6,19 @@ tuple next to it.  Input from outside the program is validated once, by
 ``state_from_dict``.  All metrics go through Hermitian eigendecompositions
 (never iterative norm estimation) so results are deterministic and hit
 tight tolerances.
+
+Every small dense decomposition in the package goes through the private
+functions below, which call the LAPACK gufuncs of
+``numpy.linalg._umath_linalg`` as the wrappers ``eigh``, ``eigvalsh``,
+``cholesky``, ``inv``, ``solve``, ``lstsq`` and ``svd(compute_uv=False)``
+of numpy 2.4's ``numpy/linalg/_linalg.py`` call them: the same gufunc, the
+same signature for float64 and complex128, and a failure raised as
+``LinAlgError`` through the floating-point error callback those wrappers
+install with ``np.errstate``, here set on numpy's error-state context
+variable directly.  So each result has numpy's bits, without numpy's
+per-call wrapper (its error state, type promotion and casts), which costs
+more than the LAPACK call itself at these sizes.  Inputs are float64 or
+complex128 arrays; a stack fails if any member fails.
 """
 
 from __future__ import annotations
@@ -14,6 +27,9 @@ import functools
 import math
 
 import numpy as np
+from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
+from numpy.linalg import LinAlgError
+from numpy.linalg import _umath_linalg as _lapack
 
 TOL_HERM = 1e-10
 # Trace mass of an operator outside a support above this means it leaves it.
@@ -29,6 +45,78 @@ class ContractViolation(ValueError):
 
 class CertificateError(ArithmeticError):
     """A solver's certificate (duality gap, feasibility, convergence) failed."""
+
+
+# --- LAPACK -------------------------------------------------------------------
+
+def _raising(message: str):
+    """The error state numpy.linalg calls its gufuncs under: a failure, which
+    sets the invalid flag, raises LinAlgError(message); nothing warns."""
+    def fail(err, flag):
+        raise LinAlgError(message)
+
+    return _make_extobj(call=fail, invalid="call", over="ignore", divide="ignore",
+                        under="ignore")
+
+
+_NO_CONVERGENCE = _raising("Eigenvalues did not converge")
+_NOT_DEFINITE = _raising("Matrix is not positive definite")
+_SINGULAR = _raising("Singular matrix")
+_LSTSQ_FAILED = _raising("SVD did not converge in Linear Least Squares")
+_SVD_FAILED = _raising("SVD did not converge")
+
+
+def _lapack_call(errors, gufunc, *args, signature: str):
+    token = _extobj_contextvar.set(errors)
+    try:
+        return gufunc(*args, signature=signature)
+    finally:
+        _extobj_contextvar.reset(token)
+
+
+def _eigh(a: np.ndarray):
+    """np.linalg.eigh(a): eigenvalues ascending and their eigenvectors."""
+    sig = "D->dD" if a.dtype.kind == "c" else "d->dd"
+    return _lapack_call(_NO_CONVERGENCE, _lapack.eigh_lo, a, signature=sig)
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh(a): eigenvalues ascending."""
+    sig = "D->d" if a.dtype.kind == "c" else "d->d"
+    return _lapack_call(_NO_CONVERGENCE, _lapack.eigvalsh_lo, a, signature=sig)
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """np.linalg.cholesky(a): the lower factor."""
+    sig = "D->D" if a.dtype.kind == "c" else "d->d"
+    return _lapack_call(_NOT_DEFINITE, _lapack.cholesky_lo, a, signature=sig)
+
+
+def _inv(a: np.ndarray) -> np.ndarray:
+    """np.linalg.inv(a)."""
+    sig = "D->D" if a.dtype.kind == "c" else "d->d"
+    return _lapack_call(_SINGULAR, _lapack.inv, a, signature=sig)
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) for right-hand sides b of shape (..., n, k)."""
+    sig = "DD->D" if "c" in (a.dtype.kind, b.dtype.kind) else "dd->d"
+    return _lapack_call(_SINGULAR, _lapack.solve, a, b, signature=sig)
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.lstsq(a, b, rcond=None)[0] for one matrix a and a vector b."""
+    m, n = a.shape
+    sig = "DDd->Ddid" if "c" in (a.dtype.kind, b.dtype.kind) else "ddd->ddid"
+    x = _lapack_call(_LSTSQ_FAILED, _lapack.lstsq, a, b[:, None], _EPS * max(n, m),
+                     signature=sig)[0]
+    return x[:, 0]
+
+
+def _svdvals(a: np.ndarray) -> np.ndarray:
+    """np.linalg.svd(a, compute_uv=False): singular values, non-increasing."""
+    sig = "D->d" if a.dtype.kind == "c" else "d->d"
+    return _lapack_call(_SVD_FAILED, _lapack.svd, a, signature=sig)
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -53,7 +141,7 @@ def eig_hermitian(H) -> tuple[np.ndarray, np.ndarray]:
     M = _as_matrix(H)
     _check_hermitian(M)
     Ms = (M + M.conj().mT) / 2
-    w, V = np.linalg.eigh(Ms)
+    w, V = _eigh(Ms)
     return w[..., ::-1].copy(), V[..., ::-1].copy()
 
 
@@ -174,7 +262,7 @@ def trace_distance(rho, sigma) -> float:
     A, B = _as_matrix(rho), _as_matrix(sigma)
     if A.shape != B.shape:
         raise ContractViolation(f"dimension mismatch {A.shape} vs {B.shape}")
-    w = np.linalg.eigvalsh((A - B + (A - B).conj().T) / 2)
+    w = _eigvalsh((A - B + (A - B).conj().T) / 2)
     return float(0.5 * np.abs(w).sum())
 
 
@@ -185,7 +273,7 @@ def fidelity(rho, sigma) -> float:
         raise ContractViolation(f"dimension mismatch {A.shape} vs {B.shape}")
     sa = Spectrum(A).power(0.5)
     sb = Spectrum(B).power(0.5)
-    s = np.linalg.svd(sa @ sb, compute_uv=False)
+    s = _svdvals(sa @ sb)
     return float(min(s.sum(), 1.0))
 
 
@@ -246,7 +334,7 @@ def state_from_dict(data: dict) -> tuple[np.ndarray, tuple[int, ...]]:
         if M.shape != (dim, dim):
             raise ContractViolation(f"matrix shape {M.shape} does not match layout dim {dim}")
         _check_hermitian(M, what="density operator")
-        w = np.linalg.eigvalsh((M + M.conj().T) / 2)
+        w = _eigvalsh((M + M.conj().T) / 2)
         if not w.min() >= -1e-10:
             raise ContractViolation(f"negative eigenvalue {w.min():.3e}")
         tr = float(np.trace(M).real)

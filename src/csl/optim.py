@@ -39,8 +39,15 @@ from .matcore import (
     _EPS,
     CertificateError,
     ContractViolation,
+    LinAlgError,
     Spectrum,
     _as_matrix,
+    _cholesky,
+    _eigh,
+    _eigvalsh,
+    _inv,
+    _lstsq,
+    _solve,
     kron,
     q_alpha_cut,
     reduced,
@@ -83,7 +90,7 @@ def _gram_state(x: np.ndarray, d: int) -> np.ndarray:
 
 def _state_to_params(sigma: np.ndarray) -> np.ndarray:
     d = sigma.shape[0]
-    w, V = np.linalg.eigh((sigma + sigma.conj().T) / 2)
+    w, V = _eigh((sigma + sigma.conj().T) / 2)
     w = np.clip(w, 1e-12, None)
     G = (V * np.sqrt(w)) @ V.conj().T
     return np.concatenate([G.real.reshape(-1), G.imag.reshape(-1)])
@@ -279,8 +286,9 @@ class QAlphaKernel:
     P = sigma^p, Y = sum_ab P_ab Phi_ab with Phi precomputed; a call rotates
     Phi into sigma's eigenbasis, where P is diagonal.
 
-    A call returns (f, G, H): df = Tr[G dsigma], and H the Hessian in the
-    coordinates of _traceless_basis(dim), from first and second
+    A call returns (f, G, hessian): df = Tr[G dsigma], and hessian() builds,
+    from that call's own intermediates, the Hessian H in the coordinates of
+    _traceless_basis(dim) from first and second
     Daleckii-Krein divided differences (Bhatia, Matrix Analysis, ch. V):
     alpha Tr[D(Y^(alpha-1))[B_l] B_k] with B_k = F^dag (K^p (x) DP[E_k]) F,
     plus Tr[M D^2P[E_k, E_l]] with M the gradient in P.  ``cut_bound``
@@ -299,7 +307,7 @@ class QAlphaKernel:
             F = S.V[:, keep] * np.sqrt(S.w[keep] * abs(c) ** (1.0 / alpha))
             low = S.w[~keep]
             low = low[low > 0]  # the cut eigenvalues that carry mass
-            kw, kV = np.linalg.eigh(_as_matrix(K))
+            kw, kV = _eigh(_as_matrix(K))
             if kw[0] <= 0:
                 raise ContractViolation("QAlphaKernel needs every K positive definite")
             Kp = (kV * kw**self.p) @ kV.conj().T
@@ -334,7 +342,7 @@ class QAlphaKernel:
         key = sigma.tobytes()
         if key == self._last[0]:
             return self._last[1]
-        ls, U = np.linalg.eigh(sigma)
+        ls, U = _eigh(sigma)
         if ls[0] <= 0:
             raise ContractViolation("QAlphaKernel needs sigma positive definite")
         d = self.dim
@@ -348,24 +356,28 @@ class QAlphaKernel:
     def __call__(self, sigma: np.ndarray):
         alpha, d, k, n = self.alpha, self.dim, len(self.E), self.n
         ls, U, Pt, Y = self._at(sigma)
-        y, V = np.linalg.eigh(Y)
+        y, V = _eigh(Y)
         # Below eps lambda_max eigh cannot resolve Y's eigenvalues; the floor
         # keeps their powers and divided differences finite.
         y = np.maximum(y, _EPS * y[-1])
         Uh, Vh = U.conj().T, V.conj().T
         yg = y ** (alpha - 1.0)
         G1 = _divided(ls, self.p)
-        Et = Uh @ self.E @ U  # E_k in sigma's eigenbasis, and DP[E_k] there
-        B = (Vh @ ((G1 * Et).reshape(k, d * d) @ Pt).reshape(k, n, n) @ V).reshape(k, n * n)
-        H = alpha * ((_divided(y, alpha - 1.0).reshape(-1) * B) @ B.conj().T).real
         # M_dc = alpha Tr[Y^(alpha-1) Phi_cd]: the gradient in P, dQ = Tr[M dP].
         Mt = alpha * (Pt @ ((V * yg) @ Vh).T.reshape(-1)).reshape(d, d).T
-        A = np.einsum("kim,imj,lmj->kl", Et,
-                      Mt.T[:, None, :] * _divided2(ls, G1, self.p, self.order), Et)
         G = U @ (G1 * Mt) @ Uh
-        H = H + (A + A.T).real
         s = self.sign
-        return s * float(yg @ y), s * (G + G.conj().T) / 2, s * (H + H.T) / 2
+
+        def hessian():
+            Et = Uh @ self.E @ U  # E_k in sigma's eigenbasis, and DP[E_k] there
+            B = (Vh @ ((G1 * Et).reshape(k, d * d) @ Pt).reshape(k, n, n) @ V).reshape(k, n * n)
+            H = alpha * ((_divided(y, alpha - 1.0).reshape(-1) * B) @ B.conj().T).real
+            A = np.einsum("kim,imj,lmj->kl", Et,
+                          Mt.T[:, None, :] * _divided2(ls, G1, self.p, self.order), Et)
+            H = H + (A + A.T).real
+            return s * (H + H.T) / 2
+
+        return s * float(yg @ y), s * (G + G.conj().T) / 2, hessian
 
     def cut_bound(self, sigma: np.ndarray) -> tuple[float, float]:
         """(below, above): f_full - f lies in [-below, above] at sigma, where
@@ -386,7 +398,7 @@ class QAlphaKernel:
         for r, mass, count, k_top in self.cuts:
             if count:
                 mt = mass * k_top * s_top
-                q = float(np.sum(np.clip(np.linalg.eigvalsh(Y[o:o + r, o:o + r]), 0, None)**alpha))
+                q = float(np.sum(np.clip(_eigvalsh(Y[o:o + r, o:o + r]), 0, None)**alpha))
                 bound += (count ** (1.0 - alpha) * mt**alpha if alpha < 1
                           else (q ** (1.0 / alpha) + mt) ** alpha - q)
             o += r
@@ -395,7 +407,7 @@ class QAlphaKernel:
 
 def frank_wolfe_gap(grad: np.ndarray, sigma: np.ndarray) -> float:
     """Tr[G sigma] - lambda_min(G): bounds f(sigma) - min f for convex f."""
-    lo = float(np.linalg.eigvalsh(grad)[0])
+    lo = float(_eigvalsh(grad)[0])
     return max(float(np.einsum("ij,ji->", grad, sigma).real) - lo, 0.0)
 
 
@@ -441,8 +453,9 @@ _FLAT = 1e-12
 def minimize_convex_over_states(fun, dim: int, value_of=None, start=None) -> Certified:
     """Minimize a convex functional over D(dim), certified by the Frank-Wolfe gap.
 
-    ``fun(sigma)`` takes one state and returns (f, G, H): df = Tr[G dsigma],
-    and H the Hessian in the coordinates of _traceless_basis(dim).
+    ``fun(sigma)`` takes one state and returns (f, G, hessian): df =
+    Tr[G dsigma], and hessian() the Hessian in the coordinates of
+    _traceless_basis(dim).
     ``value_of`` maps f increasingly onto the reported value (identity by
     default); the result's value and bracket are in its units, its witness
     is the returned sigma.  ``start`` is a positive definite first iterate
@@ -450,8 +463,9 @@ def minimize_convex_over_states(fun, dim: int, value_of=None, start=None) -> Cer
 
     Damped Newton in the traceless tangent space (for convex f it converges
     from any start; Boyd & Vandenberghe, Convex Optimization, sec. 9.5): one
-    ``fun`` call per iterate.  A step that would leave the positive cone
-    starts 0.99 of the way to its boundary; it is halved until the
+    ``fun`` call per iterate, and its Hessian and inverse Cholesky factor
+    only where a Newton step is taken from it.  A step that would leave the
+    positive cone starts 0.99 of the way to its boundary; it is halved until the
     candidate is positive definite and shows an Armijo decrease of f or,
     once f is flat to round-off, a smaller gap.  `steps` counts Newton
     steps.  When ``fun`` has a ``cut_bound(sigma)`` (as QAlphaKernel does),
@@ -475,31 +489,32 @@ def minimize_convex_over_states(fun, dim: int, value_of=None, start=None) -> Cer
     E = _traceless_basis(d)
 
     def expand(sigma):
-        """f, G, the Hessian, the value, the certificate gap, the inverse
-        Cholesky factor and the Frank-Wolfe gap at sigma."""
+        """f, G, hessian (it builds the Hessian), the value, the certificate
+        gap, the Cholesky factor and the Frank-Wolfe gap at sigma."""
         try:
-            Li = np.linalg.inv(np.linalg.cholesky(sigma))
-        except np.linalg.LinAlgError:
+            L = _cholesky(sigma)
+        except LinAlgError:
             raise ContractViolation("sigma left the positive cone") from None
-        f, grad, H = fun(sigma)
+        f, grad, hessian = fun(sigma)
         fw = frank_wolfe_gap(grad, sigma)
-        return f, grad, H, value_of(f), certificate(f, fw), Li, fw
+        return f, grad, hessian, value_of(f), certificate(f, fw), L, fw
 
     sigma = np.eye(d, dtype=complex) / d if start is None else start / np.trace(start).real
-    f, grad, H, value, gap, Li, fw = expand(sigma)
+    f, grad, hessian, value, gap, L, fw = expand(sigma)
     # Converge well past GAP_TOL: the value's error is second order in
     # sigma's, the gap first order, so the value then carries ~1e-15 error.
     # At d = 1 the only state is optimal: no step is taken.
     steps = 0
     while d > 1 and gap > 1e-3 * GAP_TOL and steps < _NEWTON_STEPS:
         g = np.einsum("kij,ji->k", E, grad).real
-        step = np.linalg.lstsq(H, -g, rcond=None)[0]
+        step = _lstsq(hessian(), -g)
         D = np.einsum("k,kij->ij", step, E)
         slope = float(g @ step)
         if not slope < 0:  # no descent direction left
             break
         # Start inside the cone: 0.99 of the way to its boundary along D.
-        mu = float(np.linalg.eigvalsh(Li @ D @ Li.conj().T)[0])
+        Li = _inv(L)
+        mu = float(_eigvalsh(Li @ D @ Li.conj().T)[0])
         t = min(1.0, -0.99 / mu) if mu < 0 else 1.0
         for _ in range(_HALVINGS):
             cand = sigma + t * D
@@ -517,7 +532,7 @@ def minimize_convex_over_states(fun, dim: int, value_of=None, start=None) -> Cer
             break
         steps += 1
         sigma = cand
-        f, grad, H, value, gap, Li, fw = new
+        f, grad, hessian, value, gap, L, fw = new
     cut = (0.0, 0.0)
     if gap <= GAP_TOL and hasattr(fun, "cut_bound"):
         cut = fun.cut_bound(sigma)
@@ -541,7 +556,7 @@ def dominance_residual(M_A: np.ndarray, rho_AB: np.ndarray, res: Certified,
     failed.
     """
     D = kron(M_A, res.witness) - rho_AB
-    residual = float(np.linalg.eigvalsh((D + D.conj().T) / 2)[0])
+    residual = float(_eigvalsh((D + D.conj().T) / 2)[0])
     if not (res.gap <= GAP_TOL and residual >= -RESIDUAL_TOL):
         raise CertificateError(f"max-information SDP not certified{what} "
                                f"(bracket {res.gap:.3e} bits, residual {residual:.3e})")
@@ -555,15 +570,15 @@ def _herm(Z):
 def _step_lengths(L_inv, dM) -> list:
     """Per member, 0.98 of the largest step keeping L L^H + a dM > 0, at most 1:
     one eigvalsh call on the stacked L^-1 dM L^-H."""
-    lam = np.linalg.eigvalsh(L_inv @ dM @ L_inv.conj().mT)[:, 0].tolist()
+    lam = _eigvalsh(L_inv @ dM @ L_inv.conj().mT)[:, 0].tolist()
     return [min(1.0, -0.98 / v) if v < 0 else 1.0 for v in lam]
 
 
 def _inverse_factors(X, S):
     """The inverse Cholesky factors of X and S, stacked, or None if one fails."""
     try:
-        return np.linalg.inv(np.linalg.cholesky(np.concatenate([X, S])))
-    except np.linalg.LinAlgError:
+        return _inv(_cholesky(np.concatenate([X, S])))
+    except LinAlgError:
         return None
 
 
@@ -596,7 +611,7 @@ def _hkm(mA: np.ndarray, C: np.ndarray, rB: int):
     D = np.zeros((k, rA, rA))
     D[:, range(rA), range(rA)] = mA
     dm = np.repeat(mA, rB, axis=-1)  # diagonal of D (x) 1
-    t_min = np.linalg.eigvalsh(C / np.sqrt(dm[:, :, None] * dm[:, None, :])).max(axis=-1)
+    t_min = _eigvalsh(C / np.sqrt(dm[:, :, None] * dm[:, None, :])).max(axis=-1)
     Y = np.array([2.0 * max(float(t), 1e-12) * eye.astype(complex) for t in t_min])
     X = np.array([np.eye(n, dtype=complex) / a.sum() for a in mA])
     live = np.arange(k)  # the members still running, in stack order
@@ -640,7 +655,7 @@ def _hkm(mA: np.ndarray, C: np.ndarray, rB: int):
 
         def direction(R):  # linearized X S = R S (R = 0: predictor), X stays feasible
             rhs = _herm(_dual_map(lmA, R)) - eye
-            dY = _herm(np.linalg.solve(K, rhs.reshape(m, -1, 1)).reshape(m, rB, rB))
+            dY = _herm(_solve(K, rhs.reshape(m, -1, 1)).reshape(m, rB, rB))
             dS = _lift(lD, dY)
             return dY, dS, _herm(R - X - X @ dS @ Si)
 
@@ -658,9 +673,9 @@ def _hkm(mA: np.ndarray, C: np.ndarray, rB: int):
         X, Y = X + t[:m] * dX, Y + t[m:] * dY
 
     Y, X = np.array([b[1] for b in best]), np.array([b[2] for b in best])
-    slack = np.linalg.eigvalsh(_lift(D, Y) - C)[:, 0].tolist()
+    slack = _eigvalsh(_lift(D, Y) - C)[:, 0].tolist()
     Y = Y + np.array([max(-v, 0.0) / a.min() for v, a in zip(slack, mA)])[:, None, None] * eye
-    q, U = np.linalg.eigh(_dual_map(mA, X))
+    q, U = _eigh(_dual_map(mA, X))
     B = (U / np.sqrt(np.clip(q, 1e-300, None))[:, None, :]) @ U.conj().mT
     Qh = _lift(np.broadcast_to(np.eye(rA), (k, rA, rA)), B)  # 1 (x) Q^-1/2
     return stopped, Y, Qh @ X @ Qh

@@ -42,7 +42,16 @@ from .infomeasures import (
     mutual_info_alpha,
     renyi_entropy,
 )
-from .matcore import RANK_TOL, ContractViolation, Spectrum, _as_matrix, kron, reduced
+from .matcore import (
+    RANK_TOL,
+    ContractViolation,
+    Spectrum,
+    _as_matrix,
+    _eigh,
+    _eigvalsh,
+    kron,
+    reduced,
+)
 from .optim import minimize_over_states
 
 AMPLITUDE_CAP = 2**24
@@ -214,7 +223,7 @@ def qss_simulate(instance: QSSInstance) -> QSSResult:
 
     # Purification of sigma: |phi> = sum_j sqrt(lam_j) |j>_Atilde |u_j>_B, so
     # the B marginal is sigma itself.
-    w, V = np.linalg.eigh(sigma)
+    w, V = _eigh(sigma)
     w = np.clip(w, 0.0, None)
     phi_t = (V * np.sqrt(w)).T  # indices (Atilde, B)
 
@@ -303,11 +312,11 @@ def _mixture_vs_pure_distance(G: np.ndarray) -> float:
     J = diag(1, ..., 1, -1) the difference is A J A^H, whose nonzero spectrum
     is that of G^1/2 J G^1/2 (unitarily similar to R^H J R for G = R R^H).
     """
-    w, U = np.linalg.eigh(G)
+    w, U = _eigh(G)
     R = U * np.sqrt(np.clip(w, 0.0, None))
     J = np.ones(len(G))
     J[-1] = -1.0
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(R.conj().T @ (J[:, None] * R))).sum())
+    return 0.5 * float(np.abs(_eigvalsh(R.conj().T @ (J[:, None] * R))).sum())
 
 
 def channel_alpha_beta_info(channel: ChannelSpec, alpha: float, beta: float):
@@ -325,7 +334,7 @@ def channel_alpha_beta_info(channel: ChannelSpec, alpha: float, beta: float):
     dI, dO = channel.dim_in, channel.dim_out
 
     def info(rho_in):
-        w, U = np.linalg.eigh(rho_in)
+        w, U = _eigh(rho_in)
         v = ((U * np.sqrt(np.clip(w, 0.0, None))) @ U.conj().T).T.reshape(-1)
         omega = channel.apply_local(np.outer(v, v.conj()), dI)
         h_up = conditional_renyi_up(omega, beta, (dI, dO))

@@ -201,8 +201,9 @@ def uab_chain_verify(rho_ab, dims: tuple[int, int], alpha: float, beta: float,
     I_max and trace and purified distances to rho; the I_max SDP's result
     per cutoff class (see _witness_imax), so a grid whose witnesses cut
     nothing solves one I_max SDP, yet each witness's I_max is checked
-    against its own certificate residual; H_min(A|B)'s SDP once; and
-    H_alpha(A) per alpha and H_up_beta(A|B) per beta (universal_rhs).  The first
+    against its own certificate residual; H_min(A|B)'s SDP once; h_delta
+    per (delta, alpha); and H_alpha(A) per alpha, H_up_beta(A|B) per beta
+    and the set-up its orders share (universal_rhs).  The first
     class's I_max SDP and the H_min SDP are solved as one stack of two
     (dominating_trace_min), each member with the bits of its lone solve;
     a later cutoff class is a stack of one.
@@ -227,7 +228,10 @@ def uab_chain_verify(rho_ab, dims: tuple[int, int], alpha: float, beta: float,
                         _witness_imax(R, dims, SA, omega, cache, h_min=True),
                         trace_distance(omega, R), purified_distance(omega, R))
     spectrum, s_min_kept, imax_val, dist, pdist = cache[key_t]
-    h_delta = _spectrum_renyi(spectrum, alpha)
+    key_h = ("h_delta", round(delta, 14), round(alpha, 14))
+    if key_h not in cache:
+        cache[key_h] = _spectrum_renyi(spectrum, alpha)
+    h_delta = cache[key_h]
     h_min = -cache["h_min"].lower  # left by _witness_imax(h_min=True)
 
     steps = []

@@ -1,16 +1,28 @@
 """Oracles shared by the tests: the binary entropy, a Haar sampler, the
 dense convex-split mixture tau with its mu quantities, the residual of an
-SDP certificate, and the multi-start descent as one scipy.optimize.minimize
-call per start."""
+SDP certificate, the multi-start descent as one scipy.optimize.minimize
+call per start, and a patch of one matcore LAPACK function in every module
+that calls it."""
 
 import math
+import sys
 
 import numpy as np
 import scipy.optimize
 
-from csl import optim
+from csl import matcore, optim
 from csl.divergences import INF, d_max, q2
 from csl.matcore import _as_matrix, reduced
+
+
+def patch_lapack(monkeypatch, name: str, wrap) -> None:
+    """Replace matcore's LAPACK function ``name`` (``_eigh``, ``_cholesky``,
+    ...) by wrap(original) in every csl module that imported it."""
+    original = getattr(matcore, name)
+    patched = wrap(original)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("csl.") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, patched)
 
 
 def binary_entropy(a: float) -> float:

@@ -25,7 +25,7 @@ from csl.matcore import (
     support_cut,
     trace_distance,
 )
-from helpers import build_tau, mu_quantities, random_unitary
+from helpers import build_tau, mu_quantities, patch_lapack, random_unitary
 
 
 def bell_density():
@@ -631,13 +631,15 @@ def test_frame_values_invariant_under_local_unitaries(dims, weighted):
 
 
 def _count_eigh(monkeypatch) -> dict:
-    """Count the np.linalg.eigh and eigvalsh calls from here on."""
+    """Count the eigh and eigvalsh calls (matcore's _eigh and _eigvalsh) from here on."""
     calls = {"eigh": 0, "eigvalsh": 0}
     for name in calls:
-        def counted(*args, _inner=getattr(np.linalg, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _inner(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+        def counting(inner, _name=name):
+            def counted(*args, **kwargs):
+                calls[_name] += 1
+                return inner(*args, **kwargs)
+            return counted
+        patch_lapack(monkeypatch, "_" + name, counting)
     return calls
 
 

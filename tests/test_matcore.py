@@ -1,11 +1,13 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from csl import matcore
 from csl.matcore import (
     RANK_TOL,
     ContractViolation,
@@ -204,3 +206,101 @@ def test_projector_is_built_once_and_read_only():
         P[0, 0, 0] = 0.0
     with pytest.raises(ValueError):
         S[1].projector()[0, 0] = 0.0
+
+
+# --- the LAPACK layer ---------------------------------------------------------
+
+def _layer_inputs(n: int, dtype, rng):
+    """Hermitian n x n matrices of dtype: generic, degenerate, with eigenvalues
+    near RANK_TOL, rank-deficient, and one whose strict upper triangle is
+    noise (eigh reads the lower triangle only)."""
+    G = rng.standard_normal((n, n))
+    if dtype == complex:
+        G = G + 1j * rng.standard_normal((n, n))
+    U = np.linalg.qr(G)[0]
+    spectra = [rng.random(n) + 0.1,
+               np.where(np.arange(n) < (n + 1) // 2, 0.5, 0.25),
+               np.r_[1.0, np.full(n - 1, RANK_TOL)] * (1 + 0.1 * rng.random(n)),
+               np.where(np.arange(n) < max(1, n // 2), rng.random(n) + 0.1, 0.0)]
+    out = [(U * w) @ U.conj().T for w in spectra]
+    noisy = out[0].copy()
+    noisy[np.triu_indices(n, 1)] = G[np.triu_indices(n, 1)]
+    return np.array(out + [noisy], dtype=dtype)
+
+
+def _same(ours, theirs, *args):
+    """ours(*args) has numpy's bits (value, dtype and shape), or both raise LinAlgError."""
+    try:
+        want = theirs(*args)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            ours(*args)
+        return
+    got = ours(*args)
+    for g, w in zip(got if isinstance(got, tuple) else (got,),
+                    want if isinstance(want, tuple) else (want,)):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+def _numpy_lstsq(a, b):
+    return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+def _numpy_svdvals(a):
+    return np.linalg.svd(a, compute_uv=False)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lapack_layer_has_numpy_bits(n, dtype):
+    # Each function on single matrices and on the stack of them, against the
+    # numpy.linalg function it stands for.  The positive definite shift keeps
+    # Cholesky on its success path; the general matrices take inv, solve,
+    # lstsq and the singular values.
+    rng = np.random.default_rng([n, dtype == complex])
+    H = _layer_inputs(n, dtype, rng)
+    P = H + 1e-3 * np.eye(n)
+    A = rng.standard_normal((len(H), n, n)).astype(dtype) + H
+    b = rng.standard_normal((len(H), n, 2)).astype(dtype)
+    cases = [(matcore._eigh, np.linalg.eigh, (H,)),
+             (matcore._eigvalsh, np.linalg.eigvalsh, (H,)),
+             (matcore._cholesky, np.linalg.cholesky, (P,)),
+             (matcore._inv, np.linalg.inv, (A,)),
+             (matcore._inv, np.linalg.inv, (H,)),
+             (matcore._solve, np.linalg.solve, (A, b)),
+             (matcore._svdvals, _numpy_svdvals, (A,)),
+             (matcore._svdvals, _numpy_svdvals, (H,))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ours, theirs, args in cases:
+            _same(ours, theirs, *args)  # the stack
+            for member in zip(*args):
+                _same(ours, theirs, *member)
+        # Singular values at 2 eps fall under lstsq's cut, eps max(n, m).
+        tiny = np.diag(np.r_[1.0, np.full(n - 1, 2 * np.finfo(float).eps)]).astype(dtype)[None]
+        for a, v in zip(np.concatenate([A, H, tiny]), rng.standard_normal((2 * len(H) + 1, n))):
+            _same(matcore._lstsq, _numpy_lstsq, a, v)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_lapack_layer_failures_raise_as_numpy(dtype):
+    # One member that is not positive definite fails the whole stack's
+    # Cholesky, and a singular solve or inverse fails, each with numpy's
+    # LinAlgError and no warning; the other members alone still factor.
+    rng = np.random.default_rng(5)
+    P = _layer_inputs(3, dtype, rng)[:2] + 1e-3 * np.eye(3)
+    bad = P.copy()
+    bad[1, 2, 2] = -1.0
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ours, theirs, args in [(matcore._cholesky, np.linalg.cholesky, (bad,)),
+                                   (matcore._solve, np.linalg.solve, (singular, np.ones((2, 1)))),
+                                   (matcore._inv, np.linalg.inv, (singular,))]:
+            with pytest.raises(np.linalg.LinAlgError) as want:
+                theirs(*args)
+            with pytest.raises(np.linalg.LinAlgError) as got:
+                ours(*args)
+            assert str(got.value) == str(want.value)
+        assert np.array_equal(matcore._cholesky(bad[:1]), np.linalg.cholesky(P[:1]))

@@ -29,7 +29,7 @@ from csl.optim import (
     minimize_convex_over_states,
     minimize_over_states,
 )
-from helpers import multistart_oracle, sdp_residual
+from helpers import multistart_oracle, patch_lapack, sdp_residual
 
 
 def bell_density():
@@ -382,17 +382,19 @@ def test_cholesky_failure_stops_only_its_member(monkeypatch):
     victim = (1000.0 * _marginal_A(rho, 2, 3), rho, (2, 3))
     other = (np.eye(2), rho, (2, 3))
     free = [_lone(*victim), _lone(*other)]
-    cholesky, seen = np.linalg.cholesky, []
+    seen = []
 
-    def failing(a):
-        X = a[: len(a) // 2]
-        if np.trace(X, axis1=1, axis2=2).real.min() < 0.05:
-            seen.append(1)
-            if len(seen) >= free[0].steps:
-                raise np.linalg.LinAlgError("not positive definite")
-        return cholesky(a)
+    def failing(cholesky):
+        def factor(a):
+            X = a[: len(a) // 2]
+            if np.trace(X, axis1=1, axis2=2).real.min() < 0.05:
+                seen.append(1)
+                if len(seen) >= free[0].steps:
+                    raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(a)
+        return factor
 
-    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    patch_lapack(monkeypatch, "_cholesky", failing)
     alone = _lone(*victim)
     seen.clear()
     stacked = _stacked([victim, other])
@@ -622,7 +624,7 @@ def test_frank_wolfe_gap_bounds_suboptimality(alpha):
 def test_convex_solver_raises_when_gap_stays_open():
     # A gradient that disagrees with f never closes the gap: no value.
     def inconsistent(s):
-        return 0.0, np.diag([1.0, 0.0]).astype(complex), np.zeros((3, 3))
+        return 0.0, np.diag([1.0, 0.0]).astype(complex), lambda: np.zeros((3, 3))
 
     with pytest.raises(CertificateError, match="Frank-Wolfe gap"):
         minimize_convex_over_states(inconsistent, 2)
@@ -644,7 +646,7 @@ def test_q_alpha_hessian_matches_central_differences(alpha, sigma_first, at):
         if at == "near-degenerate":
             sigma = sigma + np.diag(1e-7 * (np.arange(dS) - (dS - 1) / 2))
         E = _traceless_basis(dS)
-        _, _, H = kernel(sigma)
+        H = kernel(sigma)[2]()
         h = 1e-5
         fd = np.array([np.einsum("kij,ji->k", E, kernel(sigma + h * El)[1]
                                  - kernel(sigma - h * El)[1]).real / (2 * h) for El in E]).T
@@ -660,7 +662,8 @@ def test_q_alpha_hessian_matches_central_differences(alpha, sigma_first, at):
 def test_q_alpha_grad_stack_equals_single_calls(dK, dS, alpha, sigma_first):
     # One kernel called on a stack of states, one state per call, returns
     # (f, G, H) bit for bit as a fresh kernel built for each state, in either
-    # call order; a singular state raises and leaves later calls unchanged.
+    # call order, H built by the call's hessian() after later calls; a
+    # singular state raises and leaves later calls unchanged.
     rho = sample("mixed-hilbert-schmidt", dK * dS, 5)
     K = sample("mixed-hilbert-schmidt", dK, 6)
     stack = np.array([sample("mixed-hilbert-schmidt", dS, 10 + i) for i in range(5)])
@@ -668,8 +671,11 @@ def test_q_alpha_grad_stack_equals_single_calls(dK, dS, alpha, sigma_first):
     kernel = QAlphaKernel(alpha, terms)
     reused = [kernel(sigma) for sigma in stack]
     backwards = [kernel(sigma) for sigma in stack[::-1]][::-1]
+    reused, backwards = ([(f, g, hessian()) for f, g, hessian in calls]
+                         for calls in (reused, backwards))
     for sigma, got, again in zip(stack, reused, backwards):
-        q, g, h = QAlphaKernel(alpha, terms)(sigma)
+        q, g, hessian = QAlphaKernel(alpha, terms)(sigma)
+        h = hessian()
         assert type(q) is float and g.shape == (dS, dS) and h.shape == (dS * dS - 1,) * 2
         assert abs(q - q_alpha(rho, _product(K, sigma, sigma_first), alpha)) <= 1e-12 * max(1.0, q)
         for result in (got, again):
@@ -678,7 +684,7 @@ def test_q_alpha_grad_stack_equals_single_calls(dK, dS, alpha, sigma_first):
         kernel(np.diag([1.0] + [0.0] * (dS - 1)))
     after = kernel(stack[3])
     assert after[0] == reused[3][0] and np.array_equal(after[1], reused[3][1]) \
-        and np.array_equal(after[2], reused[3][2])
+        and np.array_equal(after[2](), reused[3][2])
 
 
 def test_q_alpha_kernel_sums_its_terms():
@@ -690,8 +696,10 @@ def test_q_alpha_kernel_sums_its_terms():
     terms = [(0.75, rho_R, np.ones((1, 1)), False), (0.25, rho_RA, K, True),
              (0.5, rho_RA, K, False)]
     sigma = sample("mixed-hilbert-schmidt", 2, 7)
-    f, G, H = QAlphaKernel(2.0, terms)(sigma)
-    parts = [QAlphaKernel(2.0, [(1.0,) + t[1:]])(sigma) for t in terms]
+    f, G, hessian = QAlphaKernel(2.0, terms)(sigma)
+    H = hessian()
+    parts = [(f, G, hessian()) for f, G, hessian in
+             (QAlphaKernel(2.0, [(1.0,) + t[1:]])(sigma) for t in terms)]
     for got, want in zip((f, G, H), zip(*parts)):
         total = sum(t[0] * w for t, w in zip(terms, want))
         assert np.abs(got - total).max() <= 1e-13 * max(1.0, np.abs(total).max())
@@ -732,28 +740,35 @@ def test_cut_bound_brackets_the_uncut_value(alpha, sigma_first):
 
 
 class _Counting:
-    """A kernel that counts its calls, each on one state."""
+    """A kernel that counts its calls, each on one state, and the Hessians
+    the solver asks of them."""
 
     def __init__(self, kernel, dim):
-        self.kernel, self.dim, self.calls = kernel, dim, 0
+        self.kernel, self.dim, self.calls, self.hessians = kernel, dim, 0, 0
 
     def __call__(self, sigma):
         assert sigma.shape == (self.dim, self.dim)
         self.calls += 1
-        return self.kernel(sigma)
+        f, G, hessian = self.kernel(sigma)
+
+        def counted():
+            self.hessians += 1
+            return hessian()
+
+        return f, G, counted
 
     def cut_bound(self, sigma):
         return self.kernel.cut_bound(sigma)
 
 
 def _counted(monkeypatch, module):
-    """Record (Newton steps, kernel calls, report) of every convex solve."""
+    """Record (Newton steps, kernel calls, Hessians, report) of every convex solve."""
     solves = []
 
     def counting(kernel, dim, value_of=None, start=None):
         fun = _Counting(kernel, dim)
         rep = minimize_convex_over_states(fun, dim, value_of, start)
-        solves.append((rep.steps, fun.calls, rep))
+        solves.append((rep.steps, fun.calls, fun.hessians, rep))
         return rep
 
     monkeypatch.setattr(module, "minimize_convex_over_states", counting)
@@ -761,9 +776,11 @@ def _counted(monkeypatch, module):
 
 
 def _check_counts(solves, n_solves):
+    # Only an iterate that takes a Newton step builds its Hessian.
     assert len(solves) == n_solves
-    for steps, calls, rep in solves:
+    for steps, calls, hessians, rep in solves:
         assert steps <= 10 and calls <= 12, (steps, calls)
+        assert hessians == steps, (hessians, steps)
         assert rep.gap <= GAP_TOL
 
 
@@ -914,8 +931,8 @@ def test_cut_bound_reuses_the_last_call(monkeypatch):
     kernel = QAlphaKernel(2.0, terms)
     kernel(sigma)
     calls = []
-    inner = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or inner(*a, **k))
+    patch_lapack(monkeypatch, "_eigh",
+                 lambda inner: lambda *a, **k: calls.append(1) or inner(*a, **k))
     assert kernel.cut_bound(sigma) == fresh and fresh[1] > 0.0
     assert calls == []
     assert kernel.cut_bound(sigma.copy()) == fresh and calls == []  # the same bits

@@ -135,10 +135,12 @@ def test_uab_chain_cache_reuse():
     assert rep1.rhs_final == rep2.rhs_final
     # The witness is keyed on delta alone: no Renyi order in the key.  Its
     # I_max SDP is keyed on the cutoff class, here the uncut one (k = dA),
-    # and H_alpha(A) on alpha; rho_A's Spectrum is held once.
+    # h_delta on (delta, alpha) and H_alpha(A) on alpha; rho_A's Spectrum and
+    # H_up's set-up are held once.
     delta = infomeasures.C_SMOOTH * 0.1 * 0.1
     assert set(cache) == {("trunc", round(delta, 14)), ("imax_class", 2), "h_min",
-                          ("h_alpha", 0.5), ("h_up", 2.0), "rho_A"}
+                          ("h_delta", round(delta, 14), 0.5), ("h_alpha", 0.5),
+                          ("h_up", 2.0), "h_up_setup", "rho_A"}
 
 
 UAB_GRID = list(itertools.product((0.3, 0.5, 0.9), (1.5, 2.0, 4.0), (0.05, 0.1, 0.3)))
@@ -164,7 +166,8 @@ def test_uab_chain_shared_cache_matches_fresh(dims, seed):
 
 def _count_solves(monkeypatch):
     """Count SDP members (I_max and H_min), the stacked SDP calls that solve
-    them, and conditional_renyi_up calls."""
+    them, and H_up solves (infomeasures._h_up, behind conditional_renyi_up
+    and the chain's universal_rhs)."""
     calls = {"sdp": 0, "sdp_calls": 0, "renyi_up": 0}
     solve = optim.dominating_trace_min
 
@@ -175,12 +178,12 @@ def _count_solves(monkeypatch):
 
     def renyi_up(*args, **kwargs):
         calls["renyi_up"] += 1
-        return conditional_renyi_up(*args, **kwargs)
+        return h_up(*args, **kwargs)
 
-    conditional_renyi_up = infomeasures.conditional_renyi_up
+    h_up = infomeasures._h_up
     for module in (optim, infomeasures, smoothing):
         monkeypatch.setattr(module, "dominating_trace_min", sdp)
-    monkeypatch.setattr(infomeasures, "conditional_renyi_up", renyi_up)
+    monkeypatch.setattr(infomeasures, "_h_up", renyi_up)
     return calls
 
 
@@ -215,6 +218,28 @@ def test_uab_chain_decomposes_rho_a_once(monkeypatch):
     for alpha, beta, eps in UAB_GRID:
         assert uab_chain_verify(rho, dims, alpha, beta, eps, cache=cache).passed
     assert sum(seen) == 1
+
+
+@pytest.mark.parametrize("dims, seed", [((2, 2), 43), ((2, 3), 44)])
+def test_uab_chain_sets_up_h_up_once(monkeypatch, dims, seed):
+    # The three H_up orders of the 27-point grid share one set-up: eig_hermitian
+    # sees rho_B, and rho compressed onto 1_A (x) supp(rho_B), once each.
+    rho = sample("mixed-hilbert-schmidt", dims[0] * dims[1], seed)
+    rho_B = reduced(rho, dims, 1)
+    W = np.kron(np.eye(dims[0]), Spectrum(rho_B).basis)
+    setup = (rho_B, W.conj().T @ rho @ W)
+    eig, seen = matcore.eig_hermitian, []
+
+    def counting(H):
+        seen.extend(i for i, M in enumerate(setup)
+                    if H.shape == M.shape and np.array_equal(H, M))
+        return eig(H)
+
+    monkeypatch.setattr(matcore, "eig_hermitian", counting)
+    cache = {}
+    for alpha, beta, eps in UAB_GRID:
+        assert uab_chain_verify(rho, dims, alpha, beta, eps, cache=cache).passed
+    assert sorted(seen) == [0, 1]
 
 
 def test_uab_chain_solves_h_min_alone_on_a_cache_holding_the_class(monkeypatch):
