@@ -1,8 +1,9 @@
 """Oracles shared by the tests: the binary entropy, a Haar sampler, the
 dense convex-split mixture tau with its mu quantities, the residual of an
 SDP certificate, the multi-start descent as one scipy.optimize.minimize
-call per start, and a patch of one matcore LAPACK function in every module
-that calls it."""
+call per start, the hypothesis-testing divergence by doubling and
+bisection, and a patch of one matcore LAPACK function in every module that
+calls it."""
 
 import math
 import sys
@@ -11,8 +12,8 @@ import numpy as np
 import scipy.optimize
 
 from csl import matcore, optim
-from csl.divergences import INF, d_max, q2
-from csl.matcore import _as_matrix, reduced
+from csl.divergences import INF, d_max, d_min, perpendicular, q2, supp_contained
+from csl.matcore import CertificateError, _as_matrix, reduced
 
 
 def patch_lapack(monkeypatch, name: str, wrap) -> None:
@@ -116,3 +117,42 @@ def multistart_oracle(objective, dim, restarts=32, extra_starts=()):
     if best_val >= 1e12:  # never finite
         return math.inf, np.eye(dim) / dim, nfev
     return best_val, optim._gram_state(best_x, dim), nfev
+
+
+def bisection_d_min_eps(rho, sigma, eps):
+    """D_H^eps by the Neyman-Pearson family, its threshold t doubled from 1
+    and then bisected to adjacent floats (at most 200 halvings): (value,
+    jump), where jump is the rho-mass between the two projective tests of
+    the final bracket (0 when rho and sigma are orthogonal).  The primal,
+    its 1e-12 mass check and its 1e-8 gap check are d_min_eps's."""
+    R, S = _as_matrix(rho), _as_matrix(sigma)
+    if perpendicular(R, S) and not supp_contained(R, S) and math.isinf(d_min(R, S)):
+        return INF, 0.0
+
+    def test(t):
+        w, V = np.linalg.eigh(t * R - S)
+        P = V[:, w > 0]
+        r, s = (float(np.einsum("ji,jk,ki->", P.conj(), M, P).real) for M in (R, S))
+        return t, r, s, w
+
+    need = 1.0 - eps
+    lo, hi = (0.0, 0.0, 0.0, np.zeros(0)), test(1.0)
+    while need - hi[1] > 0 and hi[0] < 1e12:
+        lo, hi = hi, test(2.0 * hi[0])
+    for _ in range(200):
+        mid = 0.5 * (lo[0] + hi[0])
+        if not lo[0] < mid < hi[0]:
+            break
+        point = test(mid)
+        lo, hi = (point, hi) if need - point[1] > 0 else (lo, point)
+    (_, r_lo, s_lo, _), (_, r_hi, s_hi, _) = lo, hi
+    lam = 1.0 if r_hi == r_lo else min(max((need - r_lo) / (r_hi - r_lo), 0.0), 1.0)
+    mass, value = lam * r_hi + (1 - lam) * r_lo, lam * s_hi + (1 - lam) * s_lo
+    if abs(mass - need) > 1e-12:
+        raise CertificateError(f"bisection primal has rho-mass {mass:.15g}")
+    if value <= 1e-14:
+        return INF, r_hi - r_lo
+    gap = value - max(t * need - float(np.clip(w, 0.0, None).sum()) for t, _, _, w in (lo, hi))
+    if gap > 1e-8:
+        raise CertificateError(f"bisection primal/dual gap {gap:.3e} exceeds 1e-8")
+    return -math.log2(value), r_hi - r_lo

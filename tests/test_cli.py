@@ -136,6 +136,15 @@ def test_divergence_rejects_malformed_state_file(tmp_path, capsys, layout, field
     assert "error" in json.loads(stderr)
 
 
+def test_divergence_dimension_mismatch_exits_2(tmp_path, capsys):
+    rho = write_state(tmp_path / "rho.json", [["A", 2]], "matrix", np.eye(2) / 2)
+    sig = write_state(tmp_path / "sig.json", [["A", 3]], "matrix", np.eye(3) / 3)
+    code, stdout, stderr = run(["divergence", "--alpha", "2", "--rho", rho,
+                                "--sigma", sig, "--seed", "0"], capsys)
+    assert code == 2 and stdout == ""
+    assert "dimension mismatch" in json.loads(stderr)["error"]
+
+
 @pytest.mark.parametrize("field, entries", [
     ("matrix", [[[math.nan, 0], [0, 0]], [[0, 0], [0.5, 0]]]),
     ("matrix", [[[math.inf, 0], [0, 0]], [[0, 0], [0.5, 0]]]),

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from csl.matcore import (
     eig_hermitian,
     sample,
 )
-from helpers import binary_entropy, random_unitary
+from helpers import binary_entropy, bisection_d_min_eps, patch_lapack, random_unitary
 
 ALPHA_GRID = [0.3, 0.49, 0.5, 0.7, 1.0, 1.5, 2.0, 4.0, math.inf]
 
@@ -365,7 +366,8 @@ DH_PAIRS = [
 ]
 # d_min_eps of DH_PAIRS at theta = 0, 1e-6, 1e-3, recorded with the
 # three-stage search (dual golden section, primal golden section, scan)
-# that the bisection replaced.
+# that came before the bisection; helpers.bisection_d_min_eps keeps the
+# bisection, which the safeguarded Newton search replaced in turn.
 DH_PINNED = [
     (1.0, 1.0000000000000002, 1.0),
     (1.0740005814437772, 1.0740005814437645, 1.074000569087821),
@@ -396,6 +398,13 @@ def test_d_min_eps_equal_states_and_kernel_mass():
     for seed, eps in ((21, 0.05), (22, 0.3), (23, 0.7)):
         rho = sample("mixed-hilbert-schmidt", 3, seed)
         assert abs(d_min_eps(rho, rho, eps) + math.log2(1.0 - eps)) <= 1e-12
+    rho, sigma = _kernel_mass_pair()
+    assert not perpendicular(rho, sigma)
+    for eps in (0.05, 0.1, 0.3):
+        assert math.isinf(d_min_eps(rho, sigma, eps))
+
+
+def _kernel_mass_pair():
     # rho puts 0.95 + 0.05 <k|tau|k> >= 1 - eps of its mass on ker sigma = |k>,
     # yet Tr[rho sigma] > 0, so the early orthogonality exit does not apply.
     U = random_unitary(3, np.random.default_rng(24))
@@ -403,9 +412,7 @@ def test_d_min_eps_equal_states_and_kernel_mass():
     tau = sample("mixed-hilbert-schmidt", 3, 25)
     rho = 0.95 * (k @ k.conj().T) + 0.05 * tau
     sigma = (U * np.array([0.0, 0.3, 0.7])) @ U.conj().T
-    assert not perpendicular(rho, sigma)
-    for eps in (0.05, 0.1, 0.3):
-        assert math.isinf(d_min_eps(rho, sigma, eps))
+    return rho, sigma
 
 
 def test_d_min_eps_raises_when_primal_misses_dual(monkeypatch):
@@ -492,18 +499,22 @@ def _classical_d_alpha(p, q, alpha):
     return math.log2(float(np.sum(p**alpha * q ** (1 - alpha)))) / (alpha - 1)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
-@pytest.mark.parametrize("kappa", [1e4, 1e6, 1e8])
-def test_ill_conditioned_commuting_pairs(kappa, d):
-    # q falls geometrically from 1 to 1/kappa (above the RANK_TOL cut), p is
-    # seeded and well conditioned, both in one Haar-rotated basis; each pair
-    # is checked in both argument orders.
+def _ill_conditioned(kappa, d):
+    """(p, q, U): q falls geometrically from 1 to 1/kappa (above the RANK_TOL
+    cut), p is seeded and well conditioned, U is a Haar rotation for both."""
     rng = np.random.default_rng([round(math.log10(kappa)), d])
     q = kappa ** (-np.arange(d) / (d - 1))
     q /= q.sum()
     p = rng.uniform(0.2, 1.0, d)
     p /= p.sum()
-    U = random_unitary(d, rng)
+    return p, q, random_unitary(d, rng)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("kappa", [1e4, 1e6, 1e8])
+def test_ill_conditioned_commuting_pairs(kappa, d):
+    # Each pair is checked in both argument orders.
+    p, q, U = _ill_conditioned(kappa, d)
     for a, b in ((p, q), (q, p)):
         rho, sigma = (U * a) @ U.conj().T, (U * b) @ U.conj().T
         for alpha in (0.3, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0, math.inf):
@@ -512,6 +523,143 @@ def test_ill_conditioned_commuting_pairs(kappa, d):
         for eps in (0.05, 0.3):
             got, want = d_min_eps(rho, sigma, eps), _np_classical(a, b, eps)
             assert abs(got - want) <= 1e-8 * abs(want), (eps, got, want)
+
+
+def _hs_state(d, rng, rank=None):
+    """A random density matrix drawn as divergence-sweep draws its pairs."""
+    G = rng.standard_normal((d, rank or d)) + 1j * rng.standard_normal((d, rank or d))
+    M = G @ G.conj().T
+    return M / np.trace(M).real
+
+
+@functools.cache
+def _oracle_corpus():
+    """(label, rho, sigma) pairs that d_min_eps is checked on against the
+    bisection at eps in DH_EPS."""
+    pairs = []
+    for i in range(500):  # criterion 05's Hilbert-Schmidt pairs
+        d = 2 + i % 2
+        pairs.append((f"hs-{i}", sample("mixed-hilbert-schmidt", d, 80000 + i),
+                      sample("mixed-hilbert-schmidt", d, 81000 + i)))
+    for d in (2, 3, 4):  # the family of the invariance test, and more of its kind
+        for k in range(4):
+            pairs.append((f"inv-{d}-{k}",
+                          sample("rank-limited" if k % 2 else "mixed-hilbert-schmidt", d,
+                                 670 + k, rank=max(1, d - 1)),
+                          sample("rank-limited" if k >= 2 else "mixed-hilbert-schmidt", d,
+                                 680 + k, rank=max(1, d - 1))))
+    for i in range(200):
+        d = 2 + i % 3
+        pairs.append((f"rank-{i}", sample("rank-limited", d, 70000 + i, rank=d - 1),
+                      sample("rank-limited", d, 71000 + i, rank=d - 1)))
+    for k, j, rho, sigma, _ in _dh_corpus():
+        pairs.append((f"pair-{k}-{j}", rho, sigma))
+    for k, (p, q, eps) in enumerate(DH_TIED):
+        rng = np.random.default_rng([len(p), round(100 * eps)])
+        for j, U in enumerate([np.eye(len(p))] + [random_unitary(len(p), rng) for _ in range(3)]):
+            pairs.append((f"tied-{k}-{j}", (U * np.array(p)) @ U.conj().T,
+                          (U * np.array(q)) @ U.conj().T))
+    for kappa in (1e4, 1e6, 1e8):
+        for d in (2, 3, 4):
+            p, q, U = _ill_conditioned(kappa, d)
+            for n, (a, b) in enumerate(((p, q), (q, p))):
+                pairs.append((f"ill-{kappa:g}-{d}-{n}", (U * a) @ U.conj().T,
+                              (U * b) @ U.conj().T))
+    for k in range(40):  # divergence-sweep's draws, sigma of rank d - 1 for odd k
+        rng = np.random.default_rng([73000, k])
+        d = 2 + k % 3
+        rho = _hs_state(d, rng)
+        pairs.append((f"sweep-{k}", rho, _hs_state(d, rng, d - 1 if k % 2 else None)))
+    pairs.append(("kernel-mass",) + _kernel_mass_pair())
+    return pairs
+
+
+DH_EPS = (0.05, 0.3, 0.9)
+
+
+def _roundoff_move(rho, sigma, eps, value):
+    """How far the bisection's value moves when sigma moves by eps_mach
+    ||sigma|| along four seeded Hermitian directions: the resolution float64
+    gives that value."""
+    rng = np.random.default_rng(0)
+    moves = []
+    for _ in range(4):
+        G = rng.standard_normal(sigma.shape) + 1j * rng.standard_normal(sigma.shape)
+        H = G + G.conj().T
+        H *= np.finfo(float).eps * np.linalg.norm(sigma, 2) / np.linalg.norm(H, 2)
+        moves.append(abs(bisection_d_min_eps(rho, sigma + H, eps)[0] - value))
+    return max(moves)
+
+
+def test_d_min_eps_matches_bisection_oracle():
+    # The values agree to 1e-12 max(1, |v|), with the same inf verdicts.  A
+    # value that float64 does not resolve to 1e-12 (an optimal test with
+    # tiny sigma-mass, or one on sigma's 1/kappa eigenvalue) is held to its
+    # resolution instead; few members may be such.
+    kinds, coarse = {"kink": 0, "smooth": 0, "inf": 0}, []
+    for label, rho, sigma in _oracle_corpus():
+        for eps in DH_EPS:
+            got = d_min_eps(rho, sigma, eps)
+            want, jump = bisection_d_min_eps(rho, sigma, eps)
+            assert math.isinf(got) == math.isinf(want), (label, eps, got, want)
+            if math.isinf(want):
+                kinds["inf"] += 1
+                continue
+            kinds["kink" if jump > 1e-9 else "smooth"] += 1  # g jumps at the optimum
+            miss = abs(got - want)
+            if miss > 1e-12 * max(1.0, abs(want)):
+                assert miss <= _roundoff_move(rho, sigma, eps, want), (label, eps, got, want)
+                coarse.append((label, eps))
+    assert min(kinds.values()) > 0, kinds
+    assert len(coarse) <= 6, coarse
+
+
+def test_d_min_eps_decompositions_per_call(monkeypatch):
+    calls = []
+
+    def counted(eigh):
+        def wrapped(a):
+            calls.append(a.shape)
+            return eigh(a)
+        return wrapped
+
+    patch_lapack(monkeypatch, "_eigh", counted)
+    counts = []
+    for _, rho, sigma in _oracle_corpus():
+        for eps in DH_EPS:
+            calls.clear()
+            d_min_eps(rho, sigma, eps)
+            counts.append(len(calls))
+    assert np.median(counts) <= 10 and max(counts) <= 24, (np.median(counts), max(counts))
+
+
+_FAMILY = {
+    "d_min_eps": lambda r, s: d_min_eps(r, s, 0.1),
+    "d_alpha": lambda r, s: [d_alpha(r, s, a) for a in ALPHA_GRID],
+    "d_alpha_with_branch": lambda r, s: [d_alpha_with_branch(r, s, a) for a in (0.0, *ALPHA_GRID)],
+    "d_min": d_min,
+    "d_max": d_max,
+    "d_umegaki": d_umegaki,
+    "q_alpha": lambda r, s: [q_alpha(r, s, a) for a in (0.5, 2.0)],
+    "q2": q2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILY))
+def test_dimension_mismatch_is_a_contract_violation(name):
+    two, three = np.eye(2) / 2, np.eye(3) / 3
+    for rho, sigma in ((two, three), (three, two), (two, Spectrum(three))):
+        with pytest.raises(ContractViolation, match="dimension mismatch"):
+            _FAMILY[name](rho, sigma)
+
+
+def test_stack_dimension_mismatch_is_a_contract_violation():
+    # A stack of references is checked on its last two axes.
+    stack = np.stack([np.eye(3) / 3, np.diag([0.5, 0.3, 0.2])])
+    for sigma in (stack, Spectrum(stack)):
+        with pytest.raises(ContractViolation, match="dimension mismatch"):
+            d_alpha(np.eye(2) / 2, sigma, 2.0)
+    assert d_alpha(np.eye(3) / 3, stack, 2.0).shape == (2,)
 
 
 def test_symmetrized_sandwich_needs_no_hermitian_check():

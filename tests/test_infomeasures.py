@@ -106,6 +106,32 @@ def test_conditional_renyi_up_pure_state_duality():
         assert abs(conditional_renyi_up(rho, beta, (2, 3)) - expect) < 1e-8
 
 
+def _purified_marginal(rho_ab, dims):
+    """rho_AC of a purification psi_ABC of rho_AB on a C of dimension rank rho_AB."""
+    w, V = np.linalg.eigh(rho_ab)
+    keep = w > 1e-12
+    dA, dB = dims
+    psi = (V[:, keep] * np.sqrt(w[keep])).reshape(dA, dB, -1)
+    return np.einsum("abc,dbe->acde", psi, psi.conj()).reshape(dA * psi.shape[2], -1), \
+        (dA, psi.shape[2])
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_conditional_renyi_up_duality_on_mixed_states(dims):
+    # For pure psi_ABC, H_up_beta(A|B) = -H_up_beta'(A|C) with
+    # beta' = beta/(2 beta - 1) (Tomamichel, Berta & Hayashi 2014).  rho_AB
+    # of full rank, rank D - 1 and rank 2, two seeds each; beta' = 3/4, 2/3.
+    D = dims[0] * dims[1]
+    for rank in (D, D - 1, 2):
+        for seed in (0, 1):
+            rho = sample("rank-limited", dims, 3100 + 10 * rank + seed, rank=rank)
+            rho_ac, dims_ac = _purified_marginal(rho, dims)
+            for beta in (1.5, 2.0):
+                dual = conditional_renyi_up(rho_ac, beta / (2 * beta - 1), dims_ac)
+                total = conditional_renyi_up(rho, beta, dims) + dual
+                assert abs(total) <= 1e-10, (rank, seed, beta, total)
+
+
 @pytest.mark.parametrize("beta", [0.5, 0.5 + 1e-9])
 def test_conditional_renyi_up_pure_state_at_half(beta):
     # The dual order beta/(2 beta - 1) is inf at beta = 1/2 and about 5e8
