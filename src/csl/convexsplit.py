@@ -24,6 +24,7 @@ from .matcore import (
     Spectrum,
     _as_matrix,
     _eigvalsh,
+    _herm,
     _svdvals,
     kron,
     reduced,
@@ -315,14 +316,16 @@ def _split_report(instance: ConvexSplitInstance,
 
     Each operator is decomposed once: omega and sigma by the frame, the
     pinned product rho_R (x) sigma (mu's reference) here, and omega (x) sigma
-    only when omega is not rho_R bit for bit.  When it is, the two products
-    are one operator and Q_2(rho_RA || omega (x) sigma) serves mu as well.
+    only when omega's ``_herm`` is not rho_R bit for bit.  When it is, the
+    two products are one operator and Q_2(rho_RA || omega (x) sigma) serves
+    mu as well; rho_R is the ``_herm`` of its partial trace, so an omega
+    taken as the bare partial trace of rho_RA counts as rho_R.
     """
     R, rho_R, sigma = instance.rho_RA, instance.rho_R, instance.sigma_A
     t = instance.t_collision
     lhs = frame.q2()
     product = Spectrum(kron(rho_R, sigma))
-    pinned = instance.omega_R.tobytes() == rho_R.tobytes()
+    pinned = _herm(instance.omega_R).tobytes() == rho_R.tobytes()
     ref1 = product if pinned else Spectrum(kron(instance.omega_R, sigma))
     term_R = q2(rho_R, frame.omega)
     term_RA = q2(R, ref1)

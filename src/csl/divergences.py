@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matcore import _EPS, CertificateError, ContractViolation, Spectrum, _as_matrix, _eigh
+from .matcore import _EPS, CertificateError, ContractViolation, Spectrum, _as_matrix, _eigh, _herm
 
 INF = math.inf
 
@@ -54,14 +54,12 @@ def _q(R: np.ndarray, S: Spectrum, alpha: float):
     """Tr (S^e R S^e)^alpha, e = (1-alpha)/(2 alpha), with no support check.
 
     For a stack S, one value per member: one ``eigh`` for the stack of
-    sandwiched operators.  The symmetrized X is Hermitian bit for bit, so it
-    goes to ``eigh`` as it is, with no check; its eigenvalues are summed in
-    non-increasing order, as eig_hermitian gives them.
+    sandwiched operators.  X is Hermitian up to round-off, so its ``_herm``
+    goes to ``eigh`` with no check; its eigenvalues are summed in
+    non-increasing order, as a Spectrum holds them.
     """
     Se = S.power((1.0 - alpha) / (2.0 * alpha))
-    X = Se @ R @ Se
-    X = (X + X.conj().mT) / 2  # exact in theory; kills float asymmetry
-    w = np.clip(_eigh(X)[0][..., ::-1], 0.0, None)
+    w = np.clip(_eigh(_herm(Se @ R @ Se))[0][..., ::-1], 0.0, None)
     return np.sum(w**alpha, axis=-1)
 
 
@@ -164,10 +162,9 @@ def d_max(rho, sigma) -> float:
     if not S.contains(R):
         return INF
     Sm = S.power(-0.5)
-    # Entries grow as 1/lambda_min(sigma); the symmetrized X is Hermitian
-    # bit for bit, so ``eigh`` takes it with no check.
-    X = Sm @ R @ Sm
-    w = _eigh((X + X.conj().T) / 2)[0]
+    # Entries grow as 1/lambda_min(sigma), and so does X's asymmetry, so
+    # X's ``_herm`` goes to ``eigh`` with no check.
+    w = _eigh(_herm(Sm @ R @ Sm))[0]
     lam = float(max(w.max(initial=0.0), 0.0))
     if lam <= 0:
         return -INF

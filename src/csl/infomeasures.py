@@ -21,10 +21,9 @@ from .matcore import (
     _as_matrix,
     _eigh,
     _eigvalsh,
-    eig_hermitian,
+    _herm,
     kron,
     reduced,
-    support_cut,
     trace_distance,
 )
 from .optim import (
@@ -59,8 +58,11 @@ def _bipartite(rho, dims):
     return R, dA, dB
 
 
-def _marginals(R, dA, dB):
-    return reduced(R, (dA, dB), 0), reduced(R, (dA, dB), 1)
+def _spectrum_a(R, dims, cache: dict) -> Spectrum:
+    """The Spectrum of rho_A, decomposed once per state and kept in its cache."""
+    if "rho_A" not in cache:
+        cache["rho_A"] = Spectrum(reduced(R, dims, 0))
+    return cache["rho_A"]
 
 
 def _spectrum_renyi(w: np.ndarray, alpha: float) -> float:
@@ -84,14 +86,15 @@ def _spectrum_renyi(w: np.ndarray, alpha: float) -> float:
 def renyi_entropy(rho, alpha: float) -> float:
     """H_alpha = (1/(1-alpha)) log Tr rho^alpha, with 0, 1, inf limits.
 
+    rho is an operator or its Spectrum, which is then not decomposed again.
     Evaluated on the spectrum w above the support cut; other orders than 0
     and 1 go to _spectrum_renyi, which is log Tr rho^alpha up to the mass
     the cut drops.
     """
     if not alpha >= 0:  # NaN fails too
         raise ContractViolation(f"alpha must be >= 0, got {alpha}")
-    w = np.clip(_eigvalsh(_as_matrix(rho)), 0.0, None)
-    w = w[w > support_cut(w)]
+    S = Spectrum.of(rho)
+    w = S.w[S.keep]
     if alpha == 0:
         return math.log2(len(w))
     if alpha == 1:
@@ -114,7 +117,7 @@ def mutual_info_alpha(rho_ab, alpha: float, dims):
     if not 0.5 <= alpha < math.inf:  # NaN fails too
         raise ContractViolation(f"alpha must be in [1/2, inf), got {alpha}")
     R, dA, dB = _bipartite(rho_ab, dims)
-    rho_A, rho_B = _marginals(R, dA, dB)
+    rho_A, rho_B = reduced(R, (dA, dB), 0), reduced(R, (dA, dB), 1)
     if alpha == 1:
         value = renyi_entropy(rho_A, 1) + renyi_entropy(rho_B, 1) - renyi_entropy(R, 1)
         return max(value, 0.0), rho_B
@@ -156,22 +159,20 @@ def conditional_renyi_up(rho_ab, beta: float, dims) -> float:
 
 
 def _h_up_setup(R, dA, dB):
-    """What H_up_beta(A|B) needs of rho at every finite beta != 1: (rho_A,
-    None) for a pure rho, else (rho_A, Rc), Rc the Spectrum of rho
-    compressed onto 1_A (x) supp(rho_B)."""
-    rho_A, rho_B = _marginals(R, dA, dB)
+    """What H_up_beta(A|B) needs of rho at every finite beta != 1: None for
+    a pure rho, else the Spectrum of rho compressed onto 1_A (x) supp(rho_B)."""
     # Pure bipartite states: duality with a trivial purification gives
     # the closed form -H_{beta/(2 beta - 1)}(A), order inf at beta = 1/2;
     # skip the optimizer.
     if _eigvalsh(R).max(initial=0.0) >= 1.0 - 1e-12:
-        return rho_A, None
-    W = kron(np.eye(dA), Spectrum(rho_B).basis)
-    return rho_A, Spectrum(W.conj().T @ R @ W)
+        return None
+    W = kron(np.eye(dA), Spectrum(reduced(R, (dA, dB), 1)).basis)
+    return Spectrum(W.conj().T @ R @ W)
 
 
 def _h_up(rho_ab, beta: float, dims, cache: dict) -> float:
     """conditional_renyi_up with its order-free set-up (_h_up_setup) kept in
-    ``cache``, which belongs to one rho."""
+    ``cache``, which belongs to one rho, next to rho_A's Spectrum."""
     if not beta >= 0.5:  # NaN fails too
         raise ContractViolation(f"beta must be >= 1/2, got {beta}")
     R, dA, dB = _bipartite(rho_ab, dims)
@@ -181,9 +182,10 @@ def _h_up(rho_ab, beta: float, dims, cache: dict) -> float:
         return renyi_entropy(R, 1) - renyi_entropy(reduced(R, (dA, dB), 1), 1)
     if "h_up_setup" not in cache:
         cache["h_up_setup"] = _h_up_setup(R, dA, dB)
-    rho_A, Rc = cache["h_up_setup"]
+    Rc = cache["h_up_setup"]
     if Rc is None:
-        return -renyi_entropy(rho_A, math.inf if beta == 0.5 else beta / (2.0 * beta - 1.0))
+        return -renyi_entropy(_spectrum_a(R, (dA, dB), cache),
+                              math.inf if beta == 0.5 else beta / (2.0 * beta - 1.0))
     rB = len(Rc.w) // dA
     sign = 1.0 if beta > 1 else -1.0  # minimize Q (beta > 1) or -Q
     kernel = QAlphaKernel(beta, [(sign, Rc, np.eye(dA), False)])
@@ -212,14 +214,15 @@ def universal_rhs(rho_ab, dims, alpha: float, beta: float, eps: float,
                   cache: dict | None = None) -> float:
     """H_alpha(A) - optimized conditional beta-entropy + smoothing overhead.
 
-    ``cache`` belongs to one rho; it holds H_alpha(A) per alpha,
-    H_up_beta(A|B) per beta, and the set-up all of its orders share.
+    ``cache`` belongs to one rho; it holds rho_A's Spectrum, H_alpha(A)
+    per alpha, H_up_beta(A|B) per beta, and the set-up all of its orders
+    share.
     """
     R, dA, dB = _bipartite(rho_ab, dims)
     cache = cache if cache is not None else {}
     key_a = ("h_alpha", round(alpha, 14))
     if key_a not in cache:
-        cache[key_a] = renyi_entropy(_marginals(R, dA, dB)[0], alpha)
+        cache[key_a] = renyi_entropy(_spectrum_a(R, (dA, dB), cache), alpha)
     key = ("h_up", round(beta, 14))
     if key not in cache:
         cache[key] = _h_up(R, beta, (dA, dB), cache)
@@ -233,14 +236,17 @@ def dmax_smoothed_upper(rho, sigma, eps: float) -> tuple[float, np.ndarray]:
     Witnesses: rho, and spectral caps of sigma^(-1/2) rho sigma^(-1/2) at
     each eigenvalue level (classical truncation relative to sigma), each
     renormalized and kept only if inside the trace-distance eps-ball.
+    sigma may be its Spectrum, which is then not decomposed again.
     """
-    R, S = _as_matrix(rho), Spectrum(sigma)
+    R, S = _as_matrix(rho), Spectrum.of(sigma)
     best_v = d_max(R, S)
     best_w = R
     Sh = S.power(0.5)
     Sm = S.power(-0.5)
-    M = Sm @ R @ Sm
-    w, V = eig_hermitian((M + M.conj().T) / 2)
+    # Entries grow as 1/lambda_min(sigma), and so does their asymmetry, which
+    # _herm removes before Spectrum's check.
+    M = Spectrum(_herm(Sm @ R @ Sm))
+    w, V = M.w, M.V
     for gamma in sorted(set(np.clip(w, 0.0, None))):
         if gamma <= 0:
             continue
@@ -249,7 +255,7 @@ def dmax_smoothed_upper(rho, sigma, eps: float) -> tuple[float, np.ndarray]:
         t = float(np.trace(cand).real)
         if t <= 0:
             continue
-        cand = (cand + cand.conj().T) / (2 * t)
+        cand = _herm(cand) / t
         if trace_distance(cand, R) > eps + 1e-9:
             continue
         v = d_max(cand, S)
@@ -269,6 +275,7 @@ def check_rld_bound(rho, sigma, eps: float, beta: float) -> BoundReport:
         raise ContractViolation(f"beta must be > 1, got {beta}")
     if not (0.0 < eps < 1.0):
         raise ContractViolation(f"eps must be in (0,1), got {eps}")
-    est, _ = dmax_smoothed_upper(rho, sigma, eps)
-    rhs = d_alpha(rho, sigma, beta) + math.log2(1.0 / (eps * eps)) / (beta - 1.0)
+    S = Spectrum(sigma)  # one decomposition for both sides
+    est, _ = dmax_smoothed_upper(rho, S, eps)
+    rhs = d_alpha(rho, S, beta) + math.log2(1.0 / (eps * eps)) / (beta - 1.0)
     return BoundReport("dmax-smoothed-renyi-bound", est, rhs, est <= rhs + 1e-8)

@@ -7,6 +7,14 @@ tuple next to it.  Input from outside the program is validated once, by
 (never iterative norm estimation) so results are deterministic and hit
 tight tolerances.
 
+One rule makes an operator Hermitian: ``_herm``, (X + X^H)/2 over the last
+two axes, which is Hermitian bit for bit with a real diagonal and leaves the
+values of an X that already is unchanged.  ``reduced`` returns the
+``_herm`` of its partial trace.  ``Spectrum`` is the one place that checks
+a Hermitian input (to TOL_HERM), and it decomposes that input's ``_herm``.
+An operator that is Hermitian only up to round-off goes to a bare LAPACK
+call as its ``_herm``.  No other module symmetrizes by hand.
+
 Every small dense decomposition in the package goes through the private
 functions below, which call the LAPACK gufuncs of
 ``numpy.linalg._umath_linalg`` as the wrappers ``eigh``, ``eigvalsh``,
@@ -132,17 +140,9 @@ def _check_hermitian(M: np.ndarray, what: str = "matrix"):
         raise ContractViolation(f"{what} not Hermitian (max deviation {dev:.3e})")
 
 
-def eig_hermitian(H) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues non-increasing.
-
-    A stack (m, n, n) takes one ``eigh`` call and gives each member's
-    eigenpairs exactly as alone: w of shape (m, n), V of shape (m, n, n).
-    """
-    M = _as_matrix(H)
-    _check_hermitian(M)
-    Ms = (M + M.conj().mT) / 2
-    w, V = _eigh(Ms)
-    return w[..., ::-1].copy(), V[..., ::-1].copy()
+def _herm(Z: np.ndarray) -> np.ndarray:
+    """(Z + Z^H)/2 over the last two axes: Hermitian bit for bit."""
+    return (Z + Z.conj().mT) / 2
 
 
 def support_cut(w: np.ndarray) -> float:
@@ -181,8 +181,11 @@ class Spectrum:
     """One eigendecomposition of a Hermitian operator, or of each member of a
     stack (m, n, n) from one ``eigh`` call, and its support cut.
 
-    ``w`` (non-increasing) and ``V`` come from eig_hermitian; ``keep`` marks
-    the eigenvalues above support_cut(w).  Build it once per operator and
+    The input is checked Hermitian to TOL_HERM and its ``_herm`` goes to
+    ``eigh``: ``w`` is non-increasing, ``V`` holds the eigenvectors in that
+    order, and ``keep`` marks the eigenvalues above support_cut(w).  A stack
+    (m, n, n) gives each member's eigenpairs exactly as alone, w of shape
+    (m, n) and V of shape (m, n, n).  Build it once per operator and
     pass it on: powers, the support and containment tests all reuse it, and
     its projector is built on first use and kept read-only.  On
     a stack every method acts member by member, each exactly as on that
@@ -191,7 +194,9 @@ class Spectrum:
 
     def __init__(self, H):
         self.matrix = _as_matrix(H)
-        self.w, self.V = eig_hermitian(self.matrix)
+        _check_hermitian(self.matrix)
+        w, V = _eigh(_herm(self.matrix))
+        self.w, self.V = w[..., ::-1].copy(), V[..., ::-1].copy()
         self.cut = support_cut(self.w)
         self.keep = (self.w.T > self.cut).T  # the cut per member of a stack
 
@@ -245,7 +250,9 @@ def reduced(M: np.ndarray, dims, keep) -> np.ndarray:
     """Partial trace of a matrix on registers of sizes ``dims``.
 
     ``keep`` is one register position or a sequence of them; every other
-    register is traced out, highest position first.
+    register is traced out, highest position first.  The result is the
+    ``_herm`` of that trace: Hermitian bit for bit, and for a Hermitian M
+    within round-off of the bare trace.
     """
     keep = {keep} if isinstance(keep, int) else set(keep)
     dims = tuple(dims)
@@ -254,7 +261,7 @@ def reduced(M: np.ndarray, dims, keep) -> np.ndarray:
         if i not in keep:
             T = np.trace(T, axis1=i, axis2=i + T.ndim // 2)
     d_keep = math.prod(dims[i] for i in keep)
-    return T.reshape(d_keep, d_keep)
+    return _herm(T.reshape(d_keep, d_keep))
 
 
 def trace_distance(rho, sigma) -> float:
@@ -262,7 +269,7 @@ def trace_distance(rho, sigma) -> float:
     A, B = _as_matrix(rho), _as_matrix(sigma)
     if A.shape != B.shape:
         raise ContractViolation(f"dimension mismatch {A.shape} vs {B.shape}")
-    w = _eigvalsh((A - B + (A - B).conj().T) / 2)
+    w = _eigvalsh(_herm(A - B))
     return float(0.5 * np.abs(w).sum())
 
 
@@ -334,7 +341,7 @@ def state_from_dict(data: dict) -> tuple[np.ndarray, tuple[int, ...]]:
         if M.shape != (dim, dim):
             raise ContractViolation(f"matrix shape {M.shape} does not match layout dim {dim}")
         _check_hermitian(M, what="density operator")
-        w = _eigvalsh((M + M.conj().T) / 2)
+        w = _eigvalsh(_herm(M))
         if not w.min() >= -1e-10:
             raise ContractViolation(f"negative eigenvalue {w.min():.3e}")
         tr = float(np.trace(M).real)

@@ -45,6 +45,7 @@ from .matcore import (
     _cholesky,
     _eigh,
     _eigvalsh,
+    _herm,
     _inv,
     _lstsq,
     _solve,
@@ -90,7 +91,7 @@ def _gram_state(x: np.ndarray, d: int) -> np.ndarray:
 
 def _state_to_params(sigma: np.ndarray) -> np.ndarray:
     d = sigma.shape[0]
-    w, V = _eigh((sigma + sigma.conj().T) / 2)
+    w, V = _eigh(_herm(sigma))
     w = np.clip(w, 1e-12, None)
     G = (V * np.sqrt(w)) @ V.conj().T
     return np.concatenate([G.real.reshape(-1), G.imag.reshape(-1)])
@@ -377,7 +378,7 @@ class QAlphaKernel:
             H = H + (A + A.T).real
             return s * (H + H.T) / 2
 
-        return s * float(yg @ y), s * (G + G.conj().T) / 2, hessian
+        return s * float(yg @ y), s * _herm(G), hessian
 
     def cut_bound(self, sigma: np.ndarray) -> tuple[float, float]:
         """(below, above): f_full - f lies in [-below, above] at sigma, where
@@ -556,15 +557,11 @@ def dominance_residual(M_A: np.ndarray, rho_AB: np.ndarray, res: Certified,
     failed.
     """
     D = kron(M_A, res.witness) - rho_AB
-    residual = float(_eigvalsh((D + D.conj().T) / 2)[0])
+    residual = float(_eigvalsh(_herm(D))[0])
     if not (res.gap <= GAP_TOL and residual >= -RESIDUAL_TOL):
         raise CertificateError(f"max-information SDP not certified{what} "
                                f"(bracket {res.gap:.3e} bits, residual {residual:.3e})")
     return residual
-
-
-def _herm(Z):
-    return (Z + Z.conj().mT) / 2
 
 
 def _step_lengths(L_inv, dM) -> list:
@@ -725,7 +722,7 @@ def dominating_trace_min(M_A: np.ndarray, rho_AB: np.ndarray,
         VA, VB = SA[i].basis, SB[i].basis
         W = kron(VA, VB)
         C = W.conj().T @ rho_AB[i] @ W
-        members.append((SA.w[i][SA.keep[i]], (C + C.conj().T) / 2, VB, W))
+        members.append((SA.w[i][SA.keep[i]], _herm(C), VB, W))
         groups.setdefault((VA.shape[1], VB.shape[1]), []).append(i)
     solved = {}
     for (rA, rB), idx in groups.items():

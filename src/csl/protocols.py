@@ -49,6 +49,7 @@ from .matcore import (
     _as_matrix,
     _eigh,
     _eigvalsh,
+    _herm,
     kron,
     reduced,
 )
@@ -65,6 +66,9 @@ class ChannelSpec:
 
     def __post_init__(self):
         self.kraus = [np.asarray(K, dtype=complex) for K in self.kraus]
+        shape = (self.dim_out, self.dim_in)
+        if min(shape) < 1 or any(K.shape != shape for K in self.kraus):
+            raise ContractViolation(f"Kraus operators must be (dim_out, dim_in) = {shape}")
         if not all(np.isfinite(K).all() for K in self.kraus):
             raise ContractViolation("Kraus operators must be finite")
         acc = sum(K.conj().T @ K for K in self.kraus)
@@ -126,8 +130,7 @@ def qss_optimal_sigma(rho_RB, dims: tuple[int, int]):
     tr = float(np.trace(sigma).real)
     if tr <= RANK_TOL:
         return found, value
-    sigma = (sigma + sigma.conj().T) / (2 * tr)
-    return sigma, value
+    return _herm(sigma) / tr, value
 
 
 def _uhlmann_factors(psi_target, psi_source, shared_dim: int):

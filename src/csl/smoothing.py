@@ -20,6 +20,7 @@ from .infomeasures import (
     C_SMOOTH,
     BoundReport,
     _bipartite,
+    _spectrum_a,
     _spectrum_renyi,
     universal_rhs,
 )
@@ -68,13 +69,6 @@ def smooth_renyi_entropy_min(p, delta: float, alpha: float):
         raise ContractViolation(f"alpha must be in (0,1), got {alpha}")
     q = _steepest_smoothing(p, delta)
     return _spectrum_renyi(q, alpha), q
-
-
-def _spectrum_a(R, dims, cache: dict) -> Spectrum:
-    """The Spectrum of rho_A, decomposed once per state and kept in its cache."""
-    if "rho_A" not in cache:
-        cache["rho_A"] = Spectrum(reduced(R, dims, 0))
-    return cache["rho_A"]
 
 
 def _truncated_witness(R, dims, delta: float, SA: Spectrum):

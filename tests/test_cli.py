@@ -170,6 +170,19 @@ def test_non_finite_input_files_are_config_errors(tmp_path, capsys, field, entri
     assert "finite" in json.loads(stderr)["error"]
 
 
+@pytest.mark.parametrize("channel", [
+    {"dim_in": 2, "dim_out": 2, "kraus": [[[1, 0], [0, 1], [0, 0]]]},
+    {"dim_in": 2, "dim_out": 3, "kraus": [[[1, 0], [0, 1]]]},
+    {"dim_in": 0, "dim_out": 2, "kraus": [[[], []]]},
+], ids=["3x2-for-2x2", "2x2-for-3x2", "empty-input"])
+def test_rev_shannon_kraus_of_the_wrong_shape_exits_2(tmp_path, capsys, channel):
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps(channel))
+    code, stdout, stderr = run(["rev-shannon", "--channel", str(path), "--seed", "0"], capsys)
+    assert code == 2 and stdout == ""
+    assert "Kraus operators must be (dim_out, dim_in)" in json.loads(stderr)["error"]
+
+
 def test_bounds_sweep_nan_beta_is_a_config_error(capsys):
     code, _, stderr = run(["bounds-sweep", "--suite", "uab", "--dims", "2x2", "--samples", "1",
                            "--seed", "1", "--beta", "nan"], capsys)

@@ -19,7 +19,6 @@ from csl.matcore import (
     ContractViolation,
     Spectrum,
     _as_matrix,
-    eig_hermitian,
     reduced,
     sample,
     support_cut,
@@ -272,8 +271,8 @@ def dense_frame(inst):
     """The dense tau, X = V^dag tau V with V = kron(V_omega, V_sigma^n), and
     the product omega (x) sigma^n: its eigenvalues w in that basis, their
     per-factor support keep, and its dense matrix."""
-    wo, Vo = eig_hermitian(inst.omega_R)
-    ws, Vs = eig_hermitian(inst.sigma_A)
+    So, Ss = Spectrum(inst.omega_R), Spectrum(inst.sigma_A)
+    wo, Vo, ws, Vs = So.w, So.V, Ss.w, Ss.V
     wo, ws = np.clip(wo, 0.0, None), np.clip(ws, 0.0, None)
     V, w, keep, ref = Vo, wo, wo > support_cut(wo), inst.omega_R
     for _ in range(inst.n):
@@ -540,7 +539,7 @@ def diagonal_instance_at_cap():
 def test_entrywise_q2_matches_dense_oracle_at_cap():
     inst = diagonal_instance_at_cap()
     for M in (inst.sigma_A, inst.omega_R):
-        assert np.array_equal(eig_hermitian(M)[1], np.eye(2))
+        assert np.array_equal(Spectrum(M).V, np.eye(2))
     w = np.diag(inst.omega_R).real
     for _ in range(inst.n):
         w = np.multiply.outer(w, np.diag(inst.sigma_A).real).reshape(-1)
@@ -708,6 +707,29 @@ def test_split_check_decomposes_each_operator_once(monkeypatch, dA, weighted):
     calls["eigh"] = 0
     split_equality_check(pinned_to_rho_r(inst))
     assert calls == {"eigh": 6, "eigvalsh": 0}
+
+
+@pytest.mark.parametrize("dR, dA", [(2, 3), (3, 3)])
+def test_split_check_pins_omega_taken_as_the_bare_partial_trace(monkeypatch, dR, dA):
+    # omega = np.trace of rho_RA over A, as divergence-sweep builds it: not
+    # rho_R bit for bit (reduced symmetrizes), but the same operator, so the
+    # check takes the pinned path and decomposes rho_R (x) sigma once.
+    inst = random_instance(95 + dR, 3, dR=dR, dA=dA)
+    omega = np.trace(inst.rho_RA.reshape(dR, dA, dR, dA), axis1=1, axis2=3)
+    inst = ConvexSplitInstance(inst.rho_RA, inst.sigma_A, omega, inst.n, inst.dims)
+    assert not np.array_equal(omega, inst.rho_R)
+    product = np.kron(inst.rho_R, inst.sigma_A)
+    seen = []
+
+    def counting(original):
+        def call(a):
+            seen.append(a.shape == product.shape and np.abs(a - product).max() <= 1e-14)
+            return original(a)
+        return call
+
+    patch_lapack(monkeypatch, "_eigh", counting)
+    split_equality_check(inst)
+    assert sum(seen) == 1 and len(seen) == 6
 
 
 def fresh_bounds_report(rho_RA, sigma_A, n, dims):

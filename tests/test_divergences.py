@@ -23,7 +23,6 @@ from csl.matcore import (
     CertificateError,
     ContractViolation,
     Spectrum,
-    eig_hermitian,
     sample,
 )
 from helpers import binary_entropy, bisection_d_min_eps, patch_lapack, random_unitary
@@ -202,18 +201,20 @@ def _d_alpha_oracle(R, S, alpha):
     S^((1-alpha)/(2 alpha)); this is how d_alpha evaluated it before every
     operand's spectrum was shared, and the qss-protocol reference pins its bits.
     """
-    w, V = eig_hermitian(S)
+    E = Spectrum(S)
+    w, V = E.w, E.V
     B = V[:, w > RANK_TOL * max(w.max(initial=0.0), 0.0)]
     Pi = B @ B.conj().T
     if abs(float(np.trace(R - Pi @ R @ Pi).real)) > 1e-10:
         return math.inf
-    w, V = eig_hermitian(S)
+    E = Spectrum(S)
+    w, V = E.w, E.V
     nz = w > RANK_TOL * max(w.max(initial=0.0), 0.0)
     p = np.zeros_like(w)
     p[nz] = w[nz] ** ((1.0 - alpha) / (2.0 * alpha))
     Se = (V * p) @ V.conj().T
     X = Se @ R @ Se
-    wx, _ = eig_hermitian((X + X.conj().T) / 2)
+    wx = Spectrum((X + X.conj().T) / 2).w
     q = float(np.sum(np.clip(wx, 0.0, None) ** alpha))
     return (1.0 / (alpha - 1.0)) * math.log2(q)
 
@@ -664,7 +665,7 @@ def test_stack_dimension_mismatch_is_a_contract_violation():
 
 def test_symmetrized_sandwich_needs_no_hermitian_check():
     # (X + X^H)/2 is Hermitian bit for bit and symmetrizing it again returns
-    # it bit for bit, so eig_hermitian's check and second symmetrization do
+    # it bit for bit, so Spectrum's check and second symmetrization do
     # nothing there: _q and d_max give the same bits with one bare eigh.
     rng = np.random.default_rng(250)
     for d, scale in [(2, 1.0), (3, 1e9), (4, 1e-12), (6, 3.7)]:
@@ -679,12 +680,12 @@ def test_symmetrized_sandwich_needs_no_hermitian_check():
         for alpha in (0.5, 0.75, 1.5, 2.0, 4.0):
             Se = S.power((1.0 - alpha) / (2.0 * alpha))
             X = Se @ rho @ Se
-            w, _ = eig_hermitian((X + X.conj().mT) / 2)
+            w = Spectrum((X + X.conj().mT) / 2).w
             want = np.sum(np.clip(w, 0.0, None) ** alpha, axis=-1)
             assert np.array_equal(divergences._q(rho, S, alpha), want)
         for sigma in S.matrix[:2]:  # of rank 2 (rho leaves it) and 3
             Sm = Spectrum(sigma).power(-0.5)
             X = Sm @ rho @ Sm
-            lam = max(eig_hermitian((X + X.conj().T) / 2)[0].max(), 0.0)
+            lam = max(Spectrum((X + X.conj().T) / 2).w.max(), 0.0)
             inside = Spectrum(sigma).contains(rho)
             assert d_max(rho, sigma) == (math.log2(lam) if inside else math.inf)

@@ -12,7 +12,6 @@ from csl.matcore import (
     RANK_TOL,
     ContractViolation,
     Spectrum,
-    eig_hermitian,
     fidelity,
     kron,
     purified_distance,
@@ -37,8 +36,9 @@ def pairs(a):
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def test_eig_hermitian_descending():
-    w, V = eig_hermitian(np.diag([0.1, 0.9, 0.5]))
+def test_spectrum_descending():
+    S = Spectrum(np.diag([0.1, 0.9, 0.5]))
+    w, V = S.w, S.V
     assert np.all(np.diff(w) <= 0)
     assert np.abs(V.conj().T @ V - np.eye(3)).max() < 1e-12
 
@@ -107,6 +107,22 @@ def test_partial_trace_bell():
     assert np.allclose(red, np.eye(2) / 2, atol=1e-12)
 
 
+@pytest.mark.parametrize("kept", [2, 3])
+@pytest.mark.parametrize("traced", [2, 3, 4, 5])
+def test_reduced_is_bitwise_hermitian(kept, traced):
+    # A sampled state G G^H / Tr is Hermitian up to round-off, and so, on
+    # most of these shapes, is its bare partial trace; reduced's is Hermitian
+    # bit for bit, with a real diagonal.
+    for keep, dims in ((0, (kept, traced)), (1, (traced, kept))):
+        for seed in range(4):
+            rho = sample("mixed-hilbert-schmidt", dims, 90 + seed)
+            A = reduced(rho, dims, keep)
+            assert np.array_equal(A, A.conj().T), (dims, keep, seed)
+            assert not np.diag(A).imag.any()
+            bare = np.trace(rho.reshape(dims + dims), axis1=1 - keep, axis2=3 - keep)
+            assert np.abs(A - bare).max() <= 1e-16
+
+
 def test_tensor_and_trace_roundtrip():
     a = sample("mixed-hilbert-schmidt", 2, 0)
     b = sample("mixed-hilbert-schmidt", 3, 1)
@@ -139,7 +155,8 @@ def test_q_alpha_cut_is_round_off_above_one():
 
 def test_purify_recovers_marginal():
     rho = sample("rank-limited", 3, 2, rank=2)
-    w, V = eig_hermitian(rho)
+    S = Spectrum(rho)
+    w, V = S.w, S.V
     # spectral purification sum_i sqrt(w_i) |v_i>|i> on A x A'
     psi = (V * np.sqrt(np.clip(w, 0.0, None))).reshape(-1)
     red = reduced(np.outer(psi, psi.conj()), (3, 3), 0)

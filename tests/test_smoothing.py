@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from csl import infomeasures, matcore, optim, smoothing
+from csl import infomeasures, optim, smoothing
 from csl.matcore import (
     CertificateError,
     Spectrum,
@@ -21,6 +21,7 @@ from csl.smoothing import (
     smooth_renyi_entropy_min,
     uab_chain_verify,
 )
+from helpers import patch_lapack
 
 
 def _renyi(q, alpha):
@@ -202,40 +203,70 @@ def test_uab_chain_solves_per_state(monkeypatch, dims, seed):
 
 def test_uab_chain_decomposes_rho_a_once(monkeypatch):
     # One Spectrum of rho_A, held in the state's cache, serves the three
-    # witnesses of the 27-point grid and the class solve: eig_hermitian
-    # sees rho_A once (the SDP decomposes its stack of M_A on its own).
+    # witnesses of the 27-point grid, the class solve and H_alpha(A): a
+    # Spectrum is built on rho_A once (the SDP decomposes its stack of M_A
+    # on its own).
     dims = (2, 3)
     rho = sample("mixed-hilbert-schmidt", 6, 47)
     rho_A = reduced(rho, dims, 0)
-    eig, seen = matcore.eig_hermitian, []
+    init, seen = Spectrum.__init__, []
 
-    def counting(H):
-        seen.append(H.shape == rho_A.shape and np.array_equal(H, rho_A))
-        return eig(H)
+    def counting(self, H):
+        seen.append(np.shape(H) == rho_A.shape and np.array_equal(H, rho_A))
+        init(self, H)
 
-    monkeypatch.setattr(matcore, "eig_hermitian", counting)
+    monkeypatch.setattr(Spectrum, "__init__", counting)
     cache = {}
     for alpha, beta, eps in UAB_GRID:
         assert uab_chain_verify(rho, dims, alpha, beta, eps, cache=cache).passed
     assert sum(seen) == 1
 
 
+def test_uab_chain_takes_one_eigh_of_rho_a(monkeypatch):
+    # At the LAPACK layer: over the 27-point grid rho_A, as the bare partial
+    # trace or its symmetrization, reaches one 2-D eigh (its Spectrum, which
+    # H_alpha(A) reads too) and no eigvalsh.  The SDP's stacked eigh of its
+    # M_A stack is 3-D and not counted.
+    dims = (2, 3)
+    rho = sample("mixed-hilbert-schmidt", 6, 47)
+    bare = np.trace(rho.reshape(2, 3, 2, 3), axis1=1, axis2=3)
+    forms = (bare, (bare + bare.conj().T) / 2)
+    seen = {"_eigh": 0, "_eigvalsh": 0}
+
+    def counting(name):
+        def wrap(original):
+            def call(a):
+                if a.ndim == 2 and any(np.array_equal(a, f) for f in forms):
+                    seen[name] += 1
+                return original(a)
+            return call
+        return wrap
+
+    for name in seen:
+        patch_lapack(monkeypatch, name, counting(name))
+    cache = {}
+    for alpha, beta, eps in UAB_GRID:
+        assert uab_chain_verify(rho, dims, alpha, beta, eps, cache=cache).passed
+    assert seen == {"_eigh": 1, "_eigvalsh": 0}
+
+
 @pytest.mark.parametrize("dims, seed", [((2, 2), 43), ((2, 3), 44)])
 def test_uab_chain_sets_up_h_up_once(monkeypatch, dims, seed):
-    # The three H_up orders of the 27-point grid share one set-up: eig_hermitian
-    # sees rho_B, and rho compressed onto 1_A (x) supp(rho_B), once each.
+    # The three H_up orders of the 27-point grid share one set-up: a Spectrum
+    # is built on rho_B, and on rho compressed onto 1_A (x) supp(rho_B), once
+    # each.
     rho = sample("mixed-hilbert-schmidt", dims[0] * dims[1], seed)
     rho_B = reduced(rho, dims, 1)
     W = np.kron(np.eye(dims[0]), Spectrum(rho_B).basis)
     setup = (rho_B, W.conj().T @ rho @ W)
-    eig, seen = matcore.eig_hermitian, []
+    init, seen = Spectrum.__init__, []
 
-    def counting(H):
+    def counting(self, H):
         seen.extend(i for i, M in enumerate(setup)
-                    if H.shape == M.shape and np.array_equal(H, M))
-        return eig(H)
+                    if np.shape(H) == M.shape and np.array_equal(H, M))
+        init(self, H)
 
-    monkeypatch.setattr(matcore, "eig_hermitian", counting)
+    monkeypatch.setattr(Spectrum, "__init__", counting)
     cache = {}
     for alpha, beta, eps in UAB_GRID:
         assert uab_chain_verify(rho, dims, alpha, beta, eps, cache=cache).passed
