@@ -237,6 +237,8 @@ def run_bounds_sweep(opts) -> tuple[str, list, dict]:
     one = {"uab": one_uab, "rld": one_rld}.get(opts["suite"])
     if one is None:
         raise ConfigError(f"unknown suite {opts['suite']!r}")
+    if one is one_uab:  # refuse bad orders before the first sample's solves
+        infomeasures.f_alpha_beta(alpha, beta, eps)
     return _sampled(_UAB_HEADER, one, opts)
 
 

@@ -16,7 +16,9 @@ import numpy as np
 from .divergences import d_alpha, d_max
 from .matcore import (
     RANK_TOL,
+    CertificateError,
     ContractViolation,
+    LinAlgError,
     Spectrum,
     _as_matrix,
     _eigh,
@@ -146,24 +148,25 @@ def h_min_conditional(rho_ab, dims) -> float:
 def conditional_renyi_up(rho_ab, beta: float, dims) -> float:
     """Optimized conditional entropy -min over sigma of D_beta(rho || I (x) sigma).
 
-    For finite beta != 1 the minimization is convex in Q_beta (convex for
-    beta > 1, concave for beta in [1/2, 1); Frank & Lieb 2013) and is solved
-    on supp(rho_B), where the optimum lies by data processing under the
-    pinching onto it.  The solve starts at the Petz conditional entropy's
-    optimizer (Tr_A rho^beta)^(1/beta)/Tr (Tomamichel, Berta & Hayashi, JMP
-    55, 082206, 2014), exact on product states, and certifies the value by
-    its Frank-Wolfe gap plus the bound on what the cut on rho's spectrum
-    drops (QAlphaKernel.cut_bound).
+    For beta >= 1, inf included; a smaller order raises ContractViolation.
+    For finite beta > 1 the minimization is convex in Q_beta (Frank & Lieb
+    2013) and is solved on supp(rho_B), where the optimum lies by data
+    processing under the pinching onto it.  The solve starts at the Petz
+    conditional entropy's optimizer (Tr_A rho^beta)^(1/beta)/Tr (Tomamichel,
+    Berta & Hayashi, JMP 55, 082206, 2014), exact on product states, and
+    certifies the value by its Frank-Wolfe gap plus the bound on what the
+    cut on rho's spectrum drops (the cut() of a QAlphaKernel call).  An
+    overflow, an invalid value or a LAPACK failure anywhere in that solve,
+    the Petz start included, raises CertificateError.
     """
     return _h_up(rho_ab, beta, dims, {})
 
 
 def _h_up_setup(R, dA, dB):
-    """What H_up_beta(A|B) needs of rho at every finite beta != 1: None for
+    """What H_up_beta(A|B) needs of rho at every finite beta > 1: None for
     a pure rho, else the Spectrum of rho compressed onto 1_A (x) supp(rho_B)."""
     # Pure bipartite states: duality with a trivial purification gives
-    # the closed form -H_{beta/(2 beta - 1)}(A), order inf at beta = 1/2;
-    # skip the optimizer.
+    # the closed form -H_{beta/(2 beta - 1)}(A); skip the optimizer.
     if _eigvalsh(R).max(initial=0.0) >= 1.0 - 1e-12:
         return None
     W = kron(np.eye(dA), Spectrum(reduced(R, (dA, dB), 1)).basis)
@@ -173,8 +176,8 @@ def _h_up_setup(R, dA, dB):
 def _h_up(rho_ab, beta: float, dims, cache: dict) -> float:
     """conditional_renyi_up with its order-free set-up (_h_up_setup) kept in
     ``cache``, which belongs to one rho, next to rho_A's Spectrum."""
-    if not beta >= 0.5:  # NaN fails too
-        raise ContractViolation(f"beta must be >= 1/2, got {beta}")
+    if not beta >= 1:  # NaN fails too
+        raise ContractViolation(f"beta must be >= 1, got {beta}")
     R, dA, dB = _bipartite(rho_ab, dims)
     if math.isinf(beta):
         return h_min_conditional(R, (dA, dB))
@@ -184,21 +187,24 @@ def _h_up(rho_ab, beta: float, dims, cache: dict) -> float:
         cache["h_up_setup"] = _h_up_setup(R, dA, dB)
     Rc = cache["h_up_setup"]
     if Rc is None:
-        return -renyi_entropy(_spectrum_a(R, (dA, dB), cache),
-                              math.inf if beta == 0.5 else beta / (2.0 * beta - 1.0))
+        return -renyi_entropy(_spectrum_a(R, (dA, dB), cache), beta / (2.0 * beta - 1.0))
     rB = len(Rc.w) // dA
-    sign = 1.0 if beta > 1 else -1.0  # minimize Q (beta > 1) or -Q
-    kernel = QAlphaKernel(beta, [(sign, Rc, np.eye(dA), False)])
 
     def value_of(f):  # D_beta, increasing in f
-        return math.log2(sign * f) / (beta - 1.0) if sign * f > 0 else -math.inf
+        return math.log2(f) / (beta - 1.0) if f > 0 else -math.inf
 
-    # The Petz optimizer (Tr_A Rc^beta)^(1/beta), floored at RANK_TOL to stay
-    # positive definite where Rc^beta's small eigenvalues are lost to round-off.
-    w, V = _eigh(reduced(Rc.power(beta), (dA, rB), 1))
-    w = np.clip(w, 0.0, None) ** (1.0 / beta)
-    start = (V * np.maximum(w / w.sum(), RANK_TOL)) @ V.conj().T
-    return -minimize_convex_over_states(kernel, rB, value_of, start).value
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            kernel = QAlphaKernel(beta, [(1.0, Rc, np.eye(dA), False)])
+            # The Petz optimizer (Tr_A Rc^beta)^(1/beta), floored at RANK_TOL to
+            # stay positive definite where Rc^beta's small eigenvalues are lost
+            # to round-off.
+            w, V = _eigh(reduced(Rc.power(beta), (dA, rB), 1))
+            w = np.clip(w, 0.0, None) ** (1.0 / beta)
+            start = (V * np.maximum(w / w.sum(), RANK_TOL)) @ V.conj().T
+            return -minimize_convex_over_states(kernel, rB, value_of, start).value
+    except (FloatingPointError, LinAlgError) as exc:
+        raise CertificateError(f"H_up solve failed at beta = {beta}: {exc}") from None
 
 
 def f_alpha_beta(alpha: float, beta: float, eps: float) -> float:
@@ -218,6 +224,7 @@ def universal_rhs(rho_ab, dims, alpha: float, beta: float, eps: float,
     per alpha, H_up_beta(A|B) per beta, and the set-up all of its orders
     share.
     """
+    overhead = f_alpha_beta(alpha, beta, eps)  # refuses bad orders before any solve
     R, dA, dB = _bipartite(rho_ab, dims)
     cache = cache if cache is not None else {}
     key_a = ("h_alpha", round(alpha, 14))
@@ -226,7 +233,7 @@ def universal_rhs(rho_ab, dims, alpha: float, beta: float, eps: float,
     key = ("h_up", round(beta, 14))
     if key not in cache:
         cache[key] = _h_up(R, beta, (dA, dB), cache)
-    return cache[key_a] - cache[key] + f_alpha_beta(alpha, beta, eps)
+    return cache[key_a] - cache[key] + overhead
 
 
 def dmax_smoothed_upper(rho, sigma, eps: float) -> tuple[float, np.ndarray]:

@@ -153,18 +153,15 @@ def support_cut(w: np.ndarray) -> float:
     return RANK_TOL * w.max(axis=-1, initial=0.0)
 
 
-def q_alpha_cut(w: np.ndarray, alpha: float) -> float:
-    """Where a Q_alpha kernel cuts the spectrum w of its state (last axis).
+def q_alpha_cut(w: np.ndarray) -> float:
+    """Where a Q_alpha kernel (alpha > 1) cuts the spectrum w of its state
+    (last axis): at round-off, 64 eps lambda_max.
 
-    For alpha > 1 a cut eigenvalue l enters Q_alpha only as (l t)^alpha, so
-    cutting at round-off, 64 eps lambda_max, costs ~1e-13 of Q; a RANK_TOL
-    cut there would cost ~1e-9, which a log divided by alpha - 1 turns into
-    more than a certificate allows near alpha = 1.  For alpha < 1 round-off
-    eigenvalues count as l^alpha, so the cut stays at support_cut.
+    A cut eigenvalue l enters Q_alpha only as (l t)^alpha, so this cut costs
+    ~1e-13 of Q; a RANK_TOL cut would cost ~1e-9, which a log divided by
+    alpha - 1 turns into more than a certificate allows near alpha = 1.
     """
-    if alpha > 1:
-        return 64 * _EPS * w.max(axis=-1, initial=0.0)
-    return support_cut(w)
+    return 64 * _EPS * w.max(axis=-1, initial=0.0)
 
 
 def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -2,28 +2,29 @@
 
 Three engines: a certified solver for convex functionals of a density
 operator (damped Newton from a given start, Frank-Wolfe gap), fed by the one
-kernel `QAlphaKernel`, which gives a weighted sum of sandwiched Q_alpha terms
-with its gradient and exact Hessian from one call on one state and bounds
-what its spectral cut drops; a primal-dual interior-point solver for the
-max-information semidefinite program, which takes a stack of problems and
-iterates the members of one shape together, one LAPACK call per step for
-all of them, each member keeping the bits of its lone solve (a single
-problem is a stack of one); and one multi-start L-BFGS-B descent over
-density operators for the two problems left off the convex solver:
-`mutual_info_alpha`'s sigma, whose protocol outputs are pinned to that
-descent's last bits, and the channel maximization, which is not known to be
-concave.  The two certified solvers return one type, `Certified`: the
-value, a bracket [lower, upper] around the true optimum, the witness state
-or certificate, and the steps taken.  The descent certifies nothing and
-returns a plain (value, state) pair.  Its starts run in lockstep through
-scipy's reverse-communication L-BFGS-B routine `_lbfgsb.setulb`, each
-stepped as scipy.optimize._lbfgsb_py._minimize_lbfgsb (scipy 1.17) steps
-it: one objective call per round, across all starts, on the stack of every
-asking run's point and its 2d^2 forward-difference neighbours, with
-scipy's own steps and arithmetic.  So the descent keeps every bit it had
-when scipy.optimize.minimize ran one start at a time and differenced one
-state at a time.  Desk-scale dimensions (<= 36 total) keep all of these
-cheap; no external SDP engine is used.
+kernel `QAlphaKernel`, which gives a weighted sum of sandwiched Q_alpha
+terms (alpha > 1, positive weights) with its gradient, exact Hessian and a
+bound on what its spectral cut drops from one call on one state; a
+primal-dual interior-point solver for the max-information semidefinite
+program, which takes a stack of problems and iterates the members of one
+shape together, one LAPACK call per step for all of them, each member
+keeping the bits of its lone solve (a single problem is a stack of one); and
+one multi-start L-BFGS-B descent over density operators for the two problems
+left off the convex solver: `mutual_info_alpha`'s sigma, whose protocol
+outputs are pinned to that descent's last bits, and the channel
+maximization, which is not known to be concave.  The two certified solvers
+return one type, `Certified`: the value, a bracket [lower, upper] around the
+true optimum, the witness state or certificate, and the steps taken.  The
+descent certifies nothing and returns a plain (value, state) pair.  Its
+starts run in lockstep through scipy's reverse-communication L-BFGS-B
+routine `_lbfgsb.setulb`, each stepped as
+scipy.optimize._lbfgsb_py._minimize_lbfgsb (scipy 1.17) steps it: one
+objective call per round, across all starts, on the stack of every asking
+run's point and its 2d^2 forward-difference neighbours, with scipy's own
+steps and arithmetic.  So the descent keeps every bit it had when
+scipy.optimize.minimize ran one start at a time and differenced one state at
+a time.  Desk-scale dimensions (<= 36 total) keep all of these cheap; no
+external SDP engine is used.
 """
 
 from __future__ import annotations
@@ -273,39 +274,43 @@ def _divided2(lam: np.ndarray, G1: np.ndarray, e: float, order) -> np.ndarray:
 
 
 class QAlphaKernel:
-    """f(sigma) = sum_t c_t Q_alpha(rho_t || K_t (x) sigma), with its gradient
-    and Hessian in sigma from one call on one sigma.
+    """f(sigma) = sum_t c_t Q_alpha(rho_t || K_t (x) sigma), alpha > 1 and
+    every c_t > 0, with its gradient and Hessian in sigma from one call on
+    one sigma.
 
     ``terms`` lists (c_t, rho_t, K_t, sigma_first); rho_t may be given as
-    its Spectrum, sigma_first puts sigma before K_t, every K_t must be
-    positive definite, and the c_t share one sign s.  Built once per solve:
-    rho_t = F_t F_t^dag over its eigenvalues above q_alpha_cut (round-off
-    for alpha > 1, support_cut otherwise), and with p = (1-alpha)/alpha,
-    Y_t = |c_t|^(1/alpha) F_t^dag (K_t^p (x) sigma^p) F_t has the nonzero spectrum of the
-    sandwiched operator scaled so that f = s Tr Y^alpha, Y the direct sum of
-    the Y_t: one eigendecomposition serves every term.  Y is linear in
-    P = sigma^p, Y = sum_ab P_ab Phi_ab with Phi precomputed; a call rotates
-    Phi into sigma's eigenbasis, where P is diagonal.
+    its Spectrum, sigma_first puts sigma before K_t, and every K_t must be
+    positive definite.  Built once per solve: rho_t = F_t F_t^dag over its
+    eigenvalues above q_alpha_cut (round-off), and with p = (1-alpha)/alpha,
+    Y_t = c_t^(1/alpha) F_t^dag (K_t^p (x) sigma^p) F_t has the nonzero
+    spectrum of the sandwiched operator scaled so that f = Tr Y^alpha, Y the
+    direct sum of the Y_t: one eigendecomposition serves every term.  Y is
+    linear in P = sigma^p, Y = sum_ab P_ab Phi_ab with Phi precomputed; a
+    call rotates Phi into sigma's eigenbasis, where P is diagonal.
 
-    A call returns (f, G, hessian): df = Tr[G dsigma], and hessian() builds,
-    from that call's own intermediates, the Hessian H in the coordinates of
-    _traceless_basis(dim) from first and second
-    Daleckii-Krein divided differences (Bhatia, Matrix Analysis, ch. V):
-    alpha Tr[D(Y^(alpha-1))[B_l] B_k] with B_k = F^dag (K^p (x) DP[E_k]) F,
-    plus Tr[M D^2P[E_k, E_l]] with M the gradient in P.  ``cut_bound``
-    bounds what the cut on each rho_t's spectrum drops from f.
+    A call returns (f, G, hessian, cut): df = Tr[G dsigma], and hessian()
+    and cut() work from that call's own intermediates.  hessian() builds the
+    Hessian H in the coordinates of _traceless_basis(dim) from first and
+    second Daleckii-Krein divided differences (Bhatia, Matrix Analysis,
+    ch. V): alpha Tr[D(Y^(alpha-1))[B_l] B_k] with B_k = F^dag (K^p (x)
+    DP[E_k]) F, plus Tr[M D^2P[E_k, E_l]] with M the gradient in P.  cut()
+    bounds what the cut on each rho_t's spectrum drops: f_full - f lies in
+    [0, cut()] at sigma, f_full being f on the whole of each rho_t.  The cut
+    only lowers each Q_t, and with m_t the mass of rho_t's cut eigenvalues
+    and t = lambda_max(K_t^p (x) sigma^p), Q_t lies under (Q_>^(1/alpha) +
+    m t)^alpha (Weyl monotonicity, Minkowski); weighted by c_t these add up,
+    and cut() is zero when nothing is cut.
     """
 
     def __init__(self, alpha: float, terms):
+        if not (alpha > 1 and all(t[0] > 0 for t in terms)):  # NaN fails too
+            raise ContractViolation("QAlphaKernel needs alpha > 1 and positive weights")
         self.alpha, self.p = alpha, (1.0 - alpha) / alpha
-        self.sign = 1.0 if terms[0][0] > 0 else -1.0
         blocks, self.cuts = [], []
         for c, rho, K, sigma_first in terms:
-            if self.sign * c <= 0:
-                raise ContractViolation("QAlphaKernel needs weights of one sign")
             S = Spectrum.of(rho)
-            keep = S.w > q_alpha_cut(S.w, alpha)
-            F = S.V[:, keep] * np.sqrt(S.w[keep] * abs(c) ** (1.0 / alpha))
+            keep = S.w > q_alpha_cut(S.w)
+            F = S.V[:, keep] * np.sqrt(S.w[keep] * c ** (1.0 / alpha))
             low = S.w[~keep]
             low = low[low > 0]  # the cut eigenvalues that carry mass
             kw, kV = _eigh(_as_matrix(K))
@@ -321,7 +326,7 @@ class QAlphaKernel:
                 Fr = F.reshape(dk, self.dim, r)
                 blocks.append(np.einsum("xai,xy,ybj->abij", Fr.conj(), Kp, Fr))
             # (rows of Y, scaled cut mass, cut count, lambda_max(K^p))
-            self.cuts.append((r, abs(c) ** (1.0 / alpha) * float(low.sum()), len(low),
+            self.cuts.append((r, c ** (1.0 / alpha) * float(low.sum()), len(low),
                               float((kw**self.p).max())))
         d, n = self.dim, sum(B.shape[-1] for B in blocks)
         Phi, o = np.zeros((d, d, n, n), dtype=complex), 0
@@ -332,31 +337,16 @@ class QAlphaKernel:
         self.n, self.Phi = n, Phi.reshape(d * d, n * n)
         self.E = _traceless_basis(d)
         self.order = np.sort(np.indices((d,) * 3), axis=0)
-        self._last = (None, None)
-
-    def _at(self, sigma: np.ndarray):
-        """sigma's eigenpairs, Phi in sigma's eigenbasis, and Y there.
-
-        The last result is kept, keyed by sigma's bytes: ``cut_bound`` at
-        the sigma a solve evaluated last takes it as it is.
-        """
-        key = sigma.tobytes()
-        if key == self._last[0]:
-            return self._last[1]
-        ls, U = _eigh(sigma)
-        if ls[0] <= 0:
-            raise ContractViolation("QAlphaKernel needs sigma positive definite")
-        d = self.dim
-        # Row (c, d) of rot Phi is sum_ab U_ac conj(U_bd) Phi_ab.
-        rot = (U[:, None, :, None] * U.conj()[None, :, None, :]).reshape(d * d, d * d).T
-        Pt = rot @ self.Phi
-        at = ls, U, Pt, (ls**self.p @ Pt[:: d + 1]).reshape(self.n, self.n)
-        self._last = (key, at)
-        return at
 
     def __call__(self, sigma: np.ndarray):
         alpha, d, k, n = self.alpha, self.dim, len(self.E), self.n
-        ls, U, Pt, Y = self._at(sigma)
+        ls, U = _eigh(sigma)
+        if ls[0] <= 0:
+            raise ContractViolation("QAlphaKernel needs sigma positive definite")
+        # Row (c, d) of rot Phi is sum_ab U_ac conj(U_bd) Phi_ab.
+        rot = (U[:, None, :, None] * U.conj()[None, :, None, :]).reshape(d * d, d * d).T
+        Pt = rot @ self.Phi
+        Y = (ls**self.p @ Pt[:: d + 1]).reshape(n, n)
         y, V = _eigh(Y)
         # Below eps lambda_max eigh cannot resolve Y's eigenvalues; the floor
         # keeps their powers and divided differences finite.
@@ -367,7 +357,6 @@ class QAlphaKernel:
         # M_dc = alpha Tr[Y^(alpha-1) Phi_cd]: the gradient in P, dQ = Tr[M dP].
         Mt = alpha * (Pt @ ((V * yg) @ Vh).T.reshape(-1)).reshape(d, d).T
         G = U @ (G1 * Mt) @ Uh
-        s = self.sign
 
         def hessian():
             Et = Uh @ self.E @ U  # E_k in sigma's eigenbasis, and DP[E_k] there
@@ -376,34 +365,19 @@ class QAlphaKernel:
             A = np.einsum("kim,imj,lmj->kl", Et,
                           Mt.T[:, None, :] * _divided2(ls, G1, self.p, self.order), Et)
             H = H + (A + A.T).real
-            return s * (H + H.T) / 2
+            return (H + H.T) / 2
 
-        return s * float(yg @ y), s * _herm(G), hessian
+        def cut():
+            s_top = max(1.0, float(ls[0] ** self.p))
+            bound, o = 0.0, 0
+            for r, mass, count, k_top in self.cuts:
+                if count:
+                    q = float(np.sum(np.clip(_eigvalsh(Y[o:o + r, o:o + r]), 0, None)**alpha))
+                    bound += (q ** (1.0 / alpha) + mass * k_top * s_top) ** alpha - q
+                o += r
+            return bound
 
-    def cut_bound(self, sigma: np.ndarray) -> tuple[float, float]:
-        """(below, above): f_full - f lies in [-below, above] at sigma, where
-        f_full is f on the whole of each rho_t.  The cut only lowers each Q_t:
-        with m_t and r_t the mass and the number of rho_t's cut eigenvalues and
-        t = lambda_max(K_t^p (x) sigma^p), Q_t lies under Q_> + r^(1-alpha)
-        (m t)^alpha for alpha < 1 (monotonicity, Rotfel'd, Jensen), with t at
-        its supremum lambda_max(K_t^p) over states so that the bound holds at
-        every sigma, and under (Q_>^(1/alpha) + m t)^alpha for alpha > 1
-        (Weyl monotonicity, Minkowski).  Weighted by |c_t|, the bounds add up
-        in ``above`` for c_t > 0 and in ``below`` for c_t < 0; both are zero
-        when nothing is cut.
-        """
-        alpha = self.alpha
-        ls, _, _, Y = self._at(sigma)
-        s_top = max(1.0, float(ls[0] ** self.p))
-        bound, o = 0.0, 0
-        for r, mass, count, k_top in self.cuts:
-            if count:
-                mt = mass * k_top * s_top
-                q = float(np.sum(np.clip(_eigvalsh(Y[o:o + r, o:o + r]), 0, None)**alpha))
-                bound += (count ** (1.0 - alpha) * mt**alpha if alpha < 1
-                          else (q ** (1.0 / alpha) + mt) ** alpha - q)
-            o += r
-        return (0.0, bound) if self.sign > 0 else (bound, 0.0)
+        return float(yg @ y), _herm(G), hessian, cut
 
 
 def frank_wolfe_gap(grad: np.ndarray, sigma: np.ndarray) -> float:
@@ -446,17 +420,19 @@ RESIDUAL_TOL = 1e-7
 # halvings its line search tries.
 _NEWTON_STEPS = 30
 _HALVINGS = 14
-# Relative rise of f that its line search still counts as round-off: for
-# beta < 1, Q_beta of a rank-deficient rho jitters by ~1e-12 relative.
+# Relative rise of f that its line search still counts as round-off: near
+# the optimum a Newton step changes f by less than f's own evaluation error,
+# and a smaller gap then carries the last steps.
 _FLAT = 1e-12
 
 
 def minimize_convex_over_states(fun, dim: int, value_of=None, start=None) -> Certified:
     """Minimize a convex functional over D(dim), certified by the Frank-Wolfe gap.
 
-    ``fun(sigma)`` takes one state and returns (f, G, hessian): df =
-    Tr[G dsigma], and hessian() the Hessian in the coordinates of
-    _traceless_basis(dim).
+    ``fun(sigma)`` takes one state and returns (f, G, hessian, cut): df =
+    Tr[G dsigma], hessian() the Hessian in the coordinates of
+    _traceless_basis(dim), and cut() a bound on what f leaves out, so that
+    the functional f stands for lies in [f, f + cut()] (QAlphaKernel's cut).
     ``value_of`` maps f increasingly onto the reported value (identity by
     default); the result's value and bracket are in its units, its witness
     is the returned sigma.  ``start`` is a positive definite first iterate
@@ -469,39 +445,38 @@ def minimize_convex_over_states(fun, dim: int, value_of=None, start=None) -> Cer
     positive cone starts 0.99 of the way to its boundary; it is halved until the
     candidate is positive definite and shows an Armijo decrease of f or,
     once f is flat to round-off, a smaller gap.  `steps` counts Newton
-    steps.  When ``fun`` has a ``cut_bound(sigma)`` (as QAlphaKernel does),
-    the functional f stands for lies in [f - below, f + above]: the bracket
-    is then [value_of(f - fw - below), value_of(f + above)] at the returned
-    sigma, fw the Frank-Wolfe gap in f's units, which holds both the
-    reported value value_of(f) and the true minimum.  Raises
-    CertificateError when its gap stays above GAP_TOL: an unconverged solve
-    never returns a value.
+    steps.  The bracket is [value_of(f - fw), value_of(f + cut())] at the
+    returned sigma, fw the Frank-Wolfe gap in f's units, with cut() from
+    that sigma's own call: it holds both the reported value value_of(f) and
+    the true minimum.  Raises CertificateError when its gap stays above
+    GAP_TOL: an unconverged solve never returns a value.
     """
     value_of = value_of if value_of is not None else (lambda f: f)
 
-    def bracket(f, fw, below=0.0, above=0.0):
-        return value_of(f - fw - below), value_of(f + above)
+    def bracket(f, fw, above=0.0):
+        return value_of(f - fw), value_of(f + above)
 
-    def certificate(f, fw, below=0.0, above=0.0):
-        lower, upper = bracket(f, fw, below, above)
+    def certificate(f, fw, above=0.0):
+        lower, upper = bracket(f, fw, above)
         return upper - lower if math.isfinite(lower) else math.inf
 
     d = dim
     E = _traceless_basis(d)
 
     def expand(sigma):
-        """f, G, hessian (it builds the Hessian), the value, the certificate
-        gap, the Cholesky factor and the Frank-Wolfe gap at sigma."""
+        """f, G, hessian (it builds the Hessian), cut, the value, the
+        certificate gap, the Cholesky factor and the Frank-Wolfe gap at
+        sigma."""
         try:
             L = _cholesky(sigma)
         except LinAlgError:
             raise ContractViolation("sigma left the positive cone") from None
-        f, grad, hessian = fun(sigma)
+        f, grad, hessian, cut = fun(sigma)
         fw = frank_wolfe_gap(grad, sigma)
-        return f, grad, hessian, value_of(f), certificate(f, fw), L, fw
+        return f, grad, hessian, cut, value_of(f), certificate(f, fw), L, fw
 
     sigma = np.eye(d, dtype=complex) / d if start is None else start / np.trace(start).real
-    f, grad, hessian, value, gap, L, fw = expand(sigma)
+    f, grad, hessian, cut, value, gap, L, fw = expand(sigma)
     # Converge well past GAP_TOL: the value's error is second order in
     # sigma's, the gap first order, so the value then carries ~1e-15 error.
     # At d = 1 the only state is optimal: no step is taken.
@@ -526,23 +501,21 @@ def minimize_convex_over_states(fun, dim: int, value_of=None, start=None) -> Cer
             # Once f is flat to round-off, a smaller gap carries the last steps.
             if new is not None and (
                     new[0] <= f + 1e-4 * t * slope
-                    or (new[0] <= f + _FLAT * abs(f) and new[4] < gap)):
+                    or (new[0] <= f + _FLAT * abs(f) and new[5] < gap)):
                 break
             t *= 0.5
         else:
             break
         steps += 1
         sigma = cand
-        f, grad, hessian, value, gap, L, fw = new
-    cut = (0.0, 0.0)
-    if gap <= GAP_TOL and hasattr(fun, "cut_bound"):
-        cut = fun.cut_bound(sigma)
-        gap = certificate(f, fw, *cut)
+        f, grad, hessian, cut, value, gap, L, fw = new
+    above = cut() if gap <= GAP_TOL else 0.0
+    gap = certificate(f, fw, above)
     if not gap <= GAP_TOL:
         raise CertificateError(
             f"convex solver stopped with Frank-Wolfe gap {gap:.3e} > {GAP_TOL:.1e}"
-            + (" with the cut bound" if any(cut) else ""))
-    return Certified(value, *bracket(f, fw, *cut), sigma, steps)
+            + (" with the cut bound" if above else ""))
+    return Certified(value, *bracket(f, fw, above), sigma, steps)
 
 
 # --- max-information SDP ----------------------------------------------------

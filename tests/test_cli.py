@@ -190,6 +190,42 @@ def test_bounds_sweep_nan_beta_is_a_config_error(capsys):
     assert "beta" in json.loads(stderr)["error"]
 
 
+@pytest.mark.parametrize("order", [["--alpha", "1.5"], ["--beta", "0.75"]])
+def test_bounds_sweep_refuses_bad_orders_before_any_solve(order, monkeypatch, capsys):
+    # f_alpha_beta's refusal comes first: no SDP and no H_up solve runs.
+    from csl import infomeasures, smoothing
+    calls = []
+
+    def counted(module, name):
+        inner = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or inner(*a, **k))
+
+    for module in (optim, infomeasures, smoothing):
+        counted(module, "dominating_trace_min")
+    counted(infomeasures, "minimize_convex_over_states")
+    code, stdout, stderr = run(["bounds-sweep", "--suite", "uab", "--dims", "2x3",
+                                "--samples", "3", "--seed", "1"] + order, capsys)
+    assert code == 2 and stdout == "" and calls == []
+    assert json.loads(stderr)["error"] == "need alpha in (0,1), beta > 1, eps in (0,1)"
+
+
+@pytest.mark.parametrize("argv", [
+    ["rev-shannon", "--alpha", "0.5", "--beta", "250"],
+    ["verify-uab", "--dims", "2x2", "--samples", "1", "--seed", "1", "--beta", "1e6"]])
+def test_large_beta_is_a_certificate_failure(argv, tmp_path, capfd):
+    # An overflowing H_up solve exits 1 with a failure record, quietly.
+    if argv[0] == "rev-shannon":
+        g = 0.3
+        path = tmp_path / "ad.json"
+        path.write_text(json.dumps({"kraus": [[[1.0, 0.0], [0.0, math.sqrt(1 - g)]],
+                                              [[0.0, math.sqrt(g)], [0.0, 0.0]]],
+                                    "dim_in": 2, "dim_out": 2}))
+        argv = argv + ["--channel", str(path), "--seed", "0"]
+    assert main(argv) == 1
+    out, err = capfd.readouterr()
+    assert json.loads(out)["failure"]["kind"] == "certificate" and err == ""
+
+
 def _assert_numbers_close(got: str, want: str, rel: float):
     """Two numeric CSV texts: the same header and shape, and every cell
     within rel of max(1, |want|)."""

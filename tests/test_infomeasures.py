@@ -1,11 +1,12 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from csl import infomeasures, optim
-from csl.divergences import d_umegaki
+from csl.divergences import d_alpha, d_umegaki
 from csl.infomeasures import (
     C_SMOOTH,
     check_rld_bound,
@@ -17,7 +18,7 @@ from csl.infomeasures import (
     renyi_entropy,
     universal_rhs,
 )
-from csl.matcore import CertificateError, ContractViolation, reduced, sample
+from csl.matcore import CertificateError, ContractViolation, Spectrum, reduced, sample
 from csl.optim import imax_sdp, minimize_convex_over_states
 from csl.smoothing import imax_smoothed_upper
 
@@ -106,42 +107,90 @@ def test_conditional_renyi_up_pure_state_duality():
         assert abs(conditional_renyi_up(rho, beta, (2, 3)) - expect) < 1e-8
 
 
-def _purified_marginal(rho_ab, dims):
-    """rho_AC of a purification psi_ABC of rho_AB on a C of dimension rank rho_AB."""
-    w, V = np.linalg.eigh(rho_ab)
-    keep = w > 1e-12
-    dA, dB = dims
-    psi = (V[:, keep] * np.sqrt(w[keep])).reshape(dA, dB, -1)
-    return np.einsum("abc,dbe->acde", psi, psi.conj()).reshape(dA * psi.shape[2], -1), \
-        (dA, psi.shape[2])
+def _near(sigma, h, rng):
+    """sigma + h X for a random traceless Hermitian X of unit Frobenius norm."""
+    r = len(sigma)
+    X = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+    X = X + X.conj().T
+    X -= np.trace(X).real / r * np.eye(r)
+    return sigma + h * X / np.linalg.norm(X)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
-def test_conditional_renyi_up_duality_on_mixed_states(dims):
-    # For pure psi_ABC, H_up_beta(A|B) = -H_up_beta'(A|C) with
-    # beta' = beta/(2 beta - 1) (Tomamichel, Berta & Hayashi 2014).  rho_AB
-    # of full rank, rank D - 1 and rank 2, two seeds each; beta' = 3/4, 2/3.
-    D = dims[0] * dims[1]
+def test_conditional_renyi_up_witness_checks_on_mixed_states(dims, monkeypatch):
+    # Each certified solve checked through divergences.d_alpha, whose Q_beta
+    # is its own (_q), not QAlphaKernel's: the witness sigma, lifted from
+    # supp(rho_B) to B, gives D_beta(rho || 1 (x) sigma) = -H_up to 1e-12
+    # relative, and no state near it, along random traceless directions at
+    # h = 1e-3 and 1e-5, gives a value below the certified lower bound.
+    # rho_AB of full rank, rank D - 1 and rank 2, two seeds each.
+    reports = []
+
+    def recorded(*args):
+        reports.append(minimize_convex_over_states(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(infomeasures, "minimize_convex_over_states", recorded)
+    rng = np.random.default_rng(33)
+    dA, D = dims[0], dims[0] * dims[1]
     for rank in (D, D - 1, 2):
         for seed in (0, 1):
             rho = sample("rank-limited", dims, 3100 + 10 * rank + seed, rank=rank)
-            rho_ac, dims_ac = _purified_marginal(rho, dims)
-            for beta in (1.5, 2.0):
-                dual = conditional_renyi_up(rho_ac, beta / (2 * beta - 1), dims_ac)
-                total = conditional_renyi_up(rho, beta, dims) + dual
-                assert abs(total) <= 1e-10, (rank, seed, beta, total)
+            VB = Spectrum(reduced(rho, dims, 1)).basis
+
+            def d_beta(sigma, beta):
+                return d_alpha(rho, np.kron(np.eye(dA), VB @ sigma @ VB.conj().T), beta)
+
+            for beta in (1.5, 2.0, 4.0, 8.0):
+                value = -conditional_renyi_up(rho, beta, dims)
+                res = reports[-1]
+                assert res.value == value and res.gap <= 1e-9
+                got = d_beta(res.witness, beta)
+                assert abs(got - value) <= 1e-12 * abs(value), (rank, seed, beta, got, value)
+                for h in (1e-3, 1e-5):
+                    for _ in range(4):
+                        near = _near(res.witness, h, rng)
+                        if np.linalg.eigvalsh(near)[0] > 0:
+                            assert d_beta(near, beta) >= res.lower, (rank, seed, beta, h)
+    assert len(reports) == 24
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.75, 1 - 1e-12, -1.0, -math.inf])
+def test_conditional_renyi_up_refuses_orders_below_one(beta):
+    # Mixed and pure states alike, before any closed form or solve.
+    v = sample("pure-haar", (2, 2), 4)
+    for rho, dims in ((sample("mixed-hilbert-schmidt", (2, 3), 3), (2, 3)),
+                      (np.outer(v, v.conj()), (2, 2))):
+        with pytest.raises(ContractViolation, match="beta must be >= 1"):
+            conditional_renyi_up(rho, beta, dims)
+
+
+@pytest.mark.parametrize("beta", [100, 250, 1000])
+def test_conditional_renyi_up_at_large_orders_refused_quietly(beta, capfd):
+    # 2x3 states where the kernel's powers overflow: the overflow raises
+    # CertificateError before a NaN reaches LAPACK, which would print to
+    # stderr, so there is no RuntimeWarning and nothing on fd 2.
+    refused = 0
+    for i in range(10):
+        rho = sample("mixed-hilbert-schmidt", (2, 3), 1 + 1000 * i)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                assert math.isfinite(conditional_renyi_up(rho, beta, (2, 3)))
+            except CertificateError:
+                refused += 1
+    assert refused  # the path under test ran
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("beta", [0.5, 0.5 + 1e-9])
 def test_conditional_renyi_up_pure_state_at_half(beta):
-    # The dual order beta/(2 beta - 1) is inf at beta = 1/2 and about 5e8
-    # just above it: H_up_{1/2}(A|B) = log2 lambda_max(rho_A) on pure states.
+    # Below beta = 1 pure states are refused too, before the closed form
+    # -H_{beta/(2 beta - 1)}(A) (dual order inf and about 5e8 here) runs.
     for dims, seed in (((2, 3), 9), ((3, 2), 10), ((3, 3), 11)):
         v = sample("pure-haar", dims, seed)
-        rho = np.outer(v, v.conj())
-        rho_A = np.trace(rho.reshape(dims + dims), axis1=1, axis2=3)
-        want = math.log2(np.linalg.eigvalsh(rho_A).max())
-        assert abs(conditional_renyi_up(rho, beta, dims) - want) <= 1e-8
+        with pytest.raises(ContractViolation, match="beta must be >= 1"):
+            conditional_renyi_up(np.outer(v, v.conj()), beta, dims)
 
 
 @pytest.mark.parametrize("alpha", [1100, 1e6])
@@ -160,16 +209,13 @@ def test_renyi_entropy_next_to_order_one(alpha):
     assert abs(renyi_entropy(rho, alpha) - renyi_entropy(rho, 1)) <= 1e-8
 
 
-BETAS = (0.5, 0.75, 1.5, 2.0, 4.0)
+BETAS = (1.5, 2.0, 4.0)
 # H_up_beta(A|B) at BETAS, recorded with the multi-start optimizer this
 # package used before the certified convex solver.
 PINNED_H_UP = {
-    "hs22": (0.6860486261532853, 0.5642775170437057, 0.3650624245592738,
-             0.29896943502207285, 0.1878314081702629),
-    "hs23": (0.6306052968024007, 0.4633888218622385, 0.18129391779043053,
-             0.08361261365121808, -0.07373029542879941),
-    "compressed": (0.6335606145305006, 0.5233090378660249, 0.37150680220677923,
-                   0.32816854658091205, 0.25714861695167623),
+    "hs22": (0.3650624245592738, 0.29896943502207285, 0.1878314081702629),
+    "hs23": (0.18129391779043053, 0.08361261365121808, -0.07373029542879941),
+    "compressed": (0.37150680220677923, 0.32816854658091205, 0.25714861695167623),
 }
 
 
@@ -182,8 +228,7 @@ def _pinned_states():
         "compressed": (M, (2, 2)),
         # rank-deficient rho_B: M placed on A (x) span(e0, e1) of a 3-dim B.
         # It has the values of M; the multi-start optimizer, whose minimizer
-        # sat on the boundary of D(B) here, was off by up to 4e-10 for
-        # beta >= 3/4 and by 5e-4 at beta = 1/2.
+        # sat on the boundary of D(B) here, was off by up to 4e-10.
         "embedded": (W @ M @ W.conj().T, (2, 3)),
     }
 
@@ -219,6 +264,18 @@ def test_universal_rhs_product_maximally_mixed():
     rho = np.eye(4) / 4
     val = universal_rhs(rho, (2, 2), 0.5, 2.0, 0.1)
     assert abs(val - f_alpha_beta(0.5, 2.0, 0.1)) < 1e-6
+
+
+@pytest.mark.parametrize("alpha,beta,eps", [(1.5, 2.0, 0.1), (0.5, 0.75, 0.1), (0.5, 2.0, 1.0)])
+def test_universal_rhs_refuses_bad_orders_before_any_solve(alpha, beta, eps, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before the orders were checked")
+
+    monkeypatch.setattr(infomeasures, "dominating_trace_min", refuse)
+    monkeypatch.setattr(infomeasures, "minimize_convex_over_states", refuse)
+    rho = sample("mixed-hilbert-schmidt", (2, 3), 5)
+    with pytest.raises(ContractViolation, match="need alpha in"):
+        universal_rhs(rho, (2, 3), alpha, beta, eps)
 
 
 def test_imax_smoothed_upper_basics():

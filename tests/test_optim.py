@@ -429,22 +429,19 @@ def _kernel_solve(beta):
     rng = np.random.default_rng([28, int(4 * beta)])
     U = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
     w = rng.random(6) + 0.5
-    # Under the cut, yet small enough for the gap to close (alpha < 1 cuts at
-    # RANK_TOL, where the bound grows as mass^alpha).
-    w[:2] = np.array([0.5, 0.2]) * (q_alpha_cut(w, beta) if beta > 1 else 1e-14 * w.max())
+    w[:2] = np.array([0.5, 0.2]) * q_alpha_cut(w)  # under the cut
     rho = (U * (w / w.sum())) @ U.conj().T
-    sign = 1.0 if beta > 1 else -1.0
-    kernel = QAlphaKernel(beta, [(sign, rho, np.eye(2), False)])
+    kernel = QAlphaKernel(beta, [(1.0, rho, np.eye(2), False)])
 
     def value_of(f):
-        return math.log2(sign * f) / (beta - 1.0) if sign * f > 0 else -math.inf
+        return math.log2(f) / (beta - 1.0) if f > 0 else -math.inf
 
     def check(res):
-        f, G, _ = kernel(res.witness)
-        below, above = kernel.cut_bound(res.witness)
-        assert max(below, above) > 0.0  # the cut drops mass
+        f, G, _, cut = kernel(res.witness)
+        above = cut()
+        assert above > 0.0  # the cut drops mass
         fw = frank_wolfe_gap(G, res.witness)
-        assert res.lower <= value_of(f - fw - below) and value_of(f + above) <= res.upper
+        assert res.lower <= value_of(f - fw) and value_of(f + above) <= res.upper
 
     return minimize_convex_over_states(kernel, 3, value_of), check
 
@@ -465,7 +462,6 @@ def _sdp_solve(member):
 
 
 BRACKET_CASES = {
-    "kernel-beta-0.75": lambda: _kernel_solve(0.75),
     "kernel-beta-2": lambda: _kernel_solve(2.0),
     "nu_n": lambda: _nu_n_solve(False),
     "nu_n-inf": lambda: _nu_n_solve(True),
@@ -558,6 +554,16 @@ def _product(K, sigma, sigma_first):
     return np.kron(sigma, K) if sigma_first else np.kron(K, sigma)
 
 
+def _refused(alpha, terms) -> bool:
+    """Whether alpha <= 1, outside the kernel's one regime, after checking
+    that the kernel refuses ``terms`` at that order."""
+    if alpha > 1:
+        return False
+    with pytest.raises(ContractViolation, match="alpha > 1"):
+        QAlphaKernel(alpha, terms)
+    return True
+
+
 def _q_alpha_grad(rho, K, sigma, alpha, sigma_first=False):
     """Q_alpha(rho || K (x) sigma) (or sigma (x) K) and its gradient in sigma."""
     return QAlphaKernel(alpha, [(1.0, rho, K, sigma_first)])(sigma)[:2]
@@ -571,6 +577,8 @@ def test_q_alpha_grad_matches_central_differences(alpha, sigma_first):
         rho = sample("mixed-hilbert-schmidt", dK * dS, 5)
         K = sample("mixed-hilbert-schmidt", dK, 6)
         sigma = sample("mixed-hilbert-schmidt", dS, 7)
+        if _refused(alpha, [(1.0, rho, K, sigma_first)]):
+            continue
         value, grad = _q_alpha_grad(rho, K, sigma, alpha, sigma_first)
         assert abs(value - q_alpha(rho, _product(K, sigma, sigma_first), alpha)) \
             <= 1e-12 * max(1.0, value)
@@ -595,6 +603,8 @@ def test_q_alpha_grad_closed_form_near_support_cut(lam, alpha):
     rho_A = np.diag([0.75, 0.25])
     tr = 0.75**alpha + 0.25**alpha
     b = np.array([0.7, 0.3 - lam, lam])
+    if _refused(alpha, [(1.0, np.kron(rho_A, np.diag(b)), np.eye(2), False)]):
+        return
     for s in (b, np.array([0.5, 0.5 - lam, lam])):
         Q, G = _q_alpha_grad(np.kron(rho_A, np.diag(b)), np.eye(2), np.diag(s), alpha)
         want_q = tr * np.sum(b**alpha * s ** (1 - alpha))
@@ -606,16 +616,20 @@ def test_q_alpha_grad_closed_form_near_support_cut(lam, alpha):
 
 @pytest.mark.parametrize("alpha", [0.75, 2.0])
 def test_frank_wolfe_gap_bounds_suboptimality(alpha):
-    # f = +-Q_alpha(rho || 1 (x) sigma) is convex; at a deliberately poor
-    # sigma the gap must cover f(sigma) - f*.
+    # f = Q_alpha(rho || 1 (x) sigma) is convex; at a deliberately poor
+    # sigma the gap must cover f(sigma) - f*.  At 0.75, where Q is concave,
+    # the kernel refuses -Q.
     rho = sample("mixed-hilbert-schmidt", (2, 3), 8)
-    kernel = QAlphaKernel(alpha, [(1.0 if alpha > 1 else -1.0, rho, np.eye(2), False)])
+    terms = [(1.0 if alpha > 1 else -1.0, rho, np.eye(2), False)]
+    if _refused(alpha, terms):
+        return
+    kernel = QAlphaKernel(alpha, terms)
     best = minimize_convex_over_states(kernel, 3)
     assert best.gap <= 1e-9
     for seed in range(5):
         poor = sample("rank-limited", 3, 40 + seed, rank=3)
         poor = 0.9 * poor + 0.1 * np.diag([1.0, 0.0, 0.0])
-        f, grad, _ = kernel(poor)
+        f, grad, _, _ = kernel(poor)
         excess = f - best.value
         assert excess > 1e-4
         assert excess <= frank_wolfe_gap(grad, poor) + 1e-12
@@ -624,7 +638,7 @@ def test_frank_wolfe_gap_bounds_suboptimality(alpha):
 def test_convex_solver_raises_when_gap_stays_open():
     # A gradient that disagrees with f never closes the gap: no value.
     def inconsistent(s):
-        return 0.0, np.diag([1.0, 0.0]).astype(complex), lambda: np.zeros((3, 3))
+        return 0.0, np.diag([1.0, 0.0]).astype(complex), lambda: np.zeros((3, 3)), lambda: 0.0
 
     with pytest.raises(CertificateError, match="Frank-Wolfe gap"):
         minimize_convex_over_states(inconsistent, 2)
@@ -641,6 +655,8 @@ def test_q_alpha_hessian_matches_central_differences(alpha, sigma_first, at):
     for dK, dS in [(1, 3), (2, 2), (2, 3), (3, 2)]:
         rho = sample("mixed-hilbert-schmidt", dK * dS, 5)
         K = sample("mixed-hilbert-schmidt", dK, 6)
+        if _refused(alpha, [(1.0, rho, K, sigma_first)]):
+            continue
         kernel = QAlphaKernel(alpha, [(1.0, rho, K, sigma_first)])
         sigma = np.eye(dS, dtype=complex) / dS
         if at == "near-degenerate":
@@ -668,13 +684,15 @@ def test_q_alpha_grad_stack_equals_single_calls(dK, dS, alpha, sigma_first):
     K = sample("mixed-hilbert-schmidt", dK, 6)
     stack = np.array([sample("mixed-hilbert-schmidt", dS, 10 + i) for i in range(5)])
     terms = [(1.0, rho, K, sigma_first)]
+    if _refused(alpha, terms):
+        return
     kernel = QAlphaKernel(alpha, terms)
     reused = [kernel(sigma) for sigma in stack]
     backwards = [kernel(sigma) for sigma in stack[::-1]][::-1]
-    reused, backwards = ([(f, g, hessian()) for f, g, hessian in calls]
+    reused, backwards = ([(f, g, hessian()) for f, g, hessian, _ in calls]
                          for calls in (reused, backwards))
     for sigma, got, again in zip(stack, reused, backwards):
-        q, g, hessian = QAlphaKernel(alpha, terms)(sigma)
+        q, g, hessian, _ = QAlphaKernel(alpha, terms)(sigma)
         h = hessian()
         assert type(q) is float and g.shape == (dS, dS) and h.shape == (dS * dS - 1,) * 2
         assert abs(q - q_alpha(rho, _product(K, sigma, sigma_first), alpha)) <= 1e-12 * max(1.0, q)
@@ -696,47 +714,57 @@ def test_q_alpha_kernel_sums_its_terms():
     terms = [(0.75, rho_R, np.ones((1, 1)), False), (0.25, rho_RA, K, True),
              (0.5, rho_RA, K, False)]
     sigma = sample("mixed-hilbert-schmidt", 2, 7)
-    f, G, hessian = QAlphaKernel(2.0, terms)(sigma)
+    f, G, hessian, _ = QAlphaKernel(2.0, terms)(sigma)
     H = hessian()
-    parts = [(f, G, hessian()) for f, G, hessian in
+    parts = [(f, G, hessian()) for f, G, hessian, _ in
              (QAlphaKernel(2.0, [(1.0,) + t[1:]])(sigma) for t in terms)]
     for got, want in zip((f, G, H), zip(*parts)):
         total = sum(t[0] * w for t, w in zip(terms, want))
         assert np.abs(got - total).max() <= 1e-13 * max(1.0, np.abs(total).max())
 
 
+@pytest.mark.parametrize("alpha,c", [(1.0, 1.0), (0.75, 1.0), (0.5, -1.0), (math.nan, 1.0),
+                                     (2.0, 0.0), (2.0, -0.5), (2.0, math.nan)])
+def test_q_alpha_kernel_refuses_orders_and_weights(alpha, c):
+    # One convex regime: alpha > 1 and every weight positive, NaN refused.
+    terms = [(0.5, sample("mixed-hilbert-schmidt", 2, 3), np.ones((1, 1)), False),
+             (c, sample("mixed-hilbert-schmidt", 2, 4), np.ones((1, 1)), False)]
+    with pytest.raises(ContractViolation, match="alpha > 1 and positive weights"):
+        QAlphaKernel(alpha, terms)
+
+
 @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.5, 2.0, 4.0])
 @pytest.mark.parametrize("sigma_first", [False, True])
 def test_cut_bound_brackets_the_uncut_value(alpha, sigma_first):
-    # rho with eigenvalues at 0.5 and 0.2 of the kernel's cut (RANK_TOL
-    # lambda_max for alpha < 1, round-off for alpha > 1): the kernel drops
-    # them, and f_full (q_alpha on the whole rho) lies in [f - below,
-    # f + above].  With nothing cut both sides are zero.  For alpha > 1 what
-    # the cut drops, ~(64 eps)^alpha, lies below the round-off between the
-    # kernel and q_alpha, so there the bracket holds to that round-off: on
-    # these states, with the two eigenvalues raised 1e6-fold so that nothing
-    # is cut, the two already differ by up to 5.5e3 eps of f (alpha = 4,
-    # f ~ 3e7), and the slack is 1e-11 of f.
+    # rho with eigenvalues at 0.5 and 0.2 of the kernel's round-off cut: the
+    # kernel drops them, and f_full (q_alpha on the whole rho) lies in
+    # [f, f + cut()].  With nothing cut the bound is zero.  What the cut
+    # drops, ~(64 eps)^alpha, lies below the round-off between the kernel
+    # and q_alpha, so the bracket holds to that round-off: on these states,
+    # with the two eigenvalues raised 1e6-fold so that nothing is cut, the
+    # two already differ by up to 5.5e3 eps of f (alpha = 4, f ~ 3e7), and
+    # the slack is 1e-11 of f.
+    if _refused(alpha, [(1.0, sample("mixed-hilbert-schmidt", 4, 5), np.eye(2), False)]):
+        return
     rng = np.random.default_rng([31, sigma_first])
-    sign = 1.0 if alpha > 1 else -1.0
     for dK, dS in [(1, 3), (2, 2), (2, 3)]:
         U = np.linalg.qr(rng.standard_normal((dK * dS,) * 2)
                          + 1j * rng.standard_normal((dK * dS,) * 2))[0]
         w = rng.random(dK * dS) + 0.5
-        w[:2] = np.array([0.5, 0.2]) * q_alpha_cut(w, alpha)
+        w[:2] = np.array([0.5, 0.2]) * q_alpha_cut(w)
         rho = (U * (w / w.sum())) @ U.conj().T
         K = sample("mixed-hilbert-schmidt", dK, 6)
         for seed in range(3):
             sigma = sample("mixed-hilbert-schmidt", dS, 50 + seed)
-            kernel = QAlphaKernel(alpha, [(sign, rho, K, sigma_first)])
-            f = kernel(sigma)[0]
-            below, above = kernel.cut_bound(sigma)
-            full = sign * q_alpha(rho, _product(K, sigma, sigma_first), alpha)
-            slack = 1e-14 if alpha < 1 else 1e-11 * max(1.0, abs(f))
-            assert f - below - slack <= full <= f + above + slack, (dK, dS, f, full)
-            assert (below if sign > 0 else above) == 0.0 < (above if sign > 0 else below)
-    kernel = QAlphaKernel(alpha, [(sign, sample("mixed-hilbert-schmidt", 4, 5), np.eye(2), False)])
-    assert kernel.cut_bound(np.eye(2) / 2) == (0.0, 0.0)
+            kernel = QAlphaKernel(alpha, [(1.0, rho, K, sigma_first)])
+            f, _, _, cut = kernel(sigma)
+            above = cut()
+            full = q_alpha(rho, _product(K, sigma, sigma_first), alpha)
+            slack = 1e-11 * max(1.0, abs(f))
+            assert f - slack <= full <= f + above + slack, (dK, dS, f, full)
+            assert 0.0 < above
+    kernel = QAlphaKernel(alpha, [(1.0, sample("mixed-hilbert-schmidt", 4, 5), np.eye(2), False)])
+    assert kernel(np.eye(2) / 2)[3]() == 0.0
 
 
 class _Counting:
@@ -749,16 +777,13 @@ class _Counting:
     def __call__(self, sigma):
         assert sigma.shape == (self.dim, self.dim)
         self.calls += 1
-        f, G, hessian = self.kernel(sigma)
+        f, G, hessian, cut = self.kernel(sigma)
 
         def counted():
             self.hessians += 1
             return hessian()
 
-        return f, G, counted
-
-    def cut_bound(self, sigma):
-        return self.kernel.cut_bound(sigma)
+        return f, G, counted, cut
 
 
 def _counted(monkeypatch, module):
@@ -844,10 +869,11 @@ def test_mutual_info_alpha_one_stacked_call_per_point(monkeypatch):
 
 
 def test_boundary_minimizer_at_half_refused():
-    # At beta = 1/2 this state's minimizer lies on the boundary of D(B),
-    # where the gap stalls: the solver must raise, never return a value.
+    # beta = 1/2 lies outside the orders H_up takes (beta >= 1): refused as
+    # bad input on this state, whose minimizer there sits on the boundary of
+    # D(B), before any solve.
     rho = sample("rank-limited", 6, 101, rank=3)
-    with pytest.raises(CertificateError, match="Frank-Wolfe gap"):
+    with pytest.raises(ContractViolation, match="beta must be >= 1"):
         infomeasures.conditional_renyi_up(rho, 0.5, (2, 3))
 
 
@@ -883,6 +909,10 @@ def test_near_boundary_minimizers_certify_or_refuse(beta, dB, rotated):
         U = np.linalg.qr(rng.standard_normal((dB, dB)) + 1j * rng.standard_normal((dB, dB)))[0]
     rho_A = sample("mixed-hilbert-schmidt", 2, 4)
     rho = np.kron(rho_A, U @ np.diag(p) @ U.conj().T)
+    if beta < 1:  # no longer an order of H_up: refused before any solve
+        with pytest.raises(ContractViolation, match="beta must be >= 1"):
+            infomeasures.conditional_renyi_up(rho, beta, (2, dB))
+        return
     try:
         value = infomeasures.conditional_renyi_up(rho, beta, (2, dB))
     except CertificateError:
@@ -898,6 +928,10 @@ def test_rho_b_at_the_cut_certifies_or_refuses(beta):
     # certificate, so the solve meets H_beta(A) or raises.
     rho_A = sample("mixed-hilbert-schmidt", 2, 4)
     rho = np.kron(rho_A, np.diag([1 - RANK_TOL, RANK_TOL]))
+    if beta < 1:  # no longer an order of H_up: refused before any solve
+        with pytest.raises(ContractViolation, match="beta must be >= 1"):
+            infomeasures.conditional_renyi_up(rho, beta, (2, 2))
+        return
     try:
         value = infomeasures.conditional_renyi_up(rho, beta, (2, 2))
     except CertificateError:
@@ -907,34 +941,34 @@ def test_rho_b_at_the_cut_certifies_or_refuses(beta):
 
 @pytest.mark.parametrize("beta", [0.5, 0.75])
 def test_minimizer_near_the_boundary_certifies(beta):
-    # sigma* = diag(0.7, 0.3 - 1e-6, 1e-6): from I/3 the first Newton steps
-    # overshoot to sigma_33 ~ 2e-9, where the gap stalled.  From the Petz
-    # start, which is sigma* itself for this product state, it certifies.
+    # sigma* = diag(0.7, 0.3 - 1e-6, 1e-6), the Petz start of this product
+    # state.  Orders below 1 are refused before any solve; at the orders
+    # 1/beta the solve from the Petz start certifies H_beta(A).
     rho_A = sample("mixed-hilbert-schmidt", 2, 4)
     rho = np.kron(rho_A, np.diag([0.7, 0.3 - 1e-6, 1e-6]))
-    value = infomeasures.conditional_renyi_up(rho, beta, (2, 3))
-    assert abs(value - infomeasures.renyi_entropy(rho_A, beta)) <= 1e-9
+    with pytest.raises(ContractViolation, match="beta must be >= 1"):
+        infomeasures.conditional_renyi_up(rho, beta, (2, 3))
+    value = infomeasures.conditional_renyi_up(rho, 1 / beta, (2, 3))
+    assert abs(value - infomeasures.renyi_entropy(rho_A, 1 / beta)) <= 1e-9
 
 
-def test_cut_bound_reuses_the_last_call(monkeypatch):
-    # The solver asks for the cut bound at the sigma of its last kernel
-    # call: cut_bound then takes that call's sigma eigh, rotation and Y as
-    # they are, and gives the bits of a kernel that never saw sigma.
+def test_final_cut_bound_makes_no_eigh_call(monkeypatch):
+    # A call's cut() works from that call's own sigma eigenpairs and Y: it
+    # makes no _eigh call, and it gives the bits of a fresh kernel's call,
+    # however many calls on other states came between.
     rng = np.random.default_rng(32)
     U = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
     w = rng.random(4) + 0.5
-    w[:1] = 0.5 * q_alpha_cut(w, 2.0)
+    w[:1] = 0.5 * q_alpha_cut(w)
     rho = (U * (w / w.sum())) @ U.conj().T
     terms = [(1.0, rho, sample("mixed-hilbert-schmidt", 2, 6), False)]
     sigma, other = (sample("mixed-hilbert-schmidt", 2, s) for s in (51, 52))
-    fresh = QAlphaKernel(2.0, terms).cut_bound(sigma)
+    fresh = QAlphaKernel(2.0, terms)(sigma)[3]()
     kernel = QAlphaKernel(2.0, terms)
-    kernel(sigma)
+    cut = kernel(sigma)[3]
+    kernel(other)
     calls = []
     patch_lapack(monkeypatch, "_eigh",
                  lambda inner: lambda *a, **k: calls.append(1) or inner(*a, **k))
-    assert kernel.cut_bound(sigma) == fresh and fresh[1] > 0.0
+    assert cut() == fresh and fresh > 0.0
     assert calls == []
-    assert kernel.cut_bound(sigma.copy()) == fresh and calls == []  # the same bits
-    kernel.cut_bound(other)
-    assert len(calls) == 1
